@@ -40,10 +40,8 @@
 #include "sweep_cli.h"
 #include "engine/coordinator.h"
 #include "engine/engine.h"
-#include "engine/jstream.h"
 #include "engine/metrics.h"
 #include "util/atomic_file.h"
-#include "util/net.h"
 
 namespace {
 
@@ -80,23 +78,6 @@ int usage(const char* argv0, const char* error = nullptr)
         "  --poll-ms MS           supervision poll cadence (default 25)\n"
         "  --shard-retries N      extra launches per shard after the first\n"
         "                         before declaring it failed (default 2)\n"
-        "  --startup-timeout-ms MS  kill a worker that never writes its journal\n"
-        "                         header within MS (default: --heartbeat-ms)\n"
-        "  --relaunch-initial-ms MS / --relaunch-max-ms MS\n"
-        "                         exponential backoff before relaunching a\n"
-        "                         failed shard (defaults 100 / 5000)\n"
-        "\n"
-        "remote fleets (ENGINE.md \"Remote workers\"):\n"
-        "  --listen PORT          accept anc.jstream.v1 worker streams (0 =\n"
-        "                         ephemeral); mirrors land in --work-dir\n"
-        "  --worker-stream H:P    address workers stream to (default with\n"
-        "                         --listen: 127.0.0.1:<port>)\n"
-        "  --worker-journal-dir D worker-side journal directory (default with\n"
-        "                         --listen: <work-dir>/remote)\n"
-        "  --launch-template CMD  run CMD through /bin/sh -c instead of\n"
-        "                         exec'ing --worker; placeholders: {worker}\n"
-        "                         {grid} {threads} {shard} {shards} {journal}\n"
-        "                         {journal_flag} {stream} {attempt} {slot}\n"
         "\n"
         "output (same artifacts and bytes as a single anc_sweep run):\n"
         "  --json PATH / --csv PATH / --tasks-csv PATH\n"
@@ -137,9 +118,6 @@ int main(int argc, char** argv)
     engine::Coordinator_config config;
     std::size_t worker_threads = 1;
     std::size_t shard_retries = 2;
-    std::string launch_template;
-    bool listen = false;
-    std::uint16_t listen_port = 0;
     bool stream = false;
     bool quiet = false;
 
@@ -156,40 +134,21 @@ int main(int argc, char** argv)
             if (arg == "--worker")
                 worker_bin = value();
             else if (arg == "--workers")
-                config.workers = parse_size_axis(value()).front();
+                config.workers = parse_count(arg, value());
             else if (arg == "--shards")
-                config.shards = parse_size_axis(value()).front();
+                config.shards = parse_count(arg, value());
             else if (arg == "--work-dir")
                 work_dir = value();
             else if (arg == "--worker-threads")
-                worker_threads = parse_size_axis(value()).front();
+                worker_threads = parse_count(arg, value());
             else if (arg == "--heartbeat-ms")
                 config.heartbeat_timeout =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                    std::chrono::milliseconds{parse_count(arg, value())};
             else if (arg == "--poll-ms")
                 config.poll_interval =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                    std::chrono::milliseconds{parse_count(arg, value())};
             else if (arg == "--shard-retries")
-                shard_retries = parse_size_axis(value()).front();
-            else if (arg == "--startup-timeout-ms")
-                config.startup_timeout =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
-            else if (arg == "--relaunch-initial-ms")
-                config.relaunch_backoff.initial =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
-            else if (arg == "--relaunch-max-ms")
-                config.relaunch_backoff.max =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
-            else if (arg == "--listen") {
-                listen = true;
-                listen_port =
-                    static_cast<std::uint16_t>(parse_size_axis(value()).front());
-            } else if (arg == "--worker-stream")
-                config.worker_stream = value();
-            else if (arg == "--worker-journal-dir")
-                config.worker_journal_dir = value();
-            else if (arg == "--launch-template")
-                launch_template = value();
+                shard_retries = parse_count(arg, value());
             else if (arg == "--json")
                 json_path = value();
             else if (arg == "--csv")
@@ -207,8 +166,8 @@ int main(int argc, char** argv)
             else
                 return usage(argv[0], ("unknown argument " + arg).c_str());
         }
-        if (worker_bin.empty() && launch_template.empty())
-            return usage(argv[0], "--worker BIN (or --launch-template) is required");
+        if (worker_bin.empty())
+            return usage(argv[0], "--worker BIN is required");
         if (work_dir.empty())
             return usage(argv[0], "--work-dir DIR is required");
         if (grid.scenarios.empty())
@@ -224,71 +183,9 @@ int main(int argc, char** argv)
         const std::uint64_t base_seed = grid_cli.base_seed;
         config.work_dir = work_dir;
         config.max_shard_attempts = 1 + shard_retries;
+        config.launcher = engine::exec_launcher(worker_bin, grid_cli.forwarded(),
+                                                worker_threads, work_dir);
         config.cancel = &g_interrupted;
-
-        // Supervision state is always persisted: a coordinator that
-        // dies mid-run and is rerun over the same work dir re-adopts
-        // its fleet instead of relaunching finished work.
-        config.fleet_path = work_dir + "/fleet.anf";
-
-        // --listen: mirror remote journals into the work dir.  The
-        // workers then journal somewhere ELSE (--worker-journal-dir,
-        // default <work-dir>/remote) so a localhost fleet does not
-        // stream a file onto itself.
-        std::optional<engine::Jstream_listener> listener;
-        if (listen) {
-            const std::size_t shard_count =
-                config.shards == 0 ? config.workers : config.shards;
-            listener.emplace(listen_port, work_dir, shard_count);
-            config.listener = &*listener;
-            if (config.worker_stream.empty())
-                config.worker_stream =
-                    "127.0.0.1:" + std::to_string(listener->port());
-            if (config.worker_journal_dir.empty())
-                config.worker_journal_dir = work_dir + "/remote";
-        }
-        if (!config.worker_stream.empty()) {
-            util::Host_port probe;
-            if (!util::parse_host_port(config.worker_stream, probe))
-                return usage(argv[0], ("--worker-stream: bad host:port '"
-                                       + config.worker_stream + "'")
-                                          .c_str());
-        }
-        if (!config.worker_journal_dir.empty()
-            && ::mkdir(config.worker_journal_dir.c_str(), 0755) != 0
-            && errno != EEXIST)
-            return usage(argv[0], ("cannot create --worker-journal-dir "
-                                   + config.worker_journal_dir + ": "
-                                   + std::strerror(errno))
-                                      .c_str());
-
-        if (!launch_template.empty()) {
-            // The CLI owns the run-invariant placeholders; the
-            // per-request ones ({shard}, {journal}, ...) are
-            // template_launcher's.
-            const auto replace_all = [](std::string text, const std::string& key,
-                                        const std::string& with) {
-                for (std::size_t at = text.find(key); at != std::string::npos;
-                     at = text.find(key, at + with.size()))
-                    text.replace(at, key.size(), with);
-                return text;
-            };
-            std::string grid_args;
-            for (const std::string& flag : grid_cli.forwarded()) {
-                if (!grid_args.empty())
-                    grid_args += ' ';
-                grid_args += flag;
-            }
-            std::string command = launch_template;
-            command = replace_all(command, "{worker}", worker_bin);
-            command = replace_all(command, "{grid}", grid_args);
-            command =
-                replace_all(command, "{threads}", std::to_string(worker_threads));
-            config.launcher = engine::template_launcher(command, work_dir);
-        } else {
-            config.launcher = engine::exec_launcher(
-                worker_bin, grid_cli.forwarded(), worker_threads, work_dir);
-        }
 
         Progress_line progress;
         if (!quiet && isatty(fileno(stderr)))

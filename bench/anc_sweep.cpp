@@ -44,7 +44,6 @@
 // finished task).
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -60,9 +59,7 @@
 #include "sweep_cli.h"
 #include "engine/engine.h"
 #include "engine/journal.h"
-#include "engine/jstream.h"
 #include "util/atomic_file.h"
-#include "util/net.h"
 
 namespace {
 
@@ -110,12 +107,6 @@ int usage(const char* argv0, const char* error = nullptr)
         "  --merge J1,J2,...      merge shard journals (repeatable); needs the\n"
         "                         same grid flags and --seed as the shards\n"
         "  --task-retries N       extra attempts per throwing task (default 0)\n"
-        "  --journal-stream H:P   also stream journal lines to a coordinator's\n"
-        "                         anc.jstream.v1 listener (needs --journal or\n"
-        "                         --resume; the local file stays authoritative)\n"
-        "  --stream-flush-ms N    end-of-run budget for draining the stream\n"
-        "                         (default 3000; unsynced lines are recovered\n"
-        "                         by the coordinator on relaunch)\n"
         "\n"
         "exit codes: 0 ok, 2 usage, 3 task errors or merge gaps, 4 interrupted\n",
         argv0, Grid_cli::usage_text);
@@ -129,8 +120,6 @@ struct Cli_options {
     std::string journal_path, resume_path;
     std::vector<std::string> merge_paths;
     std::size_t shard_index = 1, shard_count = 1;
-    std::string stream_peer; ///< --journal-stream host:port (empty = off)
-    std::chrono::milliseconds stream_flush{3000};
     bool stream = false;
     bool quiet = false;
 };
@@ -268,40 +257,20 @@ int run_sweep_cli(const Cli_options& options_in)
     // --resume: reconstitute completed rows; --resume F without
     // --journal also keeps checkpointing into F, so a sweep can crash
     // and resume any number of times against one file.
-    //
-    // A journal that is missing or unusable (unopenable, bad magic, no
-    // surviving header) holds no recoverable rows, so --resume degrades
-    // to a fresh start instead of refusing — the coordinator relaunches
-    // a shard with --resume whether or not the worker-side file
-    // survived (a fresh host, a crash inside the header write).  An
-    // INCOMPATIBLE journal stays fatal: that is a wiring bug, and
-    // truncating someone else's valid checkpoint would destroy data.
     std::map<std::size_t, engine::Task_result> preloaded;
     if (!options.resume_path.empty()) {
-        std::optional<engine::Journal_contents> contents;
-        try {
-            contents.emplace(engine::load_journal(options.resume_path));
-        } catch (const std::exception& error) {
-            std::fprintf(stderr, "anc_sweep: %s; starting fresh\n", error.what());
-        }
-        if (contents) {
-            std::string why;
-            if (!engine::journal_compatible(contents->header, options.grid,
-                                            options.config.base_seed,
-                                            all_tasks.size(), options.shard_index,
-                                            options.shard_count, &why))
-                throw std::invalid_argument{options.resume_path + ": " + why};
-            if (contents->dropped_lines > 0)
-                std::fprintf(stderr,
-                             "anc_sweep: %s: dropped %zu torn/corrupt lines\n",
-                             options.resume_path.c_str(), contents->dropped_lines);
-            preloaded =
-                engine::preload_from_entries(std::move(contents->entries), tasks);
-        }
+        engine::Journal_contents contents = engine::load_journal(options.resume_path);
+        std::string why;
+        if (!engine::journal_compatible(contents.header, options.grid,
+                                        options.config.base_seed, all_tasks.size(),
+                                        options.shard_index, options.shard_count, &why))
+            throw std::invalid_argument{options.resume_path + ": " + why};
+        if (contents.dropped_lines > 0)
+            std::fprintf(stderr, "anc_sweep: %s: dropped %zu torn/corrupt lines\n",
+                         options.resume_path.c_str(), contents.dropped_lines);
+        preloaded = engine::preload_from_entries(std::move(contents.entries), tasks);
         if (options.journal_path.empty())
             options.journal_path = options.resume_path;
-        if (!contents)
-            options.resume_path.clear(); // journal_path != resume_path → truncate
     }
 
     std::unique_ptr<engine::Journal_writer> journal;
@@ -317,30 +286,8 @@ int run_sweep_cli(const Cli_options& options_in)
                 journal->append(result);
             journal->flush();
         }
-    }
-
-    // --journal-stream: replicate the journal to a coordinator as it
-    // grows.  The sender tails the journal FILE (not the in-memory
-    // rows), so what travels is byte-for-byte what was checkpointed.
-    std::unique_ptr<engine::Jstream_sender> stream_sender;
-    if (!options.stream_peer.empty()) {
-        engine::Jstream_sender::Config sender_config;
-        if (!util::parse_host_port(options.stream_peer, sender_config.peer))
-            throw std::invalid_argument{"--journal-stream: bad host:port '"
-                                        + options.stream_peer + "'"};
-        sender_config.shard_index = options.shard_index;
-        sender_config.shard_count = options.shard_count;
-        stream_sender = std::make_unique<engine::Jstream_sender>(
-            sender_config, options.journal_path);
-        stream_sender->pump(); // ship the magic/header (and carried rows) now
-    }
-
-    if (journal) {
-        options.config.on_complete = [&journal, &stream_sender](
-                                         const engine::Task_result& result) {
+        options.config.on_complete = [&journal](const engine::Task_result& result) {
             journal->append(result);
-            if (stream_sender)
-                stream_sender->pump();
         };
     }
 
@@ -395,18 +342,6 @@ int run_sweep_cli(const Cli_options& options_in)
 
     if (journal)
         journal->flush();
-    if (stream_sender) {
-        // Best-effort drain: a false return means some tail lines were
-        // not acknowledged — the local journal still has them, and the
-        // coordinator recovers via relaunch-with-resume.
-        stream_sender->finish(options.stream_flush);
-        const engine::Jstream_sender_stats& js = stream_sender->stats();
-        std::fprintf(stderr,
-                     "anc_sweep: jstream connects=%zu reconnects=%zu sent=%zu "
-                     "replayed=%zu synced=%d\n",
-                     js.connects, js.reconnects, js.lines_sent, js.replayed_lines,
-                     js.synced ? 1 : 0);
-    }
 
     std::vector<engine::Point_summary> points;
     if (options.stream) {
@@ -459,7 +394,7 @@ int main(int argc, char** argv)
             if (grid_cli.try_parse(arg, value))
                 continue;
             if (arg == "--threads")
-                options.config.threads = parse_size_axis(value()).front();
+                options.config.threads = parse_count(arg, value());
             else if (arg == "--json")
                 options.json_path = value();
             else if (arg == "--csv")
@@ -480,12 +415,7 @@ int main(int argc, char** argv)
                 for (std::string& path : parse_path_list(value()))
                     options.merge_paths.push_back(std::move(path));
             } else if (arg == "--task-retries")
-                options.config.max_attempts = 1 + parse_size_axis(value()).front();
-            else if (arg == "--journal-stream")
-                options.stream_peer = value();
-            else if (arg == "--stream-flush-ms")
-                options.stream_flush =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                options.config.max_attempts = 1 + parse_count(arg, value());
             else if (arg == "--stream")
                 options.stream = true;
             else if (arg == "--quiet")
@@ -506,21 +436,9 @@ int main(int argc, char** argv)
             return usage(argv[0], "at least one --scenario is required");
         if (!options.merge_paths.empty()
             && (!options.journal_path.empty() || !options.resume_path.empty()
-                || options.shard_count > 1 || options.stream
-                || !options.stream_peer.empty()))
+                || options.shard_count > 1 || options.stream))
             return usage(argv[0],
                          "--merge excludes --journal/--resume/--shard/--stream");
-        if (!options.stream_peer.empty()) {
-            if (options.journal_path.empty() && options.resume_path.empty())
-                return usage(argv[0],
-                             "--journal-stream needs --journal or --resume "
-                             "(the stream replicates the journal file)");
-            anc::util::Host_port probe;
-            if (!anc::util::parse_host_port(options.stream_peer, probe))
-                return usage(argv[0], ("--journal-stream: bad host:port '"
-                                       + options.stream_peer + "'")
-                                          .c_str());
-        }
 
         struct sigaction action{};
         action.sa_handler = handle_signal;

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -120,14 +121,29 @@ inline std::vector<std::string> parse_path_list(const std::string& text)
     return paths;
 }
 
+/// The value of scalar count flag `flag`: exactly one non-negative
+/// decimal integer with nothing trailing.  Lists, ranges, fractions,
+/// signs and junk ("2,8", "1:3:1", "1.4", "+3", "8x") are usage errors,
+/// never a silently truncated first element.
+inline std::size_t parse_count(const std::string& flag, const std::string& text)
+{
+    std::size_t value = 0;
+    const char* const end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (text.empty() || error != std::errc{} || stop != end)
+        throw std::invalid_argument{flag + " wants one non-negative integer, got: '"
+                                    + text + "'"};
+    return value;
+}
+
 /// "K/N" -> (K, N), validated 1 <= K <= N.
 inline std::pair<std::size_t, std::size_t> parse_shard(const std::string& text)
 {
     const std::size_t slash = text.find('/');
     if (slash == std::string::npos)
         throw std::invalid_argument{"--shard wants K/N, got: " + text};
-    const unsigned long k = std::strtoul(text.substr(0, slash).c_str(), nullptr, 10);
-    const unsigned long n = std::strtoul(text.substr(slash + 1).c_str(), nullptr, 10);
+    const std::size_t k = parse_count("--shard K", text.substr(0, slash));
+    const std::size_t n = parse_count("--shard N", text.substr(slash + 1));
     if (k < 1 || n < 1 || k > n)
         throw std::invalid_argument{"--shard wants 1 <= K <= N, got: " + text};
     return {k, n};
@@ -189,7 +205,7 @@ public:
                 [&](const std::string& v) { grid_->math_profiles = parse_profiles(v); });
         if (arg == "--repetitions")
             return take([&](const std::string& v) {
-                grid_->repetitions = parse_size_axis(v).front();
+                grid_->repetitions = parse_count(arg, v);
             });
         if (arg == "--seed")
             return take([&](const std::string& v) {

@@ -3,14 +3,9 @@
 #include <csignal>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
-
-#include <unistd.h>
-
-#include "engine/fleet.h"
 
 namespace anc::engine {
 
@@ -37,17 +32,6 @@ struct Shard_state {
     /// waiting in the reorder window).  == task_count means complete.
     std::size_t have = 0;
     bool header_checked = false;
-    /// The current attempt started without --resume (no prior journal):
-    /// a stall before the header appears is a STARTUP stall.
-    bool fresh_attempt = false;
-    /// Relaunch escalation (Coordinator_config::relaunch_backoff).
-    util::Backoff backoff;
-    clock::time_point next_launch{}; ///< epoch = launchable now
-    /// Adopted from a prior coordinator's fleet journal while last seen
-    /// running: its worker may still be alive (streaming into the
-    /// mirror, or an orphaned local process appending).  The shard is
-    /// not relaunched until a heartbeat window passes with no progress.
-    bool adopted_grace = false;
 };
 
 /// Tasks a round-robin shard K/S owns out of `total` (the number of
@@ -86,43 +70,11 @@ Worker_launcher exec_launcher(std::string worker_bin,
         // keeps every task the dead worker already completed.
         argv.push_back(req.resume ? "--resume" : "--journal");
         argv.push_back(req.journal_path);
-        if (!req.stream.empty()) {
-            argv.push_back("--journal-stream");
-            argv.push_back(req.stream);
-        }
         util::Spawn_options options;
         options.stdout_path = "/dev/null";
         options.stderr_path =
             work_dir + "/worker_shard" + std::to_string(req.shard_index) + ".log";
         return util::Subprocess::spawn(argv, options);
-    };
-}
-
-Worker_launcher template_launcher(std::string command_template,
-                                  std::string work_dir)
-{
-    return [command_template = std::move(command_template),
-            work_dir = std::move(work_dir)](const Worker_request& req) {
-        std::string command = command_template;
-        const auto replace_all = [&command](const std::string& key,
-                                            const std::string& value) {
-            for (std::size_t pos = 0;
-                 (pos = command.find(key, pos)) != std::string::npos;
-                 pos += value.size())
-                command.replace(pos, key.size(), value);
-        };
-        replace_all("{shard}", std::to_string(req.shard_index));
-        replace_all("{shards}", std::to_string(req.shard_count));
-        replace_all("{journal}", req.journal_path);
-        replace_all("{journal_flag}", req.resume ? "--resume" : "--journal");
-        replace_all("{stream}", req.stream);
-        replace_all("{attempt}", std::to_string(req.attempt));
-        replace_all("{slot}", std::to_string(req.slot));
-        util::Spawn_options options;
-        options.stdout_path = "/dev/null";
-        options.stderr_path =
-            work_dir + "/worker_shard" + std::to_string(req.shard_index) + ".log";
-        return util::Subprocess::spawn({"/bin/sh", "-c", command}, options);
     };
 }
 
@@ -158,77 +110,9 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
         shard.index = k + 1;
         shard.task_count = shard_task_count(total, shard.index, shard_count);
         shard.tailer = Journal_tailer{shard_journal_path(config.work_dir, shard.index)};
-        shard.backoff = util::Backoff{config.relaunch_backoff,
-                                      base_seed ^ (0xf1ee7u + shard.index)};
         if (shard.task_count == 0)
             shard.status = Shard_state::Status::done; // more shards than tasks
     }
-
-    // ---- fleet state: load what a prior coordinator left behind ------
-    // A compatible fleet journal restores attempt counts and marks
-    // shards last seen running for adoption: their workers may still be
-    // alive (an orphaned local process, or a remote worker streaming
-    // into the mirror), so they get a heartbeat window to show progress
-    // before being relaunched.  An unreadable fleet file (torn header —
-    // our own crash artifact) is discarded; an INCOMPATIBLE one is a
-    // configuration error, same contract as the shard journals.
-    std::unique_ptr<Fleet_journal> fleet;
-    if (!config.fleet_path.empty()) {
-        const Fleet_header fleet_header{grid_fingerprint(grid), base_seed, total,
-                                        shard_count};
-        Fleet_state prior;
-        bool have_prior = false;
-        if (::access(config.fleet_path.c_str(), F_OK) == 0) {
-            try {
-                prior = load_fleet(config.fleet_path);
-                have_prior = true;
-            } catch (const std::runtime_error&) {
-                have_prior = false;
-            }
-        }
-        if (have_prior) {
-            std::string why;
-            if (!fleet_compatible(prior.header, grid, base_seed, total,
-                                  shard_count, &why))
-                throw std::runtime_error{"run_coordinated: " + config.fleet_path
-                                         + ": " + why};
-            const auto now = clock::now();
-            for (const auto& [index, record] : prior.shards) {
-                if (index < 1 || index > shard_count)
-                    continue;
-                Shard_state& shard = shards[index - 1];
-                if (shard.status == Shard_state::Status::done)
-                    continue; // zero-task shard
-                shard.attempts = record.attempts;
-                if (record.status == Fleet_shard_status::running) {
-                    shard.adopted_grace = true;
-                    shard.last_progress = now;
-                    ++stats.adoptions;
-                } else if (record.status == Fleet_shard_status::failed
-                           && record.attempts >= config.max_shard_attempts) {
-                    shard.status = Shard_state::Status::failed;
-                }
-                // done shards need no flag: their complete mirror
-                // journal re-proves it on the first poll below.
-            }
-        }
-        fleet = std::make_unique<Fleet_journal>(config.fleet_path, fleet_header,
-                                                /*truncate=*/!have_prior);
-        fleet->record_generation(have_prior ? prior.generations + 1 : 1);
-    }
-
-    const auto record_fleet = [&](const Shard_state& shard,
-                                  Fleet_shard_status status) {
-        if (!fleet)
-            return;
-        Fleet_record record;
-        record.shard = shard.index;
-        record.status = status;
-        record.attempts = shard.attempts;
-        record.slot = shard.slot == no_slot ? 0 : shard.slot;
-        record.watermark = shard.tailer.entries_seen();
-        fleet->record(record);
-    };
 
     // Slot bookkeeping: which shard occupies a slot, whether the slot
     // has run anything yet (the steal/initial distinction), and when
@@ -316,10 +200,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
     /// up).  A worker that hung AFTER finishing its shard still counts
     /// as done — journal completeness, not exit status, is the verdict.
     const auto settle_exit = [&](Shard_state& shard) {
-        // A streamed worker's final lines may still sit in the socket;
-        // ingest them before judging completeness.
-        if (config.listener)
-            config.listener->poll();
         poll_shard(shard);
         const std::size_t slot = shard.slot;
         if (shard.have == shard.task_count) {
@@ -328,21 +208,10 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
         } else {
             ++stats.worker_failures;
             ++stats.slots[slot].failures;
-            if (shard.attempts >= config.max_shard_attempts) {
-                shard.status = Shard_state::Status::failed;
-            } else {
-                shard.status = Shard_state::Status::pending;
-                // Escalating relaunch delay: a crash-looping worker must
-                // not burn the attempt budget in milliseconds.
-                shard.next_launch = clock::now() + shard.backoff.next();
-                ++stats.backoff_waits;
-            }
+            shard.status = shard.attempts >= config.max_shard_attempts
+                               ? Shard_state::Status::failed
+                               : Shard_state::Status::pending;
         }
-        record_fleet(shard, shard.status == Shard_state::Status::done
-                                ? Fleet_shard_status::done
-                                : shard.status == Shard_state::Status::failed
-                                      ? Fleet_shard_status::failed
-                                      : Fleet_shard_status::pending);
         detach_slot(shard);
     };
 
@@ -354,37 +223,20 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             break;
         }
 
-        // ---- ingest: remote workers' streamed journal lines ----------
-        if (config.listener)
-            config.listener->poll();
-
         // ---- supervise: poll journals, reap exits, kill stalls -------
         for (Shard_state& shard : shards) {
             if (shard.status == Shard_state::Status::running) {
                 poll_shard(shard);
-                // A fresh worker that has not produced its journal
-                // header yet is in STARTUP, where stalls (broken
-                // launcher, unreachable host) are detectable on a
-                // faster clock than mid-run ones.
-                const bool startup =
-                    shard.fresh_attempt && !shard.tailer.have_header();
-                const auto stall_limit =
-                    startup && config.startup_timeout.count() > 0
-                        ? config.startup_timeout
-                        : config.heartbeat_timeout;
                 if (shard.child.try_wait()) {
                     settle_exit(shard);
-                } else if (clock::now() - shard.last_progress > stall_limit) {
+                } else if (clock::now() - shard.last_progress
+                           > config.heartbeat_timeout) {
                     // Stalled: no watermark movement within the
-                    // window.  SIGKILL (a stuck process may ignore
-                    // anything gentler) and reassign.
+                    // heartbeat window.  SIGKILL (a stuck process may
+                    // ignore anything gentler) and reassign.
                     shard.child.kill(SIGKILL);
                     shard.child.wait();
                     ++stats.watchdog_kills;
-                    if (startup)
-                        ++stats.watchdog_startup_kills;
-                    else
-                        ++stats.watchdog_stall_kills;
                     ++stats.slots[shard.slot].watchdog_kills;
                     settle_exit(shard);
                 }
@@ -393,11 +245,8 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
                 // its work_dir) contribute rows before any launch; a
                 // shard they already complete never launches at all.
                 poll_shard(shard);
-                if (shard.have == shard.task_count) {
+                if (shard.have == shard.task_count)
                     shard.status = Shard_state::Status::done;
-                    shard.adopted_grace = false;
-                    record_fleet(shard, Fleet_shard_status::done);
-                }
             }
         }
 
@@ -405,17 +254,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
         for (Shard_state& shard : shards) {
             if (shard.status != Shard_state::Status::pending)
                 continue;
-            const auto now = clock::now();
-            if (shard.adopted_grace) {
-                // An adopted shard's worker may still be alive; poll
-                // its journal for a heartbeat window before declaring
-                // the orphan dead and relaunching.
-                if (now - shard.last_progress <= config.heartbeat_timeout)
-                    continue;
-                shard.adopted_grace = false;
-            }
-            if (now < shard.next_launch)
-                continue; // backoff window after a failed attempt
             std::size_t slot = no_slot;
             for (std::size_t s = 0; s < workers; ++s) {
                 if (slot_shard[s] == no_slot) {
@@ -429,25 +267,15 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             Worker_request request;
             request.shard_index = shard.index;
             request.shard_count = shard_count;
-            request.journal_path = shard_journal_path(
-                config.worker_journal_dir.empty() ? config.work_dir
-                                                  : config.worker_journal_dir,
-                shard.index);
-            // Resume whenever a prior attempt may have left a journal:
-            // the mirror proves one existed, and any attempt after the
-            // first could have written one the coordinator cannot see
-            // (a remote filesystem).  anc_sweep degrades --resume of a
-            // missing/unusable journal to a fresh start.
-            request.resume = shard.tailer.have_header() || shard.attempts > 0;
+            request.journal_path = shard.tailer.path();
+            request.resume = shard.tailer.have_header();
             request.attempt = shard.attempts + 1;
             request.slot = slot;
-            request.stream = config.worker_stream;
 
             shard.child = config.launcher(request);
             ++shard.attempts;
             shard.status = Shard_state::Status::running;
             shard.slot = slot;
-            shard.fresh_attempt = !request.resume;
             shard.last_progress = clock::now();
             slot_shard[slot] = shard.index;
             slot_attached[slot] = shard.last_progress;
@@ -458,7 +286,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             else if (slot_used[slot])
                 ++stats.steals; // an idle worker picking up extra work
             slot_used[slot] = 1;
-            record_fleet(shard, Fleet_shard_status::running);
         }
 
         drain_merge();
@@ -491,16 +318,11 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             // Pick up everything the drain flushed, then release the
             // slot without judging the shard — a cancelled run is
             // incomplete by design, not failed.
-            if (config.listener)
-                config.listener->poll();
             poll_shard(shard);
             if (shard.have == shard.task_count)
                 shard.status = Shard_state::Status::done;
             else
                 shard.status = Shard_state::Status::pending;
-            record_fleet(shard, shard.status == Shard_state::Status::done
-                                    ? Fleet_shard_status::done
-                                    : Fleet_shard_status::pending);
             detach_slot(shard);
         }
         drain_merge();
@@ -511,8 +333,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             ++outcome.failed_shards;
         stats.dropped_lines += shard.tailer.dropped_lines();
     }
-    if (config.listener)
-        stats.transport = config.listener->stats();
     outcome.completed = merged == total;
     outcome.cancelled = cancelled;
     outcome.tally.skipped = total - merged;

@@ -1,5 +1,6 @@
-// The multi-process sweep coordinator: the service-shaped rung on top
-// of PR 7's single-host crash-safety contract (ENGINE.md "Coordinator").
+// The multi-process sweep coordinator: supervision on top of the
+// journal/resume/shard/merge crash-safety contract (ENGINE.md
+// "Coordinator").
 //
 // A coordinator partitions a sweep grid into S deterministic shards
 // (engine/sweep.h shard_tasks — round-robin, global indices kept),
@@ -49,8 +50,6 @@
 
 #include "engine/executor.h"
 #include "engine/journal.h"
-#include "engine/jstream.h"
-#include "util/backoff.h"
 #include "util/subprocess.h"
 
 namespace anc::engine {
@@ -60,20 +59,14 @@ namespace anc::engine {
 struct Worker_request {
     std::size_t shard_index = 1; ///< 1-based, as in --shard K/N
     std::size_t shard_count = 1;
-    /// The WORKER-side journal path (Coordinator_config::
-    /// worker_journal_dir) — distinct from the coordinator's mirror
-    /// when the fleet streams over TCP.
+    /// The shard journal (shard_journal_path under the work dir); the
+    /// coordinator tails this same file for liveness and merge.
     std::string journal_path;
-    /// True when a prior attempt may have left a journal worth
-    /// resuming — the worker should `--resume` it instead of
-    /// truncating (anc_sweep starts fresh when the file turns out to
-    /// be missing or unusable).
+    /// True when the journal already holds a valid header from a prior
+    /// attempt — the worker should `--resume` it instead of truncating.
     bool resume = false;
     std::size_t attempt = 1; ///< 1 = first launch of this shard
     std::size_t slot = 0;    ///< worker slot (0-based) taking the shard
-    /// host:port the worker should --journal-stream its lines to;
-    /// empty for filesystem-only fleets.
-    std::string stream;
 };
 
 /// The launcher seam: turn a request into a running child process.
@@ -104,26 +97,14 @@ struct Coordinator_stats {
     /// the work-stealing pickups that exist only when S > N.
     std::size_t steals = 0;
     std::size_t watchdog_kills = 0;
-    /// Of the watchdog kills: workers that never produced a journal
-    /// header (startup stall — the worker hung or the launcher broke
-    /// before the first write) vs workers that stalled mid-run.
-    std::size_t watchdog_startup_kills = 0;
-    std::size_t watchdog_stall_kills = 0;
     /// Worker exits that did not complete their shard (crash, signal,
     /// nonzero status with missing tasks).
     std::size_t worker_failures = 0;
-    /// Relaunch delays scheduled through the per-shard backoff.
-    std::size_t backoff_waits = 0;
-    /// Shards re-adopted from a prior coordinator's fleet journal
-    /// (last seen running; their workers may still be alive).
-    std::size_t adoptions = 0;
     std::size_t merged_tasks = 0;
     /// Torn/corrupt journal lines dropped across all shard tailers.
     std::size_t dropped_lines = 0;
     std::uint64_t wall_ns = 0;
     std::vector<Worker_slot_stats> slots;
-    /// The jstream listener's counters (zeros for filesystem fleets).
-    Jstream_listener_stats transport;
 };
 
 struct Coordinator_config {
@@ -143,36 +124,6 @@ struct Coordinator_config {
     /// Total launches allowed per shard before it is declared
     /// permanently failed (>= 1).
     std::size_t max_shard_attempts = 3;
-    /// Escalating delay before RELAUNCHING a failed shard (attempt
-    /// N >= 2); first launches are immediate.  Keeps a crash-looping
-    /// worker (bad node, broken launcher) from burning the attempt
-    /// budget in milliseconds.
-    util::Backoff_policy relaunch_backoff{std::chrono::milliseconds{100},
-                                          std::chrono::milliseconds{5000}};
-    /// Stall threshold for a FRESH worker that has not yet written its
-    /// journal header (startup stall: launcher broke, binary missing,
-    /// remote host unreachable).  0 = use heartbeat_timeout.  Startup
-    /// stalls are typically detectable much faster than mid-run ones.
-    std::chrono::milliseconds startup_timeout{0};
-    /// anc.fleet.v1 state journal path (engine/fleet.h): persisted
-    /// supervision state that lets a restarted coordinator re-adopt
-    /// running shards and carry attempt counts forward.  Empty
-    /// disables persistence.
-    std::string fleet_path;
-    /// Optional anc.jstream.v1 ingest listener (engine/jstream.h),
-    /// owned by the caller and polled once per supervision cycle.  Its
-    /// mirror_dir must be this config's work_dir so the shard tailers
-    /// see streamed rows exactly as they see local ones.
-    Jstream_listener* listener = nullptr;
-    /// host:port workers should stream their journals to, forwarded
-    /// verbatim via Worker_request::stream (normally this process's
-    /// listener address).  Empty for filesystem-only fleets.
-    std::string worker_stream;
-    /// Directory workers journal into (Worker_request::journal_path).
-    /// Empty = work_dir (the local filesystem-sharing fleet).  Distinct
-    /// from work_dir when shard journals travel by stream: the mirror
-    /// files in work_dir then belong to the listener alone.
-    std::string worker_journal_dir;
     Worker_launcher launcher; ///< required
     /// Merged-progress hook: (tasks merged so far, total tasks).
     std::function<void(std::size_t, std::size_t)> on_progress;
@@ -207,28 +158,12 @@ std::string shard_journal_path(const std::string& work_dir, std::size_t shard_in
 /// The production launcher: fork/exec `worker_bin` (an anc_sweep-compatible
 /// CLI) with `grid_argv` (the grid axes + --seed flags, forwarded
 /// verbatim so worker headers fingerprint-match the coordinator's grid),
-/// `--quiet --threads <worker_threads> --shard K/S`,
-/// `--journal`/`--resume` per the request, and `--journal-stream` when
-/// the request carries a stream address.  Worker stderr is appended to
+/// `--quiet --threads <worker_threads> --shard K/S` and
+/// `--journal`/`--resume` per the request.  Worker stderr is appended to
 /// "<work_dir>/worker_shard<K>.log"; stdout goes to /dev/null.
 Worker_launcher exec_launcher(std::string worker_bin,
                               std::vector<std::string> grid_argv,
                               std::size_t worker_threads, std::string work_dir);
-
-/// The remote-dispatch launcher: run `command_template` through
-/// `/bin/sh -c` with these placeholders substituted per request —
-///   {shard} {shards}        the 1-based shard index / shard count
-///   {journal}               the worker-side journal path
-///   {journal_flag}          "--resume" or "--journal"
-///   {stream}                the --journal-stream host:port (may be empty)
-///   {attempt} {slot}        attempt number / worker slot
-/// The template wraps whatever transport reaches the worker host (ssh,
-/// a container runtime, a bare local shell in tests); the spawned
-/// shell's exit status stands in for the worker's, so the template
-/// should `exec` its final command.  Stderr goes to the same
-/// per-shard log exec_launcher uses.
-Worker_launcher template_launcher(std::string command_template,
-                                  std::string work_dir);
 
 /// Run `grid` to completion under coordinated multi-process execution.
 /// Scenarios resolve through `registry` only for task expansion (the

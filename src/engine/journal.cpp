@@ -13,7 +13,14 @@
 
 namespace anc::engine {
 
-std::uint32_t journal_crc32(const char* data, std::size_t size)
+namespace {
+
+// ---- primitives -------------------------------------------------------
+
+/// Byte-wise CRC-32/IEEE (reflected, table-driven).  util/crc.h works
+/// on bit-per-byte spans (the PHY's framing domain); journal lines are
+/// ordinary byte strings, so they get the ordinary byte algorithm.
+std::uint32_t crc32_bytes(const char* data, std::size_t size)
 {
     static const std::array<std::uint32_t, 256> table = [] {
         std::array<std::uint32_t, 256> t{};
@@ -30,37 +37,6 @@ std::uint32_t journal_crc32(const char* data, std::size_t size)
         crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xffu] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
-
-std::string stamp_line(const std::string& payload)
-{
-    char crc[12];
-    std::snprintf(crc, sizeof crc, "%08x ",
-                  journal_crc32(payload.data(), payload.size()));
-    return crc + payload + "\n";
-}
-
-bool check_stamped_line(const std::string& line, std::string& payload)
-{
-    if (line.size() < 10 || line[8] != ' ')
-        return false;
-    std::uint32_t stored = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        const char c = line[i];
-        stored <<= 4;
-        if (c >= '0' && c <= '9')
-            stored |= static_cast<std::uint32_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            stored |= static_cast<std::uint32_t>(c - 'a' + 10);
-        else
-            return false;
-    }
-    payload = line.substr(9);
-    return journal_crc32(payload.data(), payload.size()) == stored;
-}
-
-namespace {
-
-// ---- primitives -------------------------------------------------------
 
 std::string fmt_double(double value)
 {
@@ -367,31 +343,34 @@ Journal_entry parse_entry(const std::string& payload)
     return entry;
 }
 
-} // namespace
-
-Journal_line_kind classify_journal_line(const std::string& line,
-                                        std::uint64_t* task_index)
+std::string stamp(const std::string& payload)
 {
-    if (line == journal_magic)
-        return Journal_line_kind::magic;
-    std::string payload;
-    if (!check_stamped_line(line, payload) || payload.empty())
-        return Journal_line_kind::invalid;
-    try {
-        if (payload.front() == 'H') {
-            parse_header(payload);
-            return Journal_line_kind::header;
-        }
-        if (payload.front() == 'T') {
-            const Journal_entry entry = parse_entry(payload);
-            if (task_index)
-                *task_index = entry.index;
-            return Journal_line_kind::task;
-        }
-    } catch (const Parse_error&) {
-    }
-    return Journal_line_kind::invalid;
+    char crc[12];
+    std::snprintf(crc, sizeof crc, "%08x ", crc32_bytes(payload.data(), payload.size()));
+    return crc + payload + "\n";
 }
+
+/// Split off the 8-hex CRC prefix and verify it; false on any defect.
+bool check_line(const std::string& line, std::string& payload)
+{
+    if (line.size() < 10 || line[8] != ' ')
+        return false;
+    std::uint32_t stored = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+        const char c = line[i];
+        stored <<= 4;
+        if (c >= '0' && c <= '9')
+            stored |= static_cast<std::uint32_t>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            stored |= static_cast<std::uint32_t>(c - 'a' + 10);
+        else
+            return false;
+    }
+    payload = line.substr(9);
+    return crc32_bytes(payload.data(), payload.size()) == stored;
+}
+
+} // namespace
 
 std::uint64_t grid_fingerprint(const Sweep_grid& grid)
 {
@@ -419,7 +398,7 @@ Journal_writer::Journal_writer(const std::string& path, const Journal_header& he
         // a journal either exists with a verifiable header or not at
         // all.
         const std::string preamble =
-            std::string{journal_magic} + "\n" + stamp_line(header_payload(header));
+            std::string{journal_magic} + "\n" + stamp(header_payload(header));
         if (::write(fd_, preamble.data(), preamble.size())
             != static_cast<ssize_t>(preamble.size())) {
             ::close(fd_);
@@ -458,7 +437,7 @@ void Journal_writer::write_line(const std::string& line)
 
 void Journal_writer::append(const Task_result& result)
 {
-    write_line(stamp_line(entry_payload(result)));
+    write_line(stamp(entry_payload(result)));
     ++appended_;
 }
 
@@ -501,7 +480,7 @@ Journal_contents load_journal(const std::string& path)
     bool have_header = false;
     for (std::size_t i = 1; i < lines.size(); ++i) {
         std::string payload;
-        if (!check_stamped_line(lines[i], payload)) {
+        if (!check_line(lines[i], payload)) {
             ++contents.dropped_lines;
             continue;
         }
@@ -599,7 +578,7 @@ std::vector<Journal_entry> Journal_tailer::poll()
             continue;
         }
         std::string payload;
-        if (!check_stamped_line(line, payload)) {
+        if (!check_line(line, payload)) {
             ++dropped_lines_;
             continue;
         }

@@ -48,34 +48,6 @@ inline constexpr const char* journal_magic = "anc.journal.v1";
 /// which travels (and is checked) as its own header field.
 std::uint64_t grid_fingerprint(const Sweep_grid& grid);
 
-// ---- line primitives --------------------------------------------------
-// Shared by every CRC-stamped line format in the engine: the journal
-// itself, the coordinator's anc.fleet.v1 state journal (engine/fleet.h),
-// and the anc.jstream.v1 frame payload checks (engine/jstream.h).
-
-/// Byte-wise CRC-32/IEEE (reflected).  util/crc.h works on bit-per-byte
-/// spans (the PHY's framing domain); journal lines are ordinary byte
-/// strings, so they get the ordinary byte algorithm.
-std::uint32_t journal_crc32(const char* data, std::size_t size);
-
-/// `<crc32-hex> <payload>\n` — the stamped wire form of one line.
-std::string stamp_line(const std::string& payload);
-
-/// Split off the 8-hex CRC prefix of a line (no trailing newline) and
-/// verify it; false on any defect.
-bool check_stamped_line(const std::string& line, std::string& payload);
-
-/// What one raw journal line is — the jstream listener's ingest filter
-/// (engine/jstream.h): it mirrors remote lines into a local journal
-/// file and must recognize duplicates (replays after a reconnect)
-/// without trusting the sender.  `magic` matches the bare magic line;
-/// `header`/`task` additionally require the CRC stamp and a full
-/// parse; anything else is `invalid`.  For `task` lines, `task_index`
-/// (when non-null) receives the entry's global index — the dedup key.
-enum class Journal_line_kind { magic, header, task, invalid };
-Journal_line_kind classify_journal_line(const std::string& line,
-                                        std::uint64_t* task_index = nullptr);
-
 struct Journal_header {
     std::uint64_t grid_hash = 0;
     std::uint64_t base_seed = 1;

@@ -179,21 +179,9 @@ void write_coordinator_metrics_json(std::ostream& out,
         << ",\"reassignments\":" << stats.reassignments
         << ",\"steals\":" << stats.steals
         << ",\"watchdog_kills\":" << stats.watchdog_kills
-        << ",\"watchdog_startup_kills\":" << stats.watchdog_startup_kills
-        << ",\"watchdog_stall_kills\":" << stats.watchdog_stall_kills
         << ",\"worker_failures\":" << stats.worker_failures
-        << ",\"backoff_waits\":" << stats.backoff_waits
-        << ",\"adoptions\":" << stats.adoptions
         << ",\"merged_tasks\":" << stats.merged_tasks
         << ",\"dropped_journal_lines\":" << stats.dropped_lines;
-    out << ",\"transport\":{\"connects\":" << stats.transport.connects
-        << ",\"reconnects\":" << stats.transport.reconnects
-        << ",\"lines_received\":" << stats.transport.lines_received
-        << ",\"lines_appended\":" << stats.transport.lines_appended
-        << ",\"replayed_lines\":" << stats.transport.replayed_lines
-        << ",\"invalid_lines\":" << stats.transport.invalid_lines
-        << ",\"dropped_frames\":" << stats.transport.dropped_frames
-        << ",\"acks_sent\":" << stats.transport.acks_sent << "}";
     out << ",\"workers_liveness\":";
     json_array(out, stats.slots, [&](const Worker_slot_stats& slot) {
         out << "{\"launches\":" << slot.launches

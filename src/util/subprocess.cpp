@@ -10,8 +10,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "util/net.h"
-
 namespace anc::util {
 
 namespace {
@@ -30,10 +28,10 @@ pid_t waitpid_retry(pid_t pid, int* status, int flags)
 }
 
 /// Signal the child's whole process group, falling back to the child
-/// alone if the group is gone.  Workers are launched through wrappers
-/// (/bin/sh -c, ssh) whose descendants must not outlive a SIGKILL —
-/// an orphaned grandchild keeps inherited pipes/ports open and makes
-/// a killed worker look half-alive to everything downstream.
+/// alone if the group is gone.  A worker launched through a wrapper
+/// (/bin/sh -c) has descendants that must not outlive a SIGKILL — an
+/// orphaned grandchild keeps appending to the shard journal and makes
+/// a killed worker look half-alive to the watchdog.
 void kill_tree(pid_t pid, int signum)
 {
     if (::kill(-pid, signum) != 0)
@@ -64,11 +62,6 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
     if (argv.empty())
         throw std::runtime_error{"Subprocess::spawn: empty argv"};
 
-    // A worker dying mid-pipe must never SIGPIPE the supervisor; the
-    // guard is process-wide and idempotent, and spawn() is the one
-    // choke point every supervisor passes through.
-    ignore_sigpipe();
-
     // execvp wants a mutable char* array; build it before the fork so
     // the child does no allocation between fork and exec.
     std::vector<char*> cargv;
@@ -82,7 +75,7 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
         throw std::runtime_error{"Subprocess::spawn: fork failed"};
     if (pid == 0) {
         // Own process group, so kill() can reach every descendant the
-        // command spawns (sh -c wrappers, ssh transports).
+        // command spawns (e.g. through an sh -c wrapper).
         ::setpgid(0, 0);
         redirect_or_die(options.stdout_path, STDOUT_FILENO);
         redirect_or_die(options.stderr_path, STDERR_FILENO);

@@ -71,8 +71,9 @@ public:
     /// child exited within the timeout.
     bool wait_for(std::chrono::milliseconds timeout);
 
-    /// Send a signal (default SIGKILL).  No-op after the reap or on an
-    /// empty handle.
+    /// Send a signal (default SIGKILL) to the child's process group, so
+    /// descendants of a wrapper command die with it.  No-op after the
+    /// reap or on an empty handle.
     void kill(int signum = 9) const;
 
     /// Forget the child without killing it (it keeps running; init

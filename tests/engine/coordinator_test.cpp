@@ -9,18 +9,15 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/emit.h"
 #include "engine/engine.h"
-#include "engine/fleet.h"
 #include "engine/journal.h"
 #include "util/rng.h"
 
@@ -260,6 +257,46 @@ TEST(Coordinator, CrashedWorkerResumesWithoutRecomputingTasks)
               reference_json(grid, registry, seed));
 }
 
+TEST(Coordinator, CrashBeforeJournalingRelaunchesFresh)
+{
+    const Scenario_registry registry = noisy_registry();
+    const Sweep_grid grid = small_grid();
+    const std::uint64_t seed = 13;
+    Temp_dir dir{"coord_crash_fresh"};
+
+    for (std::size_t k = 1; k <= 2; ++k)
+        prebuild_shard(grid, registry, seed, k, 2, dir.path + "/pre" + std::to_string(k));
+
+    // Shard 1's first worker dies before writing its journal header.
+    // With no journal to resume, the relaunch must start fresh: a
+    // --resume of a missing file is a usage error for anc_sweep.
+    std::vector<Worker_request> requests;
+    Coordinator_config config = base_config(dir.path, 2, 2);
+    config.launcher = script_launcher(
+        [&](const Worker_request& r) -> std::string {
+            if (r.shard_index == 1 && r.attempt == 1)
+                return "exit 1";
+            return publish_script(dir.path + "/pre" + std::to_string(r.shard_index),
+                                  r.journal_path);
+        },
+        &requests);
+    const Coordinator_outcome outcome = run_coordinated(grid, registry, seed, config);
+
+    EXPECT_TRUE(outcome.completed);
+    EXPECT_EQ(outcome.stats.worker_failures, 1u);
+    EXPECT_EQ(outcome.stats.reassignments, 1u);
+    bool saw_relaunch = false;
+    for (const Worker_request& r : requests)
+        if (r.shard_index == 1 && r.attempt == 2) {
+            saw_relaunch = true;
+            EXPECT_FALSE(r.resume);
+            EXPECT_EQ(r.journal_path, shard_journal_path(dir.path, 1));
+        }
+    EXPECT_TRUE(saw_relaunch);
+    EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
+              reference_json(grid, registry, seed));
+}
+
 TEST(Coordinator, ShardFailsPermanentlyAfterMaxAttempts)
 {
     const Scenario_registry registry = noisy_registry();
@@ -404,218 +441,6 @@ TEST(Coordinator, StreamsRowsInOrderWithoutCollecting)
     ASSERT_EQ(order.size(), expand(grid, registry).size());
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
-}
-
-TEST(Coordinator, RelaunchBackoffIsScheduledAndCounted)
-{
-    const Scenario_registry registry = noisy_registry();
-    const Sweep_grid grid = small_grid();
-    const std::uint64_t seed = 31;
-    Temp_dir dir{"coord_backoff"};
-
-    for (std::size_t k = 1; k <= 2; ++k)
-        prebuild_shard(grid, registry, seed, k, 2,
-                       dir.path + "/pre" + std::to_string(k));
-
-    // Shard 2 crash-loops twice before succeeding; each relaunch must
-    // pass through the backoff gate.
-    Coordinator_config config = base_config(dir.path, 2, 2);
-    config.max_shard_attempts = 4;
-    config.relaunch_backoff.initial = std::chrono::milliseconds{20};
-    config.relaunch_backoff.max = std::chrono::milliseconds{50};
-    config.launcher = script_launcher([&](const Worker_request& r) -> std::string {
-        if (r.shard_index == 2 && r.attempt <= 2)
-            return "exit 1";
-        return publish_script(dir.path + "/pre" + std::to_string(r.shard_index),
-                              r.journal_path);
-    });
-    const Coordinator_outcome outcome = run_coordinated(grid, registry, seed, config);
-
-    EXPECT_TRUE(outcome.completed);
-    EXPECT_EQ(outcome.stats.reassignments, 2u);
-    EXPECT_EQ(outcome.stats.backoff_waits, 2u);
-    EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
-              reference_json(grid, registry, seed));
-}
-
-TEST(Coordinator, DistinguishesStartupStallsFromMidRunStalls)
-{
-    const Scenario_registry registry = noisy_registry();
-    const Sweep_grid grid = small_grid();
-    const std::uint64_t seed = 33;
-    Temp_dir dir{"coord_stall_kinds"};
-
-    for (std::size_t k = 1; k <= 2; ++k)
-        prebuild_shard(grid, registry, seed, k, 2,
-                       dir.path + "/pre" + std::to_string(k));
-    // A journal cut after two task entries: shard 2's first attempt
-    // makes real progress, then wedges.
-    truncate_lines(dir.path + "/pre2", dir.path + "/pre2_partial", 4);
-
-    // Shard 1 attempt 1 hangs BEFORE writing anything (a broken
-    // launcher): that is a startup stall, detectable on the (much
-    // shorter) startup timeout.  Shard 2 attempt 1 publishes a partial
-    // journal and then hangs: a mid-run stall on the heartbeat clock.
-    Coordinator_config config = base_config(dir.path, 2, 2);
-    config.heartbeat_timeout = std::chrono::milliseconds{700};
-    config.startup_timeout = std::chrono::milliseconds{150};
-    config.launcher = script_launcher([&](const Worker_request& r) -> std::string {
-        if (r.attempt == 1 && r.shard_index == 1)
-            return "sleep 60";
-        if (r.attempt == 1 && r.shard_index == 2)
-            return publish_script(dir.path + "/pre2_partial", r.journal_path)
-                 + " && sleep 60";
-        return publish_script(dir.path + "/pre" + std::to_string(r.shard_index),
-                              r.journal_path);
-    });
-    const Coordinator_outcome outcome = run_coordinated(grid, registry, seed, config);
-
-    EXPECT_TRUE(outcome.completed);
-    EXPECT_EQ(outcome.stats.watchdog_startup_kills, 1u);
-    EXPECT_EQ(outcome.stats.watchdog_stall_kills, 1u);
-    EXPECT_EQ(outcome.stats.watchdog_kills, 2u);
-    EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
-              reference_json(grid, registry, seed));
-}
-
-TEST(Coordinator, RestartAdoptsFleetStateAndCarriesAttemptsForward)
-{
-    const Scenario_registry registry = noisy_registry();
-    const Sweep_grid grid = small_grid();
-    const std::uint64_t seed = 37;
-    Temp_dir dir{"coord_fleet_restart"};
-    const std::vector<Sweep_task> tasks = expand(grid, registry);
-
-    // The crashed coordinator's legacy: shard 1's journal is complete,
-    // shard 2's stops after two tasks, and the fleet journal says both
-    // were RUNNING (their workers may still be alive) with shard 2 on
-    // its second attempt.
-    prebuild_shard(grid, registry, seed, 1, 2, shard_journal_path(dir.path, 1));
-    prebuild_shard(grid, registry, seed, 2, 2, dir.path + "/pre2");
-    truncate_lines(dir.path + "/pre2", shard_journal_path(dir.path, 2), 4);
-    {
-        Fleet_header header;
-        header.grid_hash = grid_fingerprint(grid);
-        header.base_seed = seed;
-        header.tasks = tasks.size();
-        header.shards = 2;
-        Fleet_journal fleet{dir.path + "/fleet.anf", header, /*truncate=*/true};
-        fleet.record_generation(1);
-        Fleet_record r1;
-        r1.shard = 1;
-        r1.status = Fleet_shard_status::running;
-        r1.attempts = 1;
-        r1.slot = 0;
-        r1.watermark = 3;
-        fleet.record(r1);
-        Fleet_record r2 = r1;
-        r2.shard = 2;
-        r2.attempts = 2;
-        r2.slot = 1;
-        r2.watermark = 2;
-        fleet.record(r2);
-    }
-
-    std::vector<Worker_request> log;
-    Coordinator_config config = base_config(dir.path, 2, 2);
-    // Short heartbeat: the adopted-shard grace window (no worker is
-    // actually alive to make progress) must expire quickly.
-    config.heartbeat_timeout = std::chrono::milliseconds{300};
-    config.fleet_path = dir.path + "/fleet.anf";
-    config.launcher = script_launcher(
-        [&](const Worker_request& r) -> std::string {
-            EXPECT_EQ(r.shard_index, 2u) << "complete shard 1 must not relaunch";
-            return publish_script(dir.path + "/pre2", r.journal_path);
-        },
-        &log);
-    const Coordinator_outcome outcome = run_coordinated(grid, registry, seed, config);
-
-    EXPECT_TRUE(outcome.completed);
-    EXPECT_EQ(outcome.stats.adoptions, 2u);
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0].shard_index, 2u);
-    EXPECT_EQ(log[0].attempt, 3u); // prior attempts carried forward
-    EXPECT_TRUE(log[0].resume);
-    EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
-              reference_json(grid, registry, seed));
-
-    // The fleet journal now records generation 2 and both shards done.
-    const Fleet_state after = load_fleet(dir.path + "/fleet.anf");
-    EXPECT_EQ(after.generations, 2u);
-    EXPECT_EQ(after.shards.at(1).status, Fleet_shard_status::done);
-    EXPECT_EQ(after.shards.at(2).status, Fleet_shard_status::done);
-}
-
-TEST(Coordinator, IncompatibleFleetJournalIsFatal)
-{
-    const Scenario_registry registry = noisy_registry();
-    const Sweep_grid grid = small_grid();
-    Temp_dir dir{"coord_fleet_incompat"};
-
-    Fleet_header header;
-    header.grid_hash = 0xdeadbeefu; // not this grid
-    header.base_seed = 1;
-    header.tasks = 1;
-    header.shards = 2;
-    Fleet_journal{dir.path + "/fleet.anf", header, /*truncate=*/true};
-
-    Coordinator_config config = base_config(dir.path, 2, 2);
-    config.fleet_path = dir.path + "/fleet.anf";
-    config.launcher =
-        script_launcher([](const Worker_request&) { return std::string{"exit 0"}; });
-    EXPECT_THROW(run_coordinated(grid, registry, 21, config), std::runtime_error);
-}
-
-TEST(Coordinator, StreamedShardsMergeByteIdenticalToDirectRun)
-{
-    const Scenario_registry registry = noisy_registry();
-    const Sweep_grid grid = small_grid();
-    const std::uint64_t seed = 41;
-    Temp_dir dir{"coord_streamed"};
-    const std::string remote = dir.path + "/remote";
-    ::system(("mkdir -p '" + remote + "'").c_str());
-
-    // Worker-side journals live in `remote` (another host, in spirit);
-    // the only road to the coordinator's work dir is the jstream
-    // listener.  Fake workers just hold their slot open while
-    // in-process sender threads stream the prebuilt journals.
-    for (std::size_t k = 1; k <= 2; ++k)
-        prebuild_shard(grid, registry, seed, k, 2, shard_journal_path(remote, k));
-
-    Jstream_listener listener{0, dir.path, 2};
-    std::vector<Worker_request> log;
-    Coordinator_config config = base_config(dir.path, 2, 2);
-    config.listener = &listener;
-    config.worker_stream = "127.0.0.1:" + std::to_string(listener.port());
-    config.worker_journal_dir = remote;
-    config.launcher = script_launcher(
-        [](const Worker_request&) { return std::string{"sleep 1"}; }, &log);
-
-    std::vector<std::thread> senders;
-    for (std::size_t k = 1; k <= 2; ++k)
-        senders.emplace_back([&, k] {
-            Jstream_sender::Config sc;
-            sc.peer = {"127.0.0.1", listener.port()};
-            sc.shard_index = k;
-            sc.shard_count = 2;
-            Jstream_sender sender{sc, shard_journal_path(remote, k)};
-            sender.finish(std::chrono::seconds{10});
-        });
-    const Coordinator_outcome outcome = run_coordinated(grid, registry, seed, config);
-    for (std::thread& t : senders)
-        t.join();
-
-    EXPECT_TRUE(outcome.completed);
-    EXPECT_EQ(outcome.stats.transport.connects, 2u);
-    EXPECT_GT(outcome.stats.transport.lines_appended, 0u);
-    EXPECT_EQ(outcome.stats.transport.invalid_lines, 0u);
-    for (const Worker_request& request : log) {
-        EXPECT_EQ(request.stream, config.worker_stream);
-        EXPECT_EQ(request.journal_path,
-                  shard_journal_path(remote, request.shard_index));
-    }
-    EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
-              reference_json(grid, registry, seed));
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 // Journal_tailer edge cases (engine/journal.h): the coordinator's
-// liveness watermark must survive everything a racing worker (or a
-// jstream mirror writer) can do to the file under it — replacement,
-// shrinkage, torn tails that later complete, bursty appends — plus the
-// classify_journal_line ingest filter the jstream listener dedups with.
+// liveness watermark must survive everything a racing worker can do to
+// the file under it — replacement, shrinkage, torn tails that later
+// complete, bursty appends.
 
 #include "engine/journal.h"
 
@@ -197,46 +196,6 @@ TEST(JournalTailer, ShrunkFileNeverWedgesTheWatermark)
     write_bytes(live.path, bytes);
     tailer.poll();
     EXPECT_GT(tailer.entries_seen(), before);
-}
-
-TEST(JournalClassify, RecognizesEveryLineKind)
-{
-    Temp_path scratch{"classify_src.anj"};
-    const Built_journal built = build_journal(scratch.path);
-
-    std::istringstream lines{built.bytes};
-    std::string line;
-    std::size_t line_no = 0;
-    std::vector<std::uint64_t> task_indices;
-    while (std::getline(lines, line)) {
-        std::uint64_t index = 0;
-        const Journal_line_kind kind = classify_journal_line(line, &index);
-        if (line_no == 0)
-            EXPECT_EQ(kind, Journal_line_kind::magic);
-        else if (line_no == 1)
-            EXPECT_EQ(kind, Journal_line_kind::header);
-        else {
-            EXPECT_EQ(kind, Journal_line_kind::task);
-            task_indices.push_back(index);
-        }
-        ++line_no;
-    }
-    ASSERT_EQ(task_indices.size(), built.contents.entries.size());
-    for (std::size_t i = 0; i < task_indices.size(); ++i)
-        EXPECT_EQ(task_indices[i], built.contents.entries[i].index);
-
-    // Defects in any position are invalid, never misclassified.
-    EXPECT_EQ(classify_journal_line(""), Journal_line_kind::invalid);
-    EXPECT_EQ(classify_journal_line("not a journal line"),
-              Journal_line_kind::invalid);
-    std::istringstream again{built.bytes};
-    std::getline(again, line);       // magic
-    std::getline(again, line);       // header, CRC-stamped
-    std::string tampered = line;
-    tampered.back() ^= 1;            // payload byte changed, CRC now stale
-    EXPECT_EQ(classify_journal_line(tampered), Journal_line_kind::invalid);
-    EXPECT_EQ(classify_journal_line(line.substr(0, line.size() / 2)),
-              Journal_line_kind::invalid);
 }
 
 } // namespace

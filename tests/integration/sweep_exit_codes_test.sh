@@ -41,6 +41,18 @@ echo "== exit 2: usage errors"
 [ "$(rc "$SWEEP" $GRID --snr 30:10:2)" = 2 ]          # inverted range
 # shellcheck disable=SC2086
 [ "$(rc "$SWEEP" $GRID --merge a.anj --journal b.anj)" = 2 ]  # merge conflicts
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --resume missing.anj)" = 2 ]   # no journal to resume
+grep -q "missing.anj" stderr.log
+
+echo "== exit 2: scalar flags take exactly one non-negative integer"
+for BAD in "--threads 2,8" "--threads 1.4" "--threads -1" "--threads 8x" \
+           "--task-retries 0,5" "--repetitions 1:3:1" "--shard 1x/2" \
+           "--shard 1/2y"; do
+    # shellcheck disable=SC2086
+    [ "$(rc "$SWEEP" $GRID $BAD)" = 2 ] \
+        || { echo "FAIL: '$BAD' was accepted" >&2; exit 1; }
+done
 
 echo "== exit 2: incompatible resume journal (different seed)"
 # shellcheck disable=SC2086
