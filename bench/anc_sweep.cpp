@@ -3,14 +3,15 @@
 // engine::Sweep_grid translation that reuses the engine's emitters, so
 // any registered scenario can be swept without writing a driver.
 //
-//   anc_sweep --scenario alice_bob --snr 16:35:2 --math-profile simd
+//   anc_sweep --scenario alice_bob --snr 16:35:2 --math-profile fast
 //             --json out.json
 //
 // Axis syntax: every numeric axis accepts either a comma list
 // ("21,23,25") or a start:stop:step range ("16:35:2", stop inclusive
 // when landed on exactly).  --scenario and --scheme repeat.  Profiles
-// come as a comma list of exact/fast/simd or the shorthands "both"
-// (exact,fast) and "all".  The grid-flag table itself lives in
+// come as a comma list of exact/fast or the shorthand "both"
+// (exact,fast); "simd" is an alias of fast.  No axis may repeat a
+// value.  The grid-flag table itself lives in
 // bench/sweep_cli.h, shared with anc_coordinator so a coordinator can
 // forward its grid verbatim to the workers it spawns.
 //

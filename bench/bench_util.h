@@ -19,24 +19,19 @@
 namespace anc::bench {
 
 /// Math profiles a sweep should run, from the ANC_MATH_PROFILE
-/// environment variable: "exact" (the default), "fast", "simd", "both"
-/// (exact + fast), or "all" (exact + fast + simd).  Multi-profile values
-/// emit profile-tagged rows for each; the axis is seed-collapsed, so the
-/// tuples share channel realizations.  Every engine-backed bench driver
-/// applies this, which is how the CI profile-matrix jobs rerun the
-/// sweeps without bespoke flags.  Unknown values throw (via
-/// math_profile_from_string).
+/// environment variable: unset means exact; otherwise any list
+/// dsp::math_profiles_from_string accepts ("fast", "both" = exact +
+/// fast, "exact,fast", ...).  Multi-profile values emit profile-tagged
+/// rows for each; the axis is seed-collapsed, so the tuples share
+/// channel realizations.  Every engine-backed bench driver applies
+/// this, which is how the CI profile-matrix jobs rerun the sweeps
+/// without bespoke flags.  Unknown values throw.
 inline std::vector<dsp::Math_profile> math_profiles_from_env()
 {
     const char* env = std::getenv("ANC_MATH_PROFILE");
-    if (env == nullptr || std::string_view{env} == "exact")
+    if (env == nullptr)
         return {dsp::Math_profile::exact};
-    if (std::string_view{env} == "both")
-        return {dsp::Math_profile::exact, dsp::Math_profile::fast};
-    if (std::string_view{env} == "all")
-        return {dsp::Math_profile::exact, dsp::Math_profile::fast,
-                dsp::Math_profile::simd};
-    return {dsp::math_profile_from_string(env)};
+    return dsp::math_profiles_from_string(env);
 }
 
 /// The summaries restricted to one math profile.  The figure drivers'

@@ -7,10 +7,12 @@
 // alice_bob ANC exchange end-to-end, in samples per second, and counts
 // heap allocations per steady-state iteration (the zero-allocation
 // invariant of PERF.md).  Stages with a `_fast` suffix run the same
-// workload under dsp::Math_profile::fast (PERF.md "Math profiles"); the
-// unsuffixed stages are the historical bit-exact path.  With
-// --min-fast-gain R the process exits non-zero unless the fast
-// end-to-end exchange reaches at least R times the exact one.
+// workload under dsp::Math_profile::fast, whose batch call sites go
+// through the runtime-dispatched lane kernels (avx512 ≻ avx2 ≻ scalar;
+// PERF.md "Math profiles and the lane kernels"); the unsuffixed stages
+// are the historical bit-exact path.  With --min-fast-gain R the process
+// exits non-zero unless the fast end-to-end exchange reaches at least R
+// times the exact one; the gain line names the backend it measured.
 //
 // Output: a human table on stdout and, with --json PATH, a BENCH_dsp.json
 // document.  With --baseline PATH the measured throughputs are compared
@@ -30,17 +32,6 @@
 // jobs measure only their profile's stages instead of re-measuring
 // every exact stage).  The baseline gate then checks only the measured
 // stages — a missing *measured* stage still fails it.
-//
-// Stages with a `_simd` suffix run under dsp::Math_profile::simd (the
-// runtime-dispatched lane backend, avx512 ≻ avx2 ≻ scalar; PERF.md
-// "SIMD backend").  --min-simd-gain R requires the simd end-to-end
-// exchange to reach R times the *fast* one; when the backend resolved
-// to scalar (no AVX2, or ANC_FORCE_SCALAR_SIMD set) the gate is
-// skipped with a visible notice instead — there is no hardware gain to
-// demand — and when it resolved below avx512 (CPU lacks avx512f, or
-// ANC_FORCE_AVX2_SIMD set) a notice flags that the gate is measuring
-// the narrower backend, so CI on non-AVX-512 runners cannot silently
-// pass an avx512-calibrated threshold.
 //
 // The pilot_search / pilot_search_packed pair times phy::find_pattern's
 // historical byte-per-bit scan against the packed bit-domain scan
@@ -67,7 +58,7 @@
 //
 // Usage: pipeline_throughput [--json PATH] [--baseline PATH]
 //                            [--min-ratio R] [--normalize] [--quick]
-//                            [--min-fast-gain R] [--min-simd-gain R]
+//                            [--min-fast-gain R]
 //                            [--max-telemetry-overhead PCT]
 //                            [--stages a,b,c] [--pr N]
 //                            [--check-trajectory PATH]...
@@ -96,7 +87,6 @@
 #include "phy/pilot.h"
 #include "sim/alice_bob.h"
 #include "util/bits.h"
-#include "util/cpu_features.h"
 #include "util/obs.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -217,15 +207,11 @@ Bits frame_sized_bits(std::size_t count, std::uint64_t seed)
 }
 
 /// Stage naming convention: "<base>" = exact profile, "<base>_fast" =
-/// Math_profile::fast, "<base>_simd" = Math_profile::simd.
+/// Math_profile::fast.
 std::string stage_name(const char* base, dsp::Math_profile profile)
 {
-    std::string name{base};
-    if (profile == dsp::Math_profile::fast)
-        name += "_fast";
-    else if (profile == dsp::Math_profile::simd)
-        name += "_simd";
-    return name;
+    return profile == dsp::Math_profile::fast ? std::string{base} + "_fast"
+                                              : std::string{base};
 }
 
 // --------------------------------------------------------------- stages
@@ -576,7 +562,6 @@ int main(int argc, char** argv)
     std::vector<std::string> trajectory_paths;
     double min_ratio = 0.75;
     double min_fast_gain = 0.0;
-    double min_simd_gain = 0.0;
     double max_telemetry_overhead = 0.0;
     long pr_number = -1;
     bool normalize = false;
@@ -592,8 +577,6 @@ int main(int argc, char** argv)
             min_ratio = std::strtod(argv[++i], nullptr);
         else if (arg == "--min-fast-gain" && i + 1 < argc)
             min_fast_gain = std::strtod(argv[++i], nullptr);
-        else if (arg == "--min-simd-gain" && i + 1 < argc)
-            min_simd_gain = std::strtod(argv[++i], nullptr);
         else if (arg == "--max-telemetry-overhead" && i + 1 < argc)
             max_telemetry_overhead = std::strtod(argv[++i], nullptr);
         else if (arg == "--stages" && i + 1 < argc)
@@ -610,7 +593,7 @@ int main(int argc, char** argv)
             std::fprintf(stderr,
                          "usage: %s [--json PATH] [--baseline PATH] "
                          "[--min-ratio R] [--normalize] [--quick] "
-                         "[--min-fast-gain R] [--min-simd-gain R] "
+                         "[--min-fast-gain R] "
                          "[--max-telemetry-overhead PCT] "
                          "[--stages a,b,c] [--pr N] "
                          "[--check-trajectory PATH]...\n",
@@ -627,7 +610,6 @@ int main(int argc, char** argv)
 
     constexpr dsp::Math_profile exact = dsp::Math_profile::exact;
     constexpr dsp::Math_profile fast = dsp::Math_profile::fast;
-    constexpr dsp::Math_profile simd = dsp::Math_profile::simd;
 
     // The stage registry, in canonical (table and baseline) order.  The
     // --stages filter selects by name; unknown names are an error so a
@@ -639,10 +621,8 @@ int main(int argc, char** argv)
     const Stage_def defs[] = {
         {"modulate", [](double s, bool) { return bench_modulate(s, exact); }},
         {"modulate_fast", [](double s, bool) { return bench_modulate(s, fast); }},
-        {"modulate_simd", [](double s, bool) { return bench_modulate(s, simd); }},
         {"mix", [](double s, bool) { return bench_mix(s, exact); }},
         {"mix_fast", [](double s, bool) { return bench_mix(s, fast); }},
-        {"mix_simd", [](double s, bool) { return bench_mix(s, simd); }},
         {"fading_mix", [](double s, bool) { return bench_fading_mix(s); }},
         {"relay", [](double s, bool) { return bench_relay(s); }},
         {"demodulate", [](double s, bool) { return bench_demodulate(s); }},
@@ -653,14 +633,10 @@ int main(int argc, char** argv)
          [](double s, bool) { return bench_interference_decode(s, exact); }},
         {"interference_decode_fast",
          [](double s, bool) { return bench_interference_decode(s, fast); }},
-        {"interference_decode_simd",
-         [](double s, bool) { return bench_interference_decode(s, simd); }},
         {"alice_bob_exchange",
          [](double s, bool q) { return bench_exchange(s, q, exact); }},
         {"alice_bob_exchange_fast",
          [](double s, bool q) { return bench_exchange(s, q, fast); }},
-        {"alice_bob_exchange_simd",
-         [](double s, bool q) { return bench_exchange(s, q, simd); }},
         {"alice_bob_exchange_telemetry",
          [](double s, bool q) { return bench_exchange_telemetry(s, q); }},
     };
@@ -724,10 +700,8 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    // The relaxed profiles' end-to-end payoff, printed always and gated
-    // by --min-fast-gain (fast vs exact) and --min-simd-gain (simd vs
-    // fast — the backend's own contribution on top of the fast
-    // kernels).  The gates fire *after* the JSON write below, so a
+    // The fast profile's end-to-end payoff, printed always and gated by
+    // --min-fast-gain.  The gates fire *after* the JSON write below, so a
     // failing run still leaves its diagnostic artifact — same contract
     // as the baseline gate.
     bool gain_failed = false;
@@ -740,7 +714,6 @@ int main(int argc, char** argv)
         };
         const double exact_e2e = e2e_rate("alice_bob_exchange");
         const double fast_e2e = e2e_rate("alice_bob_exchange_fast");
-        const double simd_e2e = e2e_rate("alice_bob_exchange_simd");
         const double pilot_scalar = e2e_rate("pilot_search");
         const double pilot_packed = e2e_rate("pilot_search_packed");
         if (pilot_scalar > 0.0 && pilot_packed > 0.0)
@@ -748,51 +721,15 @@ int main(int argc, char** argv)
                         pilot_packed / pilot_scalar, pilot_scalar, pilot_packed);
         if (exact_e2e > 0.0 && fast_e2e > 0.0) {
             const double gain = fast_e2e / exact_e2e;
-            std::printf("\nfast profile e2e gain: %.2fx (%.0f -> %.0f samples/s)\n",
-                        gain, exact_e2e, fast_e2e);
+            std::printf("\nfast profile e2e gain: %.2fx (%.0f -> %.0f samples/s, "
+                        "backend %s)\n",
+                        gain, exact_e2e, fast_e2e,
+                        anc::simd::to_string(anc::simd::active_backend()));
             if (min_fast_gain > 0.0 && gain < min_fast_gain) {
                 std::fprintf(stderr,
                              "error: fast e2e gain %.2fx below required %.2fx\n",
                              gain, min_fast_gain);
                 gain_failed = true;
-            }
-        }
-        if (simd_e2e > 0.0 && exact_e2e > 0.0)
-            std::printf("simd profile e2e gain vs exact: %.2fx (%.0f -> %.0f "
-                        "samples/s, backend %s)\n",
-                        simd_e2e / exact_e2e, exact_e2e, simd_e2e,
-                        anc::simd::to_string(anc::simd::active_backend()));
-        if (min_simd_gain > 0.0) {
-            if (!anc::simd::kernels_active()) {
-                // Visible skip, not silence: without AVX2 (or with
-                // ANC_FORCE_SCALAR_SIMD set) the simd profile resolves to
-                // the scalar fallback and there is no hardware gain to
-                // demand — the run still validates correctness.
-                std::printf("notice: --min-simd-gain skipped (simd backend "
-                            "resolved to scalar: %s)\n",
-                            anc::cpu_features().avx2 && anc::cpu_features().fma
-                                ? "ANC_FORCE_SCALAR_SIMD set"
-                                : "CPU lacks AVX2+FMA");
-            } else if (simd_e2e > 0.0 && fast_e2e > 0.0) {
-                if (anc::simd::active_backend() != anc::simd::Backend::avx512) {
-                    // Visible note, mirroring the scalar-resolve notice:
-                    // the gate still runs, but against the avx2 lanes —
-                    // the widest tier is not being exercised here.
-                    std::printf("notice: --min-simd-gain measuring the avx2 "
-                                "backend, not avx512 (%s)\n",
-                                anc::cpu_features().avx512f
-                                    ? "ANC_FORCE_AVX2_SIMD set"
-                                    : "CPU lacks avx512f");
-                }
-                const double gain = simd_e2e / fast_e2e;
-                std::printf("simd profile e2e gain vs fast: %.2fx\n", gain);
-                if (gain < min_simd_gain) {
-                    std::fprintf(stderr,
-                                 "error: simd e2e gain %.2fx over fast below "
-                                 "required %.2fx\n",
-                                 gain, min_simd_gain);
-                    gain_failed = true;
-                }
             }
         }
 

@@ -80,30 +80,6 @@ inline std::vector<std::size_t> parse_size_axis(const std::string& text)
     return values;
 }
 
-inline std::vector<dsp::Math_profile> parse_profiles(const std::string& text)
-{
-    if (text == "both")
-        return {dsp::Math_profile::exact, dsp::Math_profile::fast};
-    if (text == "all")
-        return {dsp::Math_profile::exact, dsp::Math_profile::fast,
-                dsp::Math_profile::simd};
-    std::vector<dsp::Math_profile> profiles;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::string item = text.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        if (!item.empty())
-            profiles.push_back(dsp::math_profile_from_string(item));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    if (profiles.empty())
-        throw std::invalid_argument{"empty --math-profile value"};
-    return profiles;
-}
-
 inline std::vector<std::string> parse_path_list(const std::string& text)
 {
     std::vector<std::string> paths;
@@ -201,8 +177,9 @@ public:
             return take(
                 [&](const std::string& v) { grid_->mean_link_gains = parse_axis(v); });
         if (arg == "--math-profile")
-            return take(
-                [&](const std::string& v) { grid_->math_profiles = parse_profiles(v); });
+            return take([&](const std::string& v) {
+                grid_->math_profiles = dsp::math_profiles_from_string(v);
+            });
         if (arg == "--repetitions")
             return take([&](const std::string& v) {
                 grid_->repetitions = parse_count(arg, v);
@@ -232,7 +209,7 @@ public:
         "  --interleave-rows LIST     FEC interleaver depth (0 = off)\n"
         "  --coherence-block LIST     fading coherence block, samples\n"
         "  --mean-link-gain LIST      fading link-gain multiplier\n"
-        "  --math-profile LIST    exact|fast|simd, or both|all (default exact)\n"
+        "  --math-profile LIST    exact|fast (simd = fast), or both (default exact)\n"
         "  --repetitions N        independent runs per point (default 1)\n"
         "  --seed N               base seed for the deterministic runs\n";
 

@@ -39,27 +39,18 @@ void Awgn::add_in_place(dsp::Signal& signal)
             s += sample();
         return;
     }
-    // Fast/simd profiles: one counter-based key per call (each
-    // add_in_place is a fresh, independent noise span, mirroring how the
-    // exact stream advances), then a fused counter fill-and-add over the
-    // interleaved re/im array — order-independent and streaming at
-    // throughput (see Counter_normal::add_scaled).  The simd profile
-    // routes the same keys and counters through the AVX2 backend, which
-    // emits a bit-identical z stream 4 counter pairs per step.
+    // Fast profile: one counter-based key per call (each add_in_place is
+    // a fresh, independent noise span, mirroring how the exact stream
+    // advances), then a fused counter fill-and-add over the interleaved
+    // re/im array through the lane kernels — order-independent and
+    // streaming at throughput (see Counter_normal::add_scaled_simd).
     // Braced-init sequences the two draws left to right; named locals
     // make the (seed, stream) order unmistakable to readers regardless.
     const std::uint64_t key_seed = rng_.next_u64();
     const std::uint64_t key_stream = rng_.next_u64();
     const Counter_normal normals{key_seed, key_stream};
-    if (profile_ == dsp::Math_profile::simd) {
-        normals.add_scaled_simd(0, sigma_per_dim_,
-                                reinterpret_cast<double*>(signal.data()),
-                                2 * signal.size());
-        return;
-    }
-    normals.add_scaled(0, sigma_per_dim_,
-                       reinterpret_cast<double*>(signal.data()),
-                       2 * signal.size());
+    normals.add_scaled_simd(0, sigma_per_dim_, reinterpret_cast<double*>(signal.data()),
+                            2 * signal.size());
 }
 
 double noise_power_for_snr_db(double snr_db, double signal_power)

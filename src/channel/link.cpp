@@ -17,30 +17,18 @@ constexpr double inv_sqrt2 = 0.70710678118654752440;
 /// out[n] += signal[n] * rotor_n for n in [begin, end), where rotor_n
 /// advances by `step` per sample (the fast profile's incremental
 /// rotation).  A zero drift makes `step` unity; that case is hoisted
-/// into a constant-rotor multiply-add loop with no serial dependence —
-/// under the simd profile it dispatches to the lane kernels
-/// (simd::rotor_accumulate, bit-identical to the scalar loop), the same
-/// profile gate the AWGN generator uses.
+/// into a constant-rotor multiply-add with no serial dependence, on the
+/// lane kernels (simd::rotor_accumulate, bit-identical to the scalar
+/// loop).
 void accumulate_rotor(dsp::Signal_view signal, std::size_t begin, std::size_t end,
                       dsp::Sample rotor, dsp::Sample step, bool constant_rotor,
-                      bool use_lanes, dsp::Sample* out)
+                      dsp::Sample* out)
 {
     const double* in = reinterpret_cast<const double*>(signal.data());
     double* acc = reinterpret_cast<double*>(out);
     if (constant_rotor) {
-        const double rr = rotor.real();
-        const double ri = rotor.imag();
-        if (use_lanes) {
-            simd::rotor_accumulate(in + 2 * begin, acc + 2 * begin, end - begin,
-                                   rr, ri);
-            return;
-        }
-        for (std::size_t n = begin; n < end; ++n) {
-            const double re = in[2 * n];
-            const double im = in[2 * n + 1];
-            acc[2 * n] += re * rr - im * ri;
-            acc[2 * n + 1] += re * ri + im * rr;
-        }
+        simd::rotor_accumulate(in + 2 * begin, acc + 2 * begin, end - begin,
+                               rotor.real(), rotor.imag());
         return;
     }
     double rr = rotor.real();
@@ -90,8 +78,7 @@ void Link_channel::accumulate_faded(dsp::Signal_view signal, std::uint64_t fadin
             const dsp::Sample step =
                 dsp::profile_polar(profile, 1.0, params_.phase_drift);
             accumulate_rotor(signal, begin_n, end_n, rotor, step,
-                             params_.phase_drift == 0.0,
-                             profile == dsp::Math_profile::simd, out);
+                             params_.phase_drift == 0.0, out);
             continue;
         }
         for (std::size_t n = begin_n; n < end_n; ++n) {
@@ -127,30 +114,25 @@ const dsp::Sample* Link_channel::rotor_stream(std::size_t samples) const
     return rotor_cache_.data();
 }
 
-void Link_channel::accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out,
-                                         dsp::Math_profile profile) const
+void Link_channel::accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out) const
 {
-    if (profile == dsp::Math_profile::simd && params_.phase_drift != 0.0) {
-        // Drifting fixed-gain link under the simd profile: the rotor
-        // stream is a pure function of the link params, so the serial
-        // recurrence is memoised per link and the accumulation becomes an
-        // element-wise complex multiply-add the lane kernels can chew.
+    const double* in = reinterpret_cast<const double*>(signal.data());
+    double* acc = reinterpret_cast<double*>(out);
+    if (params_.phase_drift != 0.0) {
+        // Drifting fixed-gain link: the rotor stream is a pure function
+        // of the link params, so the serial recurrence is memoised per
+        // link and the accumulation becomes an element-wise complex
+        // multiply-add the lane kernels can chew.
         // (Rayleigh links keep the recurrence: the fade is folded into
         // rotor_0 there, and ((base·fade)·step^n) rounds differently from
         // fade·(base·step^n), so a shared cache would change bits.)
-        simd::cmul_accumulate(reinterpret_cast<const double*>(signal.data()),
-                              reinterpret_cast<const double*>(
-                                  rotor_stream(signal.size())),
-                              reinterpret_cast<double*>(out), signal.size());
+        simd::cmul_accumulate(in, reinterpret_cast<const double*>(rotor_stream(signal.size())),
+                              acc, signal.size());
         return;
     }
     const dsp::Sample rotor =
         dsp::profile_polar(dsp::Math_profile::fast, params_.gain, params_.phase);
-    const dsp::Sample step =
-        dsp::profile_polar(dsp::Math_profile::fast, 1.0, params_.phase_drift);
-    accumulate_rotor(signal, 0, signal.size(), rotor, step,
-                     params_.phase_drift == 0.0,
-                     profile == dsp::Math_profile::simd, out);
+    simd::rotor_accumulate(in, acc, signal.size(), rotor.real(), rotor.imag());
 }
 
 Link_channel::Link_channel(Link_params params)
@@ -180,7 +162,7 @@ dsp::Signal Link_channel::apply(dsp::Signal_view signal, std::uint64_t fading_ep
     if (params_.gain_model == Gain_model::fixed) {
         if (profile != dsp::Math_profile::exact) {
             out.assign(params_.delay + signal.size(), dsp::Sample{0.0, 0.0});
-            accumulate_fixed_fast(signal, out.data() + params_.delay, profile);
+            accumulate_fixed_fast(signal, out.data() + params_.delay);
             return out;
         }
         out.reserve(params_.delay + signal.size());
@@ -212,10 +194,7 @@ void Link_channel::apply_onto(dsp::Signal_view signal, std::size_t at,
     dsp::Sample* out = acc.data() + begin;
     if (params_.gain_model == Gain_model::fixed) {
         if (profile != dsp::Math_profile::exact) {
-            // Fast and simd share the rotor arithmetic; under simd the
-            // drift-free case additionally runs on the lane kernels
-            // (bit-identical — see accumulate_rotor).
-            accumulate_fixed_fast(signal, out, profile);
+            accumulate_fixed_fast(signal, out);
             return;
         }
         for (std::size_t n = 0; n < signal.size(); ++n) {

@@ -112,12 +112,10 @@ private:
     void accumulate_faded(dsp::Signal_view signal, std::uint64_t fading_epoch,
                           dsp::Sample* out, dsp::Math_profile profile) const;
 
-    /// Fixed-gain fast/simd kernel: rotor-recurrence accumulation
-    /// (lane-dispatched under the simd profile — constant-rotor lanes
-    /// when drift-free, cached rotor stream + complex multiply-accumulate
-    /// lanes when drifting).
-    void accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out,
-                               dsp::Math_profile profile) const;
+    /// Fixed-gain fast-profile kernel on the lane kernels: constant-rotor
+    /// lanes when drift-free, cached rotor stream + complex
+    /// multiply-accumulate lanes when drifting.
+    void accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out) const;
 
     /// First `samples` values of the fixed-gain rotor stream
     /// rotor_n = polar(gain, phase)·step^n, produced by the exact

@@ -14,17 +14,13 @@ namespace anc {
 
 namespace {
 
-/// The shared SoA core behind the fast and simd profiles: the Eq. 7
-/// candidate generation into flat per-candidate phase arrays (the
-/// 3-atan2 arg(y) factorization — see the kernel derivation notes in
-/// util/simd.cpp), the Eq. 8 branchless selection over them, and
-/// differential demodulation of the unknown tail.  One kernel source of
-/// truth serves both profiles (anc::simd): the fast profile pins the
-/// scalar implementations — the historical fast path, verbatim — while
-/// the simd profile goes through the runtime-dispatched entry points
-/// and reaches the AVX2 lanes when the backend is active.  The lane
-/// kernels are bit-compatible with the scalar ones, so the two
-/// profiles' outputs are byte-identical either way.
+/// The fast profile's SoA core: the Eq. 7 candidate generation into
+/// flat per-candidate phase arrays (the 3-atan2 arg(y) factorization —
+/// see the kernel derivation notes in util/simd.cpp), the Eq. 8
+/// branchless selection over them, and differential demodulation of the
+/// unknown tail, all through anc::simd's runtime-dispatched lane
+/// kernels.  The lanes are bit-compatible with the scalar kernels, so
+/// the output is byte-identical on every backend.
 ///
 /// Candidate arrays cover just the known-signal span (the selection
 /// never reads past it), and scratch comes from the per-thread
@@ -35,8 +31,7 @@ void estimate_batched(dsp::Signal_view samples,
                       double a,
                       double b,
                       std::vector<double>& phi_differences,
-                      std::vector<double>& match_errors,
-                      bool simd_dispatch)
+                      std::vector<double>& match_errors)
 {
     const std::size_t count = samples.size();
     const std::size_t transitions = count - 1;
@@ -57,35 +52,17 @@ void estimate_batched(dsp::Signal_view samples,
         theta_minus->resize(known + 1);
         phi_minus->resize(known + 1);
         phi_plus->resize(known + 1);
-        if (simd_dispatch) {
-            anc::simd::anc_candidates_batch(in, known + 1, a, b,
-                                            theta_plus->data(),
-                                            theta_minus->data(),
-                                            phi_minus->data(), phi_plus->data());
-            anc::simd::anc_select_batch(theta_plus->data(), theta_minus->data(),
-                                        phi_minus->data(), phi_plus->data(),
-                                        known_diffs.data(), known,
-                                        phi_differences.data(),
-                                        match_errors.data());
-        } else {
-            anc::simd::detail::anc_candidates_batch_scalar(
-                in, known + 1, a, b, theta_plus->data(), theta_minus->data(),
-                phi_minus->data(), phi_plus->data());
-            anc::simd::detail::anc_select_batch_scalar(
-                theta_plus->data(), theta_minus->data(), phi_minus->data(),
-                phi_plus->data(), known_diffs.data(), known,
-                phi_differences.data(), match_errors.data());
-        }
+        anc::simd::anc_candidates_batch(in, known + 1, a, b, theta_plus->data(),
+                                        theta_minus->data(), phi_minus->data(),
+                                        phi_plus->data());
+        anc::simd::anc_select_batch(theta_plus->data(), theta_minus->data(),
+                                    phi_minus->data(), phi_plus->data(),
+                                    known_diffs.data(), known, phi_differences.data(),
+                                    match_errors.data());
     }
-    if (known < transitions) {
-        if (simd_dispatch)
-            anc::simd::diff_arg_batch(in + 2 * known, transitions - known,
-                                      phi_differences.data() + known);
-        else
-            anc::simd::detail::diff_arg_batch_scalar(
-                in + 2 * known, transitions - known,
-                phi_differences.data() + known);
-    }
+    if (known < transitions)
+        anc::simd::diff_arg_batch(in + 2 * known, transitions - known,
+                                  phi_differences.data() + known);
 }
 
 } // namespace
@@ -134,9 +111,7 @@ void Interference_decoder::estimate_phi_differences_into(
                                                           : transitions);
 
     if (profile_ != dsp::Math_profile::exact) {
-        estimate_batched(samples, known_diffs, a, b, phi_differences,
-                         match_errors,
-                         profile_ == dsp::Math_profile::simd);
+        estimate_batched(samples, known_diffs, a, b, phi_differences, match_errors);
         return;
     }
 

@@ -5,31 +5,23 @@
 //   exact — byte-identical to the historical implementation.  Every
 //           golden test, sweep JSON, and figure reproduction runs here
 //           by default; nothing about this profile may drift.
-//   fast  — SIMD-friendly polynomial transcendentals and counter-based
-//           noise.  Outputs differ from `exact` in low-order bits (and
-//           the noise stream is a different, equally-valid realization),
-//           so results are validated *statistically*: the corridor tests
+//   fast  — polynomial transcendentals and counter-based noise.  Outputs
+//           differ from `exact` in low-order bits (and the noise stream
+//           is a different, equally-valid realization), so results are
+//           validated *statistically*: the corridor tests
 //           (tests/engine/math_profile_corridor_test.cpp) bound the
 //           BER/delivery-rate deviation from `exact`, per the
-//           relaxed-determinism design in PERF.md "Math profiles".
+//           relaxed-determinism design in PERF.md "Math profiles and the
+//           lane kernels".  Batch call sites (interference decode, AWGN
+//           fill, DQPSK polar, the channel rotors) go through anc::simd's
+//           runtime-dispatched lane kernels (util/simd.h); single-sample
+//           call sites use the scalar fast kernels.  The lanes are
+//           bit-compatible with the scalar kernels, so `fast` output is
+//           byte-identical on AVX-512, on AVX2, under
+//           ANC_FORCE_SCALAR_SIMD, and on machines with no AVX2 at all.
 //
-//   simd  — the explicit AVX2+FMA kernel backend (util/simd.h).  Batch
-//           call sites (interference decode, AWGN fill, DQPSK polar)
-//           route through anc::simd's runtime-dispatched lane kernels;
-//           single-sample call sites use the scalar fast kernels.  The
-//           lane kernels are *bit-compatible* with the scalar fast
-//           kernels (same arithmetic, four lanes at a time), so `simd`
-//           output is byte-identical to `fast` everywhere — on AVX2
-//           hardware, under the ANC_FORCE_SCALAR_SIMD override, and on
-//           machines with no AVX2 at all, where the guaranteed scalar
-//           fallback (the fast kernels themselves) serves.  `simd` is
-//           therefore valid config on every machine and inherits the
-//           fast profile's whole statistical validation.
-//
-// Call sites branch on the profile (`profile == Math_profile::exact`)
-// with the exact expression kept verbatim in the exact arm; non-exact
-// profiles share the fast scalar kernels unless a batch call site
-// dispatches `simd` to the lane kernels.
+// Call sites branch on `profile == Math_profile::exact` with the exact
+// expression kept verbatim in the exact arm.
 
 #pragma once
 
@@ -37,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/fastmath.h"
 
@@ -44,8 +37,8 @@ namespace anc::dsp {
 
 enum class Math_profile {
     exact, ///< libm + sequential Box–Muller; the determinism contract
-    fast,  ///< fastmath kernels + counter-based noise; corridor-validated
-    simd,  ///< AVX2+FMA lane kernels, runtime-dispatched; ≡ fast bitwise
+    fast,  ///< fastmath kernels + counter-based noise on the lane kernels;
+           ///< corridor-validated
 };
 
 inline const char* to_string(Math_profile profile)
@@ -53,22 +46,42 @@ inline const char* to_string(Math_profile profile)
     switch (profile) {
     case Math_profile::exact: return "exact";
     case Math_profile::fast: return "fast";
-    case Math_profile::simd: return "simd";
     }
     return "exact";
 }
 
-/// Parse "exact" / "fast" / "simd"; throws std::invalid_argument otherwise.
+/// Parse "exact" / "fast"; throws std::invalid_argument otherwise.
+/// "simd" — the name of a former profile that was byte-identical to
+/// `fast` — is still accepted as an alias of `fast`.
 inline Math_profile math_profile_from_string(std::string_view name)
 {
     if (name == "exact")
         return Math_profile::exact;
-    if (name == "fast")
+    if (name == "fast" || name == "simd")
         return Math_profile::fast;
-    if (name == "simd")
-        return Math_profile::simd;
     throw std::invalid_argument{"math_profile_from_string: unknown profile '"
                                 + std::string{name} + "'"};
+}
+
+/// Parse a profile list: "both" (exact, fast) or a comma list of names
+/// math_profile_from_string accepts, e.g. "exact,fast" (empty items are
+/// skipped).  Throws std::invalid_argument on an unknown name or when no
+/// name is given.
+inline std::vector<Math_profile> math_profiles_from_string(std::string_view list)
+{
+    if (list == "both")
+        return {Math_profile::exact, Math_profile::fast};
+    std::vector<Math_profile> profiles;
+    while (!list.empty()) {
+        const std::size_t comma = list.find(',');
+        const std::string_view item = list.substr(0, comma);
+        if (!item.empty())
+            profiles.push_back(math_profile_from_string(item));
+        list.remove_prefix(comma == std::string_view::npos ? list.size() : comma + 1);
+    }
+    if (profiles.empty())
+        throw std::invalid_argument{"math_profiles_from_string: no profile named"};
+    return profiles;
 }
 
 /// Profile-dispatched atan2.

@@ -49,7 +49,7 @@ void Msk_modulator::modulate_into(std::span<const std::uint8_t> bits, Signal& ou
     out.clear();
     out.reserve(bits.size() + 1);
     if (profile_ != Math_profile::exact) {
-        // Fast and simd share this path: a ±π/2 phase step is
+        // Fast profile: a ±π/2 phase step is
         // multiplication by ±i, which is a *lossless* component
         // swap/negate — the envelope stays exactly amplitude_ and no
         // per-sample sincos or phase accumulator is needed (nothing for

@@ -104,20 +104,9 @@ void polar_into(std::span<const double> phases, double amplitude,
             out[i] = std::polar(amplitude, phases[i]);
         return;
     }
-    double* data = reinterpret_cast<double*>(out.data());
-    if (profile == Math_profile::simd) {
-        // Batched lanes (4 sincos per step), bit-identical to the fast
-        // loop below — see util/simd.h.
-        simd::polar_batch(phases.data(), amplitude, data, n);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        double s = 0.0;
-        double c = 0.0;
-        fast_sincos(phases[i], s, c);
-        data[2 * i] = amplitude * c;
-        data[2 * i + 1] = amplitude * s;
-    }
+    // Batched lanes (one sincos per lane), bit-identical to looping
+    // fast_sincos — see util/simd.h.
+    simd::polar_batch(phases.data(), amplitude, reinterpret_cast<double*>(out.data()), n);
 }
 
 double normalize_power_in_place(Signal& signal, double target_power)

@@ -50,7 +50,7 @@ void accumulate(Signal& acc, Signal_view signal, std::size_t offset);
 /// out[i] = amplitude · e^{i·phases[i]} — the batched polar fill behind
 /// the phase-accumulating modulators.  `exact` evaluates std::polar per
 /// element (byte-identical to the historical per-sample loop); `fast`
-/// runs fast_sincos in a branch-light loop the compiler can pipeline.
+/// runs fast_sincos on the lane kernels (simd::polar_batch).
 void polar_into(std::span<const double> phases, double amplitude,
                 Math_profile profile, Signal& out);
 

@@ -57,10 +57,9 @@ struct Scenario_config {
     /// Math profile the whole run executes under (dsp/math_profile.h):
     /// `exact` (default) is byte-identical to the historical runs;
     /// `fast` trades bit-exactness for the polynomial/counter-noise
-    /// kernels and is validated by the statistical corridor tests;
-    /// `simd` runs the same math through the runtime-dispatched AVX2
-    /// backend (bit-identical to `fast`, valid on every machine).  Every
-    /// emitted row is tagged with this value so relaxed-profile results
+    /// kernels (on the runtime-dispatched lane kernels, byte-identical
+    /// on every machine) and is validated by the statistical corridor
+    /// tests.  Every emitted row is tagged with this value so relaxed-profile results
     /// are never silently mixed with exact ones.
     dsp::Math_profile math_profile = dsp::Math_profile::exact;
 };

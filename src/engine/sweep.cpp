@@ -10,11 +10,20 @@ namespace anc::engine {
 
 namespace {
 
-void require_non_empty(bool non_empty, const char* axis)
+/// Every axis must be non-empty (unless `may_be_empty`) and name each
+/// value once: a repeated value would expand into duplicate tasks that
+/// share one seed_index — the same channel realization counted as
+/// independent runs of one point.
+template <typename T>
+void require_axis(const std::vector<T>& values, const char* axis, bool may_be_empty = false)
 {
-    if (!non_empty)
+    if (values.empty() && !may_be_empty)
         throw std::invalid_argument{std::string{"Sweep_grid: empty axis '"} + axis
                                     + "'"};
+    for (auto it = values.begin(); it != values.end(); ++it)
+        if (std::find(values.begin(), it, *it) != it)
+            throw std::invalid_argument{std::string{"Sweep_grid: axis '"} + axis
+                                        + "' repeats a value"};
 }
 
 /// The schemes this scenario contributes to the grid, in the scenario's
@@ -68,18 +77,20 @@ std::vector<Scenario_config> point_configs(const Sweep_grid& grid)
 
 std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& registry)
 {
-    require_non_empty(!grid.scenarios.empty(), "scenarios");
-    require_non_empty(!grid.snr_db.empty(), "snr_db");
-    require_non_empty(!grid.alice_amplitudes.empty(), "alice_amplitudes");
-    require_non_empty(!grid.bob_amplitudes.empty(), "bob_amplitudes");
-    require_non_empty(!grid.payload_bits.empty(), "payload_bits");
-    require_non_empty(!grid.exchanges.empty(), "exchanges");
-    require_non_empty(!grid.detector_thresholds_db.empty(), "detector_thresholds_db");
-    require_non_empty(!grid.interleave_rows.empty(), "interleave_rows");
-    require_non_empty(!grid.coherence_blocks.empty(), "coherence_blocks");
-    require_non_empty(!grid.mean_link_gains.empty(), "mean_link_gains");
-    require_non_empty(!grid.math_profiles.empty(), "math_profiles");
-    require_non_empty(grid.repetitions > 0, "repetitions");
+    require_axis(grid.scenarios, "scenarios");
+    require_axis(grid.schemes, "schemes", true);
+    require_axis(grid.snr_db, "snr_db");
+    require_axis(grid.alice_amplitudes, "alice_amplitudes");
+    require_axis(grid.bob_amplitudes, "bob_amplitudes");
+    require_axis(grid.payload_bits, "payload_bits");
+    require_axis(grid.exchanges, "exchanges");
+    require_axis(grid.detector_thresholds_db, "detector_thresholds_db");
+    require_axis(grid.interleave_rows, "interleave_rows");
+    require_axis(grid.coherence_blocks, "coherence_blocks");
+    require_axis(grid.mean_link_gains, "mean_link_gains");
+    require_axis(grid.math_profiles, "math_profiles");
+    if (grid.repetitions == 0)
+        throw std::invalid_argument{"Sweep_grid: empty axis 'repetitions'"};
 
     // Every requested scheme must be meaningful somewhere in the grid.
     std::set<std::string> unmatched{grid.schemes.begin(), grid.schemes.end()};

@@ -38,8 +38,8 @@ struct Sweep_grid {
     /// coherence block, and the multiplier on every topology link gain.
     std::vector<std::size_t> coherence_blocks = {4096};
     std::vector<double> mean_link_gains = {1.0};
-    /// Math profiles to run (dsp/math_profile.h): any of exact, fast,
-    /// simd.  Like the scheme axis, this axis is *seed-collapsed*: tasks
+    /// Math profiles to run (dsp/math_profile.h): exact and/or fast.
+    /// Like the scheme axis, this axis is *seed-collapsed*: tasks
     /// differing only in profile share a seed_index, so relaxed-profile
     /// and `exact` points see identical channel realizations and the
     /// corridor comparison is paired.
@@ -64,8 +64,8 @@ struct Sweep_task {
 /// snr_db > alice_amplitude > bob_amplitude > payload_bits > exchanges >
 /// detector_threshold_db > interleave_rows > coherence_block >
 /// mean_link_gain > repetition.  Throws std::invalid_argument on an
-/// empty axis, an unknown scenario, or a requested scheme no scenario
-/// supports.
+/// empty axis, an axis that repeats a value, an unknown scenario, or a
+/// requested scheme no scenario supports.
 std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& registry);
 
 /// Expansion against the builtin registry.

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-// Guarded on __x86_64__ exactly like the kernel TU (simd_kernels.cpp):
+// Guarded on __x86_64__ exactly like the kernel TUs (simd_kernels_*.cpp):
 // cpu_features() answers "can THIS BINARY use the AVX2 backend", not
 // "does the silicon have it" — a 32-bit x86 build has only the stub
 // kernels, so reporting the CPU's AVX2 flag there would dispatch into

@@ -1,9 +1,9 @@
-// Runtime CPU feature detection for the SIMD math-profile backend.
+// Runtime CPU feature detection for the lane-kernel backend.
 //
-// The `simd` profile (dsp/math_profile.h) is valid configuration on
-// every machine: it *requests* the explicit AVX2+FMA kernels and merely
-// resolves, once per run, to the best implementation the hardware
-// offers.  That resolution needs a trustworthy answer to "can this
+// The `fast` profile (dsp/math_profile.h) is valid configuration on
+// every machine: its batch call sites go through the explicit lane
+// kernels (util/simd.h), which resolve, once per run, to the best
+// implementation the hardware offers.  That resolution needs a trustworthy answer to "can this
 // process run 256-bit AVX2 math?", which is what this header provides —
 // a CPUID probe cached for the lifetime of the process.  The answer is
 // about the *process*, not just the silicon: it also requires the OS to

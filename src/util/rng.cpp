@@ -22,42 +22,37 @@ Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
     // words — i.e. identical Box-Muller radii (correlated magnitudes).
 }
 
+// Lane elements are (z0, z1) pairs — two doubles of the buffer each —
+// so a lane kernel takes 8 (avx512) or 4 (avx2) counters per block; the
+// remainder, an odd trailing normal included, goes to the scalar pass,
+// which is element-wise identical (draws are pure in (key, counter), so
+// the seam carries no state).
+
 void Counter_normal::fill_simd(std::uint64_t first_counter, double* out,
                                std::size_t count) const
 {
-    // Full 8-pair (16-normal, avx512) or 4-pair (8-normal, avx2) blocks
-    // go to the lane kernels; the remainder — and the whole span when
-    // the backend resolved to scalar — goes to fill(), which is
-    // element-wise identical (draws are pure in (key, counter), so the
-    // seam carries no state).
-    std::size_t head = 0;
-    if (simd::active_backend() == simd::Backend::avx512) {
-        head = count & ~std::size_t{15};
-        simd::detail::counter_normal_fill_avx512(key_a_, key_b_, first_counter,
-                                                 out, head);
-    } else if (simd::kernels_active()) {
-        head = count & ~std::size_t{7};
-        simd::detail::counter_normal_fill_avx2(key_a_, key_b_, first_counter, out,
-                                               head);
-    }
-    fill(first_counter + head / 2, out + head, count - head);
+    const auto scalar = [this](std::uint64_t, std::uint64_t, std::uint64_t first,
+                               double* at, std::size_t n) { fill(first, at, n); };
+    simd::dispatch<2>(count, simd::detail::counter_normal_fill_avx512,
+                      simd::detail::counter_normal_fill_avx2, scalar,
+                      [&](auto kernel, std::size_t at, std::size_t n) {
+                          kernel(key_a_, key_b_, first_counter + at / 2, out + at, n);
+                      });
 }
 
 void Counter_normal::add_scaled_simd(std::uint64_t first_counter, double scale,
                                      double* inout, std::size_t count) const
 {
-    std::size_t head = 0;
-    if (simd::active_backend() == simd::Backend::avx512) {
-        head = count & ~std::size_t{15};
-        simd::detail::counter_normal_add_scaled_avx512(key_a_, key_b_,
-                                                       first_counter, scale,
-                                                       inout, head);
-    } else if (simd::kernels_active()) {
-        head = count & ~std::size_t{7};
-        simd::detail::counter_normal_add_scaled_avx2(key_a_, key_b_, first_counter,
-                                                     scale, inout, head);
-    }
-    add_scaled(first_counter + head / 2, scale, inout + head, count - head);
+    const auto scalar = [this](std::uint64_t, std::uint64_t, std::uint64_t first,
+                               double z_scale, double* at, std::size_t n) {
+        add_scaled(first, z_scale, at, n);
+    };
+    simd::dispatch<2>(count, simd::detail::counter_normal_add_scaled_avx512,
+                      simd::detail::counter_normal_add_scaled_avx2, scalar,
+                      [&](auto kernel, std::size_t at, std::size_t n) {
+                          kernel(key_a_, key_b_, first_counter + at / 2, scale, inout + at,
+                                 n);
+                      });
 }
 
 Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream)

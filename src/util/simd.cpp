@@ -11,14 +11,13 @@
 
 // Dispatchers and the scalar fallback implementations.  This TU is
 // compiled at the baseline architecture, so every function here runs on
-// any x86-64 (or non-x86) machine; the AVX2 entry points in
-// simd_kernels.cpp are only ever reached through the active_backend()
-// checks below.
+// any x86-64 (or non-x86) machine; the lane entry points in
+// simd_kernels_avx2.cpp / simd_kernels_avx512.cpp are only ever reached
+// through the active_backend() checks below.
 //
-// The scalar fallbacks ARE the existing fast kernels, looped — that is
-// the "guaranteed scalar fallback" of the dispatch contract, and it is
-// what makes Math_profile::simd bit-identical to Math_profile::fast by
-// construction (see util/simd.h).
+// The scalar fallbacks ARE the fast kernels, looped — the "guaranteed
+// scalar fallback" of the dispatch contract, which is what makes the
+// fast profile's output identical on every backend (see util/simd.h).
 
 namespace anc::simd {
 
@@ -221,7 +220,7 @@ bool force_avx2_from_env() { return env_flag("ANC_FORCE_AVX2_SIMD"); }
 Backend active_backend()
 {
     // Decided once per run: CPUID does not change under a process, and a
-    // stable decision is what makes the simd profile's determinism
+    // stable decision is what makes the fast profile's determinism
     // arguments ("bit-identical at any thread count") trivially hold.
     static const Backend backend = resolve_backend(
         cpu_features().avx2, cpu_features().fma, cpu_features().avx512f,
@@ -234,17 +233,7 @@ bool kernels_active()
     return active_backend() != Backend::scalar;
 }
 
-// ---------------------------------------------------------- dispatchers
-// Full 8-wide (avx512) or 4-wide (avx2) blocks go to the lane TUs;
-// tails (and the scalar backend) go to the fallback.  All tiers are
-// element-wise identical, so the split point is invisible in the
-// output.
-
-namespace {
-
-/// The widest full block the active backend can take: 8-wide for
-/// avx512, 4-wide for avx2, none for scalar.
-inline std::size_t lane_head(std::size_t n)
+std::size_t lane_head(std::size_t n)
 {
     switch (active_backend()) {
     case Backend::avx512: return n & ~std::size_t{7};
@@ -254,79 +243,49 @@ inline std::size_t lane_head(std::size_t n)
     return 0;
 }
 
-} // namespace
+// ---------------------------------------------------------- dispatchers
 
 void atan2_batch(const double* y, const double* x, double* out, std::size_t n)
 {
-    const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::atan2_batch_avx512(y, x, out, head);
-        else
-            detail::atan2_batch_avx2(y, x, out, head);
-    }
-    detail::atan2_batch_scalar(y + head, x + head, out + head, n - head);
+    dispatch(n, detail::atan2_batch_avx512, detail::atan2_batch_avx2,
+             detail::atan2_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(y + at, x + at, out + at, m);
+             });
 }
 
-void sincos_batch(const double* angles, double* sin_out, double* cos_out,
-                  std::size_t n)
+void sincos_batch(const double* angles, double* sin_out, double* cos_out, std::size_t n)
 {
-    const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::sincos_batch_avx512(angles, sin_out, cos_out, head);
-        else
-            detail::sincos_batch_avx2(angles, sin_out, cos_out, head);
-    }
-    detail::sincos_batch_scalar(angles + head, sin_out + head, cos_out + head,
-                                n - head);
+    dispatch(n, detail::sincos_batch_avx512, detail::sincos_batch_avx2,
+             detail::sincos_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(angles + at, sin_out + at, cos_out + at, m);
+             });
 }
 
 void log_batch(const double* x, double* out, std::size_t n)
 {
-    const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::log_batch_avx512(x, out, head);
-        else
-            detail::log_batch_avx2(x, out, head);
-    }
-    detail::log_batch_scalar(x + head, out + head, n - head);
+    dispatch(n, detail::log_batch_avx512, detail::log_batch_avx2, detail::log_batch_scalar,
+             [&](auto kernel, std::size_t at, std::size_t m) { kernel(x + at, out + at, m); });
 }
 
 void polar_batch(const double* angles, double magnitude, double* interleaved_out,
                  std::size_t n)
 {
-    const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::polar_batch_avx512(angles, magnitude, interleaved_out, head);
-        else
-            detail::polar_batch_avx2(angles, magnitude, interleaved_out, head);
-    }
-    detail::polar_batch_scalar(angles + head, magnitude,
-                               interleaved_out + 2 * head, n - head);
+    dispatch(n, detail::polar_batch_avx512, detail::polar_batch_avx2,
+             detail::polar_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(angles + at, magnitude, interleaved_out + 2 * at, m);
+             });
 }
 
 void anc_candidates_batch(const double* interleaved_samples, std::size_t count,
                           double a, double b, double* theta_plus,
                           double* theta_minus, double* phi_minus, double* phi_plus)
 {
-    const std::size_t head = lane_head(count);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::anc_candidates_batch_avx512(interleaved_samples, head, a, b,
-                                                theta_plus, theta_minus,
-                                                phi_minus, phi_plus);
-        else
-            detail::anc_candidates_batch_avx2(interleaved_samples, head, a, b,
-                                              theta_plus, theta_minus, phi_minus,
-                                              phi_plus);
-    }
-    detail::anc_candidates_batch_scalar(interleaved_samples + 2 * head,
-                                        count - head, a, b, theta_plus + head,
-                                        theta_minus + head, phi_minus + head,
-                                        phi_plus + head);
+    dispatch(count, detail::anc_candidates_batch_avx512, detail::anc_candidates_batch_avx2,
+             detail::anc_candidates_batch_scalar,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(interleaved_samples + 2 * at, m, a, b, theta_plus + at,
+                        theta_minus + at, phi_minus + at, phi_plus + at);
+             });
 }
 
 void anc_select_batch(const double* theta_plus, const double* theta_minus,
@@ -334,69 +293,196 @@ void anc_select_batch(const double* theta_plus, const double* theta_minus,
                       const double* known_diffs, std::size_t transitions,
                       double* phi_out, double* error_out)
 {
-    const std::size_t head = lane_head(transitions);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::anc_select_batch_avx512(theta_plus, theta_minus, phi_minus,
-                                            phi_plus, known_diffs, head, phi_out,
-                                            error_out);
-        else
-            detail::anc_select_batch_avx2(theta_plus, theta_minus, phi_minus,
-                                          phi_plus, known_diffs, head, phi_out,
-                                          error_out);
-    }
-    detail::anc_select_batch_scalar(theta_plus + head, theta_minus + head,
-                                    phi_minus + head, phi_plus + head,
-                                    known_diffs + head, transitions - head,
-                                    phi_out + head, error_out + head);
+    dispatch(transitions, detail::anc_select_batch_avx512, detail::anc_select_batch_avx2,
+             detail::anc_select_batch_scalar,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(theta_plus + at, theta_minus + at, phi_minus + at, phi_plus + at,
+                        known_diffs + at, m, phi_out + at, error_out + at);
+             });
 }
 
 void diff_arg_batch(const double* interleaved_samples, std::size_t transitions,
                     double* out)
 {
-    const std::size_t head = lane_head(transitions);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::diff_arg_batch_avx512(interleaved_samples, head, out);
-        else
-            detail::diff_arg_batch_avx2(interleaved_samples, head, out);
-    }
-    detail::diff_arg_batch_scalar(interleaved_samples + 2 * head,
-                                  transitions - head, out + head);
+    dispatch(transitions, detail::diff_arg_batch_avx512, detail::diff_arg_batch_avx2,
+             detail::diff_arg_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(interleaved_samples + 2 * at, m, out + at);
+             });
 }
 
 void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
                       std::size_t samples, double rotor_re, double rotor_im)
 {
-    const std::size_t head = lane_head(samples);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::rotor_accumulate_avx512(interleaved_in, interleaved_acc, head,
-                                            rotor_re, rotor_im);
-        else
-            detail::rotor_accumulate_avx2(interleaved_in, interleaved_acc, head,
-                                          rotor_re, rotor_im);
-    }
-    detail::rotor_accumulate_scalar(interleaved_in + 2 * head,
-                                    interleaved_acc + 2 * head, samples - head,
-                                    rotor_re, rotor_im);
+    dispatch(samples, detail::rotor_accumulate_avx512, detail::rotor_accumulate_avx2,
+             detail::rotor_accumulate_scalar,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(interleaved_in + 2 * at, interleaved_acc + 2 * at, m, rotor_re,
+                        rotor_im);
+             });
 }
 
 void cmul_accumulate(const double* interleaved_in, const double* interleaved_rotors,
                      double* interleaved_acc, std::size_t samples)
 {
-    const std::size_t head = lane_head(samples);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::cmul_accumulate_avx512(interleaved_in, interleaved_rotors,
-                                           interleaved_acc, head);
-        else
-            detail::cmul_accumulate_avx2(interleaved_in, interleaved_rotors,
-                                         interleaved_acc, head);
-    }
-    detail::cmul_accumulate_scalar(interleaved_in + 2 * head,
-                                   interleaved_rotors + 2 * head,
-                                   interleaved_acc + 2 * head, samples - head);
+    dispatch(samples, detail::cmul_accumulate_avx512, detail::cmul_accumulate_avx2,
+             detail::cmul_accumulate_scalar,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(interleaved_in + 2 * at, interleaved_rotors + 2 * at,
+                        interleaved_acc + 2 * at, m);
+             });
 }
 
 } // namespace anc::simd
+
+#if !defined(__x86_64__)
+
+// Non-x86 builds compile no lane kernels (the CMake guard and the
+// kernel TUs are x86-64 only).  cpu_features() reports no AVX2 there,
+// so resolve_backend() never picks a lane backend, but the entry points
+// must exist to link.
+namespace anc::simd::detail {
+
+namespace {
+
+[[noreturn]] void unreachable_backend()
+{
+    std::abort();
+}
+
+} // namespace
+
+void atan2_batch_avx2(const double*, const double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void sincos_batch_avx2(const double*, double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void log_batch_avx2(const double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void polar_batch_avx2(const double*, double, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void anc_candidates_batch_avx2(const double*, std::size_t, double, double, double*,
+                               double*, double*, double*)
+{
+    unreachable_backend();
+}
+
+void anc_select_batch_avx2(const double*, const double*, const double*, const double*,
+                           const double*, std::size_t, double*, double*)
+{
+    unreachable_backend();
+}
+
+void diff_arg_batch_avx2(const double*, std::size_t, double*)
+{
+    unreachable_backend();
+}
+
+void counter_normal_fill_avx2(std::uint64_t, std::uint64_t, std::uint64_t, double*,
+                              std::size_t)
+{
+    unreachable_backend();
+}
+
+void counter_normal_add_scaled_avx2(std::uint64_t, std::uint64_t, std::uint64_t, double,
+                                    double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void rotor_accumulate_avx2(const double*, double*, std::size_t, double, double)
+{
+    unreachable_backend();
+}
+
+void cmul_accumulate_avx2(const double*, const double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void pilot_scan_starts_popcnt(const std::uint64_t*, const std::uint64_t*,
+                              const std::uint64_t*, std::size_t, std::size_t, std::size_t,
+                              std::size_t, std::uint64_t*)
+{
+    unreachable_backend();
+}
+
+void pilot_scan_striped_popcnt(const std::uint64_t*, const std::uint64_t*,
+                               const std::uint64_t*, std::size_t, std::size_t, std::size_t,
+                               std::uint64_t*)
+{
+    unreachable_backend();
+}
+
+void atan2_batch_avx512(const double*, const double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void sincos_batch_avx512(const double*, double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void log_batch_avx512(const double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void polar_batch_avx512(const double*, double, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void anc_candidates_batch_avx512(const double*, std::size_t, double, double, double*,
+                                 double*, double*, double*)
+{
+    unreachable_backend();
+}
+
+void anc_select_batch_avx512(const double*, const double*, const double*, const double*,
+                             const double*, std::size_t, double*, double*)
+{
+    unreachable_backend();
+}
+
+void diff_arg_batch_avx512(const double*, std::size_t, double*)
+{
+    unreachable_backend();
+}
+
+void counter_normal_fill_avx512(std::uint64_t, std::uint64_t, std::uint64_t, double*,
+                                std::size_t)
+{
+    unreachable_backend();
+}
+
+void counter_normal_add_scaled_avx512(std::uint64_t, std::uint64_t, std::uint64_t, double,
+                                      double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void rotor_accumulate_avx512(const double*, double*, std::size_t, double, double)
+{
+    unreachable_backend();
+}
+
+void cmul_accumulate_avx512(const double*, const double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+} // namespace anc::simd::detail
+
+#endif

@@ -1,20 +1,20 @@
-// The explicit SIMD kernel backend behind dsp::Math_profile::simd.
+// The explicit SIMD lane-kernel backend behind dsp::Math_profile::fast.
 //
 // Design contract — *bit-compatibility with the scalar fast kernels*:
 // every batch kernel here computes, per element, exactly the arithmetic
 // of its scalar counterpart in util/fastmath.h / util/rng.h (same
 // operations, same order, no FMA contraction in the value chains), just
-// four lanes at a time.  IEEE-754 arithmetic is deterministic, so the
-// AVX2 lanes, the scalar fallback, and the plain `fast` profile all
+// four or eight lanes at a time.  IEEE-754 arithmetic is deterministic,
+// so the AVX-512 lanes, the AVX2 lanes and the scalar fallback all
 // produce byte-identical values.  That one invariant buys the whole
 // validation story:
 //
-//   * `simd` inherits every statistical corridor already proven for
-//     `fast` (the emitted metrics are bit-identical, only the tag and
-//     the throughput differ);
-//   * dispatch is *safe to decide per run*: a run on an AVX2 box, a run
-//     under ANC_FORCE_SCALAR_SIMD=1, and a run on a machine without
-//     AVX2 emit byte-identical documents;
+//   * the fast profile's statistical corridors hold on every backend
+//     (the emitted metrics are bit-identical, only the throughput
+//     differs);
+//   * dispatch is *safe to decide per run*: a run on an AVX-512 box, a
+//     run under ANC_FORCE_AVX2_SIMD=1 or ANC_FORCE_SCALAR_SIMD=1, and a
+//     run on a machine without AVX2 emit byte-identical documents;
 //   * the lane-vs-scalar tests (tests/util/simd_kernels_test.cpp) can
 //     assert exact equality — the strongest possible ULP bound (0).
 //
@@ -25,19 +25,19 @@
 // ANC_FORCE_AVX2_SIMD (same rule; caps the backend at avx2 on AVX-512
 // hardware).  The overrides keep every tier continuously tested on the
 // widest hardware, in CI and locally; force-scalar wins when both are
-// set.  The batch entry points below branch on the decision internally;
-// `Math_profile::simd` is therefore valid configuration everywhere and
-// merely resolves to the best implementation available.
+// set.  The batch entry points below branch on the decision internally
+// (see dispatch()), so they are valid to call everywhere and merely
+// resolve to the best implementation available.
 //
-// The AVX2 implementations live in src/util/simd_kernels.cpp, the only
-// translation unit compiled with -mavx2 -mfma (and -ffp-contract=off,
-// so the compiler cannot fuse the mul/add chains the bit-compatibility
-// contract pins down).  The AVX-512 implementations live in
-// src/util/simd_kernels_avx512.cpp under the same one-TU rule
-// (-mavx512f -ffp-contract=off) and transcribe the AVX2 lanes operation
-// for operation at twice the width, so all three tiers stay 0-ULP
-// identical.  Nothing in either TU is reachable without passing through
-// the dispatchers in simd.cpp.
+// The lane kernels are written once, in src/util/simd_kernels.inl, as
+// templates over a lane-width trait, and compiled twice:
+// simd_kernels_avx2.cpp (Lanes<4>, -mavx2 -mfma) and
+// simd_kernels_avx512.cpp (Lanes<8>, -mavx512f), both under
+// -ffp-contract=off so the compiler cannot fuse the mul/add chains the
+// bit-compatibility contract pins down.  Those are the only translation
+// units built above the baseline ISA; everything in them has internal
+// linkage except the detail::*_avx2 / *_avx512 entry points, and nothing
+// there is reachable without passing through the dispatchers.
 
 #pragma once
 
@@ -87,6 +87,27 @@ Backend active_backend();
 
 /// active_backend() != Backend::scalar — some lane kernel TU is in use.
 bool kernels_active();
+
+/// The widest prefix of n lane elements the active backend takes in
+/// full blocks: a multiple of 8 for avx512, of 4 for avx2, 0 for scalar.
+std::size_t lane_head(std::size_t n);
+
+/// The split every batch dispatcher shares (simd.cpp, util/rng.cpp):
+/// the active backend's lane kernel (`avx512` or `avx2`) runs over the
+/// full-block head of the n elements, `scalar` over the rest, each as
+/// call(kernel, at, count) on elements [at, at + count).  An element is
+/// `Per_lane` consecutive values of the caller's buffers (2 where one
+/// lane produces a pair of values).  All tiers are element-wise
+/// identical, so the split point is invisible in the output.
+template <std::size_t Per_lane = 1, class Lane_kernel, class Scalar_kernel, class Call>
+void dispatch(std::size_t n, Lane_kernel avx512, Lane_kernel avx2, Scalar_kernel scalar,
+              Call&& call)
+{
+    const std::size_t head = Per_lane * lane_head(n / Per_lane);
+    if (head != 0)
+        call(active_backend() == Backend::avx512 ? avx512 : avx2, std::size_t{0}, head);
+    call(scalar, head, n - head);
+}
 
 // ------------------------------------------------------------- kernels
 // All kernels accept any n; the lane paths handle the full 8-wide
@@ -164,9 +185,9 @@ namespace detail {
 // live in the -mavx2 -mfma translation unit and must only be called
 // when cpu_features() reports avx2 && fma; the *_avx512 functions live
 // in the -mavx512f translation unit and must only be called when
-// cpu_features() reports avx512f too.  Each additionally requires the
-// stated block alignment of n (the dispatchers feed tails to the
-// scalar path).
+// cpu_features() reports avx512f too (non-x86 builds link abort()ing
+// stubs).  Each additionally requires the stated block alignment of n
+// (the dispatchers feed tails to the scalar path).
 
 void atan2_batch_scalar(const double* y, const double* x, double* out,
                         std::size_t n);

@@ -1,578 +1,126 @@
-// Explicit AVX-512F lane kernels behind anc::simd (see util/simd.h).
+// The AVX-512F instantiation of the lane kernels (util/simd_kernels.inl):
+// the Lanes<8> trait, eight doubles per __m512d, and the exported
+// detail::*_avx512 entry points.  This is the only translation unit
+// compiled with -mavx512f (and -ffp-contract=off); the weak-symbol rule
+// in simd_kernels.inl applies.
 //
-// This is the only translation unit compiled with -mavx512f; nothing
-// here is reachable except through the dispatchers in simd.cpp, which
-// consult anc::cpu_features() first.  The same one-TU discipline as
-// simd_kernels.cpp applies: no shared inline headers (a weak symbol
-// instantiated here would smuggle AVX-512 codegen into baseline paths).
-//
-// These kernels are operation-for-operation transcriptions of the AVX2
-// lanes in simd_kernels.cpp at twice the width, which are themselves
-// transcriptions of the scalar fast kernels — so all three tiers emit
-// bit-identical values (the contract util/simd.h documents).  The same
-// two rules hold: no FMA in the value chains (-ffp-contract=off backs
-// that up), and min/max/select lanes mirror the scalar ternaries'
-// operand order exactly.
-//
-// AVX-512F-only vocabulary (the dispatch rule gates on the F flag
-// alone, so nothing here may need DQ/BW/VL):
-//
-//   * bitwise FP logic goes through the epi64 domain (_mm512_and_pd and
-//     friends are DQ);
-//   * compares produce __mmask8 (_mm512_cmp_pd_mask) and selects are
-//     _mm512_mask_blend_pd / _mm512_maskz_mov_pd instead of blendv;
-//   * 64-bit low multiplies keep the 32x32 cross decomposition
-//     (_mm512_mullo_epi64 is DQ).
+// The dispatch rule gates on the F flag alone, so nothing here may need
+// DQ/BW/VL: bitwise FP logic goes through the epi64 domain
+// (_mm512_and_pd and friends are DQ), compares produce __mmask8 and
+// selects are mask blends / zero-masking moves, and vaddsubpd — which
+// has no 512-bit form — is a sign-bit XOR on the even lanes followed by
+// one add (exact negation: a − b ≡ a + (−b) bitwise).
 
 #include "util/simd.h"
 
-#include <cstddef>
-#include <cstdint>
-
 // x86-64 only, matching the CMake guard that adds -mavx512f for this
-// file (cpu_features reports no AVX-512 elsewhere, so the stubs below
-// are the correct behavior).
+// file (cpu_features reports no AVX-512 elsewhere, so the stubs in
+// simd.cpp are the correct behavior).
 #if defined(__x86_64__)
 
 #include <immintrin.h>
+
+#include "util/simd_kernels.inl"
 
 namespace anc::simd::detail {
 
 namespace {
 
-// ------------------------------------------------------------- helpers
+template <>
+struct Lanes<8> {
+    using V = __m512d;
+    using I = __m512i;
+    using M = __mmask8;
+    static constexpr std::size_t width = 8;
 
-inline __m512d and_bits_pd(__m512d a, __m512d b)
-{
-    return _mm512_castsi512_pd(
-        _mm512_and_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
-}
+    static V set1(double x) { return _mm512_set1_pd(x); }
+    static V load(const double* p) { return _mm512_loadu_pd(p); }
+    static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
+    static V sqrt(V v) { return _mm512_sqrt_pd(v); }
+    static V min(V a, V b) { return _mm512_min_pd(a, b); }
+    static V max(V a, V b) { return _mm512_max_pd(a, b); }
 
-inline __m512d andnot_bits_pd(__m512d a, __m512d b)
-{
-    return _mm512_castsi512_pd(
-        _mm512_andnot_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
-}
+    static V bit_and(V a, V b) { return as_pd(_mm512_and_epi64(as_i(a), as_i(b))); }
+    static V bit_andnot(V a, V b) { return as_pd(_mm512_andnot_epi64(as_i(a), as_i(b))); }
+    static V bit_or(V a, V b) { return as_pd(_mm512_or_epi64(as_i(a), as_i(b))); }
+    static V bit_xor(V a, V b) { return as_pd(_mm512_xor_epi64(as_i(a), as_i(b))); }
 
-inline __m512d or_bits_pd(__m512d a, __m512d b)
-{
-    return _mm512_castsi512_pd(
-        _mm512_or_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
-}
+    static M lt(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+    static M le(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+    static M gt(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
+    static M ne(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_NEQ_UQ); }
+    static V blend(M m, V a, V b) { return _mm512_mask_blend_pd(m, a, b); }
+    static V zero_unless(M m, V v) { return _mm512_maskz_mov_pd(m, v); }
 
-inline __m512d abs_pd(__m512d v)
-{
-    return andnot_bits_pd(_mm512_set1_pd(-0.0), v);
-}
+    static I set1_i(std::uint64_t x) { return _mm512_set1_epi64(static_cast<long long>(x)); }
+    static I load_i(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
+    static I add_i(I a, I b) { return _mm512_add_epi64(a, b); }
+    static I sub_i(I a, I b) { return _mm512_sub_epi64(a, b); }
+    static I and_i(I a, I b) { return _mm512_and_epi64(a, b); }
+    static I or_i(I a, I b) { return _mm512_or_epi64(a, b); }
+    static I xor_i(I a, I b) { return _mm512_xor_epi64(a, b); }
+    static I srli(I v, unsigned bits) { return _mm512_srli_epi64(v, bits); }
+    static I slli(I v, unsigned bits) { return _mm512_slli_epi64(v, bits); }
+    static I mul_epu32(I a, I b) { return _mm512_mul_epu32(a, b); }
+    static M eq_i(I a, I b) { return _mm512_cmpeq_epi64_mask(a, b); }
+    static M gt_i(I a, I b) { return _mm512_cmpgt_epi64_mask(a, b); }
+    static I as_i(V v) { return _mm512_castpd_si512(v); }
+    static V as_pd(I v) { return _mm512_castsi512_pd(v); }
+    static I round_to_i(V v) { return _mm512_cvtepi32_epi64(_mm512_cvtpd_epi32(v)); }
 
-inline __m512d neg_pd(__m512d v)
-{
-    return _mm512_castsi512_pd(_mm512_xor_epi64(
-        _mm512_castpd_si512(v), _mm512_castpd_si512(_mm512_set1_pd(-0.0))));
-}
+    static void interleave(V a, V b, V& out0, V& out1)
+    {
+        out0 = _mm512_permutex2var_pd(a, _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0), b);
+        out1 = _mm512_permutex2var_pd(a, _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4), b);
+    }
+    static void deinterleave(const double* p, V& re, V& im)
+    {
+        const V v0 = _mm512_loadu_pd(p);     // [re0,im0,...,re3,im3]
+        const V v1 = _mm512_loadu_pd(p + 8); // [re4,im4,...,re7,im7]
+        re = _mm512_permutex2var_pd(v0, _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0), v1);
+        im = _mm512_permutex2var_pd(v0, _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1), v1);
+    }
+    static V swap_pairs(V v) { return _mm512_permute_pd(v, 0b01010101); }
+    static V dup_re(V v) { return _mm512_movedup_pd(v); }
+    static V dup_im(V v) { return _mm512_permute_pd(v, 0b11111111); }
+    static V addsub(V a, V b)
+    {
+        return a + bit_xor(b, _mm512_setr_pd(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0));
+    }
+};
 
-/// copysign(magnitude, sign_source), both lanes finite.
-inline __m512d copysign_pd(__m512d magnitude, __m512d sign_source)
-{
-    const __m512d mask = _mm512_set1_pd(-0.0);
-    return or_bits_pd(andnot_bits_pd(mask, magnitude),
-                      and_bits_pd(mask, sign_source));
-}
-
-/// Exact uint64 -> double for values < 2^53 (hi/lo 32-bit split; both
-/// halves convert exactly and their sum is representable, so the final
-/// add rounds nothing).
-inline __m512d u64_to_pd_53(__m512i v)
-{
-    const __m512i exp52 = _mm512_set1_epi64(0x4330000000000000LL); // 2^52
-    const __m512d two52 = _mm512_set1_pd(4503599627370496.0);
-    const __m512i lo = _mm512_and_epi64(v, _mm512_set1_epi64(0xffffffffLL));
-    const __m512i hi = _mm512_srli_epi64(v, 32);
-    const __m512d lo_d =
-        _mm512_sub_pd(_mm512_castsi512_pd(_mm512_or_epi64(lo, exp52)), two52);
-    const __m512d hi_d =
-        _mm512_sub_pd(_mm512_castsi512_pd(_mm512_or_epi64(hi, exp52)), two52);
-    return _mm512_add_pd(_mm512_mul_pd(hi_d, _mm512_set1_pd(4294967296.0)), lo_d);
-}
-
-/// Exact int64 -> double for |v| < 2^51 (the 1.5·2^52 magic trick).
-inline __m512d i64_to_pd_51(__m512i v)
-{
-    const __m512i magic_bits = _mm512_set1_epi64(0x4338000000000000LL);
-    const __m512d magic = _mm512_set1_pd(6755399441055744.0); // 1.5 * 2^52
-    return _mm512_sub_pd(_mm512_castsi512_pd(_mm512_add_epi64(v, magic_bits)),
-                         magic);
-}
-
-/// Full 64-bit low multiply (_mm512_mullo_epi64 is DQ): the classic
-/// 32x32 cross-product decomposition, exact mod 2^64.
-inline __m512i mullo_epi64(__m512i a, __m512i b)
-{
-    const __m512i a_hi = _mm512_srli_epi64(a, 32);
-    const __m512i b_hi = _mm512_srli_epi64(b, 32);
-    const __m512i lo_lo = _mm512_mul_epu32(a, b);
-    const __m512i hi_lo = _mm512_mul_epu32(a_hi, b);
-    const __m512i lo_hi = _mm512_mul_epu32(a, b_hi);
-    const __m512i cross = _mm512_add_epi64(hi_lo, lo_hi);
-    return _mm512_add_epi64(lo_lo, _mm512_slli_epi64(cross, 32));
-}
-
-/// SplitMix64 finalizer lanes (util/rng.h splitmix64, minus the
-/// increment step the callers fold into their counter words).
-inline __m512i splitmix64_lanes(__m512i x)
-{
-    x = _mm512_add_epi64(x, _mm512_set1_epi64(0x9e3779b97f4a7c15ULL));
-    x = mullo_epi64(_mm512_xor_epi64(x, _mm512_srli_epi64(x, 30)),
-                    _mm512_set1_epi64(0xbf58476d1ce4e5b9ULL));
-    x = mullo_epi64(_mm512_xor_epi64(x, _mm512_srli_epi64(x, 27)),
-                    _mm512_set1_epi64(0x94d049bb133111ebULL));
-    return _mm512_xor_epi64(x, _mm512_srli_epi64(x, 31));
-}
-
-/// Interleave two SoA lanes (a = firsts, b = seconds) into AoS pairs:
-/// out0 = [a0,b0,...,a3,b3], out1 = [a4,b4,...,a7,b7].
-inline void interleave_pd(__m512d a, __m512d b, __m512d& out0, __m512d& out1)
-{
-    const __m512i idx0 = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
-    const __m512i idx1 = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
-    out0 = _mm512_permutex2var_pd(a, idx0, b);
-    out1 = _mm512_permutex2var_pd(a, idx1, b);
-}
-
-/// Split 8 interleaved complex samples at `p` into re/im lanes.
-inline void deinterleave_pd(const double* p, __m512d& re, __m512d& im)
-{
-    const __m512d v0 = _mm512_loadu_pd(p);     // [re0,im0,...,re3,im3]
-    const __m512d v1 = _mm512_loadu_pd(p + 8); // [re4,im4,...,re7,im7]
-    const __m512i idx_re = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
-    const __m512i idx_im = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
-    re = _mm512_permutex2var_pd(v0, idx_re, v1);
-    im = _mm512_permutex2var_pd(v0, idx_im, v1);
-}
-
-// --------------------------------------------------------- lane kernels
-// Lane-for-lane transcriptions of the scalar kernels; every comment of
-// the form "scalar: ..." pins the expression being replicated.
-
-/// fast_atan2 lanes (util/fastmath.h): octant fold, degree-12 Chebyshev
-/// in Estrin form, quadrant assembly.
-inline __m512d atan2_lanes(__m512d y, __m512d x)
-{
-    const __m512d half_pi = _mm512_set1_pd(1.57079632679489661923);
-    const __m512d pi = _mm512_set1_pd(3.14159265358979323846);
-
-    const __m512d ax = abs_pd(x);
-    const __m512d ay = abs_pd(y);
-    // scalar: num = ax < ay ? ax : ay (equal -> ay); den = ax < ay ? ay : ax.
-    const __m512d num = _mm512_min_pd(ax, ay);
-    const __m512d den = _mm512_max_pd(ay, ax);
-    // scalar: z = den == 0.0 ? 0.0 : num / den.
-    const __mmask8 den_nonzero = static_cast<__mmask8>(
-        ~_mm512_cmp_pd_mask(den, _mm512_setzero_pd(), _CMP_EQ_OQ));
-    const __m512d z = _mm512_maskz_mov_pd(den_nonzero, _mm512_div_pd(num, den));
-
-    const __m512d t = _mm512_mul_pd(z, z);
-    const __m512d t2 = _mm512_mul_pd(t, t);
-    const __m512d t4 = _mm512_mul_pd(t2, t2);
-    const __m512d t8 = _mm512_mul_pd(t4, t4);
-    const auto pair_term = [](double c_lo, double c_hi, __m512d v) {
-        return _mm512_add_pd(_mm512_set1_pd(c_lo),
-                             _mm512_mul_pd(_mm512_set1_pd(c_hi), v));
-    };
-    const __m512d b0 = pair_term(9.99999999988738120e-01, -3.33333329516572185e-01, t);
-    const __m512d b1 = pair_term(1.99999783362170863e-01, -1.42852256081602597e-01, t);
-    const __m512d b2 = pair_term(1.11053067324246468e-01, -9.04917909372005280e-02, t);
-    const __m512d b3 = pair_term(7.49526237809320373e-02, -6.02219638791359271e-02, t);
-    const __m512d b4 = pair_term(4.36465894423390538e-02, -2.60059959770320183e-02, t);
-    const __m512d b5 = pair_term(1.14276332769563185e-02, -3.19542524056683729e-03, t);
-    const __m512d d0 = _mm512_add_pd(b0, _mm512_mul_pd(b1, t2));
-    const __m512d d1 = _mm512_add_pd(b2, _mm512_mul_pd(b3, t2));
-    const __m512d d2 = _mm512_add_pd(b4, _mm512_mul_pd(b5, t2));
-    // scalar: acc = (d0 + d1 * t4) + (d2 + c[12] * t4) * t8.
-    const __m512d acc = _mm512_add_pd(
-        _mm512_add_pd(d0, _mm512_mul_pd(d1, t4)),
-        _mm512_mul_pd(
-            _mm512_add_pd(d2, _mm512_mul_pd(
-                                  _mm512_set1_pd(4.19227860083381837e-04), t4)),
-            t8));
-    __m512d angle = _mm512_mul_pd(z, acc);
-    // scalar: angle = ax < ay ? half_pi - angle : angle.
-    const __mmask8 swap = _mm512_cmp_pd_mask(ax, ay, _CMP_LT_OQ);
-    angle = _mm512_mask_blend_pd(swap, angle, _mm512_sub_pd(half_pi, angle));
-    // scalar: angle = std::signbit(x) ? pi - angle : angle (x == -0.0 too).
-    const __mmask8 x_neg =
-        _mm512_cmpgt_epi64_mask(_mm512_setzero_si512(), _mm512_castpd_si512(x));
-    angle = _mm512_mask_blend_pd(x_neg, angle, _mm512_sub_pd(pi, angle));
-    // scalar: return std::copysign(angle, y).
-    return copysign_pd(angle, y);
-}
-
-/// fast_sincos lanes: Cody–Waite reduction + the fdlibm kernels.
-inline void sincos_lanes(__m512d x, __m512d& sin_out, __m512d& cos_out)
-{
-    const __m512d two_over_pi = _mm512_set1_pd(0.63661977236758134308);
-    const __m512d pio2_hi = _mm512_set1_pd(1.57079632679489661923);
-    const __m512d pio2_lo = _mm512_set1_pd(6.12323399573676603587e-17);
-    const __m512d magic = _mm512_set1_pd(6755399441055744.0); // 1.5 * 2^52
-
-    // scalar: kd = fast_round(x * two_over_pi) — the magic add/sub.
-    const __m512d kd = _mm512_sub_pd(
-        _mm512_add_pd(_mm512_mul_pd(x, two_over_pi), magic), magic);
-    // scalar: r = (x - kd * pio2_hi) - kd * pio2_lo.
-    const __m512d r = _mm512_sub_pd(_mm512_sub_pd(x, _mm512_mul_pd(kd, pio2_hi)),
-                                    _mm512_mul_pd(kd, pio2_lo));
-    // scalar: q = (int64)kd & 3.  kd is integral and |kd| < 2^31 on the
-    // documented |x| ≲ 1e6 domain, so the nearest-int convert is exact.
-    const __m512i q =
-        _mm512_and_epi64(_mm512_cvtepi32_epi64(_mm512_cvtpd_epi32(kd)),
-                         _mm512_set1_epi64(3));
-
-    const __m512d z = _mm512_mul_pd(r, r);
-    // sin_kernel: r + r*z*(s1 + z*(s2 + z*(s3 + z*(s4 + z*(s5 + z*s6))))).
-    __m512d sp = _mm512_add_pd(
-        _mm512_set1_pd(-2.50507602534068634195e-08),
-        _mm512_mul_pd(z, _mm512_set1_pd(1.58969099521155010221e-10)));
-    sp = _mm512_add_pd(_mm512_set1_pd(2.75573137070700676789e-06),
-                       _mm512_mul_pd(z, sp));
-    sp = _mm512_add_pd(_mm512_set1_pd(-1.98412698298579493134e-04),
-                       _mm512_mul_pd(z, sp));
-    sp = _mm512_add_pd(_mm512_set1_pd(8.33333333332248946124e-03),
-                       _mm512_mul_pd(z, sp));
-    sp = _mm512_add_pd(_mm512_set1_pd(-1.66666666666666324348e-01),
-                       _mm512_mul_pd(z, sp));
-    const __m512d ss =
-        _mm512_add_pd(r, _mm512_mul_pd(_mm512_mul_pd(r, z), sp));
-    // cos_kernel: 1 - 0.5*z + z*z*(c1 + z*(c2 + z*(c3 + z*(c4 + z*(c5 + z*c6))))).
-    __m512d cp = _mm512_add_pd(
-        _mm512_set1_pd(2.08757232129817482790e-09),
-        _mm512_mul_pd(z, _mm512_set1_pd(-1.13596475577881948265e-11)));
-    cp = _mm512_add_pd(_mm512_set1_pd(-2.75573143513906633035e-07),
-                       _mm512_mul_pd(z, cp));
-    cp = _mm512_add_pd(_mm512_set1_pd(2.48015872894767294178e-05),
-                       _mm512_mul_pd(z, cp));
-    cp = _mm512_add_pd(_mm512_set1_pd(-1.38888888888741095749e-03),
-                       _mm512_mul_pd(z, cp));
-    cp = _mm512_add_pd(_mm512_set1_pd(4.16666666666666019037e-02),
-                       _mm512_mul_pd(z, cp));
-    const __m512d cc = _mm512_add_pd(
-        _mm512_sub_pd(_mm512_set1_pd(1.0),
-                      _mm512_mul_pd(_mm512_set1_pd(0.5), z)),
-        _mm512_mul_pd(_mm512_mul_pd(z, z), cp));
-
-    // scalar: s = (q & 1) ? cc : ss; c = (q & 1) ? ss : cc;
-    //         sin = (q & 2) ? -s : s; cos = ((q + 1) & 2) ? -c : c.
-    const __m512i one = _mm512_set1_epi64(1);
-    const __m512i two = _mm512_set1_epi64(2);
-    const __mmask8 odd =
-        _mm512_cmpeq_epi64_mask(_mm512_and_epi64(q, one), one);
-    const __m512d s_sel = _mm512_mask_blend_pd(odd, ss, cc);
-    const __m512d c_sel = _mm512_mask_blend_pd(odd, cc, ss);
-    const __mmask8 s_neg_mask =
-        _mm512_cmpeq_epi64_mask(_mm512_and_epi64(q, two), two);
-    const __mmask8 c_neg_mask = _mm512_cmpeq_epi64_mask(
-        _mm512_and_epi64(_mm512_add_epi64(q, one), two), two);
-    sin_out = _mm512_mask_blend_pd(s_neg_mask, s_sel, neg_pd(s_sel));
-    cos_out = _mm512_mask_blend_pd(c_neg_mask, c_sel, neg_pd(c_sel));
-}
-
-/// fast_log lanes: exponent/mantissa split + atanh(f) series.
-inline __m512d log_lanes(__m512d x)
-{
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d sqrt2 = _mm512_set1_pd(1.41421356237309504880);
-    const __m512i bits = _mm512_castpd_si512(x);
-    const __m512d raw_m = _mm512_castsi512_pd(_mm512_or_epi64(
-        _mm512_and_epi64(bits, _mm512_set1_epi64(0xfffffffffffffLL)),
-        _mm512_set1_epi64(0x3ff0000000000000LL)));
-    // scalar: fold = raw_m > sqrt2; m = fold ? raw_m * 0.5 : raw_m;
-    //         e = raw_e + (fold ? 1 : 0).
-    const __mmask8 fold = _mm512_cmp_pd_mask(raw_m, sqrt2, _CMP_GT_OQ);
-    const __m512d m = _mm512_mask_blend_pd(
-        fold, raw_m, _mm512_mul_pd(raw_m, _mm512_set1_pd(0.5)));
-    // ed = double(raw_e + fold), built exactly: the biased exponent is an
-    // integer in [1, 2046], converted via the 2^52 magic, then the bias
-    // and the fold increment (both exact integer adds in double).
-    const __m512i biased =
-        _mm512_and_epi64(_mm512_srli_epi64(bits, 52), _mm512_set1_epi64(0x7ff));
-    const __m512d biased_d = _mm512_sub_pd(
-        _mm512_castsi512_pd(
-            _mm512_or_epi64(biased, _mm512_set1_epi64(0x4330000000000000LL))),
-        _mm512_set1_pd(4503599627370496.0));
-    const __m512d ed =
-        _mm512_add_pd(_mm512_sub_pd(biased_d, _mm512_set1_pd(1023.0)),
-                      _mm512_maskz_mov_pd(fold, one));
-    // scalar: f = (m - 1) / (m + 1); then the 8-term atanh series.
-    const __m512d f =
-        _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
-    const __m512d w = _mm512_mul_pd(f, f);
-    const __m512d w2 = _mm512_mul_pd(w, w);
-    const __m512d w4 = _mm512_mul_pd(w2, w2);
-    const __m512d p0 =
-        _mm512_add_pd(one, _mm512_mul_pd(w, _mm512_set1_pd(1.0 / 3.0)));
-    const __m512d p1 = _mm512_add_pd(
-        _mm512_set1_pd(1.0 / 5.0), _mm512_mul_pd(w, _mm512_set1_pd(1.0 / 7.0)));
-    const __m512d p2 = _mm512_add_pd(
-        _mm512_set1_pd(1.0 / 9.0), _mm512_mul_pd(w, _mm512_set1_pd(1.0 / 11.0)));
-    const __m512d p3 = _mm512_add_pd(
-        _mm512_set1_pd(1.0 / 13.0), _mm512_mul_pd(w, _mm512_set1_pd(1.0 / 15.0)));
-    // scalar: poly = 2*f*((p0 + p1*w2) + (p2 + p3*w2)*w4).
-    const __m512d poly = _mm512_mul_pd(
-        _mm512_mul_pd(_mm512_set1_pd(2.0), f),
-        _mm512_add_pd(_mm512_add_pd(p0, _mm512_mul_pd(p1, w2)),
-                      _mm512_mul_pd(_mm512_add_pd(p2, _mm512_mul_pd(p3, w2)),
-                                    w4)));
-    // scalar: ed*ln2_hi + (ed*ln2_lo + poly).
-    const __m512d ln2_hi = _mm512_set1_pd(6.93147180369123816490e-01);
-    const __m512d ln2_lo = _mm512_set1_pd(1.90821492927058770002e-10);
-    return _mm512_add_pd(_mm512_mul_pd(ed, ln2_hi),
-                         _mm512_add_pd(_mm512_mul_pd(ed, ln2_lo), poly));
-}
-
-/// wrap_branchless lanes: angle + (angle <= -pi ? 2pi : 0) - (angle > pi
-/// ? 2pi : 0), same add/sub order as the scalar.
-inline __m512d wrap_lanes(__m512d angle)
-{
-    const __m512d pi = _mm512_set1_pd(3.141592653589793238462643383279502884);
-    const __m512d two_pi = _mm512_set1_pd(2.0 * 3.141592653589793238462643383279502884);
-    const __m512d up = _mm512_maskz_mov_pd(
-        _mm512_cmp_pd_mask(angle, neg_pd(pi), _CMP_LE_OQ), two_pi);
-    const __m512d down = _mm512_maskz_mov_pd(
-        _mm512_cmp_pd_mask(angle, pi, _CMP_GT_OQ), two_pi);
-    return _mm512_sub_pd(_mm512_add_pd(angle, up), down);
-}
-
-// ----------------------------------------------- Counter_normal lanes
-// Transcriptions of the noise-grade kernels in util/rng.h.
-
-/// detail::noise_log lanes (5-term atanh series, integer-domain fold).
-inline __m512d noise_log_lanes(__m512d x)
-{
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d sqrt2 = _mm512_set1_pd(1.41421356237309504880);
-    const __m512i bits = _mm512_castpd_si512(x);
-    const __m512d raw_m = _mm512_castsi512_pd(_mm512_or_epi64(
-        _mm512_and_epi64(bits, _mm512_set1_epi64(0xfffffffffffffLL)),
-        _mm512_set1_epi64(0x3ff0000000000000LL)));
-    // scalar: fold = uint(raw_m > sqrt2); m = bits(raw_m) - (fold << 52).
-    const __mmask8 fold = _mm512_cmp_pd_mask(raw_m, sqrt2, _CMP_GT_OQ);
-    const __m512i fold_bit =
-        _mm512_maskz_mov_epi64(fold, _mm512_set1_epi64(1LL << 52));
-    const __m512d m = _mm512_castsi512_pd(
-        _mm512_sub_epi64(_mm512_castpd_si512(raw_m), fold_bit));
-    const __m512i biased =
-        _mm512_and_epi64(_mm512_srli_epi64(bits, 52), _mm512_set1_epi64(0x7ff));
-    const __m512d biased_d = _mm512_sub_pd(
-        _mm512_castsi512_pd(
-            _mm512_or_epi64(biased, _mm512_set1_epi64(0x4330000000000000LL))),
-        _mm512_set1_pd(4503599627370496.0));
-    const __m512d ed =
-        _mm512_add_pd(_mm512_sub_pd(biased_d, _mm512_set1_pd(1023.0)),
-                      _mm512_maskz_mov_pd(fold, one));
-    const __m512d f =
-        _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
-    const __m512d w = _mm512_mul_pd(f, f);
-    const __m512d w2 = _mm512_mul_pd(w, w);
-    // scalar: poly = 2*f*((1 + w/3) + (1/5 + w/7 + w2/9) * w2).
-    const __m512d inner = _mm512_add_pd(
-        _mm512_add_pd(_mm512_set1_pd(1.0 / 5.0),
-                      _mm512_mul_pd(w, _mm512_set1_pd(1.0 / 7.0))),
-        _mm512_mul_pd(w2, _mm512_set1_pd(1.0 / 9.0)));
-    const __m512d poly = _mm512_mul_pd(
-        _mm512_mul_pd(_mm512_set1_pd(2.0), f),
-        _mm512_add_pd(
-            _mm512_add_pd(one, _mm512_mul_pd(w, _mm512_set1_pd(1.0 / 3.0))),
-            _mm512_mul_pd(inner, w2)));
-    const __m512d ln2_hi = _mm512_set1_pd(6.93147180369123816490e-01);
-    const __m512d ln2_lo = _mm512_set1_pd(1.90821492927058770002e-10);
-    return _mm512_add_pd(_mm512_mul_pd(ed, ln2_hi),
-                         _mm512_add_pd(_mm512_mul_pd(ed, ln2_lo), poly));
-}
-
-/// detail::box_muller_radius lanes: sqrt(-2 ln u1), u1 from the hash word.
-inline __m512d box_muller_radius_lanes(__m512i w1)
-{
-    // scalar: u1 = double((w1 >> 11) + 1) * 2^-53; value ≤ 2^53 so the
-    // split convert is exact, matching the scalar int64 convert.
-    const __m512i w =
-        _mm512_add_epi64(_mm512_srli_epi64(w1, 11), _mm512_set1_epi64(1));
-    const __m512d u1 = _mm512_mul_pd(u64_to_pd_53(w), _mm512_set1_pd(0x1.0p-53));
-    return _mm512_sqrt_pd(
-        _mm512_mul_pd(_mm512_set1_pd(-2.0), noise_log_lanes(u1)));
-}
-
-/// detail::box_muller_angle lanes: exact integer quadrant reduction +
-/// the noise-grade 4-term kernels + bit-domain quadrant assembly.
-inline void box_muller_angle_lanes(__m512i w2, __m512d& s, __m512d& c)
-{
-    const __m512i w = _mm512_srli_epi64(w2, 11);
-    // scalar: k = int64((w + 2^50) >> 51); rem = int64(w) - (k << 51).
-    const __m512i k = _mm512_srli_epi64(
-        _mm512_add_epi64(w, _mm512_set1_epi64(1LL << 50)), 51);
-    const __m512i rem = _mm512_sub_epi64(w, _mm512_slli_epi64(k, 51));
-    // |rem| ≤ 2^50, so the magic convert is exact like the scalar cast.
-    const __m512d r = _mm512_mul_pd(
-        i64_to_pd_51(rem),
-        _mm512_set1_pd(0x1.0p-51 * 1.57079632679489661923));
-
-    const __m512d z = _mm512_mul_pd(r, r);
-    // Noise-grade 4-term kernels, same Horner order as util/rng.h.
-    __m512d sp = _mm512_add_pd(
-        _mm512_set1_pd(-1.98412698298579493134e-04),
-        _mm512_mul_pd(z, _mm512_set1_pd(2.75573137070700676789e-06)));
-    sp = _mm512_add_pd(_mm512_set1_pd(8.33333333332248946124e-03),
-                       _mm512_mul_pd(z, sp));
-    sp = _mm512_add_pd(_mm512_set1_pd(-1.66666666666666324348e-01),
-                       _mm512_mul_pd(z, sp));
-    const __m512d ss =
-        _mm512_add_pd(r, _mm512_mul_pd(_mm512_mul_pd(r, z), sp));
-    __m512d cp = _mm512_add_pd(
-        _mm512_set1_pd(2.48015872894767294178e-05),
-        _mm512_mul_pd(z, _mm512_set1_pd(-2.75573143513906633035e-07)));
-    cp = _mm512_add_pd(_mm512_set1_pd(-1.38888888888741095749e-03),
-                       _mm512_mul_pd(z, cp));
-    cp = _mm512_add_pd(_mm512_set1_pd(4.16666666666666019037e-02),
-                       _mm512_mul_pd(z, cp));
-    const __m512d cc = _mm512_add_pd(
-        _mm512_sub_pd(_mm512_set1_pd(1.0),
-                      _mm512_mul_pd(_mm512_set1_pd(0.5), z)),
-        _mm512_mul_pd(_mm512_mul_pd(z, z), cp));
-
-    // scalar bit-domain assembly: swap via mask select, sign flips via
-    // XOR of (q & 2) << 62 and ((q + 1) & 2) << 62.
-    const __m512i q = _mm512_and_epi64(k, _mm512_set1_epi64(3));
-    const __m512i one = _mm512_set1_epi64(1);
-    const __mmask8 swap_mask =
-        _mm512_cmpeq_epi64_mask(_mm512_and_epi64(q, one), one);
-    const __m512i sbits = _mm512_castpd_si512(ss);
-    const __m512i cbits = _mm512_castpd_si512(cc);
-    __m512i s_sel = _mm512_mask_blend_epi64(swap_mask, sbits, cbits);
-    __m512i c_sel = _mm512_mask_blend_epi64(swap_mask, cbits, sbits);
-    const __m512i two = _mm512_set1_epi64(2);
-    s_sel = _mm512_xor_epi64(
-        s_sel, _mm512_slli_epi64(_mm512_and_epi64(q, two), 62));
-    c_sel = _mm512_xor_epi64(
-        c_sel,
-        _mm512_slli_epi64(_mm512_and_epi64(_mm512_add_epi64(q, one), two), 62));
-    s = _mm512_castsi512_pd(s_sel);
-    c = _mm512_castsi512_pd(c_sel);
-}
-
-/// The shared 8-pair Counter_normal step: hash the eight counters on both
-/// key lanes, Box–Muller, and interleave into (z0, z1) pair order.
-/// `a_words`/`b_words` are key + counter·increment for the eight lanes.
-inline void counter_normal_step(__m512i a_words, __m512i b_words, __m512d& pairs0,
-                                __m512d& pairs1)
-{
-    const __m512i w1 = splitmix64_lanes(a_words);
-    const __m512i w2 = splitmix64_lanes(b_words);
-    const __m512d radius = box_muller_radius_lanes(w1);
-    __m512d s;
-    __m512d c;
-    box_muller_angle_lanes(w2, s, c);
-    // scalar: z0 = radius * c, z1 = radius * s.
-    interleave_pd(_mm512_mul_pd(radius, c), _mm512_mul_pd(radius, s), pairs0,
-                  pairs1);
-}
-
-// Counter word increments (util/rng.h Counter_normal::pair).
-constexpr std::uint64_t counter_inc_a = 0x9e3779b97f4a7c15ULL;
-constexpr std::uint64_t counter_inc_b = 0xc2b2ae3d27d4eb4fULL;
-
-inline __m512i lane_counters(std::uint64_t base_word, std::uint64_t inc)
-{
-    return _mm512_add_epi64(
-        _mm512_set1_epi64(static_cast<long long>(base_word)),
-        _mm512_set_epi64(static_cast<long long>(7 * inc),
-                         static_cast<long long>(6 * inc),
-                         static_cast<long long>(5 * inc),
-                         static_cast<long long>(4 * inc),
-                         static_cast<long long>(3 * inc),
-                         static_cast<long long>(2 * inc),
-                         static_cast<long long>(inc), 0));
-}
+using K = Kernels<Lanes<8>>;
 
 } // namespace
 
-// ------------------------------------------------------- batch kernels
-
-void atan2_batch_avx512(const double* y, const double* x, double* out,
-                        std::size_t n)
+void atan2_batch_avx512(const double* y, const double* x, double* out, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; i += 8)
-        _mm512_storeu_pd(out + i,
-                         atan2_lanes(_mm512_loadu_pd(y + i), _mm512_loadu_pd(x + i)));
+    K::atan2_batch(y, x, out, n);
 }
 
 void sincos_batch_avx512(const double* angles, double* sin_out, double* cos_out,
                          std::size_t n)
 {
-    for (std::size_t i = 0; i < n; i += 8) {
-        __m512d s;
-        __m512d c;
-        sincos_lanes(_mm512_loadu_pd(angles + i), s, c);
-        _mm512_storeu_pd(sin_out + i, s);
-        _mm512_storeu_pd(cos_out + i, c);
-    }
+    K::sincos_batch(angles, sin_out, cos_out, n);
 }
 
 void log_batch_avx512(const double* x, double* out, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; i += 8)
-        _mm512_storeu_pd(out + i, log_lanes(_mm512_loadu_pd(x + i)));
+    K::log_batch(x, out, n);
 }
 
-void polar_batch_avx512(const double* angles, double magnitude,
-                        double* interleaved_out, std::size_t n)
+void polar_batch_avx512(const double* angles, double magnitude, double* interleaved_out,
+                        std::size_t n)
 {
-    const __m512d mag = _mm512_set1_pd(magnitude);
-    for (std::size_t i = 0; i < n; i += 8) {
-        __m512d s;
-        __m512d c;
-        sincos_lanes(_mm512_loadu_pd(angles + i), s, c);
-        // scalar: out[2i] = magnitude * c; out[2i+1] = magnitude * s.
-        __m512d pair0;
-        __m512d pair1;
-        interleave_pd(_mm512_mul_pd(mag, c), _mm512_mul_pd(mag, s), pair0, pair1);
-        _mm512_storeu_pd(interleaved_out + 2 * i, pair0);
-        _mm512_storeu_pd(interleaved_out + 2 * i + 8, pair1);
-    }
+    K::polar_batch(angles, magnitude, interleaved_out, n);
 }
 
-void anc_candidates_batch_avx512(const double* interleaved_samples,
-                                 std::size_t count, double a, double b,
-                                 double* theta_plus, double* theta_minus,
-                                 double* phi_minus, double* phi_plus)
+void anc_candidates_batch_avx512(const double* interleaved_samples, std::size_t count,
+                                 double a, double b, double* theta_plus,
+                                 double* theta_minus, double* phi_minus, double* phi_plus)
 {
-    const __m512d av = _mm512_set1_pd(a);
-    const __m512d bv = _mm512_set1_pd(b);
-    const __m512d a2b2 = _mm512_set1_pd(a * a + b * b);
-    const __m512d inv_2ab = _mm512_set1_pd(1.0 / (2.0 * a * b));
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d neg_one = _mm512_set1_pd(-1.0);
-    const __m512d zero = _mm512_setzero_pd();
-    for (std::size_t i = 0; i < count; i += 8) {
-        __m512d re;
-        __m512d im;
-        deinterleave_pd(interleaved_samples + 2 * i, re, im);
-        // scalar: norm = re*re + im*im; d = clamp((norm - a2b2) * inv_2ab).
-        const __m512d norm =
-            _mm512_add_pd(_mm512_mul_pd(re, re), _mm512_mul_pd(im, im));
-        __m512d d = _mm512_mul_pd(_mm512_sub_pd(norm, a2b2), inv_2ab);
-        d = _mm512_min_pd(_mm512_max_pd(d, neg_one), one);
-        // scalar: root = sqrt(max(1 - d*d, 0)); 1 - d*d ≥ +0 for |d| ≤ 1,
-        // so max_pd matches std::max exactly here.
-        const __m512d root = _mm512_sqrt_pd(
-            _mm512_max_pd(_mm512_sub_pd(one, _mm512_mul_pd(d, d)), zero));
-        const __m512d wy = atan2_lanes(im, re);
-        const __m512d wt = atan2_lanes(_mm512_mul_pd(bv, root),
-                                       _mm512_add_pd(av, _mm512_mul_pd(bv, d)));
-        const __m512d wp = atan2_lanes(_mm512_mul_pd(av, root),
-                                       _mm512_add_pd(bv, _mm512_mul_pd(av, d)));
-        _mm512_storeu_pd(theta_plus + i, wrap_lanes(_mm512_add_pd(wy, wt)));
-        _mm512_storeu_pd(theta_minus + i, wrap_lanes(_mm512_sub_pd(wy, wt)));
-        _mm512_storeu_pd(phi_minus + i, wrap_lanes(_mm512_sub_pd(wy, wp)));
-        _mm512_storeu_pd(phi_plus + i, wrap_lanes(_mm512_add_pd(wy, wp)));
-    }
+    K::anc_candidates_batch(interleaved_samples, count, a, b, theta_plus, theta_minus,
+                            phi_minus, phi_plus);
 }
 
 void anc_select_batch_avx512(const double* theta_plus, const double* theta_minus,
@@ -580,229 +128,39 @@ void anc_select_batch_avx512(const double* theta_plus, const double* theta_minus
                              const double* known_diffs, std::size_t transitions,
                              double* phi_out, double* error_out)
 {
-    for (std::size_t n = 0; n < transitions; n += 8) {
-        const __m512d tp0 = _mm512_loadu_pd(theta_plus + n);
-        const __m512d tp1 = _mm512_loadu_pd(theta_plus + n + 1);
-        const __m512d tm0 = _mm512_loadu_pd(theta_minus + n);
-        const __m512d tm1 = _mm512_loadu_pd(theta_minus + n + 1);
-        const __m512d pm0 = _mm512_loadu_pd(phi_minus + n);
-        const __m512d pm1 = _mm512_loadu_pd(phi_minus + n + 1);
-        const __m512d pp0 = _mm512_loadu_pd(phi_plus + n);
-        const __m512d pp1 = _mm512_loadu_pd(phi_plus + n + 1);
-        const __m512d known = _mm512_loadu_pd(known_diffs + n);
-        // scalar: error_of = |wrap(wrap(next - cur) - known)|.
-        const auto error_of = [&](__m512d next, __m512d cur) {
-            return abs_pd(
-                wrap_lanes(_mm512_sub_pd(wrap_lanes(_mm512_sub_pd(next, cur)),
-                                         known)));
-        };
-        const __m512d e00 = error_of(tp1, tp0);
-        const __m512d e01 = error_of(tp1, tm0);
-        const __m512d e10 = error_of(tm1, tp0);
-        const __m512d e11 = error_of(tm1, tm0);
-        const __m512d p00 = wrap_lanes(_mm512_sub_pd(pm1, pm0));
-        const __m512d p01 = wrap_lanes(_mm512_sub_pd(pm1, pp0));
-        const __m512d p10 = wrap_lanes(_mm512_sub_pd(pp1, pm0));
-        const __m512d p11 = wrap_lanes(_mm512_sub_pd(pp1, pp0));
-        // scalar: strict-< selects, earliest minimum wins ties.
-        const __mmask8 b01 = _mm512_cmp_pd_mask(e01, e00, _CMP_LT_OQ);
-        const __m512d ea = _mm512_mask_blend_pd(b01, e00, e01);
-        const __m512d pa = _mm512_mask_blend_pd(b01, p00, p01);
-        const __mmask8 b11 = _mm512_cmp_pd_mask(e11, e10, _CMP_LT_OQ);
-        const __m512d eb = _mm512_mask_blend_pd(b11, e10, e11);
-        const __m512d pb = _mm512_mask_blend_pd(b11, p10, p11);
-        const __mmask8 bb = _mm512_cmp_pd_mask(eb, ea, _CMP_LT_OQ);
-        _mm512_storeu_pd(phi_out + n, _mm512_mask_blend_pd(bb, pa, pb));
-        _mm512_storeu_pd(error_out + n, _mm512_mask_blend_pd(bb, ea, eb));
-    }
+    K::anc_select_batch(theta_plus, theta_minus, phi_minus, phi_plus, known_diffs,
+                        transitions, phi_out, error_out);
 }
 
-void diff_arg_batch_avx512(const double* interleaved_samples,
-                           std::size_t transitions, double* out)
+void diff_arg_batch_avx512(const double* interleaved_samples, std::size_t transitions,
+                           double* out)
 {
-    for (std::size_t n = 0; n < transitions; n += 8) {
-        __m512d ar;
-        __m512d ai;
-        __m512d br;
-        __m512d bi;
-        deinterleave_pd(interleaved_samples + 2 * n, ar, ai);
-        deinterleave_pd(interleaved_samples + 2 * n + 2, br, bi);
-        // scalar: im = br * -ai + bi * ar; re = br * ar - bi * -ai.
-        const __m512d nai = neg_pd(ai);
-        const __m512d im_p =
-            _mm512_add_pd(_mm512_mul_pd(br, nai), _mm512_mul_pd(bi, ar));
-        const __m512d re_p =
-            _mm512_sub_pd(_mm512_mul_pd(br, ar), _mm512_mul_pd(bi, nai));
-        _mm512_storeu_pd(out + n, atan2_lanes(im_p, re_p));
-    }
+    K::diff_arg_batch(interleaved_samples, transitions, out);
 }
 
 void counter_normal_fill_avx512(std::uint64_t key_a, std::uint64_t key_b,
-                                std::uint64_t first_counter, double* out,
-                                std::size_t count)
+                                std::uint64_t first_counter, double* out, std::size_t count)
 {
-    // Eight counters -> eight (z0, z1) pairs -> sixteen output doubles
-    // per step.  Counter words advance additively (key + c·inc is linear
-    // in c mod 2^64), so each lane's word matches the scalar fill exactly.
-    __m512i a_words = lane_counters(key_a + first_counter * counter_inc_a,
-                                    counter_inc_a);
-    __m512i b_words = lane_counters(key_b + first_counter * counter_inc_b,
-                                    counter_inc_b);
-    const __m512i step_a = _mm512_set1_epi64(static_cast<long long>(8 * counter_inc_a));
-    const __m512i step_b = _mm512_set1_epi64(static_cast<long long>(8 * counter_inc_b));
-    for (std::size_t i = 0; i < count; i += 16) {
-        __m512d pairs0;
-        __m512d pairs1;
-        counter_normal_step(a_words, b_words, pairs0, pairs1);
-        _mm512_storeu_pd(out + i, pairs0);
-        _mm512_storeu_pd(out + i + 8, pairs1);
-        a_words = _mm512_add_epi64(a_words, step_a);
-        b_words = _mm512_add_epi64(b_words, step_b);
-    }
+    K::counter_normal_fill(key_a, key_b, first_counter, out, count);
 }
 
 void counter_normal_add_scaled_avx512(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,
                                       double* inout, std::size_t count)
 {
-    __m512i a_words = lane_counters(key_a + first_counter * counter_inc_a,
-                                    counter_inc_a);
-    __m512i b_words = lane_counters(key_b + first_counter * counter_inc_b,
-                                    counter_inc_b);
-    const __m512i step_a = _mm512_set1_epi64(static_cast<long long>(8 * counter_inc_a));
-    const __m512i step_b = _mm512_set1_epi64(static_cast<long long>(8 * counter_inc_b));
-    const __m512d scale_v = _mm512_set1_pd(scale);
-    for (std::size_t i = 0; i < count; i += 16) {
-        __m512d pairs0;
-        __m512d pairs1;
-        counter_normal_step(a_words, b_words, pairs0, pairs1);
-        // scalar: inout[i] += scale * z — multiply then add, no FMA.
-        _mm512_storeu_pd(inout + i,
-                         _mm512_add_pd(_mm512_loadu_pd(inout + i),
-                                       _mm512_mul_pd(scale_v, pairs0)));
-        _mm512_storeu_pd(inout + i + 8,
-                         _mm512_add_pd(_mm512_loadu_pd(inout + i + 8),
-                                       _mm512_mul_pd(scale_v, pairs1)));
-        a_words = _mm512_add_epi64(a_words, step_a);
-        b_words = _mm512_add_epi64(b_words, step_b);
-    }
+    K::counter_normal_add_scaled(key_a, key_b, first_counter, scale, inout, count);
 }
 
-void rotor_accumulate_avx512(const double* interleaved_in,
-                             double* interleaved_acc, std::size_t samples,
-                             double rotor_re, double rotor_im)
+void rotor_accumulate_avx512(const double* interleaved_in, double* interleaved_acc,
+                             std::size_t samples, double rotor_re, double rotor_im)
 {
-    // The AVX2 lanes at 512-bit width (see simd_kernels.cpp for the
-    // bit-identity argument): v·rr plus the pair-swapped vector times
-    // (−ri, +ri), mul and add kept separate (no FMA).
-    const __m512d rr = _mm512_set1_pd(rotor_re);
-    const __m512d ri_alt = _mm512_setr_pd(-rotor_im, rotor_im, -rotor_im, rotor_im,
-                                          -rotor_im, rotor_im, -rotor_im, rotor_im);
-    const std::size_t n = 2 * samples; // doubles; samples % 4 == 0
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __m512d v = _mm512_loadu_pd(interleaved_in + i);
-        const __m512d swapped = _mm512_permute_pd(v, 0b01010101);
-        const __m512d contribution =
-            _mm512_add_pd(_mm512_mul_pd(v, rr), _mm512_mul_pd(swapped, ri_alt));
-        _mm512_storeu_pd(interleaved_acc + i,
-                         _mm512_add_pd(_mm512_loadu_pd(interleaved_acc + i),
-                                       contribution));
-    }
+    K::rotor_accumulate(interleaved_in, interleaved_acc, samples, rotor_re, rotor_im);
 }
 
-void cmul_accumulate_avx512(const double* interleaved_in,
-                            const double* interleaved_rotors,
+void cmul_accumulate_avx512(const double* interleaved_in, const double* interleaved_rotors,
                             double* interleaved_acc, std::size_t samples)
 {
-    // The AVX2 lanes at 512-bit width.  AVX-512F has no vaddsubpd, so
-    // the even lanes of t2 are sign-flipped through an integer XOR
-    // (exact negation — a − b ≡ a + (−b) bitwise) and a single vaddpd
-    // finishes both halves.
-    const __m512i negate_even = _mm512_setr_epi64(
-        static_cast<long long>(0x8000000000000000ull), 0,
-        static_cast<long long>(0x8000000000000000ull), 0,
-        static_cast<long long>(0x8000000000000000ull), 0,
-        static_cast<long long>(0x8000000000000000ull), 0);
-    const std::size_t n = 2 * samples; // doubles; samples % 4 == 0
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __m512d v = _mm512_loadu_pd(interleaved_in + i);
-        const __m512d w = _mm512_loadu_pd(interleaved_rotors + i);
-        const __m512d w_re = _mm512_movedup_pd(w);
-        const __m512d w_im = _mm512_permute_pd(w, 0b11111111);
-        const __m512d swapped = _mm512_permute_pd(v, 0b01010101);
-        const __m512d t2 = _mm512_castsi512_pd(_mm512_xor_epi64(
-            _mm512_castpd_si512(_mm512_mul_pd(swapped, w_im)), negate_even));
-        const __m512d contribution = _mm512_add_pd(_mm512_mul_pd(v, w_re), t2);
-        _mm512_storeu_pd(interleaved_acc + i,
-                         _mm512_add_pd(_mm512_loadu_pd(interleaved_acc + i),
-                                       contribution));
-    }
-}
-
-} // namespace anc::simd::detail
-
-#else // non-x86: the dispatchers never take the avx512 branch (CPUID
-      // reports no AVX-512), but the symbols must exist to link.
-
-#include <cstdlib>
-
-namespace anc::simd::detail {
-
-namespace {
-[[noreturn]] void unreachable_backend()
-{
-    std::abort(); // resolve_backend() forbids avx512 without CPUID support
-}
-} // namespace
-
-void atan2_batch_avx512(const double*, const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-void sincos_batch_avx512(const double*, double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-void log_batch_avx512(const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-void polar_batch_avx512(const double*, double, double*, std::size_t)
-{
-    unreachable_backend();
-}
-void anc_candidates_batch_avx512(const double*, std::size_t, double, double,
-                                 double*, double*, double*, double*)
-{
-    unreachable_backend();
-}
-void anc_select_batch_avx512(const double*, const double*, const double*,
-                             const double*, const double*, std::size_t, double*,
-                             double*)
-{
-    unreachable_backend();
-}
-void diff_arg_batch_avx512(const double*, std::size_t, double*)
-{
-    unreachable_backend();
-}
-void counter_normal_fill_avx512(std::uint64_t, std::uint64_t, std::uint64_t,
-                                double*, std::size_t)
-{
-    unreachable_backend();
-}
-void counter_normal_add_scaled_avx512(std::uint64_t, std::uint64_t, std::uint64_t,
-                                      double, double*, std::size_t)
-{
-    unreachable_backend();
-}
-void rotor_accumulate_avx512(const double*, double*, std::size_t, double, double)
-{
-    unreachable_backend();
-}
-void cmul_accumulate_avx512(const double*, const double*, double*, std::size_t)
-{
-    unreachable_backend();
+    K::cmul_accumulate(interleaved_in, interleaved_rotors, interleaved_acc, samples);
 }
 
 } // namespace anc::simd::detail

@@ -215,32 +215,5 @@ TEST(InterferenceDecoder, BackwardDomainSymmetry)
     EXPECT_LT(static_cast<double>(errors) / static_cast<double>(total), 0.02);
 }
 
-TEST(InterferenceDecoder, SimdDecodeIsBitIdenticalToFastDecode)
-{
-    // The simd path runs the fast profile's SoA decomposition through
-    // the batched lane kernels (util/simd.h); its phi differences,
-    // match errors, and bits must equal the fast path's exactly —
-    // including the scalar tail past the lane blocks and the unknown
-    // region past the known signal.
-    Pcg32 rng{0x51D, 2};
-    const Bits known_bits = random_bits(700, rng);
-    const Bits other_bits = random_bits(900, rng);
-    const dsp::Msk_modulator mod_a{0.95, 0.3};
-    const dsp::Msk_modulator mod_b{0.90, 1.1};
-    dsp::Signal mix = mod_a.modulate(known_bits);
-    dsp::accumulate(mix, mod_b.modulate(other_bits), 120);
-    chan::Awgn noise{0.01, rng.fork(1)};
-    noise.add_in_place(mix);
-    const auto known_diffs = dsp::phase_differences_for_bits(known_bits);
-
-    const Interference_decoder fast{dsp::Math_profile::fast};
-    const Interference_decoder simd{dsp::Math_profile::simd};
-    const auto fast_result = fast.decode(mix, known_diffs, 0.95, 0.90);
-    const auto simd_result = simd.decode(mix, known_diffs, 0.95, 0.90);
-    EXPECT_EQ(simd_result.bits, fast_result.bits);
-    EXPECT_EQ(simd_result.phi_differences, fast_result.phi_differences);
-    EXPECT_EQ(simd_result.match_errors, fast_result.match_errors);
-}
-
 } // namespace
 } // namespace anc

@@ -32,49 +32,28 @@ TEST(MathProfile, StringRoundTrip)
 {
     EXPECT_STREQ(to_string(Math_profile::exact), "exact");
     EXPECT_STREQ(to_string(Math_profile::fast), "fast");
-    EXPECT_STREQ(to_string(Math_profile::simd), "simd");
     EXPECT_EQ(math_profile_from_string("exact"), Math_profile::exact);
     EXPECT_EQ(math_profile_from_string("fast"), Math_profile::fast);
-    EXPECT_EQ(math_profile_from_string("simd"), Math_profile::simd);
+    // The former `simd` profile was byte-identical to fast; its name
+    // stays accepted as an alias.
+    EXPECT_EQ(math_profile_from_string("simd"), Math_profile::fast);
     EXPECT_THROW(math_profile_from_string("fastest"), std::invalid_argument);
     EXPECT_THROW(math_profile_from_string("avx2"), std::invalid_argument);
 }
 
-TEST(MathProfile, SimdScalarHelpersEqualFastHelpers)
+TEST(MathProfile, ProfileListParsing)
 {
-    // Single-sample call sites under Math_profile::simd use the scalar
-    // fast kernels (there is no batch to put on lanes), so the dispatch
-    // helpers must agree with the fast profile bit for bit.
-    Pcg32 rng{77, 4};
-    for (int i = 0; i < 5000; ++i) {
-        const double y = (rng.next_double() - 0.5) * 10.0;
-        const double x = (rng.next_double() - 0.5) * 10.0;
-        EXPECT_EQ(profile_atan2(Math_profile::simd, y, x),
-                  profile_atan2(Math_profile::fast, y, x));
-        const double angle = (rng.next_double() - 0.5) * 20.0;
-        EXPECT_EQ(profile_polar(Math_profile::simd, 2.0, angle),
-                  profile_polar(Math_profile::fast, 2.0, angle));
-        EXPECT_EQ(profile_arg(Math_profile::simd, Sample{x, y}),
-                  profile_arg(Math_profile::fast, Sample{x, y}));
-    }
-}
-
-TEST(MathProfile, SimdPolarFillMatchesFastByteForByte)
-{
-    // The batched polar fill under simd routes through the lane kernels;
-    // its bit-compatibility contract with the fast loop is the seam the
-    // DQPSK modulator rides.
-    Pcg32 rng{79, 5};
-    std::vector<double> phases(1537); // odd length: lanes + scalar tail
-    for (double& p : phases)
-        p = (rng.next_double() - 0.5) * 12.0;
-    Signal fast;
-    polar_into(phases, 1.7, Math_profile::fast, fast);
-    Signal simd;
-    polar_into(phases, 1.7, Math_profile::simd, simd);
-    ASSERT_EQ(simd.size(), fast.size());
-    for (std::size_t i = 0; i < fast.size(); ++i)
-        EXPECT_EQ(simd[i], fast[i]) << i;
+    using List = std::vector<Math_profile>;
+    EXPECT_EQ(math_profiles_from_string("exact"), List{Math_profile::exact});
+    EXPECT_EQ(math_profiles_from_string("simd"), List{Math_profile::fast});
+    EXPECT_EQ(math_profiles_from_string("both"),
+              (List{Math_profile::exact, Math_profile::fast}));
+    EXPECT_EQ(math_profiles_from_string("fast,exact,"),
+              (List{Math_profile::fast, Math_profile::exact}));
+    EXPECT_THROW(math_profiles_from_string(""), std::invalid_argument);
+    EXPECT_THROW(math_profiles_from_string(","), std::invalid_argument);
+    EXPECT_THROW(math_profiles_from_string("all"), std::invalid_argument);
+    EXPECT_THROW(math_profiles_from_string("exact,fastest"), std::invalid_argument);
 }
 
 TEST(MathProfile, DispatchHelpersAgreeAcrossProfiles)

@@ -24,10 +24,9 @@
 namespace anc::engine {
 namespace {
 
-Sweep_outcome run_profiled(Sweep_grid grid, std::size_t threads,
-                           dsp::Math_profile relaxed = dsp::Math_profile::fast)
+Sweep_outcome run_profiled(Sweep_grid grid, std::size_t threads)
 {
-    grid.math_profiles = {dsp::Math_profile::exact, relaxed};
+    grid.math_profiles = {dsp::Math_profile::exact, dsp::Math_profile::fast};
     Executor_config config;
     config.threads = threads;
     config.base_seed = 9090;
@@ -36,30 +35,27 @@ Sweep_outcome run_profiled(Sweep_grid grid, std::size_t threads,
 }
 
 const Point_summary* find_partner(const std::vector<Point_summary>& points,
-                                  const Point_key& exact_key,
-                                  dsp::Math_profile relaxed)
+                                  const Point_key& exact_key)
 {
     Point_key partner_key = exact_key;
-    partner_key.math_profile = relaxed;
+    partner_key.math_profile = dsp::Math_profile::fast;
     for (const Point_summary& point : points)
         if (point.key == partner_key)
             return &point;
     return nullptr;
 }
 
-/// Assert every exact point has a relaxed-profile partner inside the
-/// corridor: the delivery-rate difference within a pooled binomial
-/// interval, and the mean BER difference within `ber_slack` absolute.
-void expect_corridor(const std::vector<Point_summary>& points, double ber_slack,
-                     dsp::Math_profile relaxed = dsp::Math_profile::fast)
+/// Assert every exact point has a fast partner inside the corridor: the
+/// delivery-rate difference within a pooled binomial interval, and the
+/// mean BER difference within `ber_slack` absolute.
+void expect_corridor(const std::vector<Point_summary>& points, double ber_slack)
 {
     std::size_t compared = 0;
     for (const Point_summary& exact : points) {
         if (exact.key.math_profile != dsp::Math_profile::exact)
             continue;
-        const Point_summary* fast = find_partner(points, exact.key, relaxed);
-        ASSERT_NE(fast, nullptr) << "no " << dsp::to_string(relaxed)
-                                 << " partner for " << exact.key.scenario;
+        const Point_summary* fast = find_partner(points, exact.key);
+        ASSERT_NE(fast, nullptr) << "no fast partner for " << exact.key.scenario;
         ++compared;
 
         // The workload shape is profile-independent.
@@ -145,65 +141,6 @@ TEST(MathProfileCorridor, FadingPointWithinCorridorAt1And8Threads)
     // the BER corridor is wider; the binomial corridor self-scales.
     expect_corridor(run_profiled(fading_grid(), 1).points, 0.05);
     expect_corridor(run_profiled(fading_grid(), 8).points, 0.05);
-}
-
-TEST(MathProfileCorridor, SimdProfileWithinCorridorAt1And8Threads)
-{
-    // The simd profile through the same corridor matrix — it shares the
-    // fast kernels' math bit for bit, so these corridors can only fail
-    // if a lane kernel or the dispatch seam broke, which is exactly what
-    // they are here to catch end to end (whatever backend this machine
-    // resolves to).
-    constexpr dsp::Math_profile simd = dsp::Math_profile::simd;
-    expect_corridor(run_profiled(alice_bob_grid(), 1, simd).points, 0.02, simd);
-    expect_corridor(run_profiled(alice_bob_grid(), 8, simd).points, 0.02, simd);
-    expect_corridor(run_profiled(x_topology_grid(), 1, simd).points, 0.02, simd);
-    expect_corridor(run_profiled(fading_grid(), 8, simd).points, 0.05, simd);
-}
-
-TEST(MathProfileCorridor, SimdProfileIsThreadInvariant)
-{
-    Sweep_grid grid = alice_bob_grid();
-    grid.math_profiles = {dsp::Math_profile::simd};
-    Executor_config serial;
-    serial.threads = 1;
-    serial.base_seed = 777;
-    Executor_config parallel;
-    parallel.threads = 8;
-    parallel.base_seed = 777;
-    const std::vector<Task_result> a = run_sweep(grid, serial);
-    const std::vector<Task_result> b = run_sweep(grid, parallel);
-    const std::string json = to_json(a, aggregate(a));
-    EXPECT_EQ(json, to_json(b, aggregate(b)));
-    // Every emitted row carries the simd tag (and none carry another).
-    EXPECT_NE(json.find("\"math_profile\":\"simd\""), std::string::npos);
-    EXPECT_EQ(json.find("\"math_profile\":\"fast\""), std::string::npos);
-    EXPECT_EQ(json.find("\"math_profile\":\"exact\""), std::string::npos);
-}
-
-TEST(MathProfileCorridor, SimdProfileIsBitIdenticalToFastModuloTag)
-{
-    // The backend's strongest system-level claim (util/simd.h): simd
-    // output equals fast output byte for byte — only the profile tag
-    // differs.  Scrubbing the tags from both JSON documents must leave
-    // identical bytes, on AVX2 dispatch and scalar fallback alike.
-    Sweep_grid grid = alice_bob_grid();
-    Executor_config config;
-    config.threads = 4;
-    config.base_seed = 4242;
-    const auto json_for = [&](dsp::Math_profile profile) {
-        Sweep_grid g = grid;
-        g.math_profiles = {profile};
-        const std::vector<Task_result> tasks = run_sweep(g, config);
-        std::string json = to_json(tasks, aggregate(tasks));
-        const std::string tag = std::string{"\"math_profile\":\""}
-                                + dsp::to_string(profile) + "\"";
-        for (std::size_t at = json.find(tag); at != std::string::npos;
-             at = json.find(tag, at))
-            json.replace(at, tag.size(), "\"math_profile\":\"X\"");
-        return json;
-    };
-    EXPECT_EQ(json_for(dsp::Math_profile::simd), json_for(dsp::Math_profile::fast));
 }
 
 TEST(MathProfileCorridor, FastProfileIsThreadInvariant)

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace anc::engine {
 namespace {
@@ -132,6 +133,39 @@ TEST(SweepGrid, EmptyAxesThrow)
     grid.snr_db = {25.0};
     grid.repetitions = 0;
     EXPECT_THROW(expand(grid), std::invalid_argument);
+}
+
+TEST(SweepGrid, RepeatedAxisValueThrowsNamingTheAxis)
+{
+    // A repeated value would expand into duplicate tasks sharing one
+    // channel realization, aggregated as if they were independent runs.
+    const auto error_for = [](const Sweep_grid& grid) -> std::string {
+        try {
+            expand(grid);
+        } catch (const std::invalid_argument& error) {
+            return error.what();
+        }
+        return "no error";
+    };
+    Sweep_grid grid;
+    grid.scenarios = {"alice_bob"};
+    EXPECT_NO_THROW(expand(grid));
+
+    Sweep_grid profiles = grid;
+    profiles.math_profiles = {dsp::Math_profile::exact, dsp::Math_profile::exact};
+    EXPECT_NE(error_for(profiles).find("'math_profiles'"), std::string::npos);
+
+    Sweep_grid snrs = grid;
+    snrs.snr_db = {20.0, 22.0, 20.0};
+    EXPECT_NE(error_for(snrs).find("'snr_db'"), std::string::npos);
+
+    Sweep_grid scenarios = grid;
+    scenarios.scenarios = {"alice_bob", "chain", "alice_bob"};
+    EXPECT_NE(error_for(scenarios).find("'scenarios'"), std::string::npos);
+
+    Sweep_grid schemes = grid;
+    schemes.schemes = {"anc", "anc"};
+    EXPECT_NE(error_for(schemes).find("'schemes'"), std::string::npos);
 }
 
 } // namespace

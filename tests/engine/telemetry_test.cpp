@@ -36,8 +36,7 @@ Sweep_grid all_profiles_grid()
     grid.payload_bits = {512};
     grid.exchanges = {2};
     grid.repetitions = 2;
-    grid.math_profiles = {dsp::Math_profile::exact, dsp::Math_profile::fast,
-                          dsp::Math_profile::simd};
+    grid.math_profiles = {dsp::Math_profile::exact, dsp::Math_profile::fast};
     return grid;
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Paper fidelity: the §11.3 ANC gain rows printed by bench/summary_table
 # must stay inside stated corridors around the paper's values, under the
-# exact and the simd math profile, and the two profiles must agree row
+# exact and the fast math profile, and the two profiles must agree row
 # by row.  A regenerated golden cannot hide a drifting reproduction: the
 # corridors are written here, against the paper, not against a capture.
 #
@@ -14,7 +14,7 @@ trap 'rm -rf "$WORKDIR"' EXIT INT TERM
 
 # The default run and exchange counts are the table's published setting;
 # no artifact files are wanted.
-for PROFILE in exact simd; do
+for PROFILE in exact fast; do
     env -u ANC_BENCH_RUNS -u ANC_BENCH_EXCHANGES -u ANC_ENGINE_JSON \
         -u ANC_ENGINE_CSV -u ANC_METRICS_JSON ANC_MATH_PROFILE="$PROFILE" \
         "$TABLE" > "$WORKDIR/$PROFILE.txt"
@@ -35,16 +35,16 @@ FAILED=0
 # ROW|PAPER|HALF-WIDTH
 while IFS='|' read -r ROW PAPER HALF; do
     EXACT=$(measured exact "$ROW")
-    SIMD=$(measured simd "$ROW")
-    echo "$ROW: paper $PAPER, exact $EXACT, simd $SIMD (corridor +-$HALF)"
-    for VALUE in "$EXACT" "$SIMD"; do
+    FAST=$(measured fast "$ROW")
+    echo "$ROW: paper $PAPER, exact $EXACT, fast $FAST (corridor +-$HALF)"
+    for VALUE in "$EXACT" "$FAST"; do
         within "$VALUE" "$PAPER" "$HALF" || {
             echo "FAIL: $ROW = $VALUE outside $PAPER +- $HALF" >&2
             FAILED=1
         }
     done
-    within "$SIMD" "$EXACT" 0.08 || {
-        echo "FAIL: $ROW simd $SIMD drifts more than 0.08 from exact $EXACT" >&2
+    within "$FAST" "$EXACT" 0.08 || {
+        echo "FAIL: $ROW fast $FAST drifts more than 0.08 from exact $EXACT" >&2
         FAILED=1
     }
 done <<'ROWS'
@@ -56,4 +56,4 @@ Chain: ANC gain over traditional|1.36|0.06
 ROWS
 
 [ "$FAILED" = 0 ] || exit 1
-echo "PASS: the 11.3 gain rows sit in their corridors under exact and simd"
+echo "PASS: the 11.3 gain rows sit in their corridors under exact and fast"

@@ -54,6 +54,20 @@ for BAD in "--threads 2,8" "--threads 1.4" "--threads -1" "--threads 8x" \
         || { echo "FAIL: '$BAD' was accepted" >&2; exit 1; }
 done
 
+echo "== exit 2: an axis that repeats a value"
+# A repeated value would run duplicate tasks on one channel realization
+# and report them as independent runs of one point.
+ONE="--scheme anc --payload-bits 256 --exchanges 2 --quiet"
+for BAD in "--scenario alice_bob --snr 20 --math-profile exact,exact" \
+           "--scenario alice_bob --snr 20,20" \
+           "--scenario alice_bob --scenario alice_bob --snr 20" \
+           "--scenario alice_bob --snr 20 --math-profile fast,simd"; do
+    # shellcheck disable=SC2086
+    [ "$(rc "$SWEEP" $ONE $BAD)" = 2 ] \
+        || { echo "FAIL: '$BAD' was accepted" >&2; exit 1; }
+    grep -q "repeats a value" stderr.log
+done
+
 echo "== exit 2: incompatible resume journal (different seed)"
 # shellcheck disable=SC2086
 "$SWEEP" $GRID --threads 1 --journal seed99.anj >/dev/null 2>&1

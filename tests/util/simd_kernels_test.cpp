@@ -205,11 +205,16 @@ TEST(SimdKernels, Avx2LanesEqualScalarKernels)
     std::vector<double> l1(n), l2(n);
     detail::log_batch_avx2(uniforms.data(), l1.data(), n);
     detail::log_batch_scalar(uniforms.data(), l2.data(), n);
+    std::vector<double> p1(2 * n), p2(2 * n);
+    detail::polar_batch_avx2(angles.data(), 0.83, p1.data(), n);
+    detail::polar_batch_scalar(angles.data(), 0.83, p2.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
         expect_same_bits(a1[i], a2[i], "atan2 avx2-vs-scalar", i);
         expect_same_bits(s1[i], s2[i], "sin avx2-vs-scalar", i);
         expect_same_bits(c1[i], c2[i], "cos avx2-vs-scalar", i);
         expect_same_bits(l1[i], l2[i], "log avx2-vs-scalar", i);
+        expect_same_bits(p1[2 * i], p2[2 * i], "polar-re avx2-vs-scalar", i);
+        expect_same_bits(p1[2 * i + 1], p2[2 * i + 1], "polar-im avx2-vs-scalar", i);
     }
 }
 
@@ -255,6 +260,49 @@ TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
         expect_same_bits(e1[i], e2[i], "selected error", i);
         expect_same_bits(d1[i], d2[i], "diff arg", i);
     }
+}
+
+// The channel accumulators (channel/link.cpp) add into an existing
+// buffer, so every comparison starts from the same nonzero accumulator.
+using Rotor_kernel = void (*)(const double*, double*, std::size_t, double, double);
+using Cmul_kernel = void (*)(const double*, const double*, double*, std::size_t);
+
+void expect_accumulators_equal_scalar(Rotor_kernel rotor, Cmul_kernel cmul,
+                                      std::size_t samples, const char* what)
+{
+    const std::vector<double> in = random_range(2 * samples, -2.0, 2.0, 0x7A1);
+    const std::vector<double> rotors = random_range(2 * samples, -1.0, 1.0, 0x7A2);
+    const std::vector<double> start = random_range(2 * samples, -0.5, 0.5, 0x7A3);
+    std::vector<double> lanes = start;
+    std::vector<double> scalar = start;
+    rotor(in.data(), lanes.data(), samples, 0.61, -0.79);
+    detail::rotor_accumulate_scalar(in.data(), scalar.data(), samples, 0.61, -0.79);
+    for (std::size_t i = 0; i < 2 * samples; ++i)
+        expect_same_bits(lanes[i], scalar[i], what, i);
+    lanes = start;
+    scalar = start;
+    cmul(in.data(), rotors.data(), lanes.data(), samples);
+    detail::cmul_accumulate_scalar(in.data(), rotors.data(), scalar.data(), samples);
+    for (std::size_t i = 0; i < 2 * samples; ++i)
+        expect_same_bits(lanes[i], scalar[i], what, i);
+}
+
+TEST(SimdKernels, Avx2AccumulatorsEqualScalar)
+{
+    if (!avx2_available())
+        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
+    expect_accumulators_equal_scalar(detail::rotor_accumulate_avx2,
+                                     detail::cmul_accumulate_avx2, 2048,
+                                     "accumulate avx2-vs-scalar");
+}
+
+TEST(SimdKernels, AccumulatorsMatchScalarAcrossTailSeam)
+{
+    // The public entry points on whatever backend this process resolves
+    // to, at lengths that leave every possible tail behind the blocks.
+    for (const std::size_t samples : {0, 1, 3, 5, 8, 31, 1023})
+        expect_accumulators_equal_scalar(rotor_accumulate, cmul_accumulate, samples,
+                                         "accumulate dispatched-vs-scalar");
 }
 
 // ------------------------------------------- avx512 vs scalar directly
@@ -339,6 +387,15 @@ TEST(SimdKernels, Avx512DecoderKernelsEqualScalar)
         expect_same_bits(e1[i], e2[i], "selected error avx512", i);
         expect_same_bits(d1[i], d2[i], "diff arg avx512", i);
     }
+}
+
+TEST(SimdKernels, Avx512AccumulatorsEqualScalar)
+{
+    if (!avx512_available())
+        GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
+    expect_accumulators_equal_scalar(detail::rotor_accumulate_avx512,
+                                     detail::cmul_accumulate_avx512, 2048,
+                                     "accumulate avx512-vs-scalar");
 }
 
 TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
