@@ -98,12 +98,14 @@ inline std::vector<std::string> parse_path_list(const std::string& text)
 }
 
 /// The value of scalar count flag `flag`: exactly one non-negative
-/// decimal integer with nothing trailing.  Lists, ranges, fractions,
-/// signs and junk ("2,8", "1:3:1", "1.4", "+3", "8x") are usage errors,
-/// never a silently truncated first element.
-inline std::size_t parse_count(const std::string& flag, const std::string& text)
+/// decimal integer that fits `Int`, with nothing trailing.  Lists,
+/// ranges, fractions, signs, junk and overflow ("2,8", "1:3:1", "1.4",
+/// "+3", "8x", "-1", 2^64) are usage errors, never a silently truncated
+/// first element or a wrapped value.
+template <class Int = std::size_t>
+Int parse_count(const std::string& flag, const std::string& text)
 {
-    std::size_t value = 0;
+    Int value = 0;
     const char* const end = text.data() + text.size();
     const auto [stop, error] = std::from_chars(text.data(), end, value);
     if (text.empty() || error != std::errc{} || stop != end)
@@ -186,7 +188,7 @@ public:
             });
         if (arg == "--seed")
             return take([&](const std::string& v) {
-                base_seed = std::strtoull(v.c_str(), nullptr, 10);
+                base_seed = parse_count<std::uint64_t>(arg, v);
             });
         return false;
     }

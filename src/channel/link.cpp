@@ -63,75 +63,96 @@ void Link_channel::accumulate_faded(dsp::Signal_view signal, std::uint64_t fadin
 {
     const std::size_t block_len =
         params_.coherence_block == 0 ? signal.size() : params_.coherence_block;
+    const dsp::Sample* rotor = profile == dsp::Math_profile::exact
+                                   ? rotor_stream(signal.size(), profile)
+                                   : nullptr;
     for (std::size_t begin_n = 0; begin_n < signal.size(); begin_n += block_len) {
         const dsp::Sample fade = block_gain(fading_epoch, begin_n / block_len);
         const std::size_t end_n = std::min(begin_n + block_len, signal.size());
         if (profile != dsp::Math_profile::exact) {
             // One sincos at the block boundary, then the rotor recurrence
             // (fade folded into the rotor, so the inner loop is identical
-            // to the fixed-gain fast kernel).
-            const dsp::Sample rotor =
+            // to the historical fixed-gain fast loop).
+            const dsp::Sample rotor_0 =
                 dsp::profile_polar(profile, params_.gain,
                               params_.phase
                                   + params_.phase_drift * static_cast<double>(begin_n))
                 * fade;
             const dsp::Sample step =
                 dsp::profile_polar(profile, 1.0, params_.phase_drift);
-            accumulate_rotor(signal, begin_n, end_n, rotor, step,
+            accumulate_rotor(signal, begin_n, end_n, rotor_0, step,
                              params_.phase_drift == 0.0, out);
             continue;
         }
-        for (std::size_t n = begin_n; n < end_n; ++n) {
-            const double rotation =
-                params_.phase + params_.phase_drift * static_cast<double>(n);
-            out[n] += signal[n] * std::polar(params_.gain, rotation) * fade;
-        }
+        // The historical signal[n] * polar(...) * fade, with the polar
+        // read from the stream: same operands, same order, same bits.
+        for (std::size_t n = begin_n; n < end_n; ++n)
+            out[n] += signal[n] * rotor[n] * fade;
     }
 }
 
-const dsp::Sample* Link_channel::rotor_stream(std::size_t samples) const
+dsp::Sample Link_channel::exact_rotor(std::size_t n) const
 {
-    if (rotor_cache_.size() < samples) {
-        if (rotor_cache_.empty())
-            rotor_cache_.push_back(dsp::profile_polar(dsp::Math_profile::fast,
-                                                      params_.gain, params_.phase));
-        const dsp::Sample step =
-            dsp::profile_polar(dsp::Math_profile::fast, 1.0, params_.phase_drift);
-        const double sr = step.real();
-        const double si = step.imag();
-        rotor_cache_.reserve(samples);
-        double rr = rotor_cache_.back().real();
-        double ri = rotor_cache_.back().imag();
-        while (rotor_cache_.size() < samples) {
-            // The recurrence of accumulate_rotor, verbatim, so cached
-            // streams stay bit-identical to the historical serial loop.
-            const double next_rr = rr * sr - ri * si;
-            ri = rr * si + ri * sr;
-            rr = next_rr;
-            rotor_cache_.push_back(dsp::Sample{rr, ri});
-        }
+    return std::polar(params_.gain,
+                      params_.phase + params_.phase_drift * static_cast<double>(n));
+}
+
+const dsp::Sample* Link_channel::rotor_stream(std::size_t samples,
+                                              dsp::Math_profile profile) const
+{
+    if (rotor_profile_ != profile) {
+        rotor_cache_.clear();
+        rotor_profile_ = profile;
+    }
+    if (rotor_cache_.size() >= samples)
+        return rotor_cache_.data();
+    rotor_cache_.reserve(samples);
+    if (profile == dsp::Math_profile::exact) {
+        while (rotor_cache_.size() < samples)
+            rotor_cache_.push_back(exact_rotor(rotor_cache_.size()));
+        return rotor_cache_.data();
+    }
+    if (rotor_cache_.empty())
+        rotor_cache_.push_back(dsp::profile_polar(profile, params_.gain, params_.phase));
+    const dsp::Sample step = dsp::profile_polar(profile, 1.0, params_.phase_drift);
+    const double sr = step.real();
+    const double si = step.imag();
+    double rr = rotor_cache_.back().real();
+    double ri = rotor_cache_.back().imag();
+    while (rotor_cache_.size() < samples) {
+        // The recurrence of accumulate_rotor, verbatim, so cached
+        // streams stay bit-identical to the historical serial loop.
+        const double next_rr = rr * sr - ri * si;
+        ri = rr * si + ri * sr;
+        rr = next_rr;
+        rotor_cache_.push_back(dsp::Sample{rr, ri});
     }
     return rotor_cache_.data();
 }
 
-void Link_channel::accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out) const
+void Link_channel::accumulate_fixed(dsp::Signal_view signal, dsp::Sample* out,
+                                    dsp::Math_profile profile) const
 {
     const double* in = reinterpret_cast<const double*>(signal.data());
     double* acc = reinterpret_cast<double*>(out);
     if (params_.phase_drift != 0.0) {
-        // Drifting fixed-gain link: the rotor stream is a pure function
-        // of the link params, so the serial recurrence is memoised per
-        // link and the accumulation becomes an element-wise complex
-        // multiply-add the lane kernels can chew.
-        // (Rayleigh links keep the recurrence: the fade is folded into
-        // rotor_0 there, and ((base·fade)·step^n) rounds differently from
-        // fade·(base·step^n), so a shared cache would change bits.)
-        simd::cmul_accumulate(in, reinterpret_cast<const double*>(rotor_stream(signal.size())),
-                              acc, signal.size());
+        // Drifting link: an element-wise complex multiply-add against the
+        // memoised rotor stream.  The lane kernel's products are the ones
+        // std::complex multiplication performs, so the exact profile's
+        // historical out[n] += signal[n] * polar(...) keeps its bits
+        // (samples are finite throughout the substrate).
+        // (Fast rayleigh links keep the recurrence: the fade is folded
+        // into rotor_0 there, and ((base·fade)·step^n) rounds differently
+        // from fade·(base·step^n), so a shared cache would change bits.)
+        simd::cmul_accumulate(
+            in, reinterpret_cast<const double*>(rotor_stream(signal.size(), profile)), acc,
+            signal.size());
         return;
     }
-    const dsp::Sample rotor =
-        dsp::profile_polar(dsp::Math_profile::fast, params_.gain, params_.phase);
+    // Drift-free: every sample's rotor is the first one.
+    const dsp::Sample rotor = profile == dsp::Math_profile::exact
+                                  ? exact_rotor(0)
+                                  : dsp::profile_polar(profile, params_.gain, params_.phase);
     simd::rotor_accumulate(in, acc, signal.size(), rotor.real(), rotor.imag());
 }
 
@@ -162,15 +183,16 @@ dsp::Signal Link_channel::apply(dsp::Signal_view signal, std::uint64_t fading_ep
     if (params_.gain_model == Gain_model::fixed) {
         if (profile != dsp::Math_profile::exact) {
             out.assign(params_.delay + signal.size(), dsp::Sample{0.0, 0.0});
-            accumulate_fixed_fast(signal, out.data() + params_.delay);
+            accumulate_fixed(signal, out.data() + params_.delay, profile);
             return out;
         }
+        // Exact stores the products rather than adding them to zeros,
+        // which would turn a -0.0 component into +0.0.
+        const dsp::Sample* rotor = rotor_stream(signal.size(), profile);
         out.reserve(params_.delay + signal.size());
         out.assign(params_.delay, dsp::Sample{0.0, 0.0});
-        for (std::size_t n = 0; n < signal.size(); ++n) {
-            const double rotation = params_.phase + params_.phase_drift * static_cast<double>(n);
-            out.push_back(signal[n] * std::polar(params_.gain, rotation));
-        }
+        for (std::size_t n = 0; n < signal.size(); ++n)
+            out.push_back(signal[n] * rotor[n]);
         return out;
     }
     out.assign(params_.delay + signal.size(), dsp::Sample{0.0, 0.0});
@@ -192,18 +214,10 @@ void Link_channel::apply_onto(dsp::Signal_view signal, std::size_t at,
     if (acc.size() < begin + signal.size())
         acc.resize(begin + signal.size());
     dsp::Sample* out = acc.data() + begin;
-    if (params_.gain_model == Gain_model::fixed) {
-        if (profile != dsp::Math_profile::exact) {
-            accumulate_fixed_fast(signal, out);
-            return;
-        }
-        for (std::size_t n = 0; n < signal.size(); ++n) {
-            const double rotation = params_.phase + params_.phase_drift * static_cast<double>(n);
-            out[n] += signal[n] * std::polar(params_.gain, rotation);
-        }
-        return;
-    }
-    accumulate_faded(signal, fading_epoch, out, profile);
+    if (params_.gain_model == Gain_model::fixed)
+        accumulate_fixed(signal, out, profile);
+    else
+        accumulate_faded(signal, fading_epoch, out, profile);
 }
 
 } // namespace anc::chan

@@ -86,12 +86,14 @@ public:
     /// `acc` must not alias `signal` (the accumulation reads `signal`
     /// while writing, and may reallocate `acc`).
     ///
-    /// Under Math_profile::fast the per-sample std::polar rotation is
-    /// replaced by an incremental complex rotor (one sincos per span or
-    /// per fading block, then a multiply recurrence); the drift-free case
-    /// degenerates to a constant-rotor multiply-add loop that
-    /// auto-vectorizes.  Rotor drift over a frame is ≲1e-13 relative —
-    /// inside the corridor bounds.
+    /// The per-sample rotation comes from the link's rotor stream (see
+    /// rotor_stream), so each rotation is evaluated once per link, not
+    /// once per transmission: exact reads its cached std::polar values,
+    /// fast reads its cached incremental rotor (one sincos, then a
+    /// multiply recurrence; drift ≲1e-13 relative over a frame — inside
+    /// the corridor bounds).  A drift-free fixed link multiplies by one
+    /// constant rotor instead.  Under fast, rayleigh_block links keep the
+    /// per-block recurrence with the fade folded into its first rotor.
     void apply_onto(dsp::Signal_view signal, std::size_t at, dsp::Signal& acc,
                     std::uint64_t fading_epoch = 0,
                     dsp::Math_profile profile = dsp::Math_profile::exact) const;
@@ -112,22 +114,31 @@ private:
     void accumulate_faded(dsp::Signal_view signal, std::uint64_t fading_epoch,
                           dsp::Sample* out, dsp::Math_profile profile) const;
 
-    /// Fixed-gain fast-profile kernel on the lane kernels: constant-rotor
-    /// lanes when drift-free, cached rotor stream + complex
+    /// Fixed-gain kernel of both profiles on the lane kernels:
+    /// constant-rotor lanes when drift-free, rotor stream + complex
     /// multiply-accumulate lanes when drifting.
-    void accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out) const;
+    void accumulate_fixed(dsp::Signal_view signal, dsp::Sample* out,
+                          dsp::Math_profile profile) const;
 
-    /// First `samples` values of the fixed-gain rotor stream
-    /// rotor_n = polar(gain, phase)·step^n, produced by the exact
-    /// recurrence of the historical per-transmission loop and memoised —
-    /// a fixed link's stream never changes, so the serial chain runs once
-    /// per link instead of once per transmission.  The cache makes
-    /// concurrent apply calls on one link racy; media (and their links)
-    /// are owned per sweep task, never shared across threads.
-    const dsp::Sample* rotor_stream(std::size_t samples) const;
+    /// The exact profile's rotation at sample n — the historical
+    /// per-sample expression, verbatim.
+    dsp::Sample exact_rotor(std::size_t n) const;
+
+    /// First `samples` values of the link's rotor stream under `profile`
+    /// (rotor_n, without any fade), memoised: exact stores exact_rotor(n);
+    /// fast stores rotor_n = polar(gain, phase)·step^n from the exact
+    /// recurrence of the historical per-transmission loop.  Either stream
+    /// is a pure function of the link params, so it is computed once per
+    /// link and extended only when a longer signal arrives; a call under
+    /// the other profile refills it.  Growth reserves exactly `samples`,
+    /// so the cache holds no doubling slack.  The cache makes concurrent
+    /// apply calls on one link racy; media (and their links) are owned
+    /// per sweep task, never shared across threads.
+    const dsp::Sample* rotor_stream(std::size_t samples, dsp::Math_profile profile) const;
 
     Link_params params_;
     mutable std::vector<dsp::Sample> rotor_cache_;
+    mutable dsp::Math_profile rotor_profile_ = dsp::Math_profile::exact;
 };
 
 } // namespace anc::chan

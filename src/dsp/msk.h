@@ -46,7 +46,10 @@ public:
     /// are produced by rotating the previous sample by exactly ±i (a
     /// lossless component swap/negate) instead of re-evaluating
     /// std::polar on the accumulated phase — no per-sample sincos at all;
-    /// only the initial sample's sincos is approximate.
+    /// only the initial sample's sincos is approximate.  Under exact, the
+    /// wrapped phase revisits a handful of values, so std::polar runs
+    /// once per distinct phase (a phase-state table) and every sample
+    /// keeps the bits of the per-sample evaluation.
     explicit Msk_modulator(double amplitude = 1.0, double initial_phase = 0.0,
                            Math_profile profile = Math_profile::exact);
 

@@ -54,6 +54,17 @@ for BAD in "--threads 2,8" "--threads 1.4" "--threads -1" "--threads 8x" \
         || { echo "FAIL: '$BAD' was accepted" >&2; exit 1; }
 done
 
+echo "== --seed takes exactly one whole uint64"
+# GRID already carries --seed 99; a later --seed overrides it.
+for BAD in 12x abc -1 "" 18446744073709551616; do
+    # shellcheck disable=SC2086
+    [ "$(rc "$SWEEP" $GRID --seed "$BAD")" = 2 ] \
+        || { echo "FAIL: '--seed $BAD' was accepted" >&2; exit 1; }
+    grep -q -- "--seed" stderr.log
+done
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --repetitions 1 --seed 18446744073709551615)" = 0 ]
+
 echo "== exit 2: an axis that repeats a value"
 # A repeated value would run duplicate tasks on one channel realization
 # and report them as independent runs of one point.
