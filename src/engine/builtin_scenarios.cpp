@@ -24,24 +24,36 @@ namespace anc::engine {
 
 namespace {
 
-sim::Alice_bob_config alice_bob_config_for(const Scenario_config& config,
-                                           std::uint64_t seed)
+/// A topology's sim config with the fields every run shares filled from
+/// the scenario config.
+template <class Sim_config>
+Sim_config sim_config_for(const Scenario_config& config, std::uint64_t seed)
 {
-    sim::Alice_bob_config sim_config;
+    Sim_config sim_config;
     sim_config.payload_bits = config.payload_bits;
     sim_config.exchanges = config.exchanges;
     sim_config.snr_db = config.snr_db;
-    sim_config.alice_amplitude = config.alice_amplitude;
-    sim_config.bob_amplitude = config.bob_amplitude;
     sim_config.receiver = config.receiver;
     sim_config.math_profile = config.math_profile;
     sim_config.seed = seed;
     return sim_config;
 }
 
-Scenario_result run_alice_bob_sim(const Scenario_config& config,
-                                  const sim::Alice_bob_config& sim_config)
+/// The *_fading variants: Rayleigh block fading on every link.
+template <class Sim_config>
+Sim_config fading_config_for(const Scenario_config& config, std::uint64_t seed)
 {
+    Sim_config sim_config = sim_config_for<Sim_config>(config, seed);
+    sim_config.fading.model = chan::Gain_model::rayleigh_block;
+    sim_config.fading.coherence_block = config.coherence_block;
+    return sim_config;
+}
+
+Scenario_result run_alice_bob_sim(const Scenario_config& config,
+                                  sim::Alice_bob_config sim_config)
+{
+    sim_config.alice_amplitude = config.alice_amplitude;
+    sim_config.bob_amplitude = config.bob_amplitude;
     sim::Alice_bob_result sim_result;
     if (config.scheme == "traditional")
         sim_result = sim::run_alice_bob_traditional(sim_config);
@@ -63,31 +75,17 @@ Scenario_result run_alice_bob_sim(const Scenario_config& config,
 
 Scenario_result run_alice_bob(const Scenario_config& config, std::uint64_t seed)
 {
-    return run_alice_bob_sim(config, alice_bob_config_for(config, seed));
+    return run_alice_bob_sim(config, sim_config_for<sim::Alice_bob_config>(config, seed));
 }
 
 Scenario_result run_alice_bob_fading(const Scenario_config& config, std::uint64_t seed)
 {
-    sim::Alice_bob_config sim_config = alice_bob_config_for(config, seed);
-    sim_config.fading.model = chan::Gain_model::rayleigh_block;
-    sim_config.fading.coherence_block = config.coherence_block;
+    auto sim_config = fading_config_for<sim::Alice_bob_config>(config, seed);
     sim_config.gains.alice_router *= config.mean_link_gain;
     sim_config.gains.router_alice *= config.mean_link_gain;
     sim_config.gains.bob_router *= config.mean_link_gain;
     sim_config.gains.router_bob *= config.mean_link_gain;
     return run_alice_bob_sim(config, sim_config);
-}
-
-sim::X_config x_config_for(const Scenario_config& config, std::uint64_t seed)
-{
-    sim::X_config sim_config;
-    sim_config.payload_bits = config.payload_bits;
-    sim_config.exchanges = config.exchanges;
-    sim_config.snr_db = config.snr_db;
-    sim_config.receiver = config.receiver;
-    sim_config.math_profile = config.math_profile;
-    sim_config.seed = seed;
-    return sim_config;
 }
 
 Scenario_result run_x_sim(const Scenario_config& config, const sim::X_config& sim_config)
@@ -115,14 +113,12 @@ Scenario_result run_x_sim(const Scenario_config& config, const sim::X_config& si
 
 Scenario_result run_x_topology(const Scenario_config& config, std::uint64_t seed)
 {
-    return run_x_sim(config, x_config_for(config, seed));
+    return run_x_sim(config, sim_config_for<sim::X_config>(config, seed));
 }
 
 Scenario_result run_x_topology_fading(const Scenario_config& config, std::uint64_t seed)
 {
-    sim::X_config sim_config = x_config_for(config, seed);
-    sim_config.fading.model = chan::Gain_model::rayleigh_block;
-    sim_config.fading.coherence_block = config.coherence_block;
+    auto sim_config = fading_config_for<sim::X_config>(config, seed);
     sim_config.gains.spoke *= config.mean_link_gain;
     sim_config.gains.overhear *= config.mean_link_gain;
     sim_config.gains.cross *= config.mean_link_gain;
@@ -131,14 +127,7 @@ Scenario_result run_x_topology_fading(const Scenario_config& config, std::uint64
 
 Scenario_result run_chain(const Scenario_config& config, std::uint64_t seed)
 {
-    sim::Chain_config sim_config;
-    sim_config.payload_bits = config.payload_bits;
-    sim_config.packets = config.exchanges;
-    sim_config.snr_db = config.snr_db;
-    sim_config.receiver = config.receiver;
-    sim_config.math_profile = config.math_profile;
-    sim_config.seed = seed;
-
+    const auto sim_config = sim_config_for<sim::Chain_config>(config, seed);
     const sim::Chain_result sim_result = config.scheme == "traditional"
                                              ? sim::run_chain_traditional(sim_config)
                                              : sim::run_chain_anc(sim_config);

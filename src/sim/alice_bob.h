@@ -8,36 +8,23 @@
 //
 // All three run over the same sample-level channel substrate, so losses,
 // bit errors, imperfect overlap, and amplified relay noise emerge from
-// the signal path rather than being injected.
+// the signal path rather than being injected.  Alice-Bob and X share one
+// crossing-flows schedule (sim/crossing.cpp).
 
 #pragma once
 
-#include <cstdint>
-
-#include "core/anc_receiver.h"
-#include "core/trigger.h"
 #include "net/topology.h"
 #include "sim/metrics.h"
+#include "sim/run_config.h"
 #include "util/stats.h"
 
 namespace anc::sim {
 
-struct Alice_bob_config {
-    std::size_t payload_bits = 2048;
-    std::size_t exchanges = 25;    // packet pairs per run
-    double snr_db = 25.0;          // receiver SNR for a unit-power sender
+struct Alice_bob_config : Run_config {
     double alice_amplitude = 1.0;  // transmit amplitudes (Fig. 13 varies
     double bob_amplitude = 1.0;    // Bob's while Alice's stays fixed)
-    Trigger_config trigger{};
     net::Alice_bob_nodes nodes{};
     net::Alice_bob_gains gains{};
-    net::Link_fading fading{};     // per-link gain dynamics (default: fixed)
-    Anc_receiver_config receiver{}; // knobs for every receiver in the run
-    /// Math profile for the whole run: medium noise, link rotations,
-    /// modulators, and the interference decoder (dsp/math_profile.h).
-    /// `exact` (the default) is byte-identical to the historical runs.
-    dsp::Math_profile math_profile = dsp::Math_profile::exact;
-    std::uint64_t seed = 1;
 };
 
 struct Alice_bob_result {

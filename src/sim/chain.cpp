@@ -1,227 +1,120 @@
 #include "sim/chain.h"
 
-#include <algorithm>
-#include <map>
+#include <optional>
 
-#include "channel/medium.h"
 #include "core/anc_receiver.h"
-#include "dsp/workspace.h"
-#include "net/node.h"
-#include "net/packet.h"
+#include "sim/rounds.h"
 #include "util/bits.h"
 
 namespace anc::sim {
 
 namespace {
 
-constexpr std::size_t rx_guard = 64;
-
-
-struct World {
-    chan::Medium medium;
-    net::Net_node n1;
-    net::Net_node n2;
-    net::Net_node n3;
-    net::Net_node n4;
-    Anc_receiver receiver;
-    double noise_power;
-    Pcg32 rng;
-};
-
-World make_world(const Chain_config& config)
+World make_chain_world(const Chain_config& config)
 {
-    Pcg32 rng{config.seed, 0xc4a17u};
-    const double noise_power = chan::noise_power_for_snr_db(config.snr_db);
-    chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
-    Pcg32 link_rng = rng.fork(2);
-    install_chain(medium, config.nodes, config.gains, config.fading, link_rng);
-    phy::Modem_config node_modem;
-    node_modem.math_profile = config.math_profile;
-    return World{std::move(medium),
-                 net::Net_node{config.nodes.n1, node_modem},
-                 net::Net_node{config.nodes.n2, node_modem},
-                 net::Net_node{config.nodes.n3, node_modem},
-                 net::Net_node{config.nodes.n4, node_modem},
-                 Anc_receiver{config.receiver, noise_power, config.math_profile},
-                 noise_power,
-                 rng.fork(3)};
+    const net::Chain_nodes& n = config.nodes;
+    return make_world(config, 0xc4a17u, {{n.n1}, {n.n2}, {n.n3}, {n.n4}},
+                      [&config](chan::Medium& medium, Pcg32& rng) {
+                          net::install_chain(medium, config.nodes, config.gains,
+                                             config.fading, rng);
+                      });
 }
 
-std::optional<phy::Received_frame> clean_hop(World& world, net::Net_node& from,
-                                             chan::Node_id to, const net::Packet& packet,
-                                             Run_metrics& metrics)
+net::Flow chain_flow(const Chain_config& config, World& world)
 {
-    dsp::Workspace& workspace = dsp::Workspace::current();
-    auto signal = workspace.signal();
-    from.transmit_into(packet, world.rng, *signal);
-    const chan::Transmission txs[] = {{from.id(), *signal, 0}};
-    metrics.airtime_symbols += static_cast<double>(signal->size());
-    auto received = workspace.signal();
-    world.medium.receive_into(to, txs, rx_guard, *received);
-    const Receive_outcome outcome =
-        world.receiver.receive(*received, empty_sent_packet_buffer());
-    if (outcome.status != Receive_status::clean)
-        return std::nullopt;
-    return outcome.frame;
-}
-
-net::Packet packet_from_frame(const phy::Received_frame& frame)
-{
-    net::Packet packet;
-    packet.src = frame.header.src;
-    packet.dst = frame.header.dst;
-    packet.seq = frame.header.seq;
-    packet.payload = frame.payload;
-    return packet;
+    return net::Flow{static_cast<std::uint8_t>(config.nodes.n1),
+                     static_cast<std::uint8_t>(config.nodes.n4), config.payload_bits,
+                     world.rng.fork(10)};
 }
 
 } // namespace
 
 Chain_result run_chain_traditional(const Chain_config& config)
 {
-    World world = make_world(config);
+    World world = make_chain_world(config);
+    net::Flow flow = chain_flow(config, world);
+    const net::Chain_nodes& n = config.nodes;
     Chain_result result;
-    net::Flow flow{static_cast<std::uint8_t>(config.nodes.n1),
-                   static_cast<std::uint8_t>(config.nodes.n4), config.payload_bits,
-                   world.rng.fork(10)};
-
-    for (std::size_t i = 0; i < config.packets; ++i) {
+    for (std::size_t i = 0; i < config.exchanges; ++i) {
         world.medium.set_fading_epoch(i); // fresh fade per packet
         const net::Packet packet = flow.next();
         ++result.metrics.packets_attempted;
-        const auto at_n2 = clean_hop(world, world.n1, world.n2.id(), packet, result.metrics);
-        if (!at_n2)
-            continue;
-        const auto at_n3 = clean_hop(world, world.n2, world.n3.id(),
-                                     packet_from_frame(*at_n2), result.metrics);
-        if (!at_n3)
-            continue;
-        const auto at_n4 = clean_hop(world, world.n3, world.n4.id(),
-                                     packet_from_frame(*at_n3), result.metrics);
-        if (!at_n4)
-            continue;
-        const double ber = bit_error_rate(at_n4->payload, packet.payload);
-        ++result.metrics.packets_delivered;
-        result.metrics.payload_bits_delivered += packet.payload.size();
-        result.metrics.packet_ber.add(ber);
+        if (const auto at_n4 =
+                forward_along(world, {n.n1, n.n2, n.n3, n.n4}, packet, result.metrics))
+            record_delivery(result.metrics, at_n4->payload, packet.payload);
     }
     return result;
 }
 
 Chain_result run_chain_anc(const Chain_config& config)
 {
-    World world = make_world(config);
+    World world = make_chain_world(config);
+    net::Flow flow = chain_flow(config, world);
+    const net::Chain_nodes& n = config.nodes;
     Chain_result result;
-    net::Flow flow{static_cast<std::uint8_t>(config.nodes.n1),
-                   static_cast<std::uint8_t>(config.nodes.n4), config.payload_bits,
-                   world.rng.fork(10)};
 
-    // Ground truth per sequence number, to measure end-to-end BER.
-    std::map<std::uint16_t, Bits> truth;
-
-    // The packet N2 currently holds (as received — bit errors propagate).
-    std::optional<net::Packet> held;
+    /// The packet N2 holds (as received — bit errors propagate) and the
+    /// payload N1 sent, which its end-to-end delivery is scored against.
+    struct Held {
+        net::Packet packet;
+        Bits sent;
+    };
+    std::optional<Held> held;
     std::size_t produced = 0;
-
     const auto next_packet = [&]() {
-        net::Packet packet = flow.next();
-        truth.emplace(packet.seq, packet.payload);
         ++produced;
         ++result.metrics.packets_attempted;
-        return packet;
-    };
-
-    const auto deliver = [&](const phy::Received_frame& frame) {
-        const auto it = truth.find(frame.header.seq);
-        if (it == truth.end())
-            return;
-        const double ber = bit_error_rate(frame.payload, it->second);
-        ++result.metrics.packets_delivered;
-        result.metrics.payload_bits_delivered += it->second.size();
-        result.metrics.packet_ber.add(ber);
+        return flow.next();
     };
 
     std::uint64_t round = 0;
-    while (produced < config.packets || held) {
+    while (produced < config.exchanges || held) {
         // The pipeline has no 1:1 exchange index; each loop iteration is
         // one logical round, so fades refresh per round.
         world.medium.set_fading_epoch(round++);
         if (!held) {
-            if (produced >= config.packets)
-                break;
             // Pipeline bootstrap (or restart after a loss): a clean
             // N1 -> N2 hop.
-            const net::Packet packet = next_packet();
-            const auto at_n2 = clean_hop(world, world.n1, world.n2.id(), packet,
-                                         result.metrics);
-            if (at_n2)
-                held = packet_from_frame(*at_n2);
+            net::Packet packet = next_packet();
+            if (const auto at_n2 = clean_hop(world, n.n1, n.n2, packet, result.metrics))
+                held = Held{packet_from_frame(*at_n2), std::move(packet.payload)};
             continue;
         }
 
         // Slot A: N2 forwards its held packet to N3 (clean); this
         // transmission carries the trigger for N1 and N3 (§7.6).
-        const net::Packet current = *held;
+        const Held current = std::move(*held);
         held.reset();
-        const auto at_n3 = clean_hop(world, world.n2, world.n3.id(), current,
-                                     result.metrics);
+        const auto at_n3 = clean_hop(world, n.n2, n.n3, current.packet, result.metrics);
 
         // Slot B: N1 sends the next packet while N3 forwards `current` to
-        // N4 — simultaneously, with distinct trigger slots.
-        const bool have_next = produced < config.packets;
+        // N4 — simultaneously, with distinct trigger slots (drawn even
+        // when only one of them sends).
         std::optional<net::Packet> next;
-        if (have_next)
+        if (produced < config.exchanges)
             next = next_packet();
-
-        const auto [delay_1, delay_3] = draw_distinct_delays(config.trigger, world.rng);
-        dsp::Workspace& workspace = dsp::Workspace::current();
-        auto signal_1 = workspace.signal();
-        auto signal_3 = workspace.signal();
-        chan::Transmission round[2];
-        std::size_t round_size = 0;
-        if (next) {
-            world.n1.transmit_into(*next, world.rng, *signal_1);
-            round[round_size++] = {world.n1.id(), *signal_1, delay_1};
-        }
-        if (at_n3) {
-            world.n3.transmit_into(packet_from_frame(*at_n3), world.rng, *signal_3);
-            round[round_size++] = {world.n3.id(), *signal_3, delay_3};
-        }
-        if (round_size == 0)
-            continue;
-        const std::span<const chan::Transmission> on_air{round, round_size};
-
-        std::size_t span_begin = on_air.front().start;
-        std::size_t span_end = 0;
-        for (const auto& tx : on_air) {
-            span_begin = std::min(span_begin, tx.start);
-            span_end = std::max(span_end, tx.start + tx.signal.size());
-        }
-        result.metrics.airtime_symbols += static_cast<double>(span_end - span_begin);
-        if (on_air.size() == 2) {
-            result.metrics.overlaps.add(overlap_fraction(on_air[0].start,
-                                                         on_air[0].signal.size(),
-                                                         on_air[1].start,
-                                                         on_air[1].signal.size()));
-        }
+        std::optional<net::Packet> forwarded;
+        if (at_n3)
+            forwarded = packet_from_frame(*at_n3);
+        const Collision slot_b =
+            collide(world, config.trigger, {n.n1, n.n2, next ? &*next : nullptr},
+                    {n.n3, n.n4, forwarded ? &*forwarded : nullptr}, result.metrics);
 
         // N4 hears only N3 (N1 is out of range) and decodes `current`.
         if (at_n3) {
-            auto at_n4 = workspace.signal();
-            world.medium.receive_into(world.n4.id(), on_air, rx_guard, *at_n4);
+            const Signal_lease at_n4 = hear(world, n.n4, slot_b.on_air());
             const Receive_outcome outcome =
                 world.receiver.receive(*at_n4, empty_sent_packet_buffer());
             if (outcome.status == Receive_status::clean)
-                deliver(*outcome.frame);
+                record_delivery(result.metrics, outcome.frame->payload, current.sent);
         }
 
         // N2 hears the collision; N3's half is known (N2 sent it in slot
         // A), so N2 decodes N1's new packet out of the interference.
         if (next) {
-            auto at_n2 = workspace.signal();
-            world.medium.receive_into(world.n2.id(), on_air, rx_guard, *at_n2);
-            const Receive_outcome outcome = world.receiver.receive(*at_n2,
-                                                                   world.n2.buffer());
+            const Signal_lease at_n2 = hear(world, n.n2, slot_b.on_air());
+            const Receive_outcome outcome =
+                world.receiver.receive(*at_n2, world.node(n.n2).buffer());
             const bool decoded =
                 (outcome.status == Receive_status::decoded_interference
                  || outcome.status == Receive_status::clean)
@@ -231,7 +124,7 @@ Chain_result run_chain_anc(const Chain_config& config)
                     result.ber_at_n2.add(
                         bit_error_rate(outcome.frame->payload, next->payload));
                 }
-                held = packet_from_frame(*outcome.frame);
+                held = Held{packet_from_frame(*outcome.frame), std::move(next->payload)};
             }
             // else: the new packet is lost; the pipeline restarts.
         }

@@ -15,29 +15,17 @@
 
 #pragma once
 
-#include <cstdint>
-
-#include "core/anc_receiver.h"
-#include "core/trigger.h"
 #include "net/topology.h"
 #include "sim/metrics.h"
+#include "sim/run_config.h"
 #include "util/stats.h"
 
 namespace anc::sim {
 
-struct Chain_config {
-    std::size_t payload_bits = 2048;
-    std::size_t packets = 25;
-    double snr_db = 25.0;
-    Trigger_config trigger{};
+/// `exchanges` counts the packets N1 sends.
+struct Chain_config : Run_config {
     net::Chain_nodes nodes{};
     net::Chain_gains gains{};
-    net::Link_fading fading{};      // per-link gain dynamics (default: fixed)
-    Anc_receiver_config receiver{}; // knobs for every receiver in the run
-    /// Math profile for the whole run (dsp/math_profile.h); `exact` is
-    /// byte-identical to the historical runs.
-    dsp::Math_profile math_profile = dsp::Math_profile::exact;
-    std::uint64_t seed = 1;
 };
 
 struct Chain_result {

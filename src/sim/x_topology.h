@@ -8,38 +8,22 @@
 //   ANC         — 2 slots: both senders transmit at once (overhearing now
 //                 happens *under interference* — the capture decode that
 //                 sometimes fails, §11.5), then amplify-and-forward.
+//
+// The schedule is Alice-Bob's (sim/crossing.cpp); only the node table
+// differs, and it is what makes the destinations overhear.
 
 #pragma once
 
-#include <cstdint>
-
-#include "core/anc_receiver.h"
-#include "core/trigger.h"
 #include "net/topology.h"
 #include "sim/metrics.h"
+#include "sim/run_config.h"
 #include "util/stats.h"
 
 namespace anc::sim {
 
-struct X_config {
-    std::size_t payload_bits = 2048;
-    std::size_t exchanges = 25;
-    double snr_db = 25.0;
-    Trigger_config trigger{};
+struct X_config : Run_config {
     net::X_nodes nodes{};
-    net::X_gains gains{};
-    net::Link_fading fading{};      // per-link gain dynamics (default: fixed)
-    Anc_receiver_config receiver{}; // knobs for every receiver in the run
-    /// Math profile for the whole run (dsp/math_profile.h); `exact` is
-    /// byte-identical to the historical runs.
-    dsp::Math_profile math_profile = dsp::Math_profile::exact;
-    std::uint64_t seed = 1;
-    // The snooping detection threshold moved to the Medium layer: it is
-    // now the *per-link* AGC threshold installed on the overhear links
-    // (net::X_gains::overhear_detection_threshold_db; queried back here
-    // through chan::Medium::detection_threshold_db).  ANC's
-    // under-interference snooping keeps the standard detector (see
-    // run_x_anc).
+    net::X_gains gains{}; // includes the overhear links' AGC detection threshold
 };
 
 struct X_result {

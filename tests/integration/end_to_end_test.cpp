@@ -70,7 +70,7 @@ TEST(EndToEnd, ChainGainBelowAliceBobGain)
 
     Chain_config chain_config;
     chain_config.payload_bits = 1024;
-    chain_config.packets = 10;
+    chain_config.exchanges = 10;
     chain_config.seed = 44;
     const double chain_gain = gain(run_chain_anc(chain_config).metrics,
                                    run_chain_traditional(chain_config).metrics);

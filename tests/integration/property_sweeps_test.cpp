@@ -123,7 +123,7 @@ TEST_P(ChainSeedSweep, PipelineInvariants)
 {
     Chain_config config;
     config.payload_bits = 1024;
-    config.packets = 6;
+    config.exchanges = 6;
     config.seed = GetParam();
     const Chain_result result = run_chain_anc(config);
     EXPECT_LE(result.metrics.packets_delivered, result.metrics.packets_attempted);
