@@ -1,19 +1,18 @@
-// anc_sweep — the command-line front-end over the scenario registry
-// (the ROADMAP's "CLI front-end" open item): a thin argv ->
-// engine::Sweep_grid translation that reuses the engine's emitters, so
-// any registered scenario can be swept without writing a driver.
+// anc_sweep — the command-line front-end over the scenario registry: a
+// thin argv -> engine::Sweep_grid translation that reuses the engine's
+// emitters, so any registered scenario can be swept without writing a
+// bench program.
 //
 //   anc_sweep --scenario alice_bob --snr 16:35:2 --math-profile fast
 //             --json out.json
 //
 // Axis syntax: every numeric axis accepts either a comma list
-// ("21,23,25") or a start:stop:step range ("16:35:2", stop inclusive
-// when landed on exactly).  --scenario and --scheme repeat.  Profiles
-// come as a comma list of exact/fast or the shorthand "both"
+// ("21,23,25") or a start:stop:step range ("16:35:2", ending on the
+// lattice point nearest stop).  --scenario and --scheme repeat.
+// Profiles come as a comma list of exact/fast or the shorthand "both"
 // (exact,fast); "simd" is an alias of fast.  No axis may repeat a
-// value.  The grid-flag table itself lives in
-// bench/sweep_cli.h, shared with anc_coordinator so a coordinator can
-// forward its grid verbatim to the workers it spawns.
+// value.  A malformed or non-finite number is a usage error.  The
+// grid-flag table and axis parsing live in bench/sweep_cli.h.
 //
 // Output: the aggregate table on stdout (unless --quiet), plus --json /
 // --csv artifacts in the engine's anc.sweep.v4 schemas and the
@@ -32,7 +31,9 @@
 //   --task-retries N    re-run a throwing task up to N extra times
 // Per-task exceptions become `status=error` rows instead of aborting
 // the sweep; SIGINT/SIGTERM drain gracefully, flush the journal, and
-// still emit the partial artifacts.
+// still emit the partial artifacts.  To split a grid across processes
+// or hosts, run each `--shard K/N --journal` by hand (resuming any that
+// die) and fold the journals with --merge (ENGINE.md "Multi-host").
 //
 // Exit codes: 0 success, 2 usage or incompatible inputs, 3 at least one
 // task errored (or a merge found gaps), 4 interrupted by signal.  A
@@ -413,7 +414,7 @@ int main(int argc, char** argv)
                 options.shard_index = k;
                 options.shard_count = n;
             } else if (arg == "--merge") {
-                for (std::string& path : parse_path_list(value()))
+                for (std::string& path : parse_list(value()))
                     options.merge_paths.push_back(std::move(path));
             } else if (arg == "--task-retries")
                 options.config.max_attempts = 1 + parse_count(arg, value());

@@ -1,22 +1,27 @@
-// Shared command-line plumbing for the sweep front-ends (bench/anc_sweep
-// and bench/anc_coordinator): axis parsing, the grid-flag table, the
-// TTY progress line, and the atomic streaming file.
+// Command-line plumbing for bench/anc_sweep: axis parsing, the
+// grid-flag table, the TTY progress line, and the atomic streaming
+// file.
 //
-// The two CLIs must agree on every grid flag byte for byte — the
-// coordinator forwards its grid flags verbatim to the `anc_sweep`
-// workers it spawns, and journal compatibility hinges on both sides
-// expanding the identical grid (the fingerprint in every anc.journal.v1
-// header).  One table, two binaries.
+// Every axis token is parsed whole: a real axis takes finite decimal
+// numbers, a count axis takes non-negative integers (parse_count), and
+// anything else ("25x", "nan", "inf", "1e30" or "0.4" for a count) is a
+// usage error rather than a silently truncated or wrapped value.  The
+// grid these flags expand to is also what a journal header fingerprints,
+// so --resume and --merge only accept journals written from the same
+// flags.
 
 #pragma once
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,74 +32,22 @@
 
 namespace anc::bench {
 
-/// Parse LIST as doubles: "a,b,c" or "start:stop:step" (stop inclusive
-/// when the lattice lands on it; step > 0).
-inline std::vector<double> parse_axis(const std::string& text)
+/// The non-empty items of a comma list ("a,,b," -> a, b).
+inline std::vector<std::string> parse_list(const std::string& text)
 {
-    std::vector<double> values;
-    const std::size_t colon = text.find(':');
-    if (colon != std::string::npos) {
-        const std::size_t colon2 = text.find(':', colon + 1);
-        if (colon2 == std::string::npos)
-            throw std::invalid_argument{"range must be start:stop:step: " + text};
-        const double start = std::stod(text.substr(0, colon));
-        const double stop = std::stod(text.substr(colon + 1, colon2 - colon - 1));
-        const double step = std::stod(text.substr(colon2 + 1));
-        if (step <= 0.0)
-            throw std::invalid_argument{"range step must be positive: " + text};
-        // Half-step slack keeps "16:35:2" ending on 34 and "16:34:2" on
-        // 34 too, without accumulating error over long ranges.
-        for (double v = start; v <= stop + step * 0.5; v += step)
-            values.push_back(v);
-        // An inverted (or NaN) range yields nothing; fail it here with
-        // the offending text instead of letting grid expansion report a
-        // bare "empty axis".
-        if (values.empty())
-            throw std::invalid_argument{"empty range (start > stop?): " + text};
-        return values;
-    }
+    std::vector<std::string> items;
     std::size_t pos = 0;
     while (pos <= text.size()) {
         const std::size_t comma = text.find(',', pos);
         const std::string item = text.substr(
             pos, comma == std::string::npos ? std::string::npos : comma - pos);
         if (!item.empty())
-            values.push_back(std::stod(item));
+            items.push_back(item);
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
     }
-    if (values.empty())
-        throw std::invalid_argument{"empty axis value: " + text};
-    return values;
-}
-
-inline std::vector<std::size_t> parse_size_axis(const std::string& text)
-{
-    std::vector<std::size_t> values;
-    for (const double v : parse_axis(text)) {
-        if (v < 0.0)
-            throw std::invalid_argument{"axis value must be non-negative: " + text};
-        values.push_back(static_cast<std::size_t>(v + 0.5));
-    }
-    return values;
-}
-
-inline std::vector<std::string> parse_path_list(const std::string& text)
-{
-    std::vector<std::string> paths;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::string item = text.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        if (!item.empty())
-            paths.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return paths;
+    return items;
 }
 
 /// The value of scalar count flag `flag`: exactly one non-negative
@@ -114,6 +67,93 @@ Int parse_count(const std::string& flag, const std::string& text)
     return value;
 }
 
+/// A start:stop:step range expands to at most this many values: a
+/// range that would not terminate ("0:1e300:1", or a step lost to
+/// rounding) is a usage error, not an endless loop.
+inline constexpr std::size_t max_range_values = 100000;
+
+/// One real-axis item: exactly one finite decimal number, nothing
+/// trailing.
+inline double parse_real(const std::string& flag, const std::string& item)
+{
+    double value = 0.0;
+    const char* const end = item.data() + item.size();
+    const auto [stop, error] = std::from_chars(item.data(), end, value);
+    if (item.empty() || error != std::errc{} || stop != end || !std::isfinite(value))
+        throw std::invalid_argument{flag + " wants finite numbers, got: '" + item
+                                    + "'"};
+    return value;
+}
+
+/// Expand start:stop:step (step > 0).  The range ends on the lattice
+/// point nearest stop, ties going up: the half-step slack keeps
+/// "16:34:2" ending on 34 despite rounding error, and "16:35:2" ends on
+/// 36.  It stops early rather than step past the largest T.
+template <class T>
+std::vector<T> expand_range(T start, T stop, T step, const std::string& text)
+{
+    if (step <= T{})
+        throw std::invalid_argument{"range step must be positive: " + text};
+    const auto within = [&](T v) {
+        if constexpr (std::is_floating_point_v<T>)
+            return v <= stop + step * 0.5;
+        else
+            return v <= stop || v - stop <= step / 2;
+    };
+    std::vector<T> values;
+    for (T v = start; within(v); v += step) {
+        if (values.size() == max_range_values)
+            throw std::invalid_argument{"range expands past "
+                                        + std::to_string(max_range_values)
+                                        + " values: " + text};
+        values.push_back(v);
+        if (v > std::numeric_limits<T>::max() - step)
+            break;
+    }
+    if (values.empty())
+        throw std::invalid_argument{"empty range (start > stop?): " + text};
+    return values;
+}
+
+/// Parse LIST, "a,b,c" or a start:stop:step range, with parse_item
+/// turning each item (a range's start, stop and step too) into a T.
+template <class T, class Parse_item>
+std::vector<T> parse_list_or_range(const std::string& text, Parse_item parse_item)
+{
+    const std::size_t colon = text.find(':');
+    if (colon == std::string::npos) {
+        std::vector<T> values;
+        for (const std::string& item : parse_list(text))
+            values.push_back(parse_item(item));
+        if (values.empty())
+            throw std::invalid_argument{"empty axis value: " + text};
+        return values;
+    }
+    const std::size_t colon2 = text.find(':', colon + 1);
+    if (colon2 == std::string::npos)
+        throw std::invalid_argument{"range must be start:stop:step: " + text};
+    const T start = parse_item(text.substr(0, colon));
+    const T stop = parse_item(text.substr(colon + 1, colon2 - colon - 1));
+    const T step = parse_item(text.substr(colon2 + 1));
+    return expand_range(start, stop, step, text);
+}
+
+/// Parse LIST as finite doubles.
+inline std::vector<double> parse_axis(const std::string& flag, const std::string& text)
+{
+    return parse_list_or_range<double>(
+        text, [&](const std::string& item) { return parse_real(flag, item); });
+}
+
+/// Parse LIST as counts: every item, and a range's start, stop and
+/// step, is one non-negative integer (parse_count).
+inline std::vector<std::size_t> parse_size_axis(const std::string& flag,
+                                                const std::string& text)
+{
+    return parse_list_or_range<std::size_t>(
+        text, [&](const std::string& item) { return parse_count(flag, item); });
+}
+
 /// "K/N" -> (K, N), validated 1 <= K <= N.
 inline std::pair<std::size_t, std::size_t> parse_shard(const std::string& text)
 {
@@ -127,10 +167,9 @@ inline std::pair<std::size_t, std::size_t> parse_shard(const std::string& text)
     return {k, n};
 }
 
-/// The grid-flag table both sweeping CLIs share.  try_parse consumes a
-/// grid axis flag (or --repetitions / --seed), records the raw tokens
-/// in forwarded() so a supervisor can replay them verbatim on a worker
-/// command line, and returns false for flags it does not own.
+/// The grid-flag table.  try_parse consumes a grid axis flag (or
+/// --repetitions / --seed) into the grid and returns false for flags it
+/// does not own.
 class Grid_cli {
 public:
     explicit Grid_cli(engine::Sweep_grid& grid) : grid_{&grid} {}
@@ -138,69 +177,45 @@ public:
     bool try_parse(const std::string& arg,
                    const std::function<std::string()>& value)
     {
-        const auto take = [&](auto parse_into) {
-            const std::string text = value();
-            parse_into(text);
-            forwarded_.push_back(arg);
-            forwarded_.push_back(text);
-            return true;
-        };
         if (arg == "--scenario")
-            return take([&](const std::string& v) { grid_->scenarios.push_back(v); });
-        if (arg == "--scheme")
-            return take([&](const std::string& v) { grid_->schemes.push_back(v); });
-        if (arg == "--snr")
-            return take([&](const std::string& v) { grid_->snr_db = parse_axis(v); });
-        if (arg == "--alice-amplitude")
-            return take(
-                [&](const std::string& v) { grid_->alice_amplitudes = parse_axis(v); });
-        if (arg == "--bob-amplitude")
-            return take(
-                [&](const std::string& v) { grid_->bob_amplitudes = parse_axis(v); });
-        if (arg == "--payload-bits")
-            return take(
-                [&](const std::string& v) { grid_->payload_bits = parse_size_axis(v); });
-        if (arg == "--exchanges")
-            return take(
-                [&](const std::string& v) { grid_->exchanges = parse_size_axis(v); });
-        if (arg == "--detector-threshold")
-            return take([&](const std::string& v) {
-                grid_->detector_thresholds_db = parse_axis(v);
-            });
-        if (arg == "--interleave-rows")
-            return take([&](const std::string& v) {
-                grid_->interleave_rows = parse_size_axis(v);
-            });
-        if (arg == "--coherence-block")
-            return take([&](const std::string& v) {
-                grid_->coherence_blocks = parse_size_axis(v);
-            });
-        if (arg == "--mean-link-gain")
-            return take(
-                [&](const std::string& v) { grid_->mean_link_gains = parse_axis(v); });
-        if (arg == "--math-profile")
-            return take([&](const std::string& v) {
-                grid_->math_profiles = dsp::math_profiles_from_string(v);
-            });
-        if (arg == "--repetitions")
-            return take([&](const std::string& v) {
-                grid_->repetitions = parse_count(arg, v);
-            });
-        if (arg == "--seed")
-            return take([&](const std::string& v) {
-                base_seed = parse_count<std::uint64_t>(arg, v);
-            });
-        return false;
+            grid_->scenarios.push_back(value());
+        else if (arg == "--scheme")
+            grid_->schemes.push_back(value());
+        else if (arg == "--snr")
+            grid_->snr_db = parse_axis(arg, value());
+        else if (arg == "--alice-amplitude")
+            grid_->alice_amplitudes = parse_axis(arg, value());
+        else if (arg == "--bob-amplitude")
+            grid_->bob_amplitudes = parse_axis(arg, value());
+        else if (arg == "--payload-bits")
+            grid_->payload_bits = parse_size_axis(arg, value());
+        else if (arg == "--exchanges")
+            grid_->exchanges = parse_size_axis(arg, value());
+        else if (arg == "--detector-threshold")
+            grid_->detector_thresholds_db = parse_axis(arg, value());
+        else if (arg == "--interleave-rows")
+            grid_->interleave_rows = parse_size_axis(arg, value());
+        else if (arg == "--coherence-block")
+            grid_->coherence_blocks = parse_size_axis(arg, value());
+        else if (arg == "--mean-link-gain")
+            grid_->mean_link_gains = parse_axis(arg, value());
+        else if (arg == "--math-profile")
+            grid_->math_profiles = dsp::math_profiles_from_string(value());
+        else if (arg == "--repetitions")
+            grid_->repetitions = parse_count(arg, value());
+        else if (arg == "--seed")
+            base_seed = parse_count<std::uint64_t>(arg, value());
+        else
+            return false;
+        return true;
     }
-
-    /// The raw grid tokens in parse order, for verbatim forwarding.
-    const std::vector<std::string>& forwarded() const { return forwarded_; }
 
     std::uint64_t base_seed = 1;
 
     /// The usage-text block describing the flags this table owns.
     static constexpr const char* usage_text =
-        "grid axes (LIST = comma list or start:stop:step range):\n"
+        "grid axes (LIST = comma list or start:stop:step range; counts are\n"
+        "whole non-negative numbers, every other value a finite number):\n"
         "  --scenario NAME        registry scenario; repeatable\n"
         "  --scheme NAME          restrict to this scheme; repeatable\n"
         "  --snr LIST             SNR sweep in dB (default 25)\n"
@@ -217,7 +232,6 @@ public:
 
 private:
     engine::Sweep_grid* grid_;
-    std::vector<std::string> forwarded_;
 };
 
 /// The stderr progress line: "\r  123/4096 tasks  41.0/s  ETA 97s".

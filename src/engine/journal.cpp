@@ -527,80 +527,6 @@ bool journal_compatible(const Journal_header& header, const Sweep_grid& grid,
     return true;
 }
 
-std::vector<Journal_entry> Journal_tailer::poll()
-{
-    std::vector<Journal_entry> fresh;
-    if (bad_magic_)
-        return fresh;
-
-    std::ifstream in{path_, std::ios::binary};
-    if (!in)
-        return fresh; // not created yet — a worker that hasn't started
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    if (end < 0)
-        return fresh;
-    const std::uint64_t size = static_cast<std::uint64_t>(end);
-    if (size < offset_) {
-        // The file shrank or was replaced (a worker restarted with a
-        // fresh journal, or a test dropped a prebuilt file in place).
-        // Restart the parse; the caller's per-index dedup absorbs any
-        // re-delivered entries.
-        offset_ = 0;
-        saw_magic_ = false;
-        have_header_ = false;
-    }
-    if (size == offset_)
-        return fresh;
-
-    in.seekg(static_cast<std::streamoff>(offset_));
-    std::string chunk(static_cast<std::size_t>(size - offset_), '\0');
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    chunk.resize(static_cast<std::size_t>(in.gcount()));
-
-    // Consume only complete lines; a trailing partial line stays in the
-    // file for the next poll (offset_ never crosses it).
-    std::size_t pos = 0;
-    while (pos < chunk.size()) {
-        const std::size_t newline = chunk.find('\n', pos);
-        if (newline == std::string::npos)
-            break;
-        const std::string line = chunk.substr(pos, newline - pos);
-        pos = newline + 1;
-        offset_ += line.size() + 1;
-
-        if (!saw_magic_) {
-            saw_magic_ = true;
-            if (line != journal_magic) {
-                bad_magic_ = true;
-                return fresh;
-            }
-            continue;
-        }
-        std::string payload;
-        if (!check_line(line, payload)) {
-            ++dropped_lines_;
-            continue;
-        }
-        try {
-            if (!payload.empty() && payload.front() == 'H') {
-                if (!have_header_) {
-                    header_ = parse_header(payload);
-                    have_header_ = true;
-                }
-            } else if (!payload.empty() && payload.front() == 'T') {
-                fresh.push_back(parse_entry(payload));
-                ++entries_seen_;
-            } else {
-                ++dropped_lines_;
-            }
-        } catch (const Parse_error&) {
-            ++dropped_lines_;
-        }
-    }
-    return fresh;
-}
-
 std::map<std::size_t, Task_result>
 preload_from_entries(std::vector<Journal_entry>&& entries,
                      const std::vector<Sweep_task>& tasks)

@@ -128,55 +128,6 @@ bool journal_compatible(const Journal_header& header, const Sweep_grid& grid,
                         std::size_t shard_index, std::size_t shard_count,
                         std::string* why = nullptr);
 
-/// Incremental journal reader — the coordinator's liveness watermark
-/// and merge-as-you-go source (engine/coordinator.h).
-///
-/// Where load_journal parses a finished file once, a tailer follows a
-/// journal ANOTHER PROCESS is still appending to: each poll() parses
-/// only the bytes added since the previous poll, consuming complete
-/// ('\n'-terminated) lines and leaving a partial final line for the
-/// next round (a half-written append is "not yet", never "corrupt").
-/// It tolerates the file not existing yet (a worker that has not
-/// created its journal) and a file that shrank or was replaced (the
-/// parse restarts from byte 0; callers dedup entries by task index, so
-/// re-delivery is harmless).  CRC-failed or unparseable complete lines
-/// are dropped and counted exactly as load_journal drops them.
-///
-/// entries_seen() is the liveness watermark: it advances monotonically
-/// with every valid task entry, so "no watermark movement within the
-/// heartbeat window" is the coordinator's stall signal.
-class Journal_tailer {
-public:
-    Journal_tailer() = default;
-    explicit Journal_tailer(std::string path) : path_{std::move(path)} {}
-
-    /// Parse newly appended complete lines; returns the new valid task
-    /// entries (possibly none).  Never throws on file absence, torn
-    /// tails, or corrupt lines.
-    std::vector<Journal_entry> poll();
-
-    const std::string& path() const { return path_; }
-    /// True once a valid header line has been consumed.
-    bool have_header() const { return have_header_; }
-    const Journal_header& header() const { return header_; }
-    /// Total valid task entries delivered so far — the watermark.
-    std::size_t entries_seen() const { return entries_seen_; }
-    std::size_t dropped_lines() const { return dropped_lines_; }
-    /// The file's first line was not the anc.journal.v1 magic; the
-    /// tailer delivers nothing from such a file.
-    bool bad_magic() const { return bad_magic_; }
-
-private:
-    std::string path_;
-    std::uint64_t offset_ = 0; ///< bytes consumed (complete lines only)
-    bool saw_magic_ = false;
-    bool bad_magic_ = false;
-    bool have_header_ = false;
-    Journal_header header_{};
-    std::size_t entries_seen_ = 0;
-    std::size_t dropped_lines_ = 0;
-};
-
 /// Reconstitute executor-preloadable results from journal entries:
 /// keyed by POSITION in `tasks` (the vector about to be handed to
 /// run_sweep — the full expansion, or a shard's subset), matching

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "dsp/math_profile.h"
-#include "engine/coordinator.h"
 #include "util/atomic_file.h"
 #include "util/cpu_features.h"
 #include "util/simd.h"
@@ -156,42 +155,6 @@ std::string metrics_to_json(const Metrics_run_info& info,
     std::ostringstream out;
     write_metrics_json(out, info, grid, telemetry, results);
     return out.str();
-}
-
-void write_coordinator_metrics_json(std::ostream& out,
-                                    const Metrics_run_info& info,
-                                    const Sweep_grid& grid,
-                                    const Coordinator_outcome& outcome)
-{
-    const Coordinator_stats& stats = outcome.stats;
-    out << "{\"schema\":\"" << metrics_schema << "\"";
-    out << ",\"run\":{\"driver\":\"" << json_escape(info.driver) << "\""
-        << ",\"base_seed\":\"" << fmt_u64(info.base_seed) << "\""
-        << ",\"tasks\":" << stats.merged_tasks
-        << ",\"wall_ns\":" << fmt_u64(stats.wall_ns) << "}";
-    out << ",\"grid\":" << grid_to_json(grid);
-    out << ",\"coordinator\":{\"shards\":" << stats.shards
-        << ",\"workers\":" << stats.workers
-        << ",\"completed\":" << (outcome.completed ? "true" : "false")
-        << ",\"cancelled\":" << (outcome.cancelled ? "true" : "false")
-        << ",\"failed_shards\":" << outcome.failed_shards
-        << ",\"launches\":" << stats.launches
-        << ",\"reassignments\":" << stats.reassignments
-        << ",\"steals\":" << stats.steals
-        << ",\"watchdog_kills\":" << stats.watchdog_kills
-        << ",\"worker_failures\":" << stats.worker_failures
-        << ",\"merged_tasks\":" << stats.merged_tasks
-        << ",\"dropped_journal_lines\":" << stats.dropped_lines;
-    out << ",\"workers_liveness\":";
-    json_array(out, stats.slots, [&](const Worker_slot_stats& slot) {
-        out << "{\"launches\":" << slot.launches
-            << ",\"shards_completed\":" << slot.shards_completed
-            << ",\"tasks_journaled\":" << slot.tasks_journaled
-            << ",\"watchdog_kills\":" << slot.watchdog_kills
-            << ",\"failures\":" << slot.failures
-            << ",\"busy_ns\":" << fmt_u64(slot.busy_ns) << "}";
-    });
-    out << "}}";
 }
 
 bool emit_env_metrics(const Metrics_run_info& info,

@@ -63,18 +63,4 @@ bool emit_env_metrics(const Metrics_run_info& info,
                       const obs::Sweep_telemetry& telemetry,
                       const std::vector<Task_result>& results);
 
-struct Coordinator_outcome; // engine/coordinator.h
-
-/// The coordinator flavor of the manifest (same `anc.metrics.v1`
-/// schema): run info and grid echo as above, plus a `coordinator`
-/// section — shard/worker counts, launches, reassignments, steal and
-/// watchdog-kill counts, and one liveness row per worker slot.  The
-/// in-process telemetry sections are absent by design: the workers are
-/// separate processes, and each can emit its own full manifest.
-/// OBSERVABILITY.md documents the section.
-void write_coordinator_metrics_json(std::ostream& out,
-                                    const Metrics_run_info& info,
-                                    const Sweep_grid& grid,
-                                    const Coordinator_outcome& outcome);
-
 } // namespace anc::engine

@@ -45,13 +45,18 @@ echo "== exit 2: usage errors"
 [ "$(rc "$SWEEP" $GRID --resume missing.anj)" = 2 ]   # no journal to resume
 grep -q "missing.anj" stderr.log
 
-echo "== exit 2: scalar flags take exactly one non-negative integer"
+echo "== exit 2: scalar flags take exactly one non-negative integer, axes"
+echo "   take whole finite numbers (whole non-negative integers for counts)"
 for BAD in "--threads 2,8" "--threads 1.4" "--threads -1" "--threads 8x" \
            "--task-retries 0,5" "--repetitions 1:3:1" "--shard 1x/2" \
-           "--shard 1/2y"; do
+           "--shard 1/2y" "--snr 0:inf:1" "--snr nan" "--snr 25x" \
+           "--exchanges 1e30" "--payload-bits 0.4" "--snr 0:1e300:1" \
+           "--exchanges 1:3:0.5"; do
     # shellcheck disable=SC2086
-    [ "$(rc "$SWEEP" $GRID $BAD)" = 2 ] \
+    [ "$(rc "$SWEEP" $GRID $BAD --json bad.json)" = 2 ] \
         || { echo "FAIL: '$BAD' was accepted" >&2; exit 1; }
+    grep -q "^error: " stderr.log
+    [ ! -e bad.json ] || { echo "FAIL: '$BAD' wrote bad.json" >&2; exit 1; }
 done
 
 echo "== --seed takes exactly one whole uint64"
