@@ -54,10 +54,8 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     Pcg32 link_rng = rng.fork(2);
     net::Alice_bob_nodes nodes;
     install_alice_bob(medium, nodes, net::Alice_bob_gains{}, link_rng);
-    phy::Modem_config node_modem;
-    node_modem.math_profile = config.math_profile;
-    net::Net_node alice{nodes.alice, node_modem};
-    net::Net_node bob{nodes.bob, node_modem};
+    net::Net_node alice{nodes.alice};
+    net::Net_node bob{nodes.bob};
     Anc_receiver_config receiver_config = config.receiver;
     receiver_config.mu_sigma_only = config.scheme == "mu_sigma";
     const Anc_receiver receiver{receiver_config, noise_power, config.math_profile};

@@ -37,7 +37,7 @@ using namespace anc;
 dsp::Signal clean_packet(double snr_db, Pcg32& rng, dsp::Math_profile profile)
 {
     const Bits bits = random_bits(1500, rng);
-    const dsp::Msk_modulator modulator{1.0, rng.next_double() * 6.28, profile};
+    const dsp::Msk_modulator modulator{1.0, rng.next_double() * 6.28};
     dsp::Signal signal = modulator.modulate(bits);
     chan::Awgn noise{chan::noise_power_for_snr_db(snr_db), rng.fork(1), profile};
     noise.add_in_place(signal);
@@ -49,15 +49,12 @@ dsp::Signal collided_packet(double snr_db, double sir_db, Pcg32& rng,
 {
     const Bits bits_a = random_bits(1500, rng);
     const Bits bits_b = random_bits(1500, rng);
-    const dsp::Msk_modulator mod_a{1.0, rng.next_double() * 6.28, profile};
-    const dsp::Msk_modulator mod_b{amplitude_from_db(-sir_db),
-                                   rng.next_double() * 6.28, profile};
+    const dsp::Msk_modulator mod_a{1.0, rng.next_double() * 6.28};
+    const dsp::Msk_modulator mod_b{amplitude_from_db(-sir_db), rng.next_double() * 6.28};
     chan::Link_params drift;
     drift.phase_drift = 0.004;
     dsp::Signal mix = mod_a.modulate(bits_a);
-    dsp::accumulate(mix,
-                    chan::Link_channel{drift}.apply(mod_b.modulate(bits_b), 0, profile),
-                    300);
+    dsp::accumulate(mix, chan::Link_channel{drift}.apply(mod_b.modulate(bits_b)), 300);
     chan::Awgn noise{chan::noise_power_for_snr_db(snr_db), rng.fork(2), profile};
     noise.add_in_place(mix);
     return mix;

@@ -219,13 +219,12 @@ std::string stage_name(const char* base, dsp::Math_profile profile)
 constexpr std::size_t bench_frame_bits = 2304; // ~payload 2048 + overhead
 constexpr double bench_snr_db = 25.0;
 
-Stage_result bench_modulate(double min_seconds, dsp::Math_profile profile)
+Stage_result bench_modulate(double min_seconds)
 {
     const Bits bits = frame_sized_bits(bench_frame_bits, 0xA0);
-    const dsp::Msk_modulator modulator{1.0, 0.37, profile};
+    const dsp::Msk_modulator modulator{1.0, 0.37};
     auto signal = dsp::Workspace::current().signal();
-    return time_stage(stage_name("modulate", profile).c_str(), bits.size() + 1, 2,
-                      min_seconds, [&] {
+    return time_stage("modulate", bits.size() + 1, 2, min_seconds, [&] {
         modulator.modulate_into(bits, *signal);
     });
 }
@@ -619,8 +618,7 @@ int main(int argc, char** argv)
         Stage_result (*run)(double, bool);
     };
     const Stage_def defs[] = {
-        {"modulate", [](double s, bool) { return bench_modulate(s, exact); }},
-        {"modulate_fast", [](double s, bool) { return bench_modulate(s, fast); }},
+        {"modulate", [](double s, bool) { return bench_modulate(s); }},
         {"mix", [](double s, bool) { return bench_mix(s, exact); }},
         {"mix_fast", [](double s, bool) { return bench_mix(s, fast); }},
         {"fading_mix", [](double s, bool) { return bench_fading_mix(s); }},

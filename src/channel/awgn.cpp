@@ -13,7 +13,7 @@ Awgn::Awgn(double noise_power, Pcg32 rng, dsp::Math_profile profile)
       rng_{rng},
       profile_{profile}
 {
-    if (noise_power < 0.0)
+    if (!(noise_power >= 0.0))
         throw std::invalid_argument{"Awgn: noise power must be non-negative"};
 }
 

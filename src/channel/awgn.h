@@ -8,9 +8,10 @@
 // Noise generation dispatches on a dsp::Math_profile: `exact` draws the
 // historical sequential Pcg32 Box–Muller stream (bit-identical to every
 // golden), while `fast` derives a counter-based Counter_normal key from
-// the same rng and fills the buffer order-independently with the
-// fastmath Box–Muller transform — a different (equally valid) noise
-// realization, validated by the statistical corridor tests.
+// the same rng and fills the buffer order-independently with its
+// noise-grade Box–Muller transform (util/rng.h) — a different (equally
+// valid) noise realization, validated by the statistical corridor tests.
+// This is one of the math profile's two seams (dsp/math_profile.h).
 
 #pragma once
 

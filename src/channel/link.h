@@ -24,7 +24,6 @@
 #include <optional>
 #include <vector>
 
-#include "dsp/math_profile.h"
 #include "dsp/sample.h"
 
 namespace anc::chan {
@@ -76,8 +75,7 @@ class Link_channel {
 public:
     explicit Link_channel(Link_params params = {});
 
-    dsp::Signal apply(dsp::Signal_view signal, std::uint64_t fading_epoch = 0,
-                      dsp::Math_profile profile = dsp::Math_profile::exact) const;
+    dsp::Signal apply(dsp::Signal_view signal, std::uint64_t fading_epoch = 0) const;
 
     /// Accumulate the channel's output into `acc` starting at sample
     /// `at`: acc[at + delay + n] += y[n], growing acc (zero-filled) as
@@ -87,16 +85,11 @@ public:
     /// while writing, and may reallocate `acc`).
     ///
     /// The per-sample rotation comes from the link's rotor stream (see
-    /// rotor_stream), so each rotation is evaluated once per link, not
-    /// once per transmission: exact reads its cached std::polar values,
-    /// fast reads its cached incremental rotor (one sincos, then a
-    /// multiply recurrence; drift ≲1e-13 relative over a frame — inside
-    /// the corridor bounds).  A drift-free fixed link multiplies by one
-    /// constant rotor instead.  Under fast, rayleigh_block links keep the
-    /// per-block recurrence with the fade folded into its first rotor.
+    /// rotor_stream), so each std::polar is evaluated once per link, not
+    /// once per transmission.  A drift-free fixed link multiplies by one
+    /// constant rotor instead.  Both math profiles run this one path.
     void apply_onto(dsp::Signal_view signal, std::size_t at, dsp::Signal& acc,
-                    std::uint64_t fading_epoch = 0,
-                    dsp::Math_profile profile = dsp::Math_profile::exact) const;
+                    std::uint64_t fading_epoch = 0) const;
 
     /// The complex fading coefficient h_{epoch,block} (rayleigh_block
     /// only) — a pure function of (params' fading_seed, epoch, block).
@@ -112,33 +105,28 @@ private:
     /// Shared rayleigh_block kernel behind apply/apply_onto: accumulate
     /// the faded, rotated signal onto `out` (spanning signal.size()).
     void accumulate_faded(dsp::Signal_view signal, std::uint64_t fading_epoch,
-                          dsp::Sample* out, dsp::Math_profile profile) const;
+                          dsp::Sample* out) const;
 
-    /// Fixed-gain kernel of both profiles on the lane kernels:
-    /// constant-rotor lanes when drift-free, rotor stream + complex
-    /// multiply-accumulate lanes when drifting.
-    void accumulate_fixed(dsp::Signal_view signal, dsp::Sample* out,
-                          dsp::Math_profile profile) const;
+    /// Fixed-gain kernel on the lane kernels: constant-rotor lanes when
+    /// drift-free, rotor stream + complex multiply-accumulate lanes when
+    /// drifting.
+    void accumulate_fixed(dsp::Signal_view signal, dsp::Sample* out) const;
 
-    /// The exact profile's rotation at sample n — the historical
-    /// per-sample expression, verbatim.
+    /// The rotation at sample n — the historical per-sample expression,
+    /// verbatim.
     dsp::Sample exact_rotor(std::size_t n) const;
 
-    /// First `samples` values of the link's rotor stream under `profile`
-    /// (rotor_n, without any fade), memoised: exact stores exact_rotor(n);
-    /// fast stores rotor_n = polar(gain, phase)·step^n from the exact
-    /// recurrence of the historical per-transmission loop.  Either stream
-    /// is a pure function of the link params, so it is computed once per
-    /// link and extended only when a longer signal arrives; a call under
-    /// the other profile refills it.  Growth reserves exactly `samples`,
-    /// so the cache holds no doubling slack.  The cache makes concurrent
-    /// apply calls on one link racy; media (and their links) are owned
-    /// per sweep task, never shared across threads.
-    const dsp::Sample* rotor_stream(std::size_t samples, dsp::Math_profile profile) const;
+    /// First `samples` values of the link's rotor stream (exact_rotor(n),
+    /// without any fade), memoised.  The stream is a pure function of
+    /// the link params, so it is computed once per link and extended
+    /// only when a longer signal arrives.  Growth reserves exactly
+    /// `samples`, so the cache holds no doubling slack.  The cache makes
+    /// concurrent apply calls on one link racy; media (and their links)
+    /// are owned per sweep task, never shared across threads.
+    const dsp::Sample* rotor_stream(std::size_t samples) const;
 
     Link_params params_;
     mutable std::vector<dsp::Sample> rotor_cache_;
-    mutable dsp::Math_profile rotor_profile_ = dsp::Math_profile::exact;
 };
 
 } // namespace anc::chan

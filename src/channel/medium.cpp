@@ -92,7 +92,7 @@ void Medium::receive_into(Node_id receiver,
         const auto it = links_.find({tx.from, receiver});
         if (it == links_.end())
             continue; // out of radio range
-        it->second.apply_onto(tx.signal, tx.start, out, fading_epoch_, profile_);
+        it->second.apply_onto(tx.signal, tx.start, out, fading_epoch_);
     }
     // Value-initializing resize: zero bits, same as Sample{0.0, 0.0},
     // minus the slow fill-construct path (see Link_channel::apply_onto).

@@ -41,9 +41,10 @@ class Medium {
 public:
     /// `noise_power` is the receiver noise floor (same at every node, as
     /// assumed in §8); `rng` seeds the per-receive noise streams.
-    /// `profile` selects the math profile every receive() runs under:
-    /// `exact` is the historical bit-identical path, `fast` the
-    /// corridor-validated SIMD/counter-noise path (dsp/math_profile.h).
+    /// `profile` selects the receiver noise of every receive(): `exact`
+    /// is the historical bit-identical stream, `fast` the
+    /// corridor-validated counter-based noise (dsp/math_profile.h).  The
+    /// link rotations are the same under both.
     Medium(double noise_power, Pcg32 rng,
            dsp::Math_profile profile = dsp::Math_profile::exact);
 

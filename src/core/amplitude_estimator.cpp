@@ -46,6 +46,17 @@ Window_stats energy_stats(dsp::Signal_view window)
     return stats;
 }
 
+/// The estimators' common exit: an estimate is usable only when both
+/// amplitudes are finite and positive.  One NaN or Inf sample poisons
+/// mu and sigma, and a NaN slips past every `<= 0` rejection above it.
+std::optional<Amplitude_estimate> usable(const Amplitude_estimate& estimate)
+{
+    if (std::isfinite(estimate.a) && std::isfinite(estimate.b) && estimate.a > 0.0
+        && estimate.b > 0.0)
+        return estimate;
+    return std::nullopt;
+}
+
 } // namespace
 
 std::optional<Amplitude_estimate> estimate_amplitudes(dsp::Signal_view overlap,
@@ -78,9 +89,7 @@ std::optional<Amplitude_estimate> estimate_amplitudes(dsp::Signal_view overlap,
     estimate.b = std::sqrt(b2);
     estimate.mu = mu;
     estimate.sigma = sigma;
-    if (estimate.a <= 0.0 || estimate.b <= 0.0)
-        return std::nullopt;
-    return estimate;
+    return usable(estimate);
 }
 
 std::optional<Amplitude_estimate> estimate_with_known_amplitude(dsp::Signal_view overlap,
@@ -102,7 +111,7 @@ std::optional<Amplitude_estimate> estimate_with_known_amplitude(dsp::Signal_view
     estimate.b = std::sqrt(b2);
     estimate.mu = mu;
     estimate.sigma = stats.sigma_raw - noise_power;
-    return estimate;
+    return usable(estimate);
 }
 
 std::optional<Amplitude_estimate> estimate_amplitudes_by_variance(dsp::Signal_view overlap,
@@ -148,9 +157,7 @@ std::optional<Amplitude_estimate> estimate_amplitudes_by_variance(dsp::Signal_vi
     estimate.b = std::sqrt(b2);
     estimate.mu = mu;
     estimate.sigma = mu + 4.0 * product / std::numbers::pi; // Eq. 6 equivalent
-    if (estimate.a <= 0.0 || estimate.b <= 0.0)
-        return std::nullopt;
-    return estimate;
+    return usable(estimate);
 }
 
 double amplitude_from_clean_region(dsp::Signal_view region, double noise_power)

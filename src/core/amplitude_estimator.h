@@ -30,7 +30,9 @@ struct Amplitude_estimate {
 /// Paper estimator: solve Eqs. 5-6 over the overlap window.  Returns the
 /// two amplitudes with `a >= b` (the equations cannot tell which signal is
 /// which; the caller must assign roles).  Nothing if the window is shorter
-/// than `min_window` samples or the statistics degenerate.
+/// than `min_window` samples or the statistics degenerate.  All three
+/// estimators return nothing unless both amplitudes are finite and
+/// positive, so a non-finite sample never reaches the decoder.
 std::optional<Amplitude_estimate> estimate_amplitudes(dsp::Signal_view overlap,
                                                       double noise_power,
                                                       std::size_t min_window = 32);

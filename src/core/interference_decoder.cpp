@@ -88,7 +88,7 @@ void Interference_decoder::estimate_phi_differences_into(
     std::vector<double>& phi_differences,
     std::vector<double>& match_errors) const
 {
-    if (a <= 0.0 || b <= 0.0)
+    if (!(a > 0.0) || !(b > 0.0))
         throw std::invalid_argument{"Interference_decoder: amplitudes must be positive"};
 
     phi_differences.clear();
@@ -119,9 +119,9 @@ void Interference_decoder::estimate_phi_differences_into(
     // it.  All phases here are atan2 outputs in [-pi, pi], so their
     // differences stay within the exact domain of the branch-only
     // wrap_phase_bounded fold — no fmod in the per-sample loop.
-    Phase_solutions current = solve_phases(samples[0], a, b, profile_);
+    Phase_solutions current = solve_phases(samples[0], a, b);
     for (std::size_t n = 0; n < transitions; ++n) {
-        const Phase_solutions next = solve_phases(samples[n + 1], a, b, profile_);
+        const Phase_solutions next = solve_phases(samples[n + 1], a, b);
 
         if (n < known_diffs.size()) {
             // Four candidate (delta theta, delta phi) pairs (Eq. 7); pick
@@ -144,8 +144,7 @@ void Interference_decoder::estimate_phi_differences_into(
             match_errors.push_back(best_error);
         } else {
             // Known signal over: standard differential demodulation (§5.3).
-            phi_differences.push_back(
-                dsp::profile_arg(profile_, samples[n + 1] * std::conj(samples[n])));
+            phi_differences.push_back(std::arg(samples[n + 1] * std::conj(samples[n])));
         }
         current = next;
     }

@@ -1,5 +1,6 @@
 #include "core/phase_solver.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,13 +8,7 @@ namespace anc {
 
 Phase_solutions solve_phases(dsp::Sample y, double a, double b)
 {
-    return solve_phases(y, a, b, dsp::Math_profile::exact);
-}
-
-Phase_solutions solve_phases(dsp::Sample y, double a, double b,
-                             dsp::Math_profile profile)
-{
-    if (a <= 0.0 || b <= 0.0)
+    if (!(a > 0.0) || !(b > 0.0))
         throw std::invalid_argument{"solve_phases: amplitudes must be positive"};
 
     Phase_solutions out;
@@ -36,10 +31,10 @@ Phase_solutions solve_phases(dsp::Sample y, double a, double b,
     const dsp::Sample phi_factor_minus{b + a * d, -a * root};
     const dsp::Sample phi_factor_plus{b + a * d, a * root};
 
-    out.pair[0].theta = dsp::profile_arg(profile, y * theta_factor_plus);
-    out.pair[0].phi = dsp::profile_arg(profile, y * phi_factor_minus);
-    out.pair[1].theta = dsp::profile_arg(profile, y * theta_factor_minus);
-    out.pair[1].phi = dsp::profile_arg(profile, y * phi_factor_plus);
+    out.pair[0].theta = std::arg(y * theta_factor_plus);
+    out.pair[0].phi = std::arg(y * phi_factor_minus);
+    out.pair[1].theta = std::arg(y * theta_factor_minus);
+    out.pair[1].phi = std::arg(y * phi_factor_plus);
     return out;
 }
 

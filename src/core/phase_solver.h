@@ -13,7 +13,6 @@
 
 #include <array>
 
-#include "dsp/math_profile.h"
 #include "dsp/sample.h"
 
 namespace anc {
@@ -35,12 +34,5 @@ struct Phase_solutions {
 
 /// Solve Eq. 2 for the two (theta, phi) pairs.  Requires a > 0 and b > 0.
 Phase_solutions solve_phases(dsp::Sample y, double a, double b);
-
-/// Profile-dispatched variant: `exact` is the overload above verbatim;
-/// `fast` evaluates the four arg() calls with fast_atan2 (≲1e-11 rad
-/// absolute error, the kernel bound util/fastmath.h documents and
-/// tests — far below the Eq. 8 decision margins of ±π/2).
-Phase_solutions solve_phases(dsp::Sample y, double a, double b,
-                             dsp::Math_profile profile);
 
 } // namespace anc

@@ -51,9 +51,8 @@ std::vector<double> dqpsk_phase_steps_for_bits(std::span<const std::uint8_t> bit
     return steps;
 }
 
-Dqpsk_modulator::Dqpsk_modulator(double amplitude, double initial_phase,
-                                 Math_profile profile)
-    : amplitude_{amplitude}, initial_phase_{initial_phase}, profile_{profile}
+Dqpsk_modulator::Dqpsk_modulator(double amplitude, double initial_phase)
+    : amplitude_{amplitude}, initial_phase_{initial_phase}
 {
 }
 
@@ -69,13 +68,8 @@ Signal Dqpsk_modulator::modulate(std::span<const std::uint8_t> bits) const
         phases.push_back(phase);
     }
     Signal signal;
-    polar_into(phases, amplitude_, profile_, signal);
+    polar_into(phases, amplitude_, signal);
     return signal;
-}
-
-Dqpsk_demodulator::Dqpsk_demodulator(Math_profile profile)
-    : profile_{profile}
-{
 }
 
 Bits Dqpsk_demodulator::demodulate(Signal_view signal) const
@@ -85,7 +79,7 @@ Bits Dqpsk_demodulator::demodulate(Signal_view signal) const
         return bits;
     bits.reserve(2 * (signal.size() - 1));
     for (std::size_t n = 0; n + 1 < signal.size(); ++n) {
-        const double diff = profile_arg(profile_, signal[n + 1] * std::conj(signal[n]));
+        const double diff = std::arg(signal[n + 1] * std::conj(signal[n]));
         const auto [b0, b1] = dqpsk_bits_for_symbol(dqpsk_nearest_symbol(diff));
         bits.push_back(b0);
         bits.push_back(b1);

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <span>
 
-#include "dsp/math_profile.h"
 #include "dsp/sample.h"
 #include "util/bits.h"
 
@@ -46,33 +45,25 @@ std::vector<double> dqpsk_phase_steps_for_bits(std::span<const std::uint8_t> bit
 
 class Dqpsk_modulator {
 public:
-    explicit Dqpsk_modulator(double amplitude = 1.0, double initial_phase = 0.0,
-                             Math_profile profile = Math_profile::exact);
+    explicit Dqpsk_modulator(double amplitude = 1.0, double initial_phase = 0.0);
 
     /// bits.size() must be even; produces bits.size()/2 + 1 samples.
     /// Phases are accumulated first and converted through the batched
-    /// ops::polar_into fill (exact: std::polar per element, byte-identical
-    /// to the historical loop; fast: fast_sincos).
+    /// ops::polar_into fill (std::polar per element, byte-identical to
+    /// the historical loop).
     Signal modulate(std::span<const std::uint8_t> bits) const;
 
     double amplitude() const { return amplitude_; }
-    Math_profile math_profile() const { return profile_; }
 
 private:
     double amplitude_;
     double initial_phase_;
-    Math_profile profile_;
 };
 
 class Dqpsk_demodulator {
 public:
-    explicit Dqpsk_demodulator(Math_profile profile = Math_profile::exact);
-
     /// Hard decisions: two bits per sample transition.
     Bits demodulate(Signal_view signal) const;
-
-private:
-    Math_profile profile_;
 };
 
 } // namespace anc::dsp

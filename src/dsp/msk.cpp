@@ -34,9 +34,8 @@ void phase_differences_for_bits_into(std::span<const std::uint8_t> bits,
         steps[i] = msk_phase_step(bits[i]);
 }
 
-Msk_modulator::Msk_modulator(double amplitude, double initial_phase,
-                             Math_profile profile)
-    : amplitude_{amplitude}, initial_phase_{initial_phase}, profile_{profile}
+Msk_modulator::Msk_modulator(double amplitude, double initial_phase)
+    : amplitude_{amplitude}, initial_phase_{initial_phase}
 {
 }
 
@@ -51,43 +50,10 @@ void Msk_modulator::modulate_into(std::span<const std::uint8_t> bits, Signal& ou
 {
     out.clear();
     out.reserve(bits.size() + 1);
-    if (profile_ != Math_profile::exact) {
-        // Fast profile: a ±π/2 phase step is
-        // multiplication by ±i, which is a *lossless* component
-        // swap/negate — the envelope stays exactly amplitude_ and no
-        // per-sample sincos or phase accumulator is needed (nothing for
-        // lanes to speed up).  Only the initial sample differs from the
-        // exact path (fast_sincos vs libm, low-order bits).
-        //
-        // Every sample is the initial one rotated by a multiple of π/2,
-        // so only four values ever occur; tracking the quadrant as a
-        // 1-cycle integer recurrence and storing from a 4-entry table
-        // breaks the FP swap/negate dependency chain the historical loop
-        // carried.  The table entries are component swaps and exact sign
-        // flips of the initial sample — bit-identical to iterating
-        // multiplication by ±i (a 1-bit ^= 1 per step on a zero
-        // component included).
-        double s = 0.0;
-        double c = 0.0;
-        fast_sincos(initial_phase_, s, c);
-        const double re = amplitude_ * c;
-        const double im = amplitude_ * s;
-        const double quad_re[4] = {re, -im, -re, im};
-        const double quad_im[4] = {im, re, -im, -re};
-        out.resize(bits.size() + 1);
-        Sample* o = out.data();
-        o[0] = Sample{re, im};
-        unsigned quadrant = 0;
-        for (std::size_t n = 0; n < bits.size(); ++n) {
-            quadrant = (quadrant + (bits[n] ? 1u : 3u)) & 3u;
-            o[n + 1] = Sample{quad_re[quadrant], quad_im[quadrant]};
-        }
-        return;
-    }
-    // Exact profile: sample n is polar(amplitude, phase_n), and after the
-    // first step the wrapped phase only moves between a handful of values
-    // (≤ 8 seen over 100k-bit random frames; rounding is why there are
-    // more than four).  So the walk runs over a phase-state table built
+    // Sample n is polar(amplitude, phase_n), and after the first step
+    // the wrapped phase only moves between a handful of values (≤ 8 seen
+    // over 100k-bit random frames; rounding is why there are more than
+    // four).  So the walk runs over a phase-state table built
     // as it goes: a state is one wrapped phase (compared by bit pattern),
     // holding its sample and, per bit, the state the historical
     // wrap_phase_bounded step leads to.  Each new state costs one

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <span>
 
-#include "dsp/math_profile.h"
 #include "dsp/sample.h"
 #include "util/bits.h"
 
@@ -42,16 +41,12 @@ class Msk_modulator {
 public:
     /// `amplitude` is the constant envelope A_s; `initial_phase` seeds the
     /// phase accumulator (a real transmitter starts at an arbitrary phase,
-    /// so experiments randomize it).  Under Math_profile::fast, samples
-    /// are produced by rotating the previous sample by exactly ±i (a
-    /// lossless component swap/negate) instead of re-evaluating
-    /// std::polar on the accumulated phase — no per-sample sincos at all;
-    /// only the initial sample's sincos is approximate.  Under exact, the
-    /// wrapped phase revisits a handful of values, so std::polar runs
-    /// once per distinct phase (a phase-state table) and every sample
-    /// keeps the bits of the per-sample evaluation.
-    explicit Msk_modulator(double amplitude = 1.0, double initial_phase = 0.0,
-                           Math_profile profile = Math_profile::exact);
+    /// so experiments randomize it).  The wrapped phase revisits a
+    /// handful of values, so std::polar runs once per distinct phase (a
+    /// phase-state table) and every sample keeps the bits of the
+    /// per-sample evaluation.  Both math profiles modulate this way: the
+    /// walk has no transcendental left to approximate.
+    explicit Msk_modulator(double amplitude = 1.0, double initial_phase = 0.0);
 
     Signal modulate(std::span<const std::uint8_t> bits) const;
 
@@ -59,12 +54,10 @@ public:
     void modulate_into(std::span<const std::uint8_t> bits, Signal& out) const;
 
     double amplitude() const { return amplitude_; }
-    Math_profile math_profile() const { return profile_; }
 
 private:
     double amplitude_;
     double initial_phase_;
-    Math_profile profile_;
 };
 
 /// MSK differential demodulator.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dsp/energy_scan.h"
-#include "util/simd.h"
 
 namespace anc::dsp {
 
@@ -94,19 +93,12 @@ void accumulate(Signal& acc, Signal_view signal, std::size_t offset)
         a[i] += s[i];
 }
 
-void polar_into(std::span<const double> phases, double amplitude,
-                Math_profile profile, Signal& out)
+void polar_into(std::span<const double> phases, double amplitude, Signal& out)
 {
     const std::size_t n = phases.size();
     out.resize(n);
-    if (profile == Math_profile::exact) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = std::polar(amplitude, phases[i]);
-        return;
-    }
-    // Batched lanes (one sincos per lane), bit-identical to looping
-    // fast_sincos — see util/simd.h.
-    simd::polar_batch(phases.data(), amplitude, reinterpret_cast<double*>(out.data()), n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = std::polar(amplitude, phases[i]);
 }
 
 double normalize_power_in_place(Signal& signal, double target_power)

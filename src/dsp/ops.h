@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <span>
 
-#include "dsp/math_profile.h"
 #include "dsp/sample.h"
 
 namespace anc::dsp {
@@ -47,12 +46,10 @@ void add_into(Signal& acc, Signal_view signal);
 /// needed.  Used by the medium to mix any number of transmitters.
 void accumulate(Signal& acc, Signal_view signal, std::size_t offset);
 
-/// out[i] = amplitude · e^{i·phases[i]} — the batched polar fill behind
-/// the phase-accumulating modulators.  `exact` evaluates std::polar per
-/// element (byte-identical to the historical per-sample loop); `fast`
-/// runs fast_sincos on the lane kernels (simd::polar_batch).
-void polar_into(std::span<const double> phases, double amplitude,
-                Math_profile profile, Signal& out);
+/// out[i] = amplitude · e^{i·phases[i]} — the polar fill behind the
+/// DQPSK modulator: std::polar per element, byte-identical to the
+/// historical per-sample loop.
+void polar_into(std::span<const double> phases, double amplitude, Signal& out);
 
 /// Scale `signal` so its mean power becomes `target_power`, in one
 /// measure-then-scale pass over the buffer (no intermediate copy).  A

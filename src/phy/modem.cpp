@@ -21,8 +21,7 @@ dsp::Signal Modem::modulate(std::span<const std::uint8_t> frame_bits,
                             double initial_phase) const
 {
     const obs::Stage_timer timer{obs::Stage::modulate};
-    const dsp::Msk_modulator modulator{config_.amplitude, initial_phase,
-                                       config_.math_profile};
+    const dsp::Msk_modulator modulator{config_.amplitude, initial_phase};
     return modulator.modulate(frame_bits);
 }
 
@@ -30,8 +29,7 @@ void Modem::modulate_into(std::span<const std::uint8_t> frame_bits,
                           double initial_phase, dsp::Signal& out) const
 {
     const obs::Stage_timer timer{obs::Stage::modulate};
-    const dsp::Msk_modulator modulator{config_.amplitude, initial_phase,
-                                       config_.math_profile};
+    const dsp::Msk_modulator modulator{config_.amplitude, initial_phase};
     modulator.modulate_into(frame_bits, out);
 }
 

@@ -30,9 +30,6 @@ struct Modem_config {
     double amplitude = 1.0;
     std::uint16_t scrambler_seed = 0xACE1u;
     std::size_t pilot_max_errors = 6;
-    /// Math profile of the modulator (demodulation is transcendental-free
-    /// already).  The sims stamp their run-level profile here.
-    dsp::Math_profile math_profile = dsp::Math_profile::exact;
 };
 
 class Modem {

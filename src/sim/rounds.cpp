@@ -35,7 +35,6 @@ World make_world(const Run_config& config, std::uint64_t stream,
     for (const Node_spec& spec : nodes) {
         phy::Modem_config modem;
         modem.amplitude = spec.amplitude;
-        modem.math_profile = config.math_profile;
         built.emplace_back(spec.id, modem);
     }
     return World{std::move(medium),

@@ -21,8 +21,8 @@ struct Run_config {
     Trigger_config trigger{};
     net::Link_fading fading{};      // per-link gain dynamics (default: fixed)
     Anc_receiver_config receiver{}; // knobs for every receiver in the run
-    /// Math profile for the whole run: medium noise, link rotations,
-    /// modulators, and the interference decoder (dsp/math_profile.h).
+    /// Math profile for the whole run: medium noise and the
+    /// interference decoder (dsp/math_profile.h).
     /// `exact` (the default) is byte-identical to the historical runs.
     dsp::Math_profile math_profile = dsp::Math_profile::exact;
     std::uint64_t seed = 1;

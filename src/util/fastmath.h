@@ -1,99 +1,32 @@
-// Fast scalar transcendental kernels for the relaxed-determinism math
-// profile (dsp::Math_profile::fast).
+// The fast scalar atan2 kernel of the relaxed-determinism math profile
+// (dsp::Math_profile::fast): the interference decoder's Eq. 7/8 phases
+// and its unknown-tail demodulation run on it, through the lanes in
+// util/simd.h.
 //
-// These are *approximations with proven, tested error bounds* — never
-// bit-identical to libm, which is exactly why every call site dispatches
-// on a Math_profile and the `exact` profile keeps calling libm (PERF.md
-// "Math profiles").  All three kernels are branch-light, inline, and
-// FMA-friendly, so hot loops that call them stay pipelined instead of
-// stalling on a libm call:
+// It is an *approximation with a proven, tested error bound* — never
+// bit-identical to libm, which is exactly why the decoder dispatches on
+// a Math_profile and the `exact` profile keeps calling libm (PERF.md
+// "Math profiles").  It is branch-light, inline, and FMA-friendly, so
+// hot loops that call it stay pipelined instead of stalling on a libm
+// call:
 //
-//   fast_sincos  — Cody–Waite π/2 reduction + the fdlibm minimax sin/cos
-//                  kernels on |r| ≤ π/4.  Max abs error ≈ 2e-15 on the
-//                  |x| ≲ 20 angles this codebase produces (wrapped
-//                  phases, Box–Muller angles), ≲ 1e-13 out to |x| ≈ 1e3.
 //   fast_atan2   — octant reduction + a degree-12 Chebyshev fit of
 //                  atan(z)/z on z ∈ [0,1] (max abs error 5.9e-12 rad on
 //                  the kernel; ≲ 1e-11 rad end to end).  Quadrant and
 //                  signed-zero behavior match std::atan2.
-//   fast_log     — exponent/mantissa split + the atanh(f) series on
-//                  f = (m−1)/(m+1), |f| ≤ 0.1716.  Max relative error
-//                  ≲ 1e-13 for normal positive doubles.
 //
-// tests/util/fastmath_test.cpp measures all three bounds against libm on
-// dense + random sweeps; the statistical-corridor tests validate their
+// The fast profile's other seam, counter-based noise, has its own
+// noise-grade log and sin/cos kernels in util/rng.h.
+//
+// tests/util/fastmath_test.cpp measures the bound against libm on dense
+// + random sweeps; the statistical-corridor tests validate its
 // end-to-end effect on decoding metrics.
 
 #pragma once
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 namespace anc {
-
-namespace detail {
-
-// fdlibm __kernel_sin minimax coefficients, |r| <= pi/4.
-inline double sin_kernel(double r)
-{
-    constexpr double s1 = -1.66666666666666324348e-01;
-    constexpr double s2 = 8.33333333332248946124e-03;
-    constexpr double s3 = -1.98412698298579493134e-04;
-    constexpr double s4 = 2.75573137070700676789e-06;
-    constexpr double s5 = -2.50507602534068634195e-08;
-    constexpr double s6 = 1.58969099521155010221e-10;
-    const double z = r * r;
-    return r + r * z * (s1 + z * (s2 + z * (s3 + z * (s4 + z * (s5 + z * s6)))));
-}
-
-// fdlibm __kernel_cos minimax coefficients, |r| <= pi/4.
-inline double cos_kernel(double r)
-{
-    constexpr double c1 = 4.16666666666666019037e-02;
-    constexpr double c2 = -1.38888888888741095749e-03;
-    constexpr double c3 = 2.48015872894767294178e-05;
-    constexpr double c4 = -2.75573143513906633035e-07;
-    constexpr double c5 = 2.08757232129817482790e-09;
-    constexpr double c6 = -1.13596475577881948265e-11;
-    const double z = r * r;
-    return 1.0 - 0.5 * z
-           + z * z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * c6)))));
-}
-
-} // namespace detail
-
-/// Round to the nearest integer (ties to even) without a libm call:
-/// adding and subtracting 1.5·2^52 forces the round in hardware.  Valid
-/// for |x| < 2^51 — far beyond any angle reduction here — and, unlike
-/// std::nearbyint at the SSE2 baseline, it inlines (no call), so loops
-/// using it stay pipelined and vectorizable.
-inline double fast_round(double x)
-{
-    constexpr double magic = 6755399441055744.0; // 1.5 * 2^52
-    return (x + magic) - magic;
-}
-
-/// sin and cos of `x` in one call.  Intended domain: |x| ≲ 1e6 (the
-/// two-term Cody–Waite reduction loses accuracy beyond that; every angle
-/// in this codebase is a phase, a phase accumulation over one frame, or
-/// a Box–Muller angle in [0, 2π)).
-inline void fast_sincos(double x, double& sin_out, double& cos_out)
-{
-    constexpr double two_over_pi = 0.63661977236758134308;
-    constexpr double pio2_hi = 1.57079632679489661923; // pi/2, leading bits
-    constexpr double pio2_lo = 6.12323399573676603587e-17; // pi/2 remainder
-    const double kd = fast_round(x * two_over_pi);
-    const double r = (x - kd * pio2_hi) - kd * pio2_lo;
-    const auto q = static_cast<std::int64_t>(kd) & 3;
-
-    const double ss = detail::sin_kernel(r);
-    const double cc = detail::cos_kernel(r);
-    const double s = (q & 1) ? cc : ss;
-    const double c = (q & 1) ? ss : cc;
-    sin_out = (q & 2) ? -s : s;
-    cos_out = ((q + 1) & 2) ? -c : c;
-}
 
 /// atan2(y, x) with std::atan2's quadrant and signed-zero conventions.
 /// Max abs error ≲ 1e-11 rad over the finite doubles — six orders of
@@ -143,44 +76,6 @@ inline double fast_atan2(double y, double x)
     angle = ax < ay ? half_pi - angle : angle; // first quadrant
     angle = std::signbit(x) ? pi - angle : angle; // left half-plane (x == -0.0 too)
     return std::copysign(angle, y);  // lower half-plane / signed zero
-}
-
-/// arg(re + i·im) — fast std::arg.
-inline double fast_arg(double re, double im)
-{
-    return fast_atan2(im, re);
-}
-
-/// Natural log of a positive *normal* double (subnormals and zero are
-/// outside the supported domain — callers feed uniforms in (0, 1] whose
-/// smallest value is 2^-53).  Max relative error ≈ 1e-14.
-inline double fast_log(double x)
-{
-    constexpr double ln2_hi = 6.93147180369123816490e-01;
-    constexpr double ln2_lo = 1.90821492927058770002e-10;
-    constexpr double sqrt2 = 1.41421356237309504880;
-
-    const auto bits = std::bit_cast<std::uint64_t>(x);
-    const int raw_e = static_cast<int>((bits >> 52) & 0x7ffu) - 1023;
-    const double raw_m = std::bit_cast<double>((bits & 0xfffffffffffffULL)
-                                               | 0x3ff0000000000000ULL); // [1, 2)
-    // Branch-light fold into [sqrt2/2, sqrt2] (if-converted by the
-    // compiler, so noise-fill loops stay pipelined).
-    const bool fold = raw_m > sqrt2;
-    const double m = fold ? raw_m * 0.5 : raw_m;
-    const int e = raw_e + (fold ? 1 : 0);
-    // log(m) = 2 atanh(f), f = (m-1)/(m+1), |f| <= sqrt2 - 1 over sqrt2 + 1.
-    const double f = (m - 1.0) / (m + 1.0);
-    const double w = f * f;
-    const double w2 = w * w;
-    const double w4 = w2 * w2;
-    const double p0 = 1.0 + w * (1.0 / 3.0);
-    const double p1 = 1.0 / 5.0 + w * (1.0 / 7.0);
-    const double p2 = 1.0 / 9.0 + w * (1.0 / 11.0);
-    const double p3 = 1.0 / 13.0 + w * (1.0 / 15.0);
-    const double poly = 2.0 * f * ((p0 + p1 * w2) + (p2 + p3 * w2) * w4);
-    const double ed = static_cast<double>(e);
-    return ed * ln2_hi + (ed * ln2_lo + poly);
 }
 
 } // namespace anc

@@ -8,12 +8,11 @@
 
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
 #include <numbers>
-
-#include "util/fastmath.h"
 
 namespace anc {
 
@@ -57,11 +56,11 @@ inline std::uint64_t mix_seed(std::uint64_t base, std::uint64_t index)
 /// across threads (the PR 3 fading draws use the same discipline).
 ///
 /// This is the noise source of the *fast* math profile: its Box–Muller
-/// transform runs on the fast_log / fast_sincos kernels (util/fastmath.h),
-/// so it is NOT bit-identical to the Pcg32 stream — the exact profile
-/// keeps the sequential generator.  Statistical quality is locked in by
-/// tests/util/counter_normal_test.cpp (moments, KS, stream independence,
-/// multi-thread replay).
+/// transform runs on the noise-grade kernels below (detail::noise_log,
+/// detail::box_muller_angle), so it is NOT bit-identical to the Pcg32
+/// stream — the exact profile keeps the sequential generator.
+/// Statistical quality is locked in by tests/util/counter_normal_test.cpp
+/// (moments, KS, stream independence, multi-thread replay).
 class Counter_normal {
 public:
     /// Key derivation mirrors mix_seed: distinct (seed, stream) pairs
@@ -169,8 +168,8 @@ private:
 namespace detail {
 
 // The Box-Muller helpers below use *noise-grade* kernels: shortened
-// versions of the fastmath polynomials with relative error ~1e-9 (log)
-// and ~1e-8 (sin/cos).  A deterministic smooth perturbation at that
+// atanh-series log and fdlibm sin/cos polynomials with relative error
+// ~1e-9 (log) and ~1e-8 (sin/cos).  A deterministic smooth perturbation at that
 // scale is statistically invisible (the KS test in
 // tests/util/counter_normal_test.cpp resolves ~4e-3), and noise samples
 // feed only statistics — unlike the phase kernels, whose tighter bounds
@@ -219,8 +218,8 @@ inline double box_muller_radius(std::uint64_t w1)
 /// sin/cos of the Box-Muller angle 2π·u2, u2 = (w2 >> 11) / 2^53, with
 /// the quadrant split done in *integer* arithmetic: k = round(W/2^51),
 /// r = (W − k·2^51)·(π/2)/2^51 ∈ [−π/4, π/4].  The reduction is exact
-/// (no Cody–Waite needed) and feeds the same minimax kernels as
-/// fast_sincos.
+/// (no Cody–Waite needed) and feeds 4-term truncations of the fdlibm
+/// minimax sin/cos kernels.
 inline void box_muller_angle(std::uint64_t w2, double& s, double& c)
 {
     const std::uint64_t w = w2 >> 11u;

@@ -43,38 +43,6 @@ inline double distance_branchless(double a, double b)
 
 } // namespace
 
-void atan2_batch_scalar(const double* y, const double* x, double* out,
-                        std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = fast_atan2(y[i], x[i]);
-}
-
-void sincos_batch_scalar(const double* angles, double* sin_out, double* cos_out,
-                         std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        fast_sincos(angles[i], sin_out[i], cos_out[i]);
-}
-
-void log_batch_scalar(const double* x, double* out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = fast_log(x[i]);
-}
-
-void polar_batch_scalar(const double* angles, double magnitude,
-                        double* interleaved_out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        double s = 0.0;
-        double c = 0.0;
-        fast_sincos(angles[i], s, c);
-        interleaved_out[2 * i] = magnitude * c;
-        interleaved_out[2 * i + 1] = magnitude * s;
-    }
-}
-
 void anc_candidates_batch_scalar(const double* interleaved_samples,
                                  std::size_t count, double a, double b,
                                  double* theta_plus, double* theta_minus,
@@ -179,8 +147,7 @@ void cmul_accumulate_scalar(const double* interleaved_in,
                             double* interleaved_acc, std::size_t samples)
 {
     // Per-element arithmetic of the historical drifting-rotor loop
-    // (channel/link.cpp), with the rotor read from the cached stream
-    // instead of carried through the recurrence.
+    // (channel/link.cpp), with the rotor read from the cached stream.
     for (std::size_t i = 0; i < samples; ++i) {
         const double re = interleaved_in[2 * i];
         const double im = interleaved_in[2 * i + 1];
@@ -244,37 +211,6 @@ std::size_t lane_head(std::size_t n)
 }
 
 // ---------------------------------------------------------- dispatchers
-
-void atan2_batch(const double* y, const double* x, double* out, std::size_t n)
-{
-    dispatch(n, detail::atan2_batch_avx512, detail::atan2_batch_avx2,
-             detail::atan2_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
-                 kernel(y + at, x + at, out + at, m);
-             });
-}
-
-void sincos_batch(const double* angles, double* sin_out, double* cos_out, std::size_t n)
-{
-    dispatch(n, detail::sincos_batch_avx512, detail::sincos_batch_avx2,
-             detail::sincos_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
-                 kernel(angles + at, sin_out + at, cos_out + at, m);
-             });
-}
-
-void log_batch(const double* x, double* out, std::size_t n)
-{
-    dispatch(n, detail::log_batch_avx512, detail::log_batch_avx2, detail::log_batch_scalar,
-             [&](auto kernel, std::size_t at, std::size_t m) { kernel(x + at, out + at, m); });
-}
-
-void polar_batch(const double* angles, double magnitude, double* interleaved_out,
-                 std::size_t n)
-{
-    dispatch(n, detail::polar_batch_avx512, detail::polar_batch_avx2,
-             detail::polar_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
-                 kernel(angles + at, magnitude, interleaved_out + 2 * at, m);
-             });
-}
 
 void anc_candidates_batch(const double* interleaved_samples, std::size_t count,
                           double a, double b, double* theta_plus,
@@ -351,26 +287,6 @@ namespace {
 
 } // namespace
 
-void atan2_batch_avx2(const double*, const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void sincos_batch_avx2(const double*, double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void log_batch_avx2(const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void polar_batch_avx2(const double*, double, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
 void anc_candidates_batch_avx2(const double*, std::size_t, double, double, double*,
                                double*, double*, double*)
 {
@@ -420,26 +336,6 @@ void pilot_scan_starts_popcnt(const std::uint64_t*, const std::uint64_t*,
 void pilot_scan_striped_popcnt(const std::uint64_t*, const std::uint64_t*,
                                const std::uint64_t*, std::size_t, std::size_t, std::size_t,
                                std::uint64_t*)
-{
-    unreachable_backend();
-}
-
-void atan2_batch_avx512(const double*, const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void sincos_batch_avx512(const double*, double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void log_batch_avx512(const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void polar_batch_avx512(const double*, double, double*, std::size_t)
 {
     unreachable_backend();
 }

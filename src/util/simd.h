@@ -115,24 +115,6 @@ void dispatch(std::size_t n, Lane_kernel avx512, Lane_kernel avx2, Scalar_kernel
 // fallback (which is element-wise identical, so the seam is invisible
 // in the output).
 
-/// out[i] = fast_atan2(y[i], x[i]).
-void atan2_batch(const double* y, const double* x, double* out, std::size_t n);
-
-/// (sin_out[i], cos_out[i]) = fast_sincos(angles[i]).  Same domain note
-/// as fast_sincos: |angle| ≲ 1e6.
-void sincos_batch(const double* angles, double* sin_out, double* cos_out,
-                  std::size_t n);
-
-/// out[i] = fast_log(x[i]); positive normal doubles only (fast_log's
-/// documented domain).
-void log_batch(const double* x, double* out, std::size_t n);
-
-/// interleaved_out[2i] = magnitude·cos(angles[i]),
-/// interleaved_out[2i+1] = magnitude·sin(angles[i]) — the batched
-/// profile_polar the DQPSK modulator and rotor setup use.
-void polar_batch(const double* angles, double magnitude, double* interleaved_out,
-                 std::size_t n);
-
 /// The Eq. 7 candidate generation of the interference decoder, SoA: for
 /// each interleaved complex sample y, emit the four wrapped candidate
 /// phases (theta+, theta-, phi-, phi+) into split arrays.  Element-wise
@@ -169,8 +151,8 @@ void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
                       std::size_t samples, double rotor_re, double rotor_im);
 
 /// The drifting-channel accumulate over a precomputed rotor stream
-/// (Link_channel caches rotor_n = rotor_0·step^n per fixed-gain link, so
-/// the serial recurrence runs once per link instead of per transmission):
+/// (Link_channel caches rotor_n = polar(gain, phase + drift·n) per link,
+/// so each rotation is evaluated once per link, not per transmission):
 ///   acc[2i]   += in[2i]·rot[2i] − in[2i+1]·rot[2i+1]
 ///   acc[2i+1] += in[2i]·rot[2i+1] + in[2i+1]·rot[2i]
 /// i.e. element-wise complex multiply-accumulate, bit-identical across
@@ -189,13 +171,6 @@ namespace detail {
 // stubs).  Each additionally requires the stated block alignment of n
 // (the dispatchers feed tails to the scalar path).
 
-void atan2_batch_scalar(const double* y, const double* x, double* out,
-                        std::size_t n);
-void sincos_batch_scalar(const double* angles, double* sin_out, double* cos_out,
-                         std::size_t n);
-void log_batch_scalar(const double* x, double* out, std::size_t n);
-void polar_batch_scalar(const double* angles, double magnitude,
-                        double* interleaved_out, std::size_t n);
 void anc_candidates_batch_scalar(const double* interleaved_samples,
                                  std::size_t count, double a, double b,
                                  double* theta_plus, double* theta_minus,
@@ -214,12 +189,6 @@ void cmul_accumulate_scalar(const double* interleaved_in,
                             double* interleaved_acc, std::size_t samples);
 
 // n % 4 == 0 for all of these.
-void atan2_batch_avx2(const double* y, const double* x, double* out, std::size_t n);
-void sincos_batch_avx2(const double* angles, double* sin_out, double* cos_out,
-                       std::size_t n);
-void log_batch_avx2(const double* x, double* out, std::size_t n);
-void polar_batch_avx2(const double* angles, double magnitude,
-                      double* interleaved_out, std::size_t n);
 void anc_candidates_batch_avx2(const double* interleaved_samples, std::size_t count,
                                double a, double b, double* theta_plus,
                                double* theta_minus, double* phi_minus,
@@ -250,13 +219,6 @@ void cmul_accumulate_avx2(const double* interleaved_in,
                           double* interleaved_acc, std::size_t samples);
 
 // n % 8 == 0 for all of these (8 doubles per 512-bit vector).
-void atan2_batch_avx512(const double* y, const double* x, double* out,
-                        std::size_t n);
-void sincos_batch_avx512(const double* angles, double* sin_out, double* cos_out,
-                         std::size_t n);
-void log_batch_avx512(const double* x, double* out, std::size_t n);
-void polar_batch_avx512(const double* angles, double magnitude,
-                        double* interleaved_out, std::size_t n);
 void anc_candidates_batch_avx512(const double* interleaved_samples,
                                  std::size_t count, double a, double b,
                                  double* theta_plus, double* theta_minus,

@@ -66,7 +66,6 @@ struct Lanes<4> {
     static M gt_i(I a, I b) { return _mm256_castsi256_pd(_mm256_cmpgt_epi64(a, b)); }
     static I as_i(V v) { return _mm256_castpd_si256(v); }
     static V as_pd(I v) { return _mm256_castsi256_pd(v); }
-    static I round_to_i(V v) { return _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(v)); }
 
     static void interleave(V a, V b, V& out0, V& out1)
     {
@@ -93,28 +92,6 @@ struct Lanes<4> {
 using K = Kernels<Lanes<4>>;
 
 } // namespace
-
-void atan2_batch_avx2(const double* y, const double* x, double* out, std::size_t n)
-{
-    K::atan2_batch(y, x, out, n);
-}
-
-void sincos_batch_avx2(const double* angles, double* sin_out, double* cos_out,
-                       std::size_t n)
-{
-    K::sincos_batch(angles, sin_out, cos_out, n);
-}
-
-void log_batch_avx2(const double* x, double* out, std::size_t n)
-{
-    K::log_batch(x, out, n);
-}
-
-void polar_batch_avx2(const double* angles, double magnitude, double* interleaved_out,
-                      std::size_t n)
-{
-    K::polar_batch(angles, magnitude, interleaved_out, n);
-}
 
 void anc_candidates_batch_avx2(const double* interleaved_samples, std::size_t count,
                                double a, double b, double* theta_plus,

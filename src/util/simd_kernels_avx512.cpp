@@ -66,7 +66,6 @@ struct Lanes<8> {
     static M gt_i(I a, I b) { return _mm512_cmpgt_epi64_mask(a, b); }
     static I as_i(V v) { return _mm512_castpd_si512(v); }
     static V as_pd(I v) { return _mm512_castsi512_pd(v); }
-    static I round_to_i(V v) { return _mm512_cvtepi32_epi64(_mm512_cvtpd_epi32(v)); }
 
     static void interleave(V a, V b, V& out0, V& out1)
     {
@@ -92,28 +91,6 @@ struct Lanes<8> {
 using K = Kernels<Lanes<8>>;
 
 } // namespace
-
-void atan2_batch_avx512(const double* y, const double* x, double* out, std::size_t n)
-{
-    K::atan2_batch(y, x, out, n);
-}
-
-void sincos_batch_avx512(const double* angles, double* sin_out, double* cos_out,
-                         std::size_t n)
-{
-    K::sincos_batch(angles, sin_out, cos_out, n);
-}
-
-void log_batch_avx512(const double* x, double* out, std::size_t n)
-{
-    K::log_batch(x, out, n);
-}
-
-void polar_batch_avx512(const double* angles, double magnitude, double* interleaved_out,
-                        std::size_t n)
-{
-    K::polar_batch(angles, magnitude, interleaved_out, n);
-}
 
 void anc_candidates_batch_avx512(const double* interleaved_samples, std::size_t count,
                                  double a, double b, double* theta_plus,

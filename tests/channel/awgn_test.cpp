@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dsp/energy_scan.h"
 #include "util/db.h"
 #include "util/rng.h"
@@ -64,6 +66,8 @@ TEST(Awgn, RealizesRequestedSnr)
 TEST(Awgn, NegativePowerRejected)
 {
     EXPECT_THROW((Awgn{-1.0, Pcg32{305}}), std::invalid_argument);
+    EXPECT_THROW((Awgn{std::numeric_limits<double>::quiet_NaN(), Pcg32{305}}),
+                 std::invalid_argument);
 }
 
 TEST(Awgn, NoiseForSnrHelper)

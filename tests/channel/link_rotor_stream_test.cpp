@@ -1,9 +1,8 @@
 // Link_channel reads every per-sample rotation from a memoised per-link
-// rotor stream.  These tests transcribe the historical per-sample loops
-// (one std::polar per sample under exact; the incremental rotor
-// recurrence under fast) and require every output sample to match them
-// bit for bit — across block lengths, fading epochs, growing and
-// shrinking signal lengths, offsets, and profile switches on one link.
+// rotor stream.  These tests transcribe the historical per-sample loop
+// (one std::polar per sample) and require every output sample to match
+// it bit for bit — across block lengths, fading epochs, growing and
+// shrinking signal lengths, and offsets.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +12,10 @@
 #include <vector>
 
 #include "channel/link.h"
-#include "dsp/math_profile.h"
 #include "util/rng.h"
 
 namespace anc::chan {
 namespace {
-
-using dsp::Math_profile;
 
 dsp::Signal random_signal(std::size_t size, std::uint64_t seed)
 {
@@ -84,33 +80,6 @@ dsp::Signal reference_exact_apply_fixed(const Link_params& p, const dsp::Signal&
     return out;
 }
 
-/// Fast apply_onto on a fixed link: polar(gain, phase) advanced by the
-/// step rotor per sample.
-void reference_fast_onto_fixed(const Link_params& p, const dsp::Signal& signal,
-                               std::size_t at, dsp::Signal& acc)
-{
-    const std::size_t begin = at + p.delay;
-    if (acc.size() < begin + signal.size())
-        acc.resize(begin + signal.size());
-    double* out = reinterpret_cast<double*>(acc.data() + begin);
-    const double* in = reinterpret_cast<const double*>(signal.data());
-    const dsp::Sample rotor = dsp::profile_polar(Math_profile::fast, p.gain, p.phase);
-    const dsp::Sample step = dsp::profile_polar(Math_profile::fast, 1.0, p.phase_drift);
-    double rr = rotor.real();
-    double ri = rotor.imag();
-    for (std::size_t n = 0; n < signal.size(); ++n) {
-        const double re = in[2 * n];
-        const double im = in[2 * n + 1];
-        out[2 * n] += re * rr - im * ri;
-        out[2 * n + 1] += re * ri + im * rr;
-        if (p.phase_drift == 0.0)
-            continue;
-        const double next_rr = rr * step.real() - ri * step.imag();
-        ri = rr * step.imag() + ri * step.real();
-        rr = next_rr;
-    }
-}
-
 Link_params link_params(Gain_model model, std::size_t block, double drift)
 {
     Link_params params;
@@ -151,7 +120,7 @@ TEST(LinkRotorStream, ExactMatchesPerSamplePolarAcrossBlocksAndEpochs)
                                  << " epoch " << epoch << " at " << at);
                     dsp::Signal got = prefilled_acc(at + 100);
                     dsp::Signal want = got;
-                    link.apply_onto(signal, at, got, epoch, Math_profile::exact);
+                    link.apply_onto(signal, at, got, epoch);
                     reference_exact_onto(link, signal, at, want, epoch);
                     expect_same_bits(got, want);
                 }
@@ -165,13 +134,13 @@ TEST(LinkRotorStream, ExactApplyMatchesPerSamplePolar)
     const dsp::Signal signal = random_signal(1500, 2);
     for (const double drift : {0.0, 0.0023}) {
         const Link_params fixed = link_params(Gain_model::fixed, 0, drift);
-        expect_same_bits(Link_channel{fixed}.apply(signal, 0, Math_profile::exact),
+        expect_same_bits(Link_channel{fixed}.apply(signal, 0),
                          reference_exact_apply_fixed(fixed, signal));
         for (const std::size_t block : {0u, 1u, 7u, 300u}) {
             const Link_channel faded{link_params(Gain_model::rayleigh_block, block, drift)};
             dsp::Signal want(faded.params().delay + signal.size(), dsp::Sample{0.0, 0.0});
             reference_exact_onto(faded, signal, 0, want, 1);
-            expect_same_bits(faded.apply(signal, 1, Math_profile::exact), want);
+            expect_same_bits(faded.apply(signal, 1), want);
         }
     }
 }
@@ -186,58 +155,10 @@ TEST(LinkRotorStream, GrowingThenShrinkingLengthsReuseTheStream)
             const dsp::Signal signal = random_signal(length, ++seed);
             dsp::Signal got = prefilled_acc(20);
             dsp::Signal want = got;
-            link.apply_onto(signal, 11, got, seed % 2, Math_profile::exact);
+            link.apply_onto(signal, 11, got, seed % 2);
             reference_exact_onto(link, signal, 11, want, seed % 2);
             expect_same_bits(got, want);
         }
-    }
-}
-
-TEST(LinkRotorStream, ProfileSwitchRefillsTheStream)
-{
-    // exact -> fast -> exact on one link, each leg against its own
-    // historical loop, at growing lengths so every refill also extends.
-    const Link_params params = link_params(Gain_model::fixed, 0, 0.0029);
-    const Link_channel link{params};
-    const dsp::Signal signal = random_signal(2048, 3);
-    const dsp::Signal longer = random_signal(2600, 4);
-
-    dsp::Signal got;
-    dsp::Signal want;
-    link.apply_onto(signal, 5, got, 0, Math_profile::exact);
-    reference_exact_onto(link, signal, 5, want, 0);
-    expect_same_bits(got, want);
-
-    got.clear();
-    want.clear();
-    link.apply_onto(longer, 5, got, 0, Math_profile::fast);
-    reference_fast_onto_fixed(params, longer, 5, want);
-    expect_same_bits(got, want);
-
-    got.clear();
-    want.clear();
-    link.apply_onto(signal, 5, got, 0, Math_profile::exact);
-    reference_exact_onto(link, signal, 5, want, 0);
-    expect_same_bits(got, want);
-
-    got.clear();
-    want.clear();
-    link.apply_onto(longer, 0, got, 0, Math_profile::exact);
-    reference_exact_onto(link, longer, 0, want, 0);
-    expect_same_bits(got, want);
-}
-
-TEST(LinkRotorStream, FastFixedMatchesTheRotorRecurrence)
-{
-    const dsp::Signal signal = random_signal(1800, 5);
-    for (const double drift : {0.0, 0.0023}) {
-        const Link_params params = link_params(Gain_model::fixed, 0, drift);
-        const Link_channel link{params};
-        dsp::Signal got = prefilled_acc(30);
-        dsp::Signal want = got;
-        link.apply_onto(signal, 9, got, 0, Math_profile::fast);
-        reference_fast_onto_fixed(params, signal, 9, want);
-        expect_same_bits(got, want);
     }
 }
 

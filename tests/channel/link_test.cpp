@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dsp/msk.h"
 #include "util/bits.h"
 #include "util/rng.h"
@@ -88,6 +90,8 @@ TEST(Link, NegativeGainRejected)
 {
     Link_params params;
     params.gain = -1.0;
+    EXPECT_THROW(Link_channel{params}, std::invalid_argument);
+    params.gain = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(Link_channel{params}, std::invalid_argument);
 }
 

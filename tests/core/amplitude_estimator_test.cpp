@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <optional>
 
@@ -42,6 +43,22 @@ dsp::Signal make_mix(double a, double b, std::size_t bits_count, std::uint64_t s
     }
     return mix;
 }
+
+/// A 256-sample mix with one NaN or Inf sample at `case_index`'s place
+/// (12 cases: four bad values at the start, middle and end).  One such
+/// sample poisons mu and sigma, and a NaN slips past every `<= 0` check.
+dsp::Signal poisoned_mix(std::size_t case_index)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const dsp::Sample bad[] = {{nan, 0.0}, {0.3, nan}, {inf, 0.0}, {0.0, -inf}};
+    const std::size_t at[] = {0, 100, 255};
+    dsp::Signal mix = make_mix(1.0, 0.5, 255, 535, 0.01);
+    mix[at[case_index % 3]] = bad[case_index / 3];
+    return mix;
+}
+
+constexpr std::size_t poisoned_cases = 12;
 
 TEST(AmplitudeEstimator, RecoversDistinctAmplitudesNoiselessly)
 {
@@ -106,6 +123,10 @@ TEST(AmplitudeEstimator, ShortWindowRejected)
 {
     const dsp::Signal mix = make_mix(1.0, 0.5, 16, 517);
     EXPECT_FALSE(estimate_amplitudes(mix, 0.0, 32).has_value());
+    // A full window with a non-finite sample is rejected too, never
+    // passed on as a NaN or Inf amplitude.
+    for (std::size_t c = 0; c < poisoned_cases; ++c)
+        EXPECT_FALSE(estimate_amplitudes(poisoned_mix(c), 0.01).has_value()) << c;
 }
 
 TEST(AmplitudeEstimator, WithKnownAmplitude)
@@ -123,6 +144,13 @@ TEST(AmplitudeEstimator, KnownAmplitudeTooLargeFails)
     // valid unknown amplitude.
     const dsp::Signal mix = make_mix(1.0, 0.5, 3000, 519);
     EXPECT_FALSE(estimate_with_known_amplitude(mix, 0.0, 2.0).has_value());
+    // Nor is there one when the window or the claim is not finite.
+    for (std::size_t c = 0; c < poisoned_cases; ++c)
+        EXPECT_FALSE(estimate_with_known_amplitude(poisoned_mix(c), 0.01, 1.0).has_value())
+            << c;
+    for (const double claim : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()})
+        EXPECT_FALSE(estimate_with_known_amplitude(mix, 0.0, claim).has_value());
 }
 
 TEST(AmplitudeEstimator, CleanRegionAmplitude)
@@ -181,6 +209,9 @@ TEST(AmplitudeEstimator, VarianceEstimatorShortWindowRejected)
 {
     const dsp::Signal mix = make_mix(1.0, 0.5, 16, 534);
     EXPECT_FALSE(estimate_amplitudes_by_variance(mix, 0.0, 32).has_value());
+    for (std::size_t c = 0; c < poisoned_cases; ++c)
+        EXPECT_FALSE(estimate_amplitudes_by_variance(poisoned_mix(c), 0.01).has_value())
+            << c;
 }
 
 TEST(AmplitudeEstimator, SirSweepStaysAccurate)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "channel/awgn.h"
 #include "dsp/msk.h"
 #include "dsp/ops.h"
@@ -175,6 +177,10 @@ TEST(InterferenceDecoder, RejectsBadAmplitudes)
     const dsp::Signal two(2, dsp::Sample{1.0, 0.0});
     const std::vector<double> no_diffs;
     EXPECT_THROW(decoder.decode(two, no_diffs, 0.0, 1.0), std::invalid_argument);
+    // NaN fails every ordered comparison; it must not pass as "not <= 0".
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(decoder.decode(two, no_diffs, nan, 1.0), std::invalid_argument);
+    EXPECT_THROW(decoder.decode(two, no_diffs, 1.0, nan), std::invalid_argument);
 }
 
 TEST(InterferenceDecoder, BackwardDomainSymmetry)

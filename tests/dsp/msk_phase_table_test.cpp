@@ -1,4 +1,4 @@
-// The exact MSK modulator walks a phase-state table instead of calling
+// The MSK modulator walks a phase-state table instead of calling
 // std::polar per sample.  This test transcribes the historical
 // per-sample loop and requires every sample to match it bit for bit,
 // over awkward initial phases, lengths and bit patterns.
@@ -49,7 +49,7 @@ std::vector<std::vector<std::uint8_t>> bit_patterns(std::size_t length)
 TEST(MskPhaseTable, ExactModulatorMatchesPerSamplePolar)
 {
     for (const double initial_phase : {0.0, pi, -pi, 2.0 * pi, 7.5, -20.1}) {
-        const Msk_modulator modulator{0.7, initial_phase, Math_profile::exact};
+        const Msk_modulator modulator{0.7, initial_phase};
         for (const std::size_t length : {0u, 1u, 2u, 2304u, 100000u}) {
             for (const std::vector<std::uint8_t>& bits : bit_patterns(length)) {
                 SCOPED_TRACE(testing::Message() << "initial phase " << initial_phase
@@ -74,7 +74,7 @@ TEST(MskPhaseTable, NonBinaryBytesStepLikeOnes)
 {
     // msk_phase_step treats any nonzero byte as a 1; the table must too.
     const std::vector<std::uint8_t> bits{2, 0, 255, 1, 0, 7, 7, 0};
-    const Msk_modulator modulator{1.0, 0.3, Math_profile::exact};
+    const Msk_modulator modulator{1.0, 0.3};
     EXPECT_EQ(modulator.modulate(bits), reference_modulate(1.0, 0.3, bits));
 }
 

@@ -1,4 +1,4 @@
-// Error-bound locks for the fast math kernels (util/fastmath.h).  The
+// Error-bound locks for the fast atan2 kernel (util/fastmath.h).  The
 // fast profile's scientific validity rests on two layers: these measured
 // kernel bounds, and the statistical corridors at the scenario level
 // (tests/engine/math_profile_corridor_test.cpp).  If a kernel change
@@ -9,39 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 
 #include "util/rng.h"
 
 namespace anc {
 namespace {
-
-TEST(FastMath, SincosMatchesLibmTightly)
-{
-    Pcg32 rng{2024, 7};
-    // Dense sweep over the angle ranges the codebase produces: wrapped
-    // phases, per-frame accumulations, Box-Muller angles.
-    double max_err_core = 0.0;
-    for (int i = -200000; i <= 200000; ++i) {
-        const double x = i * 1e-4; // [-20, 20]
-        double s = 0.0, c = 0.0;
-        fast_sincos(x, s, c);
-        max_err_core = std::max(max_err_core, std::abs(s - std::sin(x)));
-        max_err_core = std::max(max_err_core, std::abs(c - std::cos(x)));
-    }
-    EXPECT_LT(max_err_core, 5e-15);
-    // Far beyond the operating range the two-term Cody-Waite reduction
-    // degrades gracefully (the documented ~1e-13 tail bound).
-    double max_err_wide = 0.0;
-    for (int i = 0; i < 200000; ++i) {
-        const double x = (rng.next_double() - 0.5) * 2000.0; // [-1000, 1000]
-        double s = 0.0, c = 0.0;
-        fast_sincos(x, s, c);
-        max_err_wide = std::max(max_err_wide, std::abs(s - std::sin(x)));
-        max_err_wide = std::max(max_err_wide, std::abs(c - std::cos(x)));
-    }
-    EXPECT_LT(max_err_wide, 2e-13);
-}
 
 TEST(FastMath, Atan2BoundedError)
 {
@@ -73,28 +45,6 @@ TEST(FastMath, Atan2QuadrantsAndSignedZeros)
     EXPECT_EQ(fast_atan2(0.0, 0.0), std::atan2(0.0, 0.0));   // +0
     EXPECT_EQ(fast_atan2(0.0, -0.0), std::atan2(0.0, -0.0)); // +pi
     EXPECT_EQ(fast_atan2(-0.0, -0.0), std::atan2(-0.0, -0.0)); // -pi
-}
-
-TEST(FastMath, LogBoundedRelativeError)
-{
-    Pcg32 rng{5, 11};
-    double max_rel = 0.0;
-    // The Box-Muller domain: uniforms in (0, 1], down to 2^-53.
-    for (int i = 0; i < 300000; ++i) {
-        const double u = std::max(rng.next_double(), 0x1.0p-53);
-        const double exact = std::log(u);
-        max_rel = std::max(max_rel, std::abs(fast_log(u) - exact)
-                                        / std::max(std::abs(exact), 1.0));
-    }
-    // Plus general normal positives across many decades.
-    for (int i = 0; i < 300000; ++i) {
-        const double x = std::exp((rng.next_double() - 0.5) * 1000.0);
-        const double exact = std::log(x);
-        max_rel = std::max(max_rel, std::abs(fast_log(x) - exact)
-                                        / std::max(std::abs(exact), 1.0));
-    }
-    EXPECT_LT(max_rel, 1e-13);
-    EXPECT_EQ(fast_log(1.0), 0.0);
 }
 
 } // namespace

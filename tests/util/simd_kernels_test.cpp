@@ -15,8 +15,14 @@
 // reports AVX2+FMA, and the *_avx512 comparisons only where it also
 // reports AVX-512F (anywhere else the narrower backend is active and
 // there is nothing to compare); the public batch API is additionally
-// compared against direct fast-kernel loops on every machine, covering
-// the dispatcher's block/tail seam at awkward lengths.
+// compared against the scalar kernels on every machine, covering the
+// dispatcher's block/tail seam at awkward lengths.
+//
+// The atan2 lanes are reached through diff_arg_batch, the entry point
+// the decoder's unknown tail runs on: a sample stream that alternates
+// 1+0i with z = x+iy makes transition 2k evaluate atan2 of z·conj(1),
+// i.e. fast_atan2(y, x) on the exact (y, x) operands (see
+// atan2_through_diff_arg), and transition 2k+1 that of conj(z).
 
 #include "util/simd.h"
 
@@ -58,6 +64,23 @@ std::vector<double> random_range(std::size_t count, double lo, double hi,
     for (double& v : out)
         v = lo + (hi - lo) * rng.next_double();
     return out;
+}
+
+/// The alternating stream 1+0i, x[0]+iy[0], 1+0i, x[1]+iy[1], ...: its
+/// 2·size transitions, fed to diff_arg_batch, put atan2(y[k], x[k]) at
+/// even index 2k.  The products with 1+0i are exact, but they add
+/// x·(−0) to y and subtract y·(−0) from x, so a −0 y with a negative or
+/// −0 x, and a −0 x with a +0 or positive y, come out as +0: the pairs
+/// (−0, x ≤ −0) and (y ≥ +0, −0) cannot be produced.
+std::vector<double> atan2_through_diff_arg(const std::vector<double>& y,
+                                           const std::vector<double>& x)
+{
+    std::vector<double> samples;
+    samples.reserve(4 * y.size() + 2);
+    for (std::size_t k = 0; k < y.size(); ++k)
+        samples.insert(samples.end(), {1.0, 0.0, x[k], y[k]});
+    samples.insert(samples.end(), {1.0, 0.0});
+    return samples;
 }
 
 TEST(SimdBackend, ResolveBackendRule)
@@ -103,81 +126,28 @@ TEST(SimdBackend, CpuFeatureImplications)
     }
 }
 
-// ----------------------------------------------- batch API == fast loop
-// Awkward lengths exercise the AVX2 block / scalar tail seam.
-
-constexpr std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 31, 100, 1023};
-
-TEST(SimdKernels, Atan2BatchMatchesFastAtan2)
-{
-    for (const std::size_t n : lengths) {
-        const std::vector<double> y = random_range(n, -10.0, 10.0, 0xA1);
-        const std::vector<double> x = random_range(n, -10.0, 10.0, 0xA2);
-        std::vector<double> out(n);
-        atan2_batch(y.data(), x.data(), out.data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            expect_same_bits(out[i], fast_atan2(y[i], x[i]), "atan2", i);
-    }
-}
+// ------------------------------------------ dispatched API == scalar
 
 TEST(SimdKernels, Atan2BatchEdgeCases)
 {
     // Quadrants, axes, and signed zeros — where octant assembly and
-    // copysign must match std::atan2's conventions exactly.
-    const std::vector<double> y = {0.0,  -0.0, 0.0,  -0.0, 1.0, -1.0,
-                                   1.0,  -1.0, 5.0,  -5.0, 0.0, -0.0,
-                                   1e-9, 1e9,  -1e9, 2.5};
-    const std::vector<double> x = {0.0,  0.0,  -0.0, -0.0, 0.0,  0.0,
-                                   1.0,  1.0,  -3.0, -3.0, 7.0,  7.0,
-                                   1e9,  1e-9, 1e-9, -2.5};
-    std::vector<double> out(y.size());
-    atan2_batch(y.data(), x.data(), out.data(), y.size());
-    for (std::size_t i = 0; i < y.size(); ++i)
-        expect_same_bits(out[i], fast_atan2(y[i], x[i]), "atan2-edge", i);
-}
-
-TEST(SimdKernels, SincosBatchMatchesFastSincos)
-{
-    for (const std::size_t n : lengths) {
-        const std::vector<double> angles = random_range(n, -1000.0, 1000.0, 0xB1);
-        std::vector<double> s(n);
-        std::vector<double> c(n);
-        sincos_batch(angles.data(), s.data(), c.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            double se = 0.0;
-            double ce = 0.0;
-            fast_sincos(angles[i], se, ce);
-            expect_same_bits(s[i], se, "sin", i);
-            expect_same_bits(c[i], ce, "cos", i);
-        }
-    }
-}
-
-TEST(SimdKernels, LogBatchMatchesFastLog)
-{
-    for (const std::size_t n : lengths) {
-        std::vector<double> x = random_range(n, 1e-12, 4.0, 0xC1);
-        std::vector<double> out(n);
-        log_batch(x.data(), out.data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            expect_same_bits(out[i], fast_log(x[i]), "log", i);
-    }
-}
-
-TEST(SimdKernels, PolarBatchMatchesFastLoop)
-{
-    for (const std::size_t n : lengths) {
-        const std::vector<double> angles = random_range(n, -8.0, 8.0, 0xD1);
-        std::vector<double> out(2 * n);
-        polar_batch(angles.data(), 0.83, out.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            double s = 0.0;
-            double c = 0.0;
-            fast_sincos(angles[i], s, c);
-            expect_same_bits(out[2 * i], 0.83 * c, "polar-re", i);
-            expect_same_bits(out[2 * i + 1], 0.83 * s, "polar-im", i);
-        }
-    }
+    // copysign must match std::atan2's conventions exactly — through the
+    // dispatched diff_arg_batch lanes (every pair the alternating stream
+    // can produce; see atan2_through_diff_arg).
+    const std::vector<double> y = {0.0, -0.0, 1.0,  -1.0, 1.0, -1.0, 5.0, -5.0,
+                                   0.0, -0.0, 1e-9, 1e9,  -1e9, 2.5, 0.0, -2.0};
+    const std::vector<double> x = {0.0,  0.0, 0.0,  0.0,  1.0,  1.0, -3.0, -3.0,
+                                   7.0,  7.0, 1e9,  1e-9, 1e-9, -2.5, -1.0, -0.0};
+    const std::vector<double> samples = atan2_through_diff_arg(y, x);
+    const std::size_t transitions = 2 * y.size();
+    std::vector<double> out(transitions);
+    std::vector<double> scalar(transitions);
+    diff_arg_batch(samples.data(), transitions, out.data());
+    detail::diff_arg_batch_scalar(samples.data(), transitions, scalar.data());
+    for (std::size_t i = 0; i < transitions; ++i)
+        expect_same_bits(out[i], scalar[i], "atan2-edge lanes-vs-scalar", i);
+    for (std::size_t k = 0; k < y.size(); ++k)
+        expect_same_bits(out[2 * k], fast_atan2(y[k], x[k]), "atan2-edge", k);
 }
 
 // --------------------------------------------- avx2 vs scalar directly
@@ -190,32 +160,17 @@ TEST(SimdKernels, Avx2LanesEqualScalarKernels)
 {
     if (!avx2_available())
         GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
-    const std::size_t n = 4096; // multiple of 4: pure lane coverage
+    // The atan2 lanes over wide operand ranges, on the alternating
+    // stream of atan2_through_diff_arg.
+    const std::size_t n = 2048; // 2n transitions, a multiple of 4: pure lane coverage
     const std::vector<double> y = random_range(n, -20.0, 20.0, 0xE1);
     const std::vector<double> x = random_range(n, -20.0, 20.0, 0xE2);
-    const std::vector<double> angles = random_range(n, -2000.0, 2000.0, 0xE3);
-    const std::vector<double> uniforms = random_range(n, 1e-12, 2.0, 0xE4);
-
-    std::vector<double> a1(n), a2(n);
-    detail::atan2_batch_avx2(y.data(), x.data(), a1.data(), n);
-    detail::atan2_batch_scalar(y.data(), x.data(), a2.data(), n);
-    std::vector<double> s1(n), c1(n), s2(n), c2(n);
-    detail::sincos_batch_avx2(angles.data(), s1.data(), c1.data(), n);
-    detail::sincos_batch_scalar(angles.data(), s2.data(), c2.data(), n);
-    std::vector<double> l1(n), l2(n);
-    detail::log_batch_avx2(uniforms.data(), l1.data(), n);
-    detail::log_batch_scalar(uniforms.data(), l2.data(), n);
-    std::vector<double> p1(2 * n), p2(2 * n);
-    detail::polar_batch_avx2(angles.data(), 0.83, p1.data(), n);
-    detail::polar_batch_scalar(angles.data(), 0.83, p2.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<double> samples = atan2_through_diff_arg(y, x);
+    std::vector<double> a1(2 * n), a2(2 * n);
+    detail::diff_arg_batch_avx2(samples.data(), 2 * n, a1.data());
+    detail::diff_arg_batch_scalar(samples.data(), 2 * n, a2.data());
+    for (std::size_t i = 0; i < 2 * n; ++i)
         expect_same_bits(a1[i], a2[i], "atan2 avx2-vs-scalar", i);
-        expect_same_bits(s1[i], s2[i], "sin avx2-vs-scalar", i);
-        expect_same_bits(c1[i], c2[i], "cos avx2-vs-scalar", i);
-        expect_same_bits(l1[i], l2[i], "log avx2-vs-scalar", i);
-        expect_same_bits(p1[2 * i], p2[2 * i], "polar-re avx2-vs-scalar", i);
-        expect_same_bits(p1[2 * i + 1], p2[2 * i + 1], "polar-im avx2-vs-scalar", i);
-    }
 }
 
 TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
@@ -315,33 +270,17 @@ TEST(SimdKernels, Avx512LanesEqualScalarKernels)
 {
     if (!avx512_available())
         GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    const std::size_t n = 4096; // multiple of 8: pure lane coverage
+    // The atan2 lanes over wide operand ranges, on the alternating
+    // stream of atan2_through_diff_arg.
+    const std::size_t n = 2048; // 2n transitions, a multiple of 8: pure lane coverage
     const std::vector<double> y = random_range(n, -20.0, 20.0, 0x511);
     const std::vector<double> x = random_range(n, -20.0, 20.0, 0x512);
-    const std::vector<double> angles = random_range(n, -2000.0, 2000.0, 0x513);
-    const std::vector<double> uniforms = random_range(n, 1e-12, 2.0, 0x514);
-
-    std::vector<double> a1(n), a2(n);
-    detail::atan2_batch_avx512(y.data(), x.data(), a1.data(), n);
-    detail::atan2_batch_scalar(y.data(), x.data(), a2.data(), n);
-    std::vector<double> s1(n), c1(n), s2(n), c2(n);
-    detail::sincos_batch_avx512(angles.data(), s1.data(), c1.data(), n);
-    detail::sincos_batch_scalar(angles.data(), s2.data(), c2.data(), n);
-    std::vector<double> l1(n), l2(n);
-    detail::log_batch_avx512(uniforms.data(), l1.data(), n);
-    detail::log_batch_scalar(uniforms.data(), l2.data(), n);
-    std::vector<double> p1(2 * n), p2(2 * n);
-    detail::polar_batch_avx512(angles.data(), 0.83, p1.data(), n);
-    detail::polar_batch_scalar(angles.data(), 0.83, p2.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<double> samples = atan2_through_diff_arg(y, x);
+    std::vector<double> a1(2 * n), a2(2 * n);
+    detail::diff_arg_batch_avx512(samples.data(), 2 * n, a1.data());
+    detail::diff_arg_batch_scalar(samples.data(), 2 * n, a2.data());
+    for (std::size_t i = 0; i < 2 * n; ++i)
         expect_same_bits(a1[i], a2[i], "atan2 avx512-vs-scalar", i);
-        expect_same_bits(s1[i], s2[i], "sin avx512-vs-scalar", i);
-        expect_same_bits(c1[i], c2[i], "cos avx512-vs-scalar", i);
-        expect_same_bits(l1[i], l2[i], "log avx512-vs-scalar", i);
-        expect_same_bits(p1[2 * i], p2[2 * i], "polar-re avx512-vs-scalar", i);
-        expect_same_bits(p1[2 * i + 1], p2[2 * i + 1],
-                         "polar-im avx512-vs-scalar", i);
-    }
 }
 
 TEST(SimdKernels, Avx512DecoderKernelsEqualScalar)
@@ -427,26 +366,21 @@ TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
 
 TEST(SimdKernels, LaneKernelsStayWithinFastErrorBounds)
 {
-    // Belt and braces on top of bit-equality: the lane kernels inherit
-    // the scalar fast kernels' measured error bounds against libm
+    // Belt and braces on top of bit-equality: the atan2 lanes inherit
+    // the scalar fast kernel's measured error bound against libm
     // (tests/util/fastmath_test.cpp).  A 10x slack keeps this from
     // duplicating that test's tight calibration while still catching a
     // wrong-polynomial regression immediately.
     const std::size_t n = 20000;
     const std::vector<double> y = random_range(n, -5.0, 5.0, 0x91);
     const std::vector<double> x = random_range(n, -5.0, 5.0, 0x92);
-    std::vector<double> out(n);
-    atan2_batch(y.data(), x.data(), out.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_NEAR(out[i], std::atan2(y[i], x[i]), 1e-10);
-
-    const std::vector<double> angles = random_range(n, -100.0, 100.0, 0x93);
-    std::vector<double> s(n);
-    std::vector<double> c(n);
-    sincos_batch(angles.data(), s.data(), c.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_NEAR(s[i], std::sin(angles[i]), 1e-12);
-        ASSERT_NEAR(c[i], std::cos(angles[i]), 1e-12);
+    const std::vector<double> samples = atan2_through_diff_arg(y, x);
+    std::vector<double> out(2 * n);
+    diff_arg_batch(samples.data(), 2 * n, out.data());
+    for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_NEAR(out[2 * k], std::atan2(y[k], x[k]), 1e-10);
+        // The odd transition is arg(conj(z)).
+        ASSERT_NEAR(out[2 * k + 1], std::atan2(-y[k], x[k]), 1e-10);
     }
 }
 
