@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "channel/awgn.h"
-#include "dsp/energy_scan.h"
 #include "dsp/msk.h"
 #include "dsp/ops.h"
 #include "dsp/scrambler.h"
@@ -68,10 +67,14 @@ BENCHMARK(bm_scrambler);
 
 void bm_energy_scan(benchmark::State& state)
 {
-    const dsp::Signal signal = make_signal(4096);
+    // The analyzer's full scan on a collision: |y|^2 chains, the lane
+    // ratio pass and the run finder over a mask with sustained runs.
+    dsp::Signal signal = make_signal(4096);
+    dsp::accumulate(signal, dsp::rotated(make_signal(2048), 0.9), 1024);
+    const phy::Interference_detector detector{0.003};
     for (auto _ : state)
-        benchmark::DoNotOptimize(dsp::scan_energy(signal, 64));
-    state.SetItemsProcessed(state.iterations() * 4096);
+        benchmark::DoNotOptimize(detector.analyze(signal));
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(signal.size()));
 }
 BENCHMARK(bm_energy_scan);
 

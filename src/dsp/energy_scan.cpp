@@ -4,6 +4,45 @@
 
 namespace anc::dsp {
 
+namespace {
+
+/// std::norm's arithmetic: re*re + im*im.
+inline double energy_at(const double* data, std::size_t i)
+{
+    return data[2 * i] * data[2 * i] + data[2 * i + 1] * data[2 * i + 1];
+}
+
+template <bool With_squares>
+void window_sums(const double* data, std::size_t window, std::size_t windows,
+                 double* sums, double* sum_sqs)
+{
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (std::size_t i = 0; i < window; ++i) {
+        const double e = energy_at(data, i);
+        sum += e;
+        if constexpr (With_squares)
+            sum_sq += e * e;
+    }
+    sums[0] = sum;
+    if constexpr (With_squares)
+        sum_sqs[0] = sum_sq;
+    for (std::size_t start = 1; start < windows; ++start) {
+        // The leaving sample's energy is recomputed rather than stored:
+        // the same products, so the same value, and no buffer.
+        const double e_new = energy_at(data, start - 1 + window);
+        const double e_old = energy_at(data, start - 1);
+        sum += e_new - e_old;
+        sums[start] = sum;
+        if constexpr (With_squares) {
+            sum_sq += e_new * e_new - e_old * e_old;
+            sum_sqs[start] = sum_sq;
+        }
+    }
+}
+
+} // namespace
+
 std::vector<double> sample_energies(Signal_view signal)
 {
     std::vector<double> energies;
@@ -17,10 +56,8 @@ void sample_energies_into(Signal_view signal, std::vector<double>& out)
     out.resize(n);
     const double* data = reinterpret_cast<const double*>(signal.data());
     double* e = out.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        // Exactly std::norm: re*re + im*im.
-        e[i] = data[2 * i] * data[2 * i] + data[2 * i + 1] * data[2 * i + 1];
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        e[i] = energy_at(data, i);
 }
 
 double mean_energy(Signal_view signal)
@@ -31,146 +68,30 @@ double mean_energy(Signal_view signal)
     const std::size_t n = signal.size();
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-        total += data[2 * i] * data[2 * i] + data[2 * i + 1] * data[2 * i + 1];
+        total += energy_at(data, i);
     return total / static_cast<double>(n);
 }
 
-Energy_scan scan_energy(Signal_view signal, std::size_t window)
-{
-    Energy_scan scan;
-    scan.window = window;
-    std::vector<double> energies;
-    scan_energy_into(signal, window, energies, scan.window_mean, scan.window_variance);
-    return scan;
-}
-
-namespace {
-
-/// x / 2^k and x * 2^-k round identically for every double (scaling by
-/// an exact power of two), so when the window is a power of two the
-/// per-window divides — vdivpd is the one poorly-pipelined instruction
-/// in the finalize loops — become multiplies without changing a bit.
-/// Both detector windows (16 and 64) take this path.
-inline bool exact_reciprocal(std::size_t window)
-{
-    return (window & (window - 1)) == 0;
-}
-
-} // namespace
-
-void scan_energy_into(Signal_view signal, std::size_t window,
-                      std::vector<double>& scratch_energies,
-                      std::vector<double>& window_mean,
-                      std::vector<double>& window_variance)
+void window_energy_sums_into(Signal_view signal, std::size_t window,
+                             std::vector<double>& sums, std::vector<double>* sum_sqs)
 {
     if (window == 0)
-        throw std::invalid_argument{"scan_energy: window must be positive"};
-    window_mean.clear();
-    window_variance.clear();
+        throw std::invalid_argument{"window_energy_sums_into: window must be positive"};
+    sums.clear();
+    if (sum_sqs)
+        sum_sqs->clear();
     if (signal.size() < window)
         return;
 
-    sample_energies_into(signal, scratch_energies);
-    const double* e = scratch_energies.data();
-    const std::size_t count = scratch_energies.size();
-    const std::size_t windows = count - window + 1;
-
-    // Split the historical single loop into (a) the serial sliding-sum
-    // recurrence — an IEEE addition chain whose order defines the
-    // byte-identical contract, so it cannot be reassociated — and (b)
-    // the per-window mean/variance arithmetic, which is element-wise
-    // independent and auto-vectorizes (two divides, a multiply and a
-    // clamped subtract per window run 4 lanes wide instead of hiding
-    // inside the recurrence's dependency chain).  Same operations per
-    // element, same order within each element: byte-identical to the
-    // fused loop (tests/dsp/energy_scan_test.cpp pins this against a
-    // reference transcription of the historical kernel).
-    window_mean.resize(windows);
-    window_variance.resize(windows);
-    double* sums = window_mean.data();
-    double* sum_sqs = window_variance.data();
-
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (std::size_t i = 0; i < window; ++i) {
-        sum += e[i];
-        sum_sq += e[i] * e[i];
+    const double* data = reinterpret_cast<const double*>(signal.data());
+    const std::size_t windows = signal.size() - window + 1;
+    sums.resize(windows);
+    if (sum_sqs) {
+        sum_sqs->resize(windows);
+        window_sums<true>(data, window, windows, sums.data(), sum_sqs->data());
+    } else {
+        window_sums<false>(data, window, windows, sums.data(), nullptr);
     }
-    sums[0] = sum;
-    sum_sqs[0] = sum_sq;
-    for (std::size_t start = 1; start < windows; ++start) {
-        sum += e[start - 1 + window] - e[start - 1];
-        sum_sq += e[start - 1 + window] * e[start - 1 + window]
-                  - e[start - 1] * e[start - 1];
-        sums[start] = sum;
-        sum_sqs[start] = sum_sq;
-    }
-
-    const auto w = static_cast<double>(window);
-    const double inv_w = 1.0 / w;
-    if (exact_reciprocal(window)) {
-        for (std::size_t start = 0; start < windows; ++start) {
-            const double mean = sums[start] * inv_w;
-            double variance = sum_sqs[start] * inv_w - mean * mean;
-            variance = variance < 0.0 ? 0.0 : variance;
-            sums[start] = mean;
-            sum_sqs[start] = variance;
-        }
-        return;
-    }
-    for (std::size_t start = 0; start < windows; ++start) {
-        const double mean = sums[start] / w;
-        // Population variance; clamp tiny negatives from cancellation
-        // (the comparison form preserves a -0.0 exactly as the
-        // historical `if (variance < 0.0) variance = 0.0;` did).
-        double variance = sum_sqs[start] / w - mean * mean;
-        variance = variance < 0.0 ? 0.0 : variance;
-        sums[start] = mean;
-        sum_sqs[start] = variance;
-    }
-}
-
-void scan_energy_mean_into(Signal_view signal, std::size_t window,
-                           std::vector<double>& scratch_energies,
-                           std::vector<double>& window_mean)
-{
-    if (window == 0)
-        throw std::invalid_argument{"scan_energy: window must be positive"};
-    window_mean.clear();
-    if (signal.size() < window)
-        return;
-
-    sample_energies_into(signal, scratch_energies);
-    const double* e = scratch_energies.data();
-    const std::size_t count = scratch_energies.size();
-    const std::size_t windows = count - window + 1;
-
-    // The sum recurrence never reads sum_sq, so dropping the variance
-    // half leaves every emitted mean byte-identical to scan_energy_into
-    // while halving both the serial chain and the finalize pass — the
-    // packet detector (which never looks at the variance series) runs
-    // this on every receive.
-    window_mean.resize(windows);
-    double* sums = window_mean.data();
-
-    double sum = 0.0;
-    for (std::size_t i = 0; i < window; ++i)
-        sum += e[i];
-    sums[0] = sum;
-    for (std::size_t start = 1; start < windows; ++start) {
-        sum += e[start - 1 + window] - e[start - 1];
-        sums[start] = sum;
-    }
-
-    const auto w = static_cast<double>(window);
-    const double inv_w = 1.0 / w;
-    if (exact_reciprocal(window)) {
-        for (std::size_t start = 0; start < windows; ++start)
-            sums[start] *= inv_w;
-        return;
-    }
-    for (std::size_t start = 0; start < windows; ++start)
-        sums[start] /= w;
 }
 
 } // namespace anc::dsp

@@ -5,7 +5,7 @@
 //   2. interference?     — the energy of a single MSK signal is nearly
 //      constant (constant envelope), so a large *variance* of the energy
 //      betrays a collision: |y|^2 swings between (A+B)^2 and (A-B)^2.
-// This module provides the moving-window scans those detectors consume.
+// This module provides the moving-window sums those detectors finalize.
 
 #pragma once
 
@@ -27,31 +27,16 @@ void sample_energies_into(Signal_view signal, std::vector<double>& out);
 /// Mean of |y|^2 over the whole signal (0 for an empty signal).
 double mean_energy(Signal_view signal);
 
-/// Moving-window statistics of the sample energy.  Window w starting at
-/// index n covers samples [n, n+w); there are len-w+1 windows.
-struct Energy_scan {
-    std::vector<double> window_mean;     // mean of |y|^2 per window
-    std::vector<double> window_variance; // population variance of |y|^2 per window
-    std::size_t window = 0;
-};
-
-/// Compute the scan in O(len) using running sums of |y|^2 and |y|^4.
-Energy_scan scan_energy(Signal_view signal, std::size_t window);
-
-/// As above, writing the window series into caller-owned buffers
-/// (cleared first) and using `scratch_energies` for the per-sample
-/// energies.  Bit-identical to scan_energy.
-void scan_energy_into(Signal_view signal, std::size_t window,
-                      std::vector<double>& scratch_energies,
-                      std::vector<double>& window_mean,
-                      std::vector<double>& window_variance);
-
-/// Mean series only — byte-identical to scan_energy_into's window_mean
-/// (the two sliding sums are independent chains) at roughly half the
-/// cost.  For consumers like the packet detector that never read the
-/// variance series.
-void scan_energy_mean_into(Signal_view signal, std::size_t window,
-                           std::vector<double>& scratch_energies,
-                           std::vector<double>& window_mean);
+/// The sliding-window sums the §7.1 detectors finalize: sums[n] is the
+/// sum of |y|^2 over samples [n, n + window) — and sum_sqs[n], when
+/// `sum_sqs` is given, that of |y|^4 — for the len - window + 1 windows
+/// (none when the signal is shorter than the window).  Both are serial
+/// IEEE addition chains in the historical order (the first window
+/// summed sample by sample, then `sum += e_new - e_old` per step), and
+/// |y|^2 is formed inside them: no per-sample energies pass.  Throws
+/// std::invalid_argument for a zero window.
+void window_energy_sums_into(Signal_view signal, std::size_t window,
+                             std::vector<double>& sums,
+                             std::vector<double>* sum_sqs = nullptr);
 
 } // namespace anc::dsp

@@ -41,7 +41,71 @@ inline double distance_branchless(double a, double b)
     return std::abs(wrap_branchless(a - b));
 }
 
+template <bool Reciprocal>
+inline double per_window(double x, const Window_divisor& divisor)
+{
+    return Reciprocal ? x * divisor.inv_w : x / divisor.w;
+}
+
+/// ORs flag(i), evaluated in order, into bit first + i of the mask for
+/// i in [0, count), assembling a word at a time.
+template <class Flag>
+void set_bits(std::uint64_t* mask, std::size_t first, std::size_t count, Flag flag)
+{
+    for (std::size_t i = 0; i < count;) {
+        const std::size_t offset = (first + i) & 63;
+        const std::size_t n = std::min(64 - offset, count - i);
+        std::uint64_t word = 0;
+        std::uint64_t bit = std::uint64_t{1} << offset;
+        for (std::size_t k = 0; k < n; ++k, bit <<= 1)
+            word |= bit & (0 - std::uint64_t{flag(i + k)});
+        mask[(first + i) >> 6] |= word;
+        i += n;
+    }
+}
+
+template <bool Reciprocal>
+void window_mean_mask_loop(const double* sums, std::size_t count,
+                           const Window_divisor& divisor, double threshold,
+                           std::uint64_t* mask, std::size_t first)
+{
+    set_bits(mask, first, count, [&](std::size_t i) {
+        return per_window<Reciprocal>(sums[i], divisor) > threshold;
+    });
+}
+
+template <bool Reciprocal>
+double excess_variance_mask_loop(const double* sums, const double* sum_sqs,
+                                 std::size_t count, const Window_divisor& divisor,
+                                 double sigma2, double threshold, double peak,
+                                 std::uint64_t* mask, std::size_t first)
+{
+    set_bits(mask, first, count, [&](std::size_t i) {
+        const double mean = per_window<Reciprocal>(sums[i], divisor);
+        // Population variance; clamp tiny negatives from cancellation
+        // (the comparison form keeps a -0.0, as the historical
+        // `if (variance < 0.0) variance = 0.0;` did).
+        double variance = per_window<Reciprocal>(sum_sqs[i], divisor) - mean * mean;
+        variance = variance < 0.0 ? 0.0 : variance;
+        // Variance a clean constant-envelope signal of this power would
+        // show: cross term 2*|s|^2*sigma^2 plus the noise-energy variance
+        // sigma^4.  (|s|^2 ~ window mean minus the noise floor.)
+        const double signal_power = std::max(mean - sigma2, 1e-12);
+        const double clean_variance = 2.0 * signal_power * sigma2 + sigma2 * sigma2;
+        const double ratio = variance / clean_variance;
+        peak = std::max(peak, ratio);
+        return ratio > threshold;
+    });
+    return peak;
+}
+
 } // namespace
+
+Window_divisor window_divisor(std::size_t window)
+{
+    const auto w = static_cast<double>(window);
+    return {w, 1.0 / w, (window & (window - 1)) == 0};
+}
 
 void anc_candidates_batch_scalar(const double* interleaved_samples,
                                  std::size_t count, double a, double b,
@@ -158,6 +222,64 @@ void cmul_accumulate_scalar(const double* interleaved_in,
     }
 }
 
+void window_mean_mask_scalar(const double* sums, std::size_t count,
+                             const Window_divisor& divisor, double threshold,
+                             std::uint64_t* mask, std::size_t first)
+{
+    if (divisor.reciprocal)
+        window_mean_mask_loop<true>(sums, count, divisor, threshold, mask, first);
+    else
+        window_mean_mask_loop<false>(sums, count, divisor, threshold, mask, first);
+}
+
+double excess_variance_mask_scalar(const double* sums, const double* sum_sqs,
+                                   std::size_t count, const Window_divisor& divisor,
+                                   double sigma2, double threshold, double peak,
+                                   std::uint64_t* mask, std::size_t first)
+{
+    if (divisor.reciprocal)
+        return excess_variance_mask_loop<true>(sums, sum_sqs, count, divisor, sigma2,
+                                               threshold, peak, mask, first);
+    return excess_variance_mask_loop<false>(sums, sum_sqs, count, divisor, sigma2,
+                                            threshold, peak, mask, first);
+}
+
+void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
+                       std::uint8_t* bits)
+{
+    const double* data = interleaved_samples;
+    for (std::size_t n = 0; n < transitions; ++n) {
+        // The historical rule is arg(y[n+1] * conj(y[n])) >= 0 — h and
+        // gamma cancel (Eq. 1), so no channel estimate is needed.  atan2
+        // is monotone in the quadrant structure, so the decision only
+        // depends on the signs of the ratio's parts:
+        //   im > 0            -> arg in (0, pi)      -> 1
+        //   im < 0            -> arg in (-pi, 0)     -> 0
+        //   im == +0.0        -> arg is +0 or +pi    -> 1
+        //   im == -0.0        -> arg is -0 (re >= +0) or -pi (re < 0)
+        //                        and -0.0 >= 0.0 holds -> signbit(re)
+        // The products below are exactly the ones std::complex
+        // multiplication performs, so the computed im/re match the old
+        // path bit for bit (samples are finite throughout the substrate;
+        // a NaN ratio decides 0, on every backend).
+        const double ar = data[2 * n];
+        const double ai = data[2 * n + 1];
+        const double br = data[2 * n + 2];
+        const double bi = data[2 * n + 3];
+        const double im = br * -ai + bi * ar;
+        bool one = im > 0.0;
+        if (im == 0.0) {
+            if (!std::signbit(im)) {
+                one = true;
+            } else {
+                const double re = br * ar - bi * -ai;
+                one = !std::signbit(re);
+            }
+        }
+        bits[n] = one ? 1 : 0;
+    }
+}
+
 } // namespace detail
 
 Backend resolve_backend(bool cpu_has_avx2, bool cpu_has_fma, bool cpu_has_avx512f,
@@ -268,6 +390,46 @@ void cmul_accumulate(const double* interleaved_in, const double* interleaved_rot
              });
 }
 
+void window_mean_mask(const double* sums, std::size_t windows, std::size_t window,
+                      double threshold, std::uint64_t* mask)
+{
+    const detail::Window_divisor divisor = detail::window_divisor(window);
+    std::fill_n(mask, (windows + 63) / 64, std::uint64_t{0});
+    dispatch(windows, detail::window_mean_mask_avx512, detail::window_mean_mask_avx2,
+             detail::window_mean_mask_scalar,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(sums + at, m, divisor, threshold, mask, at);
+             });
+}
+
+double excess_variance_mask(const double* sums, const double* sum_sqs,
+                            std::size_t windows, std::size_t window, double sigma2,
+                            double threshold, std::uint64_t* mask)
+{
+    const detail::Window_divisor divisor = detail::window_divisor(window);
+    std::fill_n(mask, (windows + 63) / 64, std::uint64_t{0});
+    // The peak of positive ratios has one bit pattern whatever order the
+    // lanes visit them in (NaN ratios never win a max), so the lane
+    // tiers may keep per-lane peaks.
+    double peak = 1e-12;
+    dispatch(windows, detail::excess_variance_mask_avx512,
+             detail::excess_variance_mask_avx2, detail::excess_variance_mask_scalar,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 peak = kernel(sums + at, sum_sqs + at, m, divisor, sigma2, threshold,
+                               peak, mask, at);
+             });
+    return peak;
+}
+
+void msk_decide(const double* interleaved_samples, std::size_t transitions,
+                std::uint8_t* bits)
+{
+    dispatch(transitions, detail::msk_decide_avx512, detail::msk_decide_avx2,
+             detail::msk_decide_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(interleaved_samples + 2 * at, m, bits + at);
+             });
+}
+
 } // namespace anc::simd
 
 #if !defined(__x86_64__)
@@ -326,6 +488,24 @@ void cmul_accumulate_avx2(const double*, const double*, double*, std::size_t)
     unreachable_backend();
 }
 
+void window_mean_mask_avx2(const double*, std::size_t, const Window_divisor&, double,
+                           std::uint64_t*, std::size_t)
+{
+    unreachable_backend();
+}
+
+double excess_variance_mask_avx2(const double*, const double*, std::size_t,
+                                 const Window_divisor&, double, double, double,
+                                 std::uint64_t*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void msk_decide_avx2(const double*, std::size_t, std::uint8_t*)
+{
+    unreachable_backend();
+}
+
 void pilot_scan_starts_popcnt(const std::uint64_t*, const std::uint64_t*,
                               const std::uint64_t*, std::size_t, std::size_t, std::size_t,
                               std::size_t, std::uint64_t*)
@@ -375,6 +555,24 @@ void rotor_accumulate_avx512(const double*, double*, std::size_t, double, double
 }
 
 void cmul_accumulate_avx512(const double*, const double*, double*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void window_mean_mask_avx512(const double*, std::size_t, const Window_divisor&, double,
+                             std::uint64_t*, std::size_t)
+{
+    unreachable_backend();
+}
+
+double excess_variance_mask_avx512(const double*, const double*, std::size_t,
+                                   const Window_divisor&, double, double, double,
+                                   std::uint64_t*, std::size_t)
+{
+    unreachable_backend();
+}
+
+void msk_decide_avx512(const double*, std::size_t, std::uint8_t*)
 {
     unreachable_backend();
 }

@@ -160,7 +160,47 @@ void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
 void cmul_accumulate(const double* interleaved_in, const double* interleaved_rotors,
                      double* interleaved_acc, std::size_t samples);
 
+// Receiver scans (§7.1 detectors, §5 demodulation).  Like the channel
+// accumulators these serve both math profiles, and every backend
+// reproduces the historical scalar loops bit for bit.  The
+// detector kernels read the sliding-window sums of |y|^2 (and |y|^4)
+// that dsp::window_energy_sums_into produces and set bit n of `mask`
+// (words [0, ceil(windows / 64)), overwritten) when window n passes.
+
+/// The packet detector's threshold test: bit n is set iff the mean
+/// sums[n] / window > threshold.
+void window_mean_mask(const double* sums, std::size_t windows, std::size_t window,
+                      double threshold, std::uint64_t* mask);
+
+/// The interference analyzer's excess-variance test.  Per window:
+///   mean     = sum / w;  variance = sum_sq / w − mean², clamped at 0
+///   ratio    = variance / (2·max(mean − σ², 1e-12)·σ² + σ²·σ²)
+/// with the scalar operand order of phy/detector.cpp.  Bit n is set iff
+/// ratio > threshold; returns max(1e-12, every non-NaN ratio).
+double excess_variance_mask(const double* sums, const double* sum_sqs,
+                            std::size_t windows, std::size_t window, double sigma2,
+                            double threshold, std::uint64_t* mask);
+
+/// MSK hard decisions (dsp::Msk_demodulator): bits[n] = 1 iff
+/// arg(y[n+1]·conj(y[n])) >= 0, decided from the sign structure of the
+/// ratio's parts, for n in [0, transitions) over interleaved samples
+/// [0, transitions].
+void msk_decide(const double* interleaved_samples, std::size_t transitions,
+                std::uint8_t* bits);
+
 namespace detail {
+
+/// The per-window divide of the detectors' finalize: x / w, or
+/// x · inv_w when w is a power of two.  x/2^k and x·2^-k round
+/// identically for every double (both only scale the exponent), so the
+/// multiply gives the divide's bits at a fraction of the cost.
+struct Window_divisor {
+    double w;
+    double inv_w;
+    bool reciprocal;
+};
+
+Window_divisor window_divisor(std::size_t window);
 
 // Per-backend entry points, exposed so the tests can compare the
 // implementations directly on the same machine.  The *_avx2 functions
@@ -187,6 +227,22 @@ void rotor_accumulate_scalar(const double* interleaved_in,
 void cmul_accumulate_scalar(const double* interleaved_in,
                             const double* interleaved_rotors,
                             double* interleaved_acc, std::size_t samples);
+
+// The receiver-scan kernels take windows [0, count) of the offset
+// `sums`/`sum_sqs` and OR window i's bit into bit first + i of `mask`
+// (the dispatcher zeroes the words; the lane tiers need first % 64 == 0
+// and count a multiple of their width).  excess_variance_mask_* return
+// the running peak continued from `peak` (lanes keep one peak each, so
+// they equal the scalar loop for a positive `peak`).
+void window_mean_mask_scalar(const double* sums, std::size_t count,
+                             const Window_divisor& divisor, double threshold,
+                             std::uint64_t* mask, std::size_t first);
+double excess_variance_mask_scalar(const double* sums, const double* sum_sqs,
+                                   std::size_t count, const Window_divisor& divisor,
+                                   double sigma2, double threshold, double peak,
+                                   std::uint64_t* mask, std::size_t first);
+void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
+                       std::uint8_t* bits);
 
 // n % 4 == 0 for all of these.
 void anc_candidates_batch_avx2(const double* interleaved_samples, std::size_t count,
@@ -217,6 +273,16 @@ void rotor_accumulate_avx2(const double* interleaved_in, double* interleaved_acc
 void cmul_accumulate_avx2(const double* interleaved_in,
                           const double* interleaved_rotors,
                           double* interleaved_acc, std::size_t samples);
+/// count % 4 == 0 (transitions for msk_decide).
+void window_mean_mask_avx2(const double* sums, std::size_t count,
+                           const Window_divisor& divisor, double threshold,
+                           std::uint64_t* mask, std::size_t first);
+double excess_variance_mask_avx2(const double* sums, const double* sum_sqs,
+                                 std::size_t count, const Window_divisor& divisor,
+                                 double sigma2, double threshold, double peak,
+                                 std::uint64_t* mask, std::size_t first);
+void msk_decide_avx2(const double* interleaved_samples, std::size_t transitions,
+                     std::uint8_t* bits);
 
 // n % 8 == 0 for all of these (8 doubles per 512-bit vector).
 void anc_candidates_batch_avx512(const double* interleaved_samples,
@@ -247,6 +313,16 @@ void rotor_accumulate_avx512(const double* interleaved_in,
 void cmul_accumulate_avx512(const double* interleaved_in,
                             const double* interleaved_rotors,
                             double* interleaved_acc, std::size_t samples);
+/// count % 8 == 0 (transitions for msk_decide).
+void window_mean_mask_avx512(const double* sums, std::size_t count,
+                             const Window_divisor& divisor, double threshold,
+                             std::uint64_t* mask, std::size_t first);
+double excess_variance_mask_avx512(const double* sums, const double* sum_sqs,
+                                   std::size_t count, const Window_divisor& divisor,
+                                   double sigma2, double threshold, double peak,
+                                   std::uint64_t* mask, std::size_t first);
+void msk_decide_avx512(const double* interleaved_samples, std::size_t transitions,
+                       std::uint8_t* bits);
 
 // Bit-domain pilot-scan kernels (phy/pilot.cpp).  Integer-exact u64
 // XOR + popcount loops that live in the AVX2 TU solely for the hardware

@@ -45,9 +45,18 @@ struct Lanes<4> {
     static M lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
     static M le(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
     static M gt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
+    static M eq(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
     static M ne(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_NEQ_UQ); }
     static V blend(M m, V a, V b) { return _mm256_blendv_pd(a, b, m); }
     static V zero_unless(M m, V v) { return _mm256_and_pd(m, v); }
+    static unsigned bits(M m) { return static_cast<unsigned>(_mm256_movemask_pd(m)); }
+    static void store_flag_bytes(unsigned flags, std::uint8_t* out)
+    {
+        // Flag k moves to bit 8k: the copies flags << 7k occupy disjoint
+        // bit ranges, so the multiply carries nothing.
+        const std::uint32_t bytes = ((flags & 0xfu) * 0x00204081u) & 0x01010101u;
+        __builtin_memcpy(out, &bytes, sizeof bytes);
+    }
 
     static I set1_i(std::uint64_t x) { return _mm256_set1_epi64x(static_cast<long long>(x)); }
     static I load_i(const std::uint64_t* p)
@@ -139,6 +148,28 @@ void cmul_accumulate_avx2(const double* interleaved_in, const double* interleave
                           double* interleaved_acc, std::size_t samples)
 {
     K::cmul_accumulate(interleaved_in, interleaved_rotors, interleaved_acc, samples);
+}
+
+void window_mean_mask_avx2(const double* sums, std::size_t count,
+                           const Window_divisor& divisor, double threshold,
+                           std::uint64_t* mask, std::size_t first)
+{
+    K::window_mean_mask(sums, count, divisor, threshold, mask, first);
+}
+
+double excess_variance_mask_avx2(const double* sums, const double* sum_sqs,
+                                 std::size_t count, const Window_divisor& divisor,
+                                 double sigma2, double threshold, double peak,
+                                 std::uint64_t* mask, std::size_t first)
+{
+    return K::excess_variance_mask(sums, sum_sqs, count, divisor, sigma2, threshold, peak,
+                                   mask, first);
+}
+
+void msk_decide_avx2(const double* interleaved_samples, std::size_t transitions,
+                     std::uint8_t* bits)
+{
+    K::msk_decide(interleaved_samples, transitions, bits);
 }
 
 // --------------------------------------- bit-domain pilot-scan kernels

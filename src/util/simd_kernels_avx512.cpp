@@ -48,9 +48,17 @@ struct Lanes<8> {
     static M lt(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
     static M le(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
     static M gt(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
+    static M eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
     static M ne(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_NEQ_UQ); }
     static V blend(M m, V a, V b) { return _mm512_mask_blend_pd(m, a, b); }
     static V zero_unless(M m, V v) { return _mm512_maskz_mov_pd(m, v); }
+    static unsigned bits(M m) { return m; }
+    static void store_flag_bytes(unsigned flags, std::uint8_t* out)
+    {
+        // 0/1 qwords narrowed to bytes by vpmovqb (AVX-512F).
+        const __m512i ones = _mm512_maskz_set1_epi64(static_cast<M>(flags), 1);
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out), _mm512_cvtepi64_epi8(ones));
+    }
 
     static I set1_i(std::uint64_t x) { return _mm512_set1_epi64(static_cast<long long>(x)); }
     static I load_i(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
@@ -138,6 +146,28 @@ void cmul_accumulate_avx512(const double* interleaved_in, const double* interlea
                             double* interleaved_acc, std::size_t samples)
 {
     K::cmul_accumulate(interleaved_in, interleaved_rotors, interleaved_acc, samples);
+}
+
+void window_mean_mask_avx512(const double* sums, std::size_t count,
+                             const Window_divisor& divisor, double threshold,
+                             std::uint64_t* mask, std::size_t first)
+{
+    K::window_mean_mask(sums, count, divisor, threshold, mask, first);
+}
+
+double excess_variance_mask_avx512(const double* sums, const double* sum_sqs,
+                                   std::size_t count, const Window_divisor& divisor,
+                                   double sigma2, double threshold, double peak,
+                                   std::uint64_t* mask, std::size_t first)
+{
+    return K::excess_variance_mask(sums, sum_sqs, count, divisor, sigma2, threshold, peak,
+                                   mask, first);
+}
+
+void msk_decide_avx512(const double* interleaved_samples, std::size_t transitions,
+                       std::uint8_t* bits)
+{
+    K::msk_decide(interleaved_samples, transitions, bits);
 }
 
 } // namespace anc::simd::detail

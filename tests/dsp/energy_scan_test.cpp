@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "dsp/msk.h"
 #include "dsp/ops.h"
 #include "util/bits.h"
@@ -26,16 +29,38 @@ TEST(EnergyScan, MeanEnergy)
     EXPECT_DOUBLE_EQ(mean_energy(Signal{}), 0.0);
 }
 
+/// Mean and population variance of |y|^2 per window, from the sums.
+struct Window_stats {
+    std::vector<double> mean;
+    std::vector<double> variance;
+};
+
+Window_stats window_stats(Signal_view signal, std::size_t window)
+{
+    std::vector<double> sums;
+    std::vector<double> sum_sqs;
+    window_energy_sums_into(signal, window, sums, &sum_sqs);
+    Window_stats stats;
+    const auto w = static_cast<double>(window);
+    for (std::size_t n = 0; n < sums.size(); ++n) {
+        const double mean = sums[n] / w;
+        stats.mean.push_back(mean);
+        stats.variance.push_back(sum_sqs[n] / w - mean * mean);
+    }
+    return stats;
+}
+
 TEST(EnergyScan, ConstantEnvelopeHasZeroVariance)
 {
     Pcg32 rng{121};
     const Bits bits = random_bits(200, rng);
     const Msk_modulator modulator{2.0, 0.1};
     const Signal signal = modulator.modulate(bits);
-    const Energy_scan scan = scan_energy(signal, 32);
-    for (std::size_t i = 0; i < scan.window_mean.size(); ++i) {
-        EXPECT_NEAR(scan.window_mean[i], 4.0, 1e-9);
-        EXPECT_NEAR(scan.window_variance[i], 0.0, 1e-9);
+    const Window_stats stats = window_stats(signal, 32);
+    ASSERT_FALSE(stats.mean.empty());
+    for (std::size_t i = 0; i < stats.mean.size(); ++i) {
+        EXPECT_NEAR(stats.mean[i], 4.0, 1e-9);
+        EXPECT_NEAR(stats.variance[i], 0.0, 1e-9);
     }
 }
 
@@ -50,9 +75,9 @@ TEST(EnergyScan, InterferedSignalHasLargeVariance)
     const Msk_modulator modulator{1.0, 0.0};
     const Signal mix = added(modulator.modulate(bits_a),
                              rotated(modulator.modulate(bits_b), 1.1));
-    const Energy_scan scan = scan_energy(mix, 64);
+    const Window_stats stats = window_stats(mix, 64);
     double max_variance = 0.0;
-    for (const double v : scan.window_variance)
+    for (const double v : stats.variance)
         max_variance = std::max(max_variance, v);
     // Theoretical variance of |y|^2 for A=B=1 is E[(2cos d)^2]^2-ish ~ 2.
     EXPECT_GT(max_variance, 0.5);
@@ -60,23 +85,33 @@ TEST(EnergyScan, InterferedSignalHasLargeVariance)
 
 TEST(EnergyScan, WindowCountAndOrder)
 {
-    Signal signal(10, Sample{1.0, 0.0});
-    const Energy_scan scan = scan_energy(signal, 4);
-    EXPECT_EQ(scan.window_mean.size(), 7u);
-    EXPECT_EQ(scan.window_variance.size(), 7u);
-    EXPECT_EQ(scan.window, 4u);
+    // |y[n]|^2 = n, so window n sums n + (n+1) + (n+2) + (n+3).
+    Signal signal;
+    for (int n = 0; n < 10; ++n)
+        signal.push_back(Sample{std::sqrt(static_cast<double>(n)), 0.0});
+    std::vector<double> sums;
+    std::vector<double> sum_sqs;
+    window_energy_sums_into(signal, 4, sums, &sum_sqs);
+    ASSERT_EQ(sums.size(), 7u);
+    EXPECT_EQ(sum_sqs.size(), 7u);
+    for (std::size_t n = 0; n < sums.size(); ++n)
+        EXPECT_NEAR(sums[n], 4.0 * static_cast<double>(n) + 6.0, 1e-12) << n;
 }
 
 TEST(EnergyScan, ShortSignalYieldsEmptyScan)
 {
     Signal signal(3, Sample{1.0, 0.0});
-    const Energy_scan scan = scan_energy(signal, 8);
-    EXPECT_TRUE(scan.window_mean.empty());
+    std::vector<double> sums{1.0};
+    std::vector<double> sum_sqs{1.0};
+    window_energy_sums_into(signal, 8, sums, &sum_sqs);
+    EXPECT_TRUE(sums.empty());
+    EXPECT_TRUE(sum_sqs.empty());
 }
 
 TEST(EnergyScan, ZeroWindowThrows)
 {
-    EXPECT_THROW(scan_energy(Signal{}, 0), std::invalid_argument);
+    std::vector<double> sums;
+    EXPECT_THROW(window_energy_sums_into(Signal{}, 0, sums), std::invalid_argument);
 }
 
 TEST(EnergyScan, DetectsEnergyStep)
@@ -85,21 +120,26 @@ TEST(EnergyScan, DetectsEnergyStep)
     Signal signal(64, Sample{0.0, 0.0});
     for (int i = 0; i < 64; ++i)
         signal.push_back(Sample{2.0, 0.0});
-    const Energy_scan scan = scan_energy(signal, 16);
-    EXPECT_NEAR(scan.window_mean.front(), 0.0, 1e-12);
-    EXPECT_NEAR(scan.window_mean.back(), 4.0, 1e-12);
+    const Window_stats stats = window_stats(signal, 16);
+    EXPECT_NEAR(stats.mean.front(), 0.0, 1e-12);
+    EXPECT_NEAR(stats.mean.back(), 4.0, 1e-12);
 }
 
 /// Reference transcription of the historical fused scan loop (the exact
-/// FP operation sequence every profile's results were captured under).
-/// The production kernel was rewritten into a split, auto-vectorizable
-/// form; this pins the rewrite to the original byte for byte.
-Energy_scan reference_scan(Signal_view signal, std::size_t window)
+/// FP operation sequence every profile's results were captured under),
+/// recording the running sums it divided per window.  The production
+/// chain forms |y|^2 inline and hands the sums to the detectors' lane
+/// finalize; this pins its chains to the original byte for byte.
+struct Reference_sums {
+    std::vector<double> sums;
+    std::vector<double> sum_sqs;
+};
+
+Reference_sums reference_sums(Signal_view signal, std::size_t window)
 {
-    Energy_scan scan;
-    scan.window = window;
+    Reference_sums out;
     if (signal.size() < window)
-        return scan;
+        return out;
     const std::vector<double> e = sample_energies(signal);
     double sum = 0.0;
     double sum_sq = 0.0;
@@ -107,20 +147,15 @@ Energy_scan reference_scan(Signal_view signal, std::size_t window)
         sum += e[i];
         sum_sq += e[i] * e[i];
     }
-    const auto w = static_cast<double>(window);
     for (std::size_t start = 0;; ++start) {
-        const double mean = sum / w;
-        double variance = sum_sq / w - mean * mean;
-        if (variance < 0.0)
-            variance = 0.0;
-        scan.window_mean.push_back(mean);
-        scan.window_variance.push_back(variance);
+        out.sums.push_back(sum);
+        out.sum_sqs.push_back(sum_sq);
         if (start + window >= e.size())
             break;
         sum += e[start + window] - e[start];
         sum_sq += e[start + window] * e[start + window] - e[start] * e[start];
     }
-    return scan;
+    return out;
 }
 
 TEST(EnergyScan, RewrittenScanIsByteIdenticalToHistoricalLoop)
@@ -135,14 +170,20 @@ TEST(EnergyScan, RewrittenScanIsByteIdenticalToHistoricalLoop)
             signal.push_back(Sample{rng.next_gaussian(), rng.next_gaussian()});
         for (const std::size_t window : {std::size_t{1}, std::size_t{2},
                                          std::size_t{7}, std::size_t{16}, count}) {
-            const Energy_scan expected = reference_scan(signal, window);
-            const Energy_scan actual = scan_energy(signal, window);
+            const Reference_sums expected = reference_sums(signal, window);
+            std::vector<double> sums;
+            std::vector<double> sum_sqs;
+            window_energy_sums_into(signal, window, sums, &sum_sqs);
             // operator== on vector<double> is exact — any reassociation
-            // or changed rounding in the rewrite fails here.
-            EXPECT_EQ(actual.window_mean, expected.window_mean)
+            // or changed rounding in the chains fails here.
+            EXPECT_EQ(sums, expected.sums) << count << " samples, window " << window;
+            EXPECT_EQ(sum_sqs, expected.sum_sqs)
                 << count << " samples, window " << window;
-            EXPECT_EQ(actual.window_variance, expected.window_variance)
-                << count << " samples, window " << window;
+            // The mean-only chain (the packet detector's) is the same sum
+            // chain without the squares.
+            std::vector<double> sums_only;
+            window_energy_sums_into(signal, window, sums_only);
+            EXPECT_EQ(sums_only, expected.sums) << count << " samples, window " << window;
         }
     }
 }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "channel/medium.h"
 #include "core/relay.h"
@@ -195,6 +196,67 @@ TEST(OpsInPlace, DemodulateZeroImaginaryEdgeCases)
     }
 }
 
+/// The historical demodulation loop, transcribed: the sign rule on the
+/// products std::complex multiplication performs, one transition at a
+/// time.
+Bits reference_demodulate(const Signal& signal)
+{
+    Bits bits;
+    for (std::size_t n = 0; n + 1 < signal.size(); ++n) {
+        const double ar = signal[n].real();
+        const double ai = signal[n].imag();
+        const double br = signal[n + 1].real();
+        const double bi = signal[n + 1].imag();
+        const double im = br * -ai + bi * ar;
+        bool one = im > 0.0;
+        if (im == 0.0)
+            one = !std::signbit(im) || !std::signbit(br * ar - bi * -ai);
+        bits.push_back(one ? 1 : 0);
+    }
+    return bits;
+}
+
+TEST(OpsInPlace, DemodulateHostileInputsMatchHistoricalLoop)
+{
+    // Lengths whose transition counts leave every tail behind the 4- and
+    // 8-wide lane blocks (the 777-sample signals above divide evenly),
+    // samples drawn from a pool heavy in ±0, ±Inf, NaN and denormals so
+    // the ratio's parts hit every sign case, and gains 1e±150 that push
+    // the products to overflow or to signed zeros.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double pool[] = {0.0,  -0.0, 1.0,  -1.0, 2.5,  -3.0, inf, -inf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::denorm_min(), -4.9e-310};
+    constexpr std::size_t pool_size = sizeof pool / sizeof pool[0];
+    Pcg32 rng{4242, 7};
+    const Msk_demodulator demodulator;
+    Bits out;
+    for (std::size_t length = 0; length <= 40; ++length) {
+        for (const double gain : {1.0, 1e150, 1e-150}) {
+            for (int trial = 0; trial < 8; ++trial) {
+                Signal signal;
+                for (std::size_t i = 0; i < length; ++i) {
+                    const auto pick = [&] {
+                        return trial % 2 == 0
+                                   ? pool[rng.next_in_range(0, pool_size - 1)]
+                                   : rng.next_gaussian();
+                    };
+                    const double re = pick();
+                    signal.push_back(Sample{re, pick()} * gain);
+                }
+                demodulator.demodulate_into(signal, out);
+                ASSERT_EQ(out, reference_demodulate(signal))
+                    << length << " samples, gain " << gain << ", trial " << trial;
+            }
+        }
+    }
+    for (const std::size_t length : {778, 779, 781, 785, 2306}) {
+        const Signal signal = make_test_signal(length, length);
+        demodulator.demodulate_into(signal, out);
+        EXPECT_EQ(out, reference_demodulate(signal)) << length << " samples";
+    }
+}
+
 TEST(OpsInPlace, PhaseDifferencesIntoMatches)
 {
     Pcg32 rng{51};
@@ -216,16 +278,20 @@ TEST(OpsInPlace, SampleEnergiesIntoMatchesAndNormRule)
         EXPECT_EQ(out[i], std::norm(signal[i]));
 }
 
-TEST(OpsInPlace, ScanEnergyIntoMatchesScanEnergy)
+TEST(OpsInPlace, WindowEnergySumsIntoOverwritesDirtyBuffers)
 {
+    // Leased buffers arrive with stale contents and capacity; the sums
+    // must not depend on them.
     const Signal signal = make_test_signal(400, 62);
-    const Energy_scan expected = scan_energy(signal, 32);
-    std::vector<double> scratch;
-    std::vector<double> mean;
-    std::vector<double> variance;
-    scan_energy_into(signal, 32, scratch, mean, variance);
-    EXPECT_EQ(expected.window_mean, mean);
-    EXPECT_EQ(expected.window_variance, variance);
+    std::vector<double> sums;
+    std::vector<double> sum_sqs;
+    window_energy_sums_into(signal, 32, sums, &sum_sqs);
+    std::vector<double> dirty_sums(1000, -7.0);
+    std::vector<double> dirty_sum_sqs(3, 9.0);
+    window_energy_sums_into(signal, 32, dirty_sums, &dirty_sum_sqs);
+    EXPECT_EQ(sums, dirty_sums);
+    EXPECT_EQ(sum_sqs, dirty_sum_sqs);
+    ASSERT_EQ(sums.size(), signal.size() - 32 + 1);
 }
 
 TEST(OpsInPlace, MediumReceiveIntoMatchesReceive)

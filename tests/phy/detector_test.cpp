@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
+#include <vector>
 
 #include "channel/awgn.h"
 #include "channel/link.h"
-#include "dsp/energy_scan.h"
 #include "dsp/msk.h"
 #include "dsp/ops.h"
 #include "util/bits.h"
@@ -158,12 +161,48 @@ TEST(InterferenceDetector, PeakRatioReported)
 }
 
 // ------------------------------------------------------- byte identity
-// The detector scans were rewritten into block-vectorizable forms (the
-// packet detector's threshold search, the interference analyzer's
-// hoisted ratio pass).  These references transcribe the historical
-// sequential loops; the rewritten detectors must agree on every field,
-// byte for byte, across clean, collided, drifting, and noise-only
-// inputs.
+// The detector scans run on fused |y|^2 chains, lane threshold kernels
+// and bit scans over the window mask.  These references transcribe the
+// historical sequential loops; the detectors must agree on every field,
+// byte for byte, across clean, collided, drifting, noise-only and
+// hostile inputs.
+
+/// The historical windowed energy statistics: per-sample energies, one
+/// fused loop over the running sums, a divide per window.
+struct Energy_scan {
+    std::vector<double> window_mean;
+    std::vector<double> window_variance;
+};
+
+Energy_scan scan_energy(dsp::Signal_view signal, std::size_t window)
+{
+    Energy_scan scan;
+    if (signal.size() < window)
+        return scan;
+    std::vector<double> e;
+    for (const dsp::Sample& y : signal)
+        e.push_back(y.real() * y.real() + y.imag() * y.imag());
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (std::size_t i = 0; i < window; ++i) {
+        sum += e[i];
+        sum_sq += e[i] * e[i];
+    }
+    const auto w = static_cast<double>(window);
+    for (std::size_t start = 0;; ++start) {
+        const double mean = sum / w;
+        double variance = sum_sq / w - mean * mean;
+        if (variance < 0.0)
+            variance = 0.0;
+        scan.window_mean.push_back(mean);
+        scan.window_variance.push_back(variance);
+        if (start + window >= e.size())
+            break;
+        sum += e[start + window] - e[start];
+        sum_sq += e[start + window] * e[start + window] - e[start] * e[start];
+    }
+    return scan;
+}
 
 std::optional<Packet_bounds> reference_detect(dsp::Signal_view signal,
                                               double noise_power_value,
@@ -171,7 +210,7 @@ std::optional<Packet_bounds> reference_detect(dsp::Signal_view signal,
 {
     if (signal.size() < config.window)
         return std::nullopt;
-    const dsp::Energy_scan scan = dsp::scan_energy(signal, config.window);
+    const Energy_scan scan = scan_energy(signal, config.window);
     const std::vector<double>& mean = scan.window_mean;
     const double threshold = noise_power_value * from_db(config.energy_threshold_db);
     std::size_t first = mean.size();
@@ -203,7 +242,7 @@ Interference_report reference_analyze(dsp::Signal_view packet,
     Interference_report report;
     if (packet.size() < config.window)
         return report;
-    const dsp::Energy_scan scan = dsp::scan_energy(packet, config.window);
+    const Energy_scan scan = scan_energy(packet, config.window);
     const std::vector<double>& mean = scan.window_mean;
     const std::vector<double>& variance = scan.window_variance;
     const double threshold = from_db(config.variance_threshold_db);
@@ -301,6 +340,139 @@ TEST(InterferenceDetector, HoistedRatioPassIsByteIdenticalToFusedLoop)
         // max reduction must be bit-preserved by the rewrite.
         EXPECT_EQ(actual.peak_ratio_db, expected.peak_ratio_db);
     }
+}
+
+// --------------------------------------------- hostile and boundary
+// Seeded signals built from random segments (silence, constant
+// envelope, collision, noise) so both masks hold runs of every length,
+// at gains 1 and 1e±150 (the sums overflow to Inf and NaN, or sink into
+// denormals), with NaN, ±Inf, denormal and ±0 samples sprinkled in.
+// Lengths hit 0, 1, w−1, w, w+1 and window counts that straddle the
+// lane widths and the 64-bit mask words; w = 48 is not a power of two.
+
+dsp::Signal hostile_signal(std::size_t length, double gain, bool specials, Pcg32& rng)
+{
+    dsp::Signal signal;
+    signal.reserve(length);
+    while (signal.size() < length) {
+        const std::size_t segment = rng.next_in_range(1, 150);
+        const std::uint32_t kind = rng.next_in_range(0, 3);
+        const double phase_a = 6.3 * rng.next_double();
+        const double phase_b = 6.3 * rng.next_double();
+        for (std::size_t i = 0; i < segment && signal.size() < length; ++i) {
+            const double noise_re = 0.1 * rng.next_gaussian();
+            const double noise_im = 0.1 * rng.next_gaussian();
+            dsp::Sample y{noise_re, noise_im};
+            const double t = static_cast<double>(signal.size());
+            if (kind == 0)
+                y = {0.0, 0.0};
+            else if (kind == 1)
+                y += std::polar(1.0, phase_a + 1.5707963267948966 * t);
+            else if (kind == 2)
+                y += std::polar(1.0, phase_a + 1.5707963267948966 * t)
+                     + std::polar(0.8, phase_b - 1.5707963267948966 * t);
+            signal.push_back(y * gain);
+        }
+    }
+    if (specials) {
+        constexpr double inf = std::numeric_limits<double>::infinity();
+        const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 inf,
+                                 -inf,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 -4.9e-310,
+                                 0.0,
+                                 -0.0};
+        for (dsp::Sample& y : signal) {
+            if (rng.next_in_range(0, 39) != 0)
+                continue;
+            const double value = values[rng.next_in_range(0, 6)];
+            y = rng.next_in_range(0, 1) == 0 ? dsp::Sample{value, y.imag()}
+                                       : dsp::Sample{y.real(), value};
+        }
+    }
+    return signal;
+}
+
+std::vector<std::size_t> boundary_lengths(std::size_t window)
+{
+    std::vector<std::size_t> lengths{0, 1, window - 1, window, window + 1};
+    // Window counts (length - window + 1) around the lane widths and the
+    // mask-word boundaries, plus a few long packets.
+    for (const std::size_t windows : {3, 4, 5, 7, 8, 9, 63, 64, 65, 66, 127, 128, 129, 130,
+                                      700, 2049})
+        lengths.push_back(window - 1 + windows);
+    return lengths;
+}
+
+template <class Check>
+void for_each_hostile_input(Check check)
+{
+    Pcg32 rng{2718, 5};
+    for (const std::size_t window : {16, 48, 64}) {
+        for (const std::size_t length : boundary_lengths(window)) {
+            for (const double gain : {1.0, 1e150, 1e-150}) {
+                for (const bool specials : {false, true})
+                    check(window, hostile_signal(length, gain, specials, rng));
+            }
+        }
+    }
+}
+
+TEST(PacketDetector, HostileInputsMatchSequentialScan)
+{
+    std::size_t detected = 0;
+    for_each_hostile_input([&](std::size_t window, const dsp::Signal& stream) {
+        Packet_detector::Config config;
+        config.window = window;
+        const auto actual = Packet_detector{noise_power, config}.detect(stream);
+        const auto expected = reference_detect(stream, noise_power, config);
+        ASSERT_EQ(actual.has_value(), expected.has_value())
+            << stream.size() << " samples, window " << window;
+        if (actual) {
+            ++detected;
+            EXPECT_EQ(actual->begin, expected->begin);
+            EXPECT_EQ(actual->end, expected->end);
+        }
+    });
+    EXPECT_GT(detected, 100u); // not vacuous
+}
+
+TEST(InterferenceDetector, HostileInputsMatchFusedLoop)
+{
+    std::size_t interfered = 0;
+    std::size_t clear = 0;
+    for_each_hostile_input([&](std::size_t window, const dsp::Signal& packet) {
+        for (const std::size_t min_run : {0, 1, 16, 64, 65, 200}) {
+            Interference_detector::Config config;
+            config.window = window;
+            config.min_run = min_run;
+            const Interference_report actual =
+                Interference_detector{noise_power, config}.analyze(packet);
+            const Interference_report expected =
+                reference_analyze(packet, noise_power, config);
+            ASSERT_EQ(actual.interfered, expected.interfered)
+                << packet.size() << " samples, window " << window << ", min_run "
+                << min_run;
+            EXPECT_EQ(actual.overlap_begin, expected.overlap_begin);
+            EXPECT_EQ(actual.overlap_end, expected.overlap_end);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.peak_ratio_db),
+                      std::bit_cast<std::uint64_t>(expected.peak_ratio_db));
+            ++(actual.interfered ? interfered : clear);
+        }
+    });
+    // Both outcomes occur often enough for the run finder to be tested.
+    EXPECT_GT(interfered, 100u) << clear;
+    EXPECT_GT(clear, 100u) << interfered;
+}
+
+TEST(InterferenceDetector, ZeroWindowThrows)
+{
+    // Historical behaviour: the scan rejected a zero window.
+    Interference_detector::Config config;
+    config.window = 0;
+    EXPECT_THROW(Interference_detector(noise_power, config).analyze(msk_burst(10, 1)),
+                 std::invalid_argument);
 }
 
 } // namespace

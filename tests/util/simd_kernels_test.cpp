@@ -28,9 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/cpu_features.h"
@@ -362,6 +364,137 @@ TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
     for (std::size_t i = 0; i < count; ++i)
         expect_same_bits(acc_wide[i], acc_narrow[i],
                          "counter-normal add_scaled avx512", i);
+}
+
+// ------------------------------------------------------ receiver scans
+// The detector and demodulator kernels serve both math profiles, so the
+// lanes must reproduce the scalar loops on any input: NaN, ±Inf,
+// denormals and ±0 included, divisors with and without the exact
+// reciprocal, and counts whose tails the scalar kernel finishes.
+
+using Mean_mask_kernel = void (*)(const double*, std::size_t, const detail::Window_divisor&,
+                                  double, std::uint64_t*, std::size_t);
+using Excess_kernel = double (*)(const double*, const double*, std::size_t,
+                                 const detail::Window_divisor&, double, double, double,
+                                 std::uint64_t*, std::size_t);
+using Decide_kernel = void (*)(const double*, std::size_t, std::uint8_t*);
+
+/// Uniform values in [lo, hi], a quarter of them replaced by specials.
+std::vector<double> hostile_values(std::size_t count, double lo, double hi,
+                                   std::uint64_t seed)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double specials[] = {0.0,
+                               -0.0,
+                               inf,
+                               -inf,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::denorm_min(),
+                               -4.9e-310,
+                               1e-12,
+                               1e300,
+                               -1e300};
+    std::vector<double> out = random_range(count, lo, hi, seed);
+    Pcg32 rng{seed, 29};
+    for (double& v : out) {
+        if (rng.next_in_range(0, 3) == 0)
+            v = specials[rng.next_in_range(0, 9)];
+    }
+    return out;
+}
+
+void expect_receiver_scans_equal_scalar(Mean_mask_kernel mean_mask, Excess_kernel excess,
+                                        Decide_kernel decide, std::size_t width,
+                                        const char* what)
+{
+    const double sigma2 = 0.01;
+    const double mean_threshold = 0.3;
+    const double ratio_threshold = 10.0;
+    const double neg_inf = -std::numeric_limits<double>::infinity();
+    for (const std::size_t window : {16, 48}) {
+        const detail::Window_divisor divisor = detail::window_divisor(window);
+        const auto w = static_cast<double>(window);
+        for (const std::size_t count : {std::size_t{0}, std::size_t{1}, width - 1, width,
+                                        width + 1, std::size_t{63}, std::size_t{64},
+                                        std::size_t{65}, std::size_t{130},
+                                        std::size_t{515}}) {
+            const std::vector<double> sums = hostile_values(count, 0.0, 8.0 * w, 0x5C + count);
+            const std::vector<double> sum_sqs =
+                hostile_values(count, 0.0, 64.0 * w, 0x5D + count);
+            // The dispatcher's split: lanes over the full blocks, the
+            // scalar kernel over the tail.
+            const std::size_t head = count - count % width;
+            const std::size_t words = (count + 63) / 64;
+
+            std::vector<std::uint64_t> lanes(words);
+            std::vector<std::uint64_t> scalar(words);
+            mean_mask(sums.data(), head, divisor, mean_threshold, lanes.data(), 0);
+            detail::window_mean_mask_scalar(sums.data() + head, count - head, divisor,
+                                            mean_threshold, lanes.data(), head);
+            detail::window_mean_mask_scalar(sums.data(), count, divisor, mean_threshold,
+                                            scalar.data(), 0);
+            EXPECT_EQ(lanes, scalar) << what << " mean mask, window " << window
+                                     << ", count " << count;
+
+            std::fill(lanes.begin(), lanes.end(), 0);
+            std::fill(scalar.begin(), scalar.end(), 0);
+            double lane_peak = excess(sums.data(), sum_sqs.data(), head, divisor, sigma2,
+                                      ratio_threshold, 1e-12, lanes.data(), 0);
+            lane_peak = detail::excess_variance_mask_scalar(
+                sums.data() + head, sum_sqs.data() + head, count - head, divisor, sigma2,
+                ratio_threshold, lane_peak, lanes.data(), head);
+            const double scalar_peak = detail::excess_variance_mask_scalar(
+                sums.data(), sum_sqs.data(), count, divisor, sigma2, ratio_threshold, 1e-12,
+                scalar.data(), 0);
+            EXPECT_EQ(lanes, scalar) << what << " ratio mask, window " << window
+                                     << ", count " << count;
+            expect_same_bits(lane_peak, scalar_peak, what, count);
+
+            // 0-ULP ratios: a block of `width` copies of window i, with
+            // the peak started at -inf, makes the peak that ratio.
+            for (std::size_t i = 0; i < count; ++i) {
+                const std::vector<double> block_sums(width, sums[i]);
+                const std::vector<double> block_sum_sqs(width, sum_sqs[i]);
+                std::uint64_t lane_bits = 0;
+                std::uint64_t scalar_bits = 0;
+                const double lane_ratio =
+                    excess(block_sums.data(), block_sum_sqs.data(), width, divisor, sigma2,
+                           ratio_threshold, neg_inf, &lane_bits, 0);
+                const double scalar_ratio = detail::excess_variance_mask_scalar(
+                    &sums[i], &sum_sqs[i], 1, divisor, sigma2, ratio_threshold, neg_inf,
+                    &scalar_bits, 0);
+                expect_same_bits(lane_ratio, scalar_ratio, what, i);
+            }
+
+            const std::vector<double> samples = hostile_values(2 * (count + 1), -2.0, 2.0,
+                                                               0x5E + count);
+            std::vector<std::uint8_t> lane_bytes(count, 0xAA);
+            std::vector<std::uint8_t> scalar_bytes(count, 0x55);
+            decide(samples.data(), head, lane_bytes.data());
+            detail::msk_decide_scalar(samples.data() + 2 * head, count - head,
+                                      lane_bytes.data() + head);
+            detail::msk_decide_scalar(samples.data(), count, scalar_bytes.data());
+            EXPECT_EQ(lane_bytes, scalar_bytes) << what << " demod, count " << count;
+        }
+    }
+}
+
+TEST(SimdKernels, Avx2ReceiverScansEqualScalar)
+{
+    if (!avx2_available())
+        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
+    expect_receiver_scans_equal_scalar(detail::window_mean_mask_avx2,
+                                       detail::excess_variance_mask_avx2,
+                                       detail::msk_decide_avx2, 4, "avx2-vs-scalar");
+}
+
+TEST(SimdKernels, Avx512ReceiverScansEqualScalar)
+{
+    if (!avx512_available())
+        GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
+    expect_receiver_scans_equal_scalar(detail::window_mean_mask_avx512,
+                                       detail::excess_variance_mask_avx512,
+                                       detail::msk_decide_avx512, 8, "avx512-vs-scalar");
 }
 
 TEST(SimdKernels, LaneKernelsStayWithinFastErrorBounds)
