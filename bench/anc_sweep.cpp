@@ -310,7 +310,7 @@ int run_sweep_cli(const Cli_options& options_in)
     // --stream: rows leave the process as tasks finish, and the result
     // vector is only materialized when the metrics manifest (which
     // journals every task) asks for it.
-    std::optional<Stream_file> json_stream, tasks_csv_stream;
+    std::optional<Atomic_file> json_stream, tasks_csv_stream;
     std::optional<engine::Json_stream_writer> json_writer;
     std::optional<engine::Tasks_csv_stream_writer> csv_writer;
     engine::Aggregator aggregator;

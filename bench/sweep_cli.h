@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -24,8 +23,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include <unistd.h>
 
 #include "engine/engine.h"
 #include "util/rate_limiter.h"
@@ -259,47 +256,6 @@ private:
     using clock = std::chrono::steady_clock;
     clock::time_point start_ = clock::now();
     Rate_limiter redraw_gate_{std::chrono::milliseconds{100}};
-};
-
-/// A file that streams row by row but still publishes atomically: rows
-/// go to `<path>.tmp.<pid>`, and commit() renames onto the final path.
-/// An uncommitted (crashed/failed) stream leaves at most a temp file,
-/// removed by the destructor when possible.
-class Stream_file {
-public:
-    explicit Stream_file(const std::string& path)
-        : path_{path}, tmp_{path + ".tmp." + std::to_string(::getpid())}, out_{tmp_}
-    {
-        if (!out_)
-            throw std::runtime_error{"cannot write " + tmp_};
-    }
-
-    ~Stream_file()
-    {
-        if (!committed_) {
-            out_.close();
-            std::remove(tmp_.c_str());
-        }
-    }
-
-    std::ostream& stream() { return out_; }
-
-    void commit()
-    {
-        out_.flush();
-        if (!out_)
-            throw std::runtime_error{"write failed on " + tmp_};
-        out_.close();
-        if (std::rename(tmp_.c_str(), path_.c_str()) != 0)
-            throw std::runtime_error{"cannot rename " + tmp_ + " to " + path_};
-        committed_ = true;
-    }
-
-private:
-    std::string path_;
-    std::string tmp_;
-    std::ofstream out_;
-    bool committed_ = false;
 };
 
 } // namespace anc::bench

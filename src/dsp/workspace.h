@@ -8,7 +8,7 @@
 // hands out a cleared buffer whose capacity survives from previous uses,
 // and returns it to the pool when it goes out of scope.  After a warm-up
 // pass, leasing is allocation-free (PERF.md documents the invariant;
-// bench/pipeline_throughput measures it).
+// tests/alloc/zero_alloc_test.cpp enforces it).
 //
 // Ownership model: the engine executor owns one Workspace per worker
 // thread and *binds* it for the thread's lifetime, so buffers are

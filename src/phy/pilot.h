@@ -14,7 +14,7 @@
 // per pattern bit.  The packed scan is a pure speedup: position, error
 // count, clamping, and tie-breaks (earliest minimum, stop at zero) are
 // exactly those of the historical byte loop, which survives as
-// find_pattern_scalar — the validation and bench reference.
+// find_pattern_scalar — the validation reference.
 
 #pragma once
 
@@ -115,8 +115,8 @@ std::optional<Pattern_match> find_pattern(const Packed_bits& haystack,
                                           std::size_t max_errors);
 
 /// The historical byte-per-bit scan, uninstrumented: the reference the
-/// property tests compare the packed scan against, and the bench's
-/// `pilot_search` stage (PERF.md).  Not used on any hot path.
+/// property tests compare the packed scan against.  Not used on any hot
+/// path.
 std::optional<Pattern_match> find_pattern_scalar(std::span<const std::uint8_t> bits,
                                                  std::span<const std::uint8_t> pattern,
                                                  std::size_t from,

@@ -1,56 +1,59 @@
 #include "util/atomic_file.h"
 
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 namespace anc {
 
-namespace {
-
-/// fsync the named file so the subsequent rename publishes durable
-/// bytes, not page-cache contents that a power cut could drop.
-void fsync_path(const std::string& path)
+// PID-suffixed so concurrent writers (shard processes pointed at the
+// same artifact by mistake) cannot corrupt each other's temp file; last
+// rename wins with a complete document either way.
+Atomic_file::Atomic_file(std::string path)
+    : path_{std::move(path)},
+      temp_{path_ + ".tmp." + std::to_string(::getpid())},
+      out_{temp_, std::ios::binary | std::ios::trunc}
 {
-    const int fd = ::open(path.c_str(), O_WRONLY);
+    if (!out_)
+        throw std::runtime_error{"atomic file: cannot open " + temp_};
+}
+
+Atomic_file::~Atomic_file()
+{
+    if (!committed_) {
+        out_.close();
+        std::remove(temp_.c_str());
+    }
+}
+
+void Atomic_file::commit()
+{
+    out_.close();
+    if (!out_)
+        throw std::runtime_error{"atomic file: write failed on " + temp_};
+    // fsync so the rename publishes durable bytes, not page-cache
+    // contents that a power cut could drop.
+    const int fd = ::open(temp_.c_str(), O_WRONLY);
     if (fd < 0)
-        throw std::runtime_error{"write_file_atomic: cannot reopen " + path};
+        throw std::runtime_error{"atomic file: cannot reopen " + temp_};
     const int rc = ::fsync(fd);
     ::close(fd);
     if (rc != 0)
-        throw std::runtime_error{"write_file_atomic: fsync failed on " + path};
+        throw std::runtime_error{"atomic file: fsync failed on " + temp_};
+    if (std::rename(temp_.c_str(), path_.c_str()) != 0)
+        throw std::runtime_error{"atomic file: cannot rename " + temp_ + " -> " + path_};
+    committed_ = true;
 }
-
-} // namespace
 
 void write_file_atomic(const std::string& path,
                        const std::function<void(std::ostream&)>& writer)
 {
-    // PID-suffixed so concurrent writers (shard processes pointed at the
-    // same artifact by mistake) cannot corrupt each other's temp file;
-    // last rename wins with a complete document either way.
-    const std::string temp = path + ".tmp." + std::to_string(::getpid());
-    try {
-        {
-            std::ofstream out{temp, std::ios::binary | std::ios::trunc};
-            if (!out)
-                throw std::runtime_error{"write_file_atomic: cannot open " + temp};
-            writer(out);
-            out.flush();
-            if (!out)
-                throw std::runtime_error{"write_file_atomic: write failed on " + temp};
-        }
-        fsync_path(temp);
-        if (std::rename(temp.c_str(), path.c_str()) != 0)
-            throw std::runtime_error{"write_file_atomic: cannot rename " + temp + " -> "
-                                     + path};
-    } catch (...) {
-        std::remove(temp.c_str());
-        throw;
-    }
+    Atomic_file file{path};
+    writer(file.stream());
+    file.commit();
 }
 
 } // namespace anc

@@ -28,18 +28,6 @@ Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
 // which is element-wise identical (draws are pure in (key, counter), so
 // the seam carries no state).
 
-void Counter_normal::fill_simd(std::uint64_t first_counter, double* out,
-                               std::size_t count) const
-{
-    const auto scalar = [this](std::uint64_t, std::uint64_t, std::uint64_t first,
-                               double* at, std::size_t n) { fill(first, at, n); };
-    simd::dispatch<2>(count, simd::detail::counter_normal_fill_avx512,
-                      simd::detail::counter_normal_fill_avx2, scalar,
-                      [&](auto kernel, std::size_t at, std::size_t n) {
-                          kernel(key_a_, key_b_, first_counter + at / 2, out + at, n);
-                      });
-}
-
 void Counter_normal::add_scaled_simd(std::uint64_t first_counter, double scale,
                                      double* inout, std::size_t count) const
 {

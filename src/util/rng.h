@@ -82,17 +82,13 @@ public:
     void add_scaled(std::uint64_t first_counter, double scale, double* inout,
                     std::size_t count) const;
 
-    /// fill(), routed through the lane kernels (util/simd.h): the AVX2
-    /// or AVX-512 lanes hash/Box–Muller 4 or 8 counter pairs per step
-    /// when a lane backend is active, and the scalar fill serves
-    /// otherwise.  Either way the output is bit-identical to fill() at
-    /// the same counters — the backend's bit-compatibility contract,
-    /// pinned by tests/util/counter_normal_test.cpp.
-    void fill_simd(std::uint64_t first_counter, double* out,
-                   std::size_t count) const;
-
-    /// add_scaled(), routed through the lane kernels; bit-identical to
-    /// add_scaled() at the same counters.
+    /// add_scaled(), routed through the lane kernels (util/simd.h): the
+    /// AVX2 or AVX-512 lanes hash/Box–Muller 4 or 8 counter pairs per
+    /// step when a lane backend is active, and the scalar add_scaled
+    /// serves otherwise.  Either way the output is bit-identical to
+    /// add_scaled() at the same counters — the backend's
+    /// bit-compatibility contract, pinned by
+    /// tests/util/counter_normal_test.cpp.
     void add_scaled_simd(std::uint64_t first_counter, double scale, double* inout,
                          std::size_t count) const;
 

@@ -466,12 +466,6 @@ void diff_arg_batch_avx2(const double*, std::size_t, double*)
     unreachable_backend();
 }
 
-void counter_normal_fill_avx2(std::uint64_t, std::uint64_t, std::uint64_t, double*,
-                              std::size_t)
-{
-    unreachable_backend();
-}
-
 void counter_normal_add_scaled_avx2(std::uint64_t, std::uint64_t, std::uint64_t, double,
                                     double*, std::size_t)
 {
@@ -533,12 +527,6 @@ void anc_select_batch_avx512(const double*, const double*, const double*, const 
 }
 
 void diff_arg_batch_avx512(const double*, std::size_t, double*)
-{
-    unreachable_backend();
-}
-
-void counter_normal_fill_avx512(std::uint64_t, std::uint64_t, std::uint64_t, double*,
-                                std::size_t)
 {
     unreachable_backend();
 }

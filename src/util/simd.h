@@ -256,13 +256,10 @@ void anc_select_batch_avx2(const double* theta_plus, const double* theta_minus,
 void diff_arg_batch_avx2(const double* interleaved_samples, std::size_t transitions,
                          double* out);
 
-/// Counter_normal's batched Box–Muller: 4 counter pairs (8 normals) per
-/// step, bit-identical to Counter_normal::fill at the same counters.
-/// count % 8 == 0; the dispatcher (util/rng.cpp) handles tails.
-void counter_normal_fill_avx2(std::uint64_t key_a, std::uint64_t key_b,
-                              std::uint64_t first_counter, double* out,
-                              std::size_t count);
-/// Fused inout[i] += scale·z_i over the same z stream; count % 8 == 0.
+/// Counter_normal's batched Box–Muller, fused into inout[i] += scale·z_i:
+/// 4 counter pairs (8 normals) per step, bit-identical to
+/// Counter_normal::add_scaled at the same counters.  count % 8 == 0; the
+/// dispatcher (util/rng.cpp) handles tails.
 void counter_normal_add_scaled_avx2(std::uint64_t key_a, std::uint64_t key_b,
                                     std::uint64_t first_counter, double scale,
                                     double* inout, std::size_t count);
@@ -297,11 +294,8 @@ void diff_arg_batch_avx512(const double* interleaved_samples,
                            std::size_t transitions, double* out);
 
 /// 8 counter pairs (16 normals) per step, same z stream as the scalar
-/// generator.  count % 16 == 0; the dispatcher handles tails.
-void counter_normal_fill_avx512(std::uint64_t key_a, std::uint64_t key_b,
-                                std::uint64_t first_counter, double* out,
-                                std::size_t count);
-/// Fused inout[i] += scale·z_i over the same z stream; count % 16 == 0.
+/// generator, fused into inout[i] += scale·z_i.  count % 16 == 0; the
+/// dispatcher handles tails.
 void counter_normal_add_scaled_avx512(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,
                                       double* inout, std::size_t count);

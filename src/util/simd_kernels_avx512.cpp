@@ -123,12 +123,6 @@ void diff_arg_batch_avx512(const double* interleaved_samples, std::size_t transi
     K::diff_arg_batch(interleaved_samples, transitions, out);
 }
 
-void counter_normal_fill_avx512(std::uint64_t key_a, std::uint64_t key_b,
-                                std::uint64_t first_counter, double* out, std::size_t count)
-{
-    K::counter_normal_fill(key_a, key_b, first_counter, out, count);
-}
-
 void counter_normal_add_scaled_avx512(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,
                                       double* inout, std::size_t count)

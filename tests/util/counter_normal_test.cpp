@@ -138,39 +138,31 @@ TEST(CounterNormal, ThreadedFillReplaysSerialBitForBit)
     }
 }
 
-TEST(CounterNormal, SimdFillIsBitCompatibleWithScalarFill)
-{
-    // The simd backend's contract (util/simd.h): same (key, counter) ->
-    // same normals, whether the AVX2 lanes or the scalar fallback served
-    // the call.  fill_simd must therefore reproduce fill() exactly —
-    // including odd lengths (scalar tail) and non-zero counter origins.
-    const Counter_normal gen{31415, 92};
-    for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                                    std::size_t{8}, std::size_t{9}, std::size_t{64},
-                                    std::size_t{1001}, std::size_t{4096}}) {
-        for (const std::uint64_t first : {std::uint64_t{0}, std::uint64_t{17}}) {
-            std::vector<double> scalar(count, 0.0);
-            std::vector<double> simd(count, 0.0);
-            gen.fill(first, scalar.data(), count);
-            gen.fill_simd(first, simd.data(), count);
-            EXPECT_EQ(simd, scalar)
-                << "count " << count << " first_counter " << first;
-        }
-    }
-}
-
 TEST(CounterNormal, SimdAddScaledIsBitCompatibleWithScalar)
 {
-    const Counter_normal gen{2024, 6};
-    const std::size_t count = 1234; // odd tail after the 8-wide blocks
-    std::vector<double> base(count);
-    for (std::size_t i = 0; i < count; ++i)
-        base[i] = 0.25 * static_cast<double>(i % 17) - 2.0;
-    std::vector<double> scalar = base;
-    std::vector<double> simd = base;
-    gen.add_scaled(5, 0.7071, scalar.data(), count);
-    gen.add_scaled_simd(5, 0.7071, simd.data(), count);
-    EXPECT_EQ(simd, scalar);
+    // The lane backends' contract (util/simd.h): same (key, counter) ->
+    // same normals, whether the AVX2/AVX-512 lanes or the scalar fallback
+    // served the call.  add_scaled_simd must therefore reproduce
+    // add_scaled() exactly — including lengths below one lane block, odd
+    // lengths (the scalar tail) and non-zero counter origins.
+    for (const Counter_normal& gen : {Counter_normal{2024, 6}, Counter_normal{31415, 92}}) {
+        for (const std::size_t count :
+             {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+              std::size_t{9}, std::size_t{64}, std::size_t{1001}, std::size_t{1234},
+              std::size_t{4096}}) {
+            for (const std::uint64_t first :
+                 {std::uint64_t{0}, std::uint64_t{5}, std::uint64_t{17}}) {
+                std::vector<double> base(count);
+                for (std::size_t i = 0; i < count; ++i)
+                    base[i] = 0.25 * static_cast<double>(i % 17) - 2.0;
+                std::vector<double> scalar = base;
+                std::vector<double> simd = base;
+                gen.add_scaled(first, 0.7071, scalar.data(), count);
+                gen.add_scaled_simd(first, 0.7071, simd.data(), count);
+                EXPECT_EQ(simd, scalar) << "count " << count << " first_counter " << first;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -346,16 +346,11 @@ TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
     // The two lane widths must emit the identical z stream for identical
     // (key, counter) words.  Keys are passed directly so this holds for
     // arbitrary key material, not just Counter_normal-derived keys (the
-    // public fill_simd path is covered by tests/util/counter_normal_*).
+    // public add_scaled_simd path is covered by
+    // tests/util/counter_normal_test.cpp).
     const std::uint64_t key_a = 0x0123456789abcdefULL;
     const std::uint64_t key_b = 0xfedcba9876543210ULL;
     const std::size_t count = 256; // multiple of 16
-    std::vector<double> wide(count), narrow(count);
-    detail::counter_normal_fill_avx512(key_a, key_b, 41, wide.data(), count);
-    detail::counter_normal_fill_avx2(key_a, key_b, 41, narrow.data(), count);
-    for (std::size_t i = 0; i < count; ++i)
-        expect_same_bits(wide[i], narrow[i], "counter-normal fill avx512", i);
-
     std::vector<double> acc_wide(count, 0.25), acc_narrow(count, 0.25);
     detail::counter_normal_add_scaled_avx512(key_a, key_b, 41, 0.7,
                                              acc_wide.data(), count);
