@@ -434,6 +434,9 @@ int main(int argc, char** argv)
             }
         }
         options.config.base_seed = grid_cli.base_seed;
+        // A malformed ANC_ENGINE_THREADS is a usage error before any
+        // artifact or journal exists, not a throw from inside the sweep.
+        engine::resolve_thread_count(options.config);
         if (options.grid.scenarios.empty())
             return usage(argv[0], "at least one --scenario is required");
         if (!options.merge_paths.empty()

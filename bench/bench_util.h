@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dsp/math_profile.h"
 #include "engine/engine.h"
+#include "sweep_cli.h"
 #include "util/stats.h"
 
 namespace anc::bench {
@@ -60,16 +62,26 @@ inline void print_engine_note(std::size_t tasks, const engine::Executor_config& 
                 static_cast<unsigned long long>(config.base_seed));
 }
 
+/// A count from environment variable `name`: unset or empty means
+/// `fallback`; anything else must be one whole number >= 1, or this
+/// throws std::invalid_argument naming the variable.
+inline std::size_t count_from_env(const char* name, std::size_t fallback)
+{
+    const char* env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return fallback;
+    const std::size_t count = parse_count(name, env);
+    if (count == 0)
+        throw std::invalid_argument{std::string{name} + " wants a whole number >= 1, got: '"
+                                    + env + "'"};
+    return count;
+}
+
 /// Number of runs (the paper repeats each experiment 40 times).  Scaled
 /// down via the ANC_BENCH_RUNS environment variable for quick checks.
 inline std::size_t run_count(std::size_t default_runs = 40)
 {
-    if (const char* env = std::getenv("ANC_BENCH_RUNS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
-    return default_runs;
+    return count_from_env("ANC_BENCH_RUNS", default_runs);
 }
 
 /// Packet pairs (or packets) per run; the paper used 1000 per direction,
@@ -77,12 +89,7 @@ inline std::size_t run_count(std::size_t default_runs = 40)
 /// simulator.  Scaled via ANC_BENCH_EXCHANGES.
 inline std::size_t exchange_count(std::size_t default_exchanges = 20)
 {
-    if (const char* env = std::getenv("ANC_BENCH_EXCHANGES")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
-    return default_exchanges;
+    return count_from_env("ANC_BENCH_EXCHANGES", default_exchanges);
 }
 
 inline void print_cdf(const std::string& title, const Cdf& cdf, const char* unit = "")

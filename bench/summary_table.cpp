@@ -85,16 +85,22 @@ int main()
     const auto row = [](const char* name, double paper, double measured) {
         std::printf("%-48s %8.3f %8.3f\n", name, paper, measured);
     };
+    // A series with no samples prints n/a, never a number a corridor
+    // could mistake for a perfect (zero) BER.
+    const auto mean_row = [](const char* name, double paper, const Cdf& measured) {
+        if (measured.empty())
+            std::printf("%-48s %8.3f %8s\n", name, paper, "n/a");
+        else
+            std::printf("%-48s %8.3f %8.3f\n", name, paper, measured.mean());
+    };
     row("Alice-Bob: ANC gain over traditional", 1.70, gain_mean("alice_bob", "traditional"));
     row("Alice-Bob: ANC gain over COPE", 1.30, gain_mean("alice_bob", "cope"));
-    row("Alice-Bob: mean ANC BER", 0.04, ab.run_mean_ber.mean());
-    row("Alice-Bob: mean packet overlap", 0.80, ab.run_mean_overlap.mean());
+    mean_row("Alice-Bob: mean ANC BER", 0.04, ab.run_mean_ber);
+    mean_row("Alice-Bob: mean packet overlap", 0.80, ab.run_mean_overlap);
     row("X: ANC gain over traditional", 1.65, gain_mean("x_topology", "traditional"));
     row("X: ANC gain over COPE", 1.28, gain_mean("x_topology", "cope"));
     row("Chain: ANC gain over traditional", 1.36, gain_mean("chain", "traditional"));
-    row("Chain: mean BER at N2", 0.015,
-        chain_ber.empty() ? 0.0 : chain_ber.mean());
-    row("BER at SIR -3 dB (decoding at Alice)", 0.05,
-        sir_ber.empty() ? 0.0 : sir_ber.mean());
+    mean_row("Chain: mean BER at N2", 0.015, chain_ber);
+    mean_row("BER at SIR -3 dB (decoding at Alice)", 0.05, sir_ber);
     return 0;
 }

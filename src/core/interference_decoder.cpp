@@ -65,28 +65,17 @@ void estimate_batched(dsp::Signal_view samples,
                                   phi_differences.data() + known);
 }
 
-} // namespace
-
-std::pair<std::vector<double>, std::vector<double>>
-Interference_decoder::estimate_phi_differences(dsp::Signal_view samples,
-                                               std::span<const double> known_diffs,
-                                               double a,
-                                               double b) const
-{
-    std::vector<double> phi_differences;
-    std::vector<double> match_errors;
-    estimate_phi_differences_into(samples, known_diffs, a, b, phi_differences,
-                                  match_errors);
-    return {std::move(phi_differences), std::move(match_errors)};
-}
-
-void Interference_decoder::estimate_phi_differences_into(
-    dsp::Signal_view samples,
-    std::span<const double> known_diffs,
-    double a,
-    double b,
-    std::vector<double>& phi_differences,
-    std::vector<double>& match_errors) const
+/// The Eq. 7-8 core: per-transition estimated delta-phi of the unknown
+/// signal (candidate selection against the known steps), plus the Eq. 8
+/// match errors over the known signal's extent, into `phi_differences`
+/// and `match_errors` (cleared first).
+void phi_differences_into(dsp::Math_profile profile,
+                          dsp::Signal_view samples,
+                          std::span<const double> known_diffs,
+                          double a,
+                          double b,
+                          std::vector<double>& phi_differences,
+                          std::vector<double>& match_errors)
 {
     if (!(a > 0.0) || !(b > 0.0))
         throw std::invalid_argument{"Interference_decoder: amplitudes must be positive"};
@@ -110,7 +99,7 @@ void Interference_decoder::estimate_phi_differences_into(
     match_errors.reserve(known_diffs.size() < transitions ? known_diffs.size()
                                                           : transitions);
 
-    if (profile_ != dsp::Math_profile::exact) {
+    if (profile != dsp::Math_profile::exact) {
         estimate_batched(samples, known_diffs, a, b, phi_differences, match_errors);
         return;
     }
@@ -150,6 +139,8 @@ void Interference_decoder::estimate_phi_differences_into(
     }
 }
 
+} // namespace
+
 Interference_decode_result Interference_decoder::decode(dsp::Signal_view samples,
                                                         std::span<const double> known_diffs,
                                                         double a,
@@ -170,42 +161,12 @@ void Interference_decoder::decode_into(dsp::Signal_view samples,
                                        std::vector<double>& match_errors) const
 {
     const obs::Stage_timer timer{obs::Stage::interference_decode};
-    estimate_phi_differences_into(samples, known_diffs, a, b, phi_differences,
-                                  match_errors);
+    phi_differences_into(profile_, samples, known_diffs, a, b, phi_differences,
+                         match_errors);
     bits.clear();
     bits.reserve(phi_differences.size());
     for (const double diff : phi_differences)
         bits.push_back(diff >= 0.0 ? 1 : 0); // MSK rule (§6.4)
-}
-
-Symbol_decode_result Interference_decoder::decode_symbols(
-    dsp::Signal_view samples,
-    std::span<const double> known_diffs,
-    double a,
-    double b,
-    std::span<const double> alphabet) const
-{
-    if (alphabet.empty())
-        throw std::invalid_argument{"decode_symbols: alphabet must not be empty"};
-    Symbol_decode_result result;
-    auto [phi_differences, match_errors] =
-        estimate_phi_differences(samples, known_diffs, a, b);
-    result.symbols.reserve(phi_differences.size());
-    for (const double diff : phi_differences) {
-        std::size_t best = 0;
-        double best_distance = phase_distance(diff, alphabet[0]);
-        for (std::size_t s = 1; s < alphabet.size(); ++s) {
-            const double distance = phase_distance(diff, alphabet[s]);
-            if (distance < best_distance) {
-                best_distance = distance;
-                best = s;
-            }
-        }
-        result.symbols.push_back(best);
-    }
-    result.phi_differences = std::move(phi_differences);
-    result.match_errors = std::move(match_errors);
-    return result;
 }
 
 } // namespace anc

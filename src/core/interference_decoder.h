@@ -11,11 +11,14 @@
 // Beyond the end of the known signal the collision is over and the
 // decoder falls back to standard differential demodulation — that region
 // is the unknown packet's interference-free tail (§7.2).
+//
+// Both packets are MSK, as in the paper's evaluation (§11).  decode_into
+// is the one entry point onto the Eq. 7-8 core (decode wraps it); the ANC
+// receiver calls it once per collision.
 
 #pragma once
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "dsp/math_profile.h"
@@ -33,14 +36,6 @@ struct Interference_decode_result {
     std::vector<double> phi_differences;
     /// |delta theta_chosen - delta theta_known| per transition within the
     /// known signal's extent; diagnostics for tests and benches.
-    std::vector<double> match_errors;
-};
-
-/// Result of the generic-alphabet variant: per-transition symbol indices
-/// into the caller's alphabet instead of MSK bits.
-struct Symbol_decode_result {
-    std::vector<std::size_t> symbols;
-    std::vector<double> phi_differences;
     std::vector<double> match_errors;
 };
 
@@ -79,34 +74,6 @@ public:
                      Bits& bits,
                      std::vector<double>& phi_differences,
                      std::vector<double>& match_errors) const;
-
-    /// Generic PSK variant (§4: the algorithm "is applicable to any phase
-    /// shift keying modulation").  The unknown signal's per-transition
-    /// phase-step alphabet is supplied by the caller; each estimated
-    /// delta-phi snaps to the nearest alphabet entry.  The *known* signal
-    /// may use any scheme — only its expected phase differences matter.
-    Symbol_decode_result decode_symbols(dsp::Signal_view samples,
-                                        std::span<const double> known_diffs,
-                                        double a,
-                                        double b,
-                                        std::span<const double> alphabet) const;
-
-    /// The shared core: per-transition estimated delta-phi of the unknown
-    /// signal (Eq. 7-8 candidate selection), plus Eq. 8 match errors over
-    /// the known signal's extent.
-    std::pair<std::vector<double>, std::vector<double>> estimate_phi_differences(
-        dsp::Signal_view samples,
-        std::span<const double> known_diffs,
-        double a,
-        double b) const;
-
-    /// The same core into caller-owned buffers (cleared first).
-    void estimate_phi_differences_into(dsp::Signal_view samples,
-                                       std::span<const double> known_diffs,
-                                       double a,
-                                       double b,
-                                       std::vector<double>& phi_differences,
-                                       std::vector<double>& match_errors) const;
 
 private:
     dsp::Math_profile profile_ = dsp::Math_profile::exact;

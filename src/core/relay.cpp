@@ -4,20 +4,6 @@
 
 namespace anc {
 
-Relay_action decide_relay_action(
-    const std::optional<phy::Frame_header>& first,
-    const std::optional<phy::Frame_header>& second,
-    const Sent_packet_buffer& buffer,
-    const std::function<bool(const phy::Frame_header&, const phy::Frame_header&)>&
-        opposite_directions)
-{
-    if ((first && buffer.contains(*first)) || (second && buffer.contains(*second)))
-        return Relay_action::decode;
-    if (first && second && opposite_directions(*first, *second))
-        return Relay_action::forward;
-    return Relay_action::drop;
-}
-
 std::optional<dsp::Signal> amplify_and_forward(dsp::Signal_view received,
                                                double noise_power,
                                                double target_power,

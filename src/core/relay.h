@@ -1,13 +1,11 @@
-// Router behaviour for interfered signals (§7.5, Appendix C).
+// The relay's amplify-and-forward (§7.5, Appendix C).
 //
-// A router that receives a collision has three options:
-//   - decode:  one of the colliding headers matches a packet it already
-//     has (the chain topology: it forwarded that packet earlier), so it
-//     can cancel and decode the other packet itself;
-//   - forward: it knows neither packet but the two are headed in opposite
-//     directions through it (Alice-Bob), so it re-amplifies the *signal*
-//     to its transmit power P and broadcasts it;
-//   - drop:    anything else.
+// §7.5 lets a router that hears a collision decode it (it knows one of
+// the packets, as N2 in the chain), forward it (the two packets cross it
+// in opposite directions, as the Alice-Bob and X relays) or drop it.
+// Each topology fixes that choice, so it lives in the round schedule:
+// sim/crossing.cpp forwards (relay_broadcast in sim/rounds.cpp runs the
+// functions below), sim/chain.cpp decodes through the ANC receiver.
 //
 // The re-amplification scales the received window so its mean power is P
 // (the amplification factor A = sqrt(P / (P h1^2 + P h2^2 + sigma^2)) of
@@ -18,32 +16,12 @@
 
 #pragma once
 
-#include <functional>
 #include <optional>
 
-#include "core/sent_packet_buffer.h"
 #include "dsp/sample.h"
 #include "phy/detector.h"
-#include "phy/header.h"
 
 namespace anc {
-
-enum class Relay_action {
-    decode,  // a colliding packet is known: run interference decoding
-    forward, // amplify-and-forward the raw signal
-    drop,
-};
-
-/// Decide per §7.5.  `headers` are whatever header(s) were readable from
-/// the clean head/tail of the collision; `opposite_directions` answers
-/// "are these two flows crossing this router in opposite directions?"
-/// from the router's routing state.
-Relay_action decide_relay_action(
-    const std::optional<phy::Frame_header>& first,
-    const std::optional<phy::Frame_header>& second,
-    const Sent_packet_buffer& buffer,
-    const std::function<bool(const phy::Frame_header&, const phy::Frame_header&)>&
-        opposite_directions);
 
 /// Amplify-and-forward: trim the received stream to its active region
 /// (energy detection against the router's noise floor) and scale the mean

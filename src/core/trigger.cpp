@@ -4,33 +4,6 @@
 
 namespace anc {
 
-const Bits& trigger_sequence()
-{
-    static const Bits trigger = [] {
-        Pcg32 rng{0x414e435f54524947ull /* "ANC_TRIG" */, 11};
-        return random_bits(trigger_length, rng);
-    }();
-    return trigger;
-}
-
-bool ends_with_trigger(std::span<const std::uint8_t> bits, std::size_t max_errors)
-{
-    const Bits& trigger = trigger_sequence();
-    if (bits.size() < trigger.size())
-        return false;
-    const auto tail = bits.subspan(bits.size() - trigger.size());
-    std::size_t errors = 0;
-    for (std::size_t i = 0; i < trigger.size(); ++i)
-        errors += (tail[i] != trigger[i]);
-    return errors <= max_errors;
-}
-
-std::size_t draw_start_delay(Trigger_config config, Pcg32& rng)
-{
-    const std::uint32_t slot = rng.next_in_range(1, config.slot_count);
-    return static_cast<std::size_t>(slot) * config.slot_symbols;
-}
-
 std::pair<std::size_t, std::size_t> draw_distinct_delays(Trigger_config config, Pcg32& rng)
 {
     const std::uint32_t first = rng.next_in_range(1, config.slot_count);

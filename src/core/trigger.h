@@ -1,29 +1,22 @@
-// Trigger protocol (§7.6) and the deliberate partial overlap (§7.2).
+// Trigger timing (§7.6) and the deliberate partial overlap (§7.2).
 //
-// A node that wants two neighbours to collide appends a short trigger
-// sequence to its transmission; the triggered nodes respond immediately —
-// but each first waits a random number of slots (1..32) so that the two
-// packets overlap *incompletely*, leaving interference-free pilot regions
-// at the head of the first packet and the tail of the second.
+// In the paper a node that wants two neighbours to collide appends a
+// trigger sequence; the triggered nodes then each wait a random number of
+// slots so that the two packets overlap *incompletely*, leaving
+// interference-free pilot regions at the head of the first packet and the
+// tail of the second.  Who triggers whom is fixed by each topology's round
+// schedule (src/sim/), so no trigger bits are sent: collide() in
+// sim/rounds.cpp draws the two start delays with draw_distinct_delays.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
-#include "util/bits.h"
 #include "util/rng.h"
 
 namespace anc {
-
-inline constexpr std::size_t trigger_length = 16;
-
-/// The fixed trigger bit sequence appended to a transmission.
-const Bits& trigger_sequence();
-
-/// True if `bits` ends with the trigger sequence (allowing `max_errors`
-/// bit errors).
-bool ends_with_trigger(std::span<const std::uint8_t> bits, std::size_t max_errors = 2);
 
 struct Trigger_config {
     /// Number of backoff slots (§7.2 uses 1..32; we default to 8 — see
@@ -39,10 +32,6 @@ struct Trigger_config {
     /// the paper's reported 80% (§11.4).
     std::size_t slot_symbols = 140;
 };
-
-/// Random start delay in symbols: slot * slot_symbols with slot uniform in
-/// [1, slot_count].
-std::size_t draw_start_delay(Trigger_config config, Pcg32& rng);
 
 /// Start delays for the *two* triggered senders.  The paper "enforces"
 /// incomplete overlap (§7.2); we realize that by making the two nodes

@@ -22,7 +22,7 @@
 //             atan2 per sample under exact, the fast_atan2 lanes under
 //             fast.
 //
-// Every other stage (MSK modulation, the link rotations, DQPSK, the
+// Every other stage (MSK modulation, the link rotations, the
 // demodulators) runs one path for both profiles.  The lanes
 // (util/simd.h) are bit-compatible with the scalar kernels, so `fast`
 // output is byte-identical on AVX-512, on AVX2, under

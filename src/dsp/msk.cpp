@@ -130,15 +130,4 @@ void Msk_demodulator::demodulate_into(Signal_view signal, Bits& out) const
                      out.data());
 }
 
-std::vector<double> Msk_demodulator::phase_differences(Signal_view signal) const
-{
-    std::vector<double> diffs;
-    if (signal.size() < 2)
-        return diffs;
-    diffs.reserve(signal.size() - 1);
-    for (std::size_t n = 0; n + 1 < signal.size(); ++n)
-        diffs.push_back(std::arg(signal[n + 1] * std::conj(signal[n])));
-    return diffs;
-}
-
 } // namespace anc::dsp

@@ -73,10 +73,6 @@ public:
     /// arg-based rule for finite samples (see simd::msk_decide, which
     /// runs it 4 or 8 transitions per step on the lane backends).
     void demodulate_into(Signal_view signal, Bits& out) const;
-
-    /// Soft output: the raw per-symbol phase differences, wrapped to
-    /// (-pi, pi].  Useful for diagnostics and for the interference tests.
-    std::vector<double> phase_differences(Signal_view signal) const;
 };
 
 } // namespace anc::dsp

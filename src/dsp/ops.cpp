@@ -38,14 +38,6 @@ void rotate_in_place(Signal& signal, double phase)
     }
 }
 
-void conjugate_in_place(Signal& signal)
-{
-    double* data = reinterpret_cast<double*>(signal.data());
-    const std::size_t n = signal.size();
-    for (std::size_t i = 0; i < n; ++i)
-        data[2 * i + 1] = -data[2 * i + 1];
-}
-
 void time_reverse_into(Signal_view signal, Signal& out)
 {
     const std::size_t n = signal.size();
@@ -64,11 +56,6 @@ void slice_into(Signal_view signal, std::size_t begin, std::size_t end, Signal& 
     end = std::clamp(end, begin, signal.size());
     out.assign(signal.begin() + static_cast<std::ptrdiff_t>(begin),
                signal.begin() + static_cast<std::ptrdiff_t>(end));
-}
-
-void copy_into(Signal_view signal, Signal& out)
-{
-    out.assign(signal.begin(), signal.end());
 }
 
 void add_into(Signal& acc, Signal_view signal)
@@ -91,14 +78,6 @@ void accumulate(Signal& acc, Signal_view signal, std::size_t offset)
     const std::size_t n = 2 * signal.size();
     for (std::size_t i = 0; i < n; ++i)
         a[i] += s[i];
-}
-
-void polar_into(std::span<const double> phases, double amplitude, Signal& out)
-{
-    const std::size_t n = phases.size();
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = std::polar(amplitude, phases[i]);
 }
 
 double normalize_power_in_place(Signal& signal, double target_power)
@@ -143,18 +122,6 @@ Signal added(Signal_view a, Signal_view b)
     return out;
 }
 
-Signal reversed(Signal_view signal)
-{
-    return Signal{signal.rbegin(), signal.rend()};
-}
-
-Signal conjugated(Signal_view signal)
-{
-    Signal out{signal.begin(), signal.end()};
-    conjugate_in_place(out);
-    return out;
-}
-
 Signal time_reversed(Signal_view signal)
 {
     Signal out;
@@ -179,13 +146,6 @@ Signal_view slice_view(Signal_view signal, std::size_t begin, std::size_t end)
 double power(Signal_view signal)
 {
     return mean_energy(signal);
-}
-
-Signal normalized_to_power(Signal_view signal, double target_power)
-{
-    Signal out{signal.begin(), signal.end()};
-    normalize_power_in_place(out, target_power);
-    return out;
 }
 
 } // namespace anc::dsp

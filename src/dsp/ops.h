@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "dsp/sample.h"
 
@@ -25,9 +24,6 @@ void scale_in_place(Signal& signal, double scale);
 /// signal[i] *= e^{i phase} (a channel phase shift).
 void rotate_in_place(Signal& signal, double phase);
 
-/// signal[i] = conj(signal[i]).
-void conjugate_in_place(Signal& signal);
-
 /// out = the samples of `signal` in reverse order, each conjugated (the
 /// backward-decoding transform; see time_reversed).  `out` must not alias
 /// `signal`.
@@ -36,9 +32,6 @@ void time_reverse_into(Signal_view signal, Signal& out);
 /// out = signal[begin, end) (clamped to bounds).  No alias allowed.
 void slice_into(Signal_view signal, std::size_t begin, std::size_t end, Signal& out);
 
-/// out = copy of signal.  No alias allowed.
-void copy_into(Signal_view signal, Signal& out);
-
 /// acc[i] += signal[i], zero-extending acc to signal's length first.
 void add_into(Signal& acc, Signal_view signal);
 
@@ -46,15 +39,11 @@ void add_into(Signal& acc, Signal_view signal);
 /// needed.  Used by the medium to mix any number of transmitters.
 void accumulate(Signal& acc, Signal_view signal, std::size_t offset);
 
-/// out[i] = amplitude · e^{i·phases[i]} — the polar fill behind the
-/// DQPSK modulator: std::polar per element, byte-identical to the
-/// historical per-sample loop.
-void polar_into(std::span<const double> phases, double amplitude, Signal& out);
-
 /// Scale `signal` so its mean power becomes `target_power`, in one
 /// measure-then-scale pass over the buffer (no intermediate copy).  A
 /// zero/empty signal is left unchanged.  Returns the mean power measured
-/// *before* scaling.
+/// *before* scaling.  This is the relay's re-amplification (§7.5): the
+/// amplification factor is chosen so the transmit power equals P.
 double normalize_power_in_place(Signal& signal, double target_power);
 
 // ------------------------------------------------- value-returning API
@@ -71,13 +60,6 @@ Signal delayed(Signal_view signal, std::size_t count);
 /// Sample-wise sum; the shorter signal is zero-extended.  This is what the
 /// wireless medium does to concurrent transmissions: it *adds* them.
 Signal added(Signal_view a, Signal_view b);
-
-/// Copy of the sample order reversed.  Reversing negates every MSK phase
-/// difference, which is the basis of backward decoding (§7.4).
-Signal reversed(Signal_view signal);
-
-/// Sample-wise complex conjugate.
-Signal conjugated(Signal_view signal);
 
 /// Reverse the sample order *and* conjugate.  The resulting stream has
 /// exactly the phase differences of the original read backwards — i.e. a
@@ -96,10 +78,5 @@ Signal_view slice_view(Signal_view signal, std::size_t begin, std::size_t end);
 
 /// Mean power of the signal (alias of mean |y|^2).
 double power(Signal_view signal);
-
-/// Scale so the mean power becomes `target_power`.  A zero signal is
-/// returned unchanged.  This is the relay's re-amplification (§7.5): the
-/// amplification factor is chosen so the transmit power equals P.
-Signal normalized_to_power(Signal_view signal, double target_power);
 
 } // namespace anc::dsp

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -18,14 +22,21 @@ namespace anc::engine {
 
 namespace {
 
+/// ANC_ENGINE_THREADS: unset or empty means 0 (no override); anything
+/// else must be one whole number >= 1 with nothing trailing.
 std::size_t threads_from_env()
 {
-    if (const char* env = std::getenv("ANC_ENGINE_THREADS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
-    return 0;
+    const char* env = std::getenv("ANC_ENGINE_THREADS");
+    if (env == nullptr || *env == '\0')
+        return 0;
+    const char* const end = env + std::strlen(env);
+    std::size_t threads = 0;
+    const auto [stop, error] = std::from_chars(env, end, threads);
+    if (error != std::errc{} || stop != end || threads == 0)
+        throw std::invalid_argument{
+            std::string{"ANC_ENGINE_THREADS wants a whole number >= 1, got: '"} + env
+            + "'"};
+    return threads;
 }
 
 } // namespace

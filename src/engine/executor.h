@@ -152,6 +152,8 @@ std::uint64_t derive_task_seed(std::uint64_t base_seed, std::size_t seed_index);
 
 /// The worker count a config resolves to: ANC_ENGINE_THREADS when set,
 /// else config.threads, else std::thread::hardware_concurrency().
+/// Throws std::invalid_argument when ANC_ENGINE_THREADS is set to
+/// anything but a whole number >= 1 (empty counts as unset).
 std::size_t resolve_thread_count(const Executor_config& config);
 
 /// Run every task (scenarios resolved through `registry`) and return

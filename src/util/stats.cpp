@@ -74,15 +74,6 @@ double Cdf::quantile(double q) const
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-double Cdf::fraction_at_or_below(double x) const
-{
-    if (samples_.empty())
-        return 0.0;
-    ensure_sorted();
-    const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-    return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
-}
-
 double Cdf::mean() const
 {
     if (samples_.empty())
@@ -105,19 +96,6 @@ double Cdf::max() const
         throw std::logic_error{"Cdf::max on empty distribution"};
     ensure_sorted();
     return samples_.back();
-}
-
-std::vector<std::pair<double, double>> Cdf::curve(std::size_t points) const
-{
-    std::vector<std::pair<double, double>> out;
-    if (samples_.empty() || points < 2)
-        return out;
-    out.reserve(points);
-    for (std::size_t i = 0; i < points; ++i) {
-        const double q = static_cast<double>(i) / static_cast<double>(points - 1);
-        out.emplace_back(quantile(q), q);
-    }
-    return out;
 }
 
 const std::vector<double>& Cdf::sorted_samples() const

@@ -47,16 +47,9 @@ public:
     /// order statistics).  Requires at least one sample.
     double quantile(double q) const;
 
-    /// Fraction of samples <= x.
-    double fraction_at_or_below(double x) const;
-
     double mean() const;
     double min() const;
     double max() const;
-
-    /// (value, cumulative fraction) pairs at `points` evenly spaced
-    /// fractions, suitable for printing a CDF like the paper's figures.
-    std::vector<std::pair<double, double>> curve(std::size_t points = 21) const;
 
     const std::vector<double>& sorted_samples() const;
 

@@ -11,64 +11,6 @@
 namespace anc {
 namespace {
 
-phy::Frame_header make_header(std::uint8_t src, std::uint8_t dst, std::uint16_t seq)
-{
-    phy::Frame_header header;
-    header.src = src;
-    header.dst = dst;
-    header.seq = seq;
-    header.payload_bits = 64;
-    return header;
-}
-
-bool opposite(const phy::Frame_header& x, const phy::Frame_header& y)
-{
-    return x.src == y.dst && x.dst == y.src;
-}
-
-TEST(Relay, DecodeWhenFirstHeaderKnown)
-{
-    Sent_packet_buffer buffer;
-    Stored_frame frame;
-    frame.header = make_header(1, 2, 5);
-    buffer.store(frame);
-    EXPECT_EQ(decide_relay_action(make_header(1, 2, 5), make_header(2, 1, 9), buffer, opposite),
-              Relay_action::decode);
-}
-
-TEST(Relay, DecodeWhenSecondHeaderKnown)
-{
-    Sent_packet_buffer buffer;
-    Stored_frame frame;
-    frame.header = make_header(2, 1, 9);
-    buffer.store(frame);
-    EXPECT_EQ(decide_relay_action(make_header(1, 2, 5), make_header(2, 1, 9), buffer, opposite),
-              Relay_action::decode);
-}
-
-TEST(Relay, ForwardWhenOppositeDirections)
-{
-    const Sent_packet_buffer buffer;
-    EXPECT_EQ(decide_relay_action(make_header(1, 2, 5), make_header(2, 1, 9), buffer, opposite),
-              Relay_action::forward);
-}
-
-TEST(Relay, DropWhenSameDirection)
-{
-    const Sent_packet_buffer buffer;
-    EXPECT_EQ(decide_relay_action(make_header(1, 2, 5), make_header(3, 2, 9), buffer, opposite),
-              Relay_action::drop);
-}
-
-TEST(Relay, DropWhenHeadersMissing)
-{
-    const Sent_packet_buffer buffer;
-    EXPECT_EQ(decide_relay_action(std::nullopt, make_header(1, 2, 5), buffer, opposite),
-              Relay_action::drop);
-    EXPECT_EQ(decide_relay_action(std::nullopt, std::nullopt, buffer, opposite),
-              Relay_action::drop);
-}
-
 TEST(Relay, AmplifyNormalizesPower)
 {
     // A weak received mix must be re-amplified to the router's transmit

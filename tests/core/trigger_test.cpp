@@ -2,41 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace anc {
 namespace {
-
-TEST(Trigger, SequenceIsStable)
-{
-    EXPECT_EQ(trigger_sequence().size(), trigger_length);
-    EXPECT_EQ(trigger_sequence(), trigger_sequence());
-}
-
-TEST(Trigger, EndsWithTriggerExact)
-{
-    Bits bits(100, 0);
-    const Bits& trigger = trigger_sequence();
-    bits.insert(bits.end(), trigger.begin(), trigger.end());
-    EXPECT_TRUE(ends_with_trigger(bits));
-}
-
-TEST(Trigger, EndsWithTriggerTolerance)
-{
-    Bits bits(50, 1);
-    Bits trigger = trigger_sequence();
-    trigger[5] ^= 1u;
-    bits.insert(bits.end(), trigger.begin(), trigger.end());
-    EXPECT_TRUE(ends_with_trigger(bits, 2));
-    trigger[9] ^= 1u;
-    trigger[11] ^= 1u;
-    Bits worse(50, 1);
-    worse.insert(worse.end(), trigger.begin(), trigger.end());
-    EXPECT_FALSE(ends_with_trigger(worse, 2));
-}
-
-TEST(Trigger, ShortSequenceNotTrigger)
-{
-    EXPECT_FALSE(ends_with_trigger(Bits{1, 0, 1}));
-}
 
 TEST(Trigger, DelayInConfiguredRange)
 {
@@ -45,10 +14,12 @@ TEST(Trigger, DelayInConfiguredRange)
     config.slot_symbols = 8;
     Pcg32 rng{801};
     for (int i = 0; i < 1000; ++i) {
-        const std::size_t delay = draw_start_delay(config, rng);
-        EXPECT_GE(delay, 8u);
-        EXPECT_LE(delay, 256u);
-        EXPECT_EQ(delay % 8, 0u);
+        const auto [da, db] = draw_distinct_delays(config, rng);
+        for (const std::size_t delay : {da, db}) {
+            EXPECT_GE(delay, 8u);
+            EXPECT_LE(delay, 256u);
+            EXPECT_EQ(delay % 8, 0u);
+        }
     }
 }
 
@@ -82,11 +53,17 @@ TEST(Trigger, DelayCoversAllSlots)
     config.slot_count = 4;
     config.slot_symbols = 1;
     Pcg32 rng{802};
-    std::vector<int> seen(5, 0);
-    for (int i = 0; i < 4000; ++i)
-        ++seen[draw_start_delay(config, rng)];
-    for (int slot = 1; slot <= 4; ++slot)
-        EXPECT_GT(seen[slot], 800);
+    std::vector<int> first(5, 0);
+    std::vector<int> second(5, 0);
+    for (int i = 0; i < 4000; ++i) {
+        const auto [da, db] = draw_distinct_delays(config, rng);
+        ++first[da];
+        ++second[db];
+    }
+    for (int slot = 1; slot <= 4; ++slot) {
+        EXPECT_GT(first[slot], 800);
+        EXPECT_GT(second[slot], 800);
+    }
 }
 
 TEST(Trigger, OverlapFractionFullAndNone)

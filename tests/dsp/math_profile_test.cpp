@@ -58,19 +58,6 @@ TEST(MathProfile, ProfileListParsing)
     EXPECT_THROW(math_profiles_from_string("exact,fastest"), std::invalid_argument);
 }
 
-TEST(MathProfile, ExactPolarFillMatchesStdPolarByteForByte)
-{
-    Pcg32 rng{8, 2};
-    std::vector<double> phases;
-    for (int i = 0; i < 1000; ++i)
-        phases.push_back((rng.next_double() - 0.5) * 12.0);
-    Signal exact;
-    polar_into(phases, 1.7, exact);
-    ASSERT_EQ(exact.size(), phases.size());
-    for (std::size_t i = 0; i < phases.size(); ++i)
-        EXPECT_EQ(exact[i], std::polar(1.7, phases[i]));
-}
-
 TEST(MathProfile, NoiseFreeMediumCarriesMskFramesByteIdentically)
 {
     // With the noise seam shut (noise_power 0) and no decoder in the

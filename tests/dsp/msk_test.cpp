@@ -73,20 +73,6 @@ TEST(Msk, PhaseDifferencesForBits)
         EXPECT_DOUBLE_EQ(diffs[i], bits[i] ? pi / 2.0 : -pi / 2.0);
 }
 
-TEST(Msk, SoftOutputMatchesHardDecisions)
-{
-    Pcg32 rng{103};
-    const Bits bits = random_bits(64, rng);
-    const Msk_modulator modulator{1.0, 1.3};
-    const Msk_demodulator demodulator;
-    const Signal signal = modulator.modulate(bits);
-    const auto diffs = demodulator.phase_differences(signal);
-    ASSERT_EQ(diffs.size(), bits.size());
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        EXPECT_NEAR(diffs[i], bits[i] ? pi / 2.0 : -pi / 2.0, 1e-9);
-    }
-}
-
 TEST(Msk, DemodulateShortSignals)
 {
     const Msk_demodulator demodulator;

@@ -69,17 +69,6 @@ TEST(OpsInPlace, RotateMatchesRotated)
     }
 }
 
-TEST(OpsInPlace, ConjugateMatchesConjugated)
-{
-    const Signal signal = make_test_signal(100, 7);
-    const Signal expected = conjugated(signal);
-    Signal in_place{signal};
-    conjugate_in_place(in_place);
-    expect_identical(expected, in_place);
-    for (std::size_t i = 0; i < signal.size(); ++i)
-        EXPECT_EQ(in_place[i], std::conj(signal[i]));
-}
-
 TEST(OpsInPlace, TimeReverseMatchesTimeReversed)
 {
     const Signal signal = make_test_signal(131, 8);
@@ -122,21 +111,6 @@ TEST(OpsInPlace, AddIntoMatchesAdded)
     add_into(acc, a);
     add_into(acc, b);
     expect_identical(reference, acc);
-}
-
-TEST(OpsInPlace, NormalizeInPlaceMatchesNormalizedToPower)
-{
-    for (std::uint64_t seed = 21; seed <= 24; ++seed) {
-        const Signal signal = make_test_signal(333, seed);
-        const Signal expected = normalized_to_power(signal, 2.0);
-        Signal in_place{signal};
-        const double measured = normalize_power_in_place(in_place, 2.0);
-        expect_identical(expected, in_place);
-        EXPECT_EQ(measured, power(signal));
-        // Historical arithmetic: power then scaled.
-        const Signal reference = scaled(signal, std::sqrt(2.0 / power(signal)));
-        expect_identical(reference, in_place);
-    }
 }
 
 TEST(OpsInPlace, NormalizeZeroSignalUntouched)

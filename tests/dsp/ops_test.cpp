@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dsp/energy_scan.h"
 #include "util/rng.h"
 
@@ -70,20 +72,11 @@ TEST(Ops, AccumulateGrowsAndAdds)
     ASSERT_EQ(acc.size(), 5u);
 }
 
-TEST(Ops, ReversedAndConjugated)
-{
-    const Signal signal{{1.0, 2.0}, {3.0, -1.0}};
-    const Signal rev = reversed(signal);
-    EXPECT_EQ(rev[0], (Sample{3.0, -1.0}));
-    const Signal conj = conjugated(signal);
-    EXPECT_EQ(conj[0], (Sample{1.0, -2.0}));
-    const Signal tr = time_reversed(signal);
-    EXPECT_EQ(tr[0], (Sample{3.0, 1.0}));
-    EXPECT_EQ(tr[1], (Sample{1.0, -2.0}));
-}
-
 TEST(Ops, TimeReversedIsInvolution)
 {
+    const Signal pair{{1.0, 2.0}, {3.0, -1.0}};
+    const Signal tr = time_reversed(pair);
+    EXPECT_EQ(tr, (Signal{{3.0, 1.0}, {1.0, -2.0}})); // reversed and conjugated
     const Signal signal = make_test_signal(33, 2);
     const Signal twice = time_reversed(time_reversed(signal));
     ASSERT_EQ(twice.size(), signal.size());
@@ -104,17 +97,13 @@ TEST(Ops, SliceClampsBounds)
 
 TEST(Ops, NormalizedToPower)
 {
-    Signal signal = make_test_signal(1000, 4);
-    const Signal out = normalized_to_power(signal, 2.5);
-    EXPECT_NEAR(power(out), 2.5, 1e-9);
-}
-
-TEST(Ops, NormalizeZeroSignalIsNoop)
-{
-    Signal zeros(8, Sample{0.0, 0.0});
-    const Signal out = normalized_to_power(zeros, 1.0);
-    EXPECT_EQ(out.size(), zeros.size());
-    EXPECT_DOUBLE_EQ(power(out), 0.0);
+    const Signal original = make_test_signal(1000, 4);
+    Signal signal = original;
+    const double before = power(original);
+    EXPECT_EQ(normalize_power_in_place(signal, 2.5), before);
+    EXPECT_NEAR(power(signal), 2.5, 1e-9);
+    // Exactly the measure-then-scale arithmetic, bit for bit.
+    EXPECT_EQ(signal, scaled(original, std::sqrt(2.5 / before)));
 }
 
 } // namespace

@@ -58,16 +58,6 @@ TEST(Cdf, QuantilesOfKnownSamples)
     EXPECT_NEAR(cdf.quantile(0.25), 25.75, 1e-9);
 }
 
-TEST(Cdf, FractionAtOrBelow)
-{
-    Cdf cdf;
-    for (const double x : {1.0, 2.0, 3.0, 4.0})
-        cdf.add(x);
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(2.0), 0.5);
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(10.0), 1.0);
-}
-
 TEST(Cdf, MeanMinMax)
 {
     Cdf cdf;
@@ -75,20 +65,6 @@ TEST(Cdf, MeanMinMax)
     EXPECT_DOUBLE_EQ(cdf.mean(), 2.0);
     EXPECT_DOUBLE_EQ(cdf.min(), 1.0);
     EXPECT_DOUBLE_EQ(cdf.max(), 3.0);
-}
-
-TEST(Cdf, CurveIsMonotone)
-{
-    Pcg32 rng{32};
-    Cdf cdf;
-    for (int i = 0; i < 1000; ++i)
-        cdf.add(rng.next_gaussian());
-    const auto curve = cdf.curve(11);
-    ASSERT_EQ(curve.size(), 11u);
-    for (std::size_t i = 1; i < curve.size(); ++i) {
-        EXPECT_LE(curve[i - 1].first, curve[i].first);
-        EXPECT_LT(curve[i - 1].second, curve[i].second);
-    }
 }
 
 TEST(Cdf, EmptyQuantileThrows)
