@@ -11,9 +11,10 @@
 // Runs on the sweep engine: the estimator choice is the scenario's
 // *scheme* axis, the mu_sigma_only switch travels through
 // Scenario_config::receiver, and the (SNR x estimator) grid executes on
-// the engine's thread pool.  ANC_ENGINE_JSON / ANC_ENGINE_CSV emit the
-// sweep document.  The printed table is byte-identical to the bespoke
-// pre-engine loop (tests/golden/ablation_amplitude.txt locks this in).
+// the engine's thread pool.  --json and --metrics-json emit the sweep
+// document and the run manifest.  The printed table is byte-identical
+// to the bespoke pre-engine loop (tests/golden/ablation_amplitude.txt
+// locks this in).
 
 #include <cstdio>
 #include <memory>
@@ -111,12 +112,14 @@ const engine::Task_result& cell_at(const std::vector<engine::Task_result>& tasks
 
 } // namespace
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace anc;
+    const bench::Driver_options options =
+        bench::parse_driver_flags(argc, argv, {.exchanges = 20});
     bench::print_header("Ablation", "amplitude estimation: prefix-refined vs mu/sigma only");
 
-    const std::size_t exchanges = bench::exchange_count() * 4;
+    const std::size_t exchanges = options.exchanges * 4;
     const std::vector<double> snrs{20.0, 22.0, 25.0, 30.0};
 
     engine::Scenario_registry registry;
@@ -124,16 +127,13 @@ int main()
         "ablation_amplitude", std::vector<std::string>{"prefix", "mu_sigma"}, run_cell));
 
     engine::Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"ablation_amplitude"};
     grid.snr_db = snrs;
     grid.exchanges = {exchanges};
 
     const engine::Sweep_outcome outcome =
-        run_grid(grid, registry, engine::Executor_config{});
-    emit_env_reports(outcome.tasks, outcome.points);
+        bench::run_and_publish(options, grid, options.executor(), registry);
     const std::vector<engine::Task_result>& results = outcome.tasks;
 
     std::printf("%8s %-22s %10s %10s %10s\n", "SNR(dB)", "estimator", "delivered",

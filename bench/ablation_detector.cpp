@@ -8,11 +8,12 @@
 //
 // Runs on the sweep engine: the threshold is the grid's
 // detector_thresholds_db axis (landing in Scenario_config::receiver's
-// interference-detector config), trials per cell are the exchanges axis,
-// and the (threshold x SNR) grid executes on the engine's thread pool.
-// ANC_ENGINE_JSON / ANC_ENGINE_CSV emit the sweep document.  The printed
-// table is byte-identical to the bespoke pre-engine loop
-// (tests/golden/ablation_detector.txt locks this in).
+// interference-detector config), trials per cell (fixed at 200) are the
+// exchanges axis, and the (threshold x SNR) grid executes on the
+// engine's thread pool.
+// --json and --metrics-json emit the sweep document and the run
+// manifest.  The printed table is byte-identical to the bespoke
+// pre-engine loop (tests/golden/ablation_detector.txt locks this in).
 
 #include <cstdio>
 #include <memory>
@@ -113,9 +114,10 @@ const engine::Task_result& cell_at(const std::vector<engine::Task_result>& tasks
 
 } // namespace
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace anc;
+    const bench::Driver_options options = bench::parse_driver_flags(argc, argv, {});
     bench::print_header("Ablation", "interference detector threshold sweep");
 
     const int trials = 200;
@@ -127,17 +129,14 @@ int main()
         "ablation_detector", std::vector<std::string>{"anc"}, run_cell));
 
     engine::Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"ablation_detector"};
     grid.detector_thresholds_db = thresholds;
     grid.snr_db = snrs;
     grid.exchanges = {static_cast<std::size_t>(trials)};
 
     const engine::Sweep_outcome outcome =
-        run_grid(grid, registry, engine::Executor_config{});
-    emit_env_reports(outcome.tasks, outcome.points);
+        bench::run_and_publish(options, grid, options.executor(), registry);
     const std::vector<engine::Task_result>& results = outcome.tasks;
 
     std::printf("%10s %8s %12s %12s %12s\n", "thresh(dB)", "SNR(dB)", "det@SIR0",

@@ -11,9 +11,9 @@
 // Runs on the sweep engine: the interleaver depth is the grid's
 // interleave_rows axis (Scenario_config::fec_interleave_rows), and the
 // (SNR x depth) grid executes on the engine's thread pool.
-// ANC_ENGINE_JSON / ANC_ENGINE_CSV emit the sweep document.  The printed
-// table is byte-identical to the bespoke pre-engine loop
-// (tests/golden/ablation_fec.txt locks this in).
+// --json and --metrics-json emit the sweep document and the run
+// manifest.  The printed table is byte-identical to the bespoke
+// pre-engine loop (tests/golden/ablation_fec.txt locks this in).
 
 #include <cstdio>
 #include <memory>
@@ -120,12 +120,14 @@ const engine::Task_result& cell_at(const std::vector<engine::Task_result>& tasks
 
 } // namespace
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace anc;
+    const bench::Driver_options options =
+        bench::parse_driver_flags(argc, argv, {.exchanges = 20});
     bench::print_header("Ablation", "FEC over real ANC error patterns, interleaver sweep");
 
-    const std::size_t exchanges = bench::exchange_count() * 3;
+    const std::size_t exchanges = options.exchanges * 3;
     const std::vector<double> snrs{20.0, 22.0, 25.0};
     const std::vector<std::size_t> depths{1, 8, 64};
 
@@ -134,17 +136,14 @@ int main()
         "ablation_fec", std::vector<std::string>{"anc"}, run_cell));
 
     engine::Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"ablation_fec"};
     grid.snr_db = snrs;
     grid.interleave_rows = depths;
     grid.exchanges = {exchanges};
 
     const engine::Sweep_outcome outcome =
-        run_grid(grid, registry, engine::Executor_config{});
-    emit_env_reports(outcome.tasks, outcome.points);
+        bench::run_and_publish(options, grid, options.executor(), registry);
     const std::vector<engine::Task_result>& results = outcome.tasks;
 
     std::printf("%8s %12s %12s %14s %12s\n", "SNR(dB)", "interleave", "raw BER",

@@ -50,27 +50,26 @@ const Point_summary& point_at(const std::vector<Point_summary>& points,
 
 } // namespace
 
-int main()
+int main(int argc, char** argv)
 {
+    const bench::Driver_options options = bench::parse_driver_flags(
+        argc, argv, {.repetitions = 6, .exchanges = 20});
     bench::print_header("Ablation", "measured ANC gain vs operating SNR");
 
-    const std::size_t runs = bench::run_count(6);
-    const std::size_t exchanges = bench::exchange_count();
+    const std::size_t runs = options.repetitions;
+    const std::size_t exchanges = options.exchanges;
     const std::vector<double> snrs{16.0, 18.0, 20.0, 22.0, 25.0, 30.0, 35.0};
 
     Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"alice_bob", "chain"};
     grid.schemes = {"anc", "traditional"};
     grid.snr_db = snrs;
     grid.exchanges = {exchanges};
     grid.repetitions = runs;
 
-    Executor_config exec;
-    exec.base_seed = 8000;
-    const Sweep_outcome outcome = run_grid(grid, exec);
+    const Executor_config exec = options.executor(8000);
+    const Sweep_outcome outcome = bench::run_and_publish(options, grid, exec);
     bench::print_engine_note(outcome.tasks.size(), exec);
 
     std::printf("%8s %14s %12s %12s %14s %12s\n", "SNR(dB)", "AB gain", "AB deliv",

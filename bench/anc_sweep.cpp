@@ -61,7 +61,6 @@
 #include "sweep_cli.h"
 #include "engine/engine.h"
 #include "engine/journal.h"
-#include "util/atomic_file.h"
 
 namespace {
 
@@ -118,7 +117,7 @@ int usage(const char* argv0, const char* error = nullptr)
 struct Cli_options {
     engine::Sweep_grid grid;
     engine::Executor_config config;
-    std::string json_path, csv_path, tasks_csv_path, metrics_json_path;
+    Artifact_paths artifacts;
     std::string journal_path, resume_path;
     std::vector<std::string> merge_paths;
     std::size_t shard_index = 1, shard_count = 1;
@@ -136,24 +135,6 @@ engine::Journal_header header_for(const Cli_options& options, std::size_t total_
     header.shard_index = options.shard_index;
     header.shard_count = options.shard_count;
     return header;
-}
-
-void emit_artifacts(const Cli_options& options,
-                    const std::vector<engine::Task_result>& results,
-                    const std::vector<engine::Point_summary>& points)
-{
-    if (!options.json_path.empty())
-        write_file_atomic(options.json_path, [&](std::ostream& out) {
-            engine::write_json(out, results, points);
-        });
-    if (!options.csv_path.empty())
-        write_file_atomic(options.csv_path, [&](std::ostream& out) {
-            engine::write_summary_csv(out, points);
-        });
-    if (!options.tasks_csv_path.empty())
-        write_file_atomic(options.tasks_csv_path, [&](std::ostream& out) {
-            engine::write_tasks_csv(out, results);
-        });
 }
 
 /// The one-line completion contract on stderr (satellite of the exit
@@ -239,7 +220,7 @@ int run_merge(const Cli_options& options)
 
     if (!options.quiet)
         engine::print_summary_table(stdout, points);
-    emit_artifacts(options, results, points);
+    emit_artifacts(options.artifacts, results, points);
     print_summary_line(tally, false);
     if (missing > 0)
         return 3;
@@ -294,7 +275,7 @@ int run_sweep_cli(const Cli_options& options_in)
     }
 
     obs::Sweep_telemetry telemetry;
-    if (!options.metrics_json_path.empty())
+    if (!options.artifacts.metrics_json.empty())
         options.config.telemetry = &telemetry;
     Progress_line progress;
     if (!options.quiet && isatty(fileno(stderr)))
@@ -315,13 +296,13 @@ int run_sweep_cli(const Cli_options& options_in)
     std::optional<engine::Tasks_csv_stream_writer> csv_writer;
     engine::Aggregator aggregator;
     if (options.stream) {
-        options.config.collect_results = !options.metrics_json_path.empty();
-        if (!options.json_path.empty()) {
-            json_stream.emplace(options.json_path);
+        options.config.collect_results = !options.artifacts.metrics_json.empty();
+        if (!options.artifacts.json.empty()) {
+            json_stream.emplace(options.artifacts.json);
             json_writer.emplace(json_stream->stream());
         }
-        if (!options.tasks_csv_path.empty()) {
-            tasks_csv_stream.emplace(options.tasks_csv_path);
+        if (!options.artifacts.tasks_csv.empty()) {
+            tasks_csv_stream.emplace(options.artifacts.tasks_csv);
             csv_writer.emplace(tasks_csv_stream->stream());
         }
         options.config.on_result = [&](const engine::Task_result& result) {
@@ -354,24 +335,17 @@ int run_sweep_cli(const Cli_options& options_in)
         }
         if (csv_writer)
             tasks_csv_stream->commit();
-        if (!options.csv_path.empty())
-            write_file_atomic(options.csv_path, [&](std::ostream& out) {
-                engine::write_summary_csv(out, points);
-            });
+        emit_artifacts({.csv = options.artifacts.csv}, results, points);
     } else {
         points = engine::aggregate(results);
-        emit_artifacts(options, results, points);
+        emit_artifacts(options.artifacts, results, points);
     }
 
     if (!options.quiet)
         engine::print_summary_table(stdout, points);
-    if (!options.metrics_json_path.empty())
-        write_file_atomic(options.metrics_json_path, [&](std::ostream& out) {
-            engine::write_metrics_json(
-                out, {.driver = "anc_sweep", .base_seed = options.config.base_seed},
-                options.grid, telemetry, results);
-            out << "\n";
-        });
+    emit_metrics(options.artifacts,
+                 {.driver = "anc_sweep", .base_seed = options.config.base_seed},
+                 options.grid, telemetry, results);
 
     print_summary_line(tally, interrupted);
     return exit_code(tally, interrupted);
@@ -398,13 +372,13 @@ int main(int argc, char** argv)
             if (arg == "--threads")
                 options.config.threads = parse_count(arg, value());
             else if (arg == "--json")
-                options.json_path = value();
+                options.artifacts.json = value();
             else if (arg == "--csv")
-                options.csv_path = value();
+                options.artifacts.csv = value();
             else if (arg == "--tasks-csv")
-                options.tasks_csv_path = value();
+                options.artifacts.tasks_csv = value();
             else if (arg == "--metrics-json")
-                options.metrics_json_path = value();
+                options.artifacts.metrics_json = value();
             else if (arg == "--journal")
                 options.journal_path = value();
             else if (arg == "--resume")
@@ -434,9 +408,6 @@ int main(int argc, char** argv)
             }
         }
         options.config.base_seed = grid_cli.base_seed;
-        // A malformed ANC_ENGINE_THREADS is a usage error before any
-        // artifact or journal exists, not a throw from inside the sweep.
-        engine::resolve_thread_count(options.config);
         if (options.grid.scenarios.empty())
             return usage(argv[0], "at least one --scenario is required");
         if (!options.merge_paths.empty()

@@ -1,4 +1,5 @@
-// Shared output helpers for the figure-reproduction benches.
+// Shared flag parsing and output helpers for the figure and ablation
+// drivers.
 //
 // Each bench prints the same rows/series the paper's figure reports, a
 // small CDF table, and a paper-vs-measured summary line, so the outputs
@@ -20,25 +21,124 @@
 
 namespace anc::bench {
 
-/// Math profiles a sweep should run, from the ANC_MATH_PROFILE
-/// environment variable: unset means exact; otherwise any list
-/// dsp::math_profiles_from_string accepts ("fast", "both" = exact +
-/// fast, "exact,fast", ...).  Multi-profile values emit profile-tagged
-/// rows for each; the axis is seed-collapsed, so the tuples share
-/// channel realizations.  Every engine-backed bench driver applies
-/// this, which is how the CI profile-matrix jobs rerun the sweeps
-/// without bespoke flags.  Unknown values throw.
-inline std::vector<dsp::Math_profile> math_profiles_from_env()
+/// The flags of a figure or ablation driver: a subset of anc_sweep's,
+/// parsed by the same helpers.  A driver passes its defaults; a count
+/// default of 0 means the driver has no such axis, and its flag is then
+/// a usage error.
+struct Driver_options {
+    std::size_t repetitions = 0; ///< --repetitions: runs per point
+    std::size_t exchanges = 0;   ///< --exchanges: packet pairs (or packets) per run
+    std::size_t threads = 0;     ///< --threads: 0 = hardware concurrency
+    /// --math-profile: multi-profile values emit profile-tagged rows for
+    /// each; the axis is seed-collapsed, so the tuples share channel
+    /// realizations.
+    std::vector<dsp::Math_profile> math_profiles{dsp::Math_profile::exact};
+    Artifact_paths artifacts{}; ///< --json and --metrics-json
+    std::string driver{};       ///< program name, echoed by the manifest
+
+    engine::Executor_config executor(std::uint64_t base_seed = 1) const
+    {
+        engine::Executor_config config;
+        config.threads = threads;
+        config.base_seed = base_seed;
+        return config;
+    }
+};
+
+/// Parse a driver's argv over `options` (its defaults).  --help prints
+/// the usage and exits 0; a malformed value, a repeated profile, an
+/// unknown flag or a count the driver has no axis for prints an
+/// `error:` line and the usage, and exits 2.
+inline Driver_options parse_driver_flags(int argc, char** argv, Driver_options options)
 {
-    const char* env = std::getenv("ANC_MATH_PROFILE");
-    if (env == nullptr)
-        return {dsp::Math_profile::exact};
-    return dsp::math_profiles_from_string(env);
+    const std::string program = argc > 0 ? argv[0] : "";
+    options.driver = program.substr(program.find_last_of('/') + 1);
+    const auto usage = [&](const std::string& error) {
+        if (!error.empty())
+            std::fprintf(stderr, "error: %s\n\n", error.c_str());
+        std::fprintf(stderr, "usage: %s [options]\n", options.driver.c_str());
+        if (options.repetitions > 0)
+            std::fprintf(stderr, "  --repetitions N      runs per point (default %zu)\n",
+                         options.repetitions);
+        if (options.exchanges > 0)
+            std::fprintf(stderr, "  --exchanges N        packet pairs per run (default %zu)\n",
+                         options.exchanges);
+        std::fprintf(stderr,
+                     "  --threads N          worker threads (0 = hardware concurrency)\n"
+                     "  --math-profile LIST  exact|fast (simd = fast), or both (default exact)\n"
+                     "  --json PATH          write the full anc.sweep.v4 JSON document\n"
+                     "  --metrics-json PATH  collect telemetry, write the anc.metrics.v1\n"
+                     "                       run manifest\n");
+        std::exit(error.empty() ? 0 : 2);
+    };
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw std::invalid_argument{arg + " needs a value"};
+                return argv[++i];
+            };
+            const auto count = [&](std::size_t& target) {
+                if (target == 0)
+                    throw std::invalid_argument{options.driver + " has no " + arg
+                                                + " axis"};
+                const std::string text = value();
+                target = parse_count(arg, text);
+                if (target == 0)
+                    throw std::invalid_argument{arg + " wants a whole number >= 1, got: '"
+                                                + text + "'"};
+            };
+            if (arg == "--help" || arg == "-h")
+                usage("");
+            else if (arg == "--repetitions")
+                count(options.repetitions);
+            else if (arg == "--exchanges")
+                count(options.exchanges);
+            else if (arg == "--threads")
+                options.threads = parse_count(arg, value());
+            else if (arg == "--math-profile")
+                options.math_profiles = dsp::math_profiles_from_string(value());
+            else if (arg == "--json")
+                options.artifacts.json = value();
+            else if (arg == "--metrics-json")
+                options.artifacts.metrics_json = value();
+            else
+                throw std::invalid_argument{"unknown argument " + arg};
+        }
+        const auto& profiles = options.math_profiles;
+        for (auto it = profiles.begin(); it != profiles.end(); ++it)
+            if (std::find(profiles.begin(), it, *it) != it)
+                throw std::invalid_argument{"--math-profile repeats a profile"};
+    } catch (const std::exception& error) {
+        usage(error.what());
+    }
+    return options;
+}
+
+/// Run `grid` against `registry`, collecting telemetry when
+/// --metrics-json asks for it, and publish the --json and --metrics-json
+/// artifacts.
+inline engine::Sweep_outcome
+run_and_publish(const Driver_options& options, const engine::Sweep_grid& grid,
+                const engine::Executor_config& config,
+                const engine::Scenario_registry& registry =
+                    engine::Scenario_registry::builtin())
+{
+    obs::Sweep_telemetry telemetry;
+    engine::Executor_config run_config = config;
+    if (!options.artifacts.metrics_json.empty())
+        run_config.telemetry = &telemetry;
+    engine::Sweep_outcome outcome = engine::run_grid(grid, registry, run_config);
+    emit_artifacts(options.artifacts, outcome.tasks, outcome.points);
+    emit_metrics(options.artifacts, {.driver = options.driver, .base_seed = config.base_seed},
+                 grid, telemetry, outcome.tasks);
+    return outcome;
 }
 
 /// The summaries restricted to one math profile.  The figure drivers'
 /// tables assume a single point per (scenario, scheme); under
-/// ANC_MATH_PROFILE=both they print the *leading* profile's points while
+/// --math-profile both they print the *leading* profile's points while
 /// the emitted JSON still carries every profile-tagged row.
 inline std::vector<engine::Point_summary>
 points_for_profile(const std::vector<engine::Point_summary>& points,
@@ -60,36 +160,6 @@ inline void print_engine_note(std::size_t tasks, const engine::Executor_config& 
         std::min(engine::resolve_thread_count(config), std::max<std::size_t>(tasks, 1));
     std::printf("[engine: %zu tasks on %zu threads, base seed %llu]\n", tasks, threads,
                 static_cast<unsigned long long>(config.base_seed));
-}
-
-/// A count from environment variable `name`: unset or empty means
-/// `fallback`; anything else must be one whole number >= 1, or this
-/// throws std::invalid_argument naming the variable.
-inline std::size_t count_from_env(const char* name, std::size_t fallback)
-{
-    const char* env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    const std::size_t count = parse_count(name, env);
-    if (count == 0)
-        throw std::invalid_argument{std::string{name} + " wants a whole number >= 1, got: '"
-                                    + env + "'"};
-    return count;
-}
-
-/// Number of runs (the paper repeats each experiment 40 times).  Scaled
-/// down via the ANC_BENCH_RUNS environment variable for quick checks.
-inline std::size_t run_count(std::size_t default_runs = 40)
-{
-    return count_from_env("ANC_BENCH_RUNS", default_runs);
-}
-
-/// Packet pairs (or packets) per run; the paper used 1000 per direction,
-/// which is far more than needed for stable means in a deterministic
-/// simulator.  Scaled via ANC_BENCH_EXCHANGES.
-inline std::size_t exchange_count(std::size_t default_exchanges = 20)
-{
-    return count_from_env("ANC_BENCH_EXCHANGES", default_exchanges);
 }
 
 inline void print_cdf(const std::string& title, const Cdf& cdf, const char* unit = "")

@@ -12,8 +12,8 @@
 // more gracefully (its BER is measured on identity-matched decodes).
 // Blocks covering a whole round (>= 4096 samples) behave quasi-static.
 //
-// ANC_ENGINE_JSON / ANC_ENGINE_CSV emit the full sweep document (CI
-// uploads the JSON as a workflow artifact).
+// --json emits the full sweep document (CI uploads it as a workflow
+// artifact).
 
 #include <cstdio>
 #include <vector>
@@ -49,20 +49,20 @@ double mean_gain(const std::vector<Task_result>& tasks, const Point_key& anc_key
 
 } // namespace
 
-int main()
+int main(int argc, char** argv)
 {
+    const bench::Driver_options options = bench::parse_driver_flags(
+        argc, argv, {.repetitions = 6, .exchanges = 20});
     bench::print_header("Fading", "Rayleigh block fading, ANC vs traditional (general ANC)");
 
-    const std::size_t runs = bench::run_count(6);
-    const std::size_t exchanges = bench::exchange_count();
+    const std::size_t runs = options.repetitions;
+    const std::size_t exchanges = options.exchanges;
     const std::vector<double> snrs{22.0, 25.0, 30.0};
     const std::vector<std::size_t> blocks{512, 2048, 4096};
     const std::vector<double> link_gains{0.8, 1.0};
 
     Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"alice_bob_fading", "x_topology_fading"};
     grid.schemes = {"anc", "traditional"};
     grid.snr_db = snrs;
@@ -71,9 +71,8 @@ int main()
     grid.exchanges = {exchanges};
     grid.repetitions = runs;
 
-    Executor_config exec;
-    exec.base_seed = 17000;
-    const Sweep_outcome outcome = run_grid(grid, exec);
+    const Executor_config exec = options.executor(17000);
+    const Sweep_outcome outcome = bench::run_and_publish(options, grid, exec);
     bench::print_engine_note(outcome.tasks.size(), exec);
 
     for (const char* scenario : {"alice_bob_fading", "x_topology_fading"}) {
@@ -91,7 +90,7 @@ int main()
                             || point.key.mean_link_gain != link_gain)
                             continue;
                         // One row per profile-tagged point: under
-                        // ANC_MATH_PROFILE=both, exact and fast print as
+                        // --math-profile both, exact and fast print as
                         // adjacent labeled rows (the paired-corridor view).
                         std::printf("%8.0f %10zu %11.2f %8s %10.2f %10.4f %10.3f %16.3f\n",
                                     snr, block, link_gain,

@@ -8,36 +8,36 @@
 // the paper's 2-4% BER) is visible above the decoder's own error floor.
 //
 // Runs on the sweep engine: one grid over the three schemes, executed
-// across all cores (ANC_ENGINE_THREADS overrides; ANC_ENGINE_JSON /
-// ANC_ENGINE_CSV emit machine-readable results).
+// across all cores.  Flags (bench_util.h): --repetitions, --exchanges,
+// --threads, --math-profile, and --json / --metrics-json for
+// machine-readable results.
 
 #include <cstdio>
 
 #include "bench_util.h"
 #include "engine/engine.h"
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace anc;
     using namespace anc::engine;
+    const bench::Driver_options options = bench::parse_driver_flags(
+        argc, argv, {.repetitions = 40, .exchanges = 20});
     bench::print_header("Figure 9", "Alice-Bob topology: throughput gains and BER");
 
-    const std::size_t runs = bench::run_count();
-    const std::size_t exchanges = bench::exchange_count();
+    const std::size_t runs = options.repetitions;
+    const std::size_t exchanges = options.exchanges;
 
     Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"alice_bob"};
     grid.schemes = {"traditional", "cope", "anc"};
     grid.snr_db = {22.0};
     grid.exchanges = {exchanges};
     grid.repetitions = runs;
 
-    Executor_config exec;
-    exec.base_seed = 1000;
-    const Sweep_outcome outcome = run_grid(grid, exec);
+    const Executor_config exec = options.executor(1000);
+    const Sweep_outcome outcome = bench::run_and_publish(options, grid, exec);
     bench::print_engine_note(outcome.tasks.size(), exec);
     // Tables read the leading profile's points (unique per scheme);
     // the JSON/CSV artifacts keep every profile's rows.

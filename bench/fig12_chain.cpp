@@ -11,27 +11,26 @@
 #include "bench_util.h"
 #include "engine/engine.h"
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace anc;
     using namespace anc::engine;
+    const bench::Driver_options options = bench::parse_driver_flags(
+        argc, argv, {.repetitions = 40, .exchanges = 20});
     bench::print_header("Figure 12", "chain topology: unidirectional flow");
 
-    const std::size_t runs = bench::run_count();
-    const std::size_t packets = bench::exchange_count();
+    const std::size_t runs = options.repetitions;
+    const std::size_t packets = options.exchanges;
 
     Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"chain"};
     grid.snr_db = {22.0};
     grid.exchanges = {packets};
     grid.repetitions = runs;
 
-    Executor_config exec;
-    exec.base_seed = 3000;
-    const Sweep_outcome outcome = run_grid(grid, exec);
+    const Executor_config exec = options.executor(3000);
+    const Sweep_outcome outcome = bench::run_and_publish(options, grid, exec);
     bench::print_engine_note(outcome.tasks.size(), exec);
     // Tables read the leading profile's points (unique per scheme);
     // the JSON/CSV artifacts keep every profile's rows.

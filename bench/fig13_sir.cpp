@@ -20,20 +20,20 @@
 #include "engine/engine.h"
 #include "util/db.h"
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace anc;
     using namespace anc::engine;
+    const bench::Driver_options options = bench::parse_driver_flags(
+        argc, argv, {.repetitions = 10, .exchanges = 20});
     bench::print_header("Figure 13", "BER vs SIR for decoding at Alice");
 
-    const std::size_t runs = bench::run_count(10);
-    const std::size_t exchanges = bench::exchange_count();
+    const std::size_t runs = options.repetitions;
+    const std::size_t exchanges = options.exchanges;
 
     const std::vector<double> sir_points{-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0};
     Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"alice_bob"};
     grid.schemes = {"anc"};
     grid.snr_db = {20.0};
@@ -43,9 +43,8 @@ int main()
     for (const double sir_db : sir_points)
         grid.bob_amplitudes.push_back(amplitude_from_db(sir_db));
 
-    Executor_config exec;
-    exec.base_seed = 4000;
-    const Sweep_outcome outcome = run_grid(grid, exec);
+    const Executor_config exec = options.executor(4000);
+    const Sweep_outcome outcome = bench::run_and_publish(options, grid, exec);
     bench::print_engine_note(outcome.tasks.size(), exec);
     // Tables read the leading profile's points (unique per scheme);
     // the JSON/CSV artifacts keep every profile's rows.

@@ -3,6 +3,7 @@
 //
 // Runs on the sweep engine as one grid over all three topologies and
 // every scheme (plus a low-SIR Alice-Bob point), executed in parallel.
+// --json and --metrics-json publish the main grid.
 
 #include <cstdio>
 
@@ -10,27 +11,26 @@
 #include "engine/engine.h"
 #include "util/db.h"
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace anc;
     using namespace anc::engine;
+    const bench::Driver_options options = bench::parse_driver_flags(
+        argc, argv, {.repetitions = 10, .exchanges = 20});
     bench::print_header("Summary", "§11.3 headline results, paper vs measured");
 
-    const std::size_t runs = bench::run_count(10);
-    const std::size_t exchanges = bench::exchange_count();
+    const std::size_t runs = options.repetitions;
+    const std::size_t exchanges = options.exchanges;
 
     // All three topologies under every scheme at the 22 dB operating point.
     Sweep_grid grid;
-    // exact by default; ANC_MATH_PROFILE=fast|both adds the fast profile
-    // (profile-tagged rows; the CI fast-profile job uses this).
-    grid.math_profiles = bench::math_profiles_from_env();
+    grid.math_profiles = options.math_profiles;
     grid.scenarios = {"alice_bob", "x_topology", "chain"};
     grid.snr_db = {22.0};
     grid.exchanges = {exchanges};
     grid.repetitions = runs;
-    Executor_config exec;
-    exec.base_seed = 100;
-    const Sweep_outcome outcome = run_grid(grid, exec);
+    const Executor_config exec = options.executor(100);
+    const Sweep_outcome outcome = bench::run_and_publish(options, grid, exec);
 
     // The SIR-robustness headline needs a second operating point: Bob
     // 3 dB under Alice at 25 dB SNR.
@@ -39,8 +39,9 @@ int main()
     sir_grid.schemes = {"anc"};
     sir_grid.snr_db = {25.0};
     sir_grid.bob_amplitudes = {amplitude_from_db(-3.0)};
-    Executor_config sir_exec;
-    sir_exec.base_seed = 400;
+    // Printed only: a document merging both grids would repeat task
+    // indices.
+    const Executor_config sir_exec = options.executor(400);
     const Sweep_outcome sir_outcome = run_grid(sir_grid, sir_exec);
 
     bench::print_engine_note(outcome.tasks.size(), exec);

@@ -1,6 +1,6 @@
 // Command-line plumbing for bench/anc_sweep: axis parsing, the
-// grid-flag table, the TTY progress line, and the atomic streaming
-// file.
+// grid-flag table, the TTY progress line, and the artifact emitter that
+// anc_sweep and the figure and ablation drivers (bench_util.h) share.
 //
 // Every axis token is parsed whole: a real axis takes finite decimal
 // numbers, a count axis takes non-negative integers (parse_count), and
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "util/atomic_file.h"
 #include "util/rate_limiter.h"
 
 namespace anc::bench {
@@ -230,6 +231,45 @@ public:
 private:
     engine::Sweep_grid* grid_;
 };
+
+/// Where a run publishes; an empty path writes nothing.
+struct Artifact_paths {
+    std::string json{}, csv{}, tasks_csv{}, metrics_json{};
+};
+
+/// Write the --json / --csv / --tasks-csv documents (anc.sweep.v4).
+/// Every file is written atomically (temp file + rename): a crash never
+/// publishes a truncated document.
+inline void emit_artifacts(const Artifact_paths& paths,
+                           const std::vector<engine::Task_result>& results,
+                           const std::vector<engine::Point_summary>& points)
+{
+    if (!paths.json.empty())
+        write_file_atomic(paths.json, [&](std::ostream& out) {
+            engine::write_json(out, results, points);
+        });
+    if (!paths.csv.empty())
+        write_file_atomic(paths.csv, [&](std::ostream& out) {
+            engine::write_summary_csv(out, points);
+        });
+    if (!paths.tasks_csv.empty())
+        write_file_atomic(paths.tasks_csv, [&](std::ostream& out) {
+            engine::write_tasks_csv(out, results);
+        });
+}
+
+/// Write the --metrics-json run manifest (anc.metrics.v1), atomically.
+inline void emit_metrics(const Artifact_paths& paths, const engine::Metrics_run_info& info,
+                         const engine::Sweep_grid& grid,
+                         const obs::Sweep_telemetry& telemetry,
+                         const std::vector<engine::Task_result>& results)
+{
+    if (!paths.metrics_json.empty())
+        write_file_atomic(paths.metrics_json, [&](std::ostream& out) {
+            engine::write_metrics_json(out, info, grid, telemetry, results);
+            out << "\n";
+        });
+}
 
 /// The stderr progress line: "\r  123/4096 tasks  41.0/s  ETA 97s".
 /// Called once per finished task (serialized, never concurrently);

@@ -1,11 +1,7 @@
 #include "engine/emit.h"
 
 #include <cinttypes>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
-
-#include "util/atomic_file.h"
 
 namespace anc::engine {
 
@@ -296,25 +292,6 @@ void print_summary_table(std::FILE* out, const std::vector<Point_summary>& summa
                      summary.throughput.empty() ? 0.0 : summary.throughput.mean(),
                      summary.totals.mean_overlap());
     }
-}
-
-std::size_t emit_env_reports(const std::vector<Task_result>& results,
-                             const std::vector<Point_summary>& summaries)
-{
-    std::size_t written = 0;
-    if (const char* path = std::getenv("ANC_ENGINE_CSV")) {
-        write_file_atomic(path, [&](std::ostream& out) {
-            write_summary_csv(out, summaries);
-        });
-        ++written;
-    }
-    if (const char* path = std::getenv("ANC_ENGINE_JSON")) {
-        write_file_atomic(path, [&](std::ostream& out) {
-            write_json(out, results, summaries);
-        });
-        ++written;
-    }
-    return written;
 }
 
 } // namespace anc::engine

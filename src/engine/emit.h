@@ -90,12 +90,4 @@ std::string to_json(const std::vector<Task_result>& results,
 /// Bench-style aggregate table on a stdio stream.
 void print_summary_table(std::FILE* out, const std::vector<Point_summary>& summaries);
 
-/// Honor the ANC_ENGINE_CSV / ANC_ENGINE_JSON environment variables:
-/// when set, write the summary CSV / full JSON to those paths (atomic
-/// temp-file + rename, so a crash never publishes a truncated
-/// document).  Returns the number of files written; throws
-/// std::runtime_error when a path cannot be written.
-std::size_t emit_env_reports(const std::vector<Task_result>& results,
-                             const std::vector<Point_summary>& summaries);
-
 } // namespace anc::engine

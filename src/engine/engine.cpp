@@ -1,9 +1,5 @@
 #include "engine/engine.h"
 
-#include <cstdlib>
-
-#include "engine/metrics.h"
-
 namespace anc::engine {
 
 Sweep_outcome run_grid(const Sweep_grid& grid, const Scenario_registry& registry,
@@ -17,22 +13,7 @@ Sweep_outcome run_grid(const Sweep_grid& grid, const Scenario_registry& registry
 
 Sweep_outcome run_grid(const Sweep_grid& grid, const Executor_config& config)
 {
-    // ANC_METRICS_JSON turns telemetry on for any driver that goes
-    // through here (examples, tests, custom binaries) without code
-    // changes.  The collected counters never feed the sweep emitters,
-    // so the env hook cannot change a byte of CSV/JSON output.
-    const char* metrics_path = std::getenv("ANC_METRICS_JSON");
-    obs::Sweep_telemetry telemetry;
-    Executor_config run_config = config;
-    if (metrics_path && *metrics_path && !run_config.telemetry)
-        run_config.telemetry = &telemetry;
-
-    Sweep_outcome outcome = run_grid(grid, Scenario_registry::builtin(), run_config);
-    emit_env_reports(outcome.tasks, outcome.points);
-    if (run_config.telemetry == &telemetry)
-        emit_env_metrics({.driver = "run_grid", .base_seed = run_config.base_seed},
-                         grid, telemetry, outcome.tasks);
-    return outcome;
+    return run_grid(grid, Scenario_registry::builtin(), config);
 }
 
 } // namespace anc::engine

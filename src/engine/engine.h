@@ -9,12 +9,8 @@
 //   // outcome.tasks    — one Task_result per (point, repetition)
 //   // outcome.points   — aggregated per grid point
 //
-// Environment knobs (all optional):
-//   ANC_ENGINE_THREADS — worker threads (default: hardware concurrency)
-//   ANC_ENGINE_CSV     — also write the aggregate CSV to this path
-//   ANC_ENGINE_JSON    — also write the full JSON document to this path
-//   ANC_METRICS_JSON   — collect telemetry and write the anc.metrics.v1
-//                        run manifest to this path (OBSERVABILITY.md)
+// run_grid writes no files; the emitters (engine/emit.h,
+// engine/metrics.h) are the caller's to invoke.
 
 #pragma once
 
@@ -32,13 +28,12 @@ struct Sweep_outcome {
     std::vector<Point_summary> points;
 };
 
-/// Expand the grid against the builtin registry, run it on the thread
-/// pool, aggregate, and honor the ANC_ENGINE_CSV / ANC_ENGINE_JSON
-/// emitters.  The workhorse of the bench/ and examples/ drivers.
-Sweep_outcome run_grid(const Sweep_grid& grid, const Executor_config& config = {});
-
-/// Same, against a caller-supplied registry (skips env emitters).
+/// Expand the grid against `registry`, run it on the thread pool, and
+/// aggregate.  The workhorse of the bench/ drivers.
 Sweep_outcome run_grid(const Sweep_grid& grid, const Scenario_registry& registry,
                        const Executor_config& config);
+
+/// Same, against the builtin registry.
+Sweep_outcome run_grid(const Sweep_grid& grid, const Executor_config& config = {});
 
 } // namespace anc::engine

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,27 +15,6 @@
 #include "util/rng.h"
 
 namespace anc::engine {
-
-namespace {
-
-/// ANC_ENGINE_THREADS: unset or empty means 0 (no override); anything
-/// else must be one whole number >= 1 with nothing trailing.
-std::size_t threads_from_env()
-{
-    const char* env = std::getenv("ANC_ENGINE_THREADS");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    const char* const end = env + std::strlen(env);
-    std::size_t threads = 0;
-    const auto [stop, error] = std::from_chars(env, end, threads);
-    if (error != std::errc{} || stop != end || threads == 0)
-        throw std::invalid_argument{
-            std::string{"ANC_ENGINE_THREADS wants a whole number >= 1, got: '"} + env
-            + "'"};
-    return threads;
-}
-
-} // namespace
 
 const char* to_string(Task_status status)
 {
@@ -58,9 +33,7 @@ std::uint64_t derive_task_seed(std::uint64_t base_seed, std::size_t seed_index)
 
 std::size_t resolve_thread_count(const Executor_config& config)
 {
-    std::size_t threads = threads_from_env();
-    if (threads == 0)
-        threads = config.threads;
+    std::size_t threads = config.threads;
     if (threads == 0)
         threads = std::thread::hardware_concurrency();
     return threads == 0 ? 1 : threads;

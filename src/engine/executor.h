@@ -61,8 +61,7 @@ struct Task_result {
 };
 
 struct Executor_config {
-    /// Worker threads; 0 means "one per hardware thread".  Overridden by
-    /// the ANC_ENGINE_THREADS environment variable when that is set.
+    /// Worker threads; 0 means "one per hardware thread".
     std::size_t threads = 0;
     /// Root of the per-task seed derivation.
     std::uint64_t base_seed = 1;
@@ -150,10 +149,8 @@ struct Run_tally {
 /// in isolation.
 std::uint64_t derive_task_seed(std::uint64_t base_seed, std::size_t seed_index);
 
-/// The worker count a config resolves to: ANC_ENGINE_THREADS when set,
-/// else config.threads, else std::thread::hardware_concurrency().
-/// Throws std::invalid_argument when ANC_ENGINE_THREADS is set to
-/// anything but a whole number >= 1 (empty counts as unset).
+/// The worker count a config resolves to: config.threads, else
+/// std::thread::hardware_concurrency() (at least 1).
 std::size_t resolve_thread_count(const Executor_config& config);
 
 /// Run every task (scenarios resolved through `registry`) and return

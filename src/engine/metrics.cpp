@@ -2,13 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "dsp/math_profile.h"
-#include "util/atomic_file.h"
 #include "util/cpu_features.h"
 #include "util/simd.h"
 
@@ -155,23 +152,6 @@ std::string metrics_to_json(const Metrics_run_info& info,
     std::ostringstream out;
     write_metrics_json(out, info, grid, telemetry, results);
     return out.str();
-}
-
-bool emit_env_metrics(const Metrics_run_info& info,
-                      const Sweep_grid& grid,
-                      const obs::Sweep_telemetry& telemetry,
-                      const std::vector<Task_result>& results)
-{
-    const char* path = std::getenv("ANC_METRICS_JSON");
-    if (!path || !*path)
-        return false;
-    // Atomic (temp + rename): a crash mid-emit must never leave a
-    // truncated METRICS_*.json at the published path.
-    write_file_atomic(path, [&](std::ostream& out) {
-        write_metrics_json(out, info, grid, telemetry, results);
-        out << "\n";
-    });
-    return true;
 }
 
 } // namespace anc::engine

@@ -10,10 +10,8 @@
 // whether or not telemetry was collected, so goldens never depend on
 // timing.
 //
-// Two fronts emit it (OBSERVABILITY.md documents the schema):
-//   - `bench/anc_sweep --metrics-json PATH`
-//   - `ANC_METRICS_JSON=PATH` on any driver that goes through
-//     run_grid (examples, tests, custom binaries)
+// `--metrics-json PATH` on `bench/anc_sweep` and on the figure and
+// ablation drivers emits it (OBSERVABILITY.md documents the schema).
 //
 // Counter aggregates and per-task rows are deterministic in
 // (grid, base_seed); every *_ns field is a wall-clock observation and
@@ -35,8 +33,8 @@ inline constexpr const char* metrics_schema = "anc.metrics.v1";
 
 /// Caller-supplied context the manifest echoes back.
 struct Metrics_run_info {
-    /// Which front produced the run ("anc_sweep", "run_grid", ...).
-    std::string driver = "run_grid";
+    /// Which front produced the run ("anc_sweep", "fig09_alice_bob", ...).
+    std::string driver;
     std::uint64_t base_seed = 1;
 };
 
@@ -54,13 +52,5 @@ std::string metrics_to_json(const Metrics_run_info& info,
                             const Sweep_grid& grid,
                             const obs::Sweep_telemetry& telemetry,
                             const std::vector<Task_result>& results);
-
-/// The ANC_METRICS_JSON hook: when the variable names a path, write the
-/// manifest there (throws std::runtime_error if the file cannot be
-/// opened).  Returns true when a file was written.
-bool emit_env_metrics(const Metrics_run_info& info,
-                      const Sweep_grid& grid,
-                      const obs::Sweep_telemetry& telemetry,
-                      const std::vector<Task_result>& results);
 
 } // namespace anc::engine

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -198,37 +197,6 @@ TEST(ParallelExecutor, ScenarioExceptionPropagates)
     config.threads = 4;
     EXPECT_THROW(run_sweep(expand(grid, registry), registry, config),
                  std::runtime_error);
-}
-
-TEST(ResolveThreadCount, EnvRejectsAnythingButAWholeNumber)
-{
-    // Unset or empty means "no override"; any other ANC_ENGINE_THREADS
-    // value must be a whole number >= 1, never a parsed prefix or a
-    // silent fall back to all cores.
-    const char* saved = std::getenv("ANC_ENGINE_THREADS");
-    const std::string restore = saved ? saved : "";
-    Executor_config config;
-    config.threads = 5;
-    unsetenv("ANC_ENGINE_THREADS");
-    EXPECT_EQ(resolve_thread_count(config), 5u);
-    setenv("ANC_ENGINE_THREADS", "", 1);
-    EXPECT_EQ(resolve_thread_count(config), 5u);
-    setenv("ANC_ENGINE_THREADS", "3", 1);
-    EXPECT_EQ(resolve_thread_count(config), 3u);
-    for (const char* bad : {"3junk", "-1", "0", "+3", " 3", "abc", "1.5"}) {
-        setenv("ANC_ENGINE_THREADS", bad, 1);
-        try {
-            resolve_thread_count(config);
-            ADD_FAILURE() << "accepted ANC_ENGINE_THREADS=" << bad;
-        } catch (const std::invalid_argument& error) {
-            EXPECT_NE(std::string{error.what()}.find("ANC_ENGINE_THREADS"),
-                      std::string::npos);
-        }
-    }
-    if (saved)
-        setenv("ANC_ENGINE_THREADS", restore.c_str(), 1);
-    else
-        unsetenv("ANC_ENGINE_THREADS");
 }
 
 TEST(RunGrid, AggregatesPerPoint)

@@ -15,12 +15,9 @@ TABLE=${1:?usage: paper_fidelity_test.sh /path/to/summary_table}
 WORKDIR=$(mktemp -d "${TMPDIR:-/tmp}/anc_paper_fidelity.XXXXXX")
 trap 'rm -rf "$WORKDIR"' EXIT INT TERM
 
-# The default run and exchange counts are the table's published setting;
-# no artifact files are wanted.
+# The default run and exchange counts are the table's published setting.
 for PROFILE in exact fast; do
-    env -u ANC_BENCH_RUNS -u ANC_BENCH_EXCHANGES -u ANC_ENGINE_JSON \
-        -u ANC_ENGINE_CSV -u ANC_METRICS_JSON ANC_MATH_PROFILE="$PROFILE" \
-        "$TABLE" > "$WORKDIR/$PROFILE.txt"
+    "$TABLE" --math-profile "$PROFILE" > "$WORKDIR/$PROFILE.txt"
 done
 
 # measured PROFILE ROW: the last column of the table row starting with ROW.
