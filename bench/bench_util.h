@@ -118,7 +118,9 @@ inline Driver_options parse_driver_flags(int argc, char** argv, Driver_options o
 
 /// Run `grid` against `registry`, collecting telemetry when
 /// --metrics-json asks for it, and publish the --json and --metrics-json
-/// artifacts.
+/// artifacts.  An artifact that cannot be written prints an `error:`
+/// line and exits 2, as anc_sweep does; the atomic publish leaves no
+/// temp file behind.
 inline engine::Sweep_outcome
 run_and_publish(const Driver_options& options, const engine::Sweep_grid& grid,
                 const engine::Executor_config& config,
@@ -130,9 +132,15 @@ run_and_publish(const Driver_options& options, const engine::Sweep_grid& grid,
     if (!options.artifacts.metrics_json.empty())
         run_config.telemetry = &telemetry;
     engine::Sweep_outcome outcome = engine::run_grid(grid, registry, run_config);
-    emit_artifacts(options.artifacts, outcome.tasks, outcome.points);
-    emit_metrics(options.artifacts, {.driver = options.driver, .base_seed = config.base_seed},
-                 grid, telemetry, outcome.tasks);
+    try {
+        emit_artifacts(options.artifacts, outcome.tasks, outcome.points);
+        emit_metrics(options.artifacts,
+                     {.driver = options.driver, .base_seed = config.base_seed}, grid,
+                     telemetry, outcome.tasks);
+    } catch (const std::exception& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        std::exit(2);
+    }
     return outcome;
 }
 

@@ -1,6 +1,5 @@
 #include "engine/journal.h"
 
-#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -11,32 +10,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "util/crc.h"
+
 namespace anc::engine {
 
 namespace {
 
 // ---- primitives -------------------------------------------------------
-
-/// Byte-wise CRC-32/IEEE (reflected, table-driven).  util/crc.h works
-/// on bit-per-byte spans (the PHY's framing domain); journal lines are
-/// ordinary byte strings, so they get the ordinary byte algorithm.
-std::uint32_t crc32_bytes(const char* data, std::size_t size)
-{
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t n = 0; n < 256; ++n) {
-            std::uint32_t c = n;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[n] = c;
-        }
-        return t;
-    }();
-    std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xffu] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
-}
 
 std::string fmt_double(double value)
 {
@@ -346,7 +326,7 @@ Journal_entry parse_entry(const std::string& payload)
 std::string stamp(const std::string& payload)
 {
     char crc[12];
-    std::snprintf(crc, sizeof crc, "%08x ", crc32_bytes(payload.data(), payload.size()));
+    std::snprintf(crc, sizeof crc, "%08x ", crc32_bytes(payload));
     return crc + payload + "\n";
 }
 
@@ -367,7 +347,7 @@ bool check_line(const std::string& line, std::string& payload)
             return false;
     }
     payload = line.substr(9);
-    return crc32_bytes(payload.data(), payload.size()) == stored;
+    return crc32_bytes(payload) == stored;
 }
 
 } // namespace

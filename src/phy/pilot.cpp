@@ -1,7 +1,6 @@
 #include "phy/pilot.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "util/obs.h"
@@ -108,92 +107,14 @@ inline std::size_t errors_of(std::uint64_t key)
     return static_cast<std::size_t>(key >> 48);
 }
 
-/// Position-major XOR + popcount scan over starts [from, to], any
-/// stride.  The per-word early exit fires only when errors already
-/// exceed max_errors — positions it abandons are disqualified either
-/// way, so the accumulated key is identical to the reference's result.
-/// Dispatches to the popcnt kernel when the SIMD backend is up: this TU
-/// builds at the baseline ISA, where std::popcount is a libgcc call per
-/// word (see util/simd.h); the kernel is bit-identical, just faster.
-void scan_starts(const std::uint64_t* words,
-                 const Packed_pattern& pattern,
-                 std::size_t from,
-                 std::size_t to,
-                 std::size_t max_errors,
-                 std::uint64_t& best_key)
-{
-    if (simd::kernels_active()) {
-        simd::detail::pilot_scan_starts_popcnt(words, pattern.shifted(0),
-                                               pattern.mask(0),
-                                               pattern.stride(), from, to,
-                                               max_errors, &best_key);
-        return;
-    }
-    const std::size_t stride = pattern.stride();
-    for (std::size_t start = from; start <= to; ++start) {
-        const std::uint64_t* hay = words + (start >> 6);
-        const std::uint64_t* copy = pattern.shifted(start & 63);
-        const std::uint64_t* mask = pattern.mask(start & 63);
-        std::size_t errors = 0;
-        for (std::size_t k = 0; k < stride && errors <= max_errors; ++k)
-            errors += static_cast<std::size_t>(
-                std::popcount((hay[k] ^ copy[k]) & mask[k]));
-        if (errors <= max_errors) {
-            const std::uint64_t key =
-                (static_cast<std::uint64_t>(errors) << 48) | start;
-            best_key = std::min(best_key, key);
-            if (errors == 0)
-                break;
-        }
-    }
-}
-
-/// Stripe-major scan for 2-word patterns (every length in [2, 65], the
-/// pilot included) over the word-aligned starts [64*w_lo, 64*w_hi + 63].
-/// Fixing the shift in the outer loop keeps the pattern copy and mask in
-/// registers, so the inner loop per start is two loads, two XOR+AND+
-/// popcount pairs, and a branchless min — roughly 4x fewer instructions
-/// than the position-major loop's per-start pattern-row indexing.  Visit
-/// order differs from the reference, but the min-key reduction is order
-/// independent.
-void scan_words_striped(const std::uint64_t* words,
-                        const Packed_pattern& pattern,
-                        std::size_t w_lo,
-                        std::size_t w_hi,
-                        std::size_t max_errors,
-                        std::uint64_t& best_key)
-{
-    if (simd::kernels_active()) {
-        simd::detail::pilot_scan_striped_popcnt(words, pattern.shifted(0),
-                                                pattern.mask(0), w_lo, w_hi,
-                                                max_errors, &best_key);
-        return;
-    }
-    for (std::size_t s = 0; s < 64; ++s) {
-        const std::uint64_t c0 = pattern.shifted(s)[0];
-        const std::uint64_t c1 = pattern.shifted(s)[1];
-        const std::uint64_t m0 = pattern.mask(s)[0];
-        const std::uint64_t m1 = pattern.mask(s)[1];
-        for (std::size_t w = w_lo; w <= w_hi; ++w) {
-            const auto errors = static_cast<std::size_t>(
-                                    std::popcount((words[w] ^ c0) & m0)) +
-                                static_cast<std::size_t>(
-                                    std::popcount((words[w + 1] ^ c1) & m1));
-            if (errors <= max_errors) {
-                const std::uint64_t key =
-                    (static_cast<std::uint64_t>(errors) << 48) | (w * 64 + s);
-                best_key = std::min(best_key, key);
-            }
-        }
-    }
-}
-
 /// The sliding scan.  Semantics are pinned to the scalar reference
 /// loop: clamp both bounds to the last fitting start, return the first
 /// position with the fewest errors, stop scanning on a zero-error
 /// match.  2-word patterns run stripe-major over the interior words in
 /// chunks (so the zero-error break still skips the remainder of a long
 /// span), with the ragged edges of [from, to] covered position-major.
+/// Both scans are the active SIMD table's (util/simd.h): the same
+/// source everywhere, on hardware popcnt when a lane backend is up.
 std::optional<Pattern_match> scan_packed(const Packed_bits& haystack,
                                          const Packed_pattern& pattern,
                                          std::size_t from,
@@ -208,27 +129,30 @@ std::optional<Pattern_match> scan_packed(const Packed_bits& haystack,
 
     const std::uint64_t* words = haystack.words();
     std::uint64_t best_key = no_match;
+    const simd::detail::Kernel_table& kernels = simd::detail::active_kernels();
+    const auto scan_starts = [&](std::size_t first, std::size_t last) {
+        kernels.pilot_scan_starts(words, pattern.shifted(0), pattern.mask(0),
+                                  pattern.stride(), first, last, max_errors, &best_key);
+    };
 
     // Word w is interior when all 64 of its starts lie inside [from, to].
     const std::size_t w_lo = (from + 63) >> 6;
     const bool interior =
         pattern.stride() == 2 && to >= 63 && ((to - 63) >> 6) >= w_lo;
     if (!interior) {
-        scan_starts(words, pattern, from, to, max_errors, best_key);
+        scan_starts(from, to);
     } else {
         const std::size_t w_hi = (to - 63) >> 6;
         if (w_lo * 64 > from)
-            scan_starts(words, pattern, from, w_lo * 64 - 1, max_errors,
-                        best_key);
+            scan_starts(from, w_lo * 64 - 1);
         constexpr std::size_t chunk_words = 16; // 1024 starts per zero check
         for (std::size_t w = w_lo; w <= w_hi && errors_of(best_key) != 0;
              w += chunk_words)
-            scan_words_striped(words, pattern, w,
-                               std::min(w_hi, w + chunk_words - 1), max_errors,
-                               best_key);
+            kernels.pilot_scan_striped(words, pattern.shifted(0), pattern.mask(0), w,
+                                       std::min(w_hi, w + chunk_words - 1), max_errors,
+                                       &best_key);
         if (errors_of(best_key) != 0 && (w_hi + 1) * 64 <= to)
-            scan_starts(words, pattern, (w_hi + 1) * 64, to, max_errors,
-                        best_key);
+            scan_starts((w_hi + 1) * 64, to);
     }
 
     if (best_key == no_match)

@@ -59,6 +59,14 @@ std::uint32_t crc32(std::span<const std::uint8_t> bits)
     return ~crc;
 }
 
+std::uint32_t crc32_bytes(std::string_view bytes)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (const char byte : bytes)
+        crc = (crc >> 8u) ^ crc32_table[(crc ^ static_cast<unsigned char>(byte)) & 0xffu];
+    return ~crc;
+}
+
 std::uint16_t crc16(std::span<const std::uint8_t> bits)
 {
     // MSB-first CRC-16-CCITT: gather 8 bits MSB-first per lookup.

@@ -22,21 +22,22 @@ Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
     // words — i.e. identical Box-Muller radii (correlated magnitudes).
 }
 
+void Counter_normal::add_scaled(std::uint64_t first_counter, double scale, double* inout,
+                                std::size_t count) const
+{
+    simd::detail::scalar_kernels.counter_normal_add_scaled(key_a_, key_b_, first_counter,
+                                                           scale, inout, count);
+}
+
 // Lane elements are (z0, z1) pairs — two doubles of the buffer each —
 // so a lane kernel takes 8 (avx512) or 4 (avx2) counters per block; the
-// remainder, an odd trailing normal included, goes to the scalar pass,
+// remainder, an odd trailing normal included, goes to the scalar kernel,
 // which is element-wise identical (draws are pure in (key, counter), so
 // the seam carries no state).
-
 void Counter_normal::add_scaled_simd(std::uint64_t first_counter, double scale,
                                      double* inout, std::size_t count) const
 {
-    const auto scalar = [this](std::uint64_t, std::uint64_t, std::uint64_t first,
-                               double z_scale, double* at, std::size_t n) {
-        add_scaled(first, z_scale, at, n);
-    };
-    simd::dispatch<2>(count, simd::detail::counter_normal_add_scaled_avx512,
-                      simd::detail::counter_normal_add_scaled_avx2, scalar,
+    simd::dispatch<2>(count, &simd::detail::Kernel_table::counter_normal_add_scaled,
                       [&](auto kernel, std::size_t at, std::size_t n) {
                           kernel(key_a_, key_b_, first_counter + at / 2, scale, inout + at,
                                  n);

@@ -72,13 +72,11 @@ public:
     /// in registers instead of paying a call per sample pair.
     void pair(std::uint64_t counter, double& z0, double& z1) const;
 
-    /// out[0..count) = iid N(0,1), consuming counters
-    /// [first_counter, first_counter + ceil(count/2)).
-    void fill(std::uint64_t first_counter, double* out, std::size_t count) const;
-
-    /// inout[i] += scale · z_i for the same draws fill() would produce
-    /// (bit-identical z stream) — the fused form the fast-profile AWGN
-    /// fill uses, so noise never round-trips through a scratch buffer.
+    /// inout[i] += scale · z_i for i in [0, count), z_i the iid N(0,1)
+    /// draws at counters [first_counter, first_counter + ceil(count/2))
+    /// in (z0, z1) pair order — the fused form the fast-profile AWGN fill
+    /// uses, so noise never round-trips through a scratch buffer.  The
+    /// scalar table's kernel (util/simd.h), bit-identical to pair().
     void add_scaled(std::uint64_t first_counter, double scale, double* inout,
                     std::size_t count) const;
 
@@ -96,16 +94,6 @@ public:
     std::uint64_t key_b() const { return key_b_; }
 
 private:
-    /// The shared blocked passes behind fill() and add_scaled(): hash ->
-    /// radius -> angle, emitting each z pair through `emit(index, z0,
-    /// z1)` (index is the offset of z0 in the caller's buffer; an odd
-    /// tail emits through `emit_tail(index, z0)`).  One source of truth
-    /// keeps the two entry points' z streams bit-identical by
-    /// construction.
-    template <class Emit, class Emit_tail>
-    void generate(std::uint64_t first_counter, std::size_t count, Emit&& emit,
-                  Emit_tail&& emit_tail) const;
-
     std::uint64_t key_a_;
     std::uint64_t key_b_;
 };
@@ -254,89 +242,28 @@ inline void box_muller_angle(std::uint64_t w2, double& s, double& c)
     c = std::bit_cast<double>(c_sel);
 }
 
-} // namespace detail
-
-inline void Counter_normal::pair(std::uint64_t counter, double& z0, double& z1) const
+/// Counter_normal::pair on explicit keys.  Two decorrelated uniform
+/// words per counter, on independent finalizer lanes (not chained) so
+/// the two hashes pipeline; the keys themselves were decorrelated at
+/// construction.
+inline void counter_normal_pair(std::uint64_t key_a, std::uint64_t key_b,
+                                std::uint64_t counter, double& z0, double& z1)
 {
-    // Two decorrelated uniform words per counter, on independent
-    // finalizer lanes (not chained) so the two hashes pipeline; the keys
-    // themselves were decorrelated at construction.
-    const std::uint64_t w1 = splitmix64(key_a_ + counter * 0x9e3779b97f4a7c15ULL);
-    const std::uint64_t w2 = splitmix64(key_b_ + counter * 0xc2b2ae3d27d4eb4fULL);
-    const double radius = detail::box_muller_radius(w1);
+    const std::uint64_t w1 = splitmix64(key_a + counter * 0x9e3779b97f4a7c15ULL);
+    const std::uint64_t w2 = splitmix64(key_b + counter * 0xc2b2ae3d27d4eb4fULL);
+    const double radius = box_muller_radius(w1);
     double s = 0.0;
     double c = 0.0;
-    detail::box_muller_angle(w2, s, c);
+    box_muller_angle(w2, s, c);
     z0 = radius * c;
     z1 = radius * s;
 }
 
-template <class Emit, class Emit_tail>
-void Counter_normal::generate(std::uint64_t first_counter, std::size_t count,
-                              Emit&& emit, Emit_tail&& emit_tail) const
-{
-    // Blocked multi-pass: one iteration of pair() is a long serial chain
-    // (hash -> convert -> divide -> log poly -> sqrt -> sincos), so a
-    // straight per-pair loop is latency-bound.  Splitting the block into
-    // three short-chain passes (hash/convert, radius, angle) lets each
-    // pass stream at ALU/divider throughput instead — measurably ~2x on
-    // the noise fill.  Values are bit-identical to pair() at the same
-    // counters (same operations, same order per element).
-    constexpr std::size_t block_pairs = 64;
-    std::uint64_t w1s[block_pairs];
-    std::uint64_t w2s[block_pairs];
-    double radius[block_pairs];
-    std::size_t done = 0;
-    while (done + 2 <= count) {
-        const std::size_t pairs =
-            ((count - done) / 2) < block_pairs ? (count - done) / 2 : block_pairs;
-        const std::uint64_t base = first_counter + done / 2;
-        for (std::size_t i = 0; i < pairs; ++i) {
-            w1s[i] = splitmix64(key_a_ + (base + i) * 0x9e3779b97f4a7c15ULL);
-            w2s[i] = splitmix64(key_b_ + (base + i) * 0xc2b2ae3d27d4eb4fULL);
-        }
-        for (std::size_t i = 0; i < pairs; ++i)
-            radius[i] = detail::box_muller_radius(w1s[i]);
-        for (std::size_t i = 0; i < pairs; ++i) {
-            double s = 0.0;
-            double c = 0.0;
-            detail::box_muller_angle(w2s[i], s, c);
-            emit(done + 2 * i, radius[i] * c, radius[i] * s);
-        }
-        done += 2 * pairs;
-    }
-    if (done < count) {
-        double z0 = 0.0;
-        double z1 = 0.0;
-        pair(first_counter + done / 2, z0, z1);
-        emit_tail(done, z0);
-    }
-}
+} // namespace detail
 
-inline void Counter_normal::fill(std::uint64_t first_counter, double* out,
-                                 std::size_t count) const
+inline void Counter_normal::pair(std::uint64_t counter, double& z0, double& z1) const
 {
-    generate(
-        first_counter, count,
-        [out](std::size_t i, double z0, double z1) {
-            out[i] = z0;
-            out[i + 1] = z1;
-        },
-        [out](std::size_t i, double z0) { out[i] = z0; });
-}
-
-inline void Counter_normal::add_scaled(std::uint64_t first_counter, double scale,
-                                       double* inout, std::size_t count) const
-{
-    // Same z stream as fill() (one shared generator), fused into the
-    // scaled accumulation so noise never round-trips a scratch buffer.
-    generate(
-        first_counter, count,
-        [inout, scale](std::size_t i, double z0, double z1) {
-            inout[i] += scale * z0;
-            inout[i + 1] += scale * z1;
-        },
-        [inout, scale](std::size_t i, double z0) { inout[i] += scale * z0; });
+    detail::counter_normal_pair(key_a_, key_b_, counter, z0, z1);
 }
 
 } // namespace anc

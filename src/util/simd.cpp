@@ -8,16 +8,19 @@
 
 #include "util/cpu_features.h"
 #include "util/fastmath.h"
+#include "util/rng.h"
+#include "util/simd_kernels.inl"
 
-// Dispatchers and the scalar fallback implementations.  This TU is
-// compiled at the baseline architecture, so every function here runs on
-// any x86-64 (or non-x86) machine; the lane entry points in
-// simd_kernels_avx2.cpp / simd_kernels_avx512.cpp are only ever reached
-// through the active_backend() checks below.
+// Dispatchers and the scalar table.  This TU is compiled at the baseline
+// architecture, so every function here runs on any x86-64 (or non-x86)
+// machine; the lane tables in simd_kernels_avx2.cpp /
+// simd_kernels_avx512.cpp are only ever reached through kernels_for().
 //
-// The scalar fallbacks ARE the fast kernels, looped — the "guaranteed
+// The scalar kernels ARE the fast kernels, looped — the "guaranteed
 // scalar fallback" of the dispatch contract, which is what makes the
 // fast profile's output identical on every backend (see util/simd.h).
+// The pilot scans come from simd_kernels.inl, the one source all three
+// tables compile.
 
 namespace anc::simd {
 
@@ -97,14 +100,6 @@ double excess_variance_mask_loop(const double* sums, const double* sum_sqs,
         return ratio > threshold;
     });
     return peak;
-}
-
-} // namespace
-
-Window_divisor window_divisor(std::size_t window)
-{
-    const auto w = static_cast<double>(window);
-    return {w, 1.0 / w, (window & (window - 1)) == 0};
 }
 
 void anc_candidates_batch_scalar(const double* interleaved_samples,
@@ -189,6 +184,49 @@ void diff_arg_batch_scalar(const double* interleaved_samples,
         // arg(next * conj(cur)), with the products std::complex
         // multiplication performs.
         out[n] = fast_atan2(br * -ai + bi * ar, br * ar - bi * -ai);
+    }
+}
+
+void counter_normal_add_scaled_scalar(std::uint64_t key_a, std::uint64_t key_b,
+                                      std::uint64_t first_counter, double scale,
+                                      double* inout, std::size_t count)
+{
+    // Blocked multi-pass: one Counter_normal::pair is a long serial
+    // chain (hash -> convert -> divide -> log poly -> sqrt -> sincos), so
+    // a straight per-pair loop is latency-bound.  Splitting the block
+    // into three short-chain passes (hash/convert, radius, angle) lets
+    // each pass stream at ALU/divider throughput instead — measurably ~2x
+    // on the noise fill.  Values are bit-identical to pair() at the same
+    // counters (same operations, same order per element), and
+    // inout[i] += scale * z is a multiply then an add, no FMA.
+    constexpr std::size_t block_pairs = 64;
+    std::uint64_t w1s[block_pairs];
+    std::uint64_t w2s[block_pairs];
+    double radius[block_pairs];
+    std::size_t done = 0;
+    while (done + 2 <= count) {
+        const std::size_t pairs = std::min((count - done) / 2, block_pairs);
+        const std::uint64_t base = first_counter + done / 2;
+        for (std::size_t i = 0; i < pairs; ++i) {
+            w1s[i] = splitmix64(key_a + (base + i) * 0x9e3779b97f4a7c15ULL);
+            w2s[i] = splitmix64(key_b + (base + i) * 0xc2b2ae3d27d4eb4fULL);
+        }
+        for (std::size_t i = 0; i < pairs; ++i)
+            radius[i] = anc::detail::box_muller_radius(w1s[i]);
+        for (std::size_t i = 0; i < pairs; ++i) {
+            double s = 0.0;
+            double c = 0.0;
+            anc::detail::box_muller_angle(w2s[i], s, c);
+            inout[done + 2 * i] += scale * (radius[i] * c);
+            inout[done + 2 * i + 1] += scale * (radius[i] * s);
+        }
+        done += 2 * pairs;
+    }
+    if (done < count) {
+        double z0 = 0.0;
+        double z1 = 0.0;
+        anc::detail::counter_normal_pair(key_a, key_b, first_counter + done / 2, z0, z1);
+        inout[done] += scale * z0;
     }
 }
 
@@ -280,6 +318,47 @@ void msk_decide_scalar(const double* interleaved_samples, std::size_t transition
     }
 }
 
+} // namespace
+
+Window_divisor window_divisor(std::size_t window)
+{
+    const auto w = static_cast<double>(window);
+    return {w, 1.0 / w, (window & (window - 1)) == 0};
+}
+
+constinit const Kernel_table scalar_kernels{
+    .width = 1,
+    .anc_candidates_batch = anc_candidates_batch_scalar,
+    .anc_select_batch = anc_select_batch_scalar,
+    .diff_arg_batch = diff_arg_batch_scalar,
+    .rotor_accumulate = rotor_accumulate_scalar,
+    .cmul_accumulate = cmul_accumulate_scalar,
+    .msk_decide = msk_decide_scalar,
+    .counter_normal_add_scaled = counter_normal_add_scaled_scalar,
+    .window_mean_mask = window_mean_mask_scalar,
+    .excess_variance_mask = excess_variance_mask_scalar,
+    .pilot_scan_starts = pilot_scan_starts,
+    .pilot_scan_striped = pilot_scan_striped,
+};
+
+const Kernel_table& kernels_for([[maybe_unused]] Backend backend)
+{
+#if defined(__x86_64__)
+    switch (backend) {
+    case Backend::avx512: return avx512_kernels;
+    case Backend::avx2: return avx2_kernels;
+    case Backend::scalar: break;
+    }
+#endif
+    return scalar_kernels;
+}
+
+const Kernel_table& active_kernels()
+{
+    static const Kernel_table& table = kernels_for(active_backend());
+    return table;
+}
+
 } // namespace detail
 
 Backend resolve_backend(bool cpu_has_avx2, bool cpu_has_fma, bool cpu_has_avx512f,
@@ -322,24 +401,13 @@ bool kernels_active()
     return active_backend() != Backend::scalar;
 }
 
-std::size_t lane_head(std::size_t n)
-{
-    switch (active_backend()) {
-    case Backend::avx512: return n & ~std::size_t{7};
-    case Backend::avx2: return n & ~std::size_t{3};
-    case Backend::scalar: break;
-    }
-    return 0;
-}
-
 // ---------------------------------------------------------- dispatchers
 
 void anc_candidates_batch(const double* interleaved_samples, std::size_t count,
                           double a, double b, double* theta_plus,
                           double* theta_minus, double* phi_minus, double* phi_plus)
 {
-    dispatch(count, detail::anc_candidates_batch_avx512, detail::anc_candidates_batch_avx2,
-             detail::anc_candidates_batch_scalar,
+    dispatch(count, &detail::Kernel_table::anc_candidates_batch,
              [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(interleaved_samples + 2 * at, m, a, b, theta_plus + at,
                         theta_minus + at, phi_minus + at, phi_plus + at);
@@ -351,8 +419,7 @@ void anc_select_batch(const double* theta_plus, const double* theta_minus,
                       const double* known_diffs, std::size_t transitions,
                       double* phi_out, double* error_out)
 {
-    dispatch(transitions, detail::anc_select_batch_avx512, detail::anc_select_batch_avx2,
-             detail::anc_select_batch_scalar,
+    dispatch(transitions, &detail::Kernel_table::anc_select_batch,
              [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(theta_plus + at, theta_minus + at, phi_minus + at, phi_plus + at,
                         known_diffs + at, m, phi_out + at, error_out + at);
@@ -362,8 +429,8 @@ void anc_select_batch(const double* theta_plus, const double* theta_minus,
 void diff_arg_batch(const double* interleaved_samples, std::size_t transitions,
                     double* out)
 {
-    dispatch(transitions, detail::diff_arg_batch_avx512, detail::diff_arg_batch_avx2,
-             detail::diff_arg_batch_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
+    dispatch(transitions, &detail::Kernel_table::diff_arg_batch,
+             [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(interleaved_samples + 2 * at, m, out + at);
              });
 }
@@ -371,8 +438,7 @@ void diff_arg_batch(const double* interleaved_samples, std::size_t transitions,
 void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
                       std::size_t samples, double rotor_re, double rotor_im)
 {
-    dispatch(samples, detail::rotor_accumulate_avx512, detail::rotor_accumulate_avx2,
-             detail::rotor_accumulate_scalar,
+    dispatch(samples, &detail::Kernel_table::rotor_accumulate,
              [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(interleaved_in + 2 * at, interleaved_acc + 2 * at, m, rotor_re,
                         rotor_im);
@@ -382,8 +448,7 @@ void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
 void cmul_accumulate(const double* interleaved_in, const double* interleaved_rotors,
                      double* interleaved_acc, std::size_t samples)
 {
-    dispatch(samples, detail::cmul_accumulate_avx512, detail::cmul_accumulate_avx2,
-             detail::cmul_accumulate_scalar,
+    dispatch(samples, &detail::Kernel_table::cmul_accumulate,
              [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(interleaved_in + 2 * at, interleaved_rotors + 2 * at,
                         interleaved_acc + 2 * at, m);
@@ -395,8 +460,7 @@ void window_mean_mask(const double* sums, std::size_t windows, std::size_t windo
 {
     const detail::Window_divisor divisor = detail::window_divisor(window);
     std::fill_n(mask, (windows + 63) / 64, std::uint64_t{0});
-    dispatch(windows, detail::window_mean_mask_avx512, detail::window_mean_mask_avx2,
-             detail::window_mean_mask_scalar,
+    dispatch(windows, &detail::Kernel_table::window_mean_mask,
              [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(sums + at, m, divisor, threshold, mask, at);
              });
@@ -412,8 +476,7 @@ double excess_variance_mask(const double* sums, const double* sum_sqs,
     // lanes visit them in (NaN ratios never win a max), so the lane
     // tiers may keep per-lane peaks.
     double peak = 1e-12;
-    dispatch(windows, detail::excess_variance_mask_avx512,
-             detail::excess_variance_mask_avx2, detail::excess_variance_mask_scalar,
+    dispatch(windows, &detail::Kernel_table::excess_variance_mask,
              [&](auto kernel, std::size_t at, std::size_t m) {
                  peak = kernel(sums + at, sum_sqs + at, m, divisor, sigma2, threshold,
                                peak, mask, at);
@@ -424,147 +487,10 @@ double excess_variance_mask(const double* sums, const double* sum_sqs,
 void msk_decide(const double* interleaved_samples, std::size_t transitions,
                 std::uint8_t* bits)
 {
-    dispatch(transitions, detail::msk_decide_avx512, detail::msk_decide_avx2,
-             detail::msk_decide_scalar, [&](auto kernel, std::size_t at, std::size_t m) {
+    dispatch(transitions, &detail::Kernel_table::msk_decide,
+             [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(interleaved_samples + 2 * at, m, bits + at);
              });
 }
 
 } // namespace anc::simd
-
-#if !defined(__x86_64__)
-
-// Non-x86 builds compile no lane kernels (the CMake guard and the
-// kernel TUs are x86-64 only).  cpu_features() reports no AVX2 there,
-// so resolve_backend() never picks a lane backend, but the entry points
-// must exist to link.
-namespace anc::simd::detail {
-
-namespace {
-
-[[noreturn]] void unreachable_backend()
-{
-    std::abort();
-}
-
-} // namespace
-
-void anc_candidates_batch_avx2(const double*, std::size_t, double, double, double*,
-                               double*, double*, double*)
-{
-    unreachable_backend();
-}
-
-void anc_select_batch_avx2(const double*, const double*, const double*, const double*,
-                           const double*, std::size_t, double*, double*)
-{
-    unreachable_backend();
-}
-
-void diff_arg_batch_avx2(const double*, std::size_t, double*)
-{
-    unreachable_backend();
-}
-
-void counter_normal_add_scaled_avx2(std::uint64_t, std::uint64_t, std::uint64_t, double,
-                                    double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void rotor_accumulate_avx2(const double*, double*, std::size_t, double, double)
-{
-    unreachable_backend();
-}
-
-void cmul_accumulate_avx2(const double*, const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void window_mean_mask_avx2(const double*, std::size_t, const Window_divisor&, double,
-                           std::uint64_t*, std::size_t)
-{
-    unreachable_backend();
-}
-
-double excess_variance_mask_avx2(const double*, const double*, std::size_t,
-                                 const Window_divisor&, double, double, double,
-                                 std::uint64_t*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void msk_decide_avx2(const double*, std::size_t, std::uint8_t*)
-{
-    unreachable_backend();
-}
-
-void pilot_scan_starts_popcnt(const std::uint64_t*, const std::uint64_t*,
-                              const std::uint64_t*, std::size_t, std::size_t, std::size_t,
-                              std::size_t, std::uint64_t*)
-{
-    unreachable_backend();
-}
-
-void pilot_scan_striped_popcnt(const std::uint64_t*, const std::uint64_t*,
-                               const std::uint64_t*, std::size_t, std::size_t, std::size_t,
-                               std::uint64_t*)
-{
-    unreachable_backend();
-}
-
-void anc_candidates_batch_avx512(const double*, std::size_t, double, double, double*,
-                                 double*, double*, double*)
-{
-    unreachable_backend();
-}
-
-void anc_select_batch_avx512(const double*, const double*, const double*, const double*,
-                             const double*, std::size_t, double*, double*)
-{
-    unreachable_backend();
-}
-
-void diff_arg_batch_avx512(const double*, std::size_t, double*)
-{
-    unreachable_backend();
-}
-
-void counter_normal_add_scaled_avx512(std::uint64_t, std::uint64_t, std::uint64_t, double,
-                                      double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void rotor_accumulate_avx512(const double*, double*, std::size_t, double, double)
-{
-    unreachable_backend();
-}
-
-void cmul_accumulate_avx512(const double*, const double*, double*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void window_mean_mask_avx512(const double*, std::size_t, const Window_divisor&, double,
-                             std::uint64_t*, std::size_t)
-{
-    unreachable_backend();
-}
-
-double excess_variance_mask_avx512(const double*, const double*, std::size_t,
-                                   const Window_divisor&, double, double, double,
-                                   std::uint64_t*, std::size_t)
-{
-    unreachable_backend();
-}
-
-void msk_decide_avx512(const double*, std::size_t, std::uint8_t*)
-{
-    unreachable_backend();
-}
-
-} // namespace anc::simd::detail
-
-#endif

@@ -29,15 +29,18 @@
 // (see dispatch()), so they are valid to call everywhere and merely
 // resolve to the best implementation available.
 //
+// Each backend is one detail::Kernel_table: a function pointer per
+// kernel plus the lane width.  scalar_kernels (simd.cpp) holds the
+// scalar fallbacks, the reference every lane kernel is tested against.
 // The lane kernels are written once, in src/util/simd_kernels.inl, as
-// templates over a lane-width trait, and compiled twice:
-// simd_kernels_avx2.cpp (Lanes<4>, -mavx2 -mfma) and
-// simd_kernels_avx512.cpp (Lanes<8>, -mavx512f), both under
-// -ffp-contract=off so the compiler cannot fuse the mul/add chains the
-// bit-compatibility contract pins down.  Those are the only translation
-// units built above the baseline ISA; everything in them has internal
-// linkage except the detail::*_avx2 / *_avx512 entry points, and nothing
-// there is reachable without passing through the dispatchers.
+// templates over a lane-width trait, and compiled twice into
+// avx2_kernels (simd_kernels_avx2.cpp: Lanes<4>, -mavx2 -mfma) and
+// avx512_kernels (simd_kernels_avx512.cpp: Lanes<8>, -mavx512f), both
+// under -ffp-contract=off so the compiler cannot fuse the mul/add chains
+// the bit-compatibility contract pins down.  Those are the only
+// translation units built above the baseline ISA; each exports nothing
+// but its table, and no table is reachable without passing through
+// kernels_for() / active_kernels().
 
 #pragma once
 
@@ -88,32 +91,11 @@ Backend active_backend();
 /// active_backend() != Backend::scalar — some lane kernel TU is in use.
 bool kernels_active();
 
-/// The widest prefix of n lane elements the active backend takes in
-/// full blocks: a multiple of 8 for avx512, of 4 for avx2, 0 for scalar.
-std::size_t lane_head(std::size_t n);
-
-/// The split every batch dispatcher shares (simd.cpp, util/rng.cpp):
-/// the active backend's lane kernel (`avx512` or `avx2`) runs over the
-/// full-block head of the n elements, `scalar` over the rest, each as
-/// call(kernel, at, count) on elements [at, at + count).  An element is
-/// `Per_lane` consecutive values of the caller's buffers (2 where one
-/// lane produces a pair of values).  All tiers are element-wise
-/// identical, so the split point is invisible in the output.
-template <std::size_t Per_lane = 1, class Lane_kernel, class Scalar_kernel, class Call>
-void dispatch(std::size_t n, Lane_kernel avx512, Lane_kernel avx2, Scalar_kernel scalar,
-              Call&& call)
-{
-    const std::size_t head = Per_lane * lane_head(n / Per_lane);
-    if (head != 0)
-        call(active_backend() == Backend::avx512 ? avx512 : avx2, std::size_t{0}, head);
-    call(scalar, head, n - head);
-}
-
 // ------------------------------------------------------------- kernels
-// All kernels accept any n; the lane paths handle the full 8-wide
-// (avx512) or 4-wide (avx2) blocks and hand the tail to the scalar
-// fallback (which is element-wise identical, so the seam is invisible
-// in the output).
+// All kernels accept any n; the dispatchers run the active backend's
+// lane kernel over the full 8-wide (avx512) or 4-wide (avx2) blocks and
+// the scalar kernel over the tail (element-wise identical, so the seam
+// is invisible in the output).
 
 /// The Eq. 7 candidate generation of the interference decoder, SoA: for
 /// each interleaved complex sample y, emit the four wrapped candidate
@@ -202,142 +184,91 @@ struct Window_divisor {
 
 Window_divisor window_divisor(std::size_t window);
 
-// Per-backend entry points, exposed so the tests can compare the
-// implementations directly on the same machine.  The *_avx2 functions
-// live in the -mavx2 -mfma translation unit and must only be called
-// when cpu_features() reports avx2 && fma; the *_avx512 functions live
-// in the -mavx512f translation unit and must only be called when
-// cpu_features() reports avx512f too (non-x86 builds link abort()ing
-// stubs).  Each additionally requires the stated block alignment of n
-// (the dispatchers feed tails to the scalar path).
+/// One backend's kernels.  A lane kernel takes counts that are a
+/// multiple of `width` elements (a power of two; 1 for scalar); the
+/// dispatchers feed the rest to scalar_kernels.  The members declared
+/// through decltype have their public dispatcher's signature.
+struct Kernel_table {
+    std::size_t width;
+    decltype(&simd::anc_candidates_batch) anc_candidates_batch;
+    decltype(&simd::anc_select_batch) anc_select_batch;
+    decltype(&simd::diff_arg_batch) diff_arg_batch;
+    decltype(&simd::rotor_accumulate) rotor_accumulate;
+    decltype(&simd::cmul_accumulate) cmul_accumulate;
+    decltype(&simd::msk_decide) msk_decide;
 
-void anc_candidates_batch_scalar(const double* interleaved_samples,
-                                 std::size_t count, double a, double b,
-                                 double* theta_plus, double* theta_minus,
-                                 double* phi_minus, double* phi_plus);
-void anc_select_batch_scalar(const double* theta_plus, const double* theta_minus,
-                             const double* phi_minus, const double* phi_plus,
-                             const double* known_diffs, std::size_t transitions,
-                             double* phi_out, double* error_out);
-void diff_arg_batch_scalar(const double* interleaved_samples,
-                           std::size_t transitions, double* out);
-void rotor_accumulate_scalar(const double* interleaved_in,
-                             double* interleaved_acc, std::size_t samples,
-                             double rotor_re, double rotor_im);
-void cmul_accumulate_scalar(const double* interleaved_in,
-                            const double* interleaved_rotors,
-                            double* interleaved_acc, std::size_t samples);
-
-// The receiver-scan kernels take windows [0, count) of the offset
-// `sums`/`sum_sqs` and OR window i's bit into bit first + i of `mask`
-// (the dispatcher zeroes the words; the lane tiers need first % 64 == 0
-// and count a multiple of their width).  excess_variance_mask_* return
-// the running peak continued from `peak` (lanes keep one peak each, so
-// they equal the scalar loop for a positive `peak`).
-void window_mean_mask_scalar(const double* sums, std::size_t count,
-                             const Window_divisor& divisor, double threshold,
-                             std::uint64_t* mask, std::size_t first);
-double excess_variance_mask_scalar(const double* sums, const double* sum_sqs,
-                                   std::size_t count, const Window_divisor& divisor,
-                                   double sigma2, double threshold, double peak,
-                                   std::uint64_t* mask, std::size_t first);
-void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
-                       std::uint8_t* bits);
-
-// n % 4 == 0 for all of these.
-void anc_candidates_batch_avx2(const double* interleaved_samples, std::size_t count,
-                               double a, double b, double* theta_plus,
-                               double* theta_minus, double* phi_minus,
-                               double* phi_plus);
-void anc_select_batch_avx2(const double* theta_plus, const double* theta_minus,
-                           const double* phi_minus, const double* phi_plus,
-                           const double* known_diffs, std::size_t transitions,
-                           double* phi_out, double* error_out);
-void diff_arg_batch_avx2(const double* interleaved_samples, std::size_t transitions,
-                         double* out);
-
-/// Counter_normal's batched Box–Muller, fused into inout[i] += scale·z_i:
-/// 4 counter pairs (8 normals) per step, bit-identical to
-/// Counter_normal::add_scaled at the same counters.  count % 8 == 0; the
-/// dispatcher (util/rng.cpp) handles tails.
-void counter_normal_add_scaled_avx2(std::uint64_t key_a, std::uint64_t key_b,
-                                    std::uint64_t first_counter, double scale,
-                                    double* inout, std::size_t count);
-/// samples % 2 == 0 (2 interleaved complex per 256-bit vector).
-void rotor_accumulate_avx2(const double* interleaved_in, double* interleaved_acc,
-                           std::size_t samples, double rotor_re, double rotor_im);
-/// samples % 2 == 0.
-void cmul_accumulate_avx2(const double* interleaved_in,
-                          const double* interleaved_rotors,
-                          double* interleaved_acc, std::size_t samples);
-/// count % 4 == 0 (transitions for msk_decide).
-void window_mean_mask_avx2(const double* sums, std::size_t count,
-                           const Window_divisor& divisor, double threshold,
-                           std::uint64_t* mask, std::size_t first);
-double excess_variance_mask_avx2(const double* sums, const double* sum_sqs,
-                                 std::size_t count, const Window_divisor& divisor,
-                                 double sigma2, double threshold, double peak,
-                                 std::uint64_t* mask, std::size_t first);
-void msk_decide_avx2(const double* interleaved_samples, std::size_t transitions,
-                     std::uint8_t* bits);
-
-// n % 8 == 0 for all of these (8 doubles per 512-bit vector).
-void anc_candidates_batch_avx512(const double* interleaved_samples,
-                                 std::size_t count, double a, double b,
-                                 double* theta_plus, double* theta_minus,
-                                 double* phi_minus, double* phi_plus);
-void anc_select_batch_avx512(const double* theta_plus, const double* theta_minus,
-                             const double* phi_minus, const double* phi_plus,
-                             const double* known_diffs, std::size_t transitions,
-                             double* phi_out, double* error_out);
-void diff_arg_batch_avx512(const double* interleaved_samples,
-                           std::size_t transitions, double* out);
-
-/// 8 counter pairs (16 normals) per step, same z stream as the scalar
-/// generator, fused into inout[i] += scale·z_i.  count % 16 == 0; the
-/// dispatcher handles tails.
-void counter_normal_add_scaled_avx512(std::uint64_t key_a, std::uint64_t key_b,
+    /// Counter_normal's Box–Muller, fused into inout[i] += scale·z_i over
+    /// counters [first_counter, first_counter + ceil(count / 2)): the
+    /// same z stream as Counter_normal::pair at every counter.  An
+    /// element is a counter pair, so lane kernels need count % (2·width)
+    /// == 0.
+    void (*counter_normal_add_scaled)(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,
                                       double* inout, std::size_t count);
-/// samples % 4 == 0 (4 interleaved complex per 512-bit vector).
-void rotor_accumulate_avx512(const double* interleaved_in,
-                             double* interleaved_acc, std::size_t samples,
-                             double rotor_re, double rotor_im);
-/// samples % 4 == 0.
-void cmul_accumulate_avx512(const double* interleaved_in,
-                            const double* interleaved_rotors,
-                            double* interleaved_acc, std::size_t samples);
-/// count % 8 == 0 (transitions for msk_decide).
-void window_mean_mask_avx512(const double* sums, std::size_t count,
+
+    // The receiver-scan kernels take windows [0, count) of the offset
+    // `sums`/`sum_sqs` and OR window i's bit into bit first + i of `mask`
+    // (the dispatcher zeroes the words; the lane kernels need
+    // first % 64 == 0).  excess_variance_mask returns the running peak
+    // continued from `peak` (lanes keep one peak each, so they equal the
+    // scalar loop for a positive `peak`).
+    void (*window_mean_mask)(const double* sums, std::size_t count,
                              const Window_divisor& divisor, double threshold,
                              std::uint64_t* mask, std::size_t first);
-double excess_variance_mask_avx512(const double* sums, const double* sum_sqs,
+    double (*excess_variance_mask)(const double* sums, const double* sum_sqs,
                                    std::size_t count, const Window_divisor& divisor,
                                    double sigma2, double threshold, double peak,
                                    std::uint64_t* mask, std::size_t first);
-void msk_decide_avx512(const double* interleaved_samples, std::size_t transitions,
-                       std::uint8_t* bits);
 
-// Bit-domain pilot-scan kernels (phy/pilot.cpp).  Integer-exact u64
-// XOR + popcount loops that live in the AVX2 TU solely for the hardware
-// popcnt instruction (baseline x86-64 predates POPCNT and compiles
-// std::popcount to a libgcc call).  Guard calls with kernels_active():
-// every AVX2-capable CPU has POPCNT.  Results are bit-identical to the
-// scalar fallbacks — dispatch here is a pure speed decision.
-// best_key accumulates min((errors << 48) | start); see pilot.cpp.
-void pilot_scan_starts_popcnt(const std::uint64_t* words,
-                              const std::uint64_t* shifted,
+    // Bit-domain pilot scans (phy/pilot.cpp): integer-exact u64 XOR +
+    // popcount loops, bit-identical in every table; they take any range.
+    // The lane tables run them on the hardware popcnt instruction, which
+    // the baseline ISA lacks.  best_key accumulates
+    // min((errors << 48) | start); see pilot.cpp.
+    void (*pilot_scan_starts)(const std::uint64_t* words, const std::uint64_t* shifted,
                               const std::uint64_t* masks, std::size_t stride,
-                              std::size_t from, std::size_t to,
-                              std::size_t max_errors, std::uint64_t* best_key);
-/// Stride-2 stripe-major variant over word-aligned starts
-/// [64*w_lo, 64*w_hi + 63]; shifted/masks are the 64x2 tables.
-void pilot_scan_striped_popcnt(const std::uint64_t* words,
-                               const std::uint64_t* shifted,
+                              std::size_t from, std::size_t to, std::size_t max_errors,
+                              std::uint64_t* best_key);
+    /// Stride-2 stripe-major variant over word-aligned starts
+    /// [64*w_lo, 64*w_hi + 63]; shifted/masks are the 64x2 tables.
+    void (*pilot_scan_striped)(const std::uint64_t* words, const std::uint64_t* shifted,
                                const std::uint64_t* masks, std::size_t w_lo,
                                std::size_t w_hi, std::size_t max_errors,
                                std::uint64_t* best_key);
+};
+
+/// The three backends.  avx2_kernels and avx512_kernels exist on x86-64
+/// only; reach them through kernels_for().
+extern const Kernel_table scalar_kernels;
+extern const Kernel_table avx2_kernels;
+extern const Kernel_table avx512_kernels;
+
+/// The table of `backend`: callable only when the CPU supports it
+/// (resolve_backend() would pick it or a wider one).  scalar_kernels on
+/// non-x86 builds, which compile no lane kernels.
+const Kernel_table& kernels_for(Backend backend);
+
+/// kernels_for(active_backend()).
+const Kernel_table& active_kernels();
 
 } // namespace detail
+
+/// The split every batch dispatcher shares (simd.cpp, util/rng.cpp): the
+/// active table's `kernel` runs over the full-block head of the n
+/// elements and scalar_kernels' over the rest, each as call(kernel, at,
+/// count) on elements [at, at + count).  An element is `Per_lane`
+/// consecutive values of the caller's buffers (2 where one lane produces
+/// a pair of values).  All tables are element-wise identical, so the
+/// split point is invisible in the output.
+template <std::size_t Per_lane = 1, class Kernel, class Call>
+void dispatch(std::size_t n, Kernel detail::Kernel_table::*kernel, Call&& call)
+{
+    const detail::Kernel_table& lanes = detail::active_kernels();
+    const std::size_t head = n & ~(Per_lane * lanes.width - 1);
+    if (head != 0)
+        call(lanes.*kernel, std::size_t{0}, head);
+    if (head != n)
+        call(detail::scalar_kernels.*kernel, head, n - head);
+}
 
 } // namespace anc::simd

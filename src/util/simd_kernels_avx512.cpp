@@ -1,6 +1,6 @@
-// The AVX-512F instantiation of the lane kernels (util/simd_kernels.inl):
-// the Lanes<8> trait, eight doubles per __m512d, and the exported
-// detail::*_avx512 entry points.  This is the only translation unit
+// The AVX-512F instantiation of the kernels in util/simd_kernels.inl:
+// the Lanes<8> trait, eight doubles per __m512d, and the one exported
+// symbol, detail::avx512_kernels.  This is the only translation unit
 // compiled with -mavx512f (and -ffp-contract=off); the weak-symbol rule
 // in simd_kernels.inl applies.
 //
@@ -14,8 +14,8 @@
 #include "util/simd.h"
 
 // x86-64 only, matching the CMake guard that adds -mavx512f for this
-// file (cpu_features reports no AVX-512 elsewhere, so the stubs in
-// simd.cpp are the correct behavior).
+// file (cpu_features reports no AVX-512 elsewhere, and kernels_for()
+// never returns this table there).
 #if defined(__x86_64__)
 
 #include <immintrin.h>
@@ -96,73 +96,9 @@ struct Lanes<8> {
     }
 };
 
-using K = Kernels<Lanes<8>>;
-
 } // namespace
 
-void anc_candidates_batch_avx512(const double* interleaved_samples, std::size_t count,
-                                 double a, double b, double* theta_plus,
-                                 double* theta_minus, double* phi_minus, double* phi_plus)
-{
-    K::anc_candidates_batch(interleaved_samples, count, a, b, theta_plus, theta_minus,
-                            phi_minus, phi_plus);
-}
-
-void anc_select_batch_avx512(const double* theta_plus, const double* theta_minus,
-                             const double* phi_minus, const double* phi_plus,
-                             const double* known_diffs, std::size_t transitions,
-                             double* phi_out, double* error_out)
-{
-    K::anc_select_batch(theta_plus, theta_minus, phi_minus, phi_plus, known_diffs,
-                        transitions, phi_out, error_out);
-}
-
-void diff_arg_batch_avx512(const double* interleaved_samples, std::size_t transitions,
-                           double* out)
-{
-    K::diff_arg_batch(interleaved_samples, transitions, out);
-}
-
-void counter_normal_add_scaled_avx512(std::uint64_t key_a, std::uint64_t key_b,
-                                      std::uint64_t first_counter, double scale,
-                                      double* inout, std::size_t count)
-{
-    K::counter_normal_add_scaled(key_a, key_b, first_counter, scale, inout, count);
-}
-
-void rotor_accumulate_avx512(const double* interleaved_in, double* interleaved_acc,
-                             std::size_t samples, double rotor_re, double rotor_im)
-{
-    K::rotor_accumulate(interleaved_in, interleaved_acc, samples, rotor_re, rotor_im);
-}
-
-void cmul_accumulate_avx512(const double* interleaved_in, const double* interleaved_rotors,
-                            double* interleaved_acc, std::size_t samples)
-{
-    K::cmul_accumulate(interleaved_in, interleaved_rotors, interleaved_acc, samples);
-}
-
-void window_mean_mask_avx512(const double* sums, std::size_t count,
-                             const Window_divisor& divisor, double threshold,
-                             std::uint64_t* mask, std::size_t first)
-{
-    K::window_mean_mask(sums, count, divisor, threshold, mask, first);
-}
-
-double excess_variance_mask_avx512(const double* sums, const double* sum_sqs,
-                                   std::size_t count, const Window_divisor& divisor,
-                                   double sigma2, double threshold, double peak,
-                                   std::uint64_t* mask, std::size_t first)
-{
-    return K::excess_variance_mask(sums, sum_sqs, count, divisor, sigma2, threshold, peak,
-                                   mask, first);
-}
-
-void msk_decide_avx512(const double* interleaved_samples, std::size_t transitions,
-                       std::uint8_t* bits)
-{
-    K::msk_decide(interleaved_samples, transitions, bits);
-}
+constinit const Kernel_table avx512_kernels = lane_table<Lanes<8>>();
 
 } // namespace anc::simd::detail
 

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -22,31 +21,14 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "util/crc.h"
 #include "util/rng.h"
 
 namespace anc::engine {
 namespace {
 
-/// The loader's byte CRC (CRC-32/IEEE), reimplemented so the test can
+/// A journal line with a valid CRC over `payload`, so the tests can
 /// forge "valid" lines with tampered payloads.
-std::uint32_t crc32_bytes(const std::string& data)
-{
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t n = 0; n < 256; ++n) {
-            std::uint32_t c = n;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[n] = c;
-        }
-        return t;
-    }();
-    std::uint32_t crc = 0xffffffffu;
-    for (const char ch : data)
-        crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
-}
-
 std::string stamp(const std::string& payload)
 {
     char crc[12];

@@ -5,7 +5,10 @@
 //   - Kolmogorov-Smirnov distance against the exact normal CDF
 //   - stream independence: distinct (seed, stream) keys decorrelate
 //   - purity / replay determinism: any carving of the counter range
-//     across 1, 4, or 8 threads reproduces the serial fill bit-for-bit
+//     across 1, 4, or 8 threads reproduces the serial draw bit-for-bit
+//
+// The draws are read through add_scaled(first, 1.0, zeros, count):
+// 0.0 + 1.0·z == z.
 
 #include "util/rng.h"
 
@@ -21,8 +24,8 @@ namespace {
 
 std::vector<double> draw(const Counter_normal& gen, std::size_t count)
 {
-    std::vector<double> out(count);
-    gen.fill(0, out.data(), count);
+    std::vector<double> out(count, 0.0);
+    gen.add_scaled(0, 1.0, out.data(), count);
     return out;
 }
 
@@ -128,8 +131,8 @@ TEST(CounterNormal, ThreadedFillReplaysSerialBitForBit)
             if (first_pair >= last_pair)
                 continue;
             workers.emplace_back([&, first_pair, last_pair] {
-                gen.fill(first_pair, parallel.data() + 2 * first_pair,
-                         2 * (last_pair - first_pair));
+                gen.add_scaled(first_pair, 1.0, parallel.data() + 2 * first_pair,
+                               2 * (last_pair - first_pair));
             });
         }
         for (std::thread& worker : workers)

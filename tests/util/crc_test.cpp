@@ -19,11 +19,13 @@ TEST(Crc32, KnownVector)
             bits.push_back((byte >> bit) & 1u);
     }
     EXPECT_EQ(crc32(bits), 0xCBF43926u);
+    EXPECT_EQ(crc32_bytes("123456789"), 0xCBF43926u); // the byte form
 }
 
 TEST(Crc32, EmptyInput)
 {
     EXPECT_EQ(crc32(Bits{}), 0u); // init ^ final-xor cancel
+    EXPECT_EQ(crc32_bytes(""), 0u);
 }
 
 TEST(Crc32, DetectsSingleBitFlip)

@@ -11,10 +11,9 @@
 //      assert with exact == comparisons (through bit patterns, so
 //      -0.0 vs +0.0 discrepancies cannot hide).
 //
-// The *_avx2 vs *_scalar comparisons run only on hardware where CPUID
-// reports AVX2+FMA, and the *_avx512 comparisons only where it also
-// reports AVX-512F (anywhere else the narrower backend is active and
-// there is nothing to compare); the public batch API is additionally
+// Each lane table this CPU can run (avx2 where CPUID reports AVX2+FMA,
+// avx512 where it also reports AVX-512F) is compared member by member
+// against detail::scalar_kernels; the public batch API is additionally
 // compared against the scalar kernels on every machine, covering the
 // dispatcher's block/tail seam at awkward lengths.
 //
@@ -33,14 +32,25 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <vector>
 
+#include "phy/pilot.h"
+#include "util/bits.h"
 #include "util/cpu_features.h"
 #include "util/fastmath.h"
 #include "util/rng.h"
 
 namespace anc::simd {
 namespace {
+
+using detail::Kernel_table;
+using detail::scalar_kernels;
+
+struct Lane_table {
+    const char* name;
+    const Kernel_table& kernels;
+};
 
 bool avx2_available()
 {
@@ -50,6 +60,21 @@ bool avx2_available()
 bool avx512_available()
 {
     return avx2_available() && cpu_features().avx512f;
+}
+
+constexpr const char* no_avx2 = "CPU lacks AVX2+FMA; backend is scalar-only here";
+constexpr const char* no_avx512 = "CPU lacks AVX-512F; widest backend here is avx2";
+
+/// The lane tables this CPU runs; empty on a scalar-only machine.
+std::vector<Lane_table> lane_tables()
+{
+    std::vector<Lane_table> tables;
+    if (!avx2_available())
+        return tables;
+    tables.push_back({"avx2", detail::kernels_for(Backend::avx2)});
+    if (avx512_available())
+        tables.push_back({"avx512", detail::kernels_for(Backend::avx512)});
+    return tables;
 }
 
 void expect_same_bits(double a, double b, const char* what, std::size_t i)
@@ -114,6 +139,11 @@ TEST(SimdBackend, ActiveBackendMatchesCpuAndOverride)
                               cpu_features().avx512f, force_scalar_from_env(),
                               force_avx2_from_env()));
     EXPECT_EQ(kernels_active(), active_backend() != Backend::scalar);
+    EXPECT_EQ(&detail::active_kernels(), &detail::kernels_for(active_backend()));
+    EXPECT_EQ(&detail::kernels_for(Backend::scalar), &scalar_kernels);
+    EXPECT_EQ(scalar_kernels.width, 1u);
+    for (const Lane_table& lanes : lane_tables())
+        EXPECT_EQ(lanes.kernels.width, std::string_view{lanes.name} == "avx2" ? 4u : 8u);
 }
 
 TEST(SimdBackend, CpuFeatureImplications)
@@ -145,51 +175,53 @@ TEST(SimdKernels, Atan2BatchEdgeCases)
     std::vector<double> out(transitions);
     std::vector<double> scalar(transitions);
     diff_arg_batch(samples.data(), transitions, out.data());
-    detail::diff_arg_batch_scalar(samples.data(), transitions, scalar.data());
+    scalar_kernels.diff_arg_batch(samples.data(), transitions, scalar.data());
     for (std::size_t i = 0; i < transitions; ++i)
         expect_same_bits(out[i], scalar[i], "atan2-edge lanes-vs-scalar", i);
     for (std::size_t k = 0; k < y.size(); ++k)
         expect_same_bits(out[2 * k], fast_atan2(y[k], x[k]), "atan2-edge", k);
 }
 
-// --------------------------------------------- avx2 vs scalar directly
-// On AVX2 hardware, compare the two backend implementations head to
-// head — this is the lane-vs-scalar proof that also stands in for the
-// "native vs ANC_FORCE_SCALAR_SIMD dispatch" bit-identity claim (a
-// forced-scalar process runs exactly detail::*_scalar).
+// ------------------------------------------- lane tables vs scalar
+// Each lane table this CPU runs (avx2, avx512), member by member against
+// scalar_kernels at lengths that are whole lane blocks.  This is the
+// lane-vs-scalar proof that also stands in for the "native vs
+// ANC_FORCE_SCALAR_SIMD dispatch" bit-identity claim (a forced-scalar
+// process runs exactly scalar_kernels).
 
-TEST(SimdKernels, Avx2LanesEqualScalarKernels)
+/// The atan2 lanes of `kernels` over wide operand ranges, on the
+/// alternating stream of atan2_through_diff_arg.
+void expect_atan2_lanes_equal_scalar(const Kernel_table& kernels, const char* what,
+                                     std::uint64_t y_seed, std::uint64_t x_seed)
 {
-    if (!avx2_available())
-        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
-    // The atan2 lanes over wide operand ranges, on the alternating
-    // stream of atan2_through_diff_arg.
-    const std::size_t n = 2048; // 2n transitions, a multiple of 4: pure lane coverage
-    const std::vector<double> y = random_range(n, -20.0, 20.0, 0xE1);
-    const std::vector<double> x = random_range(n, -20.0, 20.0, 0xE2);
+    const std::size_t n = 2048; // 2n transitions, a multiple of 8: pure lane coverage
+    const std::vector<double> y = random_range(n, -20.0, 20.0, y_seed);
+    const std::vector<double> x = random_range(n, -20.0, 20.0, x_seed);
     const std::vector<double> samples = atan2_through_diff_arg(y, x);
-    std::vector<double> a1(2 * n), a2(2 * n);
-    detail::diff_arg_batch_avx2(samples.data(), 2 * n, a1.data());
-    detail::diff_arg_batch_scalar(samples.data(), 2 * n, a2.data());
+    std::vector<double> lanes(2 * n), scalar(2 * n);
+    kernels.diff_arg_batch(samples.data(), 2 * n, lanes.data());
+    scalar_kernels.diff_arg_batch(samples.data(), 2 * n, scalar.data());
     for (std::size_t i = 0; i < 2 * n; ++i)
-        expect_same_bits(a1[i], a2[i], "atan2 avx2-vs-scalar", i);
+        expect_same_bits(lanes[i], scalar[i], what, i);
 }
 
-TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
+/// The Eq. 7/8 candidate and selection lanes of `kernels`, and its
+/// diff_arg lanes, over `count - width` transitions (whole lane blocks).
+void expect_decoder_kernels_equal_scalar(const Kernel_table& kernels, const char* what,
+                                         std::uint64_t sample_seed, std::uint64_t known_seed)
 {
-    if (!avx2_available())
-        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
+    SCOPED_TRACE(what);
     const std::size_t count = 512;
-    const std::vector<double> samples = random_range(2 * count, -3.0, 3.0, 0xF1);
+    const std::vector<double> samples = random_range(2 * count, -3.0, 3.0, sample_seed);
     const double a = 0.95;
     const double b = 0.88;
 
     std::vector<double> tp1(count), tm1(count), pm1(count), pp1(count);
     std::vector<double> tp2(count), tm2(count), pm2(count), pp2(count);
-    detail::anc_candidates_batch_avx2(samples.data(), count, a, b, tp1.data(),
-                                      tm1.data(), pm1.data(), pp1.data());
-    detail::anc_candidates_batch_scalar(samples.data(), count, a, b, tp2.data(),
-                                        tm2.data(), pm2.data(), pp2.data());
+    kernels.anc_candidates_batch(samples.data(), count, a, b, tp1.data(), tm1.data(),
+                                 pm1.data(), pp1.data());
+    scalar_kernels.anc_candidates_batch(samples.data(), count, a, b, tp2.data(), tm2.data(),
+                                        pm2.data(), pp2.data());
     for (std::size_t i = 0; i < count; ++i) {
         expect_same_bits(tp1[i], tp2[i], "theta+", i);
         expect_same_bits(tm1[i], tm2[i], "theta-", i);
@@ -197,21 +229,19 @@ TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
         expect_same_bits(pp1[i], pp2[i], "phi+", i);
     }
 
-    const std::size_t transitions = count - 4; // multiple of 4
+    const std::size_t transitions = count - kernels.width;
     std::vector<double> known(transitions);
-    Pcg32 rng{0xF2, 3};
+    Pcg32 rng{known_seed, 3};
     for (double& k : known)
         k = rng.next_bernoulli(0.5) ? 1.5707963267948966 : -1.5707963267948966;
-    std::vector<double> f1(transitions), e1(transitions);
-    std::vector<double> f2(transitions), e2(transitions);
-    detail::anc_select_batch_avx2(tp1.data(), tm1.data(), pm1.data(), pp1.data(),
-                                  known.data(), transitions, f1.data(), e1.data());
-    detail::anc_select_batch_scalar(tp2.data(), tm2.data(), pm2.data(), pp2.data(),
-                                    known.data(), transitions, f2.data(),
-                                    e2.data());
-    std::vector<double> d1(transitions), d2(transitions);
-    detail::diff_arg_batch_avx2(samples.data(), transitions, d1.data());
-    detail::diff_arg_batch_scalar(samples.data(), transitions, d2.data());
+    std::vector<double> f1(transitions), e1(transitions), d1(transitions);
+    std::vector<double> f2(transitions), e2(transitions), d2(transitions);
+    kernels.anc_select_batch(tp1.data(), tm1.data(), pm1.data(), pp1.data(), known.data(),
+                             transitions, f1.data(), e1.data());
+    scalar_kernels.anc_select_batch(tp2.data(), tm2.data(), pm2.data(), pp2.data(),
+                                    known.data(), transitions, f2.data(), e2.data());
+    kernels.diff_arg_batch(samples.data(), transitions, d1.data());
+    scalar_kernels.diff_arg_batch(samples.data(), transitions, d2.data());
     for (std::size_t i = 0; i < transitions; ++i) {
         expect_same_bits(f1[i], f2[i], "selected phi", i);
         expect_same_bits(e1[i], e2[i], "selected error", i);
@@ -219,10 +249,42 @@ TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
     }
 }
 
+TEST(SimdKernels, Avx2LanesEqualScalarKernels)
+{
+    if (!avx2_available())
+        GTEST_SKIP() << no_avx2;
+    expect_atan2_lanes_equal_scalar(detail::kernels_for(Backend::avx2),
+                                    "atan2 avx2-vs-scalar", 0xE1, 0xE2);
+}
+
+TEST(SimdKernels, Avx512LanesEqualScalarKernels)
+{
+    if (!avx512_available())
+        GTEST_SKIP() << no_avx512;
+    expect_atan2_lanes_equal_scalar(detail::kernels_for(Backend::avx512),
+                                    "atan2 avx512-vs-scalar", 0x511, 0x512);
+}
+
+TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
+{
+    if (!avx2_available())
+        GTEST_SKIP() << no_avx2;
+    expect_decoder_kernels_equal_scalar(detail::kernels_for(Backend::avx2), "avx2", 0xF1,
+                                        0xF2);
+}
+
+TEST(SimdKernels, Avx512DecoderKernelsEqualScalar)
+{
+    if (!avx512_available())
+        GTEST_SKIP() << no_avx512;
+    expect_decoder_kernels_equal_scalar(detail::kernels_for(Backend::avx512), "avx512",
+                                        0x521, 0x522);
+}
+
 // The channel accumulators (channel/link.cpp) add into an existing
 // buffer, so every comparison starts from the same nonzero accumulator.
-using Rotor_kernel = void (*)(const double*, double*, std::size_t, double, double);
-using Cmul_kernel = void (*)(const double*, const double*, double*, std::size_t);
+using Rotor_kernel = decltype(&rotor_accumulate);
+using Cmul_kernel = decltype(&cmul_accumulate);
 
 void expect_accumulators_equal_scalar(Rotor_kernel rotor, Cmul_kernel cmul,
                                       std::size_t samples, const char* what)
@@ -233,13 +295,13 @@ void expect_accumulators_equal_scalar(Rotor_kernel rotor, Cmul_kernel cmul,
     std::vector<double> lanes = start;
     std::vector<double> scalar = start;
     rotor(in.data(), lanes.data(), samples, 0.61, -0.79);
-    detail::rotor_accumulate_scalar(in.data(), scalar.data(), samples, 0.61, -0.79);
+    scalar_kernels.rotor_accumulate(in.data(), scalar.data(), samples, 0.61, -0.79);
     for (std::size_t i = 0; i < 2 * samples; ++i)
         expect_same_bits(lanes[i], scalar[i], what, i);
     lanes = start;
     scalar = start;
     cmul(in.data(), rotors.data(), lanes.data(), samples);
-    detail::cmul_accumulate_scalar(in.data(), rotors.data(), scalar.data(), samples);
+    scalar_kernels.cmul_accumulate(in.data(), rotors.data(), scalar.data(), samples);
     for (std::size_t i = 0; i < 2 * samples; ++i)
         expect_same_bits(lanes[i], scalar[i], what, i);
 }
@@ -247,10 +309,19 @@ void expect_accumulators_equal_scalar(Rotor_kernel rotor, Cmul_kernel cmul,
 TEST(SimdKernels, Avx2AccumulatorsEqualScalar)
 {
     if (!avx2_available())
-        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
-    expect_accumulators_equal_scalar(detail::rotor_accumulate_avx2,
-                                     detail::cmul_accumulate_avx2, 2048,
+        GTEST_SKIP() << no_avx2;
+    const Kernel_table& lanes = detail::kernels_for(Backend::avx2);
+    expect_accumulators_equal_scalar(lanes.rotor_accumulate, lanes.cmul_accumulate, 2048,
                                      "accumulate avx2-vs-scalar");
+}
+
+TEST(SimdKernels, Avx512AccumulatorsEqualScalar)
+{
+    if (!avx512_available())
+        GTEST_SKIP() << no_avx512;
+    const Kernel_table& lanes = detail::kernels_for(Backend::avx512);
+    expect_accumulators_equal_scalar(lanes.rotor_accumulate, lanes.cmul_accumulate, 2048,
+                                     "accumulate avx512-vs-scalar");
 }
 
 TEST(SimdKernels, AccumulatorsMatchScalarAcrossTailSeam)
@@ -262,103 +333,72 @@ TEST(SimdKernels, AccumulatorsMatchScalarAcrossTailSeam)
                                          "accumulate dispatched-vs-scalar");
 }
 
-// ------------------------------------------- avx512 vs scalar directly
-// On AVX-512F hardware, the 8-wide lanes must equal the scalar kernels
-// bit for bit too (and, transitively, the AVX2 lanes).  These mirror
-// the avx2 comparisons at widths that are multiples of 8 so the 512-bit
-// paths get pure lane coverage.
-
-TEST(SimdKernels, Avx512LanesEqualScalarKernels)
+TEST(SimdKernels, LaneTablesCounterNormalEqualsScalar)
 {
-    if (!avx512_available())
-        GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    // The atan2 lanes over wide operand ranges, on the alternating
-    // stream of atan2_through_diff_arg.
-    const std::size_t n = 2048; // 2n transitions, a multiple of 8: pure lane coverage
-    const std::vector<double> y = random_range(n, -20.0, 20.0, 0x511);
-    const std::vector<double> x = random_range(n, -20.0, 20.0, 0x512);
-    const std::vector<double> samples = atan2_through_diff_arg(y, x);
-    std::vector<double> a1(2 * n), a2(2 * n);
-    detail::diff_arg_batch_avx512(samples.data(), 2 * n, a1.data());
-    detail::diff_arg_batch_scalar(samples.data(), 2 * n, a2.data());
-    for (std::size_t i = 0; i < 2 * n; ++i)
-        expect_same_bits(a1[i], a2[i], "atan2 avx512-vs-scalar", i);
-}
-
-TEST(SimdKernels, Avx512DecoderKernelsEqualScalar)
-{
-    if (!avx512_available())
-        GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    const std::size_t count = 512;
-    const std::vector<double> samples = random_range(2 * count, -3.0, 3.0, 0x521);
-    const double a = 0.95;
-    const double b = 0.88;
-
-    std::vector<double> tp1(count), tm1(count), pm1(count), pp1(count);
-    std::vector<double> tp2(count), tm2(count), pm2(count), pp2(count);
-    detail::anc_candidates_batch_avx512(samples.data(), count, a, b, tp1.data(),
-                                        tm1.data(), pm1.data(), pp1.data());
-    detail::anc_candidates_batch_scalar(samples.data(), count, a, b, tp2.data(),
-                                        tm2.data(), pm2.data(), pp2.data());
-    for (std::size_t i = 0; i < count; ++i) {
-        expect_same_bits(tp1[i], tp2[i], "theta+ avx512", i);
-        expect_same_bits(tm1[i], tm2[i], "theta- avx512", i);
-        expect_same_bits(pm1[i], pm2[i], "phi- avx512", i);
-        expect_same_bits(pp1[i], pp2[i], "phi+ avx512", i);
-    }
-
-    const std::size_t transitions = count - 8; // multiple of 8
-    std::vector<double> known(transitions);
-    Pcg32 rng{0x522, 3};
-    for (double& k : known)
-        k = rng.next_bernoulli(0.5) ? 1.5707963267948966 : -1.5707963267948966;
-    std::vector<double> f1(transitions), e1(transitions);
-    std::vector<double> f2(transitions), e2(transitions);
-    detail::anc_select_batch_avx512(tp1.data(), tm1.data(), pm1.data(), pp1.data(),
-                                    known.data(), transitions, f1.data(),
-                                    e1.data());
-    detail::anc_select_batch_scalar(tp2.data(), tm2.data(), pm2.data(), pp2.data(),
-                                    known.data(), transitions, f2.data(),
-                                    e2.data());
-    std::vector<double> d1(transitions), d2(transitions);
-    detail::diff_arg_batch_avx512(samples.data(), transitions, d1.data());
-    detail::diff_arg_batch_scalar(samples.data(), transitions, d2.data());
-    for (std::size_t i = 0; i < transitions; ++i) {
-        expect_same_bits(f1[i], f2[i], "selected phi avx512", i);
-        expect_same_bits(e1[i], e2[i], "selected error avx512", i);
-        expect_same_bits(d1[i], d2[i], "diff arg avx512", i);
-    }
-}
-
-TEST(SimdKernels, Avx512AccumulatorsEqualScalar)
-{
-    if (!avx512_available())
-        GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    expect_accumulators_equal_scalar(detail::rotor_accumulate_avx512,
-                                     detail::cmul_accumulate_avx512, 2048,
-                                     "accumulate avx512-vs-scalar");
-}
-
-TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
-{
-    if (!avx512_available())
-        GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    // The two lane widths must emit the identical z stream for identical
-    // (key, counter) words.  Keys are passed directly so this holds for
-    // arbitrary key material, not just Counter_normal-derived keys (the
-    // public add_scaled_simd path is covered by
-    // tests/util/counter_normal_test.cpp).
+    if (lane_tables().empty())
+        GTEST_SKIP() << no_avx2;
+    // Keys are passed directly so this holds for arbitrary key material,
+    // not just Counter_normal-derived keys (the public add_scaled_simd
+    // path is covered by tests/util/counter_normal_test.cpp).
     const std::uint64_t key_a = 0x0123456789abcdefULL;
     const std::uint64_t key_b = 0xfedcba9876543210ULL;
-    const std::size_t count = 256; // multiple of 16
-    std::vector<double> acc_wide(count, 0.25), acc_narrow(count, 0.25);
-    detail::counter_normal_add_scaled_avx512(key_a, key_b, 41, 0.7,
-                                             acc_wide.data(), count);
-    detail::counter_normal_add_scaled_avx2(key_a, key_b, 41, 0.7,
-                                           acc_narrow.data(), count);
-    for (std::size_t i = 0; i < count; ++i)
-        expect_same_bits(acc_wide[i], acc_narrow[i],
-                         "counter-normal add_scaled avx512", i);
+    const std::size_t count = 256; // a multiple of 16
+    std::vector<double> scalar(count, 0.25);
+    scalar_kernels.counter_normal_add_scaled(key_a, key_b, 41, 0.7, scalar.data(), count);
+    for (const Lane_table& lanes : lane_tables()) {
+        std::vector<double> acc(count, 0.25);
+        lanes.kernels.counter_normal_add_scaled(key_a, key_b, 41, 0.7, acc.data(), count);
+        for (std::size_t i = 0; i < count; ++i)
+            expect_same_bits(acc[i], scalar[i], lanes.name, i);
+    }
+}
+
+TEST(SimdKernels, LaneTablesPilotScansEqualScalar)
+{
+    if (lane_tables().empty())
+        GTEST_SKIP() << no_avx2;
+    // Packed pilot-search inputs (phy/pilot.h) with a planted noisy copy
+    // of the pattern, so zero-error breaks and tight budgets both occur.
+    Pcg32 rng{0x9A1, 7};
+    for (const std::size_t length : {1, 24, 64, 65, 100}) {
+        const Bits pattern = random_bits(length, rng);
+        Bits bits = random_bits(1500, rng);
+        const std::size_t planted = rng.next_in_range(0, 1400);
+        for (std::size_t i = 0; i < length; ++i)
+            bits[planted + i] = pattern[i] ^ (rng.next_in_range(0, 15) == 0 ? 1 : 0);
+        const phy::Packed_pattern packed{pattern};
+        const phy::Packed_bits haystack{bits};
+        const std::uint64_t* words = haystack.words();
+        const std::size_t last_start = bits.size() - length;
+        for (const std::size_t max_errors : {std::size_t{0}, std::size_t{3}, length}) {
+            for (const std::size_t from : {std::size_t{0}, std::size_t{37}, planted}) {
+                std::uint64_t scalar_key = ~std::uint64_t{0};
+                scalar_kernels.pilot_scan_starts(words, packed.shifted(0), packed.mask(0),
+                                                 packed.stride(), from, last_start,
+                                                 max_errors, &scalar_key);
+                for (const Lane_table& lanes : lane_tables()) {
+                    std::uint64_t key = ~std::uint64_t{0};
+                    lanes.kernels.pilot_scan_starts(words, packed.shifted(0),
+                                                    packed.mask(0), packed.stride(), from,
+                                                    last_start, max_errors, &key);
+                    EXPECT_EQ(key, scalar_key) << lanes.name << " starts, length "
+                                               << length << ", from " << from;
+                }
+            }
+            if (packed.stride() != 2)
+                continue;
+            const std::size_t w_hi = (last_start - 63) >> 6;
+            std::uint64_t scalar_key = ~std::uint64_t{0};
+            scalar_kernels.pilot_scan_striped(words, packed.shifted(0), packed.mask(0), 1,
+                                              w_hi, max_errors, &scalar_key);
+            for (const Lane_table& lanes : lane_tables()) {
+                std::uint64_t key = ~std::uint64_t{0};
+                lanes.kernels.pilot_scan_striped(words, packed.shifted(0), packed.mask(0), 1,
+                                                 w_hi, max_errors, &key);
+                EXPECT_EQ(key, scalar_key) << lanes.name << " striped, length " << length;
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------ receiver scans
@@ -366,13 +406,6 @@ TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
 // lanes must reproduce the scalar loops on any input: NaN, ±Inf,
 // denormals and ±0 included, divisors with and without the exact
 // reciprocal, and counts whose tails the scalar kernel finishes.
-
-using Mean_mask_kernel = void (*)(const double*, std::size_t, const detail::Window_divisor&,
-                                  double, std::uint64_t*, std::size_t);
-using Excess_kernel = double (*)(const double*, const double*, std::size_t,
-                                 const detail::Window_divisor&, double, double, double,
-                                 std::uint64_t*, std::size_t);
-using Decide_kernel = void (*)(const double*, std::size_t, std::uint8_t*);
 
 /// Uniform values in [lo, hi], a quarter of them replaced by specials.
 std::vector<double> hostile_values(std::size_t count, double lo, double hi,
@@ -398,10 +431,9 @@ std::vector<double> hostile_values(std::size_t count, double lo, double hi,
     return out;
 }
 
-void expect_receiver_scans_equal_scalar(Mean_mask_kernel mean_mask, Excess_kernel excess,
-                                        Decide_kernel decide, std::size_t width,
-                                        const char* what)
+void expect_receiver_scans_equal_scalar(const Kernel_table& kernels, const char* what)
 {
+    const std::size_t width = kernels.width;
     const double sigma2 = 0.01;
     const double mean_threshold = 0.3;
     const double ratio_threshold = 10.0;
@@ -423,22 +455,24 @@ void expect_receiver_scans_equal_scalar(Mean_mask_kernel mean_mask, Excess_kerne
 
             std::vector<std::uint64_t> lanes(words);
             std::vector<std::uint64_t> scalar(words);
-            mean_mask(sums.data(), head, divisor, mean_threshold, lanes.data(), 0);
-            detail::window_mean_mask_scalar(sums.data() + head, count - head, divisor,
+            kernels.window_mean_mask(sums.data(), head, divisor, mean_threshold,
+                                     lanes.data(), 0);
+            scalar_kernels.window_mean_mask(sums.data() + head, count - head, divisor,
                                             mean_threshold, lanes.data(), head);
-            detail::window_mean_mask_scalar(sums.data(), count, divisor, mean_threshold,
+            scalar_kernels.window_mean_mask(sums.data(), count, divisor, mean_threshold,
                                             scalar.data(), 0);
             EXPECT_EQ(lanes, scalar) << what << " mean mask, window " << window
                                      << ", count " << count;
 
             std::fill(lanes.begin(), lanes.end(), 0);
             std::fill(scalar.begin(), scalar.end(), 0);
-            double lane_peak = excess(sums.data(), sum_sqs.data(), head, divisor, sigma2,
-                                      ratio_threshold, 1e-12, lanes.data(), 0);
-            lane_peak = detail::excess_variance_mask_scalar(
+            double lane_peak =
+                kernels.excess_variance_mask(sums.data(), sum_sqs.data(), head, divisor,
+                                             sigma2, ratio_threshold, 1e-12, lanes.data(), 0);
+            lane_peak = scalar_kernels.excess_variance_mask(
                 sums.data() + head, sum_sqs.data() + head, count - head, divisor, sigma2,
                 ratio_threshold, lane_peak, lanes.data(), head);
-            const double scalar_peak = detail::excess_variance_mask_scalar(
+            const double scalar_peak = scalar_kernels.excess_variance_mask(
                 sums.data(), sum_sqs.data(), count, divisor, sigma2, ratio_threshold, 1e-12,
                 scalar.data(), 0);
             EXPECT_EQ(lanes, scalar) << what << " ratio mask, window " << window
@@ -452,10 +486,10 @@ void expect_receiver_scans_equal_scalar(Mean_mask_kernel mean_mask, Excess_kerne
                 const std::vector<double> block_sum_sqs(width, sum_sqs[i]);
                 std::uint64_t lane_bits = 0;
                 std::uint64_t scalar_bits = 0;
-                const double lane_ratio =
-                    excess(block_sums.data(), block_sum_sqs.data(), width, divisor, sigma2,
-                           ratio_threshold, neg_inf, &lane_bits, 0);
-                const double scalar_ratio = detail::excess_variance_mask_scalar(
+                const double lane_ratio = kernels.excess_variance_mask(
+                    block_sums.data(), block_sum_sqs.data(), width, divisor, sigma2,
+                    ratio_threshold, neg_inf, &lane_bits, 0);
+                const double scalar_ratio = scalar_kernels.excess_variance_mask(
                     &sums[i], &sum_sqs[i], 1, divisor, sigma2, ratio_threshold, neg_inf,
                     &scalar_bits, 0);
                 expect_same_bits(lane_ratio, scalar_ratio, what, i);
@@ -465,10 +499,10 @@ void expect_receiver_scans_equal_scalar(Mean_mask_kernel mean_mask, Excess_kerne
                                                                0x5E + count);
             std::vector<std::uint8_t> lane_bytes(count, 0xAA);
             std::vector<std::uint8_t> scalar_bytes(count, 0x55);
-            decide(samples.data(), head, lane_bytes.data());
-            detail::msk_decide_scalar(samples.data() + 2 * head, count - head,
+            kernels.msk_decide(samples.data(), head, lane_bytes.data());
+            scalar_kernels.msk_decide(samples.data() + 2 * head, count - head,
                                       lane_bytes.data() + head);
-            detail::msk_decide_scalar(samples.data(), count, scalar_bytes.data());
+            scalar_kernels.msk_decide(samples.data(), count, scalar_bytes.data());
             EXPECT_EQ(lane_bytes, scalar_bytes) << what << " demod, count " << count;
         }
     }
@@ -477,19 +511,16 @@ void expect_receiver_scans_equal_scalar(Mean_mask_kernel mean_mask, Excess_kerne
 TEST(SimdKernels, Avx2ReceiverScansEqualScalar)
 {
     if (!avx2_available())
-        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
-    expect_receiver_scans_equal_scalar(detail::window_mean_mask_avx2,
-                                       detail::excess_variance_mask_avx2,
-                                       detail::msk_decide_avx2, 4, "avx2-vs-scalar");
+        GTEST_SKIP() << no_avx2;
+    expect_receiver_scans_equal_scalar(detail::kernels_for(Backend::avx2), "avx2-vs-scalar");
 }
 
 TEST(SimdKernels, Avx512ReceiverScansEqualScalar)
 {
     if (!avx512_available())
-        GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    expect_receiver_scans_equal_scalar(detail::window_mean_mask_avx512,
-                                       detail::excess_variance_mask_avx512,
-                                       detail::msk_decide_avx512, 8, "avx512-vs-scalar");
+        GTEST_SKIP() << no_avx512;
+    expect_receiver_scans_equal_scalar(detail::kernels_for(Backend::avx512),
+                                       "avx512-vs-scalar");
 }
 
 TEST(SimdKernels, LaneKernelsStayWithinFastErrorBounds)
