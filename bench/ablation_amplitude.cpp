@@ -1,4 +1,5 @@
-// Ablation: amplitude estimation strategies (DESIGN.md §5.2).
+// Ablation: amplitude estimation strategies (§6.2; the two estimators
+// are explained in src/core/amplitude_estimator.h).
 //
 // The receiver must know the two amplitudes A and B before it can solve
 // Lemma 6.1.  Compared here:
@@ -64,26 +65,30 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     net::Flow flow_ab{1, 3, 2048, wrng.fork(10)};
     net::Flow flow_ba{3, 1, 2048, wrng.fork(11)};
 
+    dsp::Signal signal_a;
+    dsp::Signal signal_b;
+    dsp::Signal at_router;
+    dsp::Signal fwd;
+    dsp::Signal sig;
     for (std::size_t i = 0; i < config.exchanges; ++i) {
         const net::Packet pa = flow_ab.next();
         const net::Packet pb = flow_ba.next();
         const auto [da, db] = draw_distinct_delays(Trigger_config{}, wrng);
-        const dsp::Signal signal_a = alice.transmit(pa, wrng);
-        const dsp::Signal signal_b = bob.transmit(pb, wrng);
+        alice.transmit_into(pa, wrng, signal_a);
+        bob.transmit_into(pb, wrng, signal_b);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},
                                              {bob.id(), signal_b, db}};
-        const auto at_router = medium.receive(nodes.router, round1, 64);
-        const auto fwd = amplify_and_forward(at_router, noise_power, 1.0);
-        if (!fwd) {
+        medium.receive_into(nodes.router, round1, 64, at_router);
+        if (!amplify_and_forward_into(at_router, noise_power, 1.0, fwd)) {
             attempted += 2;
             continue;
         }
-        const chan::Transmission round2[] = {{nodes.router, *fwd, 0}};
+        const chan::Transmission round2[] = {{nodes.router, fwd, 0}};
         for (int side = 0; side < 2; ++side) {
             ++attempted;
             const auto& node = side ? bob : alice;
             const auto& wanted = side ? pa : pb;
-            const auto sig = medium.receive(node.id(), round2, 64);
+            medium.receive_into(node.id(), round2, 64, sig);
             const auto outcome = receiver.receive(sig, node.buffer());
             if (outcome.status == Receive_status::decoded_interference
                 && outcome.frame->header.seq == wanted.seq) {

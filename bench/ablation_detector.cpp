@@ -1,4 +1,5 @@
-// Ablation: interference-detection threshold (DESIGN.md §5.3).
+// Ablation: interference-detection threshold (§7.1; the scale-free
+// reformulation is explained in src/phy/detector.h).
 //
 // The paper thresholds "variance of the energy > 20 dB"; our scale-free
 // reformulation compares the measured energy variance with what a clean
@@ -39,7 +40,8 @@ dsp::Signal clean_packet(double snr_db, Pcg32& rng, dsp::Math_profile profile)
 {
     const Bits bits = random_bits(1500, rng);
     const dsp::Msk_modulator modulator{1.0, rng.next_double() * 6.28};
-    dsp::Signal signal = modulator.modulate(bits);
+    dsp::Signal signal;
+    modulator.modulate_into(bits, signal);
     chan::Awgn noise{chan::noise_power_for_snr_db(snr_db), rng.fork(1), profile};
     noise.add_in_place(signal);
     return signal;
@@ -54,8 +56,11 @@ dsp::Signal collided_packet(double snr_db, double sir_db, Pcg32& rng,
     const dsp::Msk_modulator mod_b{amplitude_from_db(-sir_db), rng.next_double() * 6.28};
     chan::Link_params drift;
     drift.phase_drift = 0.004;
-    dsp::Signal mix = mod_a.modulate(bits_a);
-    dsp::accumulate(mix, chan::Link_channel{drift}.apply(mod_b.modulate(bits_b)), 300);
+    dsp::Signal mix;
+    mod_a.modulate_into(bits_a, mix);
+    dsp::Signal signal_b;
+    mod_b.modulate_into(bits_b, signal_b);
+    dsp::accumulate(mix, chan::Link_channel{drift}.apply(signal_b), 300);
     chan::Awgn noise{chan::noise_power_for_snr_db(snr_db), rng.fork(2), profile};
     noise.add_in_place(mix);
     return mix;

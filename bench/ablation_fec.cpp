@@ -65,6 +65,11 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     const Anc_receiver receiver{config.receiver, noise_power, config.math_profile};
     Pcg32 traffic = rng.fork(3);
 
+    dsp::Signal signal_a;
+    dsp::Signal signal_b;
+    dsp::Signal at_router;
+    dsp::Signal fwd;
+    dsp::Signal at_alice;
     for (std::size_t i = 0; i < config.exchanges; ++i) {
         const Bits data = random_bits(data_bits, traffic);
         net::Packet pb;
@@ -79,16 +84,15 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
         pa.payload = random_bits(pb.payload.size(), traffic);
 
         const auto [da, db] = draw_distinct_delays(Trigger_config{}, rng);
-        const dsp::Signal signal_a = alice.transmit(pa, rng);
-        const dsp::Signal signal_b = bob.transmit(pb, rng);
+        alice.transmit_into(pa, rng, signal_a);
+        bob.transmit_into(pb, rng, signal_b);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},
                                              {bob.id(), signal_b, db}};
-        const auto at_router = medium.receive(nodes.router, round1, 64);
-        const auto fwd = amplify_and_forward(at_router, noise_power, 1.0);
-        if (!fwd)
+        medium.receive_into(nodes.router, round1, 64, at_router);
+        if (!amplify_and_forward_into(at_router, noise_power, 1.0, fwd))
             continue;
-        const chan::Transmission round2[] = {{nodes.router, *fwd, 0}};
-        const auto at_alice = medium.receive(alice.id(), round2, 64);
+        const chan::Transmission round2[] = {{nodes.router, fwd, 0}};
+        medium.receive_into(alice.id(), round2, 64, at_alice);
         const auto outcome = receiver.receive(at_alice, alice.buffer());
         if (outcome.status != Receive_status::decoded_interference)
             continue;

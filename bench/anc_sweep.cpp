@@ -207,12 +207,15 @@ int run_merge(const Cli_options& options)
                      "(incomplete shard journals)\n",
                      missing, tasks.size());
 
-    // Feed the reconstituted rows through run_sweep with every position
-    // preloaded: nothing executes, but ordering, aggregation, and
-    // emission follow the exact code path of a live sweep — merge output
-    // is byte-identical to a single uninterrupted run by construction.
+    // Feed the reconstituted rows through run_sweep with the cancel flag
+    // already set: nothing executes (a position no journal holds stays
+    // skipped), but ordering, aggregation, and emission follow the exact
+    // code path of a live sweep — merge output is byte-identical to a
+    // single uninterrupted run by construction.
+    const std::atomic<bool> run_nothing{true};
     engine::Executor_config config = options.config;
     config.preloaded = &preloaded;
+    config.cancel = &run_nothing;
     engine::Run_tally tally;
     const std::vector<engine::Task_result> results =
         engine::run_sweep(tasks, registry, config, &tally);

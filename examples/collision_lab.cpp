@@ -33,8 +33,11 @@ int main()
     const dsp::Msk_modulator mod_unknown{amp_unknown, 1.7};
     chan::Link_params drift;
     drift.phase_drift = 0.004; // relative carrier-frequency offset
-    dsp::Signal mix = mod_known.modulate(known_bits);
-    dsp::accumulate(mix, chan::Link_channel{drift}.apply(mod_unknown.modulate(unknown_bits)), 0);
+    dsp::Signal mix;
+    mod_known.modulate_into(known_bits, mix);
+    dsp::Signal unknown;
+    mod_unknown.modulate_into(unknown_bits, unknown);
+    dsp::accumulate(mix, chan::Link_channel{drift}.apply(unknown), 0);
     chan::Awgn noise{chan::noise_power_for_snr_db(25.0), rng.fork(1)};
     noise.add_in_place(mix);
     std::printf("amplitudes: known A=%.2f, unknown B=%.2f; %zu samples at 25 dB SNR\n\n",
@@ -72,24 +75,29 @@ int main()
     }
 
     std::printf("\n=== 4. Matching: pick the pair whose delta-theta fits the known bits ===\n");
-    const auto known_diffs = dsp::phase_differences_for_bits(known_bits);
+    std::vector<double> known_diffs;
+    dsp::phase_differences_for_bits_into(known_bits, known_diffs);
     const Interference_decoder decoder;
-    const auto result = decoder.decode(mix, known_diffs, amp_known, amp_unknown);
+    Bits decoded;
+    std::vector<double> phi_differences;
+    std::vector<double> match_errors;
+    decoder.decode_into(mix, known_diffs, amp_known, amp_unknown, decoded, phi_differences,
+                        match_errors);
     double mean_error = 0.0;
-    for (const double e : result.match_errors)
+    for (const double e : match_errors)
         mean_error += e;
-    mean_error /= static_cast<double>(result.match_errors.size());
+    mean_error /= static_cast<double>(match_errors.size());
     std::printf("mean |delta-theta - expected| over %zu transitions: %.3f rad\n",
-                result.match_errors.size(), mean_error);
+                match_errors.size(), mean_error);
 
     std::printf("\n=== 5. Read the unknown bits off the matching delta-phi ===\n");
     std::size_t errors = 0;
     for (std::size_t i = 0; i < n_bits; ++i)
-        errors += (result.bits[i] != unknown_bits[i]);
+        errors += (decoded[i] != unknown_bits[i]);
     std::printf("decoded %zu unknown bits with %zu errors (BER %.4f)\n", n_bits, errors,
                 static_cast<double>(errors) / static_cast<double>(n_bits));
     std::printf("first 32 decoded: %s\n",
-                to_string(std::span<const std::uint8_t>{result.bits}.first(32)).c_str());
+                to_string(std::span<const std::uint8_t>{decoded}.first(32)).c_str());
     std::printf("first 32 truth:   %s\n",
                 to_string(std::span<const std::uint8_t>{unknown_bits}.first(32)).c_str());
     return 0;

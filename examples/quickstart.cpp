@@ -43,28 +43,33 @@ int main()
     // --- Slot 1: both transmit at once (trigger jitter keeps the ----
     //     overlap incomplete so the pilots stay interference-free)
     const auto [delay_a, delay_b] = draw_distinct_delays(Trigger_config{}, rng);
-    const dsp::Signal signal_a = alice.transmit(pa, rng);
-    const dsp::Signal signal_b = bob.transmit(pb, rng);
+    dsp::Signal signal_a;
+    dsp::Signal signal_b;
+    alice.transmit_into(pa, rng, signal_a);
+    bob.transmit_into(pb, rng, signal_b);
     const chan::Transmission round1[] = {{alice.id(), signal_a, delay_a},
                                          {bob.id(), signal_b, delay_b}};
-    const dsp::Signal at_router = medium.receive(nodes.router, round1, 64);
+    dsp::Signal at_router;
+    medium.receive_into(nodes.router, round1, 64, at_router);
     std::printf("slot 1: Alice and Bob collide at the router "
                 "(offsets %zu and %zu symbols)\n", delay_a, delay_b);
 
     // --- Slot 2: the router amplifies and forwards the raw signal ---
-    const auto broadcast = amplify_and_forward(at_router, noise_power, 1.0);
-    if (!broadcast) {
+    dsp::Signal broadcast;
+    if (!amplify_and_forward_into(at_router, noise_power, 1.0, broadcast)) {
         std::printf("relay detected nothing!\n");
         return 1;
     }
-    const chan::Transmission round2[] = {{nodes.router, *broadcast, 0}};
+    const chan::Transmission round2[] = {{nodes.router, broadcast, 0}};
     std::printf("slot 2: router re-broadcasts the interfered signal "
-                "(%zu samples)\n", broadcast->size());
+                "(%zu samples)\n", broadcast.size());
 
     // --- Each side cancels its own half and decodes the other's -----
     const Anc_receiver receiver{Anc_receiver_config{}, noise_power};
-    const auto at_alice = medium.receive(alice.id(), round2, 64);
-    const auto at_bob = medium.receive(bob.id(), round2, 64);
+    dsp::Signal at_alice;
+    dsp::Signal at_bob;
+    medium.receive_into(alice.id(), round2, 64, at_alice);
+    medium.receive_into(bob.id(), round2, 64, at_bob);
 
     const Receive_outcome alice_out = receiver.receive(at_alice, alice.buffer());
     const Receive_outcome bob_out = receiver.receive(at_bob, bob.buffer());

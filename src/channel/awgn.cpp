@@ -23,13 +23,6 @@ dsp::Sample Awgn::sample()
             sigma_per_dim_ * rng_.next_gaussian()};
 }
 
-dsp::Signal Awgn::apply(dsp::Signal_view signal)
-{
-    dsp::Signal out{signal.begin(), signal.end()};
-    add_in_place(out);
-    return out;
-}
-
 void Awgn::add_in_place(dsp::Signal& signal)
 {
     if (noise_power_ == 0.0)

@@ -32,9 +32,6 @@ public:
     /// the single-sample API has no batch to amortize over).
     dsp::Sample sample();
 
-    /// signal + noise, a fresh vector.
-    dsp::Signal apply(dsp::Signal_view signal);
-
     /// Add noise in place over [0, len).  Profile-dispatched: see the
     /// header note.
     void add_in_place(dsp::Signal& signal);

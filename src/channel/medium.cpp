@@ -70,15 +70,6 @@ void Medium::append_fade_magnitudes(Node_id from, Node_id to, std::size_t sample
         out.push_back(std::abs(channel.block_gain(fading_epoch_, block)));
 }
 
-dsp::Signal Medium::receive(Node_id receiver,
-                            std::span<const Transmission> transmissions,
-                            std::size_t trailing_noise)
-{
-    dsp::Signal mix;
-    receive_into(receiver, transmissions, trailing_noise, mix);
-    return mix;
-}
-
 void Medium::receive_into(Node_id receiver,
                           std::span<const Transmission> transmissions,
                           std::size_t trailing_noise,

@@ -1,7 +1,7 @@
 // Broadcast wireless medium.
 //
-// This is the core hardware substitution of the reproduction (DESIGN.md
-// §2): in place of USRP front-ends and the air, a Medium holds a link
+// This is the core hardware substitution of the reproduction: in place
+// of the paper's software-radio front-ends and the air, a Medium holds a link
 // channel for every ordered node pair and computes, for each receiver,
 // the *sum* of the channel-distorted signals of every node transmitting
 // in the same round, plus receiver AWGN.  "Collision of two packets means
@@ -29,7 +29,7 @@ using Node_id = std::uint32_t;
 /// air plus the symbol offset (MAC jitter, §7.2) at which it starts
 /// relative to the round origin.  The view keeps rounds zero-copy — the
 /// transmitter's buffer (typically a dsp::Workspace lease) must stay
-/// alive until every receive() of the round has run, which every caller
+/// alive until every receive_into() of the round has run, which every caller
 /// naturally satisfies because rounds are synchronous.
 struct Transmission {
     Node_id from = 0;
@@ -41,7 +41,7 @@ class Medium {
 public:
     /// `noise_power` is the receiver noise floor (same at every node, as
     /// assumed in §8); `rng` seeds the per-receive noise streams.
-    /// `profile` selects the receiver noise of every receive(): `exact`
+    /// `profile` selects the receiver noise of every receive_into(): `exact`
     /// is the historical bit-identical stream, `fast` the
     /// corridor-validated counter-based noise (dsp/math_profile.h).  The
     /// link rotations are the same under both.
@@ -71,20 +71,16 @@ public:
                                     std::optional<double> threshold_db);
 
     /// What `receiver` hears during a round in which `transmissions` are
-    /// on the air: sum over in-range senders of link(sender, receiver)
-    /// applied to the sender's signal at its start offset, plus AWGN over
-    /// the whole span.  A half-duplex node cannot hear a round it
-    /// transmits in; passing its own id among the senders is allowed (its
-    /// own signal is simply skipped, since a radio does not receive its
-    /// own transmission at baseband here).
-    dsp::Signal receive(Node_id receiver,
-                        std::span<const Transmission> transmissions,
-                        std::size_t trailing_noise = 0);
-
-    /// As above, into a caller-owned buffer (cleared first; typically a
-    /// dsp::Workspace lease).  The allocation-free steady-state path.
-    /// `out` must not alias any transmission's backing buffer — it is
-    /// cleared before the signals are read.
+    /// on the air, into a caller-owned buffer (cleared first; typically a
+    /// dsp::Workspace lease): sum over in-range senders of
+    /// link(sender, receiver) applied to the sender's signal at its start
+    /// offset, plus AWGN over the whole span and `trailing_noise` samples
+    /// past it.  A half-duplex node cannot hear a round it transmits in;
+    /// passing its own id among the senders is allowed (its own signal is
+    /// simply skipped, since a radio does not receive its own
+    /// transmission at baseband here).  `out` must not alias any
+    /// transmission's backing buffer — it is cleared before the signals
+    /// are read.
     void receive_into(Node_id receiver,
                       std::span<const Transmission> transmissions,
                       std::size_t trailing_noise,
@@ -94,7 +90,7 @@ public:
     dsp::Math_profile math_profile() const { return profile_; }
 
     /// The fading epoch applied to every rayleigh_block link during
-    /// receive(): a logical packet/exchange counter the simulation
+    /// receive_into(): a logical packet/exchange counter the simulation
     /// advances (once per exchange in the sim/ runners), so successive
     /// packets see independent fades while schemes replaying the same
     /// epoch sequence see identical ones.  No effect on fixed links.

@@ -141,17 +141,6 @@ void phi_differences_into(dsp::Math_profile profile,
 
 } // namespace
 
-Interference_decode_result Interference_decoder::decode(dsp::Signal_view samples,
-                                                        std::span<const double> known_diffs,
-                                                        double a,
-                                                        double b) const
-{
-    Interference_decode_result result;
-    decode_into(samples, known_diffs, a, b, result.bits, result.phi_differences,
-                result.match_errors);
-    return result;
-}
-
 void Interference_decoder::decode_into(dsp::Signal_view samples,
                                        std::span<const double> known_diffs,
                                        double a,

@@ -13,8 +13,8 @@
 // is the unknown packet's interference-free tail (§7.2).
 //
 // Both packets are MSK, as in the paper's evaluation (§11).  decode_into
-// is the one entry point onto the Eq. 7-8 core (decode wraps it); the ANC
-// receiver calls it once per collision.
+// is the one entry point onto the Eq. 7-8 core; the ANC receiver calls it
+// once per collision.
 
 #pragma once
 
@@ -26,18 +26,6 @@
 #include "util/bits.h"
 
 namespace anc {
-
-struct Interference_decode_result {
-    /// One hard decision per sample transition: the unknown signal's bits.
-    /// Positions where the unknown signal had not yet started carry noise
-    /// decisions; the caller locates the packet via its pilot.
-    Bits bits;
-    /// Estimated delta phi per transition (soft output).
-    std::vector<double> phi_differences;
-    /// |delta theta_chosen - delta theta_known| per transition within the
-    /// known signal's extent; diagnostics for tests and benches.
-    std::vector<double> match_errors;
-};
 
 class Interference_decoder {
 public:
@@ -59,14 +47,14 @@ public:
     /// (length = number of known frame bits).  Transitions at or past
     /// known_diffs.size() are demodulated as a single signal.
     /// `a`, `b`: amplitudes of the known and unknown signal.
-    Interference_decode_result decode(dsp::Signal_view samples,
-                                      std::span<const double> known_diffs,
-                                      double a,
-                                      double b) const;
-
-    /// As decode(), writing into caller-owned buffers (cleared first;
-    /// typically dsp::Workspace leases) — the allocation-free hot path
-    /// the ANC receiver runs per collision.
+    /// The outputs are caller-owned buffers (cleared first; typically
+    /// dsp::Workspace leases), one entry per sample transition:
+    /// - `bits`: the unknown signal's hard decisions.  Positions where
+    ///   the unknown signal had not yet started carry noise decisions;
+    ///   the caller locates the packet via its pilot.
+    /// - `phi_differences`: the estimated delta phi (soft output).
+    /// - `match_errors`: |delta theta_chosen - delta theta_known| within
+    ///   the known signal's extent; diagnostics for tests and examples.
     void decode_into(dsp::Signal_view samples,
                      std::span<const double> known_diffs,
                      double a,

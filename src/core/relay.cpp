@@ -4,17 +4,6 @@
 
 namespace anc {
 
-std::optional<dsp::Signal> amplify_and_forward(dsp::Signal_view received,
-                                               double noise_power,
-                                               double target_power,
-                                               phy::Packet_detector::Config detector)
-{
-    dsp::Signal out;
-    if (!amplify_and_forward_into(received, noise_power, target_power, out, detector))
-        return std::nullopt;
-    return out;
-}
-
 bool amplify_and_forward_into(dsp::Signal_view received,
                               double noise_power,
                               double target_power,

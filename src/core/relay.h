@@ -16,8 +16,6 @@
 
 #pragma once
 
-#include <optional>
-
 #include "dsp/sample.h"
 #include "phy/detector.h"
 
@@ -25,15 +23,8 @@ namespace anc {
 
 /// Amplify-and-forward: trim the received stream to its active region
 /// (energy detection against the router's noise floor) and scale the mean
-/// power there to `target_power`.  Returns the signal to broadcast, or
-/// nothing if no packet is detected.
-std::optional<dsp::Signal> amplify_and_forward(dsp::Signal_view received,
-                                               double noise_power,
-                                               double target_power,
-                                               phy::Packet_detector::Config detector = {});
-
-/// As above, into a caller-owned buffer (cleared first; typically a
-/// dsp::Workspace lease) — the allocation-free steady-state path.
+/// power there to `target_power`, writing the signal to broadcast into a
+/// caller-owned buffer (cleared first; typically a dsp::Workspace lease).
 /// Returns false (leaving `out` empty) when no packet is detected.
 bool amplify_and_forward_into(dsp::Signal_view received,
                               double noise_power,

@@ -43,13 +43,6 @@ void window_sums(const double* data, std::size_t window, std::size_t windows,
 
 } // namespace
 
-std::vector<double> sample_energies(Signal_view signal)
-{
-    std::vector<double> energies;
-    sample_energies_into(signal, energies);
-    return energies;
-}
-
 void sample_energies_into(Signal_view signal, std::vector<double>& out)
 {
     const std::size_t n = signal.size();

@@ -16,12 +16,10 @@
 
 namespace anc::dsp {
 
-/// Instantaneous energy |y[n]|^2 for every sample.
-std::vector<double> sample_energies(Signal_view signal);
-
-/// As above, into a caller-owned buffer (cleared first) — the detectors
-/// feed this from a dsp::Workspace lease so the per-receive scans do not
-/// allocate in steady state.
+/// Instantaneous energy |y[n]|^2 for every sample, into a caller-owned
+/// buffer (cleared first) — the amplitude estimator feeds this from a
+/// dsp::Workspace lease so its per-receive scans do not allocate in
+/// steady state.
 void sample_energies_into(Signal_view signal, std::vector<double>& out);
 
 /// Mean of |y|^2 over the whole signal (0 for an empty signal).

@@ -16,13 +16,6 @@ double msk_phase_step(std::uint8_t bit)
     return bit ? half_pi : -half_pi;
 }
 
-std::vector<double> phase_differences_for_bits(std::span<const std::uint8_t> bits)
-{
-    std::vector<double> steps;
-    phase_differences_for_bits_into(bits, steps);
-    return steps;
-}
-
 void phase_differences_for_bits_into(std::span<const std::uint8_t> bits,
                                      std::vector<double>& out)
 {
@@ -37,13 +30,6 @@ void phase_differences_for_bits_into(std::span<const std::uint8_t> bits,
 Msk_modulator::Msk_modulator(double amplitude, double initial_phase)
     : amplitude_{amplitude}, initial_phase_{initial_phase}
 {
-}
-
-Signal Msk_modulator::modulate(std::span<const std::uint8_t> bits) const
-{
-    Signal signal;
-    modulate_into(bits, signal);
-    return signal;
 }
 
 void Msk_modulator::modulate_into(std::span<const std::uint8_t> bits, Signal& out) const
@@ -109,13 +95,6 @@ void Msk_modulator::modulate_into(std::span<const std::uint8_t> bits, Signal& ou
         current = next;
         out.push_back(samples[current]);
     }
-}
-
-Bits Msk_demodulator::demodulate(Signal_view signal) const
-{
-    Bits bits;
-    demodulate_into(signal, bits);
-    return bits;
 }
 
 void Msk_demodulator::demodulate_into(Signal_view signal, Bits& out) const

@@ -6,9 +6,8 @@
 // attenuation h and the channel phase gamma (Eq. 1), which is exactly the
 // robustness the paper's interference decoder builds on.
 //
-// The `*_into` variants write into a caller-owned buffer (typically a
-// dsp::Workspace lease) and are the allocation-free hot path; the
-// value-returning forms wrap them.
+// Each operation writes into a caller-owned buffer (cleared first;
+// typically a dsp::Workspace lease), so none allocates in steady state.
 
 #pragma once
 
@@ -23,13 +22,10 @@ namespace anc::dsp {
 /// Phase step that encodes a single bit: +pi/2 for 1, -pi/2 for 0.
 double msk_phase_step(std::uint8_t bit);
 
-/// Expected per-symbol phase differences for a bit sequence.  This is the
-/// "known phase difference" sequence (delta theta_s) that an ANC receiver
-/// derives from a packet it already knows (§6.3): the receiver never needs
-/// the absolute phases, only these differences.
-std::vector<double> phase_differences_for_bits(std::span<const std::uint8_t> bits);
-
-/// As above, into a caller-owned buffer (cleared first).
+/// Expected per-symbol phase differences for a bit sequence, into `out`.
+/// This is the "known phase difference" sequence (delta theta_s) that an
+/// ANC receiver derives from a packet it already knows (§6.3): the
+/// receiver never needs the absolute phases, only these differences.
 void phase_differences_for_bits_into(std::span<const std::uint8_t> bits,
                                      std::vector<double>& out);
 
@@ -48,9 +44,7 @@ public:
     /// walk has no transcendental left to approximate.
     explicit Msk_modulator(double amplitude = 1.0, double initial_phase = 0.0);
 
-    Signal modulate(std::span<const std::uint8_t> bits) const;
-
-    /// Modulate into a caller-owned buffer (cleared first).
+    /// Modulate `bits` into `out`.
     void modulate_into(std::span<const std::uint8_t> bits, Signal& out) const;
 
     double amplitude() const { return amplitude_; }
@@ -63,15 +57,13 @@ private:
 /// MSK differential demodulator.
 class Msk_demodulator {
 public:
-    /// Hard decisions: bit n is 1 iff arg(y[n+1] * conj(y[n])) >= 0.
-    /// Produces len(signal) - 1 bits (empty for signals shorter than 2).
-    Bits demodulate(Signal_view signal) const;
-
-    /// As above, into a caller-owned buffer (cleared first).  The
-    /// decision is evaluated from the sign structure of the ratio's
-    /// imaginary part — no atan2 — which is exactly equivalent to the
-    /// arg-based rule for finite samples (see simd::msk_decide, which
-    /// runs it 4 or 8 transitions per step on the lane backends).
+    /// Hard decisions into `out`: bit n is 1 iff
+    /// arg(y[n+1] * conj(y[n])) >= 0.  Produces len(signal) - 1 bits
+    /// (none for signals shorter than 2).  The decision is evaluated from
+    /// the sign structure of the ratio's imaginary part — no atan2 —
+    /// which is exactly equivalent to the arg-based rule for finite
+    /// samples (see simd::msk_decide, which runs it 4 or 8 transitions
+    /// per step on the lane backends).
     void demodulate_into(Signal_view signal, Bits& out) const;
 };
 

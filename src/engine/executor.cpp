@@ -268,6 +268,14 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
             emit_one(position, completed);
         window.clear();
     }
+    // A slot never run still names its task, so a drained sweep's rows
+    // keep their identity.
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].status == Task_status::skipped) {
+            results[i].task = tasks[i];
+            results[i].seed = derive_task_seed(config.base_seed, tasks[i].seed_index);
+        }
+    }
 
     counts.skipped = tasks.size() - counts.ok - counts.errors;
     counts.cancelled = cancelled.load(std::memory_order_relaxed);

@@ -128,9 +128,11 @@ struct Executor_config {
     std::map<std::size_t, Task_result>* preloaded = nullptr;
     /// Cooperative cancellation (the SIGINT/SIGTERM drain): when the
     /// pointee becomes true, workers finish their in-flight task and
-    /// stop pulling new ones.  Unexecuted slots keep Task_status::skipped;
-    /// everything already completed still reaches on_result/on_complete,
-    /// so journals and partial emissions are complete up to the drain.
+    /// stop pulling new ones.  Unexecuted slots keep Task_status::skipped
+    /// (with their task and seed stamped); everything already completed
+    /// still reaches on_result/on_complete, so journals and partial
+    /// emissions are complete up to the drain.  A flag set before the
+    /// call runs nothing: only the preloaded results come back.
     const std::atomic<bool>* cancel = nullptr;
 };
 

@@ -19,13 +19,6 @@ Stored_frame Net_node::stored_frame_for(const Packet& packet) const
     return stored;
 }
 
-dsp::Signal Net_node::transmit(const Packet& packet, Pcg32& rng)
-{
-    dsp::Signal out;
-    transmit_into(packet, rng, out);
-    return out;
-}
-
 void Net_node::transmit_into(const Packet& packet, Pcg32& rng, dsp::Signal& out)
 {
     Stored_frame stored = stored_frame_for(packet);

@@ -22,13 +22,10 @@ public:
     Net_node(chan::Node_id id, phy::Modem_config modem_config = {},
              std::size_t buffer_capacity = 256);
 
-    /// Frame, record, and modulate a packet; `rng` supplies the random
-    /// oscillator phase of this transmission.
-    dsp::Signal transmit(const Packet& packet, Pcg32& rng);
-
-    /// As above, modulating into a caller-owned buffer (cleared first;
-    /// typically a dsp::Workspace lease backing a chan::Transmission
-    /// view).
+    /// Frame, record, and modulate a packet into a caller-owned buffer
+    /// (cleared first; typically a dsp::Workspace lease backing a
+    /// chan::Transmission view); `rng` supplies the random oscillator
+    /// phase of this transmission.
     void transmit_into(const Packet& packet, Pcg32& rng, dsp::Signal& out);
 
     /// Record a packet (own or overheard) without transmitting — the "X"

@@ -12,8 +12,7 @@
 // a clean constant-envelope signal would show at the same power over the
 // same noise floor (2*mean*sigma^2 + sigma^4).  Clean packet -> ratio ~ 1
 // (0 dB); collision -> ratio grows with SNR.  Default threshold: 10 dB.
-// DESIGN.md §5.3 records this substitution; bench/ablation_detector sweeps
-// the threshold.
+// bench/ablation_detector sweeps the threshold.
 
 #pragma once
 

@@ -17,33 +17,12 @@ Bits Modem::frame_bits(const Frame_header& header, std::span<const std::uint8_t>
     return build_frame(header, whitened);
 }
 
-dsp::Signal Modem::modulate(std::span<const std::uint8_t> frame_bits,
-                            double initial_phase) const
-{
-    const obs::Stage_timer timer{obs::Stage::modulate};
-    const dsp::Msk_modulator modulator{config_.amplitude, initial_phase};
-    return modulator.modulate(frame_bits);
-}
-
 void Modem::modulate_into(std::span<const std::uint8_t> frame_bits,
                           double initial_phase, dsp::Signal& out) const
 {
     const obs::Stage_timer timer{obs::Stage::modulate};
     const dsp::Msk_modulator modulator{config_.amplitude, initial_phase};
     modulator.modulate_into(frame_bits, out);
-}
-
-dsp::Signal Modem::modulate_frame(const Frame_header& header,
-                                  std::span<const std::uint8_t> payload,
-                                  double initial_phase) const
-{
-    return modulate(frame_bits(header, payload), initial_phase);
-}
-
-Bits Modem::demodulate_bits(dsp::Signal_view signal) const
-{
-    const obs::Stage_timer timer{obs::Stage::demodulate};
-    return demodulator_.demodulate(signal);
 }
 
 void Modem::demodulate_bits_into(dsp::Signal_view signal, Bits& out) const

@@ -39,19 +39,10 @@ public:
     /// On-air frame bits: payload whitened, then framed (Fig. 6 layout).
     Bits frame_bits(const Frame_header& header, std::span<const std::uint8_t> payload) const;
 
-    /// Frame bits -> samples.  `initial_phase` models the transmitter's
-    /// arbitrary oscillator phase.
-    dsp::Signal modulate(std::span<const std::uint8_t> frame_bits,
-                         double initial_phase = 0.0) const;
-
-    /// As above, into a caller-owned buffer (cleared first).
+    /// Frame bits -> samples, into a caller-owned buffer (cleared first).
+    /// `initial_phase` models the transmitter's arbitrary oscillator phase.
     void modulate_into(std::span<const std::uint8_t> frame_bits,
                        double initial_phase, dsp::Signal& out) const;
-
-    /// Convenience: header + payload -> samples.
-    dsp::Signal modulate_frame(const Frame_header& header,
-                               std::span<const std::uint8_t> payload,
-                               double initial_phase = 0.0) const;
 
     /// Standard (no interference) receive over a sample stream: demodulate,
     /// locate the pilot, validate the header, verify the payload CRC,
@@ -67,10 +58,8 @@ public:
     /// this avoids repeating the demodulation.
     std::optional<Received_frame> receive_bits(std::span<const std::uint8_t> bits) const;
 
-    /// Raw hard-decision demodulation (exposed for the ANC receiver).
-    Bits demodulate_bits(dsp::Signal_view signal) const;
-
-    /// As above, into a caller-owned buffer (cleared first).
+    /// Raw hard-decision demodulation into a caller-owned buffer (cleared
+    /// first; exposed for the ANC receiver).
     void demodulate_bits_into(dsp::Signal_view signal, Bits& out) const;
 
     /// De-whiten an on-air payload back to application bits.

@@ -114,14 +114,16 @@ struct Collision {
         fading.coherence_block = 512;
         Pcg32 link_rng = Pcg32{7, 3}.fork(2);
         install_alice_bob(medium, nodes, net::Alice_bob_gains{}, fading, link_rng);
+        dsp::Msk_modulator{1.0, 0.0}.modulate_into(bits_a, signal_a);
+        dsp::Msk_modulator{1.0, 0.0}.modulate_into(frame(0xB1), signal_b);
         on_air = {{nodes.alice, signal_a, alice_start}, {nodes.bob, signal_b, bob_start}};
         medium.receive_into(nodes.router, on_air, trailing_noise, received);
     }
 
     const double noise_power = chan::noise_power_for_snr_db(snr_db);
     const Bits bits_a = frame(0xB0);
-    const dsp::Signal signal_a = dsp::Msk_modulator{1.0, 0.0}.modulate(bits_a);
-    const dsp::Signal signal_b = dsp::Msk_modulator{1.0, 0.0}.modulate(frame(0xB1));
+    dsp::Signal signal_a;
+    dsp::Signal signal_b;
     chan::Medium medium;
     net::Alice_bob_nodes nodes;
     std::vector<chan::Transmission> on_air;
@@ -142,8 +144,8 @@ void expect_mix_allocates_nothing(Collision& collision)
 void expect_decode_allocates_nothing(dsp::Math_profile profile)
 {
     const Collision collision;
-    const std::vector<double> known_diffs =
-        dsp::phase_differences_for_bits(collision.bits_a);
+    std::vector<double> known_diffs;
+    dsp::phase_differences_for_bits_into(collision.bits_a, known_diffs);
     const dsp::Signal_view samples = dsp::Signal_view{collision.received}.subspan(alice_start);
     const Interference_decoder decoder{profile};
     dsp::Workspace& workspace = dsp::Workspace::current();
@@ -201,7 +203,8 @@ TEST(ZeroAlloc, AmplifyAndForward)
 TEST(ZeroAlloc, Demodulate)
 {
     const Bits sent = frame(0xD0);
-    const dsp::Signal signal = dsp::Msk_modulator{1.0, 1.1}.modulate(sent);
+    dsp::Signal signal;
+    dsp::Msk_modulator{1.0, 1.1}.modulate_into(sent, signal);
     const dsp::Msk_demodulator demodulator;
     auto bits = dsp::Workspace::current().bits();
     EXPECT_EQ(allocations_when_warm([&] { demodulator.demodulate_into(signal, *bits); }),

@@ -45,18 +45,18 @@ TEST(Awgn, ZeroPowerIsNoiseless)
 {
     Awgn noise{0.0, Pcg32{303}};
     dsp::Signal signal(100, dsp::Sample{1.0, 1.0});
-    const dsp::Signal out = noise.apply(signal);
-    for (std::size_t i = 0; i < signal.size(); ++i)
-        EXPECT_EQ(out[i], signal[i]);
+    noise.add_in_place(signal);
+    for (const dsp::Sample& s : signal)
+        EXPECT_EQ(s, (dsp::Sample{1.0, 1.0}));
 }
 
 TEST(Awgn, RealizesRequestedSnr)
 {
     const double snr_db = 25.0;
     const double noise_power = noise_power_for_snr_db(snr_db, 1.0);
-    dsp::Signal signal(50000, dsp::Sample{1.0, 0.0}); // unit power
+    dsp::Signal received(50000, dsp::Sample{1.0, 0.0}); // unit power
     Awgn noise{noise_power, Pcg32{304}};
-    const dsp::Signal received = noise.apply(signal);
+    noise.add_in_place(received);
     const double rx_power = dsp::mean_energy(received);
     // Received power = signal + noise power.
     EXPECT_NEAR(rx_power, 1.0 + noise_power, 0.01);

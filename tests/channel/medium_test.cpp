@@ -24,7 +24,8 @@ TEST(Medium, SingleLinkDelivery)
 
     const dsp::Signal signal{dsp::Sample{2.0, 0.0}};
     const Transmission txs[] = {{1, signal, 0}};
-    const dsp::Signal rx = medium.receive(2, txs);
+    dsp::Signal rx(5, dsp::Sample{9.0, 9.0}); // stale lease contents
+    medium.receive_into(2, txs, 0, rx);
     ASSERT_EQ(rx.size(), 1u);
     EXPECT_NEAR(rx[0].real(), 1.0, 1e-12);
 }
@@ -35,7 +36,8 @@ TEST(Medium, OutOfRangeSenderIsSilent)
     // no link 1 -> 2
     const dsp::Signal signal{dsp::Sample{1.0, 0.0}};
     const Transmission txs[] = {{1, signal, 0}};
-    const dsp::Signal rx = medium.receive(2, txs);
+    dsp::Signal rx;
+    medium.receive_into(2, txs, 0, rx);
     for (const auto& s : rx)
         EXPECT_EQ(s, (dsp::Sample{0.0, 0.0}));
 }
@@ -46,7 +48,8 @@ TEST(Medium, HalfDuplexSkipsOwnTransmission)
     medium.set_link(1, 1, {}); // even with a pathological self-link
     const dsp::Signal signal{dsp::Sample{1.0, 0.0}};
     const Transmission txs[] = {{1, signal, 0}};
-    const dsp::Signal rx = medium.receive(1, txs);
+    dsp::Signal rx;
+    medium.receive_into(1, txs, 0, rx);
     for (const auto& s : rx)
         EXPECT_EQ(s, (dsp::Sample{0.0, 0.0}));
 }
@@ -61,7 +64,8 @@ TEST(Medium, ConcurrentTransmissionsAdd)
     const dsp::Signal signal_a{dsp::Sample{1.0, 0.0}, dsp::Sample{1.0, 0.0}};
     const dsp::Signal signal_b{dsp::Sample{0.0, 1.0}, dsp::Sample{0.0, 1.0}};
     const Transmission txs[] = {{1, signal_a, 0}, {2, signal_b, 0}};
-    const dsp::Signal rx = medium.receive(3, txs);
+    dsp::Signal rx;
+    medium.receive_into(3, txs, 0, rx);
     ASSERT_EQ(rx.size(), 2u);
     EXPECT_NEAR(rx[0].real(), 1.0, 1e-12);
     EXPECT_NEAR(rx[0].imag(), 1.0, 1e-12);
@@ -75,7 +79,8 @@ TEST(Medium, StartOffsetsShiftSignals)
     const dsp::Signal signal_a{dsp::Sample{1.0, 0.0}};
     const dsp::Signal signal_b{dsp::Sample{0.0, 1.0}};
     const Transmission txs[] = {{1, signal_a, 0}, {2, signal_b, 2}};
-    const dsp::Signal rx = medium.receive(3, txs);
+    dsp::Signal rx;
+    medium.receive_into(3, txs, 0, rx);
     ASSERT_EQ(rx.size(), 3u);
     EXPECT_NEAR(rx[0].real(), 1.0, 1e-12);
     EXPECT_EQ(rx[1], (dsp::Sample{0.0, 0.0}));
@@ -88,7 +93,8 @@ TEST(Medium, NoiseAddedAtReceiver)
     medium.set_link(1, 2, {});
     const dsp::Signal signal(20000, dsp::Sample{1.0, 0.0});
     const Transmission txs[] = {{1, signal, 0}};
-    const dsp::Signal rx = medium.receive(2, txs);
+    dsp::Signal rx;
+    medium.receive_into(2, txs, 0, rx);
     EXPECT_NEAR(dsp::mean_energy(rx), 1.1, 0.02);
 }
 
@@ -98,7 +104,8 @@ TEST(Medium, TrailingNoisePadding)
     medium.set_link(1, 2, {});
     const dsp::Signal signal(10, dsp::Sample{1.0, 0.0});
     const Transmission txs[] = {{1, signal, 0}};
-    const dsp::Signal rx = medium.receive(2, txs, 32);
+    dsp::Signal rx;
+    medium.receive_into(2, txs, 32, rx);
     EXPECT_EQ(rx.size(), 42u);
 }
 
@@ -132,10 +139,13 @@ TEST(Medium, InterferedMskStreamsDecodeAfterCancellation)
     medium.set_link(1, 3, link_a);
     medium.set_link(2, 3, link_b);
 
-    const dsp::Signal signal_a = modulator.modulate(bits_a);
-    const dsp::Signal signal_b = modulator.modulate(bits_b);
+    dsp::Signal signal_a;
+    dsp::Signal signal_b;
+    modulator.modulate_into(bits_a, signal_a);
+    modulator.modulate_into(bits_b, signal_b);
     const Transmission txs[] = {{1, signal_a, 0}, {2, signal_b, 0}};
-    const dsp::Signal rx = medium.receive(3, txs);
+    dsp::Signal rx;
+    medium.receive_into(3, txs, 0, rx);
 
     // Genie cancellation of A's contribution.
     const dsp::Signal a_at_rx = medium.link(1, 3).apply(signal_a);
@@ -144,7 +154,9 @@ TEST(Medium, InterferedMskStreamsDecodeAfterCancellation)
         residual[i] -= a_at_rx[i];
 
     const dsp::Msk_demodulator demodulator;
-    EXPECT_EQ(demodulator.demodulate(residual), bits_b);
+    Bits decoded;
+    demodulator.demodulate_into(residual, decoded);
+    EXPECT_EQ(decoded, bits_b);
 }
 
 } // namespace

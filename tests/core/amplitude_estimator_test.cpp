@@ -35,8 +35,11 @@ dsp::Signal make_mix(double a, double b, std::size_t bits_count, std::uint64_t s
     const dsp::Msk_modulator mod_b{b, rng.next_double() * 6.28};
     chan::Link_params drifting;
     drifting.phase_drift = drift;
-    dsp::Signal mix = dsp::added(mod_a.modulate(bits_a),
-                                 chan::Link_channel{drifting}.apply(mod_b.modulate(bits_b)));
+    dsp::Signal mix;
+    mod_a.modulate_into(bits_a, mix);
+    dsp::Signal signal_b;
+    mod_b.modulate_into(bits_b, signal_b);
+    dsp::accumulate(mix, chan::Link_channel{drifting}.apply(signal_b), 0);
     if (noise_power > 0.0) {
         chan::Awgn noise{noise_power, rng.fork(99)};
         noise.add_in_place(mix);
@@ -158,7 +161,8 @@ TEST(AmplitudeEstimator, CleanRegionAmplitude)
     Pcg32 rng{520};
     const Bits bits = random_bits(2000, rng);
     const dsp::Msk_modulator modulator{0.7, 0.0};
-    dsp::Signal signal = modulator.modulate(bits);
+    dsp::Signal signal;
+    modulator.modulate_into(bits, signal);
     chan::Awgn noise{0.005, Pcg32{521}};
     noise.add_in_place(signal);
     EXPECT_NEAR(amplitude_from_clean_region(signal, 0.005), 0.7, 0.02);
@@ -239,7 +243,8 @@ TEST(AmplitudeEstimator, BranchlessAccumulationIsByteIdentical)
     const auto reference_estimate =
         [](dsp::Signal_view overlap,
            double noise) -> std::optional<Amplitude_estimate> {
-        const std::vector<double> e = dsp::sample_energies(overlap);
+        std::vector<double> e;
+        dsp::sample_energies_into(overlap, e);
         double sum = 0.0;
         for (const double v : e)
             sum += v;

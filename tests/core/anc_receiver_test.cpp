@@ -20,7 +20,8 @@ struct Test_node {
     phy::Modem modem;
     Sent_packet_buffer buffer;
 
-    dsp::Signal send(const phy::Frame_header& header, const Bits& payload, double phase)
+    void send(const phy::Frame_header& header, const Bits& payload, double phase,
+              dsp::Signal& out)
     {
         const Bits frame = modem.frame_bits(header, payload);
         Stored_frame stored;
@@ -28,7 +29,7 @@ struct Test_node {
         stored.frame_bits = frame;
         stored.payload = payload;
         buffer.store(stored);
-        return modem.modulate(frame, phase);
+        modem.modulate_into(frame, phase, out);
     }
 };
 
@@ -69,8 +70,10 @@ Alice_bob_exchange run_exchange(std::uint64_t seed, std::size_t payload_bits = 5
 
     const auto h_a = make_header(1, 2, 100, static_cast<std::uint16_t>(payload_bits));
     const auto h_b = make_header(2, 1, 200, static_cast<std::uint16_t>(payload_bits));
-    const dsp::Signal sig_a = x.alice.send(h_a, x.alice_payload, rng.next_double() * 6.28);
-    const dsp::Signal sig_b = x.bob.send(h_b, x.bob_payload, rng.next_double() * 6.28);
+    dsp::Signal sig_a;
+    dsp::Signal sig_b;
+    x.alice.send(h_a, x.alice_payload, rng.next_double() * 6.28, sig_a);
+    x.bob.send(h_b, x.bob_payload, rng.next_double() * 6.28, sig_b);
 
     // Round 1: both transmit; the relay hears the sum plus its own noise.
     // The two uplinks carry a small relative carrier-frequency offset, as
@@ -82,15 +85,15 @@ Alice_bob_exchange run_exchange(std::uint64_t seed, std::size_t payload_bits = 5
     relay_noise.add_in_place(at_relay);
 
     // Round 2: amplify-and-forward to both ends.
-    const auto broadcast = amplify_and_forward(at_relay, noise_power, 1.0);
-    if (!broadcast)
+    dsp::Signal broadcast;
+    if (!amplify_and_forward_into(at_relay, noise_power, 1.0, broadcast))
         throw std::runtime_error{"relay detected no packet"};
 
-    x.at_alice = chan::Link_channel{{0.9, 1.9, 0, 0.0}}.apply(*broadcast);
+    x.at_alice = chan::Link_channel{{0.9, 1.9, 0, 0.0}}.apply(broadcast);
     chan::Awgn alice_noise{noise_power, rng.fork(2)};
     alice_noise.add_in_place(x.at_alice);
 
-    x.at_bob = chan::Link_channel{{0.85, -0.3, 0, 0.0}}.apply(*broadcast);
+    x.at_bob = chan::Link_channel{{0.85, -0.3, 0, 0.0}}.apply(broadcast);
     chan::Awgn bob_noise{noise_power, rng.fork(3)};
     bob_noise.add_in_place(x.at_bob);
     return x;
@@ -117,8 +120,10 @@ TEST(AncReceiver, CleanPacketDecodesStandard)
     Pcg32 rng{902};
     Test_node sender;
     const Bits payload = random_bits(400, rng);
-    dsp::Signal signal = sender.send(make_header(1, 2, 1, 400), payload, 0.5);
-    signal = dsp::delayed(signal, 120);
+    dsp::Signal packet;
+    sender.send(make_header(1, 2, 1, 400), payload, 0.5, packet);
+    dsp::Signal signal;
+    dsp::accumulate(signal, packet, 120); // 120 samples of leading silence
     chan::Awgn noise{noise_power, rng.fork(1)};
     noise.add_in_place(signal);
 

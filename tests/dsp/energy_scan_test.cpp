@@ -16,7 +16,8 @@ namespace {
 TEST(EnergyScan, SampleEnergies)
 {
     const Signal signal{{3.0, 4.0}, {0.0, 2.0}};
-    const auto energies = sample_energies(signal);
+    std::vector<double> energies;
+    sample_energies_into(signal, energies);
     ASSERT_EQ(energies.size(), 2u);
     EXPECT_DOUBLE_EQ(energies[0], 25.0);
     EXPECT_DOUBLE_EQ(energies[1], 4.0);
@@ -55,7 +56,8 @@ TEST(EnergyScan, ConstantEnvelopeHasZeroVariance)
     Pcg32 rng{121};
     const Bits bits = random_bits(200, rng);
     const Msk_modulator modulator{2.0, 0.1};
-    const Signal signal = modulator.modulate(bits);
+    Signal signal;
+    modulator.modulate_into(bits, signal);
     const Window_stats stats = window_stats(signal, 32);
     ASSERT_FALSE(stats.mean.empty());
     for (std::size_t i = 0; i < stats.mean.size(); ++i) {
@@ -73,8 +75,14 @@ TEST(EnergyScan, InterferedSignalHasLargeVariance)
     const Bits bits_a = random_bits(300, rng);
     const Bits bits_b = random_bits(300, rng);
     const Msk_modulator modulator{1.0, 0.0};
-    const Signal mix = added(modulator.modulate(bits_a),
-                             rotated(modulator.modulate(bits_b), 1.1));
+    Signal mix;
+    modulator.modulate_into(bits_a, mix);
+    Signal signal_b;
+    modulator.modulate_into(bits_b, signal_b);
+    const Sample rotor = std::polar(1.0, 1.1);
+    for (Sample& s : signal_b)
+        s *= rotor;
+    accumulate(mix, signal_b, 0);
     const Window_stats stats = window_stats(mix, 64);
     double max_variance = 0.0;
     for (const double v : stats.variance)
@@ -140,7 +148,8 @@ Reference_sums reference_sums(Signal_view signal, std::size_t window)
     Reference_sums out;
     if (signal.size() < window)
         return out;
-    const std::vector<double> e = sample_energies(signal);
+    std::vector<double> e;
+    sample_energies_into(signal, e);
     double sum = 0.0;
     double sum_sq = 0.0;
     for (std::size_t i = 0; i < window; ++i) {

@@ -77,8 +77,10 @@ TEST(MathProfile, NoiseFreeMediumCarriesMskFramesByteIdentically)
     faded.coherence_block = 300;
     faded.fading_seed = 0xfade;
 
-    const Signal frame_a = Msk_modulator{1.0, 0.4}.modulate(random_bits_for(1500, 1));
-    const Signal frame_b = Msk_modulator{1.0, 2.2}.modulate(random_bits_for(1200, 2));
+    Signal frame_a;
+    Signal frame_b;
+    Msk_modulator{1.0, 0.4}.modulate_into(random_bits_for(1500, 1), frame_a);
+    Msk_modulator{1.0, 2.2}.modulate_into(random_bits_for(1200, 2), frame_b);
     const std::vector<chan::Transmission> rounds[] = {
         {{1, frame_a, 0}},
         {{2, frame_b, 0}},

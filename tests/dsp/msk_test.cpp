@@ -25,7 +25,8 @@ TEST(Msk, PaperWalkthroughExample)
     // §5.2: data 10 -> phases 0, pi/2, 0 (1 advances, 0 retreats).
     const Bits bits{1, 0};
     const Msk_modulator modulator{2.5, 0.0};
-    const Signal signal = modulator.modulate(bits);
+    Signal signal;
+    modulator.modulate_into(bits, signal);
     ASSERT_EQ(signal.size(), 3u);
     EXPECT_NEAR(std::arg(signal[0]), 0.0, 1e-12);
     EXPECT_NEAR(std::arg(signal[1]), pi / 2.0, 1e-12);
@@ -40,7 +41,11 @@ TEST(Msk, RoundTripCleanChannel)
     const Bits bits = random_bits(512, rng);
     const Msk_modulator modulator{1.0, 0.7};
     const Msk_demodulator demodulator;
-    EXPECT_EQ(demodulator.demodulate(modulator.modulate(bits)), bits);
+    Signal signal;
+    modulator.modulate_into(bits, signal);
+    Bits decoded;
+    demodulator.demodulate_into(signal, decoded);
+    EXPECT_EQ(decoded, bits);
 }
 
 TEST(Msk, RoundTripIsChannelInvariant)
@@ -51,23 +56,31 @@ TEST(Msk, RoundTripIsChannelInvariant)
     const Bits bits = random_bits(256, rng);
     const Msk_modulator modulator{1.0, 0.0};
     const Msk_demodulator demodulator;
-    Signal signal = modulator.modulate(bits);
-    signal = scaled(signal, 0.037);   // strong attenuation
-    signal = rotated(signal, 2.1);    // arbitrary phase shift
-    EXPECT_EQ(demodulator.demodulate(signal), bits);
+    Signal signal;
+    modulator.modulate_into(bits, signal);
+    const Sample channel = std::polar(0.037, 2.1); // strong attenuation, arbitrary phase
+    for (Sample& s : signal)
+        s *= channel;
+    Bits decoded;
+    demodulator.demodulate_into(signal, decoded);
+    EXPECT_EQ(decoded, bits);
 }
 
 TEST(Msk, SamplesPerBitIsOnePlusOne)
 {
     const Msk_modulator modulator;
-    EXPECT_EQ(modulator.modulate(Bits{}).size(), 1u);
-    EXPECT_EQ(modulator.modulate(Bits{1, 0, 1}).size(), 4u);
+    Signal signal;
+    modulator.modulate_into(Bits{}, signal);
+    EXPECT_EQ(signal.size(), 1u);
+    modulator.modulate_into(Bits{1, 0, 1}, signal);
+    EXPECT_EQ(signal.size(), 4u);
 }
 
 TEST(Msk, PhaseDifferencesForBits)
 {
     const Bits bits{1, 1, 0, 1, 0, 0};
-    const auto diffs = phase_differences_for_bits(bits);
+    std::vector<double> diffs;
+    phase_differences_for_bits_into(bits, diffs);
     ASSERT_EQ(diffs.size(), bits.size());
     for (std::size_t i = 0; i < bits.size(); ++i)
         EXPECT_DOUBLE_EQ(diffs[i], bits[i] ? pi / 2.0 : -pi / 2.0);
@@ -76,8 +89,12 @@ TEST(Msk, PhaseDifferencesForBits)
 TEST(Msk, DemodulateShortSignals)
 {
     const Msk_demodulator demodulator;
-    EXPECT_TRUE(demodulator.demodulate(Signal{}).empty());
-    EXPECT_TRUE(demodulator.demodulate(Signal{Sample{1.0, 0.0}}).empty());
+    Bits bits{1, 0}; // stale lease contents
+    demodulator.demodulate_into(Signal{}, bits);
+    EXPECT_TRUE(bits.empty());
+    bits = {1, 0};
+    demodulator.demodulate_into(Signal{Sample{1.0, 0.0}}, bits);
+    EXPECT_TRUE(bits.empty());
 }
 
 TEST(Msk, TimeReversedStreamDemodulatesToReversedBits)
@@ -88,8 +105,13 @@ TEST(Msk, TimeReversedStreamDemodulatesToReversedBits)
     const Bits bits = random_bits(128, rng);
     const Msk_modulator modulator{1.0, 0.4};
     const Msk_demodulator demodulator;
-    const Signal reversed_signal = time_reversed(modulator.modulate(bits));
-    EXPECT_EQ(demodulator.demodulate(reversed_signal), mirrored(bits));
+    Signal signal;
+    modulator.modulate_into(bits, signal);
+    Signal reversed_signal;
+    time_reverse_into(signal, reversed_signal);
+    Bits decoded;
+    demodulator.demodulate_into(reversed_signal, decoded);
+    EXPECT_EQ(decoded, mirrored(bits));
 }
 
 TEST(Msk, InitialPhaseDoesNotAffectBits)
@@ -97,9 +119,13 @@ TEST(Msk, InitialPhaseDoesNotAffectBits)
     Pcg32 rng{105};
     const Bits bits = random_bits(64, rng);
     const Msk_demodulator demodulator;
+    Signal signal;
+    Bits decoded;
     for (const double phase : {0.0, 0.5, 1.0, 2.0, 3.0}) {
         const Msk_modulator modulator{1.0, phase};
-        EXPECT_EQ(demodulator.demodulate(modulator.modulate(bits)), bits);
+        modulator.modulate_into(bits, signal);
+        demodulator.demodulate_into(signal, decoded);
+        EXPECT_EQ(decoded, bits);
     }
 }
 

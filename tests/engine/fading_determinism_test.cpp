@@ -134,11 +134,14 @@ TEST(FadingDeterminism, MediumEpochRefreshesFadesPerExchange)
     const dsp::Signal sent(64, dsp::Sample{1.0, 0.0});
     const chan::Transmission txs[] = {{1, sent, 0}};
 
-    const dsp::Signal epoch0 = medium.receive(2, txs);
+    dsp::Signal epoch0;
+    dsp::Signal epoch1;
+    dsp::Signal epoch0_again;
+    medium.receive_into(2, txs, 0, epoch0);
     medium.set_fading_epoch(1);
-    const dsp::Signal epoch1 = medium.receive(2, txs);
+    medium.receive_into(2, txs, 0, epoch1);
     medium.set_fading_epoch(0);
-    const dsp::Signal epoch0_again = medium.receive(2, txs);
+    medium.receive_into(2, txs, 0, epoch0_again);
 
     EXPECT_NE(epoch0[0], epoch1[0]);
     ASSERT_EQ(epoch0.size(), epoch0_again.size());

@@ -261,8 +261,14 @@ TEST(Cancellation, DrainsGracefullyAndTalliesSkipped)
     ASSERT_EQ(results.size(), 20u);
     for (std::size_t i = 0; i < 5; ++i)
         EXPECT_EQ(results[i].status, Task_status::ok);
-    for (std::size_t i = 5; i < 20; ++i)
+    for (std::size_t i = 5; i < 20; ++i) {
         EXPECT_EQ(results[i].status, Task_status::skipped);
+        // A slot never run still names its task and seed.
+        EXPECT_EQ(results[i].task.index, i);
+        EXPECT_EQ(results[i].task.scenario, "synthetic_a");
+        EXPECT_EQ(results[i].seed,
+                  derive_task_seed(config.base_seed, results[i].task.seed_index));
+    }
     // A cancelled run aggregates exactly its completed prefix.
     const std::vector<Point_summary> points = aggregate(results);
     std::size_t runs = 0;

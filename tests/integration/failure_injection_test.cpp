@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "channel/awgn.h"
 #include "channel/link.h"
 #include "core/anc_receiver.h"
@@ -39,18 +41,17 @@ Collision_setup make_collision(std::uint64_t seed, std::size_t alice_start = 0,
     setup.pb = flow_ba.next();
 
     dsp::Signal mix;
-    dsp::accumulate(mix,
-                    chan::Link_channel{{0.95, 0.5, 0, 0.002}}.apply(
-                        setup.alice.transmit(setup.pa, rng)),
-                    alice_start);
-    dsp::accumulate(mix,
-                    chan::Link_channel{{0.9, -0.9, 0, -0.002}}.apply(
-                        setup.bob.transmit(setup.pb, rng)),
-                    bob_start);
+    dsp::Signal signal;
+    setup.alice.transmit_into(setup.pa, rng, signal);
+    dsp::accumulate(mix, chan::Link_channel{{0.95, 0.5, 0, 0.002}}.apply(signal), alice_start);
+    setup.bob.transmit_into(setup.pb, rng, signal);
+    dsp::accumulate(mix, chan::Link_channel{{0.9, -0.9, 0, -0.002}}.apply(signal), bob_start);
     chan::Awgn relay_noise{noise_power, rng.fork(3)};
     relay_noise.add_in_place(mix);
-    const auto fwd = amplify_and_forward(mix, noise_power, 1.0);
-    setup.at_alice = chan::Link_channel{{0.95, 1.3, 0, 0.0}}.apply(*fwd);
+    dsp::Signal fwd;
+    if (!amplify_and_forward_into(mix, noise_power, 1.0, fwd))
+        throw std::runtime_error{"relay detected no packet"};
+    setup.at_alice = chan::Link_channel{{0.95, 1.3, 0, 0.0}}.apply(fwd);
     chan::Awgn alice_noise{noise_power, rng.fork(4)};
     alice_noise.add_in_place(setup.at_alice);
     return setup;
@@ -86,7 +87,7 @@ TEST(FailureInjection, TruncatedReceptionNoCrash)
     const Collision_setup setup = make_collision(503);
     const Anc_receiver receiver = make_receiver();
     for (const double keep : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-        const auto truncated = dsp::slice(
+        const dsp::Signal_view truncated = dsp::slice_view(
             setup.at_alice, 0,
             static_cast<std::size_t>(keep * static_cast<double>(setup.at_alice.size())));
         const Receive_outcome outcome = receiver.receive(truncated, setup.alice.buffer());
@@ -149,7 +150,8 @@ TEST(FailureInjection, RelayIgnoresSilence)
     dsp::Signal silence(1000, dsp::Sample{0.0, 0.0});
     chan::Awgn floor{noise_power, rng};
     floor.add_in_place(silence);
-    EXPECT_FALSE(amplify_and_forward(silence, noise_power, 1.0).has_value());
+    dsp::Signal forwarded;
+    EXPECT_FALSE(amplify_and_forward_into(silence, noise_power, 1.0, forwarded));
 }
 
 TEST(FailureInjection, DecodedPayloadNeverExceedsHeaderLength)

@@ -66,7 +66,8 @@ TEST(NetNode, TransmitStoresFrame)
     Flow flow{1, 2, 128, Pcg32{1005}};
     const Packet packet = flow.next();
     Pcg32 rng{1006};
-    const dsp::Signal signal = node.transmit(packet, rng);
+    dsp::Signal signal;
+    node.transmit_into(packet, rng, signal);
     EXPECT_EQ(signal.size(), phy::frame_length(128) + 1);
     EXPECT_TRUE(node.buffer().contains(header_for(packet)));
 }
@@ -93,7 +94,8 @@ TEST(NetNode, RegeneratedFrameBitsMatchTransmitted)
     Flow flow{1, 2, 200, Pcg32{1008}};
     const Packet packet = flow.next();
     Pcg32 rng{1009};
-    (void)sender.transmit(packet, rng);
+    dsp::Signal signal;
+    sender.transmit_into(packet, rng, signal);
     snooper.remember(packet);
     const Stored_frame* sent = sender.buffer().lookup(header_for(packet));
     const Stored_frame* heard = snooper.buffer().lookup(header_for(packet));

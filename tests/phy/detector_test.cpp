@@ -35,7 +35,9 @@ dsp::Signal msk_burst(std::size_t bits_count, std::uint64_t seed, double amplitu
     Pcg32 rng{seed};
     const Bits bits = random_bits(bits_count, rng);
     const dsp::Msk_modulator modulator{amplitude, 0.0};
-    return modulator.modulate(bits);
+    dsp::Signal signal;
+    modulator.modulate_into(bits, signal);
+    return signal;
 }
 
 TEST(PacketDetector, FindsPacketInNoise)
@@ -90,7 +92,7 @@ TEST(InterferenceDetector, CollisionDetectedWithOverlapRegion)
 {
     // Packet A starts at 0; packet B (equal power) starts at 300.
     dsp::Signal mix = msk_burst(600, 438);
-    const dsp::Signal b = dsp::rotated(msk_burst(600, 439), 0.9);
+    const dsp::Signal b = chan::Link_channel{{1.0, 0.9}}.apply(msk_burst(600, 439));
     dsp::accumulate(mix, b, 300);
     mix = noisy(std::move(mix), 440);
 
@@ -107,7 +109,7 @@ TEST(InterferenceDetector, WeakInterfererStillDetected)
     // SIR +6 dB (interferer at quarter power) must still trip the
     // detector at SNR 20 dB.
     dsp::Signal mix = msk_burst(600, 441);
-    const dsp::Signal b = dsp::scaled(dsp::rotated(msk_burst(600, 442), 1.7), 0.5);
+    const dsp::Signal b = chan::Link_channel{{0.5, 1.7}}.apply(msk_burst(600, 442));
     dsp::accumulate(mix, b, 200);
     mix = noisy(std::move(mix), 443);
     const Interference_detector detector{noise_power};
@@ -132,14 +134,17 @@ TEST(InterferenceDetector, EnvelopeMergesDriftDips)
     const Bits bits_b = random_bits(1600, rng);
     const dsp::Msk_modulator mod_a{1.0, 0.0};
     const dsp::Msk_modulator mod_b{0.95, 0.0};
-    dsp::Signal mix = mod_a.modulate(bits_a);
+    dsp::Signal mix;
+    mod_a.modulate_into(bits_a, mix);
+    dsp::Signal signal_b;
+    mod_b.modulate_into(bits_b, signal_b);
     // drift 0.004 rad/sample: the relative phase crosses pi/2 multiple
     // times over 1600 samples.
     chan::Link_params drift;
     drift.gain = 1.0;
     drift.phase = 0.9;
     drift.phase_drift = 0.004;
-    dsp::accumulate(mix, chan::Link_channel{drift}.apply(mod_b.modulate(bits_b)), 200);
+    dsp::accumulate(mix, chan::Link_channel{drift}.apply(signal_b), 200);
     mix = noisy(std::move(mix), 448);
 
     const Interference_detector detector{noise_power};
@@ -153,7 +158,7 @@ TEST(InterferenceDetector, EnvelopeMergesDriftDips)
 TEST(InterferenceDetector, PeakRatioReported)
 {
     dsp::Signal mix = msk_burst(400, 444);
-    dsp::accumulate(mix, dsp::rotated(msk_burst(400, 445), 0.4), 100);
+    dsp::accumulate(mix, chan::Link_channel{{1.0, 0.4}}.apply(msk_burst(400, 445)), 100);
     mix = noisy(std::move(mix), 446);
     const Interference_detector detector{noise_power};
     const Interference_report report = detector.analyze(mix);

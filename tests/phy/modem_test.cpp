@@ -25,7 +25,8 @@ TEST(Modem, LoopbackRoundTrip)
     Pcg32 rng{451};
     const Bits payload = random_bits(512, rng);
     const Modem modem;
-    const dsp::Signal signal = modem.modulate_frame(make_header(512), payload);
+    dsp::Signal signal;
+    modem.modulate_into(modem.frame_bits(make_header(512), payload), 0.0, signal);
     const auto frame = modem.receive(signal);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->header, make_header(512));
@@ -38,7 +39,8 @@ TEST(Modem, RoundTripThroughDistortedChannel)
     Pcg32 rng{452};
     const Bits payload = random_bits(256, rng);
     const Modem modem;
-    dsp::Signal signal = modem.modulate_frame(make_header(256), payload, 0.9);
+    dsp::Signal signal;
+    modem.modulate_into(modem.frame_bits(make_header(256), payload), 0.9, signal);
 
     chan::Link_params params;
     params.gain = 0.2;
@@ -100,7 +102,8 @@ TEST(Modem, SurvivesSparseBitErrors)
     Bits frame_bits = modem.frame_bits(make_header(64), payload);
     frame_bits[2] ^= 1u;  // pilot bit
     frame_bits[40] ^= 1u; // pilot bit
-    const dsp::Signal signal = modem.modulate(frame_bits);
+    dsp::Signal signal;
+    modem.modulate_into(frame_bits, 0.0, signal);
     const auto frame = modem.receive(signal);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->pilot_errors, 2u);
@@ -114,7 +117,9 @@ TEST(Modem, HeaderCorruptionFailsReceive)
     const Modem modem;
     Bits frame_bits = modem.frame_bits(make_header(64), payload);
     frame_bits[80] ^= 1u; // header bit -> CRC mismatch
-    EXPECT_FALSE(modem.receive(modem.modulate(frame_bits)).has_value());
+    dsp::Signal signal;
+    modem.modulate_into(frame_bits, 0.0, signal);
+    EXPECT_FALSE(modem.receive(signal).has_value());
 }
 
 TEST(Modem, ReportsPilotPosition)
@@ -122,8 +127,10 @@ TEST(Modem, ReportsPilotPosition)
     Pcg32 rng{460};
     const Bits payload = random_bits(64, rng);
     const Modem modem;
-    dsp::Signal signal = modem.modulate_frame(make_header(64), payload);
-    signal = dsp::delayed(signal, 50);
+    dsp::Signal frame_signal;
+    modem.modulate_into(modem.frame_bits(make_header(64), payload), 0.0, frame_signal);
+    dsp::Signal signal;
+    dsp::accumulate(signal, frame_signal, 50); // 50 samples of leading silence
     const auto frame = modem.receive(signal);
     ASSERT_TRUE(frame.has_value());
     // 50 samples of leading silence put the pilot at bit position ~50.
@@ -139,7 +146,9 @@ TEST(Modem, PayloadCorruptionFailsReceive)
     Bits frame_bits = modem.frame_bits(make_header(64), payload);
     const Frame_offsets o = frame_offsets(64);
     frame_bits[o.payload + 5] ^= 1u;
-    EXPECT_FALSE(modem.receive(modem.modulate(frame_bits)).has_value());
+    dsp::Signal signal;
+    modem.modulate_into(frame_bits, 0.0, signal);
+    EXPECT_FALSE(modem.receive(signal).has_value());
 }
 
 } // namespace
