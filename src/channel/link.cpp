@@ -31,14 +31,18 @@ void Link_channel::accumulate_faded(dsp::Signal_view signal, std::uint64_t fadin
 {
     const std::size_t block_len =
         params_.coherence_block == 0 ? signal.size() : params_.coherence_block;
-    const dsp::Sample* rotor = rotor_stream(signal.size());
+    const double* in = reinterpret_cast<const double*>(signal.data());
+    const double* rotors = reinterpret_cast<const double*>(rotor_stream(signal.size()));
+    double* acc = reinterpret_cast<double*>(out);
     for (std::size_t begin_n = 0; begin_n < signal.size(); begin_n += block_len) {
         const dsp::Sample fade = block_gain(fading_epoch, begin_n / block_len);
-        const std::size_t end_n = std::min(begin_n + block_len, signal.size());
-        // The historical signal[n] * polar(...) * fade, with the polar
-        // read from the stream: same operands, same order, same bits.
-        for (std::size_t n = begin_n; n < end_n; ++n)
-            out[n] += signal[n] * rotor[n] * fade;
+        // The historical out[n] += signal[n] * polar(...) * fade, with the
+        // polar read from the stream: the lane kernel forms the same two
+        // std::complex products in the same order, so the bits hold
+        // (samples are finite throughout the substrate).
+        simd::cmul_fade_accumulate(in + 2 * begin_n, rotors + 2 * begin_n, acc + 2 * begin_n,
+                                   std::min(block_len, signal.size() - begin_n), fade.real(),
+                                   fade.imag());
     }
 }
 

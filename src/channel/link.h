@@ -103,7 +103,8 @@ public:
 
 private:
     /// Shared rayleigh_block kernel behind apply/apply_onto: accumulate
-    /// the faded, rotated signal onto `out` (spanning signal.size()).
+    /// the faded, rotated signal onto `out` (spanning signal.size()),
+    /// one rotor-stream-and-fade lane call per coherence block.
     void accumulate_faded(dsp::Signal_view signal, std::uint64_t fading_epoch,
                           dsp::Sample* out) const;
 

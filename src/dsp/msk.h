@@ -47,8 +47,6 @@ public:
     /// Modulate `bits` into `out`.
     void modulate_into(std::span<const std::uint8_t> bits, Signal& out) const;
 
-    double amplitude() const { return amplitude_; }
-
 private:
     double amplitude_;
     double initial_phase_;

@@ -53,7 +53,7 @@ void accumulate(Signal& acc, Signal_view signal, std::size_t offset)
 
 double normalize_power_in_place(Signal& signal, double target_power)
 {
-    const double current = power(signal);
+    const double current = mean_energy(signal);
     if (current > 0.0)
         scale_in_place(signal, std::sqrt(target_power / current));
     return current;
@@ -64,11 +64,6 @@ Signal_view slice_view(Signal_view signal, std::size_t begin, std::size_t end)
     begin = std::min(begin, signal.size());
     end = std::clamp(end, begin, signal.size());
     return signal.subspan(begin, end - begin);
-}
-
-double power(Signal_view signal)
-{
-    return mean_energy(signal);
 }
 
 } // namespace anc::dsp

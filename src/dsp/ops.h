@@ -44,7 +44,4 @@ double normalize_power_in_place(Signal& signal, double target_power);
 /// Sub-range [begin, end) as a zero-copy view (clamped to bounds).
 Signal_view slice_view(Signal_view signal, std::size_t begin, std::size_t end);
 
-/// Mean power of the signal (alias of mean |y|^2).
-double power(Signal_view signal);
-
 } // namespace anc::dsp

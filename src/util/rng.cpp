@@ -29,15 +29,15 @@ void Counter_normal::add_scaled(std::uint64_t first_counter, double scale, doubl
                                                            scale, inout, count);
 }
 
-// Lane elements are (z0, z1) pairs — two doubles of the buffer each —
-// so a lane kernel takes 8 (avx512) or 4 (avx2) counters per block; the
-// remainder, an odd trailing normal included, goes to the scalar kernel,
-// which is element-wise identical (draws are pure in (key, counter), so
-// the seam carries no state).
+// A lane step draws 16 (avx512) or 8 (avx2) counters in float lanes,
+// i.e. four doubles of the buffer per double lane; the remainder, an odd
+// trailing normal included, goes to the scalar kernel, which is
+// element-wise identical (draws are pure in (key, counter), so the seam
+// carries no state).
 void Counter_normal::add_scaled_simd(std::uint64_t first_counter, double scale,
                                      double* inout, std::size_t count) const
 {
-    simd::dispatch<2>(count, &simd::detail::Kernel_table::counter_normal_add_scaled,
+    simd::dispatch<4>(count, &simd::detail::Kernel_table::counter_normal_add_scaled,
                       [&](auto kernel, std::size_t at, std::size_t n) {
                           kernel(key_a_, key_b_, first_counter + at / 2, scale, inout + at,
                                  n);

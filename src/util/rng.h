@@ -12,15 +12,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
-#include <numbers>
 
 namespace anc {
 
 /// SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word.
 /// Used wherever a seed must be derived from (base, counter) pairs —
 /// e.g. the sweep engine's per-task seeds — so that nearby counters
-/// yield statistically unrelated Pcg32 streams.  Inline: the fast
-/// profile's counter-based noise evaluates two of these per sample pair.
+/// yield statistically unrelated Pcg32 streams.
 inline std::uint64_t splitmix64(std::uint64_t x)
 {
     x += 0x9e3779b97f4a7c15ULL;
@@ -49,27 +47,28 @@ inline std::uint64_t mix_seed(std::uint64_t base, std::uint64_t index)
 /// of the sample pipeline — a `Counter_normal` yields the pair at any
 /// counter directly:
 ///
-///     pair(c) = BoxMuller(splitmix64-mix(key, c))
+///     pair(c) = BoxMuller(hash32(key, c))
 ///
 /// so draws are order-independent, trivially parallel/vectorizable, and
 /// replay-deterministic regardless of how the counter range is carved up
 /// across threads (the PR 3 fading draws use the same discipline).
 ///
 /// This is the noise source of the *fast* math profile: its Box–Muller
-/// transform runs on the noise-grade kernels below (detail::noise_log,
-/// detail::box_muller_angle), so it is NOT bit-identical to the Pcg32
-/// stream — the exact profile keeps the sequential generator.
-/// Statistical quality is locked in by tests/util/counter_normal_test.cpp
-/// (moments, KS, stream independence, multi-thread replay).
+/// transform runs in single precision on the noise-grade kernels below
+/// (detail::noise_radius, detail::noise_sincos; 24-bit uniforms, every
+/// |z| <= 5.77), widened to double only where it is scaled into a
+/// buffer.  So it is NOT bit-identical to the Pcg32 stream — the exact
+/// profile keeps the sequential generator.  Statistical quality is
+/// locked in by tests/util/counter_normal_test.cpp (moments, KS, tail
+/// fractions, stream independence, multi-thread replay).
 class Counter_normal {
 public:
     /// Key derivation mirrors mix_seed: distinct (seed, stream) pairs
     /// yield statistically independent generators.
     Counter_normal(std::uint64_t seed, std::uint64_t stream);
 
-    /// The two iid N(0,1) draws at `counter` — pure in (key, counter).
-    /// Defined inline below so noise-fill loops keep the whole transform
-    /// in registers instead of paying a call per sample pair.
+    /// The two iid N(0,1) draws at `counter` — pure in (key, counter mod
+    /// 2^32), float values widened to double.
     void pair(std::uint64_t counter, double& z0, double& z1) const;
 
     /// inout[i] += scale · z_i for i in [0, count), z_i the iid N(0,1)
@@ -81,7 +80,7 @@ public:
                     std::size_t count) const;
 
     /// add_scaled(), routed through the lane kernels (util/simd.h): the
-    /// AVX2 or AVX-512 lanes hash/Box–Muller 4 or 8 counter pairs per
+    /// AVX2 or AVX-512 float lanes hash/Box–Muller 8 or 16 counters per
     /// step when a lane backend is active, and the scalar add_scaled
     /// serves otherwise.  Either way the output is bit-identical to
     /// add_scaled() at the same counters — the backend's
@@ -151,110 +150,111 @@ private:
 
 namespace detail {
 
-// The Box-Muller helpers below use *noise-grade* kernels: shortened
-// atanh-series log and fdlibm sin/cos polynomials with relative error
-// ~1e-9 (log) and ~1e-8 (sin/cos).  A deterministic smooth perturbation at that
-// scale is statistically invisible (the KS test in
+// The Box-Muller helpers below are *noise-grade* float kernels: 32-bit
+// hash words, 24-bit uniforms, and Cephes-style single-precision log and
+// sin/cos polynomials (errors ~1e-7).  A deterministic smooth
+// perturbation at that scale is statistically invisible (the KS test in
 // tests/util/counter_normal_test.cpp resolves ~4e-3), and noise samples
 // feed only statistics — unlike the phase kernels, whose tighter bounds
 // the decoder documents.  What matters is kept: exact integer quadrant
-// reduction, full 53-bit uniforms, and purity in (key, counter).
+// reduction and purity in (key, counter).  The smallest uniform, 2^-24,
+// caps every draw at |z| <= sqrt(48 ln 2) ~ 5.768, a cut the normal
+// tail crosses with probability ~8e-9.  The lane kernels
+// (util/simd_kernels.inl) run the same float operations in the same
+// order, so every backend draws the same bits.
 
-/// ln of a positive normal double; relative error ~1e-9 (5-term atanh).
-inline double noise_log(double x)
+/// One 32-bit hash word: Wellons's two-multiply "lowbias32" avalanche
+/// of the Weyl word `word`, with the key's high half XORed in between
+/// the rounds so all 64 key bits select the stream.  A bijection of
+/// `word` for a fixed `key_hi`.
+inline std::uint32_t noise_hash(std::uint32_t word, std::uint32_t key_hi)
 {
-    constexpr double ln2_hi = 6.93147180369123816490e-01;
-    constexpr double ln2_lo = 1.90821492927058770002e-10;
-    constexpr double sqrt2 = 1.41421356237309504880;
-    const auto bits = std::bit_cast<std::uint64_t>(x);
-    const int raw_e = static_cast<int>((bits >> 52) & 0x7ffu) - 1023;
-    const double raw_m = std::bit_cast<double>((bits & 0xfffffffffffffULL)
-                                               | 0x3ff0000000000000ULL);
-    // Branchless fold: halving the mantissa is an exponent decrement in
-    // the bit pattern (m stays in [1, 2), no underflow possible), so the
-    // fold becomes integer arithmetic on the comparison result — the
-    // branch here is data-random and would mispredict ~half the time.
-    const auto fold = static_cast<std::uint64_t>(raw_m > sqrt2);
-    const double m = std::bit_cast<double>(
-        std::bit_cast<std::uint64_t>(raw_m) - (fold << 52u));
-    const int e = raw_e + static_cast<int>(fold);
-    const double f = (m - 1.0) / (m + 1.0);
-    const double w = f * f;
-    const double w2 = w * w;
-    const double poly = 2.0 * f
-                        * ((1.0 + w * (1.0 / 3.0))
-                           + (1.0 / 5.0 + w * (1.0 / 7.0) + w2 * (1.0 / 9.0)) * w2);
-    const double ed = static_cast<double>(e);
-    return ed * ln2_hi + (ed * ln2_lo + poly);
+    word ^= word >> 16u;
+    word *= 0x7feb352du;
+    word ^= (word >> 15u) ^ key_hi;
+    word *= 0x846ca68bu;
+    return word ^ (word >> 16u);
+}
+
+/// ln of a positive normal float, Cephes logf's polynomial.  The fold of
+/// the mantissa m in [1, 2) to [sqrt(1/2), sqrt(2)) is integer
+/// arithmetic: fold = (mantissa bits > those of sqrt(2)), computed from
+/// the borrow of a subtraction so no data-random branch or select runs.
+inline float noise_log(float x)
+{
+    const auto bits = std::bit_cast<std::uint32_t>(x);
+    const std::uint32_t mantissa = bits & 0x7fffffu;
+    const std::uint32_t fold = (0x3504f3u - mantissa) >> 31u;
+    const float m = std::bit_cast<float>((mantissa | 0x3f800000u) - (fold << 23u));
+    const float e = static_cast<float>(static_cast<std::int32_t>((bits >> 23u) + fold) - 127);
+    const float f = m - 1.0f;
+    const float z = f * f;
+    // The degree-8 polynomial in Estrin form (short dependency chains).
+    const float z2 = z * z;
+    const float lo = (3.3333331174e-1f - 2.4999993993e-1f * f)
+                    + (2.0000714765e-1f - 1.6668057665e-1f * f) * z;
+    const float hi = (1.4249322787e-1f - 1.2420140846e-1f * f)
+                    + (1.1676998740e-1f - 1.1514610310e-1f * f) * z;
+    const float p = (lo + hi * z2) + 7.0376836292e-2f * (z2 * z2);
+    return e * 0.693147180559945309f + (f + (f * z * p - 0.5f * z));
 }
 
 /// Box-Muller radius from the first hash word: sqrt(-2 ln u1) with
-/// u1 = ((w1 >> 11) + 1) / 2^53 in (0, 1].  The 53-bit word is cast
-/// through int64 (it is < 2^63), which maps to one hardware convert
-/// instead of the unsigned fix-up sequence.
-inline double box_muller_radius(std::uint64_t w1)
+/// u1 = ((w1 >> 8) + 1) / 2^24 in [2^-24, 1] (the convert is exact).
+inline float noise_radius(std::uint32_t w1)
 {
-    const double u1 =
-        static_cast<double>(static_cast<std::int64_t>((w1 >> 11u) + 1u)) * 0x1.0p-53;
-    return std::sqrt(-2.0 * noise_log(u1));
+    const float u1 = static_cast<float>(static_cast<std::int32_t>((w1 >> 8u) + 1u)) * 0x1.0p-24f;
+    return std::sqrt(-2.0f * noise_log(u1));
 }
 
-/// sin/cos of the Box-Muller angle 2π·u2, u2 = (w2 >> 11) / 2^53, with
-/// the quadrant split done in *integer* arithmetic: k = round(W/2^51),
-/// r = (W − k·2^51)·(π/2)/2^51 ∈ [−π/4, π/4].  The reduction is exact
-/// (no Cody–Waite needed) and feeds 4-term truncations of the fdlibm
-/// minimax sin/cos kernels.
-inline void box_muller_angle(std::uint64_t w2, double& s, double& c)
+/// sin/cos of the Box-Muller angle 2π·u2, u2 = (w2 >> 8) / 2^24, with
+/// the quadrant split done in *integer* arithmetic: k = round(w/2^22),
+/// r = (w − k·2^22)·(π/2)/2^22 in [−π/4, π/4].  The reduction and the
+/// convert are exact, and feed Cephes's sinf/cosf kernels.
+inline void noise_sincos(std::uint32_t w2, float& s, float& c)
 {
-    const std::uint64_t w = w2 >> 11u;
-    const auto k = static_cast<std::int64_t>((w + (1ULL << 50u)) >> 51u);
-    const auto rem = static_cast<std::int64_t>(w) - (k << 51u);
-    const double r =
-        static_cast<double>(rem) * (0x1.0p-51 * 1.57079632679489661923);
-    // Noise-grade 4-term kernels (abs error ~1e-8 on |r| <= pi/4).
-    const double z = r * r;
-    const double ss =
-        r + r * z
-                * (-1.66666666666666324348e-01
-                   + z * (8.33333333332248946124e-03
-                          + z * (-1.98412698298579493134e-04
-                                 + z * 2.75573137070700676789e-06)));
-    const double cc =
-        1.0 - 0.5 * z
-        + z * z
-              * (4.16666666666666019037e-02
-                 + z * (-1.38888888888741095749e-03
-                        + z * (2.48015872894767294178e-05
-                               + z * -2.75573143513906633035e-07)));
-    // Branchless quadrant assembly in the bit domain: swap via masked
-    // select, sign flips via XOR of the sign bit.  Exact (no arithmetic
-    // on the values), and immune to the ~random quadrant of each draw —
+    const std::uint32_t w = w2 >> 8u;
+    const std::uint32_t k = (w + (1u << 21u)) >> 22u;
+    const auto rem = static_cast<std::int32_t>(w - (k << 22u));
+    const float r = static_cast<float>(rem) * (0x1.0p-22f * 1.57079632679489661923f);
+    const float z = r * r;
+    const float sp = (-1.9515295891e-4f * z + 8.3321608736e-3f) * z - 1.6666654611e-1f;
+    const float ss = r + r * z * sp;
+    const float cp = (2.443315711809948e-5f * z - 1.388731625493765e-3f) * z
+                     + 4.166664568298827e-2f;
+    const float cc = (1.0f - 0.5f * z) + z * z * cp;
+    // Branchless quadrant assembly in the bit domain: swap via an XOR
+    // mask, sign flips via XOR of the sign bit.  Exact (no arithmetic on
+    // the values), and immune to the ~random quadrant of each draw —
     // conditional branches here would mispredict every other pair.
-    const auto q = static_cast<std::uint64_t>(k) & 3u;
-    const std::uint64_t swap_mask = ~((q & 1u) - 1u); // q odd -> all ones
-    const auto sbits = std::bit_cast<std::uint64_t>(ss);
-    const auto cbits = std::bit_cast<std::uint64_t>(cc);
-    std::uint64_t s_sel = (sbits & ~swap_mask) | (cbits & swap_mask);
-    std::uint64_t c_sel = (cbits & ~swap_mask) | (sbits & swap_mask);
-    s_sel ^= (q & 2u) << 62u;       // negate sin in quadrants 2, 3
-    c_sel ^= ((q + 1u) & 2u) << 62u; // negate cos in quadrants 1, 2
-    s = std::bit_cast<double>(s_sel);
-    c = std::bit_cast<double>(c_sel);
+    const std::uint32_t q = k & 3u;
+    const auto sbits = std::bit_cast<std::uint32_t>(ss);
+    const auto cbits = std::bit_cast<std::uint32_t>(cc);
+    const std::uint32_t swap = (sbits ^ cbits) & (0u - (q & 1u)); // q odd -> swap
+    s = std::bit_cast<float>((sbits ^ swap) ^ ((q & 2u) << 30u));       // negate in q 2, 3
+    c = std::bit_cast<float>((cbits ^ swap) ^ (((q + 1u) & 2u) << 30u)); // negate in q 1, 2
 }
 
-/// Counter_normal::pair on explicit keys.  Two decorrelated uniform
-/// words per counter, on independent finalizer lanes (not chained) so
-/// the two hashes pipeline; the keys themselves were decorrelated at
-/// construction.
+// Weyl increments of the two hash words' counter sequences.
+inline constexpr std::uint32_t noise_inc_a = 0x9e3779b9u;
+inline constexpr std::uint32_t noise_inc_b = 0x85ebca6bu;
+
+/// Counter_normal::pair on explicit keys, in float.  Two decorrelated
+/// hash words per counter, each the low key half plus the counter's
+/// Weyl step hashed with the high key half; the keys themselves were
+/// decorrelated at construction.  Counters are taken mod 2^32.
 inline void counter_normal_pair(std::uint64_t key_a, std::uint64_t key_b,
-                                std::uint64_t counter, double& z0, double& z1)
+                                std::uint64_t counter, float& z0, float& z1)
 {
-    const std::uint64_t w1 = splitmix64(key_a + counter * 0x9e3779b97f4a7c15ULL);
-    const std::uint64_t w2 = splitmix64(key_b + counter * 0xc2b2ae3d27d4eb4fULL);
-    const double radius = box_muller_radius(w1);
-    double s = 0.0;
-    double c = 0.0;
-    box_muller_angle(w2, s, c);
+    const auto n = static_cast<std::uint32_t>(counter);
+    const std::uint32_t w1 = noise_hash(static_cast<std::uint32_t>(key_a) + n * noise_inc_a,
+                                        static_cast<std::uint32_t>(key_a >> 32u));
+    const std::uint32_t w2 = noise_hash(static_cast<std::uint32_t>(key_b) + n * noise_inc_b,
+                                        static_cast<std::uint32_t>(key_b >> 32u));
+    const float radius = noise_radius(w1);
+    float s = 0.0f;
+    float c = 0.0f;
+    noise_sincos(w2, s, c);
     z0 = radius * c;
     z1 = radius * s;
 }
@@ -263,7 +263,11 @@ inline void counter_normal_pair(std::uint64_t key_a, std::uint64_t key_b,
 
 inline void Counter_normal::pair(std::uint64_t counter, double& z0, double& z1) const
 {
-    detail::counter_normal_pair(key_a_, key_b_, counter, z0, z1);
+    float f0 = 0.0f;
+    float f1 = 0.0f;
+    detail::counter_normal_pair(key_a_, key_b_, counter, f0, f1);
+    z0 = f0;
+    z1 = f1;
 }
 
 } // namespace anc

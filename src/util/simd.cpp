@@ -191,42 +191,19 @@ void counter_normal_add_scaled_scalar(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,
                                       double* inout, std::size_t count)
 {
-    // Blocked multi-pass: one Counter_normal::pair is a long serial
-    // chain (hash -> convert -> divide -> log poly -> sqrt -> sincos), so
-    // a straight per-pair loop is latency-bound.  Splitting the block
-    // into three short-chain passes (hash/convert, radius, angle) lets
-    // each pass stream at ALU/divider throughput instead — measurably ~2x
-    // on the noise fill.  Values are bit-identical to pair() at the same
-    // counters (same operations, same order per element), and
-    // inout[i] += scale * z is a multiply then an add, no FMA.
-    constexpr std::size_t block_pairs = 64;
-    std::uint64_t w1s[block_pairs];
-    std::uint64_t w2s[block_pairs];
-    double radius[block_pairs];
-    std::size_t done = 0;
-    while (done + 2 <= count) {
-        const std::size_t pairs = std::min((count - done) / 2, block_pairs);
-        const std::uint64_t base = first_counter + done / 2;
-        for (std::size_t i = 0; i < pairs; ++i) {
-            w1s[i] = splitmix64(key_a + (base + i) * 0x9e3779b97f4a7c15ULL);
-            w2s[i] = splitmix64(key_b + (base + i) * 0xc2b2ae3d27d4eb4fULL);
-        }
-        for (std::size_t i = 0; i < pairs; ++i)
-            radius[i] = anc::detail::box_muller_radius(w1s[i]);
-        for (std::size_t i = 0; i < pairs; ++i) {
-            double s = 0.0;
-            double c = 0.0;
-            anc::detail::box_muller_angle(w2s[i], s, c);
-            inout[done + 2 * i] += scale * (radius[i] * c);
-            inout[done + 2 * i + 1] += scale * (radius[i] * s);
-        }
-        done += 2 * pairs;
+    // inout[i] += scale * z: the float draw widened (exactly) to double,
+    // then a multiply and an add, no FMA.
+    std::size_t i = 0;
+    float z0 = 0.0f;
+    float z1 = 0.0f;
+    for (; i + 2 <= count; i += 2) {
+        anc::detail::counter_normal_pair(key_a, key_b, first_counter + i / 2, z0, z1);
+        inout[i] += scale * static_cast<double>(z0);
+        inout[i + 1] += scale * static_cast<double>(z1);
     }
-    if (done < count) {
-        double z0 = 0.0;
-        double z1 = 0.0;
-        anc::detail::counter_normal_pair(key_a, key_b, first_counter + done / 2, z0, z1);
-        inout[done] += scale * z0;
+    if (i < count) {
+        anc::detail::counter_normal_pair(key_a, key_b, first_counter + i / 2, z0, z1);
+        inout[i] += scale * static_cast<double>(z0);
     }
 }
 
@@ -257,6 +234,25 @@ void cmul_accumulate_scalar(const double* interleaved_in,
         const double ri = interleaved_rotors[2 * i + 1];
         interleaved_acc[2 * i] += re * rr - im * ri;
         interleaved_acc[2 * i + 1] += re * ri + im * rr;
+    }
+}
+
+void cmul_fade_accumulate_scalar(const double* interleaved_in,
+                                 const double* interleaved_rotors, double* interleaved_acc,
+                                 std::size_t samples, double fade_re, double fade_im)
+{
+    // The historical faded-link loop (channel/link.cpp),
+    // out[n] += signal[n] * rotor[n] * fade: the two std::complex
+    // products, in that order.
+    for (std::size_t i = 0; i < samples; ++i) {
+        const double re = interleaved_in[2 * i];
+        const double im = interleaved_in[2 * i + 1];
+        const double rr = interleaved_rotors[2 * i];
+        const double ri = interleaved_rotors[2 * i + 1];
+        const double tr = re * rr - im * ri;
+        const double ti = re * ri + im * rr;
+        interleaved_acc[2 * i] += tr * fade_re - ti * fade_im;
+        interleaved_acc[2 * i + 1] += tr * fade_im + ti * fade_re;
     }
 }
 
@@ -333,6 +329,7 @@ constinit const Kernel_table scalar_kernels{
     .diff_arg_batch = diff_arg_batch_scalar,
     .rotor_accumulate = rotor_accumulate_scalar,
     .cmul_accumulate = cmul_accumulate_scalar,
+    .cmul_fade_accumulate = cmul_fade_accumulate_scalar,
     .msk_decide = msk_decide_scalar,
     .counter_normal_add_scaled = counter_normal_add_scaled_scalar,
     .window_mean_mask = window_mean_mask_scalar,
@@ -452,6 +449,17 @@ void cmul_accumulate(const double* interleaved_in, const double* interleaved_rot
              [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(interleaved_in + 2 * at, interleaved_rotors + 2 * at,
                         interleaved_acc + 2 * at, m);
+             });
+}
+
+void cmul_fade_accumulate(const double* interleaved_in, const double* interleaved_rotors,
+                          double* interleaved_acc, std::size_t samples, double fade_re,
+                          double fade_im)
+{
+    dispatch(samples, &detail::Kernel_table::cmul_fade_accumulate,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(interleaved_in + 2 * at, interleaved_rotors + 2 * at,
+                        interleaved_acc + 2 * at, m, fade_re, fade_im);
              });
 }
 

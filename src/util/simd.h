@@ -142,6 +142,15 @@ void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
 void cmul_accumulate(const double* interleaved_in, const double* interleaved_rotors,
                      double* interleaved_acc, std::size_t samples);
 
+/// The Rayleigh-faded channel accumulate over one coherence block: the
+/// rotor stream's product, then the block's fade,
+///   t = in·rot (as in cmul_accumulate);  acc += t·fade
+/// i.e. the two std::complex products of out[n] += signal[n] · rotor[n]
+/// · fade, in that order, bit-identical across tiers.
+void cmul_fade_accumulate(const double* interleaved_in, const double* interleaved_rotors,
+                          double* interleaved_acc, std::size_t samples, double fade_re,
+                          double fade_im);
+
 // Receiver scans (§7.1 detectors, §5 demodulation).  Like the channel
 // accumulators these serve both math profiles, and every backend
 // reproduces the historical scalar loops bit for bit.  The
@@ -195,13 +204,14 @@ struct Kernel_table {
     decltype(&simd::diff_arg_batch) diff_arg_batch;
     decltype(&simd::rotor_accumulate) rotor_accumulate;
     decltype(&simd::cmul_accumulate) cmul_accumulate;
+    decltype(&simd::cmul_fade_accumulate) cmul_fade_accumulate;
     decltype(&simd::msk_decide) msk_decide;
 
     /// Counter_normal's Box–Muller, fused into inout[i] += scale·z_i over
     /// counters [first_counter, first_counter + ceil(count / 2)): the
-    /// same z stream as Counter_normal::pair at every counter.  An
-    /// element is a counter pair, so lane kernels need count % (2·width)
-    /// == 0.
+    /// same z stream as Counter_normal::pair at every counter.  A lane
+    /// step draws in float lanes, 2·width counters at once, so lane
+    /// kernels need count % (4·width) == 0.
     void (*counter_normal_add_scaled)(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,
                                       double* inout, std::size_t count);
@@ -256,9 +266,9 @@ const Kernel_table& active_kernels();
 /// The split every batch dispatcher shares (simd.cpp, util/rng.cpp): the
 /// active table's `kernel` runs over the full-block head of the n
 /// elements and scalar_kernels' over the rest, each as call(kernel, at,
-/// count) on elements [at, at + count).  An element is `Per_lane`
-/// consecutive values of the caller's buffers (2 where one lane produces
-/// a pair of values).  All tables are element-wise identical, so the
+/// count) on elements [at, at + count).  A block is `Per_lane`·width
+/// elements (4 for the noise kernel, whose float lanes fill four doubles
+/// per double lane).  All tables are element-wise identical, so the
 /// split point is invisible in the output.
 template <std::size_t Per_lane = 1, class Kernel, class Call>
 void dispatch(std::size_t n, Kernel detail::Kernel_table::*kernel, Call&& call)

@@ -28,6 +28,7 @@ struct Lanes<4> {
     using V = __m256d;
     using I = __m256i;
     using M = __m256d; ///< all-ones / all-zeros per lane
+    using F = __m256;
     static constexpr std::size_t width = 4;
 
     static V set1(double x) { return _mm256_set1_pd(x); }
@@ -59,22 +60,32 @@ struct Lanes<4> {
     }
 
     static I set1_i(std::uint64_t x) { return _mm256_set1_epi64x(static_cast<long long>(x)); }
-    static I load_i(const std::uint64_t* p)
-    {
-        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    }
-    static I add_i(I a, I b) { return _mm256_add_epi64(a, b); }
-    static I sub_i(I a, I b) { return _mm256_sub_epi64(a, b); }
     static I and_i(I a, I b) { return _mm256_and_si256(a, b); }
     static I or_i(I a, I b) { return _mm256_or_si256(a, b); }
     static I xor_i(I a, I b) { return _mm256_xor_si256(a, b); }
-    static I srli(I v, int bits) { return _mm256_srli_epi64(v, bits); }
-    static I slli(I v, int bits) { return _mm256_slli_epi64(v, bits); }
-    static I mul_epu32(I a, I b) { return _mm256_mul_epu32(a, b); }
-    static M eq_i(I a, I b) { return _mm256_castsi256_pd(_mm256_cmpeq_epi64(a, b)); }
     static M gt_i(I a, I b) { return _mm256_castsi256_pd(_mm256_cmpgt_epi64(a, b)); }
     static I as_i(V v) { return _mm256_castpd_si256(v); }
-    static V as_pd(I v) { return _mm256_castsi256_pd(v); }
+
+    static I set1_u32(std::uint32_t x) { return _mm256_set1_epi32(static_cast<int>(x)); }
+    static I load_u32(const std::uint32_t* p)
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    }
+    static I add_u32(I a, I b) { return _mm256_add_epi32(a, b); }
+    static I sub_u32(I a, I b) { return _mm256_sub_epi32(a, b); }
+    static I srli_u32(I v, int bits) { return _mm256_srli_epi32(v, bits); }
+    static I slli_u32(I v, int bits) { return _mm256_slli_epi32(v, bits); }
+    static I mullo_u32(I a, I b) { return _mm256_mullo_epi32(a, b); }
+
+    static F sqrt_f(F v) { return _mm256_sqrt_ps(v); }
+    static F to_f(I v) { return _mm256_cvtepi32_ps(v); }
+    static I f_bits(F v) { return _mm256_castps_si256(v); }
+    static F bits_f(I v) { return _mm256_castsi256_ps(v); }
+    static void widen(F f, V& lo, V& hi)
+    {
+        lo = _mm256_cvtps_pd(_mm256_castps256_ps128(f));
+        hi = _mm256_cvtps_pd(_mm256_extractf128_ps(f, 1));
+    }
 
     static void interleave(V a, V b, V& out0, V& out1)
     {

@@ -31,6 +31,7 @@ struct Lanes<8> {
     using V = __m512d;
     using I = __m512i;
     using M = __mmask8;
+    using F = __m512;
     static constexpr std::size_t width = 8;
 
     static V set1(double x) { return _mm512_set1_pd(x); }
@@ -61,19 +62,32 @@ struct Lanes<8> {
     }
 
     static I set1_i(std::uint64_t x) { return _mm512_set1_epi64(static_cast<long long>(x)); }
-    static I load_i(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
-    static I add_i(I a, I b) { return _mm512_add_epi64(a, b); }
-    static I sub_i(I a, I b) { return _mm512_sub_epi64(a, b); }
     static I and_i(I a, I b) { return _mm512_and_epi64(a, b); }
     static I or_i(I a, I b) { return _mm512_or_epi64(a, b); }
     static I xor_i(I a, I b) { return _mm512_xor_epi64(a, b); }
-    static I srli(I v, unsigned bits) { return _mm512_srli_epi64(v, bits); }
-    static I slli(I v, unsigned bits) { return _mm512_slli_epi64(v, bits); }
-    static I mul_epu32(I a, I b) { return _mm512_mul_epu32(a, b); }
-    static M eq_i(I a, I b) { return _mm512_cmpeq_epi64_mask(a, b); }
     static M gt_i(I a, I b) { return _mm512_cmpgt_epi64_mask(a, b); }
     static I as_i(V v) { return _mm512_castpd_si512(v); }
     static V as_pd(I v) { return _mm512_castsi512_pd(v); }
+
+    static I set1_u32(std::uint32_t x) { return _mm512_set1_epi32(static_cast<int>(x)); }
+    static I load_u32(const std::uint32_t* p) { return _mm512_loadu_si512(p); }
+    static I add_u32(I a, I b) { return _mm512_add_epi32(a, b); }
+    static I sub_u32(I a, I b) { return _mm512_sub_epi32(a, b); }
+    static I srli_u32(I v, unsigned bits) { return _mm512_srli_epi32(v, bits); }
+    static I slli_u32(I v, unsigned bits) { return _mm512_slli_epi32(v, bits); }
+    static I mullo_u32(I a, I b) { return _mm512_mullo_epi32(a, b); }
+
+    static F sqrt_f(F v) { return _mm512_sqrt_ps(v); }
+    static F to_f(I v) { return _mm512_cvtepi32_ps(v); }
+    static I f_bits(F v) { return _mm512_castps_si512(v); }
+    static F bits_f(I v) { return _mm512_castsi512_ps(v); }
+    static void widen(F f, V& lo, V& hi)
+    {
+        // The high half through the F-only 256-bit extract (vextractf64x4).
+        lo = _mm512_cvtps_pd(_mm512_castps512_ps256(f));
+        hi = _mm512_cvtps_pd(
+            _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(f), 1)));
+    }
 
     static void interleave(V a, V b, V& out0, V& out1)
     {

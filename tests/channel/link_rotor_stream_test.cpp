@@ -104,10 +104,13 @@ dsp::Signal prefilled_acc(std::size_t size)
 
 TEST(LinkRotorStream, ExactMatchesPerSamplePolarAcrossBlocksAndEpochs)
 {
-    const dsp::Signal signal = random_signal(2311, 1);
+    // Long enough for several of the grid's default 4096-sample coherence
+    // blocks, and for 4099-sample blocks, whose starts leave the lane
+    // kernel's block grid.
+    const dsp::Signal signal = random_signal(9001, 1);
     for (const double drift : {0.0, 0.0023, -0.0017}) {
         std::vector<Link_params> cases{link_params(Gain_model::fixed, 0, drift)};
-        for (const std::size_t block : {0u, 1u, 7u, 300u})
+        for (const std::size_t block : {0u, 1u, 7u, 300u, 4096u, 4099u})
             cases.push_back(link_params(Gain_model::rayleigh_block, block, drift));
         for (const Link_params& params : cases) {
             const Link_channel link{params};

@@ -26,7 +26,7 @@ TEST(Relay, AmplifyNormalizesPower)
 
     dsp::Signal forwarded;
     ASSERT_TRUE(amplify_and_forward_into(received, noise_power, 1.0, forwarded));
-    EXPECT_NEAR(dsp::power(forwarded), 1.0, 0.05);
+    EXPECT_NEAR(dsp::mean_energy(forwarded), 1.0, 0.05);
 }
 
 TEST(Relay, AmplifyTrimsSilence)

@@ -83,9 +83,9 @@ TEST(Ops, NormalizedToPower)
 {
     const Signal original = make_test_signal(1000, 4);
     Signal signal = original;
-    const double before = power(original);
+    const double before = mean_energy(original);
     EXPECT_EQ(normalize_power_in_place(signal, 2.5), before);
-    EXPECT_NEAR(power(signal), 2.5, 1e-9);
+    EXPECT_NEAR(mean_energy(signal), 2.5, 1e-9);
     // Exactly the measure-then-scale arithmetic, bit for bit.
     Signal scaled = original;
     scale_in_place(scaled, std::sqrt(2.5 / before));

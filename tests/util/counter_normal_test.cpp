@@ -3,6 +3,8 @@
 //
 //   - moment sanity: mean/variance/skew/kurtosis of a large sample
 //   - Kolmogorov-Smirnov distance against the exact normal CDF
+//   - tails: the |z| > 3 and |z| > 4 fractions, and the |z| cap that the
+//     24-bit uniforms impose (util/rng.h)
 //   - stream independence: distinct (seed, stream) keys decorrelate
 //   - purity / replay determinism: any carving of the counter range
 //     across 1, 4, or 8 threads reproduces the serial draw bit-for-bit
@@ -16,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <thread>
 #include <vector>
 
@@ -70,6 +73,35 @@ TEST(CounterNormal, KolmogorovSmirnovAgainstNormalCdf)
     // KS 99.9% critical value ~ 1.95/sqrt(n) ~ 0.0044 at n=200k; a
     // deterministic draw either passes forever or is genuinely broken.
     EXPECT_LT(ks, 1.95 / std::sqrt(n));
+}
+
+TEST(CounterNormal, TailFractionsAndCap)
+{
+    // 2^22 draws: the tails beyond 3 and 4 sigma hold ~11,300 and ~270
+    // of them, so a binomial 5-sigma band resolves a tail that is off by
+    // ~5% and ~30%.  Through the dispatched kernel, the path the noise
+    // fill runs.
+    const Counter_normal gen{0x7a11, 9};
+    const std::size_t count = std::size_t{1} << 22;
+    std::vector<double> xs(count, 0.0);
+    gen.add_scaled_simd(0, 1.0, xs.data(), count);
+    std::size_t beyond3 = 0;
+    std::size_t beyond4 = 0;
+    double max_abs = 0.0;
+    for (const double x : xs) {
+        beyond3 += std::abs(x) > 3.0 ? 1 : 0;
+        beyond4 += std::abs(x) > 4.0 ? 1 : 0;
+        max_abs = std::max(max_abs, std::abs(x));
+    }
+    const double n = static_cast<double>(count);
+    const auto expect_binomial = [n](std::size_t hits, double p, const char* what) {
+        const double band = 5.0 * std::sqrt(n * p * (1.0 - p));
+        EXPECT_NEAR(static_cast<double>(hits), n * p, band) << what;
+    };
+    expect_binomial(beyond3, std::erfc(3.0 / std::numbers::sqrt2), "|z| > 3");
+    expect_binomial(beyond4, std::erfc(4.0 / std::numbers::sqrt2), "|z| > 4");
+    // The documented cap, sqrt(-2 ln 2^-24) ~ 5.768.
+    EXPECT_LT(max_abs, 5.77);
 }
 
 TEST(CounterNormal, DistinctStreamsAreUncorrelated)

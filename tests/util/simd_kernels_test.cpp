@@ -283,53 +283,75 @@ TEST(SimdKernels, Avx512DecoderKernelsEqualScalar)
 
 // The channel accumulators (channel/link.cpp) add into an existing
 // buffer, so every comparison starts from the same nonzero accumulator.
-using Rotor_kernel = decltype(&rotor_accumulate);
-using Cmul_kernel = decltype(&cmul_accumulate);
+struct Accumulators {
+    decltype(&rotor_accumulate) rotor;
+    decltype(&cmul_accumulate) cmul;
+    decltype(&cmul_fade_accumulate) cmul_fade;
+};
 
-void expect_accumulators_equal_scalar(Rotor_kernel rotor, Cmul_kernel cmul,
-                                      std::size_t samples, const char* what)
+Accumulators accumulators_of(const Kernel_table& table)
+{
+    return {table.rotor_accumulate, table.cmul_accumulate, table.cmul_fade_accumulate};
+}
+
+void expect_accumulators_equal_scalar(const Accumulators& kernels, std::size_t samples,
+                                      const char* what)
 {
     const std::vector<double> in = random_range(2 * samples, -2.0, 2.0, 0x7A1);
     const std::vector<double> rotors = random_range(2 * samples, -1.0, 1.0, 0x7A2);
     const std::vector<double> start = random_range(2 * samples, -0.5, 0.5, 0x7A3);
+    const auto expect_equal = [&](const std::vector<double>& lanes,
+                                  const std::vector<double>& scalar, const char* kernel) {
+        for (std::size_t i = 0; i < 2 * samples; ++i)
+            expect_same_bits(lanes[i], scalar[i], kernel, i);
+    };
+    SCOPED_TRACE(testing::Message() << what << ", " << samples << " samples");
     std::vector<double> lanes = start;
     std::vector<double> scalar = start;
-    rotor(in.data(), lanes.data(), samples, 0.61, -0.79);
+    kernels.rotor(in.data(), lanes.data(), samples, 0.61, -0.79);
     scalar_kernels.rotor_accumulate(in.data(), scalar.data(), samples, 0.61, -0.79);
-    for (std::size_t i = 0; i < 2 * samples; ++i)
-        expect_same_bits(lanes[i], scalar[i], what, i);
+    expect_equal(lanes, scalar, "rotor_accumulate");
     lanes = start;
     scalar = start;
-    cmul(in.data(), rotors.data(), lanes.data(), samples);
+    kernels.cmul(in.data(), rotors.data(), lanes.data(), samples);
     scalar_kernels.cmul_accumulate(in.data(), rotors.data(), scalar.data(), samples);
-    for (std::size_t i = 0; i < 2 * samples; ++i)
-        expect_same_bits(lanes[i], scalar[i], what, i);
+    expect_equal(lanes, scalar, "cmul_accumulate");
+    lanes = start;
+    scalar = start;
+    kernels.cmul_fade(in.data(), rotors.data(), lanes.data(), samples, -1.37, 0.42);
+    scalar_kernels.cmul_fade_accumulate(in.data(), rotors.data(), scalar.data(), samples,
+                                        -1.37, 0.42);
+    expect_equal(lanes, scalar, "cmul_fade_accumulate");
 }
 
 TEST(SimdKernels, Avx2AccumulatorsEqualScalar)
 {
     if (!avx2_available())
         GTEST_SKIP() << no_avx2;
-    const Kernel_table& lanes = detail::kernels_for(Backend::avx2);
-    expect_accumulators_equal_scalar(lanes.rotor_accumulate, lanes.cmul_accumulate, 2048,
-                                     "accumulate avx2-vs-scalar");
+    expect_accumulators_equal_scalar(accumulators_of(detail::kernels_for(Backend::avx2)),
+                                     2048, "accumulate avx2-vs-scalar");
 }
 
 TEST(SimdKernels, Avx512AccumulatorsEqualScalar)
 {
     if (!avx512_available())
         GTEST_SKIP() << no_avx512;
-    const Kernel_table& lanes = detail::kernels_for(Backend::avx512);
-    expect_accumulators_equal_scalar(lanes.rotor_accumulate, lanes.cmul_accumulate, 2048,
-                                     "accumulate avx512-vs-scalar");
+    expect_accumulators_equal_scalar(accumulators_of(detail::kernels_for(Backend::avx512)),
+                                     2048, "accumulate avx512-vs-scalar");
 }
 
 TEST(SimdKernels, AccumulatorsMatchScalarAcrossTailSeam)
 {
     // The public entry points on whatever backend this process resolves
-    // to, at lengths that leave every possible tail behind the blocks.
-    for (const std::size_t samples : {0, 1, 3, 5, 8, 31, 1023})
-        expect_accumulators_equal_scalar(rotor_accumulate, cmul_accumulate, samples,
+    // to, at every length up to two blocks of the widest table (avx512,
+    // 8 samples) plus one — each tail the blocks can leave, after zero,
+    // one and two blocks — and at longer awkward ones.
+    const Accumulators dispatched{rotor_accumulate, cmul_accumulate, cmul_fade_accumulate};
+    for (std::size_t samples = 0; samples <= 2 * 8 + 1; ++samples)
+        expect_accumulators_equal_scalar(dispatched, samples,
+                                         "accumulate dispatched-vs-scalar");
+    for (const std::size_t samples : {31, 1023})
+        expect_accumulators_equal_scalar(dispatched, samples,
                                          "accumulate dispatched-vs-scalar");
 }
 
