@@ -18,7 +18,6 @@
 // locks this in).
 
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -55,7 +54,7 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
     Pcg32 link_rng = rng.fork(2);
     net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, link_rng);
+    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
     Anc_receiver_config receiver_config = config.receiver;
@@ -128,8 +127,7 @@ int main(int argc, char** argv)
     const std::vector<double> snrs{20.0, 22.0, 25.0, 30.0};
 
     engine::Scenario_registry registry;
-    registry.add(std::make_unique<engine::Function_scenario>(
-        "ablation_amplitude", std::vector<std::string>{"prefix", "mu_sigma"}, run_cell));
+    registry.add({"ablation_amplitude", {"prefix", "mu_sigma"}, run_cell});
 
     engine::Sweep_grid grid;
     grid.math_profiles = options.math_profiles;

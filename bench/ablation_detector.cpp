@@ -17,7 +17,6 @@
 // pre-engine loop (tests/golden/ablation_detector.txt locks this in).
 
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "channel/awgn.h"
 #include "channel/link.h"
 #include "dsp/msk.h"
-#include "dsp/ops.h"
 #include "engine/engine.h"
 #include "phy/detector.h"
 #include "util/bits.h"
@@ -60,7 +58,7 @@ dsp::Signal collided_packet(double snr_db, double sir_db, Pcg32& rng,
     mod_a.modulate_into(bits_a, mix);
     dsp::Signal signal_b;
     mod_b.modulate_into(bits_b, signal_b);
-    dsp::accumulate(mix, chan::Link_channel{drift}.apply(signal_b), 300);
+    chan::Link_channel{drift}.apply_onto(signal_b, 300, mix);
     chan::Awgn noise{chan::noise_power_for_snr_db(snr_db), rng.fork(2), profile};
     noise.add_in_place(mix);
     return mix;
@@ -130,8 +128,7 @@ int main(int argc, char** argv)
     const std::vector<double> snrs{20.0, 25.0, 30.0};
 
     engine::Scenario_registry registry;
-    registry.add(std::make_unique<engine::Function_scenario>(
-        "ablation_detector", std::vector<std::string>{"anc"}, run_cell));
+    registry.add({"ablation_detector", {"anc"}, run_cell});
 
     engine::Sweep_grid grid;
     grid.math_profiles = options.math_profiles;

@@ -16,7 +16,6 @@
 // pre-engine loop (tests/golden/ablation_fec.txt locks this in).
 
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -59,7 +58,7 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
     Pcg32 link_rng = rng.fork(2);
     net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, link_rng);
+    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
     const Anc_receiver receiver{config.receiver, noise_power, config.math_profile};
@@ -136,8 +135,7 @@ int main(int argc, char** argv)
     const std::vector<std::size_t> depths{1, 8, 64};
 
     engine::Scenario_registry registry;
-    registry.add(std::make_unique<engine::Function_scenario>(
-        "ablation_fec", std::vector<std::string>{"anc"}, run_cell));
+    registry.add({"ablation_fec", {"anc"}, run_cell});
 
     engine::Sweep_grid grid;
     grid.math_profiles = options.math_profiles;

@@ -42,7 +42,8 @@ int main(int argc, char** argv)
     // Printed only: a document merging both grids would repeat task
     // indices.
     const Executor_config sir_exec = options.executor(400);
-    const Sweep_outcome sir_outcome = run_grid(sir_grid, sir_exec);
+    const Sweep_outcome sir_outcome =
+        run_grid(sir_grid, Scenario_registry::builtin(), sir_exec);
 
     bench::print_engine_note(outcome.tasks.size(), exec);
     bench::print_engine_note(sir_outcome.tasks.size(), sir_exec);

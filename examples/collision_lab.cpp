@@ -12,7 +12,6 @@
 #include "core/interference_decoder.h"
 #include "core/phase_solver.h"
 #include "dsp/msk.h"
-#include "dsp/ops.h"
 #include "util/bits.h"
 #include "util/phase.h"
 #include "util/rng.h"
@@ -37,7 +36,7 @@ int main()
     mod_known.modulate_into(known_bits, mix);
     dsp::Signal unknown;
     mod_unknown.modulate_into(unknown_bits, unknown);
-    dsp::accumulate(mix, chan::Link_channel{drift}.apply(unknown), 0);
+    chan::Link_channel{drift}.apply_onto(unknown, 0, mix);
     chan::Awgn noise{chan::noise_power_for_snr_db(25.0), rng.fork(1)};
     noise.add_in_place(mix);
     std::printf("amplitudes: known A=%.2f, unknown B=%.2f; %zu samples at 25 dB SNR\n\n",

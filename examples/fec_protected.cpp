@@ -26,7 +26,7 @@ int main()
     chan::Medium medium{noise_power, rng.fork(1)};
     Pcg32 link_rng = rng.fork(2);
     const net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, link_rng);
+    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
     const Anc_receiver receiver{Anc_receiver_config{}, noise_power};

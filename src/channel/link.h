@@ -75,19 +75,17 @@ class Link_channel {
 public:
     explicit Link_channel(Link_params params = {});
 
-    dsp::Signal apply(dsp::Signal_view signal, std::uint64_t fading_epoch = 0) const;
-
     /// Accumulate the channel's output into `acc` starting at sample
     /// `at`: acc[at + delay + n] += y[n], growing acc (zero-filled) as
     /// needed.  This is the medium's mixing step fused with the channel
     /// application — no intermediate per-link signal is materialized.
     /// `acc` must not alias `signal` (the accumulation reads `signal`
-    /// while writing, and may reallocate `acc`).
+    /// while writing, and may reallocate `acc`).  Onto an empty `acc`,
+    /// this yields the link's output alone: `delay` zeros, then y.
     ///
     /// The per-sample rotation comes from the link's rotor stream (see
     /// rotor_stream), so each std::polar is evaluated once per link, not
-    /// once per transmission.  A drift-free fixed link multiplies by one
-    /// constant rotor instead.  Both math profiles run this one path.
+    /// once per transmission.  Both math profiles run this one path.
     void apply_onto(dsp::Signal_view signal, std::size_t at, dsp::Signal& acc,
                     std::uint64_t fading_epoch = 0) const;
 
@@ -102,28 +100,14 @@ public:
     double power_gain() const { return params_.gain * params_.gain; }
 
 private:
-    /// Shared rayleigh_block kernel behind apply/apply_onto: accumulate
-    /// the faded, rotated signal onto `out` (spanning signal.size()),
-    /// one rotor-stream-and-fade lane call per coherence block.
-    void accumulate_faded(dsp::Signal_view signal, std::uint64_t fading_epoch,
-                          dsp::Sample* out) const;
-
-    /// Fixed-gain kernel on the lane kernels: constant-rotor lanes when
-    /// drift-free, rotor stream + complex multiply-accumulate lanes when
-    /// drifting.
-    void accumulate_fixed(dsp::Signal_view signal, dsp::Sample* out) const;
-
-    /// The rotation at sample n — the historical per-sample expression,
-    /// verbatim.
-    dsp::Sample exact_rotor(std::size_t n) const;
-
-    /// First `samples` values of the link's rotor stream (exact_rotor(n),
-    /// without any fade), memoised.  The stream is a pure function of
-    /// the link params, so it is computed once per link and extended
-    /// only when a longer signal arrives.  Growth reserves exactly
-    /// `samples`, so the cache holds no doubling slack.  The cache makes
-    /// concurrent apply calls on one link racy; media (and their links)
-    /// are owned per sweep task, never shared across threads.
+    /// First `samples` values of the link's rotor stream (the rotation
+    /// gain·e^{i(gamma + drift·n)}, without any fade), memoised.  The
+    /// stream is a pure function of the link params, so it is computed
+    /// once per link and extended only when a longer signal arrives.
+    /// Growth reserves exactly `samples`, so the cache holds no doubling
+    /// slack.  The cache makes concurrent apply_onto calls on one link
+    /// racy; media (and their links) are owned per sweep task, never
+    /// shared across threads.
     const dsp::Sample* rotor_stream(std::size_t samples) const;
 
     Link_params params_;

@@ -142,20 +142,12 @@ Scenario_result run_chain(const Scenario_config& config, std::uint64_t seed)
 
 void register_builtin_scenarios(Scenario_registry& registry)
 {
-    registry.add(std::make_unique<Function_scenario>(
-        "alice_bob", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_alice_bob));
-    registry.add(std::make_unique<Function_scenario>(
-        "x_topology", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_x_topology));
-    registry.add(std::make_unique<Function_scenario>(
-        "chain", std::vector<std::string>{"traditional", "anc"}, run_chain));
-    registry.add(std::make_unique<Function_scenario>(
-        "alice_bob_fading", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_alice_bob_fading));
-    registry.add(std::make_unique<Function_scenario>(
-        "x_topology_fading", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_x_topology_fading));
+    registry.add({"alice_bob", {"traditional", "cope", "anc"}, run_alice_bob});
+    registry.add({"x_topology", {"traditional", "cope", "anc"}, run_x_topology});
+    registry.add({"chain", {"traditional", "anc"}, run_chain});
+    registry.add({"alice_bob_fading", {"traditional", "cope", "anc"}, run_alice_bob_fading});
+    registry.add(
+        {"x_topology_fading", {"traditional", "cope", "anc"}, run_x_topology_fading});
 }
 
 } // namespace anc::engine

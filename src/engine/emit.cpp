@@ -1,52 +1,16 @@
 #include "engine/emit.h"
 
-#include <cinttypes>
 #include <sstream>
+
+#include "engine/text.h"
 
 namespace anc::engine {
 
 namespace {
 
-/// Fixed, locale-independent double formatting (%.17g round-trips every
-/// finite double), so emitted files are byte-stable across runs.
-std::string fmt(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
-}
-
-std::string fmt_seed(std::uint64_t value)
-{
-    // Seeds use the full 64-bit range; JSON numbers only round-trip 53
-    // bits, so seeds travel as strings in both formats.
-    char buffer[24];
-    std::snprintf(buffer, sizeof buffer, "%" PRIu64, value);
-    return buffer;
-}
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
+using text::fmt_double;
+using text::fmt_u64;
+using text::json_escape;
 
 struct Cdf_stats {
     std::size_t count = 0;
@@ -70,24 +34,24 @@ Cdf_stats stats_of(const Cdf& cdf)
 void json_cdf(std::ostream& out, const Cdf& cdf)
 {
     const Cdf_stats stats = stats_of(cdf);
-    out << "{\"count\":" << stats.count << ",\"mean\":" << fmt(stats.mean)
-        << ",\"p50\":" << fmt(stats.p50) << ",\"p90\":" << fmt(stats.p90)
-        << ",\"min\":" << fmt(stats.min) << ",\"max\":" << fmt(stats.max) << "}";
+    out << "{\"count\":" << stats.count << ",\"mean\":" << fmt_double(stats.mean)
+        << ",\"p50\":" << fmt_double(stats.p50) << ",\"p90\":" << fmt_double(stats.p90)
+        << ",\"min\":" << fmt_double(stats.min) << ",\"max\":" << fmt_double(stats.max) << "}";
 }
 
 void json_key_fields(std::ostream& out, const Point_key& key)
 {
     out << "\"scenario\":\"" << json_escape(key.scenario) << "\",\"scheme\":\""
         << json_escape(key.scheme) << "\",\"math_profile\":\""
-        << dsp::to_string(key.math_profile) << "\",\"snr_db\":" << fmt(key.snr_db)
-        << ",\"alice_amplitude\":" << fmt(key.alice_amplitude)
-        << ",\"bob_amplitude\":" << fmt(key.bob_amplitude)
+        << dsp::to_string(key.math_profile) << "\",\"snr_db\":" << fmt_double(key.snr_db)
+        << ",\"alice_amplitude\":" << fmt_double(key.alice_amplitude)
+        << ",\"bob_amplitude\":" << fmt_double(key.bob_amplitude)
         << ",\"payload_bits\":" << key.payload_bits
         << ",\"exchanges\":" << key.exchanges
-        << ",\"detector_threshold_db\":" << fmt(key.detector_threshold_db)
+        << ",\"detector_threshold_db\":" << fmt_double(key.detector_threshold_db)
         << ",\"interleave_rows\":" << key.interleave_rows
         << ",\"coherence_block\":" << key.coherence_block
-        << ",\"mean_link_gain\":" << fmt(key.mean_link_gain);
+        << ",\"mean_link_gain\":" << fmt_double(key.mean_link_gain);
 }
 
 void json_metrics(std::ostream& out, const sim::Run_metrics& metrics)
@@ -95,12 +59,12 @@ void json_metrics(std::ostream& out, const sim::Run_metrics& metrics)
     out << "{\"packets_attempted\":" << metrics.packets_attempted
         << ",\"packets_delivered\":" << metrics.packets_delivered
         << ",\"payload_bits_delivered\":" << metrics.payload_bits_delivered
-        << ",\"airtime_symbols\":" << fmt(metrics.airtime_symbols)
-        << ",\"delivery_rate\":" << fmt(metrics.delivery_rate())
-        << ",\"mean_ber\":" << fmt(metrics.mean_ber())
-        << ",\"mean_overlap\":" << fmt(metrics.mean_overlap())
-        << ",\"raw_throughput\":" << fmt(metrics.raw_throughput())
-        << ",\"throughput\":" << fmt(metrics.throughput()) << "}";
+        << ",\"airtime_symbols\":" << fmt_double(metrics.airtime_symbols)
+        << ",\"delivery_rate\":" << fmt_double(metrics.delivery_rate())
+        << ",\"mean_ber\":" << fmt_double(metrics.mean_ber())
+        << ",\"mean_overlap\":" << fmt_double(metrics.mean_overlap())
+        << ",\"raw_throughput\":" << fmt_double(metrics.raw_throughput())
+        << ",\"throughput\":" << fmt_double(metrics.throughput()) << "}";
 }
 
 void json_scalars(std::ostream& out, const std::map<std::string, double>& scalars)
@@ -108,7 +72,7 @@ void json_scalars(std::ostream& out, const std::map<std::string, double>& scalar
     out << "{";
     bool first = true;
     for (const auto& [name, value] : scalars) {
-        out << (first ? "" : ",") << "\"" << json_escape(name) << "\":" << fmt(value);
+        out << (first ? "" : ",") << "\"" << json_escape(name) << "\":" << fmt_double(value);
         first = false;
     }
     out << "}";
@@ -132,27 +96,32 @@ void write_task_csv_row(std::ostream& out, const Task_result& result)
     const sim::Run_metrics& metrics = result.result.metrics;
     out << task.index << ',' << task.scenario << ',' << task.config.scheme << ','
         << dsp::to_string(task.config.math_profile) << ','
-        << fmt(task.config.snr_db) << ',' << fmt(task.config.alice_amplitude) << ','
-        << fmt(task.config.bob_amplitude) << ',' << task.config.payload_bits << ','
+        << fmt_double(task.config.snr_db) << ','
+        << fmt_double(task.config.alice_amplitude) << ','
+        << fmt_double(task.config.bob_amplitude) << ',' << task.config.payload_bits << ','
         << task.config.exchanges << ','
-        << fmt(task.config.receiver.interference_detector.variance_threshold_db)
+        << fmt_double(task.config.receiver.interference_detector.variance_threshold_db)
         << ',' << task.config.fec_interleave_rows << ','
-        << task.config.coherence_block << ',' << fmt(task.config.mean_link_gain)
+        << task.config.coherence_block << ',' << fmt_double(task.config.mean_link_gain)
         << ',' << task.repetition << ','
-        << fmt_seed(result.seed) << ',' << to_string(result.status) << ','
+        << fmt_u64(result.seed) << ',' << to_string(result.status) << ','
         << metrics.packets_attempted << ','
         << metrics.packets_delivered << ',' << metrics.payload_bits_delivered << ','
-        << fmt(metrics.airtime_symbols) << ',' << fmt(metrics.delivery_rate()) << ','
-        << fmt(metrics.mean_ber()) << ',' << fmt(metrics.mean_overlap()) << ','
-        << fmt(metrics.raw_throughput()) << ',' << fmt(metrics.throughput()) << '\n';
+        << fmt_double(metrics.airtime_symbols) << ','
+        << fmt_double(metrics.delivery_rate()) << ',' << fmt_double(metrics.mean_ber())
+        << ',' << fmt_double(metrics.mean_overlap()) << ','
+        << fmt_double(metrics.raw_throughput()) << ',' << fmt_double(metrics.throughput())
+        << '\n';
 }
 
 void write_task_json(std::ostream& out, const Task_result& result)
 {
     out << "{\"index\":" << result.task.index << ",";
     json_key_fields(out, key_of(result.task));
+    // Seeds use the full 64-bit range; JSON numbers only round-trip 53
+    // bits, so seeds travel as strings in both formats.
     out << ",\"repetition\":" << result.task.repetition << ",\"seed\":\""
-        << fmt_seed(result.seed) << "\",\"status\":\"" << to_string(result.status)
+        << fmt_u64(result.seed) << "\",\"status\":\"" << to_string(result.status)
         << "\"";
     if (result.status == Task_status::error)
         out << ",\"error\":\"" << json_escape(result.error) << "\"";
@@ -247,19 +216,20 @@ void write_summary_csv(std::ostream& out, const std::vector<Point_summary>& summ
         const Point_key& key = summary.key;
         const Cdf_stats throughput = stats_of(summary.throughput);
         out << key.scenario << ',' << key.scheme << ','
-            << dsp::to_string(key.math_profile) << ',' << fmt(key.snr_db) << ','
-            << fmt(key.alice_amplitude) << ',' << fmt(key.bob_amplitude) << ','
+            << dsp::to_string(key.math_profile) << ',' << fmt_double(key.snr_db) << ','
+            << fmt_double(key.alice_amplitude) << ',' << fmt_double(key.bob_amplitude) << ','
             << key.payload_bits << ',' << key.exchanges << ','
-            << fmt(key.detector_threshold_db) << ',' << key.interleave_rows << ','
-            << key.coherence_block << ',' << fmt(key.mean_link_gain) << ','
+            << fmt_double(key.detector_threshold_db) << ',' << key.interleave_rows << ','
+            << key.coherence_block << ',' << fmt_double(key.mean_link_gain) << ','
             << summary.runs << ',' << summary.errors << ','
             << summary.totals.packets_attempted << ','
             << summary.totals.packets_delivered << ','
-            << fmt(summary.totals.delivery_rate()) << ','
-            << fmt(summary.totals.mean_ber()) << ','
-            << fmt(summary.totals.mean_overlap()) << ',' << fmt(throughput.mean) << ','
-            << fmt(throughput.p50) << ',' << fmt(throughput.p90) << ','
-            << fmt(throughput.min) << ',' << fmt(throughput.max) << '\n';
+            << fmt_double(summary.totals.delivery_rate()) << ','
+            << fmt_double(summary.totals.mean_ber()) << ','
+            << fmt_double(summary.totals.mean_overlap()) << ','
+            << fmt_double(throughput.mean) << ','
+            << fmt_double(throughput.p50) << ',' << fmt_double(throughput.p90) << ','
+            << fmt_double(throughput.min) << ',' << fmt_double(throughput.max) << '\n';
     }
 }
 

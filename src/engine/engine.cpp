@@ -11,9 +11,4 @@ Sweep_outcome run_grid(const Sweep_grid& grid, const Scenario_registry& registry
     return outcome;
 }
 
-Sweep_outcome run_grid(const Sweep_grid& grid, const Executor_config& config)
-{
-    return run_grid(grid, Scenario_registry::builtin(), config);
-}
-
 } // namespace anc::engine

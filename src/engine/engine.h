@@ -5,7 +5,8 @@
 //   grid.scenarios = {"alice_bob"};
 //   grid.snr_db = {22.0};
 //   grid.repetitions = 40;
-//   const Sweep_outcome outcome = run_grid(grid, {.base_seed = 1000});
+//   const Sweep_outcome outcome =
+//       run_grid(grid, Scenario_registry::builtin(), {.base_seed = 1000});
 //   // outcome.tasks    — one Task_result per (point, repetition)
 //   // outcome.points   — aggregated per grid point
 //
@@ -32,8 +33,5 @@ struct Sweep_outcome {
 /// aggregate.  The workhorse of the bench/ drivers.
 Sweep_outcome run_grid(const Sweep_grid& grid, const Scenario_registry& registry,
                        const Executor_config& config);
-
-/// Same, against the builtin registry.
-Sweep_outcome run_grid(const Sweep_grid& grid, const Executor_config& config = {});
 
 } // namespace anc::engine

@@ -298,10 +298,4 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
     return results;
 }
 
-std::vector<Task_result> run_sweep(const Sweep_grid& grid, const Executor_config& config)
-{
-    const Scenario_registry& registry = Scenario_registry::builtin();
-    return run_sweep(expand(grid, registry), registry, config);
-}
-
 } // namespace anc::engine

@@ -165,8 +165,4 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
                                    const Executor_config& config = {},
                                    Run_tally* tally = nullptr);
 
-/// Expand + run against the builtin registry.
-std::vector<Task_result> run_sweep(const Sweep_grid& grid,
-                                   const Executor_config& config = {});
-
 } // namespace anc::engine

@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "engine/text.h"
 #include "util/crc.h"
 
 namespace anc::engine {
@@ -18,19 +19,8 @@ namespace {
 
 // ---- primitives -------------------------------------------------------
 
-std::string fmt_double(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
-}
-
-std::string fmt_u64(std::uint64_t value)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof buffer, "%" PRIu64, value);
-    return buffer;
-}
+using text::fmt_double;
+using text::fmt_u64;
 
 bool is_plain(char c)
 {

@@ -1,62 +1,18 @@
 #include "engine/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "dsp/math_profile.h"
+#include "engine/text.h"
 #include "util/cpu_features.h"
 #include "util/simd.h"
 
 namespace anc::engine {
 
-namespace {
-
-std::string fmt_u64(std::uint64_t value)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof buffer, "%" PRIu64, value);
-    return buffer;
-}
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-template <typename T, typename Fmt>
-void json_array(std::ostream& out, const std::vector<T>& values, Fmt&& format_one)
-{
-    out << "[";
-    bool first = true;
-    for (const T& value : values) {
-        out << (first ? "" : ",");
-        format_one(value);
-        first = false;
-    }
-    out << "]";
-}
-
-} // namespace
+using text::fmt_u64;
+using text::json_array;
+using text::json_escape;
 
 void write_metrics_json(std::ostream& out,
                         const Metrics_run_info& info,

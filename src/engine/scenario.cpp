@@ -6,20 +6,21 @@
 
 namespace anc::engine {
 
-bool Scenario::supports_scheme(std::string_view scheme) const
-{
-    const auto& all = schemes();
-    return std::find(all.begin(), all.end(), scheme) != all.end();
-}
-
-Function_scenario::Function_scenario(std::string name, std::vector<std::string> schemes,
-                                     Run_fn run)
+Scenario::Scenario(std::string name, std::vector<std::string> schemes, Run_fn run)
     : name_{std::move(name)}, schemes_{std::move(schemes)}, run_{std::move(run)}
 {
+    if (!run_)
+        throw std::invalid_argument{"Scenario '" + name_ + "' has no run function"};
+    if (schemes_.empty())
+        throw std::invalid_argument{"Scenario '" + name_ + "' declares no schemes"};
 }
 
-Scenario_result Function_scenario::run(const Scenario_config& config,
-                                       std::uint64_t seed) const
+bool Scenario::supports_scheme(std::string_view scheme) const
+{
+    return std::find(schemes_.begin(), schemes_.end(), scheme) != schemes_.end();
+}
+
+Scenario_result Scenario::run(const Scenario_config& config, std::uint64_t seed) const
 {
     if (!supports_scheme(config.scheme))
         throw std::invalid_argument{"Scenario '" + name_ + "' has no scheme '"
@@ -27,24 +28,19 @@ Scenario_result Function_scenario::run(const Scenario_config& config,
     return run_(config, seed);
 }
 
-void Scenario_registry::add(std::unique_ptr<const Scenario> scenario)
+void Scenario_registry::add(Scenario scenario)
 {
-    if (!scenario)
-        throw std::invalid_argument{"Scenario_registry::add: null scenario"};
-    if (scenario->schemes().empty())
-        throw std::invalid_argument{"Scenario_registry::add: scenario '"
-                                    + scenario->name() + "' declares no schemes"};
-    if (find(scenario->name()) != nullptr)
+    if (find(scenario.name()) != nullptr)
         throw std::invalid_argument{"Scenario_registry::add: duplicate scenario '"
-                                    + scenario->name() + "'"};
+                                    + scenario.name() + "'"};
     scenarios_.push_back(std::move(scenario));
 }
 
 const Scenario* Scenario_registry::find(std::string_view name) const
 {
-    for (const auto& scenario : scenarios_) {
-        if (scenario->name() == name)
-            return scenario.get();
+    for (const Scenario& scenario : scenarios_) {
+        if (scenario.name() == name)
+            return &scenario;
     }
     return nullptr;
 }
@@ -61,8 +57,8 @@ std::vector<std::string> Scenario_registry::names() const
 {
     std::vector<std::string> out;
     out.reserve(scenarios_.size());
-    for (const auto& scenario : scenarios_)
-        out.push_back(scenario->name());
+    for (const Scenario& scenario : scenarios_)
+        out.push_back(scenario.name());
     return out;
 }
 

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,36 +78,25 @@ struct Scenario_result {
     obs::Task_telemetry telemetry;
 };
 
+/// One topology behind a name: its schemes (the config schema, in
+/// canonical order) and the function that runs it.  The builtins and the
+/// drivers' and tests' synthetic workloads are all values of this type.
 class Scenario {
-public:
-    virtual ~Scenario() = default;
-
-    virtual const std::string& name() const = 0;
-
-    /// The schemes this topology supports, in canonical order — the
-    /// scenario's config schema.  `run` throws std::invalid_argument for
-    /// a scheme not listed here.
-    virtual const std::vector<std::string>& schemes() const = 0;
-
-    virtual bool supports_scheme(std::string_view scheme) const;
-
-    /// Execute one run.  Must be deterministic in (config, seed) and
-    /// thread-safe.
-    virtual Scenario_result run(const Scenario_config& config,
-                                std::uint64_t seed) const = 0;
-};
-
-/// A scenario defined by a plain function — used for the builtins and
-/// handy for tests that need cheap synthetic workloads.
-class Function_scenario final : public Scenario {
 public:
     using Run_fn = std::function<Scenario_result(const Scenario_config&, std::uint64_t)>;
 
-    Function_scenario(std::string name, std::vector<std::string> schemes, Run_fn run);
+    /// Throws std::invalid_argument for an empty run function or scheme
+    /// list.
+    Scenario(std::string name, std::vector<std::string> schemes, Run_fn run);
 
-    const std::string& name() const override { return name_; }
-    const std::vector<std::string>& schemes() const override { return schemes_; }
-    Scenario_result run(const Scenario_config& config, std::uint64_t seed) const override;
+    const std::string& name() const { return name_; }
+    const std::vector<std::string>& schemes() const { return schemes_; }
+    bool supports_scheme(std::string_view scheme) const;
+
+    /// Execute one run.  Throws std::invalid_argument for a scheme not in
+    /// schemes().  Deterministic in (config, seed) and thread-safe
+    /// whenever the run function is.
+    Scenario_result run(const Scenario_config& config, std::uint64_t seed) const;
 
 private:
     std::string name_;
@@ -117,14 +105,14 @@ private:
 };
 
 /// Name -> scenario lookup.  Registration of a duplicate name throws;
-/// the builtin registry carries the three topology runners.
+/// the builtin registry carries the five builtin scenarios.
 class Scenario_registry {
 public:
-    /// Throws std::invalid_argument when the name is already taken (or
-    /// the scenario is null / declares no schemes).
-    void add(std::unique_ptr<const Scenario> scenario);
+    /// Throws std::invalid_argument when the name is already taken.
+    void add(Scenario scenario);
 
-    /// nullptr when absent.
+    /// nullptr when absent.  Pointers and references into the registry
+    /// stay valid until the next add.
     const Scenario* find(std::string_view name) const;
 
     /// Throws std::out_of_range when absent.
@@ -141,7 +129,7 @@ public:
     static const Scenario_registry& builtin();
 
 private:
-    std::vector<std::unique_ptr<const Scenario>> scenarios_;
+    std::vector<Scenario> scenarios_;
 };
 
 /// Registers the builtin topology runners (fixed-gain and fading) into

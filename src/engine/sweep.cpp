@@ -1,10 +1,11 @@
 #include "engine/sweep.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "engine/text.h"
 
 namespace anc::engine {
 
@@ -137,11 +138,6 @@ std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& 
     return tasks;
 }
 
-std::vector<Sweep_task> expand(const Sweep_grid& grid)
-{
-    return expand(grid, Scenario_registry::builtin());
-}
-
 std::vector<Sweep_task> shard_tasks(const std::vector<Sweep_task>& tasks,
                                     std::size_t shard_index, std::size_t shard_count)
 {
@@ -156,29 +152,12 @@ std::vector<Sweep_task> shard_tasks(const std::vector<Sweep_task>& tasks,
 
 namespace {
 
-std::string fmt_double(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
-}
-
-template <typename T, typename Fmt>
-void json_axis(std::ostream& out, const std::vector<T>& values, Fmt&& format_one)
-{
-    out << "[";
-    bool first = true;
-    for (const T& value : values) {
-        out << (first ? "" : ",");
-        format_one(value);
-        first = false;
-    }
-    out << "]";
-}
+using text::fmt_double;
+using text::json_array;
 
 void json_string_axis(std::ostream& out, const std::vector<std::string>& values)
 {
-    json_axis(out, values, [&](const std::string& s) {
+    json_array(out, values, [&](const std::string& s) {
         out << '"';
         // Scenario/scheme names are identifiers; escape the two JSON
         // metacharacters anyway so a hostile name cannot break the
@@ -202,28 +181,28 @@ std::string grid_to_json(const Sweep_grid& grid)
     out << ",\"schemes\":";
     json_string_axis(out, grid.schemes);
     out << ",\"math_profiles\":";
-    json_axis(out, grid.math_profiles, [&](const dsp::Math_profile profile) {
+    json_array(out, grid.math_profiles, [&](const dsp::Math_profile profile) {
         out << "\"" << dsp::to_string(profile) << "\"";
     });
     out << ",\"snr_db\":";
-    json_axis(out, grid.snr_db, [&](const double v) { out << fmt_double(v); });
+    json_array(out, grid.snr_db, [&](const double v) { out << fmt_double(v); });
     out << ",\"alice_amplitudes\":";
-    json_axis(out, grid.alice_amplitudes, [&](const double v) { out << fmt_double(v); });
+    json_array(out, grid.alice_amplitudes, [&](const double v) { out << fmt_double(v); });
     out << ",\"bob_amplitudes\":";
-    json_axis(out, grid.bob_amplitudes, [&](const double v) { out << fmt_double(v); });
+    json_array(out, grid.bob_amplitudes, [&](const double v) { out << fmt_double(v); });
     out << ",\"payload_bits\":";
-    json_axis(out, grid.payload_bits, [&](const std::size_t v) { out << v; });
+    json_array(out, grid.payload_bits, [&](const std::size_t v) { out << v; });
     out << ",\"exchanges\":";
-    json_axis(out, grid.exchanges, [&](const std::size_t v) { out << v; });
+    json_array(out, grid.exchanges, [&](const std::size_t v) { out << v; });
     out << ",\"detector_thresholds_db\":";
-    json_axis(out, grid.detector_thresholds_db,
-              [&](const double v) { out << fmt_double(v); });
+    json_array(out, grid.detector_thresholds_db,
+               [&](const double v) { out << fmt_double(v); });
     out << ",\"interleave_rows\":";
-    json_axis(out, grid.interleave_rows, [&](const std::size_t v) { out << v; });
+    json_array(out, grid.interleave_rows, [&](const std::size_t v) { out << v; });
     out << ",\"coherence_blocks\":";
-    json_axis(out, grid.coherence_blocks, [&](const std::size_t v) { out << v; });
+    json_array(out, grid.coherence_blocks, [&](const std::size_t v) { out << v; });
     out << ",\"mean_link_gains\":";
-    json_axis(out, grid.mean_link_gains, [&](const double v) { out << fmt_double(v); });
+    json_array(out, grid.mean_link_gains, [&](const double v) { out << fmt_double(v); });
     out << ",\"repetitions\":" << grid.repetitions << "}";
     return out.str();
 }

@@ -68,9 +68,6 @@ struct Sweep_task {
 /// requested scheme no scenario supports.
 std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& registry);
 
-/// Expansion against the builtin registry.
-std::vector<Sweep_task> expand(const Sweep_grid& grid);
-
 /// The deterministic shard partition: tasks whose expansion position
 /// satisfies `index % shard_count == shard_index - 1` (shards are
 /// 1-based, `--shard 2/3` style).  Round-robin, so every shard sees a

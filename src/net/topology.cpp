@@ -31,12 +31,6 @@ chan::Link_params link_with(double gain, const Link_fading& fading, Pcg32& rng)
 } // namespace
 
 void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
-                       const Alice_bob_gains& gains, Pcg32& rng)
-{
-    install_alice_bob(medium, nodes, gains, Link_fading{}, rng);
-}
-
-void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
                        const Alice_bob_gains& gains, const Link_fading& fading,
                        Pcg32& rng)
 {
@@ -47,12 +41,6 @@ void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
 }
 
 void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
-                   const Chain_gains& gains, Pcg32& rng)
-{
-    install_chain(medium, nodes, gains, Link_fading{}, rng);
-}
-
-void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
                    const Chain_gains& gains, const Link_fading& fading, Pcg32& rng)
 {
     const chan::Node_id ids[] = {nodes.n1, nodes.n2, nodes.n3, nodes.n4};
@@ -60,12 +48,6 @@ void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
         medium.set_link(ids[i], ids[i + 1], link_with(gains.adjacent, fading, rng));
         medium.set_link(ids[i + 1], ids[i], link_with(gains.adjacent, fading, rng));
     }
-}
-
-void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
-               Pcg32& rng)
-{
-    install_x(medium, nodes, gains, Link_fading{}, rng);
 }
 
 void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,

@@ -19,7 +19,8 @@ namespace anc::net {
 /// default (`fixed`) is the paper's constant-gain channel; `rayleigh_block`
 /// overlays Rayleigh block fading on every link (each link gets an
 /// independent fading seed drawn from the install rng, so realizations
-/// stay deterministic per scenario seed).
+/// stay deterministic per scenario seed).  Installers take `{}` for the
+/// fixed-gain plan.
 struct Link_fading {
     chan::Gain_model model = chan::Gain_model::fixed;
     /// Samples per coherence block under rayleigh_block (0 = quasi-static:
@@ -45,8 +46,6 @@ struct Alice_bob_gains {
 /// Install the four directed links; Alice and Bob are out of range of
 /// each other (no direct link).
 void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
-                       const Alice_bob_gains& gains, Pcg32& rng);
-void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
                        const Alice_bob_gains& gains, const Link_fading& fading,
                        Pcg32& rng);
 
@@ -65,8 +64,6 @@ struct Chain_gains {
 
 /// Adjacent nodes are linked both ways; nodes two or more hops apart are
 /// out of radio range (N4 never hears N1 — the premise of §2(b)).
-void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
-                   const Chain_gains& gains, Pcg32& rng);
 void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
                    const Chain_gains& gains, const Link_fading& fading, Pcg32& rng);
 
@@ -100,8 +97,6 @@ struct X_gains {
     std::optional<double> overhear_detection_threshold_db = 9.0;
 };
 
-void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
-               Pcg32& rng);
 void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
                const Link_fading& fading, Pcg32& rng);
 

@@ -31,16 +31,19 @@ Bits build_frame(const Frame_header& header, std::span<const std::uint8_t> paylo
 std::optional<Parsed_frame> parse_frame_at(std::span<const std::uint8_t> bits,
                                            std::size_t pilot_pos)
 {
-    const std::size_t header_pos = pilot_pos + pilot_length;
-    if (header_pos + header_length + crc_length > bits.size())
+    // Compared as remaining lengths, so no pilot_pos can wrap an offset
+    // back inside the input.
+    if (pilot_pos > bits.size()
+        || bits.size() - pilot_pos < pilot_length + header_length + crc_length)
         return std::nullopt;
+    const std::size_t header_pos = pilot_pos + pilot_length;
     const auto header = decode_header(bits.subspan(header_pos, header_length));
     if (!header)
         return std::nullopt;
 
     const std::size_t crc_pos = header_pos + header_length;
     const std::size_t payload_pos = crc_pos + crc_length;
-    if (payload_pos + header->payload_bits > bits.size())
+    if (header->payload_bits > bits.size() - payload_pos)
         return std::nullopt;
 
     Parsed_frame parsed;

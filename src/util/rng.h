@@ -89,9 +89,6 @@ public:
     void add_scaled_simd(std::uint64_t first_counter, double scale, double* inout,
                          std::size_t count) const;
 
-    std::uint64_t key_a() const { return key_a_; }
-    std::uint64_t key_b() const { return key_b_; }
-
 private:
     std::uint64_t key_a_;
     std::uint64_t key_b_;

@@ -207,25 +207,11 @@ void counter_normal_add_scaled_scalar(std::uint64_t key_a, std::uint64_t key_b,
     }
 }
 
-void rotor_accumulate_scalar(const double* interleaved_in,
-                             double* interleaved_acc, std::size_t samples,
-                             double rotor_re, double rotor_im)
-{
-    // Must match Link_channel's historical constant-rotor loop operation
-    // for operation (channel/link.cpp).
-    for (std::size_t i = 0; i < samples; ++i) {
-        const double re = interleaved_in[2 * i];
-        const double im = interleaved_in[2 * i + 1];
-        interleaved_acc[2 * i] += re * rotor_re - im * rotor_im;
-        interleaved_acc[2 * i + 1] += re * rotor_im + im * rotor_re;
-    }
-}
-
 void cmul_accumulate_scalar(const double* interleaved_in,
                             const double* interleaved_rotors,
                             double* interleaved_acc, std::size_t samples)
 {
-    // Per-element arithmetic of the historical drifting-rotor loop
+    // Per-element arithmetic of the historical fixed-gain loop
     // (channel/link.cpp), with the rotor read from the cached stream.
     for (std::size_t i = 0; i < samples; ++i) {
         const double re = interleaved_in[2 * i];
@@ -327,7 +313,6 @@ constinit const Kernel_table scalar_kernels{
     .anc_candidates_batch = anc_candidates_batch_scalar,
     .anc_select_batch = anc_select_batch_scalar,
     .diff_arg_batch = diff_arg_batch_scalar,
-    .rotor_accumulate = rotor_accumulate_scalar,
     .cmul_accumulate = cmul_accumulate_scalar,
     .cmul_fade_accumulate = cmul_fade_accumulate_scalar,
     .msk_decide = msk_decide_scalar,
@@ -429,16 +414,6 @@ void diff_arg_batch(const double* interleaved_samples, std::size_t transitions,
     dispatch(transitions, &detail::Kernel_table::diff_arg_batch,
              [&](auto kernel, std::size_t at, std::size_t m) {
                  kernel(interleaved_samples + 2 * at, m, out + at);
-             });
-}
-
-void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
-                      std::size_t samples, double rotor_re, double rotor_im)
-{
-    dispatch(samples, &detail::Kernel_table::rotor_accumulate,
-             [&](auto kernel, std::size_t at, std::size_t m) {
-                 kernel(interleaved_in + 2 * at, interleaved_acc + 2 * at, m, rotor_re,
-                        rotor_im);
              });
 }
 

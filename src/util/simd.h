@@ -123,16 +123,7 @@ void anc_select_batch(const double* theta_plus, const double* theta_minus,
 void diff_arg_batch(const double* interleaved_samples, std::size_t transitions,
                     double* out);
 
-/// The drift-free channel accumulate (Link_channel's constant-rotor
-/// path) over interleaved complex buffers:
-///   acc[2i]   += in[2i]·re − in[2i+1]·im
-///   acc[2i+1] += in[2i]·im + in[2i+1]·re     for i in [0, samples).
-/// Element-wise independent mul/add with no FMA contraction, so the
-/// lane tiers are bit-identical to the scalar loop.
-void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
-                      std::size_t samples, double rotor_re, double rotor_im);
-
-/// The drifting-channel accumulate over a precomputed rotor stream
+/// The fixed-gain channel accumulate over a precomputed rotor stream
 /// (Link_channel caches rotor_n = polar(gain, phase + drift·n) per link,
 /// so each rotation is evaluated once per link, not per transmission):
 ///   acc[2i]   += in[2i]·rot[2i] − in[2i+1]·rot[2i+1]
@@ -202,7 +193,6 @@ struct Kernel_table {
     decltype(&simd::anc_candidates_batch) anc_candidates_batch;
     decltype(&simd::anc_select_batch) anc_select_batch;
     decltype(&simd::diff_arg_batch) diff_arg_batch;
-    decltype(&simd::rotor_accumulate) rotor_accumulate;
     decltype(&simd::cmul_accumulate) cmul_accumulate;
     decltype(&simd::cmul_fade_accumulate) cmul_fade_accumulate;
     decltype(&simd::msk_decide) msk_decide;

@@ -67,7 +67,7 @@ TEST(DetectionThreshold, InstallXStampsTheOverhearLinks)
     net::X_nodes nodes;
     net::X_gains gains;
     Pcg32 rng{5, 5};
-    net::install_x(medium, nodes, gains, rng);
+    net::install_x(medium, nodes, gains, {}, rng);
     // The two snooping links carry the default 9 dB AGC threshold...
     ASSERT_TRUE(medium.detection_threshold_db(nodes.n1, nodes.n2).has_value());
     EXPECT_DOUBLE_EQ(*medium.detection_threshold_db(nodes.n1, nodes.n2), 9.0);

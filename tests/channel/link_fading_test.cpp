@@ -1,6 +1,6 @@
 // Rayleigh block fading on the link channel: deterministic, counter-based
-// per-block gains, block structure, and exact agreement between the
-// value-returning and accumulate-into paths.
+// per-block gains, block structure, and exact accumulation onto a
+// buffer at an offset.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,8 @@ TEST(LinkFading, DefaultModelIsFixed)
     params.phase_drift = 0.001;
     const Link_channel channel{params};
     const dsp::Signal in = constant_signal(64, {0.5, -0.25});
-    const dsp::Signal out = channel.apply(in);
+    dsp::Signal out;
+    channel.apply_onto(in, 0, out);
     for (std::size_t n = 0; n < in.size(); ++n) {
         const dsp::Sample expected =
             in[n] * std::polar(0.8, 0.25 + 0.001 * static_cast<double>(n));
@@ -52,8 +53,10 @@ TEST(LinkFading, DeterministicAndCallOrderIndependent)
     const Link_channel channel{rayleigh_params(1234, 16)};
     const dsp::Signal in = constant_signal(100);
 
-    const dsp::Signal first = channel.apply(in);
-    const dsp::Signal again = channel.apply(in);
+    dsp::Signal first;
+    channel.apply_onto(in, 0, first);
+    dsp::Signal again;
+    channel.apply_onto(in, 0, again);
     ASSERT_EQ(first.size(), again.size());
     for (std::size_t n = 0; n < first.size(); ++n)
         EXPECT_EQ(first[n], again[n]); // exact: draws are counter-based
@@ -77,11 +80,15 @@ TEST(LinkFading, EpochsGiveFreshFades)
     EXPECT_NE(channel.block_gain(0, 3), channel.block_gain(1, 3));
 
     const dsp::Signal in = constant_signal(64);
-    const dsp::Signal epoch0 = channel.apply(in, 0);
-    const dsp::Signal epoch1 = channel.apply(in, 1);
+    dsp::Signal epoch0;
+    channel.apply_onto(in, 0, epoch0, 0);
+    dsp::Signal epoch1;
+    channel.apply_onto(in, 0, epoch1, 1);
     EXPECT_NE(epoch0[0], epoch1[0]);
-    // apply's default epoch is 0.
-    EXPECT_EQ(channel.apply(in)[0], epoch0[0]);
+    // apply_onto's default epoch is 0.
+    dsp::Signal default_epoch;
+    channel.apply_onto(in, 0, default_epoch);
+    EXPECT_EQ(default_epoch[0], epoch0[0]);
 }
 
 TEST(LinkFading, BlockStructure)
@@ -89,7 +96,8 @@ TEST(LinkFading, BlockStructure)
     constexpr std::size_t block = 25;
     const Link_channel channel{rayleigh_params(77, block)};
     const dsp::Signal in = constant_signal(4 * block);
-    const dsp::Signal out = channel.apply(in);
+    dsp::Signal out;
+    channel.apply_onto(in, 0, out);
 
     // Undo the deterministic rotation; what remains is gain * h_k,
     // constant within each block.
@@ -109,7 +117,8 @@ TEST(LinkFading, ZeroCoherenceBlockIsQuasiStatic)
 {
     const Link_channel channel{rayleigh_params(5, 0)};
     const dsp::Signal in = constant_signal(200);
-    const dsp::Signal out = channel.apply(in);
+    dsp::Signal out;
+    channel.apply_onto(in, 0, out);
     const dsp::Sample h0 = channel.block_gain(0, 0);
     for (std::size_t n = 0; n < out.size(); ++n) {
         const dsp::Sample fade = out[n] / std::polar(0.9, 0.4);
@@ -118,7 +127,7 @@ TEST(LinkFading, ZeroCoherenceBlockIsQuasiStatic)
     }
 }
 
-TEST(LinkFading, ApplyOntoMatchesApply)
+TEST(LinkFading, ApplyOntoAddsAtItsOffset)
 {
     Link_params params = rayleigh_params(999, 32);
     params.delay = 7;
@@ -129,13 +138,26 @@ TEST(LinkFading, ApplyOntoMatchesApply)
     dsp::Signal in;
     for (int n = 0; n < 150; ++n)
         in.push_back({rng.next_double() - 0.5, rng.next_double() - 0.5});
-
-    const dsp::Signal value = channel.apply(in, 3);
     dsp::Signal acc;
-    channel.apply_onto(in, 0, acc, 3);
-    ASSERT_EQ(acc.size(), value.size());
+    for (int n = 0; n < 60; ++n)
+        acc.push_back({rng.next_double() + 0.5, rng.next_double() + 0.5});
+
+    // Onto an empty buffer: `delay` zeros, then the channel output.
+    dsp::Signal fresh;
+    channel.apply_onto(in, 0, fresh, 3);
+    ASSERT_EQ(fresh.size(), params.delay + in.size());
+
+    // Onto a shorter nonzero buffer at offset 5: the same output added
+    // sample for sample, the buffer grown with zeros to fit it.
+    constexpr std::size_t at = 5;
+    dsp::Signal want = acc;
+    want.resize(at + fresh.size());
+    for (std::size_t n = 0; n < fresh.size(); ++n)
+        want[at + n] += fresh[n];
+    channel.apply_onto(in, at, acc, 3);
+    ASSERT_EQ(acc.size(), want.size());
     for (std::size_t n = 0; n < acc.size(); ++n)
-        EXPECT_EQ(acc[n], value[n]);
+        EXPECT_EQ(acc[n], want[n]) << "sample " << n;
 }
 
 TEST(LinkFading, DistinctSeedsGiveIndependentFades)

@@ -69,17 +69,6 @@ void reference_exact_onto(const Link_channel& link, const dsp::Signal& signal,
     }
 }
 
-/// Exact apply on a fixed link: the products stored after `delay` zeros.
-dsp::Signal reference_exact_apply_fixed(const Link_params& p, const dsp::Signal& signal)
-{
-    dsp::Signal out(p.delay, dsp::Sample{0.0, 0.0});
-    for (std::size_t n = 0; n < signal.size(); ++n) {
-        const double rotation = p.phase + p.phase_drift * static_cast<double>(n);
-        out.push_back(signal[n] * std::polar(p.gain, rotation));
-    }
-    return out;
-}
-
 Link_params link_params(Gain_model model, std::size_t block, double drift)
 {
     Link_params params;
@@ -134,16 +123,20 @@ TEST(LinkRotorStream, ExactMatchesPerSamplePolarAcrossBlocksAndEpochs)
 
 TEST(LinkRotorStream, ExactApplyMatchesPerSamplePolar)
 {
+    // Onto an empty buffer, the way a caller takes one link's output
+    // alone: apply_onto grows it from nothing.
     const dsp::Signal signal = random_signal(1500, 2);
     for (const double drift : {0.0, 0.0023}) {
-        const Link_params fixed = link_params(Gain_model::fixed, 0, drift);
-        expect_same_bits(Link_channel{fixed}.apply(signal, 0),
-                         reference_exact_apply_fixed(fixed, signal));
-        for (const std::size_t block : {0u, 1u, 7u, 300u}) {
-            const Link_channel faded{link_params(Gain_model::rayleigh_block, block, drift)};
-            dsp::Signal want(faded.params().delay + signal.size(), dsp::Sample{0.0, 0.0});
-            reference_exact_onto(faded, signal, 0, want, 1);
-            expect_same_bits(faded.apply(signal, 1), want);
+        std::vector<Link_params> cases{link_params(Gain_model::fixed, 0, drift)};
+        for (const std::size_t block : {0u, 1u, 7u, 300u})
+            cases.push_back(link_params(Gain_model::rayleigh_block, block, drift));
+        for (const Link_params& params : cases) {
+            const Link_channel link{params};
+            dsp::Signal want(params.delay + signal.size(), dsp::Sample{0.0, 0.0});
+            reference_exact_onto(link, signal, 0, want, 1);
+            dsp::Signal got;
+            link.apply_onto(signal, 0, got, 1);
+            expect_same_bits(got, want);
         }
     }
 }

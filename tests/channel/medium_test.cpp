@@ -148,7 +148,8 @@ TEST(Medium, InterferedMskStreamsDecodeAfterCancellation)
     medium.receive_into(3, txs, 0, rx);
 
     // Genie cancellation of A's contribution.
-    const dsp::Signal a_at_rx = medium.link(1, 3).apply(signal_a);
+    dsp::Signal a_at_rx;
+    medium.link(1, 3).apply_onto(signal_a, 0, a_at_rx);
     dsp::Signal residual = rx;
     for (std::size_t i = 0; i < a_at_rx.size(); ++i)
         residual[i] -= a_at_rx[i];

@@ -12,7 +12,6 @@
 #include "dsp/energy_scan.h"
 #include "channel/link.h"
 #include "dsp/msk.h"
-#include "dsp/ops.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -39,7 +38,7 @@ dsp::Signal make_mix(double a, double b, std::size_t bits_count, std::uint64_t s
     mod_a.modulate_into(bits_a, mix);
     dsp::Signal signal_b;
     mod_b.modulate_into(bits_b, signal_b);
-    dsp::accumulate(mix, chan::Link_channel{drifting}.apply(signal_b), 0);
+    chan::Link_channel{drifting}.apply_onto(signal_b, 0, mix);
     if (noise_power > 0.0) {
         chan::Awgn noise{noise_power, rng.fork(99)};
         noise.add_in_place(mix);

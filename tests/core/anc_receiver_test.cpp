@@ -79,8 +79,8 @@ Alice_bob_exchange run_exchange(std::uint64_t seed, std::size_t payload_bits = 5
     // The two uplinks carry a small relative carrier-frequency offset, as
     // any two physical radios would.
     dsp::Signal at_relay;
-    dsp::accumulate(at_relay, chan::Link_channel{{0.9, 0.4, 0, 0.002}}.apply(sig_a), alice_start);
-    dsp::accumulate(at_relay, chan::Link_channel{{0.85, -1.2, 0, -0.002}}.apply(sig_b), bob_start);
+    chan::Link_channel{{0.9, 0.4, 0, 0.002}}.apply_onto(sig_a, alice_start, at_relay);
+    chan::Link_channel{{0.85, -1.2, 0, -0.002}}.apply_onto(sig_b, bob_start, at_relay);
     chan::Awgn relay_noise{noise_power, rng.fork(1)};
     relay_noise.add_in_place(at_relay);
 
@@ -89,11 +89,11 @@ Alice_bob_exchange run_exchange(std::uint64_t seed, std::size_t payload_bits = 5
     if (!amplify_and_forward_into(at_relay, noise_power, 1.0, broadcast))
         throw std::runtime_error{"relay detected no packet"};
 
-    x.at_alice = chan::Link_channel{{0.9, 1.9, 0, 0.0}}.apply(broadcast);
+    chan::Link_channel{{0.9, 1.9, 0, 0.0}}.apply_onto(broadcast, 0, x.at_alice);
     chan::Awgn alice_noise{noise_power, rng.fork(2)};
     alice_noise.add_in_place(x.at_alice);
 
-    x.at_bob = chan::Link_channel{{0.85, -0.3, 0, 0.0}}.apply(broadcast);
+    chan::Link_channel{{0.85, -0.3, 0, 0.0}}.apply_onto(broadcast, 0, x.at_bob);
     chan::Awgn bob_noise{noise_power, rng.fork(3)};
     bob_noise.add_in_place(x.at_bob);
     return x;

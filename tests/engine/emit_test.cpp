@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,8 +14,8 @@ namespace {
 Sweep_outcome small_outcome()
 {
     Scenario_registry registry;
-    registry.add(std::make_unique<Function_scenario>(
-        "toy", std::vector<std::string>{"anc", "traditional"},
+    registry.add(Scenario{
+        "toy", {"anc", "traditional"},
         [](const Scenario_config& config, std::uint64_t seed) {
             Pcg32 rng{seed};
             Scenario_result result;
@@ -29,7 +28,7 @@ Sweep_outcome small_outcome()
             result.series["ber_at_alice"].add(0.02);
             result.scalars["overhear_failures"] = 1.0;
             return result;
-        }));
+        }});
     Sweep_grid grid;
     grid.scenarios = {"toy"};
     grid.repetitions = 3;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,10 +16,10 @@ namespace {
 
 /// A cheap synthetic workload whose outputs depend on every config axis
 /// and on the seed, so scheduling bugs show up as value differences.
-std::unique_ptr<Function_scenario> synthetic(const std::string& name)
+Scenario synthetic(const std::string& name)
 {
-    return std::make_unique<Function_scenario>(
-        name, std::vector<std::string>{"anc", "traditional"},
+    return Scenario{
+        name, {"anc", "traditional"},
         [](const Scenario_config& config, std::uint64_t seed) {
             Pcg32 rng{seed};
             Scenario_result result;
@@ -36,7 +35,7 @@ std::unique_ptr<Function_scenario> synthetic(const std::string& name)
             result.series["aux"].add(rng.next_double());
             result.scalars["draws"] = static_cast<double>(seed % 1000);
             return result;
-        });
+        }};
 }
 
 Scenario_registry make_synthetic_registry()
@@ -97,7 +96,7 @@ TEST(ParallelExecutor, ThreadCountInvariantOnRealTopologies)
     grid.payload_bits = {512};
     grid.exchanges = {2};
     grid.repetitions = 10;
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_GE(tasks.size(), 100u); // (3 + 2 schemes) x 2 SNRs x 10 reps
 
     Executor_config serial;
@@ -144,7 +143,8 @@ TEST(ParallelExecutor, SchemesShareChannelRealizations)
     Executor_config config;
     config.threads = 2;
     config.base_seed = 31;
-    const std::vector<Task_result> results = run_sweep(grid, config);
+    const std::vector<Task_result> results =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
     ASSERT_EQ(results.size(), 9u); // 3 schemes x 3 repetitions
 
     std::map<std::size_t, std::set<std::uint64_t>> seeds_by_repetition;
@@ -183,13 +183,13 @@ TEST(ParallelExecutor, ProgressReachesTotal)
 TEST(ParallelExecutor, ScenarioExceptionPropagates)
 {
     Scenario_registry registry;
-    registry.add(std::make_unique<Function_scenario>(
-        "exploding", std::vector<std::string>{"anc"},
+    registry.add(Scenario{
+        "exploding", {"anc"},
         [](const Scenario_config&, std::uint64_t seed) -> Scenario_result {
             if (seed % 2 == 0 || seed % 2 == 1) // always
                 throw std::runtime_error{"boom"};
             return {};
-        }));
+        }});
     Sweep_grid grid;
     grid.scenarios = {"exploding"};
     grid.repetitions = 8;

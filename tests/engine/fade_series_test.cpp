@@ -60,7 +60,8 @@ TEST(FadeSeries, SeriesAppearsInFadingSweepJson)
     Executor_config config;
     config.threads = 1;
     config.base_seed = 11;
-    const std::vector<Task_result> tasks = run_sweep(grid, config);
+    const std::vector<Task_result> tasks =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
     const std::string json = to_json(tasks, aggregate(tasks));
     EXPECT_NE(json.find("\"fade_magnitude\":{"), std::string::npos);
 }

@@ -36,7 +36,8 @@ std::string run_to_json(const Sweep_grid& grid, std::size_t threads)
     Executor_config config;
     config.threads = threads;
     config.base_seed = 20260;
-    const std::vector<Task_result> results = run_sweep(grid, config);
+    const std::vector<Task_result> results =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
     return to_json(results, aggregate(results));
 }
 
@@ -65,7 +66,8 @@ TEST(FadingDeterminism, WarmDirtyWorkspaceProducesIdenticalJson)
 
 TEST(FadingDeterminism, SchemeCollapseSharesSeedIndexAcrossSchemes)
 {
-    const std::vector<Sweep_task> tasks = expand(small_fading_grid());
+    const std::vector<Sweep_task> tasks =
+        expand(small_fading_grid(), Scenario_registry::builtin());
     // Tasks that differ only in scheme must share seed_index — the
     // paired-gain design: both schemes see the same fading realization.
     for (const Sweep_task& task : tasks) {
@@ -177,7 +179,7 @@ TEST(FadingDeterminism, NewAxesLandInTaskConfigAndPointKey)
     grid.coherence_blocks = {1024};
     grid.mean_link_gains = {0.5};
 
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), 4u);
     EXPECT_EQ(tasks[0]
                   .config.receiver.interference_detector.variance_threshold_db,

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -23,10 +22,10 @@ namespace anc::engine {
 namespace {
 
 /// Deterministic synthetic workload (same shape as executor_test's).
-std::unique_ptr<Function_scenario> synthetic(const std::string& name)
+Scenario synthetic(const std::string& name)
 {
-    return std::make_unique<Function_scenario>(
-        name, std::vector<std::string>{"anc", "traditional"},
+    return Scenario{
+        name, {"anc", "traditional"},
         [](const Scenario_config& config, std::uint64_t seed) {
             Pcg32 rng{seed};
             Scenario_result result;
@@ -42,14 +41,14 @@ std::unique_ptr<Function_scenario> synthetic(const std::string& name)
             result.series["aux"].add(rng.next_double());
             result.scalars["draws"] = static_cast<double>(seed % 1000);
             return result;
-        });
+        }};
 }
 
 /// Throws on every task whose seed is odd; succeeds on even seeds.
-std::unique_ptr<Function_scenario> half_exploding()
+Scenario half_exploding()
 {
-    return std::make_unique<Function_scenario>(
-        "half_exploding", std::vector<std::string>{"anc"},
+    return Scenario{
+        "half_exploding", {"anc"},
         [](const Scenario_config& config, std::uint64_t seed) {
             if (seed % 2 == 1)
                 throw std::runtime_error{"odd seed " + std::to_string(seed)};
@@ -58,7 +57,7 @@ std::unique_ptr<Function_scenario> half_exploding()
             result.metrics.packets_delivered = config.exchanges;
             result.metrics.packet_ber.add(0.01);
             return result;
-        });
+        }};
 }
 
 TEST(FaultIsolation, ErrorsBecomeRowsNotAborts)
@@ -127,8 +126,8 @@ TEST(FaultIsolation, BoundedRetryRecoversTransientFaults)
     std::mutex mutex;
     std::map<std::uint64_t, int> calls;
     Scenario_registry registry;
-    registry.add(std::make_unique<Function_scenario>(
-        "flaky", std::vector<std::string>{"anc"},
+    registry.add(Scenario{
+        "flaky", {"anc"},
         [&](const Scenario_config&, std::uint64_t seed) {
             {
                 const std::lock_guard<std::mutex> lock{mutex};
@@ -140,7 +139,7 @@ TEST(FaultIsolation, BoundedRetryRecoversTransientFaults)
             result.metrics.packets_delivered = 1;
             result.scalars["seed_echo"] = static_cast<double>(seed % 4096);
             return result;
-        }));
+        }});
     Sweep_grid grid;
     grid.scenarios = {"flaky"};
     grid.repetitions = 16;

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <random>
 #include <set>
 #include <sstream>
@@ -39,8 +38,8 @@ std::string stamp(const std::string& payload)
 Scenario_registry noisy_registry()
 {
     Scenario_registry registry;
-    registry.add(std::make_unique<Function_scenario>(
-        "noisy", std::vector<std::string>{"anc", "traditional"},
+    registry.add(Scenario{
+        "noisy", {"anc", "traditional"},
         [](const Scenario_config& config, std::uint64_t seed) {
             Pcg32 rng{seed};
             Scenario_result result;
@@ -52,7 +51,7 @@ Scenario_registry noisy_registry()
             result.series["phase err"].add(rng.next_double());
             result.scalars["iters"] = rng.next_double() * 1e9;
             return result;
-        }));
+        }});
     return registry;
 }
 

@@ -8,7 +8,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,8 +24,8 @@ namespace {
 Scenario_registry noisy_registry()
 {
     Scenario_registry registry;
-    registry.add(std::make_unique<Function_scenario>(
-        "noisy", std::vector<std::string>{"anc", "traditional"},
+    registry.add(Scenario{
+        "noisy", {"anc", "traditional"},
         [](const Scenario_config& config, std::uint64_t seed) {
             Pcg32 rng{seed};
             Scenario_result result;
@@ -43,7 +42,7 @@ Scenario_registry noisy_registry()
             result.series["phase err"].add(-rng.next_double());
             result.scalars["iters:odd|name"] = rng.next_double() * 1e9;
             return result;
-        }));
+        }});
     return registry;
 }
 

@@ -30,7 +30,8 @@ Sweep_outcome run_profiled(Sweep_grid grid, std::size_t threads)
     Executor_config config;
     config.threads = threads;
     config.base_seed = 9090;
-    const std::vector<Task_result> tasks = run_sweep(grid, config);
+    const std::vector<Task_result> tasks =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
     return Sweep_outcome{tasks, aggregate(tasks)};
 }
 
@@ -155,8 +156,10 @@ TEST(MathProfileCorridor, FastProfileIsThreadInvariant)
     Executor_config parallel;
     parallel.threads = 8;
     parallel.base_seed = 777;
-    const std::vector<Task_result> a = run_sweep(grid, serial);
-    const std::vector<Task_result> b = run_sweep(grid, parallel);
+    const std::vector<Task_result> a =
+        run_grid(grid, Scenario_registry::builtin(), serial).tasks;
+    const std::vector<Task_result> b =
+        run_grid(grid, Scenario_registry::builtin(), parallel).tasks;
     EXPECT_EQ(to_json(a, aggregate(a)), to_json(b, aggregate(b)));
 }
 
@@ -185,7 +188,7 @@ TEST(MathProfileCorridor, ProfileAxisIsSeedCollapsed)
 {
     Sweep_grid grid = alice_bob_grid();
     grid.math_profiles = {dsp::Math_profile::exact, dsp::Math_profile::fast};
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     // Tasks differing only in profile (and/or scheme) share a seed_index:
     // the corridor comparison is paired on channel realizations.
     for (const Sweep_task& a : tasks) {
@@ -200,7 +203,7 @@ TEST(MathProfileCorridor, ProfileAxisIsSeedCollapsed)
     }
     // And a default grid (single exact profile) expands exactly as before.
     Sweep_grid plain = alice_bob_grid();
-    const std::vector<Sweep_task> before = expand(plain);
+    const std::vector<Sweep_task> before = expand(plain, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), 2 * before.size());
     for (std::size_t i = 0; i < before.size(); ++i)
         EXPECT_EQ(before[i].config.math_profile, dsp::Math_profile::exact);

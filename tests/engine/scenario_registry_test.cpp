@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 
 #include "sim/alice_bob.h"
@@ -10,11 +9,9 @@
 namespace anc::engine {
 namespace {
 
-std::unique_ptr<Function_scenario> dummy(const std::string& name)
+Scenario dummy(const std::string& name)
 {
-    return std::make_unique<Function_scenario>(
-        name, std::vector<std::string>{"anc"},
-        [](const Scenario_config&, std::uint64_t) { return Scenario_result{}; });
+    return {name, {"anc"}, [](const Scenario_config&, std::uint64_t) { return Scenario_result{}; }};
 }
 
 TEST(ScenarioRegistry, BuiltinCarriesTheTopologiesAndFadingVariants)
@@ -46,13 +43,12 @@ TEST(ScenarioRegistry, DuplicateNameThrows)
 
 TEST(ScenarioRegistry, NullAndSchemelessScenariosThrow)
 {
-    Scenario_registry registry;
-    EXPECT_THROW(registry.add(nullptr), std::invalid_argument);
-    EXPECT_THROW(registry.add(std::make_unique<Function_scenario>(
-                     "empty", std::vector<std::string>{},
-                     [](const Scenario_config&, std::uint64_t) {
-                         return Scenario_result{};
-                     })),
+    EXPECT_THROW((Scenario{"null", {"anc"}, nullptr}), std::invalid_argument);
+    EXPECT_THROW((Scenario{"empty",
+                           {},
+                           [](const Scenario_config&, std::uint64_t) {
+                               return Scenario_result{};
+                           }}),
                  std::invalid_argument);
 }
 

@@ -18,7 +18,7 @@ TEST(SweepGrid, CartesianExpansionCount)
     grid.payload_bits = {512, 1024};
     grid.exchanges = {2};
     grid.repetitions = 5;
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     EXPECT_EQ(tasks.size(), 3u * 2u * 2u * 2u * 5u);
 }
 
@@ -28,7 +28,7 @@ TEST(SweepGrid, IndicesAreStablePositions)
     grid.scenarios = {"chain"};
     grid.snr_db = {20.0, 25.0};
     grid.repetitions = 3;
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), 2u * 2u * 3u);
     for (std::size_t i = 0; i < tasks.size(); ++i)
         EXPECT_EQ(tasks[i].index, i);
@@ -41,7 +41,7 @@ TEST(SweepGrid, AxisOrderIsScenarioSchemeThenOperatingPoint)
     grid.schemes = {"anc"};
     grid.snr_db = {20.0, 25.0};
     grid.repetitions = 2;
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), 8u);
     EXPECT_EQ(tasks[0].scenario, "alice_bob");
     EXPECT_DOUBLE_EQ(tasks[0].config.snr_db, 20.0);
@@ -57,7 +57,7 @@ TEST(SweepGrid, SeedIndexCollapsesTheSchemeAxis)
     grid.scenarios = {"alice_bob", "chain"};
     grid.snr_db = {20.0, 25.0};
     grid.repetitions = 2;
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), (3u + 2u) * 2u * 2u);
 
     // Tasks that differ only in scheme share a seed_index...
@@ -84,7 +84,7 @@ TEST(SweepGrid, EmptySchemesMeansEveryDeclaredScheme)
 {
     Sweep_grid grid;
     grid.scenarios = {"chain"};
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), 2u);
     EXPECT_EQ(tasks[0].config.scheme, "traditional");
     EXPECT_EQ(tasks[1].config.scheme, "anc");
@@ -97,7 +97,7 @@ TEST(SweepGrid, SchemesIntersectWithScenarioSupport)
     Sweep_grid grid;
     grid.scenarios = {"alice_bob", "chain"};
     grid.schemes = {"cope", "anc"};
-    const std::vector<Sweep_task> tasks = expand(grid);
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), 3u);
     EXPECT_EQ(tasks[0].scenario, "alice_bob");
     EXPECT_EQ(tasks[0].config.scheme, "cope");
@@ -110,7 +110,7 @@ TEST(SweepGrid, UnknownScenarioThrows)
 {
     Sweep_grid grid;
     grid.scenarios = {"no_such_topology"};
-    EXPECT_THROW(expand(grid), std::out_of_range);
+    EXPECT_THROW(expand(grid, Scenario_registry::builtin()), std::out_of_range);
 }
 
 TEST(SweepGrid, SchemeSupportedNowhereThrows)
@@ -118,21 +118,22 @@ TEST(SweepGrid, SchemeSupportedNowhereThrows)
     Sweep_grid grid;
     grid.scenarios = {"chain"};
     grid.schemes = {"cope"};
-    EXPECT_THROW(expand(grid), std::invalid_argument);
+    EXPECT_THROW(expand(grid, Scenario_registry::builtin()), std::invalid_argument);
 }
 
 TEST(SweepGrid, EmptyAxesThrow)
 {
     Sweep_grid grid;
-    EXPECT_THROW(expand(grid), std::invalid_argument); // no scenarios
+    // no scenarios
+    EXPECT_THROW(expand(grid, Scenario_registry::builtin()), std::invalid_argument);
 
     grid.scenarios = {"chain"};
     grid.snr_db.clear();
-    EXPECT_THROW(expand(grid), std::invalid_argument);
+    EXPECT_THROW(expand(grid, Scenario_registry::builtin()), std::invalid_argument);
 
     grid.snr_db = {25.0};
     grid.repetitions = 0;
-    EXPECT_THROW(expand(grid), std::invalid_argument);
+    EXPECT_THROW(expand(grid, Scenario_registry::builtin()), std::invalid_argument);
 }
 
 TEST(SweepGrid, RepeatedAxisValueThrowsNamingTheAxis)
@@ -141,7 +142,7 @@ TEST(SweepGrid, RepeatedAxisValueThrowsNamingTheAxis)
     // channel realization, aggregated as if they were independent runs.
     const auto error_for = [](const Sweep_grid& grid) -> std::string {
         try {
-            expand(grid);
+            expand(grid, Scenario_registry::builtin());
         } catch (const std::invalid_argument& error) {
             return error.what();
         }
@@ -149,7 +150,7 @@ TEST(SweepGrid, RepeatedAxisValueThrowsNamingTheAxis)
     };
     Sweep_grid grid;
     grid.scenarios = {"alice_bob"};
-    EXPECT_NO_THROW(expand(grid));
+    EXPECT_NO_THROW(expand(grid, Scenario_registry::builtin()));
 
     Sweep_grid profiles = grid;
     profiles.math_profiles = {dsp::Math_profile::exact, dsp::Math_profile::exact};

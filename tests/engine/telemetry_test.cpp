@@ -49,7 +49,8 @@ std::string run_to_artifacts(const Sweep_grid& grid, std::size_t threads,
     config.threads = threads;
     config.base_seed = 4242;
     config.telemetry = telemetry;
-    const std::vector<Task_result> results = run_sweep(grid, config);
+    const std::vector<Task_result> results =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
     const std::vector<Point_summary> points = aggregate(results);
     std::ostringstream out;
     write_json(out, results, points);
@@ -113,7 +114,8 @@ TEST(TelemetryMerge, SweepTotalsEqualSumOfPerTaskSnapshots)
     config.base_seed = 4242;
     obs::Sweep_telemetry telemetry;
     config.telemetry = &telemetry;
-    const std::vector<Task_result> results = run_sweep(grid, config);
+    const std::vector<Task_result> results =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
 
     obs::Counters summed;
     for (const Task_result& result : results)
@@ -219,7 +221,8 @@ TEST(TelemetryManifest, MetricsJsonIsPopulated)
     config.base_seed = 7;
     obs::Sweep_telemetry telemetry;
     config.telemetry = &telemetry;
-    const std::vector<Task_result> results = run_sweep(grid, config);
+    const std::vector<Task_result> results =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
 
     const std::string json =
         metrics_to_json({.driver = "test", .base_seed = config.base_seed}, grid,

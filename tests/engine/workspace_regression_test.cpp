@@ -34,7 +34,8 @@ std::string run_to_json(const Sweep_grid& grid, std::size_t threads)
     Executor_config config;
     config.threads = threads;
     config.base_seed = 4242;
-    const std::vector<Task_result> results = run_sweep(grid, config);
+    const std::vector<Task_result> results =
+        run_grid(grid, Scenario_registry::builtin(), config).tasks;
     return to_json(results, aggregate(results));
 }
 

@@ -43,15 +43,15 @@ Collision_setup make_collision(std::uint64_t seed, std::size_t alice_start = 0,
     dsp::Signal mix;
     dsp::Signal signal;
     setup.alice.transmit_into(setup.pa, rng, signal);
-    dsp::accumulate(mix, chan::Link_channel{{0.95, 0.5, 0, 0.002}}.apply(signal), alice_start);
+    chan::Link_channel{{0.95, 0.5, 0, 0.002}}.apply_onto(signal, alice_start, mix);
     setup.bob.transmit_into(setup.pb, rng, signal);
-    dsp::accumulate(mix, chan::Link_channel{{0.9, -0.9, 0, -0.002}}.apply(signal), bob_start);
+    chan::Link_channel{{0.9, -0.9, 0, -0.002}}.apply_onto(signal, bob_start, mix);
     chan::Awgn relay_noise{noise_power, rng.fork(3)};
     relay_noise.add_in_place(mix);
     dsp::Signal fwd;
     if (!amplify_and_forward_into(mix, noise_power, 1.0, fwd))
         throw std::runtime_error{"relay detected no packet"};
-    setup.at_alice = chan::Link_channel{{0.95, 1.3, 0, 0.0}}.apply(fwd);
+    chan::Link_channel{{0.95, 1.3, 0, 0.0}}.apply_onto(fwd, 0, setup.at_alice);
     chan::Awgn alice_noise{noise_power, rng.fork(4)};
     alice_noise.add_in_place(setup.at_alice);
     return setup;

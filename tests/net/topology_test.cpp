@@ -12,7 +12,7 @@ TEST(Topology, AliceBobLinks)
     chan::Medium medium{0.0, Pcg32{1101}};
     Pcg32 rng{1102};
     const Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, Alice_bob_gains{}, rng);
+    install_alice_bob(medium, nodes, Alice_bob_gains{}, {}, rng);
 
     EXPECT_TRUE(medium.has_link(nodes.alice, nodes.router));
     EXPECT_TRUE(medium.has_link(nodes.router, nodes.alice));
@@ -28,7 +28,7 @@ TEST(Topology, ChainLinks)
     chan::Medium medium{0.0, Pcg32{1103}};
     Pcg32 rng{1104};
     const Chain_nodes nodes;
-    install_chain(medium, nodes, Chain_gains{}, rng);
+    install_chain(medium, nodes, Chain_gains{}, {}, rng);
 
     EXPECT_TRUE(medium.has_link(nodes.n1, nodes.n2));
     EXPECT_TRUE(medium.has_link(nodes.n2, nodes.n1));
@@ -45,7 +45,7 @@ TEST(Topology, XLinks)
     chan::Medium medium{0.0, Pcg32{1105}};
     Pcg32 rng{1106};
     const X_nodes nodes;
-    install_x(medium, nodes, X_gains{}, rng);
+    install_x(medium, nodes, X_gains{}, {}, rng);
 
     for (const chan::Node_id spoke : {nodes.n1, nodes.n2, nodes.n3, nodes.n4}) {
         EXPECT_TRUE(medium.has_link(spoke, nodes.n5));
@@ -66,7 +66,7 @@ TEST(Topology, XOverhearStrongerThanCross)
     Pcg32 rng{1108};
     const X_nodes nodes;
     const X_gains gains;
-    install_x(medium, nodes, gains, rng);
+    install_x(medium, nodes, gains, {}, rng);
     EXPECT_GT(medium.link(nodes.n1, nodes.n2).power_gain(),
               medium.link(nodes.n3, nodes.n2).power_gain());
 }
@@ -76,7 +76,7 @@ TEST(Topology, LinkPhasesAreRandomized)
     chan::Medium medium{0.0, Pcg32{1109}};
     Pcg32 rng{1110};
     const Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, Alice_bob_gains{}, rng);
+    install_alice_bob(medium, nodes, Alice_bob_gains{}, {}, rng);
     const double phase_ar = medium.link(nodes.alice, nodes.router).params().phase;
     const double phase_ra = medium.link(nodes.router, nodes.alice).params().phase;
     EXPECT_NE(phase_ar, phase_ra);

@@ -92,8 +92,7 @@ TEST(InterferenceDetector, CollisionDetectedWithOverlapRegion)
 {
     // Packet A starts at 0; packet B (equal power) starts at 300.
     dsp::Signal mix = msk_burst(600, 438);
-    const dsp::Signal b = chan::Link_channel{{1.0, 0.9}}.apply(msk_burst(600, 439));
-    dsp::accumulate(mix, b, 300);
+    chan::Link_channel{{1.0, 0.9}}.apply_onto(msk_burst(600, 439), 300, mix);
     mix = noisy(std::move(mix), 440);
 
     const Interference_detector detector{noise_power};
@@ -109,8 +108,7 @@ TEST(InterferenceDetector, WeakInterfererStillDetected)
     // SIR +6 dB (interferer at quarter power) must still trip the
     // detector at SNR 20 dB.
     dsp::Signal mix = msk_burst(600, 441);
-    const dsp::Signal b = chan::Link_channel{{0.5, 1.7}}.apply(msk_burst(600, 442));
-    dsp::accumulate(mix, b, 200);
+    chan::Link_channel{{0.5, 1.7}}.apply_onto(msk_burst(600, 442), 200, mix);
     mix = noisy(std::move(mix), 443);
     const Interference_detector detector{noise_power};
     EXPECT_TRUE(detector.analyze(mix).interfered);
@@ -144,7 +142,7 @@ TEST(InterferenceDetector, EnvelopeMergesDriftDips)
     drift.gain = 1.0;
     drift.phase = 0.9;
     drift.phase_drift = 0.004;
-    dsp::accumulate(mix, chan::Link_channel{drift}.apply(signal_b), 200);
+    chan::Link_channel{drift}.apply_onto(signal_b, 200, mix);
     mix = noisy(std::move(mix), 448);
 
     const Interference_detector detector{noise_power};
@@ -158,7 +156,7 @@ TEST(InterferenceDetector, EnvelopeMergesDriftDips)
 TEST(InterferenceDetector, PeakRatioReported)
 {
     dsp::Signal mix = msk_burst(400, 444);
-    dsp::accumulate(mix, chan::Link_channel{{1.0, 0.4}}.apply(msk_burst(400, 445)), 100);
+    chan::Link_channel{{1.0, 0.4}}.apply_onto(msk_burst(400, 445), 100, mix);
     mix = noisy(std::move(mix), 446);
     const Interference_detector detector{noise_power};
     const Interference_report report = detector.analyze(mix);
@@ -303,9 +301,7 @@ std::vector<dsp::Signal> identity_workloads()
         chan::Link_params drift;
         drift.phase = 0.7;
         drift.phase_drift = 0.004;
-        dsp::accumulate(mix,
-                        chan::Link_channel{drift}.apply(msk_burst(900, 904, 0.9)),
-                        150);
+        chan::Link_channel{drift}.apply_onto(msk_burst(900, 904, 0.9), 150, mix);
         workloads.push_back(noisy(std::move(mix), 905));
     }
     // Pure noise (no packet at all; detect must agree on nullopt).

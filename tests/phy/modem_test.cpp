@@ -46,11 +46,12 @@ TEST(Modem, RoundTripThroughDistortedChannel)
     params.gain = 0.2;
     params.phase = -2.2;
     params.delay = 17;
-    signal = chan::Link_channel{params}.apply(signal);
+    dsp::Signal received;
+    chan::Link_channel{params}.apply_onto(signal, 0, received);
     chan::Awgn noise{0.2 * 0.2 / 316.0, Pcg32{453}}; // ~25 dB post-attenuation
-    noise.add_in_place(signal);
+    noise.add_in_place(received);
 
-    const auto frame = modem.receive(signal);
+    const auto frame = modem.receive(received);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->payload, payload);
 }

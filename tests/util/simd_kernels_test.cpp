@@ -284,14 +284,13 @@ TEST(SimdKernels, Avx512DecoderKernelsEqualScalar)
 // The channel accumulators (channel/link.cpp) add into an existing
 // buffer, so every comparison starts from the same nonzero accumulator.
 struct Accumulators {
-    decltype(&rotor_accumulate) rotor;
     decltype(&cmul_accumulate) cmul;
     decltype(&cmul_fade_accumulate) cmul_fade;
 };
 
 Accumulators accumulators_of(const Kernel_table& table)
 {
-    return {table.rotor_accumulate, table.cmul_accumulate, table.cmul_fade_accumulate};
+    return {table.cmul_accumulate, table.cmul_fade_accumulate};
 }
 
 void expect_accumulators_equal_scalar(const Accumulators& kernels, std::size_t samples,
@@ -308,11 +307,6 @@ void expect_accumulators_equal_scalar(const Accumulators& kernels, std::size_t s
     SCOPED_TRACE(testing::Message() << what << ", " << samples << " samples");
     std::vector<double> lanes = start;
     std::vector<double> scalar = start;
-    kernels.rotor(in.data(), lanes.data(), samples, 0.61, -0.79);
-    scalar_kernels.rotor_accumulate(in.data(), scalar.data(), samples, 0.61, -0.79);
-    expect_equal(lanes, scalar, "rotor_accumulate");
-    lanes = start;
-    scalar = start;
     kernels.cmul(in.data(), rotors.data(), lanes.data(), samples);
     scalar_kernels.cmul_accumulate(in.data(), rotors.data(), scalar.data(), samples);
     expect_equal(lanes, scalar, "cmul_accumulate");
@@ -346,7 +340,7 @@ TEST(SimdKernels, AccumulatorsMatchScalarAcrossTailSeam)
     // to, at every length up to two blocks of the widest table (avx512,
     // 8 samples) plus one — each tail the blocks can leave, after zero,
     // one and two blocks — and at longer awkward ones.
-    const Accumulators dispatched{rotor_accumulate, cmul_accumulate, cmul_fade_accumulate};
+    const Accumulators dispatched{cmul_accumulate, cmul_fade_accumulate};
     for (std::size_t samples = 0; samples <= 2 * 8 + 1; ++samples)
         expect_accumulators_equal_scalar(dispatched, samples,
                                          "accumulate dispatched-vs-scalar");
