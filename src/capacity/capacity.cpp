@@ -75,36 +75,6 @@ double crossover_snr_db(double alpha)
     return (lo + hi) / 2.0;
 }
 
-Cutset_bound routing_cutset_bound(double p, double h_sd, double h_sr, double h_rd)
-{
-    // Eq. 21 with the 1/4 prefactors (each direction runs in half the
-    // time, each hop in half of that).  The broadcast cut improves as the
-    // source decorrelates from the relay (1 - rho^2); the multiple-access
-    // cut improves with coherent combining (+2 rho sqrt(...)); the bound
-    // is max over rho of min(C1, C2) — evaluated on a fine grid, which is
-    // plenty for a monotone trade-off.
-    Cutset_bound best;
-    bool first = true;
-    for (int i = 0; i < 512; ++i) {
-        const double rho = static_cast<double>(i) / 512.0;
-        const double c1 = 0.25 * std::log2(1.0 + (h_sd * h_sd + h_sr * h_sr) * p)
-            + 0.25 * std::log2(1.0 + (1.0 - rho * rho) * h_sd * h_sd * p);
-        const double c2 = 0.25
-                * std::log2(1.0 + (h_sd * h_sd + h_rd * h_rd) * p
-                            + 2.0 * rho * p * std::sqrt(h_sd * h_sd * h_rd * h_rd))
-            + 0.25 * std::log2(1.0 + h_sd * h_sd * p);
-        const double value = std::min(c1, c2);
-        if (first || value > best.value()) {
-            best.c1 = c1;
-            best.c2 = c2;
-            best.rho1 = rho;
-            best.rho2 = rho;
-            first = false;
-        }
-    }
-    return best;
-}
-
 double relay_amplification(double power, double h_ar, double h_br)
 {
     return std::sqrt(power / (power * h_ar * h_ar + power * h_br * h_br + 1.0));

@@ -44,26 +44,6 @@ std::vector<Capacity_point> sweep(double from_db, double to_db, double step_db,
 /// [-10, 60] dB; returns the low edge if ANC already wins everywhere.
 double crossover_snr_db(double alpha = default_alpha);
 
-// ---- Appendix C: the routing outer bound (Eq. 21) --------------------
-
-/// One direction of the cut-set bound for 3-node relaying with channel
-/// gains known and transmissions time-shared.  C1 bounds the broadcast
-/// cut (source into {relay, destination}) and C2 the multiple-access cut
-/// ({source, relay} into destination); rho is the source-relay input
-/// correlation, maximized numerically over [0, 1).
-struct Cutset_bound {
-    double c1 = 0.0;
-    double c2 = 0.0;
-    double rho1 = 0.0; // maximizing correlations
-    double rho2 = 0.0;
-
-    double value() const { return c1 < c2 ? c1 : c2; }
-};
-
-/// Cut-set bound of Eq. 21 for power `p` and gains: h_sd source->dest,
-/// h_sr source->relay, h_rd relay->dest.
-Cutset_bound routing_cutset_bound(double p, double h_sd, double h_sr, double h_rd);
-
 // ---- Appendix C building blocks (amplify-and-forward link budget) ----
 
 /// Relay amplification factor A = sqrt(P / (P h_ar^2 + P h_br^2 + 1)),

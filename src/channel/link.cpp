@@ -1,7 +1,6 @@
 #include "channel/link.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -15,14 +14,6 @@ namespace {
 constexpr double inv_sqrt2 = 0.70710678118654752440;
 
 } // namespace
-
-double agc_detection_threshold_db(double base_threshold_db, double link_gain)
-{
-    if (!(link_gain > 0.0))
-        throw std::invalid_argument{
-            "agc_detection_threshold_db: link gain must be positive"};
-    return base_threshold_db + 20.0 * std::log10(link_gain);
-}
 
 const dsp::Sample* Link_channel::rotor_stream(std::size_t samples) const
 {

@@ -58,12 +58,6 @@ struct Link_params {
     std::optional<double> detection_threshold_db{};
 };
 
-/// The AGC rule behind the per-link threshold: lower a base carrier-sense
-/// threshold by the link's power budget deficit, −20·log10(gain) dB (a
-/// unit-gain link keeps the base; gain 0.5 listens ≈6 dB lower).  Requires
-/// gain > 0.
-double agc_detection_threshold_db(double base_threshold_db, double link_gain);
-
 /// Fixed:          y[n] = h * e^{i(gamma + drift*n)} * x[n - delay]
 /// Rayleigh block: y[n] = h_{e,k(n)} * h * e^{i(gamma + drift*n)} * x[n - delay]
 /// where k(n) = n / coherence_block indexes the fading block and `e` is

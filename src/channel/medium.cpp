@@ -18,11 +18,6 @@ void Medium::set_link(Node_id from, Node_id to, Link_params params)
     links_.insert_or_assign({from, to}, Link_channel{params});
 }
 
-bool Medium::has_link(Node_id from, Node_id to) const
-{
-    return links_.count({from, to}) > 0;
-}
-
 const Link_channel& Medium::link(Node_id from, Node_id to) const
 {
     const auto it = links_.find({from, to});
@@ -40,17 +35,6 @@ std::optional<double> Medium::detection_threshold_db(Node_id from, Node_id to) c
     if (it->second.params().detection_threshold_db)
         obs::count(obs::Counter::agc_overrides);
     return it->second.params().detection_threshold_db;
-}
-
-void Medium::set_detection_threshold_db(Node_id from, Node_id to,
-                                        std::optional<double> threshold_db)
-{
-    const auto it = links_.find({from, to});
-    if (it == links_.end())
-        throw std::out_of_range{"Medium::set_detection_threshold_db: no such link"};
-    Link_params params = it->second.params();
-    params.detection_threshold_db = threshold_db;
-    it->second = Link_channel{params};
 }
 
 void Medium::append_fade_magnitudes(Node_id from, Node_id to, std::size_t samples,

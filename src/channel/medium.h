@@ -53,8 +53,6 @@ public:
     /// sender.
     void set_link(Node_id from, Node_id to, Link_params params);
 
-    bool has_link(Node_id from, Node_id to) const;
-
     /// The link's channel; throws if absent.
     const Link_channel& link(Node_id from, Node_id to) const;
 
@@ -63,12 +61,6 @@ public:
     /// empty when the link has none (or does not exist) — "use the
     /// standard carrier-sense threshold".
     std::optional<double> detection_threshold_db(Node_id from, Node_id to) const;
-
-    /// Install or clear the per-link threshold on an existing link
-    /// (throws std::out_of_range when absent).  Keeps the link's other
-    /// parameters — including its random phase — untouched.
-    void set_detection_threshold_db(Node_id from, Node_id to,
-                                    std::optional<double> threshold_db);
 
     /// What `receiver` hears during a round in which `transmissions` are
     /// on the air, into a caller-owned buffer (cleared first; typically a

@@ -322,7 +322,7 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
     const std::size_t unknown_start =
         report.overlap_begin > pilot_pos ? report.overlap_begin - pilot_pos : 0;
     const std::size_t search_to =
-        unknown_start + 6 * config_.interference_detector.window;
+        unknown_start + 6 * phy::Interference_detector::window;
     // Pack the decoded stream once: the pilot loop below and the
     // mirrored-tail fallback all scan these same bits.
     const phy::Packed_bits packed_decoded{*decoded_bits};

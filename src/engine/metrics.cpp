@@ -1,7 +1,6 @@
 #include "engine/metrics.h"
 
 #include <ostream>
-#include <sstream>
 
 #include "dsp/math_profile.h"
 #include "engine/text.h"
@@ -98,16 +97,6 @@ void write_metrics_json(std::ostream& out,
             << ",\"queue_ns\":" << fmt_u64(task.queue_ns) << "}";
     });
     out << "}";
-}
-
-std::string metrics_to_json(const Metrics_run_info& info,
-                            const Sweep_grid& grid,
-                            const obs::Sweep_telemetry& telemetry,
-                            const std::vector<Task_result>& results)
-{
-    std::ostringstream out;
-    write_metrics_json(out, info, grid, telemetry, results);
-    return out.str();
 }
 
 } // namespace anc::engine

@@ -48,9 +48,4 @@ void write_metrics_json(std::ostream& out,
                         const obs::Sweep_telemetry& telemetry,
                         const std::vector<Task_result>& results);
 
-std::string metrics_to_json(const Metrics_run_info& info,
-                            const Sweep_grid& grid,
-                            const obs::Sweep_telemetry& telemetry,
-                            const std::vector<Task_result>& results);
-
 } // namespace anc::engine

@@ -37,17 +37,6 @@ Bits Fec_codec::decode(std::span<const std::uint8_t> coded, std::size_t data_bit
     return data;
 }
 
-std::size_t Fec_codec::coded_size(std::size_t data_bits) const
-{
-    const std::size_t blocks = (data_bits + 3) / 4;
-    return blocks * 7;
-}
-
-double Fec_codec::rate() const
-{
-    return hamming74_rate;
-}
-
 double redundancy_overhead(double ber)
 {
     return std::clamp(2.0 * ber, 0.0, 1.0);

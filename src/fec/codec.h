@@ -24,11 +24,6 @@ public:
     /// pad added by encode() can be stripped.
     Bits decode(std::span<const std::uint8_t> coded, std::size_t data_bits) const;
 
-    /// Coded length for a given data length.
-    std::size_t coded_size(std::size_t data_bits) const;
-
-    double rate() const;
-
 private:
     std::size_t interleave_rows_;
 };

@@ -36,12 +36,6 @@ std::uint8_t hamming74_encode_nibble(std::uint8_t nibble)
         (p1 << 6u) | (p2 << 5u) | (d1 << 4u) | (p3 << 3u) | (d2 << 2u) | (d3 << 1u) | d4);
 }
 
-std::uint8_t hamming74_decode_codeword(std::uint8_t codeword)
-{
-    bool corrected = false;
-    return hamming74_decode_codeword(codeword, corrected);
-}
-
 std::uint8_t hamming74_decode_codeword(std::uint8_t codeword, bool& corrected)
 {
     std::uint8_t bits[8] = {0}; // 1-indexed positions 1..7

@@ -18,12 +18,9 @@ namespace anc::fec {
 /// Encode 4 data bits into a 7-bit codeword (positions: p1 p2 d1 p3 d2 d3 d4).
 std::uint8_t hamming74_encode_nibble(std::uint8_t nibble);
 
-/// Decode a 7-bit codeword, correcting up to one flipped bit.
-/// Returns the 4 data bits.
-std::uint8_t hamming74_decode_codeword(std::uint8_t codeword);
-
-/// As above, additionally reporting whether a bit was corrected (the
-/// syndrome was nonzero) — the telemetry layer's FEC-correction tally.
+/// Decode a 7-bit codeword, correcting up to one flipped bit, and report
+/// whether a bit was corrected (the syndrome was nonzero) — the telemetry
+/// layer's FEC-correction tally.  Returns the 4 data bits.
 std::uint8_t hamming74_decode_codeword(std::uint8_t codeword, bool& corrected);
 
 /// Encode a bit sequence; the input is zero-padded to a multiple of 4.
@@ -33,8 +30,5 @@ Bits hamming74_encode(std::span<const std::uint8_t> bits);
 /// Decode a sequence of 7-bit codewords back to data bits (4 per block).
 /// The input length must be a multiple of 7.
 Bits hamming74_decode(std::span<const std::uint8_t> bits);
-
-/// Code rate of Hamming(7,4).
-inline constexpr double hamming74_rate = 4.0 / 7.0;
 
 } // namespace anc::fec

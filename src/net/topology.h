@@ -91,9 +91,9 @@ struct X_gains {
     /// packet lands ~14 dB above the floor — under 15 dB, which silently
     /// zeroed every COPE delivery there (every seed; the demodulator
     /// itself is fine at 14 dB).  A deliberate snooper listens lower by
-    /// the link's budget deficit: 15 − 6 = 9 dB, the
-    /// chan::agc_detection_threshold_db rule rounded to the historical
-    /// value.  Empty disables the override (pre-fix behavior).
+    /// the link's budget deficit, −20·log10(gain) dB: 15 − 6 = 9 dB for
+    /// gain 0.5 (6.02 dB, rounded to the historical value).  Empty
+    /// disables the override (pre-fix behavior).
     std::optional<double> overhear_detection_threshold_db = 9.0;
 };
 

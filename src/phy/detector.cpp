@@ -15,6 +15,11 @@ namespace anc::phy {
 
 namespace {
 
+// The window means multiply by 1/window (simd::window_mean_mask), which
+// rounds as the divide only for a power-of-two window.
+static_assert(std::has_single_bit(Packet_detector::window));
+static_assert(std::has_single_bit(Interference_detector::window));
+
 // Bit scans over a window mask (bit n = window n passed its threshold;
 // bits at or past `windows` are clear).  Each word takes one countr_zero
 // instead of up to 64 branches.
@@ -61,7 +66,7 @@ Packet_detector::Packet_detector(double noise_power, Config config)
 std::optional<Packet_bounds> Packet_detector::detect(dsp::Signal_view signal) const
 {
     const obs::Stage_timer timer{obs::Stage::packet_detect};
-    if (signal.size() < config_.window) {
+    if (signal.size() < window) {
         obs::count(obs::Counter::packet_detect_rejections);
         return std::nullopt;
     }
@@ -70,11 +75,11 @@ std::optional<Packet_bounds> Packet_detector::detect(dsp::Signal_view signal) co
     auto mask = workspace.words();
     // Mean-only chain: detection thresholds the window means and never
     // reads the variance series.
-    dsp::window_energy_sums_into(signal, config_.window, *sums);
+    dsp::window_energy_sums_into(signal, window, *sums);
     const std::size_t windows = sums->size();
     mask->resize(mask_words(windows));
     const double threshold = noise_power_ * from_db(config_.energy_threshold_db);
-    simd::window_mean_mask(sums->data(), windows, config_.window, threshold, mask->data());
+    simd::window_mean_mask(sums->data(), windows, 1.0 / window, threshold, mask->data());
 
     // The first window above threshold marks the packet head, the last
     // one the tail.
@@ -88,7 +93,7 @@ std::optional<Packet_bounds> Packet_detector::detect(dsp::Signal_view signal) co
     obs::count(obs::Counter::packet_detect_triggers);
     Packet_bounds bounds;
     bounds.begin = first;
-    bounds.end = std::min(last + config_.window, signal.size());
+    bounds.end = std::min(last + window, signal.size());
     return bounds;
 }
 
@@ -102,21 +107,21 @@ Interference_report Interference_detector::analyze(dsp::Signal_view packet) cons
     const obs::Stage_timer timer{obs::Stage::interference_analyze};
     obs::count(obs::Counter::interference_analyses);
     Interference_report report;
-    if (packet.size() < config_.window)
+    if (packet.size() < window)
         return report;
 
     dsp::Workspace& workspace = dsp::Workspace::current();
     auto sums = workspace.reals();
     auto sum_sqs = workspace.reals();
     auto mask = workspace.words();
-    dsp::window_energy_sums_into(packet, config_.window, *sums, &*sum_sqs);
+    dsp::window_energy_sums_into(packet, window, *sums, &*sum_sqs);
     const std::size_t windows = sums->size();
     mask->resize(mask_words(windows));
     // Peak tracked in linear space and converted to dB once: log10 is
     // monotone, so max-then-log equals log-then-max.  The historical
     // running max started at 0 dB, so it never reports below zero.
     const double peak_ratio = simd::excess_variance_mask(
-        sums->data(), sum_sqs->data(), windows, config_.window, noise_power_,
+        sums->data(), sum_sqs->data(), windows, 1.0 / window, noise_power_,
         from_db(config_.variance_threshold_db), mask->data());
     report.peak_ratio_db = std::max(0.0, to_db(peak_ratio));
 
@@ -131,7 +136,7 @@ Interference_report Interference_detector::analyze(dsp::Signal_view packet) cons
     std::size_t last_end = 0;
     for (std::size_t begin = next_bit(*mask, 0, windows, true); begin < windows;) {
         const std::size_t end = next_bit(*mask, begin, windows, false);
-        if (end - begin >= config_.min_run) {
+        if (end - begin >= min_run) {
             if (!found)
                 first_begin = begin;
             found = true;
@@ -144,7 +149,7 @@ Interference_report Interference_detector::analyze(dsp::Signal_view packet) cons
         obs::count(obs::Counter::interference_detected);
         report.interfered = true;
         report.overlap_begin = first_begin;
-        report.overlap_end = std::min(last_end + config_.window, packet.size());
+        report.overlap_end = std::min(last_end + window, packet.size());
     }
     return report;
 }

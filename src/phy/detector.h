@@ -40,8 +40,11 @@ public:
         /// with sub-unity gain still detect packets at an SNR of exactly
         /// 20 dB (the bottom of the operating range).
         double energy_threshold_db = 15.0;
-        std::size_t window = 16;
     };
+
+    /// Energy window length in samples.  A power of two, so the window
+    /// mean's sum · (1/window) rounds as sum / window would.
+    static constexpr std::size_t window = 16;
 
     explicit Packet_detector(double noise_power)
         : Packet_detector{noise_power, Config{}}
@@ -72,11 +75,14 @@ class Interference_detector {
 public:
     struct Config {
         double variance_threshold_db = 10.0;
-        std::size_t window = 64;
-        // A collision must sustain the ratio for at least this many
-        // consecutive windows: isolated spikes (packet edges) don't count.
-        std::size_t min_run = 16;
     };
+
+    /// Variance window length in samples; a power of two, as
+    /// Packet_detector::window.
+    static constexpr std::size_t window = 64;
+    /// A collision must sustain the ratio for at least this many
+    /// consecutive windows: isolated spikes (packet edges) don't count.
+    static constexpr std::size_t min_run = 16;
 
     explicit Interference_detector(double noise_power)
         : Interference_detector{noise_power, Config{}}

@@ -5,29 +5,6 @@
 
 namespace anc {
 
-std::vector<std::uint8_t> pack_bits(std::span<const std::uint8_t> bits)
-{
-    if (bits.size() % 8 != 0)
-        throw std::invalid_argument{"pack_bits: bit count must be a multiple of 8"};
-    std::vector<std::uint8_t> bytes(bits.size() / 8, 0);
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        if (bits[i])
-            bytes[i / 8] |= static_cast<std::uint8_t>(1u << (7 - i % 8));
-    }
-    return bytes;
-}
-
-Bits unpack_bytes(std::span<const std::uint8_t> bytes)
-{
-    Bits bits;
-    bits.reserve(bytes.size() * 8);
-    for (const std::uint8_t byte : bytes) {
-        for (int bit = 7; bit >= 0; --bit)
-            bits.push_back((byte >> bit) & 1u);
-    }
-    return bits;
-}
-
 void append_uint(Bits& bits, std::uint64_t value, int width)
 {
     if (width < 0 || width > 64)
@@ -44,16 +21,6 @@ std::uint64_t read_uint(std::span<const std::uint8_t> bits, std::size_t offset, 
     for (int i = 0; i < width; ++i)
         value = (value << 1u) | bits[offset + static_cast<std::size_t>(i)];
     return value;
-}
-
-Bits xor_bits(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b)
-{
-    if (a.size() != b.size())
-        throw std::invalid_argument{"xor_bits: length mismatch"};
-    Bits out(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] ^ b[i];
-    return out;
 }
 
 std::size_t hamming_distance(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b)

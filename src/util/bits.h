@@ -20,22 +20,12 @@ namespace anc {
 
 using Bits = std::vector<std::uint8_t>;
 
-/// Pack bits (MSB-first within each byte) into bytes.  The bit count must
-/// be a multiple of 8.
-std::vector<std::uint8_t> pack_bits(std::span<const std::uint8_t> bits);
-
-/// Unpack bytes into bits, MSB-first.
-Bits unpack_bytes(std::span<const std::uint8_t> bytes);
-
 /// Append an unsigned value MSB-first as `width` bits.
 void append_uint(Bits& bits, std::uint64_t value, int width);
 
 /// Read `width` bits MSB-first starting at `offset`.  The caller must
 /// ensure offset + width is in range.
 std::uint64_t read_uint(std::span<const std::uint8_t> bits, std::size_t offset, int width);
-
-/// Element-wise XOR; the spans must have equal length.
-Bits xor_bits(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b);
 
 /// Number of positions where the two sequences differ, compared over the
 /// shorter length, plus the length difference (a missing bit is an error).

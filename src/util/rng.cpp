@@ -107,11 +107,6 @@ double Pcg32::next_gaussian()
     return radius * std::cos(angle);
 }
 
-bool Pcg32::next_bernoulli(double p)
-{
-    return next_double() < p;
-}
-
 Pcg32 Pcg32::fork(std::uint64_t salt)
 {
     const std::uint64_t seed = next_u64() ^ (salt * 0x9e3779b97f4a7c15ULL);

@@ -125,9 +125,6 @@ public:
     /// Standard normal draw (Box-Muller, one value cached).
     double next_gaussian();
 
-    /// Bernoulli draw with success probability p.
-    bool next_bernoulli(double p);
-
     /// UniformRandomBitGenerator interface, so Pcg32 works with <algorithm>
     /// (std::shuffle and friends).
     static constexpr result_type min() { return 0; }

@@ -44,12 +44,6 @@ inline double distance_branchless(double a, double b)
     return std::abs(wrap_branchless(a - b));
 }
 
-template <bool Reciprocal>
-inline double per_window(double x, const Window_divisor& divisor)
-{
-    return Reciprocal ? x * divisor.inv_w : x / divisor.w;
-}
-
 /// ORs flag(i), evaluated in order, into bit first + i of the mask for
 /// i in [0, count), assembling a word at a time.
 template <class Flag>
@@ -67,28 +61,24 @@ void set_bits(std::uint64_t* mask, std::size_t first, std::size_t count, Flag fl
     }
 }
 
-template <bool Reciprocal>
-void window_mean_mask_loop(const double* sums, std::size_t count,
-                           const Window_divisor& divisor, double threshold,
-                           std::uint64_t* mask, std::size_t first)
+void window_mean_mask_scalar(const double* sums, std::size_t count, double inv_w,
+                             double threshold, std::uint64_t* mask, std::size_t first)
 {
-    set_bits(mask, first, count, [&](std::size_t i) {
-        return per_window<Reciprocal>(sums[i], divisor) > threshold;
-    });
+    set_bits(mask, first, count,
+             [&](std::size_t i) { return sums[i] * inv_w > threshold; });
 }
 
-template <bool Reciprocal>
-double excess_variance_mask_loop(const double* sums, const double* sum_sqs,
-                                 std::size_t count, const Window_divisor& divisor,
-                                 double sigma2, double threshold, double peak,
-                                 std::uint64_t* mask, std::size_t first)
+double excess_variance_mask_scalar(const double* sums, const double* sum_sqs,
+                                   std::size_t count, double inv_w, double sigma2,
+                                   double threshold, double peak, std::uint64_t* mask,
+                                   std::size_t first)
 {
     set_bits(mask, first, count, [&](std::size_t i) {
-        const double mean = per_window<Reciprocal>(sums[i], divisor);
+        const double mean = sums[i] * inv_w;
         // Population variance; clamp tiny negatives from cancellation
         // (the comparison form keeps a -0.0, as the historical
         // `if (variance < 0.0) variance = 0.0;` did).
-        double variance = per_window<Reciprocal>(sum_sqs[i], divisor) - mean * mean;
+        double variance = sum_sqs[i] * inv_w - mean * mean;
         variance = variance < 0.0 ? 0.0 : variance;
         // Variance a clean constant-envelope signal of this power would
         // show: cross term 2*|s|^2*sigma^2 plus the noise-energy variance
@@ -242,28 +232,6 @@ void cmul_fade_accumulate_scalar(const double* interleaved_in,
     }
 }
 
-void window_mean_mask_scalar(const double* sums, std::size_t count,
-                             const Window_divisor& divisor, double threshold,
-                             std::uint64_t* mask, std::size_t first)
-{
-    if (divisor.reciprocal)
-        window_mean_mask_loop<true>(sums, count, divisor, threshold, mask, first);
-    else
-        window_mean_mask_loop<false>(sums, count, divisor, threshold, mask, first);
-}
-
-double excess_variance_mask_scalar(const double* sums, const double* sum_sqs,
-                                   std::size_t count, const Window_divisor& divisor,
-                                   double sigma2, double threshold, double peak,
-                                   std::uint64_t* mask, std::size_t first)
-{
-    if (divisor.reciprocal)
-        return excess_variance_mask_loop<true>(sums, sum_sqs, count, divisor, sigma2,
-                                               threshold, peak, mask, first);
-    return excess_variance_mask_loop<false>(sums, sum_sqs, count, divisor, sigma2,
-                                            threshold, peak, mask, first);
-}
-
 void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
                        std::uint8_t* bits)
 {
@@ -301,12 +269,6 @@ void msk_decide_scalar(const double* interleaved_samples, std::size_t transition
 }
 
 } // namespace
-
-Window_divisor window_divisor(std::size_t window)
-{
-    const auto w = static_cast<double>(window);
-    return {w, 1.0 / w, (window & (window - 1)) == 0};
-}
 
 constinit const Kernel_table scalar_kernels{
     .width = 1,
@@ -438,22 +400,20 @@ void cmul_fade_accumulate(const double* interleaved_in, const double* interleave
              });
 }
 
-void window_mean_mask(const double* sums, std::size_t windows, std::size_t window,
+void window_mean_mask(const double* sums, std::size_t windows, double inv_w,
                       double threshold, std::uint64_t* mask)
 {
-    const detail::Window_divisor divisor = detail::window_divisor(window);
     std::fill_n(mask, (windows + 63) / 64, std::uint64_t{0});
     dispatch(windows, &detail::Kernel_table::window_mean_mask,
              [&](auto kernel, std::size_t at, std::size_t m) {
-                 kernel(sums + at, m, divisor, threshold, mask, at);
+                 kernel(sums + at, m, inv_w, threshold, mask, at);
              });
 }
 
 double excess_variance_mask(const double* sums, const double* sum_sqs,
-                            std::size_t windows, std::size_t window, double sigma2,
+                            std::size_t windows, double inv_w, double sigma2,
                             double threshold, std::uint64_t* mask)
 {
-    const detail::Window_divisor divisor = detail::window_divisor(window);
     std::fill_n(mask, (windows + 63) / 64, std::uint64_t{0});
     // The peak of positive ratios has one bit pattern whatever order the
     // lanes visit them in (NaN ratios never win a max), so the lane
@@ -461,8 +421,8 @@ double excess_variance_mask(const double* sums, const double* sum_sqs,
     double peak = 1e-12;
     dispatch(windows, &detail::Kernel_table::excess_variance_mask,
              [&](auto kernel, std::size_t at, std::size_t m) {
-                 peak = kernel(sums + at, sum_sqs + at, m, divisor, sigma2, threshold,
-                               peak, mask, at);
+                 peak = kernel(sums + at, sum_sqs + at, m, inv_w, sigma2, threshold, peak,
+                               mask, at);
              });
     return peak;
 }

@@ -149,18 +149,23 @@ void cmul_fade_accumulate(const double* interleaved_in, const double* interleave
 // that dsp::window_energy_sums_into produces and set bit n of `mask`
 // (words [0, ceil(windows / 64)), overwritten) when window n passes.
 
+// The window means are sums · inv_w, with inv_w = 1 / w for the
+// detector's window w.  Both detector windows are powers of two, so the
+// multiply rounds exactly as sum / w would (x·2^-k and x/2^k only scale
+// the exponent).
+
 /// The packet detector's threshold test: bit n is set iff the mean
-/// sums[n] / window > threshold.
-void window_mean_mask(const double* sums, std::size_t windows, std::size_t window,
+/// sums[n] · inv_w > threshold.
+void window_mean_mask(const double* sums, std::size_t windows, double inv_w,
                       double threshold, std::uint64_t* mask);
 
 /// The interference analyzer's excess-variance test.  Per window:
-///   mean     = sum / w;  variance = sum_sq / w − mean², clamped at 0
+///   mean     = sum · inv_w;  variance = sum_sq · inv_w − mean², clamped at 0
 ///   ratio    = variance / (2·max(mean − σ², 1e-12)·σ² + σ²·σ²)
 /// with the scalar operand order of phy/detector.cpp.  Bit n is set iff
 /// ratio > threshold; returns max(1e-12, every non-NaN ratio).
 double excess_variance_mask(const double* sums, const double* sum_sqs,
-                            std::size_t windows, std::size_t window, double sigma2,
+                            std::size_t windows, double inv_w, double sigma2,
                             double threshold, std::uint64_t* mask);
 
 /// MSK hard decisions (dsp::Msk_demodulator): bits[n] = 1 iff
@@ -171,18 +176,6 @@ void msk_decide(const double* interleaved_samples, std::size_t transitions,
                 std::uint8_t* bits);
 
 namespace detail {
-
-/// The per-window divide of the detectors' finalize: x / w, or
-/// x · inv_w when w is a power of two.  x/2^k and x·2^-k round
-/// identically for every double (both only scale the exponent), so the
-/// multiply gives the divide's bits at a fraction of the cost.
-struct Window_divisor {
-    double w;
-    double inv_w;
-    bool reciprocal;
-};
-
-Window_divisor window_divisor(std::size_t window);
 
 /// One backend's kernels.  A lane kernel takes counts that are a
 /// multiple of `width` elements (a power of two; 1 for scalar); the
@@ -212,13 +205,12 @@ struct Kernel_table {
     // first % 64 == 0).  excess_variance_mask returns the running peak
     // continued from `peak` (lanes keep one peak each, so they equal the
     // scalar loop for a positive `peak`).
-    void (*window_mean_mask)(const double* sums, std::size_t count,
-                             const Window_divisor& divisor, double threshold,
-                             std::uint64_t* mask, std::size_t first);
+    void (*window_mean_mask)(const double* sums, std::size_t count, double inv_w,
+                             double threshold, std::uint64_t* mask, std::size_t first);
     double (*excess_variance_mask)(const double* sums, const double* sum_sqs,
-                                   std::size_t count, const Window_divisor& divisor,
-                                   double sigma2, double threshold, double peak,
-                                   std::uint64_t* mask, std::size_t first);
+                                   std::size_t count, double inv_w, double sigma2,
+                                   double threshold, double peak, std::uint64_t* mask,
+                                   std::size_t first);
 
     // Bit-domain pilot scans (phy/pilot.cpp): integer-exact u64 XOR +
     // popcount loops, bit-identical in every table; they take any range.

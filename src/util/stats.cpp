@@ -7,40 +7,6 @@
 
 namespace anc {
 
-void Running_stats::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-double Running_stats::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_);
-}
-
-double Running_stats::sample_variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double Running_stats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 void Cdf::add(double x)
 {
     samples_.push_back(x);

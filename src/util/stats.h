@@ -1,8 +1,7 @@
-// Streaming statistics and empirical CDFs.
+// Empirical CDFs.
 //
 // Every figure in the paper's evaluation is a CDF (Figs. 9, 10, 12) or a
-// curve of means (Fig. 13), so the metrics layer needs numerically stable
-// accumulation and percentile queries.
+// curve of means (Fig. 13), so the metrics layer needs percentile queries.
 
 #pragma once
 
@@ -10,29 +9,6 @@
 #include <vector>
 
 namespace anc {
-
-/// Welford-style running mean/variance plus min/max.
-class Running_stats {
-public:
-    void add(double x);
-
-    std::size_t count() const { return count_; }
-    double mean() const { return mean_; }
-    /// Population variance (n divisor); 0 when fewer than 2 samples.
-    double variance() const;
-    /// Unbiased sample variance (n-1 divisor); 0 when fewer than 2 samples.
-    double sample_variance() const;
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /// Empirical distribution over a batch of samples.
 class Cdf {

@@ -141,42 +141,5 @@ TEST(Capacity, AsymmetricChannelsPenalizeWeakSide)
     EXPECT_GT(symmetric, asymmetric);
 }
 
-TEST(Capacity, CutsetBoundIsMinOfCuts)
-{
-    const Cutset_bound bound = routing_cutset_bound(100.0, 0.5, 1.0, 1.0);
-    EXPECT_LE(bound.value(), bound.c1 + 1e-12);
-    EXPECT_LE(bound.value(), bound.c2 + 1e-12);
-    EXPECT_GT(bound.value(), 0.0);
-}
-
-TEST(Capacity, CutsetBoundGrowsWithPower)
-{
-    const double low = routing_cutset_bound(10.0, 0.5, 1.0, 1.0).value();
-    const double high = routing_cutset_bound(1000.0, 0.5, 1.0, 1.0).value();
-    EXPECT_GT(high, low);
-}
-
-TEST(Capacity, CutsetBetterRelayHelps)
-{
-    // Stronger relay links raise the bound (until the direct link caps it).
-    const double weak = routing_cutset_bound(100.0, 0.3, 0.5, 0.5).value();
-    const double strong = routing_cutset_bound(100.0, 0.3, 1.5, 1.5).value();
-    EXPECT_GE(strong, weak);
-}
-
-TEST(Capacity, CutsetDominatesSimpleTimeSharing)
-{
-    // The cut-set bound is an *upper* bound: it must be at least the
-    // trivially achievable two-hop time-shared rate
-    // 1/4 min(log(1+h_sr^2 P), log(1+h_rd^2 P)).
-    const double p = 316.0;
-    const double h_sr = 0.9;
-    const double h_rd = 0.9;
-    const double trivial =
-        0.25 * std::min(std::log2(1.0 + h_sr * h_sr * p), std::log2(1.0 + h_rd * h_rd * p));
-    const double bound = routing_cutset_bound(p, 0.05, h_sr, h_rd).value();
-    EXPECT_GE(bound, trivial * 0.99);
-}
-
 } // namespace
 } // namespace anc::cap

@@ -7,7 +7,6 @@
 #include "dsp/energy_scan.h"
 #include "util/db.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace anc::chan {
 namespace {
@@ -15,29 +14,34 @@ namespace {
 TEST(Awgn, NoisePowerMatchesRequest)
 {
     Awgn noise{0.25, Pcg32{301}};
-    Running_stats energy;
-    for (int i = 0; i < 200000; ++i)
-        energy.add(std::norm(noise.sample()));
-    EXPECT_NEAR(energy.mean(), 0.25, 0.005);
+    double energy = 0.0;
+    const int n = 200000;
+    for (int i = 0; i < n; ++i)
+        energy += std::norm(noise.sample());
+    EXPECT_NEAR(energy / n, 0.25, 0.005);
 }
 
 TEST(Awgn, ComponentsAreIndependentAndBalanced)
 {
     Awgn noise{1.0, Pcg32{302}};
-    Running_stats re;
-    Running_stats im;
+    double re = 0.0;
+    double im = 0.0;
+    double re_sq = 0.0;
+    double im_sq = 0.0;
     double cross = 0.0;
     const int n = 100000;
     for (int i = 0; i < n; ++i) {
         const dsp::Sample s = noise.sample();
-        re.add(s.real());
-        im.add(s.imag());
+        re += s.real();
+        im += s.imag();
+        re_sq += s.real() * s.real();
+        im_sq += s.imag() * s.imag();
         cross += s.real() * s.imag();
     }
-    EXPECT_NEAR(re.mean(), 0.0, 0.01);
-    EXPECT_NEAR(im.mean(), 0.0, 0.01);
-    EXPECT_NEAR(re.variance(), 0.5, 0.01);
-    EXPECT_NEAR(im.variance(), 0.5, 0.01);
+    EXPECT_NEAR(re / n, 0.0, 0.01);
+    EXPECT_NEAR(im / n, 0.0, 0.01);
+    EXPECT_NEAR(re_sq / n - (re / n) * (re / n), 0.5, 0.01);
+    EXPECT_NEAR(im_sq / n - (im / n) * (im / n), 0.5, 0.01);
     EXPECT_NEAR(cross / n, 0.0, 0.01);
 }
 

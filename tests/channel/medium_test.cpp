@@ -115,8 +115,7 @@ TEST(Medium, MissingLinkThrowsOnQuery)
     EXPECT_THROW(medium.link(1, 2), std::out_of_range);
     medium.set_link(1, 2, {});
     EXPECT_NO_THROW(medium.link(1, 2));
-    EXPECT_TRUE(medium.has_link(1, 2));
-    EXPECT_FALSE(medium.has_link(2, 1));
+    EXPECT_THROW(medium.link(2, 1), std::out_of_range); // links are directed
 }
 
 TEST(Medium, InterferedMskStreamsDecodeAfterCancellation)

@@ -26,7 +26,7 @@ Bits random_bits_for(std::size_t count, std::uint64_t seed)
     Bits bits;
     bits.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
-        bits.push_back(rng.next_bernoulli(0.5) ? 1 : 0);
+        bits.push_back((rng.next_double() < 0.5) ? 1 : 0);
     return bits;
 }
 

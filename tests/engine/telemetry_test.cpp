@@ -224,9 +224,10 @@ TEST(TelemetryManifest, MetricsJsonIsPopulated)
     const std::vector<Task_result> results =
         run_grid(grid, Scenario_registry::builtin(), config).tasks;
 
-    const std::string json =
-        metrics_to_json({.driver = "test", .base_seed = config.base_seed}, grid,
-                        telemetry, results);
+    std::ostringstream document;
+    write_metrics_json(document, {.driver = "test", .base_seed = config.base_seed}, grid,
+                       telemetry, results);
+    const std::string json = document.str();
     EXPECT_NE(json.find("\"schema\":\"anc.metrics.v1\""), std::string::npos);
     EXPECT_NE(json.find("\"driver\":\"test\""), std::string::npos);
     EXPECT_NE(json.find("\"base_seed\":\"7\""), std::string::npos);

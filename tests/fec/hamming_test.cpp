@@ -10,8 +10,12 @@ namespace {
 
 TEST(Hamming74, AllNibblesRoundTrip)
 {
-    for (std::uint8_t nibble = 0; nibble < 16; ++nibble)
-        EXPECT_EQ(hamming74_decode_codeword(hamming74_encode_nibble(nibble)), nibble);
+    for (std::uint8_t nibble = 0; nibble < 16; ++nibble) {
+        bool corrected = true;
+        EXPECT_EQ(hamming74_decode_codeword(hamming74_encode_nibble(nibble), corrected),
+                  nibble);
+        EXPECT_FALSE(corrected);
+    }
 }
 
 TEST(Hamming74, CorrectsEverySingleBitError)
@@ -20,8 +24,10 @@ TEST(Hamming74, CorrectsEverySingleBitError)
         const std::uint8_t codeword = hamming74_encode_nibble(nibble);
         for (int bit = 0; bit < 7; ++bit) {
             const auto corrupted = static_cast<std::uint8_t>(codeword ^ (1u << bit));
-            EXPECT_EQ(hamming74_decode_codeword(corrupted), nibble)
+            bool corrected = false;
+            EXPECT_EQ(hamming74_decode_codeword(corrupted, corrected), nibble)
                 << "nibble " << int(nibble) << " bit " << bit;
+            EXPECT_TRUE(corrected);
         }
     }
 }

@@ -211,9 +211,10 @@ std::optional<Packet_bounds> reference_detect(dsp::Signal_view signal,
                                               double noise_power_value,
                                               Packet_detector::Config config)
 {
-    if (signal.size() < config.window)
+    constexpr std::size_t window = Packet_detector::window;
+    if (signal.size() < window)
         return std::nullopt;
-    const Energy_scan scan = scan_energy(signal, config.window);
+    const Energy_scan scan = scan_energy(signal, window);
     const std::vector<double>& mean = scan.window_mean;
     const double threshold = noise_power_value * from_db(config.energy_threshold_db);
     std::size_t first = mean.size();
@@ -234,7 +235,7 @@ std::optional<Packet_bounds> reference_detect(dsp::Signal_view signal,
     }
     Packet_bounds bounds;
     bounds.begin = first;
-    bounds.end = std::min(last + config.window, signal.size());
+    bounds.end = std::min(last + window, signal.size());
     return bounds;
 }
 
@@ -242,10 +243,11 @@ Interference_report reference_analyze(dsp::Signal_view packet,
                                       double noise_power_value,
                                       Interference_detector::Config config)
 {
+    constexpr std::size_t window = Interference_detector::window;
     Interference_report report;
-    if (packet.size() < config.window)
+    if (packet.size() < window)
         return report;
-    const Energy_scan scan = scan_energy(packet, config.window);
+    const Energy_scan scan = scan_energy(packet, window);
     const std::vector<double>& mean = scan.window_mean;
     const std::vector<double>& variance = scan.window_variance;
     const double threshold = from_db(config.variance_threshold_db);
@@ -265,7 +267,7 @@ Interference_report reference_analyze(dsp::Signal_view packet,
             if (run == 0)
                 run_start = i;
             ++run;
-            if (run >= config.min_run) {
+            if (run >= Interference_detector::min_run) {
                 if (!found) {
                     first_begin = run_start;
                     found = true;
@@ -280,7 +282,7 @@ Interference_report reference_analyze(dsp::Signal_view packet,
     if (found) {
         report.interfered = true;
         report.overlap_begin = first_begin;
-        report.overlap_end = std::min(last_end + config.window, packet.size());
+        report.overlap_end = std::min(last_end + window, packet.size());
     }
     return report;
 }
@@ -345,18 +347,21 @@ TEST(InterferenceDetector, HoistedRatioPassIsByteIdenticalToFusedLoop)
 
 // --------------------------------------------- hostile and boundary
 // Seeded signals built from random segments (silence, constant
-// envelope, collision, noise) so both masks hold runs of every length,
-// at gains 1 and 1e±150 (the sums overflow to Inf and NaN, or sink into
+// envelope, collision, noise) of up to 150 or 600 samples, so both masks
+// hold runs of every length, sustained collisions included, at gains
+// 0.5, 1, 2 and 1e±150 (the sums overflow to Inf and NaN, or sink into
 // denormals), with NaN, ±Inf, denormal and ±0 samples sprinkled in.
 // Lengths hit 0, 1, w−1, w, w+1 and window counts that straddle the
-// lane widths and the 64-bit mask words; w = 48 is not a power of two.
+// lane widths and the 64-bit mask words, for w = 16 and 64 (the two
+// detectors' windows; each detector runs every length).
 
-dsp::Signal hostile_signal(std::size_t length, double gain, bool specials, Pcg32& rng)
+dsp::Signal hostile_signal(std::size_t length, double gain, bool specials,
+                           std::uint32_t max_segment, Pcg32& rng)
 {
     dsp::Signal signal;
     signal.reserve(length);
     while (signal.size() < length) {
-        const std::size_t segment = rng.next_in_range(1, 150);
+        const std::size_t segment = rng.next_in_range(1, max_segment);
         const std::uint32_t kind = rng.next_in_range(0, 3);
         const double phase_a = 6.3 * rng.next_double();
         const double phase_b = 6.3 * rng.next_double();
@@ -401,7 +406,7 @@ std::vector<std::size_t> boundary_lengths(std::size_t window)
     // Window counts (length - window + 1) around the lane widths and the
     // mask-word boundaries, plus a few long packets.
     for (const std::size_t windows : {3, 4, 5, 7, 8, 9, 63, 64, 65, 66, 127, 128, 129, 130,
-                                      700, 2049})
+                                      700, 1500, 2049, 4097})
         lengths.push_back(window - 1 + windows);
     return lengths;
 }
@@ -410,11 +415,13 @@ template <class Check>
 void for_each_hostile_input(Check check)
 {
     Pcg32 rng{2718, 5};
-    for (const std::size_t window : {16, 48, 64}) {
+    for (const std::size_t window : {Packet_detector::window, Interference_detector::window}) {
         for (const std::size_t length : boundary_lengths(window)) {
-            for (const double gain : {1.0, 1e150, 1e-150}) {
-                for (const bool specials : {false, true})
-                    check(window, hostile_signal(length, gain, specials, rng));
+            for (const double gain : {1.0, 0.5, 2.0, 1e150, 1e-150}) {
+                for (const bool specials : {false, true}) {
+                    for (const std::uint32_t max_segment : {150u, 600u})
+                        check(hostile_signal(length, gain, specials, max_segment, rng));
+                }
             }
         }
     }
@@ -422,14 +429,13 @@ void for_each_hostile_input(Check check)
 
 TEST(PacketDetector, HostileInputsMatchSequentialScan)
 {
+    const Packet_detector::Config config;
+    const Packet_detector detector{noise_power, config};
     std::size_t detected = 0;
-    for_each_hostile_input([&](std::size_t window, const dsp::Signal& stream) {
-        Packet_detector::Config config;
-        config.window = window;
-        const auto actual = Packet_detector{noise_power, config}.detect(stream);
+    for_each_hostile_input([&](const dsp::Signal& stream) {
+        const auto actual = detector.detect(stream);
         const auto expected = reference_detect(stream, noise_power, config);
-        ASSERT_EQ(actual.has_value(), expected.has_value())
-            << stream.size() << " samples, window " << window;
+        ASSERT_EQ(actual.has_value(), expected.has_value()) << stream.size() << " samples";
         if (actual) {
             ++detected;
             EXPECT_EQ(actual->begin, expected->begin);
@@ -441,39 +447,23 @@ TEST(PacketDetector, HostileInputsMatchSequentialScan)
 
 TEST(InterferenceDetector, HostileInputsMatchFusedLoop)
 {
+    const Interference_detector::Config config;
+    const Interference_detector detector{noise_power, config};
     std::size_t interfered = 0;
     std::size_t clear = 0;
-    for_each_hostile_input([&](std::size_t window, const dsp::Signal& packet) {
-        for (const std::size_t min_run : {0, 1, 16, 64, 65, 200}) {
-            Interference_detector::Config config;
-            config.window = window;
-            config.min_run = min_run;
-            const Interference_report actual =
-                Interference_detector{noise_power, config}.analyze(packet);
-            const Interference_report expected =
-                reference_analyze(packet, noise_power, config);
-            ASSERT_EQ(actual.interfered, expected.interfered)
-                << packet.size() << " samples, window " << window << ", min_run "
-                << min_run;
-            EXPECT_EQ(actual.overlap_begin, expected.overlap_begin);
-            EXPECT_EQ(actual.overlap_end, expected.overlap_end);
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.peak_ratio_db),
-                      std::bit_cast<std::uint64_t>(expected.peak_ratio_db));
-            ++(actual.interfered ? interfered : clear);
-        }
+    for_each_hostile_input([&](const dsp::Signal& packet) {
+        const Interference_report actual = detector.analyze(packet);
+        const Interference_report expected = reference_analyze(packet, noise_power, config);
+        ASSERT_EQ(actual.interfered, expected.interfered) << packet.size() << " samples";
+        EXPECT_EQ(actual.overlap_begin, expected.overlap_begin);
+        EXPECT_EQ(actual.overlap_end, expected.overlap_end);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.peak_ratio_db),
+                  std::bit_cast<std::uint64_t>(expected.peak_ratio_db));
+        ++(actual.interfered ? interfered : clear);
     });
     // Both outcomes occur often enough for the run finder to be tested.
     EXPECT_GT(interfered, 100u) << clear;
     EXPECT_GT(clear, 100u) << interfered;
-}
-
-TEST(InterferenceDetector, ZeroWindowThrows)
-{
-    // Historical behaviour: the scan rejected a zero window.
-    Interference_detector::Config config;
-    config.window = 0;
-    EXPECT_THROW(Interference_detector(noise_power, config).analyze(msk_burst(10, 1)),
-                 std::invalid_argument);
 }
 
 } // namespace

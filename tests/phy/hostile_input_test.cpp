@@ -1,22 +1,31 @@
-// Hostile input at two receive-side parsers: phy::parse_frame_at (a frame
-// at a pilot position) and net::cope_parse (the payload of a COPE
-// broadcast).  A seeded loop feeds each one lengths 0, 1 and random,
-// truncated and bit-flipped valid encodings and random buffers, and
-// requires that nothing crashes and that every field of an accepted
-// parse was read from inside the input.  No fuzzing library: the loop is
-// plain gtest, so it runs under every sanitizer the suite is built with.
+// Hostile input at the receive-side entry points.  Seeded loops feed
+// phy::parse_frame_at (a frame at a pilot position) and net::cope_parse
+// (the payload of a COPE broadcast) lengths 0, 1 and random, truncated
+// and bit-flipped valid encodings and random buffers, and require that
+// nothing crashes and that every field of an accepted parse was read from
+// inside the input.  Further loops feed both phy::find_pattern overloads
+// extreme search bounds (checked against find_pattern_scalar), and
+// Interference_decoder::decode_into and amplify_and_forward_into
+// non-finite, denormal and degenerate signals.  No fuzzing library: the
+// loops are plain gtest, so they run under every sanitizer the suite is
+// built with.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "core/interference_decoder.h"
+#include "core/relay.h"
 #include "net/cope.h"
 #include "phy/frame.h"
 #include "phy/header.h"
+#include "phy/pilot.h"
 #include "util/bits.h"
 #include "util/crc.h"
 #include "util/rng.h"
@@ -189,6 +198,158 @@ TEST(HostileInput, ParsersTolerateNonBitBytes)
             EXPECT_LE(coded->xored.size(), bytes.size());
         }
     }
+}
+
+
+TEST(HostileInput, FindPatternMatchesScalarReferenceAtExtremeBounds)
+{
+    // from, to and max_errors at 0, around a word (63-65), far past any
+    // haystack (2^48, where the packed scan's best-key error field
+    // starts) and SIZE_MAX; haystacks shorter than the pattern included.
+    constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
+    const std::size_t extremes[] = {0, 63, 64, 65, std::size_t{1} << 48, max};
+    const std::size_t pattern_lengths[] = {1, 5, 63, 64, 65, 100};
+    Pcg32 rng{0xf1d9a77u};
+    std::size_t found = 0;
+    std::size_t missed = 0;
+    for (int iteration = 0; iteration < 600; ++iteration) {
+        const Bits pattern = random_bits(pattern_lengths[below(rng, 6)], rng);
+        Bits bits = random_bits(below(rng, 2 * pattern.size() + 200), rng);
+        if (bits.size() >= pattern.size() && rng.next_u32() % 2 == 0) {
+            // Plant a noisy copy so matches within small max_errors exist.
+            Bits planted = pattern;
+            flip_some(planted, rng);
+            std::copy(planted.begin(), planted.end(),
+                      bits.begin() + static_cast<std::ptrdiff_t>(
+                                         below(rng, bits.size() - pattern.size() + 1)));
+        }
+        const phy::Packed_bits packed_bits{bits};
+        const phy::Packed_pattern packed_pattern{pattern};
+        auto bound = [&] {
+            return rng.next_u32() % 3 == 0 ? below(rng, bits.size() + 2)
+                                           : extremes[below(rng, 6)];
+        };
+        for (int query = 0; query < 20; ++query) {
+            const std::size_t from = bound();
+            const std::size_t to = bound();
+            const std::size_t max_errors =
+                rng.next_u32() % 3 == 0 ? below(rng, 8) : extremes[below(rng, 6)];
+            SCOPED_TRACE(testing::Message()
+                         << "size " << bits.size() << " pattern " << pattern.size()
+                         << " from " << from << " to " << to << " max_errors "
+                         << max_errors);
+            const auto expected =
+                phy::find_pattern_scalar(bits, pattern, from, to, max_errors);
+            for (const auto& actual :
+                 {phy::find_pattern(bits, pattern, from, to, max_errors),
+                  phy::find_pattern(packed_bits, packed_pattern, from, to, max_errors)}) {
+                ASSERT_EQ(actual.has_value(), expected.has_value());
+                if (actual) {
+                    EXPECT_EQ(actual->position, expected->position);
+                    EXPECT_EQ(actual->errors, expected->errors);
+                    ASSERT_TRUE(inside(actual->position, pattern.size(), bits.size()));
+                }
+            }
+            ++(expected ? found : missed);
+        }
+    }
+    EXPECT_GT(found, 1000u);
+    EXPECT_GT(missed, 1000u);
+}
+
+/// `count` samples, about one in eight of each part replaced by NaN,
+/// ±Inf, a denormal or ±0.
+dsp::Signal hostile_samples(std::size_t count, Pcg32& rng)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                               inf,
+                               -inf,
+                               std::numeric_limits<double>::denorm_min(),
+                               -4.9e-310,
+                               0.0,
+                               -0.0};
+    auto part = [&] {
+        return rng.next_u32() % 8 == 0 ? specials[below(rng, 7)]
+                                       : 2.0 * rng.next_double() - 1.0;
+    };
+    dsp::Signal samples(count);
+    for (dsp::Sample& y : samples)
+        y = {part(), part()};
+    return samples;
+}
+
+TEST(HostileInput, InterferenceDecoderStaysInBounds)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    const double amplitudes[] = {1.0, 0.3, std::numeric_limits<double>::denorm_min(),
+                                 1e300, inf, nan, 0.0, -1.0};
+    Pcg32 rng{0xdec0de5u};
+    for (const dsp::Math_profile profile : {dsp::Math_profile::exact,
+                                            dsp::Math_profile::fast}) {
+        const Interference_decoder decoder{profile};
+        for (int iteration = 0; iteration < 1500; ++iteration) {
+            const std::size_t count = iteration < 2 ? static_cast<std::size_t>(iteration)
+                                                    : below(rng, 300);
+            const dsp::Signal samples = hostile_samples(count, rng);
+            // known_diffs shorter than, as long as, or longer than the
+            // transitions, holding MSK steps and the same specials.
+            const std::size_t known = below(rng, count + 40);
+            std::vector<double> known_diffs(known);
+            for (double& diff : known_diffs) {
+                diff = rng.next_u32() % 8 == 0 ? hostile_samples(1, rng)[0].real()
+                       : rng.next_u32() % 2 == 0 ? 1.5707963267948966
+                                                 : -1.5707963267948966;
+            }
+            const double a = amplitudes[below(rng, 8)];
+            const double b = amplitudes[below(rng, 8)];
+            SCOPED_TRACE(testing::Message() << "count " << count << " known " << known
+                                            << " a " << a << " b " << b);
+            Bits bits(5, 7); // stale lease contents
+            std::vector<double> phi(3, 9.0);
+            std::vector<double> errors(4, 9.0);
+            if (!(a > 0.0) || !(b > 0.0)) {
+                EXPECT_THROW(decoder.decode_into(samples, known_diffs, a, b, bits, phi,
+                                                 errors),
+                             std::invalid_argument);
+                continue;
+            }
+            decoder.decode_into(samples, known_diffs, a, b, bits, phi, errors);
+            const std::size_t transitions = count < 2 ? 0 : count - 1;
+            ASSERT_EQ(bits.size(), transitions);
+            ASSERT_EQ(phi.size(), transitions);
+            ASSERT_EQ(errors.size(), std::min(known, transitions));
+            for (std::size_t n = 0; n < transitions; ++n)
+                EXPECT_EQ(bits[n], phi[n] >= 0.0 ? 1 : 0) << "transition " << n;
+        }
+    }
+}
+
+TEST(HostileInput, AmplifyAndForwardOnNonFiniteInput)
+{
+    Pcg32 rng{0xaf0u};
+    std::size_t forwarded_count = 0;
+    for (int iteration = 0; iteration < 1500; ++iteration) {
+        const std::size_t count = iteration < 2 ? static_cast<std::size_t>(iteration)
+                                                : below(rng, 400);
+        dsp::Signal received = hostile_samples(count, rng);
+        if (rng.next_u32() % 4 == 0) {
+            // A whole stream of one special value.
+            const dsp::Sample special = hostile_samples(1, rng)[0];
+            std::fill(received.begin(), received.end(), special);
+        }
+        dsp::Signal out(6, dsp::Sample{9.0, 9.0}); // stale lease contents
+        SCOPED_TRACE(testing::Message() << "iteration " << iteration << " count " << count);
+        if (amplify_and_forward_into(received, 1e-4, 1.0, out)) {
+            ++forwarded_count;
+            EXPECT_FALSE(out.empty());
+            EXPECT_LE(out.size(), received.size());
+        } else {
+            EXPECT_TRUE(out.empty());
+        }
+    }
+    EXPECT_GT(forwarded_count, 100u);
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace anc::sim {
 namespace {
 
@@ -75,9 +77,8 @@ TEST(XSim, AgcRuleKeepsBottomOfBandOverhearing)
         X_config config = small_config(seed);
         config.snr_db = 20.0;
         config.gains.overhear_detection_threshold_db =
-            chan::agc_detection_threshold_db(
-                phy::Packet_detector::Config{}.energy_threshold_db,
-                config.gains.overhear);
+            phy::Packet_detector::Config{}.energy_threshold_db
+            + 20.0 * std::log10(config.gains.overhear);
         const X_result result = run_x_cope(config);
         EXPECT_GT(result.metrics.packets_delivered, 0u) << "seed " << seed;
         EXPECT_GE(result.metrics.packets_delivered,

@@ -5,28 +5,6 @@
 namespace anc {
 namespace {
 
-TEST(Bits, PackUnpackRoundTrip)
-{
-    const std::vector<std::uint8_t> bytes{0xde, 0xad, 0xbe, 0xef, 0x00, 0xff};
-    const Bits bits = unpack_bytes(bytes);
-    EXPECT_EQ(bits.size(), bytes.size() * 8);
-    EXPECT_EQ(pack_bits(bits), bytes);
-}
-
-TEST(Bits, UnpackIsMsbFirst)
-{
-    const std::vector<std::uint8_t> one_byte{0b10110001};
-    const Bits bits = unpack_bytes(one_byte);
-    const Bits expected{1, 0, 1, 1, 0, 0, 0, 1};
-    EXPECT_EQ(bits, expected);
-}
-
-TEST(Bits, PackRejectsPartialByte)
-{
-    const Bits bits{1, 0, 1};
-    EXPECT_THROW(pack_bits(bits), std::invalid_argument);
-}
-
 TEST(Bits, AppendAndReadUint)
 {
     Bits bits;
@@ -42,29 +20,6 @@ TEST(Bits, ReadUintOutOfRangeThrows)
     Bits bits{1, 0, 1};
     EXPECT_THROW(read_uint(bits, 0, 4), std::out_of_range);
     EXPECT_THROW(read_uint(bits, 2, 2), std::out_of_range);
-}
-
-TEST(Bits, XorBits)
-{
-    const Bits a{1, 1, 0, 0};
-    const Bits b{1, 0, 1, 0};
-    const Bits expected{0, 1, 1, 0};
-    EXPECT_EQ(xor_bits(a, b), expected);
-}
-
-TEST(Bits, XorLengthMismatchThrows)
-{
-    const Bits a{1, 1};
-    const Bits b{1};
-    EXPECT_THROW(xor_bits(a, b), std::invalid_argument);
-}
-
-TEST(Bits, XorIsSelfInverse)
-{
-    Pcg32 rng{11};
-    const Bits data = random_bits(256, rng);
-    const Bits key = random_bits(256, rng);
-    EXPECT_EQ(xor_bits(xor_bits(data, key), key), data);
 }
 
 TEST(Bits, HammingDistanceCountsDifferences)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -44,8 +46,9 @@ TEST(Crc32, DetectsSingleBitFlip)
 TEST(Crc16, KnownVector)
 {
     // CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
-    const std::vector<std::uint8_t> ascii{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-    const Bits bits = unpack_bytes(ascii);
+    Bits bits;
+    for (const char byte : std::string_view{"123456789"})
+        append_uint(bits, static_cast<std::uint8_t>(byte), 8);
     EXPECT_EQ(crc16(bits), 0x29B1u);
 }
 

@@ -23,8 +23,8 @@ TEST(FastMath, Atan2BoundedError)
         // Log-uniform magnitudes exercise wildly mismatched operands.
         const double my = std::exp((rng.next_double() - 0.5) * 60.0);
         const double mx = std::exp((rng.next_double() - 0.5) * 60.0);
-        const double y = rng.next_bernoulli(0.5) ? my : -my;
-        const double x = rng.next_bernoulli(0.5) ? mx : -mx;
+        const double y = (rng.next_double() < 0.5) ? my : -my;
+        const double x = (rng.next_double() < 0.5) ? mx : -mx;
         max_err = std::max(max_err, std::abs(fast_atan2(y, x) - std::atan2(y, x)));
     }
     // The documented bound: ≲1e-11 rad absolute (degree-12 kernel) —

@@ -98,7 +98,7 @@ TEST(Pcg32, BernoulliFrequency)
     int hits = 0;
     const int n = 100000;
     for (int i = 0; i < n; ++i)
-        hits += rng.next_bernoulli(0.3);
+        hits += (rng.next_double() < 0.3);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 

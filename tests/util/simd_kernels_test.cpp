@@ -233,7 +233,7 @@ void expect_decoder_kernels_equal_scalar(const Kernel_table& kernels, const char
     std::vector<double> known(transitions);
     Pcg32 rng{known_seed, 3};
     for (double& k : known)
-        k = rng.next_bernoulli(0.5) ? 1.5707963267948966 : -1.5707963267948966;
+        k = (rng.next_double() < 0.5) ? 1.5707963267948966 : -1.5707963267948966;
     std::vector<double> f1(transitions), e1(transitions), d1(transitions);
     std::vector<double> f2(transitions), e2(transitions), d2(transitions);
     kernels.anc_select_batch(tp1.data(), tm1.data(), pm1.data(), pp1.data(), known.data(),
@@ -454,9 +454,10 @@ void expect_receiver_scans_equal_scalar(const Kernel_table& kernels, const char*
     const double mean_threshold = 0.3;
     const double ratio_threshold = 10.0;
     const double neg_inf = -std::numeric_limits<double>::infinity();
-    for (const std::size_t window : {16, 48}) {
-        const detail::Window_divisor divisor = detail::window_divisor(window);
+    // The detectors' two windows.
+    for (const std::size_t window : {16, 64}) {
         const auto w = static_cast<double>(window);
+        const double inv_w = 1.0 / w;
         for (const std::size_t count : {std::size_t{0}, std::size_t{1}, width - 1, width,
                                         width + 1, std::size_t{63}, std::size_t{64},
                                         std::size_t{65}, std::size_t{130},
@@ -471,11 +472,11 @@ void expect_receiver_scans_equal_scalar(const Kernel_table& kernels, const char*
 
             std::vector<std::uint64_t> lanes(words);
             std::vector<std::uint64_t> scalar(words);
-            kernels.window_mean_mask(sums.data(), head, divisor, mean_threshold,
+            kernels.window_mean_mask(sums.data(), head, inv_w, mean_threshold,
                                      lanes.data(), 0);
-            scalar_kernels.window_mean_mask(sums.data() + head, count - head, divisor,
+            scalar_kernels.window_mean_mask(sums.data() + head, count - head, inv_w,
                                             mean_threshold, lanes.data(), head);
-            scalar_kernels.window_mean_mask(sums.data(), count, divisor, mean_threshold,
+            scalar_kernels.window_mean_mask(sums.data(), count, inv_w, mean_threshold,
                                             scalar.data(), 0);
             EXPECT_EQ(lanes, scalar) << what << " mean mask, window " << window
                                      << ", count " << count;
@@ -483,13 +484,13 @@ void expect_receiver_scans_equal_scalar(const Kernel_table& kernels, const char*
             std::fill(lanes.begin(), lanes.end(), 0);
             std::fill(scalar.begin(), scalar.end(), 0);
             double lane_peak =
-                kernels.excess_variance_mask(sums.data(), sum_sqs.data(), head, divisor,
+                kernels.excess_variance_mask(sums.data(), sum_sqs.data(), head, inv_w,
                                              sigma2, ratio_threshold, 1e-12, lanes.data(), 0);
             lane_peak = scalar_kernels.excess_variance_mask(
-                sums.data() + head, sum_sqs.data() + head, count - head, divisor, sigma2,
+                sums.data() + head, sum_sqs.data() + head, count - head, inv_w, sigma2,
                 ratio_threshold, lane_peak, lanes.data(), head);
             const double scalar_peak = scalar_kernels.excess_variance_mask(
-                sums.data(), sum_sqs.data(), count, divisor, sigma2, ratio_threshold, 1e-12,
+                sums.data(), sum_sqs.data(), count, inv_w, sigma2, ratio_threshold, 1e-12,
                 scalar.data(), 0);
             EXPECT_EQ(lanes, scalar) << what << " ratio mask, window " << window
                                      << ", count " << count;
@@ -503,10 +504,10 @@ void expect_receiver_scans_equal_scalar(const Kernel_table& kernels, const char*
                 std::uint64_t lane_bits = 0;
                 std::uint64_t scalar_bits = 0;
                 const double lane_ratio = kernels.excess_variance_mask(
-                    block_sums.data(), block_sum_sqs.data(), width, divisor, sigma2,
+                    block_sums.data(), block_sum_sqs.data(), width, inv_w, sigma2,
                     ratio_threshold, neg_inf, &lane_bits, 0);
                 const double scalar_ratio = scalar_kernels.excess_variance_mask(
-                    &sums[i], &sum_sqs[i], 1, divisor, sigma2, ratio_threshold, neg_inf,
+                    &sums[i], &sum_sqs[i], 1, inv_w, sigma2, ratio_threshold, neg_inf,
                     &scalar_bits, 0);
                 expect_same_bits(lane_ratio, scalar_ratio, what, i);
             }

@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""List the library functions that no binary of the repository reaches.
+
+    python3 tools/unreached_functions.py BUILD_DIR
+
+Configures a `--coverage -O0` build of the repository in BUILD_DIR,
+builds the library, every bench driver and every example, and runs them:
+each bench driver and example at its defaults, and anc_sweep on a small
+paper grid under both math profiles (the fast grid also with
+ANC_FORCE_AVX2_SIMD=1 and ANC_FORCE_SCALAR_SIMD=1, so lane-kernel table
+entries the host does not dispatch to still run), a multi-axis grid, and
+every emitter and fault-tolerance flag (--journal, --resume, --shard,
+--merge, --stream, --csv, --tasks-csv, --metrics-json, --list-scenarios)
+and its stdout table.
+
+It then sums `gcov --json-format` call counts per function over every
+library, bench and example translation unit (header inlines are compiled
+into the bench objects, so the library objects alone would misreport
+them) and prints each function defined under src/ that made 0 calls,
+as `path:line  name`, followed by a count.  An inline function that no
+translation unit uses is never emitted, so gcov cannot see it.  On a host
+without AVX-512F the AVX-512 table's kernels are reported too.
+
+Exit status: 0 when the report was produced, whatever it lists; 1 when
+the build, a run or gcov failed; 2 on a usage error.  Needs cmake, a GCC toolchain and gcov;
+only the Python 3 standard library.  The build takes a few minutes.
+"""
+
+import concurrent.futures
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COVERAGE_FLAGS = "--coverage -O0 -fprofile-update=atomic"
+JOBS = min(4, os.cpu_count() or 1)
+
+PAPER_SCENARIOS = ["alice_bob", "x_topology", "chain", "alice_bob_fading", "x_topology_fading"]
+# 16 dB with 25 exchanges reaches the loss branches (pipeline restarts,
+# failed uploads and overhears); 26 dB the clean ones.
+SMALL_GRID = [arg for name in PAPER_SCENARIOS for arg in ("--scenario", name)] + [
+    "--snr", "16,26", "--payload-bits", "2048", "--exchanges", "25", "--seed", "1",
+    "--quiet"]
+# x_topology tasks carry scalars, which the journal must replay too.
+SHARD_GRID = ["--scenario", "alice_bob", "--scenario", "x_topology", "--snr", "10:40:10",
+              "--repetitions", "2", "--exchanges", "4", "--payload-bits", "512",
+              "--seed", "2007", "--quiet"]
+
+
+def fail(message):
+    print(f"unreached_functions: {message}", file=sys.stderr)
+    sys.exit(1)
+
+
+def run(argv, cwd, env=None):
+    result = subprocess.run([str(a) for a in argv], cwd=cwd, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if result.returncode != 0:
+        fail(f"{' '.join(str(a) for a in argv)} exited {result.returncode}\n{result.stderr}")
+
+
+def build(build_dir):
+    benches = sorted(p.stem for p in (ROOT / "bench").glob("*.cpp"))
+    examples = sorted(p.stem for p in (ROOT / "examples").glob("*.cpp"))
+    run(["cmake", "-S", ROOT, "-B", build_dir, "-DCMAKE_BUILD_TYPE=Debug",
+         f"-DCMAKE_CXX_FLAGS={COVERAGE_FLAGS}"], ROOT)
+    targets = ["anc"] + [f"bench_{b}" for b in benches] + [f"example_{e}" for e in examples]
+    run(["cmake", "--build", build_dir, "-j", JOBS, "--target", *targets], ROOT)
+    return benches, examples
+
+
+def drive(build_dir, benches, examples):
+    work = build_dir / "unreached_run"
+    work.mkdir(exist_ok=True)
+    for stale in list(build_dir.rglob("*.gcda")) + list(work.iterdir()):
+        stale.unlink()
+
+    for name in benches:
+        if name != "anc_sweep":
+            run([build_dir / "bench" / name], work)
+    for name in examples:
+        run([build_dir / "examples" / name], work)
+
+    sweep = build_dir / "bench" / "anc_sweep"
+    run([sweep, "--list-scenarios"], work)
+    run([sweep, *SMALL_GRID, "--math-profile", "exact", "--json", "exact.json",
+         "--csv", "exact.csv", "--tasks-csv", "exact_tasks.csv",
+         "--metrics-json", "exact_metrics.json"], work)
+    uncapped = {k: v for k, v in os.environ.items() if not k.startswith("ANC_FORCE_")}
+    for cap in ({}, {"ANC_FORCE_AVX2_SIMD": "1"}, {"ANC_FORCE_SCALAR_SIMD": "1"}):
+        run([sweep, *SMALL_GRID, "--math-profile", "fast", "--json", "fast.json"], work,
+            env={**uncapped, **cap})
+    run([sweep, "--scenario", "alice_bob", "--scenario", "alice_bob_fading",
+         "--alice-amplitude", "0.6,1", "--bob-amplitude", "1", "--detector-threshold", "8,12",
+         "--interleave-rows", "0,8", "--coherence-block", "0,256",
+         "--mean-link-gain", "0.8,1", "--payload-bits", "512", "--exchanges", "2",
+         "--math-profile", "exact,fast", "--threads", "2"], work)
+
+    run([sweep, *SHARD_GRID, "--journal", "full.anj", "--json", "full.json"], work)
+    run([sweep, *SHARD_GRID, "--resume", "full.anj", "--json", "resumed.json"], work)
+    for k in (1, 2):
+        run([sweep, *SHARD_GRID, "--shard", f"{k}/2", "--journal", f"shard{k}.anj"], work)
+    run([sweep, *SHARD_GRID, "--merge", "shard1.anj,shard2.anj", "--json", "merged.json",
+         "--csv", "merged.csv"], work)
+    run([sweep, *SHARD_GRID, "--stream", "--json", "streamed.json",
+         "--tasks-csv", "streamed_tasks.csv"], work)
+
+
+def function_counts(build_dir):
+    """(file, line, name) -> calls, summed over every instrumented TU."""
+    data_files = sorted(build_dir.glob("CMakeFiles/*.dir/**/*.gcda"))
+    if not data_files:
+        fail(f"no .gcda files under {build_dir}/CMakeFiles")
+
+    def gcov(data_file):
+        result = subprocess.run(["gcov", "--json-format", "--stdout", data_file.name],
+                                cwd=data_file.parent, capture_output=True, text=True)
+        if result.returncode != 0:
+            fail(f"gcov {data_file} exited {result.returncode}\n{result.stderr}")
+        return [json.loads(line) for line in result.stdout.splitlines() if line.strip()]
+
+    counts = {}
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
+        for documents in pool.map(gcov, data_files):
+            for document in documents:
+                for source in document["files"]:
+                    path = Path(source["file"])
+                    if not path.is_absolute():
+                        path = Path(document["current_working_directory"]) / path
+                    for function in source["functions"]:
+                        key = (path.resolve(), function["start_line"],
+                               function["demangled_name"])
+                        counts[key] = counts.get(key, 0) + function["execution_count"]
+    return counts
+
+
+def main():
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        print("usage: python3 tools/unreached_functions.py BUILD_DIR", file=sys.stderr)
+        sys.exit(2)
+    build_dir = Path(sys.argv[1]).resolve()
+    benches, examples = build(build_dir)
+    drive(build_dir, benches, examples)
+    src = (ROOT / "src").resolve()
+    unreached = sorted((path.relative_to(ROOT), line, name)
+                       for (path, line, name), calls in function_counts(build_dir).items()
+                       if calls == 0 and path.is_relative_to(src))
+    for path, line, name in unreached:
+        print(f"{path}:{line}  {name}")
+    print(f"{len(unreached)} src/ functions made 0 calls")
+
+
+if __name__ == "__main__":
+    main()
