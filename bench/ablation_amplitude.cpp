@@ -53,8 +53,8 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     Pcg32 rng{cell_seed, 0xab1a7e};
     chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
     Pcg32 link_rng = rng.fork(2);
-    net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, {}, link_rng);
+    const net::Alice_bob_nodes& nodes = net::alice_bob_nodes;
+    install_alice_bob(medium, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
     Anc_receiver_config receiver_config = config.receiver;
@@ -72,7 +72,7 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     for (std::size_t i = 0; i < config.exchanges; ++i) {
         const net::Packet pa = flow_ab.next();
         const net::Packet pb = flow_ba.next();
-        const auto [da, db] = draw_distinct_delays(Trigger_config{}, wrng);
+        const auto [da, db] = draw_distinct_delays(wrng);
         alice.transmit_into(pa, wrng, signal_a);
         bob.transmit_into(pb, wrng, signal_b);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},

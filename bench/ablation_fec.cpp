@@ -57,8 +57,8 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     Pcg32 rng{cell_seed, 0xfec};
     chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
     Pcg32 link_rng = rng.fork(2);
-    net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, {}, link_rng);
+    const net::Alice_bob_nodes& nodes = net::alice_bob_nodes;
+    install_alice_bob(medium, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
     const Anc_receiver receiver{config.receiver, noise_power, config.math_profile};
@@ -82,7 +82,7 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
         pa.seq = static_cast<std::uint16_t>(i + 1);
         pa.payload = random_bits(pb.payload.size(), traffic);
 
-        const auto [da, db] = draw_distinct_delays(Trigger_config{}, rng);
+        const auto [da, db] = draw_distinct_delays(rng);
         alice.transmit_into(pa, rng, signal_a);
         bob.transmit_into(pb, rng, signal_b);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},

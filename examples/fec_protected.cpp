@@ -25,8 +25,8 @@ int main()
     Pcg32 rng{11};
     chan::Medium medium{noise_power, rng.fork(1)};
     Pcg32 link_rng = rng.fork(2);
-    const net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, {}, link_rng);
+    const net::Alice_bob_nodes& nodes = net::alice_bob_nodes;
+    install_alice_bob(medium, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
     const Anc_receiver receiver{Anc_receiver_config{}, noise_power};
@@ -60,7 +60,7 @@ int main()
         pa.seq = static_cast<std::uint16_t>(i + 1);
         pa.payload = random_bits(pb.payload.size(), traffic);
 
-        const auto [da, db] = draw_distinct_delays(Trigger_config{}, rng);
+        const auto [da, db] = draw_distinct_delays(rng);
         alice.transmit_into(pa, rng, signal_a);
         bob.transmit_into(pb, rng, signal_b);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},

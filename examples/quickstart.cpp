@@ -27,8 +27,8 @@ int main()
     Pcg32 rng{7};
     chan::Medium medium{noise_power, rng.fork(1)};
     Pcg32 link_rng = rng.fork(2);
-    const net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, {}, link_rng);
+    const net::Alice_bob_nodes& nodes = net::alice_bob_nodes;
+    install_alice_bob(medium, net::Alice_bob_gains{}, {}, link_rng);
 
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
@@ -42,7 +42,7 @@ int main()
 
     // --- Slot 1: both transmit at once (trigger jitter keeps the ----
     //     overlap incomplete so the pilots stay interference-free)
-    const auto [delay_a, delay_b] = draw_distinct_delays(Trigger_config{}, rng);
+    const auto [delay_a, delay_b] = draw_distinct_delays(rng);
     dsp::Signal signal_a;
     dsp::Signal signal_b;
     alice.transmit_into(pa, rng, signal_a);

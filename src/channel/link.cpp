@@ -48,15 +48,14 @@ dsp::Sample Link_channel::block_gain(std::uint64_t fading_epoch, std::size_t blo
 void Link_channel::apply_onto(dsp::Signal_view signal, std::size_t at,
                               dsp::Signal& acc, std::uint64_t fading_epoch) const
 {
-    const std::size_t begin = at + params_.delay;
     // Grow by value-initializing resize: for std::complex<double> that
     // zero-initializes (bit-identical to filling Sample{0.0, 0.0}), but
     // libstdc++ lowers it to a tight loop while the fill-constructing
     // resize(n, value) overload runs an order of magnitude slower on the
     // ~2 KiB-per-symbol buffers this accumulates into — it dominated the
     // channel stage before the change.
-    if (acc.size() < begin + signal.size())
-        acc.resize(begin + signal.size());
+    if (acc.size() < at + signal.size())
+        acc.resize(at + signal.size());
     // The historical out[n] += signal[n] * polar(...) (times the block's
     // fade under rayleigh_block), with the polar read from the stream:
     // the lane kernels form the same std::complex products in the same
@@ -64,7 +63,7 @@ void Link_channel::apply_onto(dsp::Signal_view signal, std::size_t at,
     // substrate).
     const double* in = reinterpret_cast<const double*>(signal.data());
     const double* rotors = reinterpret_cast<const double*>(rotor_stream(signal.size()));
-    double* out = reinterpret_cast<double*>(acc.data() + begin);
+    double* out = reinterpret_cast<double*>(acc.data() + at);
     if (params_.gain_model == Gain_model::fixed) {
         simd::cmul_accumulate(in, rotors, out, signal.size());
         return;

@@ -2,10 +2,10 @@
 //
 // The paper approximates the wireless channel between two nodes as an
 // attenuation h plus a phase shift gamma (§5.3, citing Tse & Viswanath);
-// on top of that the substrate models a whole-symbol propagation/queueing
-// delay and an optional slow phase drift (a small carrier-frequency
-// offset), which stresses the decoder's channel-invariance exactly the way
-// real radios do.
+// on top of that the substrate models an optional slow phase drift (a
+// small carrier-frequency offset), which stresses the decoder's
+// channel-invariance exactly the way real radios do.  A transmission's
+// start offset is the caller's (Link_channel::apply_onto's `at`).
 //
 // Beyond the paper's fixed-gain links, the channel supports Rayleigh
 // block fading (Rahimian et al., "A General Analog Network Coding for
@@ -39,7 +39,6 @@ struct Link_params {
                                   // scale under rayleigh_block: E[|h_k|^2]=1,
                                   // so the mean *power* gain stays gain^2)
     double phase = 0.0;           // phase shift gamma (radians)
-    std::size_t delay = 0;        // whole-symbol delay
     double phase_drift = 0.0;     // radians of extra rotation per sample (CFO)
     Gain_model gain_model = Gain_model::fixed;
     /// rayleigh_block: samples per coherence block; 0 means one block
@@ -58,8 +57,8 @@ struct Link_params {
     std::optional<double> detection_threshold_db{};
 };
 
-/// Fixed:          y[n] = h * e^{i(gamma + drift*n)} * x[n - delay]
-/// Rayleigh block: y[n] = h_{e,k(n)} * h * e^{i(gamma + drift*n)} * x[n - delay]
+/// Fixed:          y[n] = h * e^{i(gamma + drift*n)} * x[n]
+/// Rayleigh block: y[n] = h_{e,k(n)} * h * e^{i(gamma + drift*n)} * x[n]
 /// where k(n) = n / coherence_block indexes the fading block and `e` is
 /// the *fading epoch* — a caller-supplied counter (the sims advance it
 /// once per exchange through Medium::set_fading_epoch) that makes
@@ -70,12 +69,12 @@ public:
     explicit Link_channel(Link_params params = {});
 
     /// Accumulate the channel's output into `acc` starting at sample
-    /// `at`: acc[at + delay + n] += y[n], growing acc (zero-filled) as
+    /// `at`: acc[at + n] += y[n], growing acc (zero-filled) as
     /// needed.  This is the medium's mixing step fused with the channel
     /// application — no intermediate per-link signal is materialized.
     /// `acc` must not alias `signal` (the accumulation reads `signal`
     /// while writing, and may reallocate `acc`).  Onto an empty `acc`,
-    /// this yields the link's output alone: `delay` zeros, then y.
+    /// this yields the link's output alone: `at` zeros, then y.
     ///
     /// The per-sample rotation comes from the link's rotor stream (see
     /// rotor_stream), so each std::polar is evaluated once per link, not

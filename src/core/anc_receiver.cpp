@@ -117,7 +117,6 @@ Anc_receiver::Anc_receiver(Anc_receiver_config config, double noise_power,
                            dsp::Math_profile profile)
     : config_{config},
       noise_power_{noise_power},
-      modem_{config.modem},
       packet_detector_{noise_power, config.packet_detector},
       interference_detector_{noise_power, config.interference_detector},
       decoder_{profile}
@@ -152,26 +151,13 @@ Receive_outcome Anc_receiver::receive(dsp::Signal_view stream,
 
     dsp::Workspace& workspace = dsp::Workspace::current();
 
-    // Collision.  Read the header at the clean head (the first packet's)
-    // and — through time reversal — at the clean tail (the second's).
+    // Collision.  Read the header at the clean head (the first packet's).
     auto forward_bits = workspace.bits();
     modem_.demodulate_bits_into(packet, *forward_bits);
     const auto forward_pilot = phy::find_pattern(*forward_bits, phy::pilot_sequence(), 0,
-                                                 config_.pilot_search_span,
-                                                 config_.modem.pilot_max_errors);
+                                                 pilot_search_span, phy::Modem::pilot_max_errors);
     if (forward_pilot)
         outcome.diag.first_header = header_after_pilot(*forward_bits, forward_pilot->position);
-
-    auto reversed = workspace.signal();
-    dsp::time_reverse_into(packet, *reversed);
-    auto backward_bits = workspace.bits();
-    modem_.demodulate_bits_into(*reversed, *backward_bits);
-    const auto backward_pilot = phy::find_pattern(*backward_bits, phy::pilot_sequence(), 0,
-                                                  config_.pilot_search_span,
-                                                  config_.modem.pilot_max_errors);
-    if (backward_pilot)
-        outcome.diag.second_header =
-            header_after_pilot(*backward_bits, backward_pilot->position);
 
     // Which half of the collision do we know?  (§7.3)
     if (outcome.diag.first_header && buffer.contains(*outcome.diag.first_header)) {
@@ -180,30 +166,46 @@ Receive_outcome Anc_receiver::receive(dsp::Signal_view stream,
         // detector already analyzed — reuse that report.
         outcome.frame = decode_interfered(packet, forward_pilot->position, *known,
                                           /*backward=*/false, outcome.diag, &report);
-    } else if (outcome.diag.second_header && buffer.contains(*outcome.diag.second_header)) {
-        const Stored_frame* known = buffer.lookup(*outcome.diag.second_header);
-        outcome.frame = decode_interfered(*reversed, backward_pilot->position, *known,
-                                          /*backward=*/true, outcome.diag, nullptr);
     } else {
-        // Neither half is known.  Try a capture decode first: when one
-        // signal is much stronger (the "X" topology's overhearing, §11.5),
-        // standard demodulation of the dominant signal often succeeds with
-        // the weak one acting as noise.  The payload CRC inside the
-        // receive keeps comparable-power collisions (whose payload would
-        // be garbage) from masquerading as clean packets.  The stream was
-        // demodulated above already, so probe those bits directly.
-        if (const auto captured = modem_.receive_bits(*forward_bits)) {
-            outcome.status = Receive_status::clean;
-            outcome.frame = captured;
+        // Not the head: read the header at the clean tail (the second
+        // packet's) through time reversal (§7.4).
+        auto reversed = workspace.signal();
+        dsp::time_reverse_into(packet, *reversed);
+        auto backward_bits = workspace.bits();
+        modem_.demodulate_bits_into(*reversed, *backward_bits);
+        const auto backward_pilot =
+            phy::find_pattern(*backward_bits, phy::pilot_sequence(), 0, pilot_search_span,
+                              phy::Modem::pilot_max_errors);
+        if (backward_pilot)
+            outcome.diag.second_header =
+                header_after_pilot(*backward_bits, backward_pilot->position);
+
+        if (outcome.diag.second_header && buffer.contains(*outcome.diag.second_header)) {
+            const Stored_frame* known = buffer.lookup(*outcome.diag.second_header);
+            outcome.frame = decode_interfered(*reversed, backward_pilot->position, *known,
+                                              /*backward=*/true, outcome.diag, nullptr);
+        } else {
+            // Neither half is known.  Try a capture decode first: when one
+            // signal is much stronger (the "X" topology's overhearing,
+            // §11.5), standard demodulation of the dominant signal often
+            // succeeds with the weak one acting as noise.  The payload CRC
+            // inside the receive keeps comparable-power collisions (whose
+            // payload would be garbage) from masquerading as clean
+            // packets.  The stream was demodulated above already, so probe
+            // those bits directly.
+            if (const auto captured = modem_.receive_bits(*forward_bits)) {
+                outcome.status = Receive_status::clean;
+                outcome.frame = captured;
+                count_outcome(outcome);
+                return outcome;
+            }
+            outcome.diag.failure = Decode_failure::no_known_header;
+            outcome.status = (outcome.diag.first_header && outcome.diag.second_header)
+                                 ? Receive_status::forward_candidate
+                                 : Receive_status::failed;
             count_outcome(outcome);
             return outcome;
         }
-        outcome.diag.failure = Decode_failure::no_known_header;
-        outcome.status = (outcome.diag.first_header && outcome.diag.second_header)
-                             ? Receive_status::forward_candidate
-                             : Receive_status::failed;
-        count_outcome(outcome);
-        return outcome;
     }
 
     outcome.status = outcome.frame ? Receive_status::decoded_interference
@@ -254,7 +256,7 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
         // Clean, known-only prefix: from the known frame's first sample
         // to the start of the overlap.
         double prefix_amplitude = 0.0;
-        if (report.overlap_begin > pilot_pos + config_.min_prefix) {
+        if (report.overlap_begin > pilot_pos + min_prefix) {
             const dsp::Signal_view prefix =
                 dsp::slice_view(domain_slice, pilot_pos, report.overlap_begin);
             prefix_amplitude = amplitude_from_clean_region(prefix, noise_power_);
@@ -332,7 +334,7 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
     while (!parsed) {
         const auto unknown_pilot =
             phy::find_pattern(packed_decoded, phy::pilot_packed(), search_from, search_to,
-                              config_.unknown_pilot_max_errors);
+                              unknown_pilot_max_errors);
         if (!unknown_pilot)
             break;
         parsed = phy::parse_frame_at(*decoded_bits, unknown_pilot->position);

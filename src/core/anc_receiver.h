@@ -2,11 +2,12 @@
 //
 //   energy detect -> interference detect
 //     clean     -> standard MSK receive
-//     collision -> read the head header (forward) and the tail header
-//                  (through the time-reversal transform, §7.4); whichever
-//                  matches a frame in the sent/overheard buffer decides
-//                  whether we decode forward (our packet started first —
-//                  Alice) or backward (ours ended last — Bob); align via
+//     collision -> read the head header (forward), and when the buffer
+//                  does not hold it, the tail header (through the
+//                  time-reversal transform, §7.4); whichever matches a
+//                  frame in the sent/overheard buffer decides whether we
+//                  decode forward (our packet started first — Alice) or
+//                  backward (ours ended last — Bob); align via
 //                  the pilot, estimate amplitudes, run the interference
 //                  decoder, then find the unknown packet's pilot in the
 //                  decoded bit stream and deframe it.
@@ -46,7 +47,9 @@ enum class Decode_failure {
 
 struct Interference_diag {
     std::optional<phy::Frame_header> first_header;  // from the clean head
-    std::optional<phy::Frame_header> second_header; // from the clean tail
+    std::optional<phy::Frame_header> second_header; // from the clean tail; read
+                                                    // only when the head's is not
+                                                    // in the buffer
     bool backward = false;       // decoded in the time-reversed domain
     double est_known_amp = 0.0;  // estimated amplitude of the known signal
     double est_unknown_amp = 0.0;
@@ -64,19 +67,8 @@ struct Receive_outcome {
 };
 
 struct Anc_receiver_config {
-    phy::Modem_config modem{};
     phy::Packet_detector::Config packet_detector{};
     phy::Interference_detector::Config interference_detector{};
-    /// How many bit positions from the head to scan for the leading pilot
-    /// (must cover the maximum MAC jitter, §7.2: 8 slots of 140 symbols by
-    /// default, plus detector slop).
-    std::size_t pilot_search_span = 1536;
-    /// Error tolerance when hunting the *unknown* packet's pilot inside
-    /// the interference-decoded bit stream (noisier than a clean region).
-    std::size_t unknown_pilot_max_errors = 10;
-    /// Minimum samples of clean, known-only prefix needed to trust the
-    /// prefix amplitude estimate.
-    std::size_t min_prefix = 24;
     /// Ablation switch: ignore the prefix refinement and use the paper's
     /// pure mu/sigma amplitude estimator (§6.2) alone.
     bool mu_sigma_only = false;
@@ -84,20 +76,27 @@ struct Anc_receiver_config {
 
 class Anc_receiver {
 public:
+    /// How many bit positions from the head (and, time-reversed, from the
+    /// tail) to scan for a collision's pilot: covers the maximum trigger
+    /// jitter, trigger_slot_count · trigger_slot_symbols = 1120 symbols
+    /// (§7.2), plus detector slop.
+    static constexpr std::size_t pilot_search_span = 1536;
+    /// Error tolerance when hunting the *unknown* packet's pilot inside
+    /// the interference-decoded bit stream (noisier than a clean region).
+    static constexpr std::size_t unknown_pilot_max_errors = 10;
+    /// Minimum samples of clean, known-only prefix needed to trust the
+    /// prefix amplitude estimate.
+    static constexpr std::size_t min_prefix = 24;
+
     /// `profile` selects the math kernels of the interference decoder
     /// (Eq. 7–8 atan2): the default keeps the historical bit-exact path;
     /// the sims pass their run-level math profile down here.
     Anc_receiver(Anc_receiver_config config, double noise_power,
                  dsp::Math_profile profile = dsp::Math_profile::exact);
 
-    dsp::Math_profile math_profile() const { return decoder_.math_profile(); }
-
     /// Process one received round.  `buffer` holds the frames this node
     /// sent or overheard (§7.3).
     Receive_outcome receive(dsp::Signal_view stream, const Sent_packet_buffer& buffer) const;
-
-    double noise_power() const { return noise_power_; }
-    const Anc_receiver_config& config() const { return config_; }
 
 private:
     /// `analyzed` optionally carries the interference report of exactly

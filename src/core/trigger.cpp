@@ -4,14 +4,14 @@
 
 namespace anc {
 
-std::pair<std::size_t, std::size_t> draw_distinct_delays(Trigger_config config, Pcg32& rng)
+std::pair<std::size_t, std::size_t> draw_distinct_delays(Pcg32& rng)
 {
-    const std::uint32_t first = rng.next_in_range(1, config.slot_count);
+    const std::uint32_t first = rng.next_in_range(1, trigger_slot_count);
     std::uint32_t second = first;
     while (second == first)
-        second = rng.next_in_range(1, config.slot_count);
-    return {static_cast<std::size_t>(first) * config.slot_symbols,
-            static_cast<std::size_t>(second) * config.slot_symbols};
+        second = rng.next_in_range(1, trigger_slot_count);
+    return {static_cast<std::size_t>(first) * trigger_slot_symbols,
+            static_cast<std::size_t>(second) * trigger_slot_symbols};
 }
 
 double overlap_fraction(std::size_t start_a, std::size_t len_a,

@@ -18,27 +18,25 @@
 
 namespace anc {
 
-struct Trigger_config {
-    /// Number of backoff slots (§7.2 uses 1..32; we default to 8 — see
-    /// slot_symbols below for why fewer, larger slots).
-    std::uint32_t slot_count = 8;
-    /// Slot size in symbols.  §7.2 says the size depends on rate, packet
-    /// size and modulation; the binding constraint is that the clean
-    /// (interference-free) region at the head of the first packet and the
-    /// tail of the second must cover a full pilot + header (128 bits), or
-    /// the receivers cannot synchronize.  140 symbols per slot guarantees
-    /// that whenever the two senders draw *different* slots; combined
-    /// with 8 slots and ~2300-bit frames this lands the mean overlap near
-    /// the paper's reported 80% (§11.4).
-    std::size_t slot_symbols = 140;
-};
+/// Number of backoff slots (§7.2 uses 1..32; we use 8 — see
+/// trigger_slot_symbols below for why fewer, larger slots).
+inline constexpr std::uint32_t trigger_slot_count = 8;
+/// Slot size in symbols.  §7.2 says the size depends on rate, packet
+/// size and modulation; the binding constraint is that the clean
+/// (interference-free) region at the head of the first packet and the
+/// tail of the second must cover a full pilot + header (128 bits), or
+/// the receivers cannot synchronize.  140 symbols per slot guarantees
+/// that whenever the two senders draw *different* slots; combined with 8
+/// slots and ~2300-bit frames this lands the mean overlap near the
+/// paper's reported 80% (§11.4).
+inline constexpr std::size_t trigger_slot_symbols = 140;
 
 /// Start delays for the *two* triggered senders.  The paper "enforces"
 /// incomplete overlap (§7.2); we realize that by making the two nodes
 /// draw distinct slots (think of the trigger assigning disjoint backoff
 /// ranges), which guarantees at least one slot of interference-free
 /// signal at the head and tail of the collision.
-std::pair<std::size_t, std::size_t> draw_distinct_delays(Trigger_config config, Pcg32& rng);
+std::pair<std::size_t, std::size_t> draw_distinct_delays(Pcg32& rng);
 
 /// Fraction of the shorter packet overlapped by the longer given the two
 /// start offsets and lengths (diagnostic used to report the paper's

@@ -4,9 +4,8 @@
 
 namespace anc::net {
 
-Net_node::Net_node(chan::Node_id id, phy::Modem_config modem_config,
-                   std::size_t buffer_capacity)
-    : id_{id}, modem_{modem_config}, buffer_{buffer_capacity}
+Net_node::Net_node(chan::Node_id id, double amplitude)
+    : id_{id}, modem_{amplitude}, buffer_{buffered_frames}
 {
 }
 

@@ -19,8 +19,11 @@ namespace anc::net {
 
 class Net_node {
 public:
-    Net_node(chan::Node_id id, phy::Modem_config modem_config = {},
-             std::size_t buffer_capacity = 256);
+    /// Frames the buffer keeps before evicting the oldest.
+    static constexpr std::size_t buffered_frames = 256;
+
+    /// `amplitude` is the node's transmit amplitude.
+    explicit Net_node(chan::Node_id id, double amplitude = 1.0);
 
     /// Frame, record, and modulate a packet into a caller-owned buffer
     /// (cleared first; typically a dsp::Workspace lease backing a
@@ -33,7 +36,6 @@ public:
     void remember(const Packet& packet);
 
     chan::Node_id id() const { return id_; }
-    const phy::Modem& modem() const { return modem_; }
     const Sent_packet_buffer& buffer() const { return buffer_; }
 
 private:

@@ -30,29 +30,31 @@ chan::Link_params link_with(double gain, const Link_fading& fading, Pcg32& rng)
 
 } // namespace
 
-void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
-                       const Alice_bob_gains& gains, const Link_fading& fading,
-                       Pcg32& rng)
+void install_alice_bob(chan::Medium& medium, const Alice_bob_gains& gains,
+                       const Link_fading& fading, Pcg32& rng)
 {
+    constexpr const Alice_bob_nodes& nodes = alice_bob_nodes;
     medium.set_link(nodes.alice, nodes.router, link_with(gains.alice_router, fading, rng));
     medium.set_link(nodes.router, nodes.alice, link_with(gains.router_alice, fading, rng));
     medium.set_link(nodes.bob, nodes.router, link_with(gains.bob_router, fading, rng));
     medium.set_link(nodes.router, nodes.bob, link_with(gains.router_bob, fading, rng));
 }
 
-void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
-                   const Chain_gains& gains, const Link_fading& fading, Pcg32& rng)
+void install_chain(chan::Medium& medium, const Chain_gains& gains,
+                   const Link_fading& fading, Pcg32& rng)
 {
-    const chan::Node_id ids[] = {nodes.n1, nodes.n2, nodes.n3, nodes.n4};
+    constexpr chan::Node_id ids[] = {chain_nodes.n1, chain_nodes.n2, chain_nodes.n3,
+                                     chain_nodes.n4};
     for (int i = 0; i < 3; ++i) {
         medium.set_link(ids[i], ids[i + 1], link_with(gains.adjacent, fading, rng));
         medium.set_link(ids[i + 1], ids[i], link_with(gains.adjacent, fading, rng));
     }
 }
 
-void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
-               const Link_fading& fading, Pcg32& rng)
+void install_x(chan::Medium& medium, const X_gains& gains, const Link_fading& fading,
+               Pcg32& rng)
 {
+    constexpr const X_nodes& nodes = x_nodes;
     for (const chan::Node_id spoke : {nodes.n1, nodes.n2, nodes.n3, nodes.n4}) {
         medium.set_link(spoke, nodes.n5, link_with(gains.spoke, fading, rng));
         medium.set_link(nodes.n5, spoke, link_with(gains.spoke, fading, rng));

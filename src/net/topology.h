@@ -31,10 +31,12 @@ struct Link_fading {
 // ---- Alice-Bob (Fig. 1): Alice <-> Router <-> Bob --------------------
 
 struct Alice_bob_nodes {
-    chan::Node_id alice = 1;
-    chan::Node_id router = 2;
-    chan::Node_id bob = 3;
+    chan::Node_id alice;
+    chan::Node_id router;
+    chan::Node_id bob;
 };
+
+inline constexpr Alice_bob_nodes alice_bob_nodes{.alice = 1, .router = 2, .bob = 3};
 
 struct Alice_bob_gains {
     double alice_router = 0.95;
@@ -45,18 +47,19 @@ struct Alice_bob_gains {
 
 /// Install the four directed links; Alice and Bob are out of range of
 /// each other (no direct link).
-void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
-                       const Alice_bob_gains& gains, const Link_fading& fading,
-                       Pcg32& rng);
+void install_alice_bob(chan::Medium& medium, const Alice_bob_gains& gains,
+                       const Link_fading& fading, Pcg32& rng);
 
 // ---- Chain (Fig. 2): N1 -> N2 -> N3 -> N4 ----------------------------
 
 struct Chain_nodes {
-    chan::Node_id n1 = 1;
-    chan::Node_id n2 = 2;
-    chan::Node_id n3 = 3;
-    chan::Node_id n4 = 4;
+    chan::Node_id n1;
+    chan::Node_id n2;
+    chan::Node_id n3;
+    chan::Node_id n4;
 };
+
+inline constexpr Chain_nodes chain_nodes{.n1 = 1, .n2 = 2, .n3 = 3, .n4 = 4};
 
 struct Chain_gains {
     double adjacent = 0.92; // every adjacent hop, both directions
@@ -64,18 +67,20 @@ struct Chain_gains {
 
 /// Adjacent nodes are linked both ways; nodes two or more hops apart are
 /// out of radio range (N4 never hears N1 — the premise of §2(b)).
-void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
-                   const Chain_gains& gains, const Link_fading& fading, Pcg32& rng);
+void install_chain(chan::Medium& medium, const Chain_gains& gains,
+                   const Link_fading& fading, Pcg32& rng);
 
 // ---- "X" (Fig. 11): N1, N3 send through N5 to N4, N2 ------------------
 
 struct X_nodes {
-    chan::Node_id n1 = 1; // sender of flow 1 (to n4)
-    chan::Node_id n2 = 2; // destination of flow 2; overhears n1
-    chan::Node_id n3 = 3; // sender of flow 2 (to n2)
-    chan::Node_id n4 = 4; // destination of flow 1; overhears n3
-    chan::Node_id n5 = 5; // the router in the middle
+    chan::Node_id n1; // sender of flow 1 (to n4)
+    chan::Node_id n2; // destination of flow 2; overhears n1
+    chan::Node_id n3; // sender of flow 2 (to n2)
+    chan::Node_id n4; // destination of flow 1; overhears n3
+    chan::Node_id n5; // the router in the middle
 };
+
+inline constexpr X_nodes x_nodes{.n1 = 1, .n2 = 2, .n3 = 3, .n4 = 4, .n5 = 5};
 
 struct X_gains {
     double spoke = 0.92;    // every node <-> router link
@@ -97,7 +102,7 @@ struct X_gains {
     std::optional<double> overhear_detection_threshold_db = 9.0;
 };
 
-void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
-               const Link_fading& fading, Pcg32& rng);
+void install_x(chan::Medium& medium, const X_gains& gains, const Link_fading& fading,
+               Pcg32& rng);
 
 } // namespace anc::net

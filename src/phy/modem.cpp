@@ -6,8 +6,8 @@
 
 namespace anc::phy {
 
-Modem::Modem(Modem_config config)
-    : config_{config}, scrambler_{config.scrambler_seed}
+Modem::Modem(double amplitude)
+    : amplitude_{amplitude}, scrambler_{scrambler_seed}
 {
 }
 
@@ -21,7 +21,7 @@ void Modem::modulate_into(std::span<const std::uint8_t> frame_bits,
                           double initial_phase, dsp::Signal& out) const
 {
     const obs::Stage_timer timer{obs::Stage::modulate};
-    const dsp::Msk_modulator modulator{config_.amplitude, initial_phase};
+    const dsp::Msk_modulator modulator{amplitude_, initial_phase};
     modulator.modulate_into(frame_bits, out);
 }
 
@@ -48,7 +48,7 @@ std::optional<Received_frame> Modem::receive(dsp::Signal_view signal) const
 
 std::optional<Received_frame> Modem::receive_bits(std::span<const std::uint8_t> bits) const
 {
-    const auto match = find_pilot(bits, config_.pilot_max_errors);
+    const auto match = find_pilot(bits, pilot_max_errors);
     if (!match)
         return std::nullopt;
     const auto parsed = parse_frame_at(bits, match->position);

@@ -26,15 +26,16 @@ struct Received_frame {
     std::size_t pilot_position = 0; // bit offset of the pilot in the stream
 };
 
-struct Modem_config {
-    double amplitude = 1.0;
-    std::uint16_t scrambler_seed = 0xACE1u;
-    std::size_t pilot_max_errors = 6;
-};
-
 class Modem {
 public:
-    explicit Modem(Modem_config config = {});
+    /// Initial state of the payload whitening LFSR (a protocol constant:
+    /// every node descrambles with the same keystream).
+    static constexpr std::uint16_t scrambler_seed = 0xACE1u;
+    /// Pilot bit errors a clean receive tolerates.
+    static constexpr std::size_t pilot_max_errors = 6;
+
+    /// `amplitude` is the transmit amplitude of modulate_into.
+    explicit Modem(double amplitude = 1.0);
 
     /// On-air frame bits: payload whitened, then framed (Fig. 6 layout).
     Bits frame_bits(const Frame_header& header, std::span<const std::uint8_t> payload) const;
@@ -65,10 +66,8 @@ public:
     /// De-whiten an on-air payload back to application bits.
     Bits descramble(std::span<const std::uint8_t> payload) const;
 
-    const Modem_config& config() const { return config_; }
-
 private:
-    Modem_config config_;
+    double amplitude_;
     dsp::Scrambler scrambler_;
     dsp::Msk_demodulator demodulator_;
 };

@@ -23,7 +23,6 @@ namespace anc::sim {
 struct Alice_bob_config : Run_config {
     double alice_amplitude = 1.0;  // transmit amplitudes (Fig. 13 varies
     double bob_amplitude = 1.0;    // Bob's while Alice's stays fixed)
-    net::Alice_bob_nodes nodes{};
     net::Alice_bob_gains gains{};
 };
 

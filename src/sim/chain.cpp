@@ -12,18 +12,17 @@ namespace {
 
 World make_chain_world(const Chain_config& config)
 {
-    const net::Chain_nodes& n = config.nodes;
+    constexpr const net::Chain_nodes& n = net::chain_nodes;
     return make_world(config, 0xc4a17u, {{n.n1}, {n.n2}, {n.n3}, {n.n4}},
                       [&config](chan::Medium& medium, Pcg32& rng) {
-                          net::install_chain(medium, config.nodes, config.gains,
-                                             config.fading, rng);
+                          net::install_chain(medium, config.gains, config.fading, rng);
                       });
 }
 
 net::Flow chain_flow(const Chain_config& config, World& world)
 {
-    return net::Flow{static_cast<std::uint8_t>(config.nodes.n1),
-                     static_cast<std::uint8_t>(config.nodes.n4), config.payload_bits,
+    return net::Flow{static_cast<std::uint8_t>(net::chain_nodes.n1),
+                     static_cast<std::uint8_t>(net::chain_nodes.n4), config.payload_bits,
                      world.rng.fork(10)};
 }
 
@@ -33,7 +32,7 @@ Chain_result run_chain_traditional(const Chain_config& config)
 {
     World world = make_chain_world(config);
     net::Flow flow = chain_flow(config, world);
-    const net::Chain_nodes& n = config.nodes;
+    constexpr const net::Chain_nodes& n = net::chain_nodes;
     Chain_result result;
     for (std::size_t i = 0; i < config.exchanges; ++i) {
         world.medium.set_fading_epoch(i); // fresh fade per packet
@@ -50,7 +49,7 @@ Chain_result run_chain_anc(const Chain_config& config)
 {
     World world = make_chain_world(config);
     net::Flow flow = chain_flow(config, world);
-    const net::Chain_nodes& n = config.nodes;
+    constexpr const net::Chain_nodes& n = net::chain_nodes;
     Chain_result result;
 
     /// The packet N2 holds (as received — bit errors propagate) and the
@@ -97,7 +96,7 @@ Chain_result run_chain_anc(const Chain_config& config)
         if (at_n3)
             forwarded = packet_from_frame(*at_n3);
         const Collision slot_b =
-            collide(world, config.trigger, {n.n1, n.n2, next ? &*next : nullptr},
+            collide(world, {n.n1, n.n2, next ? &*next : nullptr},
                     {n.n3, n.n4, forwarded ? &*forwarded : nullptr}, result.metrics);
 
         // N4 hears only N3 (N1 is out of range) and decodes `current`.

@@ -24,7 +24,6 @@ namespace anc::sim {
 
 /// `exchanges` counts the packets N1 sends.
 struct Chain_config : Run_config {
-    net::Chain_nodes nodes{};
     net::Chain_gains gains{};
 };
 

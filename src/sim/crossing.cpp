@@ -230,8 +230,8 @@ Crossing_result anc(Crossing x)
         x.result.metrics.packets_attempted += 2;
 
         const Collision uploads =
-            collide(x.world, x.config.trigger, {x.at.a_src, x.at.relay, &pa},
-                    {x.at.b_src, x.at.relay, &pb}, x.result.metrics);
+            collide(x.world, {x.at.a_src, x.at.relay, &pa}, {x.at.b_src, x.at.relay, &pb},
+                    x.result.metrics);
         const Signal_lease at_relay = hear(x.world, x.at.relay, uploads.on_air());
         if (x.overhearing) {
             snoop(x, uploads, x.at.b_dst, pa);
@@ -249,7 +249,7 @@ Crossing_result anc(Crossing x)
 
 Crossing alice_bob(const Alice_bob_config& config)
 {
-    const net::Alice_bob_nodes& n = config.nodes;
+    constexpr const net::Alice_bob_nodes& n = net::alice_bob_nodes;
     return Crossing{config,
                     {n.alice, n.bob, n.bob, n.alice, n.router},
                     make_world(config, 0x0a11ce0bu,
@@ -257,8 +257,8 @@ Crossing alice_bob(const Alice_bob_config& config)
                                 {n.router},
                                 {n.bob, config.bob_amplitude}},
                                [&config](chan::Medium& medium, Pcg32& rng) {
-                                   net::install_alice_bob(medium, config.nodes, config.gains,
-                                                          config.fading, rng);
+                                   net::install_alice_bob(medium, config.gains, config.fading,
+                                                          rng);
                                })};
 }
 
@@ -270,13 +270,12 @@ Alice_bob_result alice_bob_result(Crossing_result r)
 
 Crossing x_topology(const X_config& config)
 {
-    const net::X_nodes& n = config.nodes;
+    constexpr const net::X_nodes& n = net::x_nodes;
     return Crossing{config,
                     {n.n1, n.n4, n.n3, n.n2, n.n5},
                     make_world(config, 0x0f2a9u, {{n.n1}, {n.n2}, {n.n3}, {n.n4}, {n.n5}},
                                [&config](chan::Medium& medium, Pcg32& rng) {
-                                   net::install_x(medium, config.nodes, config.gains,
-                                                  config.fading, rng);
+                                   net::install_x(medium, config.gains, config.fading, rng);
                                })};
 }
 

@@ -4,6 +4,7 @@
 
 #include "channel/awgn.h"
 #include "core/relay.h"
+#include "core/trigger.h"
 #include "net/cope.h"
 #include "util/bits.h"
 
@@ -32,11 +33,8 @@ World make_world(const Run_config& config, std::uint64_t stream,
 
     std::vector<net::Net_node> built;
     built.reserve(nodes.size());
-    for (const Node_spec& spec : nodes) {
-        phy::Modem_config modem;
-        modem.amplitude = spec.amplitude;
-        built.emplace_back(spec.id, modem);
-    }
+    for (const Node_spec& spec : nodes)
+        built.emplace_back(spec.id, spec.amplitude);
     return World{std::move(medium),
                  std::move(built),
                  Anc_receiver{config.receiver, noise_power, config.math_profile},
@@ -84,10 +82,10 @@ std::optional<phy::Received_frame> forward_along(World& world,
     return frame;
 }
 
-Collision collide(World& world, const Trigger_config& trigger, const Sender& first,
-                  const Sender& second, Run_metrics& metrics)
+Collision collide(World& world, const Sender& first, const Sender& second,
+                  Run_metrics& metrics)
 {
-    const auto [delay_first, delay_second] = draw_distinct_delays(trigger, world.rng);
+    const auto [delay_first, delay_second] = draw_distinct_delays(world.rng);
     dsp::Workspace& workspace = dsp::Workspace::current();
     Collision collision{{workspace.signal(), workspace.signal()}, {}, 0};
     const auto send = [&](const Sender& sender, std::size_t delay) {

@@ -106,8 +106,8 @@ struct Collision {
 /// each present sender transmits at its delay.  Charges the round's span
 /// of airtime, the overlap when both send, and the fades of each sender's
 /// link toward its `to`.
-Collision collide(World& world, const Trigger_config& trigger, const Sender& first,
-                  const Sender& second, Run_metrics& metrics);
+Collision collide(World& world, const Sender& first, const Sender& second,
+                  Run_metrics& metrics);
 
 /// One broadcast and the leased buffer behind it.
 struct Broadcast {

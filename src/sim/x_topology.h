@@ -22,7 +22,6 @@
 namespace anc::sim {
 
 struct X_config : Run_config {
-    net::X_nodes nodes{};
     net::X_gains gains{}; // includes the overhear links' AGC detection threshold
 };
 

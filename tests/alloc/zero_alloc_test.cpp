@@ -113,7 +113,7 @@ struct Collision {
         fading.model = gain_model;
         fading.coherence_block = 512;
         Pcg32 link_rng = Pcg32{7, 3}.fork(2);
-        install_alice_bob(medium, nodes, net::Alice_bob_gains{}, fading, link_rng);
+        install_alice_bob(medium, net::Alice_bob_gains{}, fading, link_rng);
         dsp::Msk_modulator{1.0, 0.0}.modulate_into(bits_a, signal_a);
         dsp::Msk_modulator{1.0, 0.0}.modulate_into(frame(0xB1), signal_b);
         on_air = {{nodes.alice, signal_a, alice_start}, {nodes.bob, signal_b, bob_start}};
@@ -125,7 +125,7 @@ struct Collision {
     dsp::Signal signal_a;
     dsp::Signal signal_b;
     chan::Medium medium;
-    net::Alice_bob_nodes nodes;
+    static constexpr const net::Alice_bob_nodes& nodes = net::alice_bob_nodes;
     std::vector<chan::Transmission> on_air;
     dsp::Signal received;
 };

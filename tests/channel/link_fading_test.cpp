@@ -130,7 +130,6 @@ TEST(LinkFading, ZeroCoherenceBlockIsQuasiStatic)
 TEST(LinkFading, ApplyOntoAddsAtItsOffset)
 {
     Link_params params = rayleigh_params(999, 32);
-    params.delay = 7;
     params.phase_drift = 0.002;
     const Link_channel channel{params};
 
@@ -142,19 +141,20 @@ TEST(LinkFading, ApplyOntoAddsAtItsOffset)
     for (int n = 0; n < 60; ++n)
         acc.push_back({rng.next_double() + 0.5, rng.next_double() + 0.5});
 
-    // Onto an empty buffer: `delay` zeros, then the channel output.
+    // Onto an empty buffer at offset 7: 7 zeros, then the channel output.
+    constexpr std::size_t lead = 7;
     dsp::Signal fresh;
-    channel.apply_onto(in, 0, fresh, 3);
-    ASSERT_EQ(fresh.size(), params.delay + in.size());
+    channel.apply_onto(in, lead, fresh, 3);
+    ASSERT_EQ(fresh.size(), lead + in.size());
 
-    // Onto a shorter nonzero buffer at offset 5: the same output added
+    // Onto a shorter nonzero buffer 5 samples later: the same output added
     // sample for sample, the buffer grown with zeros to fit it.
     constexpr std::size_t at = 5;
     dsp::Signal want = acc;
     want.resize(at + fresh.size());
     for (std::size_t n = 0; n < fresh.size(); ++n)
         want[at + n] += fresh[n];
-    channel.apply_onto(in, at, acc, 3);
+    channel.apply_onto(in, at + lead, acc, 3);
     ASSERT_EQ(acc.size(), want.size());
     for (std::size_t n = 0; n < acc.size(); ++n)
         EXPECT_EQ(acc[n], want[n]) << "sample " << n;

@@ -47,10 +47,9 @@ void reference_exact_onto(const Link_channel& link, const dsp::Signal& signal,
                           std::size_t at, dsp::Signal& acc, std::uint64_t epoch)
 {
     const Link_params& p = link.params();
-    const std::size_t begin = at + p.delay;
-    if (acc.size() < begin + signal.size())
-        acc.resize(begin + signal.size());
-    dsp::Sample* out = acc.data() + begin;
+    if (acc.size() < at + signal.size())
+        acc.resize(at + signal.size());
+    dsp::Sample* out = acc.data() + at;
     if (p.gain_model == Gain_model::fixed) {
         for (std::size_t n = 0; n < signal.size(); ++n) {
             const double rotation = p.phase + p.phase_drift * static_cast<double>(n);
@@ -74,7 +73,6 @@ Link_params link_params(Gain_model model, std::size_t block, double drift)
     Link_params params;
     params.gain = 0.83;
     params.phase = -2.41;
-    params.delay = 3;
     params.phase_drift = drift;
     params.gain_model = model;
     params.coherence_block = block;
@@ -132,10 +130,10 @@ TEST(LinkRotorStream, ExactApplyMatchesPerSamplePolar)
             cases.push_back(link_params(Gain_model::rayleigh_block, block, drift));
         for (const Link_params& params : cases) {
             const Link_channel link{params};
-            dsp::Signal want(params.delay + signal.size(), dsp::Sample{0.0, 0.0});
-            reference_exact_onto(link, signal, 0, want, 1);
+            dsp::Signal want(3 + signal.size(), dsp::Sample{0.0, 0.0});
+            reference_exact_onto(link, signal, 3, want, 1);
             dsp::Signal got;
-            link.apply_onto(signal, 0, got, 1);
+            link.apply_onto(signal, 3, got, 1);
             expect_same_bits(got, want);
         }
     }

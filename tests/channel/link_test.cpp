@@ -28,12 +28,10 @@ TEST(Link, AppliesGainAndPhase)
 
 TEST(Link, AppliesDelay)
 {
-    Link_params params;
-    params.delay = 3;
-    const Link_channel link{params};
+    const Link_channel link{Link_params{}};
     const dsp::Signal in{{1.0, 0.0}};
     dsp::Signal out;
-    link.apply_onto(in, 0, out);
+    link.apply_onto(in, 3, out);
     ASSERT_EQ(out.size(), 4u);
     EXPECT_EQ(out[0], (dsp::Sample{0.0, 0.0}));
     EXPECT_NEAR(out[3].real(), 1.0, 1e-12);
@@ -61,7 +59,6 @@ TEST(Link, MskSurvivesChannelDistortion)
     Link_params params;
     params.gain = 0.08;
     params.phase = 2.9;
-    params.delay = 0;
     const Link_channel link{params};
     dsp::Signal signal;
     modulator.modulate_into(bits, signal);

@@ -64,9 +64,7 @@ Alice_bob_exchange run_exchange(std::uint64_t seed, std::size_t payload_bits = 5
     x.alice_payload = random_bits(payload_bits, rng);
     x.bob_payload = random_bits(payload_bits, rng);
 
-    phy::Modem_config bob_modem;
-    bob_modem.amplitude = bob_amplitude;
-    x.bob.modem = phy::Modem{bob_modem};
+    x.bob.modem = phy::Modem{bob_amplitude};
 
     const auto h_a = make_header(1, 2, 100, static_cast<std::uint16_t>(payload_bits));
     const auto h_b = make_header(2, 1, 200, static_cast<std::uint16_t>(payload_bits));
@@ -79,8 +77,8 @@ Alice_bob_exchange run_exchange(std::uint64_t seed, std::size_t payload_bits = 5
     // The two uplinks carry a small relative carrier-frequency offset, as
     // any two physical radios would.
     dsp::Signal at_relay;
-    chan::Link_channel{{0.9, 0.4, 0, 0.002}}.apply_onto(sig_a, alice_start, at_relay);
-    chan::Link_channel{{0.85, -1.2, 0, -0.002}}.apply_onto(sig_b, bob_start, at_relay);
+    chan::Link_channel{{0.9, 0.4, 0.002}}.apply_onto(sig_a, alice_start, at_relay);
+    chan::Link_channel{{0.85, -1.2, -0.002}}.apply_onto(sig_b, bob_start, at_relay);
     chan::Awgn relay_noise{noise_power, rng.fork(1)};
     relay_noise.add_in_place(at_relay);
 
@@ -89,11 +87,11 @@ Alice_bob_exchange run_exchange(std::uint64_t seed, std::size_t payload_bits = 5
     if (!amplify_and_forward_into(at_relay, noise_power, 1.0, broadcast))
         throw std::runtime_error{"relay detected no packet"};
 
-    chan::Link_channel{{0.9, 1.9, 0, 0.0}}.apply_onto(broadcast, 0, x.at_alice);
+    chan::Link_channel{{0.9, 1.9, 0.0}}.apply_onto(broadcast, 0, x.at_alice);
     chan::Awgn alice_noise{noise_power, rng.fork(2)};
     alice_noise.add_in_place(x.at_alice);
 
-    chan::Link_channel{{0.85, -0.3, 0, 0.0}}.apply_onto(broadcast, 0, x.at_bob);
+    chan::Link_channel{{0.85, -0.3, 0.0}}.apply_onto(broadcast, 0, x.at_bob);
     chan::Awgn bob_noise{noise_power, rng.fork(3)};
     bob_noise.add_in_place(x.at_bob);
     return x;
@@ -144,6 +142,8 @@ TEST(AncReceiver, AliceDecodesForward)
     ASSERT_EQ(outcome.status, Receive_status::decoded_interference);
     ASSERT_TRUE(outcome.frame.has_value());
     EXPECT_FALSE(outcome.diag.backward);
+    // The head header was in the buffer, so the tail was never read.
+    EXPECT_FALSE(outcome.diag.second_header.has_value());
     EXPECT_EQ(outcome.frame->header.src, 2);
     const double ber = bit_error_rate(outcome.frame->payload, x.bob_payload);
     EXPECT_LT(ber, 0.05) << "Alice->Bob payload BER";
@@ -165,9 +165,12 @@ TEST(AncReceiver, BobDecodesBackward)
 
 TEST(AncReceiver, BothHeadersVisibleInDiagnostics)
 {
+    // With nothing in the buffer neither header is known, so the receiver
+    // reads both: the head's forward and the tail's through time reversal.
     const Alice_bob_exchange x = run_exchange(905);
     const Anc_receiver receiver = make_receiver();
-    const Receive_outcome outcome = receiver.receive(x.at_alice, x.alice.buffer);
+    const Receive_outcome outcome = receiver.receive(x.at_alice, empty_sent_packet_buffer());
+    EXPECT_EQ(outcome.status, Receive_status::forward_candidate);
     ASSERT_TRUE(outcome.diag.first_header.has_value());
     ASSERT_TRUE(outcome.diag.second_header.has_value());
     EXPECT_EQ(outcome.diag.first_header->src, 1); // Alice started first

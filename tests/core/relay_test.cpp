@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "channel/awgn.h"
 #include "dsp/energy_scan.h"
 #include "dsp/msk.h"
@@ -69,27 +71,50 @@ TEST(Relay, AmplifiedNoiseRidesAlong)
 {
     // The relay cannot separate noise from signal: after normalization the
     // in-band noise is amplified by the same factor — the low-SNR penalty
-    // of §8.
+    // of §8.  At 17 dB the standard detector sees the packet.
     Pcg32 rng{706};
     const Bits bits = random_bits(2000, rng);
-    const dsp::Msk_modulator modulator{0.1, 0.0};
-    dsp::Signal received;
-    modulator.modulate_into(bits, received);
-    const double noise_power = 0.01; // SNR at relay = 0 dB
+    const double signal_power = 0.1 * 0.1;
+    const double noise_power = chan::noise_power_for_snr_db(17.0, signal_power);
+    dsp::Signal burst;
+    dsp::Msk_modulator{0.1, 0.0}.modulate_into(bits, burst);
+    dsp::Signal clean(300, dsp::Sample{0.0, 0.0});
+    dsp::accumulate(clean, burst, 300);
+    clean.resize(clean.size() + 300, dsp::Sample{0.0, 0.0});
+    dsp::Signal received = clean;
     chan::Awgn noise{noise_power, Pcg32{707}};
     noise.add_in_place(received);
 
-    // At 0 dB the usual energy threshold would miss the packet; drop it
-    // (the scenario is intentionally extreme to expose noise
-    // amplification).
-    phy::Packet_detector::Config low_threshold;
-    low_threshold.energy_threshold_db = -3.0;
     dsp::Signal forwarded;
-    ASSERT_TRUE(amplify_and_forward_into(received, noise_power, 1.0, forwarded, low_threshold));
-    // Output power 1.0 is half signal, half amplified noise.
-    const double gain = 1.0 / (0.1 * 0.1 + noise_power);
-    const double amplified_noise = noise_power * gain;
-    EXPECT_NEAR(amplified_noise, 0.5, 0.05);
+    ASSERT_TRUE(amplify_and_forward_into(received, noise_power, 1.0, forwarded));
+    ASSERT_GT(forwarded.size(), 1500u);
+    ASSERT_LE(forwarded.size(), received.size());
+
+    // The forward is a trimmed window of what the relay heard, times one
+    // real gain g: find the window's start b.
+    const auto scales_window = [&](std::size_t b, double g) {
+        for (std::size_t k = 0; k < forwarded.size(); ++k)
+            if (std::abs(forwarded[k] - g * received[b + k]) > 1e-12 * std::abs(forwarded[k]))
+                return false;
+        return true;
+    };
+    std::size_t b = 0;
+    double g = 0.0;
+    for (; b + forwarded.size() <= received.size(); ++b) {
+        g = std::abs(forwarded[0]) / std::abs(received[b]);
+        if (scales_window(b, g))
+            break;
+    }
+    ASSERT_LE(b + forwarded.size(), received.size()) << "no window of `received` scales to it";
+
+    // Noise and signal are scaled alike: the noise's share of the unit
+    // forwarded power is n / (s + n).
+    double window_noise = 0.0;
+    for (std::size_t k = 0; k < forwarded.size(); ++k)
+        window_noise += std::norm(received[b + k] - clean[b + k]);
+    window_noise /= static_cast<double>(forwarded.size());
+    const double want_share = noise_power / (signal_power + noise_power);
+    EXPECT_NEAR(g * g * window_noise, want_share, 0.1 * want_share);
 }
 
 } // namespace

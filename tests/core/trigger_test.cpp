@@ -9,16 +9,13 @@ namespace {
 
 TEST(Trigger, DelayInConfiguredRange)
 {
-    Trigger_config config;
-    config.slot_count = 32;
-    config.slot_symbols = 8;
     Pcg32 rng{801};
     for (int i = 0; i < 1000; ++i) {
-        const auto [da, db] = draw_distinct_delays(config, rng);
+        const auto [da, db] = draw_distinct_delays(rng);
         for (const std::size_t delay : {da, db}) {
-            EXPECT_GE(delay, 8u);
-            EXPECT_LE(delay, 256u);
-            EXPECT_EQ(delay % 8, 0u);
+            EXPECT_GE(delay, trigger_slot_symbols);
+            EXPECT_LE(delay, trigger_slot_count * trigger_slot_symbols);
+            EXPECT_EQ(delay % trigger_slot_symbols, 0u);
         }
     }
 }
@@ -27,40 +24,34 @@ TEST(Trigger, DefaultSlotSizing)
 {
     // Slot must cover pilot + header so distinct slots guarantee a
     // decodable clean region.
-    const Trigger_config config;
-    EXPECT_EQ(config.slot_count, 8u);
-    EXPECT_GE(config.slot_symbols, 128u + 8u);
+    static_assert(trigger_slot_count == 8);
+    static_assert(trigger_slot_symbols >= 128 + 8);
 }
 
 TEST(Trigger, DistinctDelaysNeverEqual)
 {
-    Trigger_config config;
     Pcg32 rng{804};
     for (int i = 0; i < 2000; ++i) {
-        const auto [da, db] = draw_distinct_delays(config, rng);
+        const auto [da, db] = draw_distinct_delays(rng);
         EXPECT_NE(da, db);
-        EXPECT_GE(da, config.slot_symbols);
-        EXPECT_LE(db, config.slot_count * config.slot_symbols);
         // Distinct slots guarantee a clean pilot+header region.
         const std::size_t gap = da > db ? da - db : db - da;
-        EXPECT_GE(gap, config.slot_symbols);
+        EXPECT_GE(gap, trigger_slot_symbols);
     }
 }
 
 TEST(Trigger, DelayCoversAllSlots)
 {
-    Trigger_config config;
-    config.slot_count = 4;
-    config.slot_symbols = 1;
     Pcg32 rng{802};
-    std::vector<int> first(5, 0);
-    std::vector<int> second(5, 0);
-    for (int i = 0; i < 4000; ++i) {
-        const auto [da, db] = draw_distinct_delays(config, rng);
-        ++first[da];
-        ++second[db];
+    std::vector<int> first(trigger_slot_count + 1, 0);
+    std::vector<int> second(trigger_slot_count + 1, 0);
+    for (int i = 0; i < 8000; ++i) {
+        const auto [da, db] = draw_distinct_delays(rng);
+        ++first[da / trigger_slot_symbols];
+        ++second[db / trigger_slot_symbols];
     }
-    for (int slot = 1; slot <= 4; ++slot) {
+    // 1000 draws land in each slot on average.
+    for (std::size_t slot = 1; slot <= trigger_slot_count; ++slot) {
         EXPECT_GT(first[slot], 800);
         EXPECT_GT(second[slot], 800);
     }
@@ -92,16 +83,15 @@ TEST(Trigger, OverlapZeroLength)
 
 TEST(Trigger, MeanOverlapNearPaperOperatingPoint)
 {
-    // With the default 8 distinct slots of 140 symbols against ~2300-bit
-    // frames (2048-bit payloads), the expected overlap lands near the
-    // paper's reported 80% (§11.4).
-    Trigger_config config;
+    // With 8 distinct slots of 140 symbols against ~2300-bit frames
+    // (2048-bit payloads), the expected overlap lands near the paper's
+    // reported 80% (§11.4).
     Pcg32 rng{803};
     const std::size_t frame = 2304;
     double total = 0.0;
     const int trials = 20000;
     for (int i = 0; i < trials; ++i) {
-        const auto [da, db] = draw_distinct_delays(config, rng);
+        const auto [da, db] = draw_distinct_delays(rng);
         total += overlap_fraction(da, frame, db, frame);
     }
     const double mean = total / trials;

@@ -67,7 +67,6 @@ TEST(MathProfile, NoiseFreeMediumCarriesMskFramesByteIdentically)
     chan::Link_params drifting;
     drifting.gain = 0.9;
     drifting.phase = 1.3;
-    drifting.delay = 2;
     drifting.phase_drift = 0.0021;
     chan::Link_params faded;
     faded.gain = 0.7;
@@ -82,9 +81,9 @@ TEST(MathProfile, NoiseFreeMediumCarriesMskFramesByteIdentically)
     Msk_modulator{1.0, 0.4}.modulate_into(random_bits_for(1500, 1), frame_a);
     Msk_modulator{1.0, 2.2}.modulate_into(random_bits_for(1200, 2), frame_b);
     const std::vector<chan::Transmission> rounds[] = {
-        {{1, frame_a, 0}},
+        {{1, frame_a, 2}},
         {{2, frame_b, 0}},
-        {{1, frame_a, 0}, {2, frame_b, 140}},
+        {{1, frame_a, 2}, {2, frame_b, 140}},
     };
 
     const auto receive_all = [&](Math_profile profile) {

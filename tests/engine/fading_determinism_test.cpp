@@ -96,9 +96,9 @@ TEST(FadingDeterminism, PairedSchemesSeeIdenticalLinkRealizations)
     chan::Medium medium_b{0.01, Pcg32{1, 2}};
     Pcg32 rng_a{555, 0x0a11ce0bu};
     Pcg32 rng_b{555, 0x0a11ce0bu};
-    const net::Alice_bob_nodes nodes;
-    install_alice_bob(medium_a, nodes, net::Alice_bob_gains{}, fading, rng_a);
-    install_alice_bob(medium_b, nodes, net::Alice_bob_gains{}, fading, rng_b);
+    const net::Alice_bob_nodes& nodes = net::alice_bob_nodes;
+    install_alice_bob(medium_a, net::Alice_bob_gains{}, fading, rng_a);
+    install_alice_bob(medium_b, net::Alice_bob_gains{}, fading, rng_b);
 
     const std::pair<chan::Node_id, chan::Node_id> pairs[] = {
         {nodes.alice, nodes.router},

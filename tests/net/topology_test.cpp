@@ -23,8 +23,8 @@ TEST(Topology, AliceBobLinks)
 {
     chan::Medium medium{0.0, Pcg32{1101}};
     Pcg32 rng{1102};
-    const Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, Alice_bob_gains{}, {}, rng);
+    const Alice_bob_nodes& nodes = alice_bob_nodes;
+    install_alice_bob(medium, Alice_bob_gains{}, {}, rng);
 
     EXPECT_TRUE(has_link(medium, nodes.alice, nodes.router));
     EXPECT_TRUE(has_link(medium, nodes.router, nodes.alice));
@@ -39,8 +39,8 @@ TEST(Topology, ChainLinks)
 {
     chan::Medium medium{0.0, Pcg32{1103}};
     Pcg32 rng{1104};
-    const Chain_nodes nodes;
-    install_chain(medium, nodes, Chain_gains{}, {}, rng);
+    const Chain_nodes& nodes = chain_nodes;
+    install_chain(medium, Chain_gains{}, {}, rng);
 
     EXPECT_TRUE(has_link(medium, nodes.n1, nodes.n2));
     EXPECT_TRUE(has_link(medium, nodes.n2, nodes.n1));
@@ -56,8 +56,8 @@ TEST(Topology, XLinks)
 {
     chan::Medium medium{0.0, Pcg32{1105}};
     Pcg32 rng{1106};
-    const X_nodes nodes;
-    install_x(medium, nodes, X_gains{}, {}, rng);
+    const X_nodes& nodes = x_nodes;
+    install_x(medium, X_gains{}, {}, rng);
 
     for (const chan::Node_id spoke : {nodes.n1, nodes.n2, nodes.n3, nodes.n4}) {
         EXPECT_TRUE(has_link(medium, spoke, nodes.n5));
@@ -76,9 +76,9 @@ TEST(Topology, XOverhearStrongerThanCross)
 {
     chan::Medium medium{0.0, Pcg32{1107}};
     Pcg32 rng{1108};
-    const X_nodes nodes;
+    const X_nodes& nodes = x_nodes;
     const X_gains gains;
-    install_x(medium, nodes, gains, {}, rng);
+    install_x(medium, gains, {}, rng);
     EXPECT_GT(medium.link(nodes.n1, nodes.n2).power_gain(),
               medium.link(nodes.n3, nodes.n2).power_gain());
 }
@@ -87,8 +87,8 @@ TEST(Topology, LinkPhasesAreRandomized)
 {
     chan::Medium medium{0.0, Pcg32{1109}};
     Pcg32 rng{1110};
-    const Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, Alice_bob_gains{}, {}, rng);
+    const Alice_bob_nodes& nodes = alice_bob_nodes;
+    install_alice_bob(medium, Alice_bob_gains{}, {}, rng);
     const double phase_ar = medium.link(nodes.alice, nodes.router).params().phase;
     const double phase_ra = medium.link(nodes.router, nodes.alice).params().phase;
     EXPECT_NE(phase_ar, phase_ra);

@@ -6,7 +6,10 @@
 // inside the input.  Further loops feed both phy::find_pattern overloads
 // extreme search bounds (checked against find_pattern_scalar), and
 // Interference_decoder::decode_into and amplify_and_forward_into
-// non-finite, denormal and degenerate signals.  No fuzzing library: the
+// non-finite, denormal and degenerate signals.  The last loop runs the
+// whole Anc_receiver::receive on such streams and on real collisions
+// heard through extreme link gains, against buffers holding the sent
+// frames, corrupted copies of them or junk.  No fuzzing library: the
 // loops are plain gtest, so they run under every sanitizer the suite is
 // built with.
 
@@ -16,18 +19,25 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "channel/awgn.h"
+#include "channel/link.h"
+#include "core/anc_receiver.h"
 #include "core/interference_decoder.h"
 #include "core/relay.h"
+#include "core/trigger.h"
 #include "net/cope.h"
 #include "phy/frame.h"
 #include "phy/header.h"
+#include "phy/modem.h"
 #include "phy/pilot.h"
 #include "util/bits.h"
 #include "util/crc.h"
+#include "util/obs.h"
 #include "util/rng.h"
 
 namespace anc {
@@ -350,6 +360,127 @@ TEST(HostileInput, AmplifyAndForwardOnNonFiniteInput)
         }
     }
     EXPECT_GT(forwarded_count, 100u);
+}
+
+/// One round for the ANC receiver: the stream it hears, the frames its
+/// buffer holds, and the payloads that were really sent.
+struct Receiver_case {
+    dsp::Signal stream;
+    Sent_packet_buffer buffer;
+    std::vector<Bits> sent;
+};
+
+/// A hostile round: an empty, 1-sample or shorter-than-a-pilot stream; a
+/// stream of random and non-finite samples; or one packet or a collision
+/// of two heard through link gains that may be 1e-300 or 1e300, then
+/// possibly truncated or sprinkled with non-finite samples.  The buffer
+/// holds nothing, a sent frame, or a bit-flipped, truncated or random
+/// copy of one under its header.
+Receiver_case hostile_receiver_case(Pcg32& rng, int iteration, double noise_power)
+{
+    Receiver_case trial;
+    if (iteration < 3 || rng.next_u32() % 8 == 0) {
+        const std::size_t count = iteration < 2 ? static_cast<std::size_t>(iteration)
+                                                : below(rng, phy::pilot_length);
+        trial.stream = hostile_samples(count, rng);
+        return trial;
+    }
+    if (rng.next_u32() % 8 == 0) {
+        trial.stream = hostile_samples(below(rng, 2000), rng);
+        return trial;
+    }
+
+    const phy::Modem modem;
+    const double extreme_gains[] = {1e-300, 1e300};
+    const std::size_t senders = rng.next_u32() % 4 == 0 ? 1 : 2;
+    Stored_frame frames[2];
+    std::size_t start = below(rng, 64);
+    for (std::size_t s = 0; s < senders; ++s) {
+        phy::Frame_header header;
+        header.src = static_cast<std::uint8_t>(s == 0 ? 1 : 3);
+        header.dst = static_cast<std::uint8_t>(s == 0 ? 3 : 1);
+        header.seq = static_cast<std::uint16_t>(rng.next_u32());
+        header.payload_bits = static_cast<std::uint16_t>(64 + below(rng, 400));
+        const Bits payload = random_bits(header.payload_bits, rng);
+        frames[s] = {header, modem.frame_bits(header, payload), payload};
+        trial.sent.push_back(payload);
+
+        dsp::Signal signal;
+        modem.modulate_into(frames[s].frame_bits, 2.0 * std::numbers::pi * rng.next_double(),
+                            signal);
+        chan::Link_params link;
+        link.gain = rng.next_u32() % 4 == 0 ? extreme_gains[below(rng, 2)]
+                                            : 0.5 + rng.next_double();
+        link.phase = 2.0 * std::numbers::pi * rng.next_double();
+        link.phase_drift = (rng.next_double() - 0.5) * 0.006;
+        chan::Link_channel{link}.apply_onto(signal, start, trial.stream);
+        start += trigger_slot_symbols + below(rng, 300);
+    }
+    trial.stream.resize(trial.stream.size() + 64);
+    chan::Awgn{noise_power, rng.fork(1)}.add_in_place(trial.stream);
+    switch (rng.next_u32() % 4) {
+    case 0: trial.stream.resize(below(rng, trial.stream.size() + 1)); break;
+    case 1:
+        for (dsp::Sample& y : trial.stream)
+            if (rng.next_u32() % 16 == 0)
+                y = hostile_samples(1, rng)[0];
+        break;
+    default: break;
+    }
+
+    Stored_frame known = frames[below(rng, senders)];
+    switch (rng.next_u32() % 5) {
+    case 0: return trial; // knows nothing
+    case 1: break;        // the frame as sent
+    case 2: flip_some(known.frame_bits, rng); break;
+    case 3: known.frame_bits.resize(below(rng, known.frame_bits.size() + 1)); break;
+    default: known.frame_bits = random_bits(below(rng, 2 * known.frame_bits.size()), rng); break;
+    }
+    trial.buffer.store(known);
+    return trial;
+}
+
+TEST(HostileInput, AncReceiverBoundedAndFabricatesNoCleanPacket)
+{
+    // A receive makes a handful of pilot scans (head, tail, capture, the
+    // unknown pilot and its mirrored tail copy); a scan count past this
+    // means the search loops ran away.
+    constexpr std::uint64_t max_pilot_scans = 16;
+    const double noise_power = chan::noise_power_for_snr_db(25.0);
+    obs::Recorder recorder;
+    const obs::Recorder::Bind bind{recorder};
+    std::size_t statuses[5] = {};
+    Pcg32 rng{0xa9c4ecu};
+    for (const dsp::Math_profile profile : {dsp::Math_profile::exact,
+                                            dsp::Math_profile::fast}) {
+        const Anc_receiver receiver{Anc_receiver_config{}, noise_power, profile};
+        for (int iteration = 0; iteration < 1000; ++iteration) {
+            const Receiver_case trial = hostile_receiver_case(rng, iteration, noise_power);
+            SCOPED_TRACE(testing::Message() << "iteration " << iteration << " samples "
+                                            << trial.stream.size() << " senders "
+                                            << trial.sent.size());
+            recorder.begin_task();
+            const Receive_outcome outcome = receiver.receive(trial.stream, trial.buffer);
+            const obs::Counters& counters = recorder.task().counters;
+            const std::uint64_t scans = counters[obs::Counter::pilot_searches]
+                                        + counters[obs::Counter::pilot_degenerate];
+            EXPECT_LE(scans, max_pilot_scans);
+            ++statuses[static_cast<std::size_t>(outcome.status)];
+            if (outcome.status == Receive_status::clean) {
+                ASSERT_TRUE(outcome.frame.has_value());
+                EXPECT_NE(std::find(trial.sent.begin(), trial.sent.end(),
+                                    outcome.frame->payload),
+                          trial.sent.end())
+                    << "a clean packet nobody sent";
+            }
+        }
+    }
+    // Every outcome was reached, so each path above ran on hostile input.
+    EXPECT_GT(statuses[static_cast<std::size_t>(Receive_status::no_packet)], 100u);
+    EXPECT_GT(statuses[static_cast<std::size_t>(Receive_status::clean)], 100u);
+    EXPECT_GT(statuses[static_cast<std::size_t>(Receive_status::decoded_interference)], 100u);
+    EXPECT_GT(statuses[static_cast<std::size_t>(Receive_status::forward_candidate)], 10u);
+    EXPECT_GT(statuses[static_cast<std::size_t>(Receive_status::failed)], 100u);
 }
 
 } // namespace

@@ -45,9 +45,8 @@ TEST(Modem, RoundTripThroughDistortedChannel)
     chan::Link_params params;
     params.gain = 0.2;
     params.phase = -2.2;
-    params.delay = 17;
     dsp::Signal received;
-    chan::Link_channel{params}.apply_onto(signal, 0, received);
+    chan::Link_channel{params}.apply_onto(signal, 17, received);
     chan::Awgn noise{0.2 * 0.2 / 316.0, Pcg32{453}}; // ~25 dB post-attenuation
     noise.add_in_place(received);
 

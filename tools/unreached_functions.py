@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """List the library functions that no binary of the repository reaches.
 
-    python3 tools/unreached_functions.py BUILD_DIR
+    python3 tools/unreached_functions.py [--allowlist FILE] BUILD_DIR
 
 Configures a `--coverage -O0` build of the repository in BUILD_DIR,
 builds the library, every bench driver and every example, and runs them:
@@ -21,14 +21,27 @@ as `path:line  name`, followed by a count.  An inline function that no
 translation unit uses is never emitted, so gcov cannot see it.  On a host
 without AVX-512F the AVX-512 table's kernels are reported too.
 
-Exit status: 0 when the report was produced, whatever it lists; 1 when
-the build, a run or gcov failed; 2 on a usage error.  Needs cmake, a GCC toolchain and gcov;
-only the Python 3 standard library.  The build takes a few minutes.
+With --allowlist FILE the report is a gate.  FILE is a JSON list of
+entries {"path", "name", "reason"}, keyed by the source path under the
+repository root and the demangled name, never by line; a `*` in "name"
+matches any run of characters.  An entry with "unless_cpu_flag": FLAG
+counts only on a host whose /proc/cpuinfo lacks FLAG.  Every reported
+function that no counting entry matches is printed again under a
+heading, and the script exits 1; entries that match nothing are noted
+on stderr.
+
+Exit status: 0 when the report was produced and (with --allowlist) lists
+only allowed functions; 1 when the build, a run or gcov failed, or a
+reported function is not allowed; 2 on a usage error.  Needs cmake, a
+GCC toolchain and gcov; only the Python 3 standard library.  The build
+takes a few minutes.
 """
 
+import argparse
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,11 +149,65 @@ def function_counts(build_dir):
     return counts
 
 
-def main():
-    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
-        print("usage: python3 tools/unreached_functions.py BUILD_DIR", file=sys.stderr)
+def cpu_flags():
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.partition(":")[2].split())
+    return set()
+
+
+def load_allowlist(path):
+    """The entries that count on this host, as (path, name regex, entry)."""
+    try:
+        entries = json.loads(Path(path).read_text())
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and {"path", "name", "reason"} <= e.keys() for e in entries):
+            raise ValueError('expected a list of {"path", "name", "reason"} objects')
+    except (OSError, ValueError) as error:
+        print(f"unreached_functions: allowlist {path}: {error}", file=sys.stderr)
         sys.exit(2)
-    build_dir = Path(sys.argv[1]).resolve()
+    flags = cpu_flags()
+    return [(entry["path"],
+             re.compile(".*".join(re.escape(part) for part in entry["name"].split("*"))),
+             entry)
+            for entry in entries
+            if entry.get("unless_cpu_flag") not in flags]
+
+
+def not_allowed(unreached, allowed):
+    """The (path, line, name) entries of `unreached` that no allowlist entry
+    matches; notes on stderr each entry that matched nothing."""
+    used = set()
+    disallowed = []
+    for path, line, name in unreached:
+        match = next((index for index, (entry_path, pattern, _) in enumerate(allowed)
+                      if entry_path == Path(path).as_posix() and pattern.fullmatch(name)),
+                     None)
+        if match is None:
+            disallowed.append((path, line, name))
+        else:
+            used.add(match)
+    for index, (_, _, entry) in enumerate(allowed):
+        if index not in used:
+            print(f"unreached_functions: allowlist entry matched nothing: "
+                  f"{entry['path']}  {entry['name']}", file=sys.stderr)
+    return disallowed
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description="List the src/ functions that no binary of the repository reaches.")
+    parser.add_argument("--allowlist", metavar="FILE",
+                        help="JSON list of the functions allowed in the report; "
+                             "exit 1 if any other is reported")
+    parser.add_argument("build_dir", metavar="BUILD_DIR")
+    args = parser.parse_args()
+    allowed = load_allowlist(args.allowlist) if args.allowlist else None
+    build_dir = Path(args.build_dir).resolve()
     benches, examples = build(build_dir)
     drive(build_dir, benches, examples)
     src = (ROOT / "src").resolve()
@@ -150,6 +217,14 @@ def main():
     for path, line, name in unreached:
         print(f"{path}:{line}  {name}")
     print(f"{len(unreached)} src/ functions made 0 calls")
+    if allowed is None:
+        return
+    disallowed = not_allowed(unreached, allowed)
+    if disallowed:
+        print(f"{len(disallowed)} of them not in {args.allowlist}:")
+        for path, line, name in disallowed:
+            print(f"{path}:{line}  {name}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":
