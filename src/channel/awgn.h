@@ -36,9 +36,6 @@ public:
     /// header note.
     void add_in_place(dsp::Signal& signal);
 
-    double noise_power() const { return noise_power_; }
-    dsp::Math_profile math_profile() const { return profile_; }
-
 private:
     double noise_power_;
     double sigma_per_dim_;

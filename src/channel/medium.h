@@ -78,9 +78,6 @@ public:
                       std::size_t trailing_noise,
                       dsp::Signal& out);
 
-    double noise_power() const { return noise_power_; }
-    dsp::Math_profile math_profile() const { return profile_; }
-
     /// The fading epoch applied to every rayleigh_block link during
     /// receive_into(): a logical packet/exchange counter the simulation
     /// advances (once per exchange in the sim/ runners), so successive

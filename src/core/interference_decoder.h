@@ -39,8 +39,6 @@ public:
     {
     }
 
-    dsp::Math_profile math_profile() const { return profile_; }
-
     /// `samples`: the received stream, aligned so samples[k] carries the
     /// known signal's k-th sample (alignment is the pilot matcher's job).
     /// `known_diffs`: the known signal's per-transition phase differences

@@ -27,7 +27,7 @@ struct Stored_frame {
 class Sent_packet_buffer {
 public:
     /// Keep at most `capacity` frames; the oldest is evicted first.
-    explicit Sent_packet_buffer(std::size_t capacity = 64);
+    explicit Sent_packet_buffer(std::size_t capacity);
 
     void store(Stored_frame frame);
 

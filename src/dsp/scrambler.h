@@ -10,9 +10,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "util/bits.h"
 
@@ -20,27 +20,25 @@ namespace anc::dsp {
 
 /// Self-inverse whitening transform: scramble(scramble(x)) == x.
 ///
-/// The keystream restarts from the seed on every apply(), so it is a
-/// fixed sequence per instance; the serial LFSR recurrence therefore
-/// runs once per prefix length and is memoised, leaving apply() a flat
-/// (auto-vectorized) XOR.  The cache makes concurrent apply() calls on
-/// one instance racy — modems own their scrambler per node and sweep
-/// tasks own their nodes per worker, so no instance is ever shared
-/// across threads.
+/// The V.41 LFSR is maximal-length: from any nonzero seed it visits all
+/// 65,535 nonzero states before repeating.  So every seed's keystream is
+/// one shared full-period sequence (a compile-time table built from
+/// the protocol seed 0xACE1) read from that seed's offset, and
+/// an instance holds only the offset.
 class Scrambler {
 public:
+    /// Keystream period: the number of nonzero 16-bit LFSR states.
+    static constexpr std::size_t period = 65535;
+
     explicit Scrambler(std::uint16_t seed = 0xACE1u);
 
     /// XOR the bits with the keystream (restarted from the seed on every
-    /// call, so each packet is whitened independently).
+    /// call, so each packet is whitened independently; it wraps after
+    /// `period` bits, as the LFSR does).
     Bits apply(std::span<const std::uint8_t> bits) const;
 
 private:
-    void extend_keystream(std::size_t length) const;
-
-    std::uint16_t seed_;
-    mutable std::uint16_t lfsr_ = 0; // state after keystream_.size() steps
-    mutable std::vector<std::uint8_t> keystream_;
+    std::size_t offset_; // the seed's position in the shared keystream
 };
 
 } // namespace anc::dsp

@@ -1,29 +1,12 @@
 #include "phy/pilot.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/obs.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
 namespace anc::phy {
-
-namespace {
-
-/// Gather the LSBs of 8 consecutive 0/1 bytes into bits 0..7.  The
-/// multiply places byte j's bit at position 8j + 7(8-j); all 64 partial
-/// products land on distinct bit positions (8j ≡ 7i has no solutions in
-/// range besides the diagonal), so the sum is carry-free and bits 56..63
-/// of the product read [b0..b7] exactly.
-inline std::uint64_t gather8_lsb(const std::uint8_t* p)
-{
-    std::uint64_t chunk;
-    std::memcpy(&chunk, p, sizeof chunk);
-    return ((chunk & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
-}
-
-} // namespace
 
 const Bits& pilot_sequence()
 {

@@ -45,8 +45,7 @@ double bit_error_rate(std::span<const std::uint8_t> a, std::span<const std::uint
 Bits random_bits(std::size_t count, Pcg32& rng)
 {
     Bits bits(count);
-    for (auto& bit : bits)
-        bit = static_cast<std::uint8_t>(rng.next_u32() & 1u);
+    rng.low_bits_into(bits);
     return bits;
 }
 

@@ -9,7 +9,9 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +21,31 @@
 namespace anc {
 
 using Bits = std::vector<std::uint8_t>;
+
+/// Bit 0 of each byte of `word` packed into bits 0..7 (byte j to bit j).
+/// The multiply places byte j's bit at position 8j + 7(8-j); all 64
+/// partial products land on distinct bit positions (8j ≡ 7i has no
+/// solutions in range besides the diagonal), so the sum is carry-free
+/// and bits 56..63 of the product read [b0..b7] exactly.
+inline std::uint64_t pack8_lsb(std::uint64_t word)
+{
+    return ((word & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}
+
+/// The 8 bytes at `p` as one word, byte j in bits 8j..8j+7.
+inline std::uint64_t load8(const std::uint8_t* p)
+{
+    static_assert(std::endian::native == std::endian::little);
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    return word;
+}
+
+/// Bit 0 of the 8 bytes at `p`, packed into bits 0..7.
+inline std::uint64_t gather8_lsb(const std::uint8_t* p)
+{
+    return pack8_lsb(load8(p));
+}
 
 /// Append an unsigned value MSB-first as `width` bits.
 void append_uint(Bits& bits, std::uint64_t value, int width);
@@ -35,7 +62,8 @@ std::size_t hamming_distance(std::span<const std::uint8_t> a, std::span<const st
 /// sequences.
 double bit_error_rate(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b);
 
-/// `count` random bits from `rng`.
+/// `count` random bits from `rng`: bit i is the low bit of the i-th
+/// next_u32() draw (Pcg32::low_bits_into).
 Bits random_bits(std::size_t count, Pcg32& rng);
 
 /// The sequence reversed.  A frame carries a mirrored pilot/header at its

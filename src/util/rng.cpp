@@ -11,6 +11,14 @@ namespace {
 
 constexpr std::uint64_t mult = 6364136223846793005ULL;
 
+/// PCG-XSH-RR output of the pre-step state `old`.
+inline std::uint32_t pcg_output(std::uint64_t old)
+{
+    const auto xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+    const auto rot = static_cast<std::uint32_t>(old >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+}
+
 } // namespace
 
 Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
@@ -56,9 +64,33 @@ std::uint32_t Pcg32::next_u32()
 {
     const std::uint64_t old = state_;
     state_ = old * mult + inc_;
-    const auto xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    const auto rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+    return pcg_output(old);
+}
+
+void Pcg32::low_bits_into(std::span<std::uint8_t> out)
+{
+    // Lane k holds the state of draws k, k+4, k+8, ...: one jump of four
+    // LCG steps is s -> mult^4 s + inc (mult^3 + mult^2 + mult + 1)
+    // (mod 2^64), and the four jumps of a step are independent.
+    constexpr std::uint64_t mult2 = mult * mult;
+    constexpr std::uint64_t jump_mult = mult2 * mult2;
+    const std::uint64_t jump_inc = inc_ * (mult2 * mult + mult2 + mult + 1u);
+    const std::size_t n = out.size();
+    std::size_t i = 0;
+    if (n >= 4) {
+        std::uint64_t lane[4]{state_};
+        for (int k = 1; k < 4; ++k)
+            lane[k] = lane[k - 1] * mult + inc_;
+        for (; i + 4 <= n; i += 4) {
+            for (int k = 0; k < 4; ++k) {
+                out[i + k] = static_cast<std::uint8_t>(pcg_output(lane[k]) & 1u);
+                lane[k] = lane[k] * jump_mult + jump_inc;
+            }
+        }
+        state_ = lane[0];
+    }
+    for (; i < n; ++i)
+        out[i] = static_cast<std::uint8_t>(next_u32() & 1u);
 }
 
 std::uint64_t Pcg32::next_u64()

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
+#include <span>
 
 namespace anc {
 
@@ -111,6 +112,13 @@ public:
 
     /// Next raw 32-bit draw.
     std::uint32_t next_u32();
+
+    /// Write the low bit of each of the next `out.size()` next_u32() draws
+    /// into `out`, one per byte, leaving the state exactly as that many
+    /// next_u32() calls would (the cached Gaussian is untouched).  Four
+    /// leapfrogged LCG lanes each jump four draws per step, so the serial
+    /// multiply chain is a quarter as long.
+    void low_bits_into(std::span<std::uint8_t> out);
 
     /// Next 64-bit draw (two 32-bit draws).
     std::uint64_t next_u64();

@@ -18,7 +18,7 @@ const double noise_power = chan::noise_power_for_snr_db(snr_db);
 
 struct Test_node {
     phy::Modem modem;
-    Sent_packet_buffer buffer;
+    Sent_packet_buffer buffer{64};
 
     void send(const phy::Frame_header& header, const Bits& payload, double phase,
               dsp::Signal& out)
@@ -109,7 +109,7 @@ TEST(AncReceiver, SilenceIsNoPacket)
     chan::Awgn noise{noise_power, rng};
     noise.add_in_place(silence);
     const Anc_receiver receiver = make_receiver();
-    const Sent_packet_buffer empty;
+    const Sent_packet_buffer empty{64};
     EXPECT_EQ(receiver.receive(silence, empty).status, Receive_status::no_packet);
 }
 
@@ -126,7 +126,7 @@ TEST(AncReceiver, CleanPacketDecodesStandard)
     noise.add_in_place(signal);
 
     const Anc_receiver receiver = make_receiver();
-    const Sent_packet_buffer empty;
+    const Sent_packet_buffer empty{64};
     const Receive_outcome outcome = receiver.receive(signal, empty);
     ASSERT_EQ(outcome.status, Receive_status::clean);
     ASSERT_TRUE(outcome.frame.has_value());
@@ -183,7 +183,7 @@ TEST(AncReceiver, UnknownCollisionIsForwardCandidate)
     // neither packet: it must classify it as forwardable, not decode it.
     const Alice_bob_exchange x = run_exchange(906);
     const Anc_receiver receiver = make_receiver();
-    const Sent_packet_buffer empty;
+    const Sent_packet_buffer empty{64};
     const Receive_outcome outcome = receiver.receive(x.at_alice, empty);
     EXPECT_EQ(outcome.status, Receive_status::forward_candidate);
 }

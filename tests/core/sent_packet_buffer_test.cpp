@@ -26,7 +26,7 @@ Stored_frame make_frame(std::uint8_t src, std::uint8_t dst, std::uint16_t seq)
 
 TEST(SentPacketBuffer, StoreAndLookup)
 {
-    Sent_packet_buffer buffer;
+    Sent_packet_buffer buffer{64};
     buffer.store(make_frame(1, 2, 10));
     EXPECT_TRUE(buffer.contains(make_header(1, 2, 10)));
     const Stored_frame* found = buffer.lookup(make_header(1, 2, 10));
@@ -36,7 +36,7 @@ TEST(SentPacketBuffer, StoreAndLookup)
 
 TEST(SentPacketBuffer, LookupMissReturnsNull)
 {
-    Sent_packet_buffer buffer;
+    Sent_packet_buffer buffer{64};
     buffer.store(make_frame(1, 2, 10));
     EXPECT_EQ(buffer.lookup(make_header(1, 2, 11)), nullptr);
     EXPECT_EQ(buffer.lookup(make_header(2, 1, 10)), nullptr);
@@ -47,7 +47,7 @@ TEST(SentPacketBuffer, PayloadBitsFieldIgnoredInKey)
 {
     // Identity is (src, dst, seq); a header decoded from the air may carry
     // the same identity with the true payload length.
-    Sent_packet_buffer buffer;
+    Sent_packet_buffer buffer{64};
     buffer.store(make_frame(1, 2, 10));
     phy::Frame_header probe = make_header(1, 2, 10);
     probe.payload_bits = 9999;
@@ -56,7 +56,7 @@ TEST(SentPacketBuffer, PayloadBitsFieldIgnoredInKey)
 
 TEST(SentPacketBuffer, OverwriteSameKey)
 {
-    Sent_packet_buffer buffer;
+    Sent_packet_buffer buffer{64};
     Stored_frame first = make_frame(1, 2, 10);
     first.payload = Bits{0, 0, 0};
     buffer.store(first);

@@ -48,10 +48,18 @@ std::vector<std::vector<std::uint8_t>> bit_patterns(std::size_t length)
 
 TEST(MskPhaseTable, ExactModulatorMatchesPerSamplePolar)
 {
+    // The walk takes 8 bits per step and the rest one at a time, so the
+    // lengths cover every remainder: 0-17 bits, and a 2,048-bit
+    // payload's 2,368-bit frame plus 0-8.
+    std::vector<std::size_t> lengths{2304, 100000};
+    for (std::size_t length = 0; length <= 17; ++length)
+        lengths.push_back(length);
+    for (std::size_t k = 0; k <= 8; ++k)
+        lengths.push_back(2368 + k);
     Signal got; // reused across cases, as a leased buffer would be
-    for (const double initial_phase : {0.0, pi, -pi, 2.0 * pi, 7.5, -20.1}) {
+    for (const double initial_phase : {0.0, pi, -pi, 2.0 * pi, 3.0 * pi, 7.5, -20.1}) {
         const Msk_modulator modulator{0.7, initial_phase};
-        for (const std::size_t length : {0u, 1u, 2u, 2304u, 100000u}) {
+        for (const std::size_t length : lengths) {
             for (const std::vector<std::uint8_t>& bits : bit_patterns(length)) {
                 SCOPED_TRACE(testing::Message() << "initial phase " << initial_phase
                                                 << " length " << length);

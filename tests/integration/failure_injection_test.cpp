@@ -123,7 +123,7 @@ TEST(FailureInjection, CompleteOverlapNeverDecodesWrongPacket)
 TEST(FailureInjection, EmptyAndTinyStreams)
 {
     const Anc_receiver receiver = make_receiver();
-    const Sent_packet_buffer empty;
+    const Sent_packet_buffer empty{64};
     EXPECT_EQ(receiver.receive(dsp::Signal{}, empty).status, Receive_status::no_packet);
     EXPECT_EQ(receiver.receive(dsp::Signal(3, dsp::Sample{1.0, 0.0}), empty).status,
               Receive_status::no_packet);
@@ -138,7 +138,7 @@ TEST(FailureInjection, StrongNoiseBurstIsNotAPacket)
     chan::Awgn strong{noise_power * 316.0, rng.fork(1)};
     strong.add_in_place(burst);
     const Anc_receiver receiver = make_receiver();
-    const Sent_packet_buffer empty;
+    const Sent_packet_buffer empty{64};
     const Receive_outcome outcome = receiver.receive(burst, empty);
     EXPECT_NE(outcome.status, Receive_status::clean);
     EXPECT_NE(outcome.status, Receive_status::decoded_interference);

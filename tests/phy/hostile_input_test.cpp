@@ -9,19 +9,26 @@
 // non-finite, denormal and degenerate signals.  The last loop runs the
 // whole Anc_receiver::receive on such streams and on real collisions
 // heard through extreme link gains, against buffers holding the sent
-// frames, corrupted copies of them or junk.  No fuzzing library: the
+// frames, corrupted copies of them or junk.  The transmit-side bit
+// walks (the MSK modulator, crc32/crc32_bytes and the scrambler) are held
+// byte-identical to test-local transcriptions of their historical
+// one-bit-per-step loops on non-bit bytes, non-finite and huge initial
+// phases, vanishing amplitudes and keystream-wrapping lengths.  No
+// fuzzing library: the
 // loops are plain gtest, so they run under every sanitizer the suite is
 // built with.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numbers>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/awgn.h"
@@ -30,6 +37,8 @@
 #include "core/interference_decoder.h"
 #include "core/relay.h"
 #include "core/trigger.h"
+#include "dsp/msk.h"
+#include "dsp/scrambler.h"
 #include "net/cope.h"
 #include "phy/frame.h"
 #include "phy/header.h"
@@ -38,6 +47,7 @@
 #include "util/bits.h"
 #include "util/crc.h"
 #include "util/obs.h"
+#include "util/phase.h"
 #include "util/rng.h"
 
 namespace anc {
@@ -362,11 +372,135 @@ TEST(HostileInput, AmplifyAndForwardOnNonFiniteInput)
     EXPECT_GT(forwarded_count, 100u);
 }
 
+/// Bits with arbitrary byte values 2..255 mixed in: the modulator steps
+/// any nonzero byte as a 1, the CRCs read bit 0, the scrambler XORs the
+/// whole byte.
+Bits hostile_bits(std::size_t count, Pcg32& rng)
+{
+    Bits bits = random_bits(count, rng);
+    for (std::uint8_t& bit : bits) {
+        if (rng.next_u32() % 4 == 0)
+            bit = static_cast<std::uint8_t>(2 + below(rng, 254));
+    }
+    return bits;
+}
+
+/// The historical modulator: std::polar of the stepped phase per sample.
+dsp::Signal reference_modulate(double amplitude, double initial_phase,
+                               std::span<const std::uint8_t> bits)
+{
+    dsp::Signal out;
+    double phase = initial_phase;
+    out.push_back(std::polar(amplitude, phase));
+    for (std::size_t n = 0; n < bits.size(); ++n) {
+        const double stepped = phase + dsp::msk_phase_step(bits[n]);
+        phase = n == 0 ? wrap_phase(stepped) : wrap_phase_bounded(stepped);
+        out.push_back(std::polar(amplitude, phase));
+    }
+    return out;
+}
+
+bool same_bits(const dsp::Signal& a, const dsp::Signal& b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t n = 0; n < a.size(); ++n) {
+        if (std::bit_cast<std::uint64_t>(a[n].real()) != std::bit_cast<std::uint64_t>(b[n].real())
+            || std::bit_cast<std::uint64_t>(a[n].imag())
+                   != std::bit_cast<std::uint64_t>(b[n].imag()))
+            return false;
+    }
+    return true;
+}
+
+TEST(HostileInput, ModulatorMatchesPerSampleLoop)
+{
+    constexpr double pi = std::numbers::pi;
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double phases[] = {0.0, pi, -pi, 3.0 * pi, 1e300, -1e300,
+                             std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+    std::vector<std::size_t> lengths;
+    for (std::size_t length = 0; length <= 17; ++length)
+        lengths.push_back(length);
+    for (std::size_t k = 0; k <= 8; ++k)
+        lengths.push_back(2368 + k);
+    Pcg32 rng{29};
+    dsp::Signal got;
+    for (const double amplitude : {1.0, 0.0, 1e-300}) {
+        for (const double phase : phases) {
+            const dsp::Msk_modulator modulator{amplitude, phase};
+            for (const std::size_t length : lengths) {
+                const Bits bits = hostile_bits(length, rng);
+                modulator.modulate_into(bits, got);
+                EXPECT_TRUE(same_bits(got, reference_modulate(amplitude, phase, bits)))
+                    << "amplitude " << amplitude << " initial phase " << phase << " length "
+                    << length;
+            }
+        }
+    }
+}
+
+TEST(HostileInput, Crc32ReadsBitZeroOfEveryByteValue)
+{
+    // Every byte value 0..255 appears at every position of a 64-bit
+    // step; crc32 must read bit 0 only, as the bitwise loop did, and
+    // crc32_bytes must fold all 8 bits of each byte.
+    const auto bitwise = [](std::span<const std::uint8_t> bits) {
+        std::uint32_t crc = 0xffffffffu;
+        for (const std::uint8_t bit : bits) {
+            crc ^= static_cast<std::uint32_t>(bit & 1u);
+            crc = (crc >> 1u) ^ (0xedb88320u & (0u - (crc & 1u)));
+        }
+        return ~crc;
+    };
+    Pcg32 rng{30};
+    for (std::size_t rotate = 0; rotate < 64; rotate += 7) {
+        Bits bytes(256 + rotate + below(rng, 70));
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            bytes[i] = static_cast<std::uint8_t>(i + rotate);
+        EXPECT_EQ(crc32(bytes), bitwise(bytes)) << "rotate " << rotate;
+
+        Bits lsb_first;
+        for (const std::uint8_t byte : bytes) {
+            for (int bit = 0; bit < 8; ++bit)
+                lsb_first.push_back((byte >> bit) & 1u);
+        }
+        const std::string text(bytes.begin(), bytes.end());
+        EXPECT_EQ(crc32_bytes(text), bitwise(lsb_first)) << "rotate " << rotate;
+    }
+}
+
+TEST(HostileInput, ScramblerWrapsLikeTheLfsrOnLongInput)
+{
+    // Past 65,535 bits the keystream wraps, as the LFSR itself does;
+    // bytes other than 0/1 keep their high bits (the XOR touches bit 0).
+    Pcg32 rng{31};
+    for (const std::uint16_t seed : {std::uint16_t{0xACE1}, std::uint16_t{0x0001},
+                                     std::uint16_t{0x1234}, std::uint16_t{0x8000}}) {
+        const dsp::Scrambler scrambler{seed};
+        for (const std::size_t length : {std::size_t{65534}, std::size_t{65535},
+                                         std::size_t{65536}, std::size_t{70000}}) {
+            Bits bits(length);
+            for (std::uint8_t& byte : bits)
+                byte = static_cast<std::uint8_t>(rng.next_u32());
+            Bits want(length);
+            std::uint16_t lfsr = seed;
+            for (std::size_t i = 0; i < length; ++i) {
+                const auto feedback = static_cast<std::uint16_t>(
+                    ((lfsr >> 0u) ^ (lfsr >> 2u) ^ (lfsr >> 3u) ^ (lfsr >> 5u)) & 1u);
+                lfsr = static_cast<std::uint16_t>((lfsr >> 1u) | (feedback << 15u));
+                want[i] = static_cast<std::uint8_t>(bits[i] ^ feedback);
+            }
+            EXPECT_EQ(scrambler.apply(bits), want) << "seed " << seed << " length " << length;
+        }
+    }
+}
+
 /// One round for the ANC receiver: the stream it hears, the frames its
 /// buffer holds, and the payloads that were really sent.
 struct Receiver_case {
     dsp::Signal stream;
-    Sent_packet_buffer buffer;
+    Sent_packet_buffer buffer{64};
     std::vector<Bits> sent;
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 namespace anc {
 namespace {
 
@@ -52,6 +56,34 @@ TEST(Bits, RandomBitsAreBalanced)
     for (const auto b : bits)
         ones += b;
     EXPECT_NEAR(static_cast<double>(ones) / 10000.0, 0.5, 0.03);
+}
+
+TEST(Bits, RandomBitsMatchPerDrawLoop)
+{
+    // random_bits draws on four leapfrogged lanes; it must give the low
+    // bits of the historical one-next_u32-per-bit loop and leave the
+    // generator where that loop did, its cached Gaussian included.
+    std::vector<std::size_t> lengths{2048};
+    for (std::size_t length = 0; length <= 17; ++length)
+        lengths.push_back(length);
+    for (const std::size_t length : lengths) {
+        for (const bool cached_gaussian : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "length " << length << " cached Gaussian "
+                                            << cached_gaussian);
+            Pcg32 got{length + 99, 5};
+            if (cached_gaussian)
+                got.next_gaussian(); // leaves the pair's second draw cached
+            Pcg32 want = got;
+            const Bits bits = random_bits(length, got);
+            Bits expected(length);
+            for (auto& bit : expected)
+                bit = static_cast<std::uint8_t>(want.next_u32() & 1u);
+            EXPECT_EQ(bits, expected);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.next_gaussian()),
+                      std::bit_cast<std::uint64_t>(want.next_gaussian()));
+            EXPECT_EQ(got.next_u32(), want.next_u32());
+        }
+    }
 }
 
 TEST(Bits, MirroredReverses)

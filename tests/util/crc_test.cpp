@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/bits.h"
 #include "util/rng.h"
@@ -77,10 +79,11 @@ TEST(Crc16, DifferentDataDifferentCrc)
 }
 
 /// Bit-by-bit reference transcriptions of the historical loops.  The
-/// production functions were rewritten table-driven (8 bits per lookup);
-/// the table form is the textbook identity for the same polynomial
-/// division, and these pin it — including the sub-byte tail path — to
-/// the original, bit for bit.
+/// production functions were rewritten table-driven (crc32 slice-by-8,
+/// 64 bits per step; crc16 8 bits per lookup); the table form is the
+/// textbook identity for the same polynomial division, and these pin it
+/// — including the byte and sub-byte tail paths — to the original, bit
+/// for bit.
 std::uint32_t crc32_bitwise(std::span<const std::uint8_t> bits)
 {
     std::uint32_t crc = 0xffffffffu;
@@ -105,14 +108,30 @@ std::uint16_t crc16_bitwise(std::span<const std::uint8_t> bits)
 
 TEST(Crc, TableDrivenMatchesBitwiseReference)
 {
+    // Lengths 0-130 cover every split of crc32 into 64-bit steps, byte
+    // steps and a bit tail twice; 2,048 ± 7 brackets a payload.
+    std::vector<std::size_t> lengths{509};
+    for (std::size_t length = 0; length <= 130; ++length)
+        lengths.push_back(length);
+    for (std::size_t length = 2041; length <= 2055; ++length)
+        lengths.push_back(length);
     Pcg32 rng{24};
-    for (const std::size_t length :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-          std::size_t{9}, std::size_t{63}, std::size_t{64}, std::size_t{509},
-          std::size_t{2048}}) {
+    for (const std::size_t length : lengths) {
         const Bits bits = random_bits(length, rng);
         EXPECT_EQ(crc32(bits), crc32_bitwise(bits)) << "length " << length;
         EXPECT_EQ(crc16(bits), crc16_bitwise(bits)) << "length " << length;
+
+        // The byte form equals the bitwise CRC of the bytes fed LSB
+        // first.
+        std::string bytes(length, '\0');
+        for (char& byte : bytes)
+            byte = static_cast<char>(rng.next_u32());
+        Bits lsb_first;
+        for (const char byte : bytes) {
+            for (int bit = 0; bit < 8; ++bit)
+                lsb_first.push_back((static_cast<unsigned char>(byte) >> bit) & 1u);
+        }
+        EXPECT_EQ(crc32_bytes(bytes), crc32_bitwise(lsb_first)) << "byte length " << length;
     }
 }
 
