@@ -6,12 +6,13 @@
 #include <stdexcept>
 
 #include "engine/engine.h"
+#include "engine/journal.h"
 #include "util/rng.h"
 
 namespace anc::engine {
 namespace {
 
-Sweep_outcome small_outcome()
+Scenario_registry toy_registry()
 {
     Scenario_registry registry;
     registry.add(Scenario{
@@ -29,13 +30,23 @@ Sweep_outcome small_outcome()
             result.scalars["overhear_failures"] = 1.0;
             return result;
         }});
-    Sweep_grid grid;
-    grid.scenarios = {"toy"};
-    grid.repetitions = 3;
+    return registry;
+}
+
+Sweep_outcome run_toy(const Sweep_grid& grid)
+{
     Executor_config config;
     config.threads = 1;
     config.base_seed = 11;
-    return run_grid(grid, registry, config);
+    return run_grid(grid, toy_registry(), config);
+}
+
+Sweep_outcome small_outcome()
+{
+    Sweep_grid grid;
+    grid.scenarios = {"toy"};
+    grid.repetitions = 3;
+    return run_toy(grid);
 }
 
 std::size_t count_lines(const std::string& text)
@@ -139,6 +150,91 @@ TEST(Emit, PairedGainBaselinePolicy)
     const Cdf gains = paired_gain(outcome.tasks, anc_key, traditional_key,
                                   Baseline_policy::skip_failed);
     EXPECT_EQ(gains.count(), 2u); // the failed repetition is dropped
+}
+
+/// Every numeric axis off its default, two values on three of them and
+/// both profiles.  The literals below pin the key layout of every sweep
+/// document and the grid fingerprint every journal header carries.
+Sweep_grid pin_grid()
+{
+    Sweep_grid grid;
+    grid.scenarios = {"toy"};
+    grid.snr_db = {18.5, 22.25};
+    grid.alice_amplitudes = {0.75};
+    grid.bob_amplitudes = {0.5, 0.3};
+    grid.payload_bits = {1024};
+    grid.exchanges = {4, 6};
+    grid.detector_thresholds_db = {12.5};
+    grid.interleave_rows = {16};
+    grid.coherence_blocks = {512};
+    grid.mean_link_gains = {0.8};
+    grid.math_profiles = {dsp::Math_profile::exact, dsp::Math_profile::fast};
+    grid.repetitions = 2;
+    return grid;
+}
+
+/// Line `n` (0-based) of `text`, without its newline.
+std::string line_at(const std::string& text, std::size_t n)
+{
+    std::istringstream in{text};
+    std::string line;
+    for (std::size_t i = 0; i <= n; ++i)
+        std::getline(in, line);
+    return line;
+}
+
+TEST(Emit, PinnedGridDocumentBytes)
+{
+    const Sweep_grid grid = pin_grid();
+    EXPECT_EQ(grid_to_json(grid),
+              R"({"scenarios":["toy"],"schemes":[],"math_profiles":["exact","fast"],)"
+              R"("snr_db":[18.5,22.25],"alice_amplitudes":[0.75],)"
+              R"("bob_amplitudes":[0.5,0.29999999999999999],"payload_bits":[1024],)"
+              R"("exchanges":[4,6],"detector_thresholds_db":[12.5],"interleave_rows":[16],)"
+              R"("coherence_blocks":[512],"mean_link_gains":[0.80000000000000004],)"
+              R"("repetitions":2})");
+    EXPECT_EQ(grid_fingerprint(grid), 15189992177845847389u);
+
+    const Sweep_outcome outcome = run_toy(grid);
+    ASSERT_EQ(outcome.tasks.size(), 64u);
+
+    std::ostringstream tasks_csv;
+    write_tasks_csv(tasks_csv, outcome.tasks);
+    EXPECT_EQ(line_at(tasks_csv.str(), 1),
+              "index,scenario,scheme,math_profile,snr_db,alice_amplitude,bob_amplitude,"
+              "payload_bits,exchanges,detector_threshold_db,interleave_rows,"
+              "coherence_block,mean_link_gain,repetition,seed,status,packets_attempted,"
+              "packets_delivered,payload_bits_delivered,airtime_symbols,delivery_rate,"
+              "mean_ber,mean_overlap,raw_throughput,throughput");
+    EXPECT_EQ(line_at(tasks_csv.str(), 2),
+              "0,toy,anc,exact,18.5,0.75,0.5,1024,4,12.5,16,512,0.80000000000000004,0,"
+              "5833679380957638813,ok,4,4,4096,1000.8601725930984,1,0.01,0,"
+              "4.0924797610717167,4.0122350598742322");
+    EXPECT_EQ(line_at(tasks_csv.str(), 65),
+              "63,toy,traditional,fast,22.25,0.75,0.29999999999999999,1024,6,12.5,16,512,"
+              "0.80000000000000004,1,4530303411839170936,ok,6,6,6144,1000.5553947631955,1,"
+              "0.01,0,6.1405895487217066,6.020185832080104");
+
+    std::ostringstream summary_csv;
+    write_summary_csv(summary_csv, outcome.points);
+    EXPECT_EQ(line_at(summary_csv.str(), 1),
+              "scenario,scheme,math_profile,snr_db,alice_amplitude,bob_amplitude,"
+              "payload_bits,exchanges,detector_threshold_db,interleave_rows,"
+              "coherence_block,mean_link_gain,runs,errors,packets_attempted,"
+              "packets_delivered,delivery_rate,mean_ber,mean_overlap,throughput_mean,"
+              "throughput_p50,throughput_p90,throughput_min,throughput_max");
+    EXPECT_EQ(line_at(summary_csv.str(), 2),
+              "toy,anc,exact,18.5,0.75,0.5,1024,4,12.5,16,512,0.80000000000000004,2,0,8,8,1,"
+              "0.01,0,4.0120803987342466,4.0120803987342466,4.0122041276462355,"
+              "4.011925737594261,4.0122350598742322");
+
+    const std::string json = to_json(outcome.tasks, outcome.points);
+    EXPECT_EQ(json.substr(0, json.find("\"seed\"")),
+              R"({"schema":"anc.sweep.v4","tasks":[{"index":0,"scenario":"toy",)"
+              R"("scheme":"anc","math_profile":"exact","snr_db":18.5,"alice_amplitude":0.75,)"
+              R"("bob_amplitude":0.5,"payload_bits":1024,"exchanges":4,)"
+              R"("detector_threshold_db":12.5,"interleave_rows":16,"coherence_block":512,)"
+              R"("mean_link_gain":0.80000000000000004,"repetition":0,)");
 }
 
 } // namespace
