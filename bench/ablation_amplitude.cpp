@@ -10,12 +10,11 @@
 // topology at two SNRs.
 //
 // Runs on the sweep engine: the estimator choice is the scenario's
-// *scheme* axis, the mu_sigma_only switch travels through
-// Scenario_config::receiver, and the (SNR x estimator) grid executes on
-// the engine's thread pool.  --json and --metrics-json emit the sweep
-// document and the run manifest.  The printed table is byte-identical
-// to the bespoke pre-engine loop (tests/golden/ablation_amplitude.txt
-// locks this in).
+// *scheme* axis (the cell sets the receiver's mu_sigma_only switch from
+// it), and the (SNR x estimator) grid executes on the engine's thread
+// pool.  --json and --metrics-json emit the sweep document and the run
+// manifest.  The printed table is byte-identical to the bespoke
+// pre-engine loop (tests/golden/ablation_amplitude.txt locks this in).
 
 #include <cstdio>
 #include <stdexcept>
@@ -57,9 +56,9 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     install_alice_bob(medium, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
-    Anc_receiver_config receiver_config = config.receiver;
-    receiver_config.mu_sigma_only = config.scheme == "mu_sigma";
-    const Anc_receiver receiver{receiver_config, noise_power, config.math_profile};
+    const Anc_receiver receiver{{.interference_detector = {config.detector_threshold_db},
+                                 .mu_sigma_only = config.scheme == "mu_sigma"},
+                                noise_power, config.math_profile};
     Pcg32 wrng = rng.fork(3);
     net::Flow flow_ab{1, 3, 2048, wrng.fork(10)};
     net::Flow flow_ba{3, 1, 2048, wrng.fork(11)};

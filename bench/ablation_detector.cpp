@@ -8,10 +8,9 @@
 // clean packets, across SNR.
 //
 // Runs on the sweep engine: the threshold is the grid's
-// detector_thresholds_db axis (landing in Scenario_config::receiver's
-// interference-detector config), trials per cell (fixed at 200) are the
-// exchanges axis, and the (threshold x SNR) grid executes on the
-// engine's thread pool.
+// detector_thresholds_db axis (Scenario_config::detector_threshold_db),
+// trials per cell (fixed at 200) are the exchanges axis, and the
+// (threshold x SNR) grid executes on the engine's thread pool.
 // --json and --metrics-json emit the sweep document and the run
 // manifest.  The printed table is byte-identical to the bespoke
 // pre-engine loop (tests/golden/ablation_detector.txt locks this in).
@@ -71,11 +70,9 @@ dsp::Signal collided_packet(double snr_db, double sir_db, Pcg32& rng,
 /// across the engine refactor (the engine-derived seed is unused).
 engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uint64_t)
 {
-    const double threshold =
-        config.receiver.interference_detector.variance_threshold_db;
+    const double threshold = config.detector_threshold_db;
     const double snr = config.snr_db;
-    const phy::Interference_detector detector{chan::noise_power_for_snr_db(snr),
-                                              config.receiver.interference_detector};
+    const phy::Interference_detector detector{chan::noise_power_for_snr_db(snr), {threshold}};
 
     int detected_sir0 = 0;
     int detected_sir6 = 0;
@@ -107,8 +104,7 @@ const engine::Task_result& cell_at(const std::vector<engine::Task_result>& tasks
                                    double threshold, double snr_db)
 {
     for (const engine::Task_result& task : tasks) {
-        if (task.task.config.receiver.interference_detector.variance_threshold_db
-                == threshold
+        if (task.task.config.detector_threshold_db == threshold
             && task.task.config.snr_db == snr_db)
             return task;
     }

@@ -9,7 +9,7 @@
 // is what buys clean packets.
 //
 // Runs on the sweep engine: the interleaver depth is the grid's
-// interleave_rows axis (Scenario_config::fec_interleave_rows), and the
+// interleave_rows axis (Scenario_config::interleave_rows), and the
 // (SNR x depth) grid executes on the engine's thread pool.
 // --json and --metrics-json emit the sweep document and the run
 // manifest.  The printed table is byte-identical to the bespoke
@@ -50,7 +50,7 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     std::size_t clean = 0;
     std::size_t decoded = 0;
 
-    const fec::Fec_codec codec{config.fec_interleave_rows};
+    const fec::Fec_codec codec{config.interleave_rows};
     const std::size_t data_bits = 1170;
 
     const double noise_power = chan::noise_power_for_snr_db(config.snr_db);
@@ -61,7 +61,8 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     install_alice_bob(medium, net::Alice_bob_gains{}, {}, link_rng);
     net::Net_node alice{nodes.alice};
     net::Net_node bob{nodes.bob};
-    const Anc_receiver receiver{config.receiver, noise_power, config.math_profile};
+    const Anc_receiver receiver{{.interference_detector = {config.detector_threshold_db}},
+                                noise_power, config.math_profile};
     Pcg32 traffic = rng.fork(3);
 
     dsp::Signal signal_a;
@@ -115,7 +116,7 @@ const engine::Task_result& cell_at(const std::vector<engine::Task_result>& tasks
 {
     for (const engine::Task_result& task : tasks) {
         if (task.task.config.snr_db == snr_db
-            && task.task.config.fec_interleave_rows == rows)
+            && task.task.config.interleave_rows == rows)
             return task;
     }
     throw std::out_of_range{"ablation_fec: missing grid cell"};

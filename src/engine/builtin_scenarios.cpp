@@ -33,7 +33,7 @@ Sim_config sim_config_for(const Scenario_config& config, std::uint64_t seed)
     sim_config.payload_bits = config.payload_bits;
     sim_config.exchanges = config.exchanges;
     sim_config.snr_db = config.snr_db;
-    sim_config.receiver = config.receiver;
+    sim_config.detector_threshold_db = config.detector_threshold_db;
     sim_config.math_profile = config.math_profile;
     sim_config.seed = seed;
     return sim_config;

@@ -39,19 +39,35 @@ void json_cdf(std::ostream& out, const Cdf& cdf)
         << ",\"min\":" << fmt_double(stats.min) << ",\"max\":" << fmt_double(stats.max) << "}";
 }
 
-void json_key_fields(std::ostream& out, const Point_key& key)
+/// The key of a point (or of a task, minus its repetition): scenario,
+/// scheme, profile and every for_each_axis value, in the same order in
+/// every document.
+void json_key_fields(std::ostream& out, const std::string& scenario,
+                     const Scenario_config& config)
 {
-    out << "\"scenario\":\"" << json_escape(key.scenario) << "\",\"scheme\":\""
-        << json_escape(key.scheme) << "\",\"math_profile\":\""
-        << dsp::to_string(key.math_profile) << "\",\"snr_db\":" << fmt_double(key.snr_db)
-        << ",\"alice_amplitude\":" << fmt_double(key.alice_amplitude)
-        << ",\"bob_amplitude\":" << fmt_double(key.bob_amplitude)
-        << ",\"payload_bits\":" << key.payload_bits
-        << ",\"exchanges\":" << key.exchanges
-        << ",\"detector_threshold_db\":" << fmt_double(key.detector_threshold_db)
-        << ",\"interleave_rows\":" << key.interleave_rows
-        << ",\"coherence_block\":" << key.coherence_block
-        << ",\"mean_link_gain\":" << fmt_double(key.mean_link_gain);
+    out << "\"scenario\":\"" << json_escape(scenario) << "\",\"scheme\":\""
+        << json_escape(config.scheme) << "\",\"math_profile\":\""
+        << dsp::to_string(config.math_profile) << '"';
+    for_each_axis([&](const char* name, const char*, auto, auto field) {
+        out << ",\"" << name << "\":";
+        text::write_value(out, config.*field);
+    });
+}
+
+void csv_key_header(std::ostream& out)
+{
+    out << "scenario,scheme,math_profile";
+    for_each_axis([&](const char* name, auto...) { out << ',' << name; });
+}
+
+void csv_key_row(std::ostream& out, const std::string& scenario,
+                 const Scenario_config& config)
+{
+    out << scenario << ',' << config.scheme << ',' << dsp::to_string(config.math_profile);
+    for_each_axis([&](const char*, const char*, auto, auto field) {
+        out << ',';
+        text::write_value(out, config.*field);
+    });
 }
 
 void json_metrics(std::ostream& out, const sim::Run_metrics& metrics)
@@ -83,29 +99,21 @@ void json_scalars(std::ostream& out, const std::map<std::string, double>& scalar
 void write_tasks_csv_header(std::ostream& out)
 {
     out << "#schema=" << sweep_schema << '\n';
-    out << "index,scenario,scheme,math_profile,snr_db,alice_amplitude,bob_amplitude,"
-           "payload_bits,exchanges,detector_threshold_db,interleave_rows,"
-           "coherence_block,mean_link_gain,repetition,seed,status,packets_attempted,"
-           "packets_delivered,payload_bits_delivered,airtime_symbols,delivery_rate,"
-           "mean_ber,mean_overlap,raw_throughput,throughput\n";
+    out << "index,";
+    csv_key_header(out);
+    out << ",repetition,seed,status,packets_attempted,packets_delivered,"
+           "payload_bits_delivered,airtime_symbols,delivery_rate,mean_ber,mean_overlap,"
+           "raw_throughput,throughput\n";
 }
 
 void write_task_csv_row(std::ostream& out, const Task_result& result)
 {
     const Sweep_task& task = result.task;
     const sim::Run_metrics& metrics = result.result.metrics;
-    out << task.index << ',' << task.scenario << ',' << task.config.scheme << ','
-        << dsp::to_string(task.config.math_profile) << ','
-        << fmt_double(task.config.snr_db) << ','
-        << fmt_double(task.config.alice_amplitude) << ','
-        << fmt_double(task.config.bob_amplitude) << ',' << task.config.payload_bits << ','
-        << task.config.exchanges << ','
-        << fmt_double(task.config.receiver.interference_detector.variance_threshold_db)
-        << ',' << task.config.fec_interleave_rows << ','
-        << task.config.coherence_block << ',' << fmt_double(task.config.mean_link_gain)
-        << ',' << task.repetition << ','
-        << fmt_u64(result.seed) << ',' << to_string(result.status) << ','
-        << metrics.packets_attempted << ','
+    out << task.index << ',';
+    csv_key_row(out, task.scenario, task.config);
+    out << ',' << task.repetition << ',' << fmt_u64(result.seed) << ','
+        << to_string(result.status) << ',' << metrics.packets_attempted << ','
         << metrics.packets_delivered << ',' << metrics.payload_bits_delivered << ','
         << fmt_double(metrics.airtime_symbols) << ','
         << fmt_double(metrics.delivery_rate()) << ',' << fmt_double(metrics.mean_ber())
@@ -117,7 +125,7 @@ void write_task_csv_row(std::ostream& out, const Task_result& result)
 void write_task_json(std::ostream& out, const Task_result& result)
 {
     out << "{\"index\":" << result.task.index << ",";
-    json_key_fields(out, key_of(result.task));
+    json_key_fields(out, result.task.scenario, result.task.config);
     // Seeds use the full 64-bit range; JSON numbers only round-trip 53
     // bits, so seeds travel as strings in both formats.
     out << ",\"repetition\":" << result.task.repetition << ",\"seed\":\""
@@ -135,7 +143,7 @@ void write_task_json(std::ostream& out, const Task_result& result)
 void write_point_json(std::ostream& out, const Point_summary& summary)
 {
     out << "{";
-    json_key_fields(out, summary.key);
+    json_key_fields(out, summary.key.scenario, summary.key);
     out << ",\"runs\":" << summary.runs << ",\"errors\":" << summary.errors
         << ",\"throughput\":";
     json_cdf(out, summary.throughput);
@@ -207,21 +215,14 @@ void write_tasks_csv(std::ostream& out, const std::vector<Task_result>& results)
 void write_summary_csv(std::ostream& out, const std::vector<Point_summary>& summaries)
 {
     out << "#schema=" << sweep_schema << '\n';
-    out << "scenario,scheme,math_profile,snr_db,alice_amplitude,bob_amplitude,"
-           "payload_bits,exchanges,detector_threshold_db,interleave_rows,"
-           "coherence_block,mean_link_gain,runs,errors,packets_attempted,"
-           "packets_delivered,delivery_rate,mean_ber,mean_overlap,throughput_mean,"
-           "throughput_p50,throughput_p90,throughput_min,throughput_max\n";
+    csv_key_header(out);
+    out << ",runs,errors,packets_attempted,packets_delivered,delivery_rate,mean_ber,"
+           "mean_overlap,throughput_mean,throughput_p50,throughput_p90,throughput_min,"
+           "throughput_max\n";
     for (const Point_summary& summary : summaries) {
-        const Point_key& key = summary.key;
         const Cdf_stats throughput = stats_of(summary.throughput);
-        out << key.scenario << ',' << key.scheme << ','
-            << dsp::to_string(key.math_profile) << ',' << fmt_double(key.snr_db) << ','
-            << fmt_double(key.alice_amplitude) << ',' << fmt_double(key.bob_amplitude) << ','
-            << key.payload_bits << ',' << key.exchanges << ','
-            << fmt_double(key.detector_threshold_db) << ',' << key.interleave_rows << ','
-            << key.coherence_block << ',' << fmt_double(key.mean_link_gain) << ','
-            << summary.runs << ',' << summary.errors << ','
+        csv_key_row(out, summary.key.scenario, summary.key);
+        out << ',' << summary.runs << ',' << summary.errors << ','
             << summary.totals.packets_attempted << ','
             << summary.totals.packets_delivered << ','
             << fmt_double(summary.totals.delivery_rate()) << ','

@@ -7,21 +7,7 @@ namespace anc::engine {
 
 Point_key key_of(const Sweep_task& task)
 {
-    Point_key key;
-    key.scenario = task.scenario;
-    key.scheme = task.config.scheme;
-    key.snr_db = task.config.snr_db;
-    key.alice_amplitude = task.config.alice_amplitude;
-    key.bob_amplitude = task.config.bob_amplitude;
-    key.payload_bits = task.config.payload_bits;
-    key.exchanges = task.config.exchanges;
-    key.detector_threshold_db =
-        task.config.receiver.interference_detector.variance_threshold_db;
-    key.interleave_rows = task.config.fec_interleave_rows;
-    key.coherence_block = task.config.coherence_block;
-    key.mean_link_gain = task.config.mean_link_gain;
-    key.math_profile = task.config.math_profile;
-    return key;
+    return {task.config, task.scenario};
 }
 
 void Aggregator::add(const Task_result& result)

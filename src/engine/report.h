@@ -18,21 +18,11 @@
 
 namespace anc::engine {
 
-/// A grid point: the task identity minus the repetition axis.
-struct Point_key {
+/// A grid point: the task identity minus the repetition axis, i.e. its
+/// scenario plus its config.  Fast and exact rows aggregate into
+/// distinct points (never mixed).
+struct Point_key : Scenario_config {
     std::string scenario;
-    std::string scheme;
-    double snr_db = 25.0;
-    double alice_amplitude = 1.0;
-    double bob_amplitude = 1.0;
-    std::size_t payload_bits = 2048;
-    std::size_t exchanges = 25;
-    double detector_threshold_db = 10.0;
-    std::size_t interleave_rows = 0;
-    std::size_t coherence_block = 4096;
-    double mean_link_gain = 1.0;
-    /// Fast and exact rows aggregate into distinct points (never mixed).
-    dsp::Math_profile math_profile = dsp::Math_profile::exact;
 
     friend auto operator<=>(const Point_key&, const Point_key&) = default;
 };

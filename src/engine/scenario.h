@@ -14,6 +14,8 @@
 
 #pragma once
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -21,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/anc_receiver.h"
 #include "dsp/math_profile.h"
 #include "sim/metrics.h"
 #include "util/obs.h"
@@ -39,15 +40,12 @@ struct Scenario_config {
     double snr_db = 25.0;
     double alice_amplitude = 1.0;
     double bob_amplitude = 1.0;
-    /// Receiver knobs, handed to every receiver a scenario builds.  The
-    /// default equals Anc_receiver_config{}, so grids that do not touch
-    /// it reproduce historical results bit-for-bit.  The grid's
-    /// detector_thresholds_db axis lands in
-    /// receiver.interference_detector.variance_threshold_db.
-    Anc_receiver_config receiver{};
+    /// Variance threshold of every receiver's interference detector
+    /// (phy::Interference_detector::Config; the detector ablation).
+    double detector_threshold_db = 10.0;
     /// Application-layer FEC for scenarios that support it (the FEC
     /// ablation): Hamming(7,4) across this interleaver depth; 0 = off.
-    std::size_t fec_interleave_rows = 0;
+    std::size_t interleave_rows = 0;
     /// Fading axes, honored by the *_fading scenarios: samples per
     /// Rayleigh coherence block, and a multiplier on every topology
     /// link gain (mean amplitude; mean *power* scales by its square).
@@ -61,6 +59,8 @@ struct Scenario_config {
     /// tests.  Every emitted row is tagged with this value so relaxed-profile results
     /// are never silently mixed with exact ones.
     dsp::Math_profile math_profile = dsp::Math_profile::exact;
+
+    friend auto operator<=>(const Scenario_config&, const Scenario_config&) = default;
 };
 
 /// What one run produces: the standard metrics plus named auxiliary

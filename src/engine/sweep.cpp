@@ -42,35 +42,22 @@ std::vector<std::string> schemes_for(const Scenario& scenario, const Sweep_grid&
     return out;
 }
 
-/// The cartesian product of every non-scenario, non-scheme, non-repetition
-/// axis, in the documented axis order (snr > alice > bob > payload >
-/// exchanges > detector_threshold > interleave_rows > coherence_block >
-/// mean_link_gain).  Scheme is left at its default; the caller stamps it.
+/// The cartesian product of the numeric axes, the first varying
+/// slowest.  Scheme is left at its default; the caller stamps it.
 std::vector<Scenario_config> point_configs(const Sweep_grid& grid)
 {
-    std::vector<Scenario_config> points;
-    for (const double snr_db : grid.snr_db)
-        for (const double alice_amplitude : grid.alice_amplitudes)
-            for (const double bob_amplitude : grid.bob_amplitudes)
-                for (const std::size_t payload_bits : grid.payload_bits)
-                    for (const std::size_t exchanges : grid.exchanges)
-                        for (const double threshold_db : grid.detector_thresholds_db)
-                            for (const std::size_t rows : grid.interleave_rows)
-                                for (const std::size_t block : grid.coherence_blocks)
-                                    for (const double link_gain : grid.mean_link_gains) {
-                                        Scenario_config config;
-                                        config.snr_db = snr_db;
-                                        config.alice_amplitude = alice_amplitude;
-                                        config.bob_amplitude = bob_amplitude;
-                                        config.payload_bits = payload_bits;
-                                        config.exchanges = exchanges;
-                                        config.receiver.interference_detector
-                                            .variance_threshold_db = threshold_db;
-                                        config.fec_interleave_rows = rows;
-                                        config.coherence_block = block;
-                                        config.mean_link_gain = link_gain;
-                                        points.push_back(std::move(config));
-                                    }
+    std::vector<Scenario_config> points{Scenario_config{}};
+    for_each_axis([&](const char*, const char*, auto values, auto field) {
+        std::vector<Scenario_config> product;
+        product.reserve(points.size() * (grid.*values).size());
+        for (const Scenario_config& point : points) {
+            for (const auto value : grid.*values) {
+                product.push_back(point);
+                product.back().*field = value;
+            }
+        }
+        points = std::move(product);
+    });
     return points;
 }
 
@@ -80,15 +67,9 @@ std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& 
 {
     require_axis(grid.scenarios, "scenarios");
     require_axis(grid.schemes, "schemes", true);
-    require_axis(grid.snr_db, "snr_db");
-    require_axis(grid.alice_amplitudes, "alice_amplitudes");
-    require_axis(grid.bob_amplitudes, "bob_amplitudes");
-    require_axis(grid.payload_bits, "payload_bits");
-    require_axis(grid.exchanges, "exchanges");
-    require_axis(grid.detector_thresholds_db, "detector_thresholds_db");
-    require_axis(grid.interleave_rows, "interleave_rows");
-    require_axis(grid.coherence_blocks, "coherence_blocks");
-    require_axis(grid.mean_link_gains, "mean_link_gains");
+    for_each_axis([&](const char*, const char* grid_name, auto values, auto) {
+        require_axis(grid.*values, grid_name);
+    });
     require_axis(grid.math_profiles, "math_profiles");
     if (grid.repetitions == 0)
         throw std::invalid_argument{"Sweep_grid: empty axis 'repetitions'"};
@@ -152,7 +133,6 @@ std::vector<Sweep_task> shard_tasks(const std::vector<Sweep_task>& tasks,
 
 namespace {
 
-using text::fmt_double;
 using text::json_array;
 
 void json_string_axis(std::ostream& out, const std::vector<std::string>& values)
@@ -184,25 +164,10 @@ std::string grid_to_json(const Sweep_grid& grid)
     json_array(out, grid.math_profiles, [&](const dsp::Math_profile profile) {
         out << "\"" << dsp::to_string(profile) << "\"";
     });
-    out << ",\"snr_db\":";
-    json_array(out, grid.snr_db, [&](const double v) { out << fmt_double(v); });
-    out << ",\"alice_amplitudes\":";
-    json_array(out, grid.alice_amplitudes, [&](const double v) { out << fmt_double(v); });
-    out << ",\"bob_amplitudes\":";
-    json_array(out, grid.bob_amplitudes, [&](const double v) { out << fmt_double(v); });
-    out << ",\"payload_bits\":";
-    json_array(out, grid.payload_bits, [&](const std::size_t v) { out << v; });
-    out << ",\"exchanges\":";
-    json_array(out, grid.exchanges, [&](const std::size_t v) { out << v; });
-    out << ",\"detector_thresholds_db\":";
-    json_array(out, grid.detector_thresholds_db,
-               [&](const double v) { out << fmt_double(v); });
-    out << ",\"interleave_rows\":";
-    json_array(out, grid.interleave_rows, [&](const std::size_t v) { out << v; });
-    out << ",\"coherence_blocks\":";
-    json_array(out, grid.coherence_blocks, [&](const std::size_t v) { out << v; });
-    out << ",\"mean_link_gains\":";
-    json_array(out, grid.mean_link_gains, [&](const double v) { out << fmt_double(v); });
+    for_each_axis([&](const char*, const char* grid_name, auto values, auto) {
+        out << ",\"" << grid_name << "\":";
+        json_array(out, grid.*values, [&](const auto v) { text::write_value(out, v); });
+    });
     out << ",\"repetitions\":" << grid.repetitions << "}";
     return out.str();
 }

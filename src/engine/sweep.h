@@ -1,8 +1,8 @@
 // Sweep grids: declarative parameter axes expanded into a task list.
 //
 // A grid is the cartesian product of its axes (scenario x scheme x
-// snr_db x amplitudes x payload_bits x exchanges) times `repetitions`
-// independent runs per point.  Expansion assigns every task a stable
+// math_profile x the numeric axes of `for_each_axis`) times
+// `repetitions` independent runs per point.  Expansion assigns every task a stable
 // `index` — its position in the product, independent of how the tasks
 // are later scheduled — which is what the executor derives seeds from.
 
@@ -29,8 +29,7 @@ struct Sweep_grid {
     std::vector<double> bob_amplitudes = {1.0};
     std::vector<std::size_t> payload_bits = {2048};
     std::vector<std::size_t> exchanges = {25};
-    /// Interference-detector variance threshold (the detector ablation);
-    /// lands in Scenario_config::receiver.interference_detector.
+    /// Interference-detector variance threshold (the detector ablation).
     std::vector<double> detector_thresholds_db = {10.0};
     /// Application-layer FEC interleaver depth (0 = off; the FEC ablation).
     std::vector<std::size_t> interleave_rows = {0};
@@ -48,6 +47,34 @@ struct Sweep_grid {
     std::size_t repetitions = 1;
 };
 
+/// The numeric axes, each named once, in expansion order (the first
+/// varies slowest).  Calls f(point_name, grid_name, grid_values,
+/// config_field) per axis, where grid_values points into Sweep_grid and
+/// config_field into Scenario_config.  `point_name` keys the value in
+/// every sweep document; the plural `grid_name` keys the axis in
+/// grid_to_json, which every journal header hashes.  Adding an axis is
+/// one line here plus its Sweep_grid vector and Scenario_config field.
+template <typename F>
+void for_each_axis(F&& f)
+{
+    f("snr_db", "snr_db", &Sweep_grid::snr_db, &Scenario_config::snr_db);
+    f("alice_amplitude", "alice_amplitudes", &Sweep_grid::alice_amplitudes,
+      &Scenario_config::alice_amplitude);
+    f("bob_amplitude", "bob_amplitudes", &Sweep_grid::bob_amplitudes,
+      &Scenario_config::bob_amplitude);
+    f("payload_bits", "payload_bits", &Sweep_grid::payload_bits,
+      &Scenario_config::payload_bits);
+    f("exchanges", "exchanges", &Sweep_grid::exchanges, &Scenario_config::exchanges);
+    f("detector_threshold_db", "detector_thresholds_db",
+      &Sweep_grid::detector_thresholds_db, &Scenario_config::detector_threshold_db);
+    f("interleave_rows", "interleave_rows", &Sweep_grid::interleave_rows,
+      &Scenario_config::interleave_rows);
+    f("coherence_block", "coherence_blocks", &Sweep_grid::coherence_blocks,
+      &Scenario_config::coherence_block);
+    f("mean_link_gain", "mean_link_gains", &Sweep_grid::mean_link_gains,
+      &Scenario_config::mean_link_gain);
+}
+
 struct Sweep_task {
     std::size_t index = 0; ///< position in the expanded grid
     /// Position in the scheme-collapsed grid: tasks that differ only in
@@ -61,11 +88,10 @@ struct Sweep_task {
 };
 
 /// Expands the grid in axis order scenario > scheme > math_profile >
-/// snr_db > alice_amplitude > bob_amplitude > payload_bits > exchanges >
-/// detector_threshold_db > interleave_rows > coherence_block >
-/// mean_link_gain > repetition.  Throws std::invalid_argument on an
-/// empty axis, an axis that repeats a value, an unknown scenario, or a
-/// requested scheme no scenario supports.
+/// the for_each_axis axes in their order > repetition.  Throws
+/// std::invalid_argument on an empty axis, an axis that repeats a
+/// value, an unknown scenario, or a requested scheme no scenario
+/// supports.
 std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& registry);
 
 /// The deterministic shard partition: tasks whose expansion position

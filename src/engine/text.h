@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace anc::engine::text {
@@ -21,6 +22,17 @@ inline std::string fmt_double(double value)
     char buffer[40];
     std::snprintf(buffer, sizeof buffer, "%.17g", value);
     return buffer;
+}
+
+/// A sweep-axis value as every document writes it: fmt_double for a real
+/// axis, decimal for a count.
+template <typename T>
+void write_value(std::ostream& out, T value)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        out << fmt_double(value);
+    else
+        out << value;
 }
 
 inline std::string fmt_u64(std::uint64_t value)

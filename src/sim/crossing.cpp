@@ -42,7 +42,7 @@ struct Crossing_result {
 Anc_receiver snoop_receiver_for(const World& world, const Run_config& config,
                                 chan::Node_id from, chan::Node_id to)
 {
-    Anc_receiver_config snoop_config = config.receiver;
+    Anc_receiver_config snoop_config{.interference_detector = {config.detector_threshold_db}};
     if (const auto threshold_db = world.medium.detection_threshold_db(from, to))
         snoop_config.packet_detector.energy_threshold_db = *threshold_db;
     return Anc_receiver{snoop_config, world.noise_power, config.math_profile};

@@ -37,7 +37,8 @@ World make_world(const Run_config& config, std::uint64_t stream,
         built.emplace_back(spec.id, spec.amplitude);
     return World{std::move(medium),
                  std::move(built),
-                 Anc_receiver{config.receiver, noise_power, config.math_profile},
+                 Anc_receiver{{.interference_detector = {config.detector_threshold_db}},
+                              noise_power, config.math_profile},
                  noise_power,
                  rng.fork(3),
                  {}};

@@ -181,14 +181,10 @@ TEST(FadingDeterminism, NewAxesLandInTaskConfigAndPointKey)
 
     const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
     ASSERT_EQ(tasks.size(), 4u);
-    EXPECT_EQ(tasks[0]
-                  .config.receiver.interference_detector.variance_threshold_db,
-              6.0);
-    EXPECT_EQ(tasks[3]
-                  .config.receiver.interference_detector.variance_threshold_db,
-              12.0);
-    EXPECT_EQ(tasks[0].config.fec_interleave_rows, 0u);
-    EXPECT_EQ(tasks[1].config.fec_interleave_rows, 8u);
+    EXPECT_EQ(tasks[0].config.detector_threshold_db, 6.0);
+    EXPECT_EQ(tasks[3].config.detector_threshold_db, 12.0);
+    EXPECT_EQ(tasks[0].config.interleave_rows, 0u);
+    EXPECT_EQ(tasks[1].config.interleave_rows, 8u);
 
     const Point_key key = key_of(tasks[1]);
     EXPECT_EQ(key.detector_threshold_db, 6.0);

@@ -169,5 +169,21 @@ TEST(SweepGrid, RepeatedAxisValueThrowsNamingTheAxis)
     EXPECT_NE(error_for(schemes).find("'schemes'"), std::string::npos);
 }
 
+TEST(SweepGrid, DefaultGridExpandsToDefaultConfigs)
+{
+    // Each Sweep_grid axis defaults to the one value its Scenario_config
+    // field defaults to, so a grid that names only scenarios runs every
+    // scheme at the default operating point.
+    Sweep_grid grid;
+    grid.scenarios = Scenario_registry::builtin().names();
+    const std::vector<Sweep_task> tasks = expand(grid, Scenario_registry::builtin());
+    ASSERT_FALSE(tasks.empty());
+    for (const Sweep_task& task : tasks) {
+        Scenario_config expected;
+        expected.scheme = task.config.scheme;
+        EXPECT_TRUE(task.config == expected) << "task " << task.index;
+    }
+}
+
 } // namespace
 } // namespace anc::engine

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "phy/detector.h"
+
 namespace anc::sim {
 namespace {
 
