@@ -1,8 +1,26 @@
 #include "net/cope.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace anc::net {
+
+namespace {
+
+/// Appends `length` bits of x XOR y, each operand cut or zero-padded to
+/// `length`: a copy of x, then one XOR of y over the common prefix.
+void append_xor(Bits& out, std::span<const std::uint8_t> x, std::span<const std::uint8_t> y,
+                std::size_t length)
+{
+    const std::size_t start = out.size();
+    out.reserve(start + length);
+    out.insert(out.end(), x.begin(), x.begin() + std::min(length, x.size()));
+    out.resize(start + length);
+    std::transform(y.begin(), y.begin() + std::min(length, y.size()), out.begin() + start,
+                   out.begin() + start, std::bit_xor<>{});
+}
+
+} // namespace
 
 Bits cope_encode(const Packet& a, const Packet& b)
 {
@@ -14,11 +32,7 @@ Bits cope_encode(const Packet& a, const Packet& b)
     out.reserve(2 * phy::header_length + body);
     out.insert(out.end(), header_a.begin(), header_a.end());
     out.insert(out.end(), header_b.begin(), header_b.end());
-    for (std::size_t i = 0; i < body; ++i) {
-        const std::uint8_t bit_a = i < a.payload.size() ? a.payload[i] : 0;
-        const std::uint8_t bit_b = i < b.payload.size() ? b.payload[i] : 0;
-        out.push_back(bit_a ^ bit_b);
-    }
+    append_xor(out, a.payload, b.payload, body);
     return out;
 }
 
@@ -69,12 +83,7 @@ std::optional<Packet> cope_decode(const Cope_coded& coded,
     packet.src = wanted->src;
     packet.dst = wanted->dst;
     packet.seq = wanted->seq;
-    packet.payload.resize(wanted->payload_bits);
-    for (std::size_t i = 0; i < packet.payload.size(); ++i) {
-        const std::uint8_t known_bit = i < known_payload.size() ? known_payload[i] : 0;
-        const std::uint8_t mixed = i < coded.xored.size() ? coded.xored[i] : 0;
-        packet.payload[i] = known_bit ^ mixed;
-    }
+    append_xor(packet.payload, coded.xored, known_payload, wanted->payload_bits);
     return packet;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace anc::net {
@@ -107,6 +110,80 @@ TEST(Cope, BitErrorsInXorPropagateToOneSide)
     const auto got_b = cope_decode(*parsed, header_for(a), a.payload);
     ASSERT_TRUE(got_b.has_value());
     EXPECT_EQ(hamming_distance(got_b->payload, b.payload), 1u);
+}
+
+/// cope_encode's former per-bit loop: both headers, then the XOR of the
+/// zero-padded payloads.
+Bits per_bit_encode(const Packet& a, const Packet& b)
+{
+    Bits out = phy::encode_header(header_for(a));
+    const Bits header_b = phy::encode_header(header_for(b));
+    out.insert(out.end(), header_b.begin(), header_b.end());
+    const std::size_t body = std::max(a.payload.size(), b.payload.size());
+    for (std::size_t i = 0; i < body; ++i) {
+        const std::uint8_t bit_a = i < a.payload.size() ? a.payload[i] : 0;
+        const std::uint8_t bit_b = i < b.payload.size() ? b.payload[i] : 0;
+        out.push_back(bit_a ^ bit_b);
+    }
+    return out;
+}
+
+/// cope_decode's former per-bit loop: `wanted_bits` bits, where a bit
+/// past either operand reads as 0.
+Bits per_bit_decode(const Bits& xored, const Bits& known, std::size_t wanted_bits)
+{
+    Bits out(wanted_bits);
+    for (std::size_t i = 0; i < wanted_bits; ++i) {
+        const std::uint8_t known_bit = i < known.size() ? known[i] : 0;
+        const std::uint8_t mixed = i < xored.size() ? xored[i] : 0;
+        out[i] = known_bit ^ mixed;
+    }
+    return out;
+}
+
+TEST(Cope, PrefixXorMatchesPerBitLoops)
+{
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 17; ++n)
+        lengths.push_back(n);
+    for (std::size_t n = 2045; n <= 2051; ++n)
+        lengths.push_back(n);
+
+    Pcg32 rng{1216};
+    for (const std::size_t length_a : lengths) {
+        for (const std::size_t length_b : lengths) {
+            const Packet a = make_packet(1, 3, 10, length_a, rng.next_u32());
+            const Packet b = make_packet(3, 1, 20, length_b, rng.next_u32());
+            const Bits coded = cope_encode(a, b);
+            ASSERT_EQ(coded, per_bit_encode(a, b)) << length_a << " x " << length_b;
+
+            auto parsed = cope_parse(coded);
+            ASSERT_TRUE(parsed.has_value());
+            // Alice's copy of a may be cut short or carry extra bits: a
+            // known payload shorter and longer than the wanted packet b.
+            for (const std::size_t known_bits :
+                 {std::size_t{0}, length_a / 2, length_a, length_a + 3, length_b + 5}) {
+                Bits known = a.payload;
+                known.resize(std::min(known_bits, known.size()));
+                const Bits extra = random_bits(known_bits - known.size(), rng);
+                known.insert(known.end(), extra.begin(), extra.end());
+                const auto got = cope_decode(*parsed, header_for(a), known);
+                ASSERT_TRUE(got.has_value());
+                EXPECT_EQ(got->payload, per_bit_decode(parsed->xored, known, length_b))
+                    << length_a << " x " << length_b << ", known " << known_bits;
+            }
+            // A hand-built coded packet whose XOR body is shorter or
+            // longer than the header it carries says.
+            for (const std::size_t xored_bits : {std::size_t{0}, length_b / 3, length_b + 7}) {
+                Cope_coded hand = *parsed;
+                hand.xored = random_bits(xored_bits, rng);
+                const auto got = cope_decode(hand, header_for(b), b.payload);
+                ASSERT_TRUE(got.has_value());
+                EXPECT_EQ(got->payload, per_bit_decode(hand.xored, b.payload, length_a))
+                    << length_a << " x " << length_b << ", xored " << xored_bits;
+            }
+        }
+    }
 }
 
 } // namespace
