@@ -2,9 +2,10 @@
 //
 // A grid is the cartesian product of its axes (scenario x scheme x
 // math_profile x the numeric axes of `for_each_axis`) times
-// `repetitions` independent runs per point.  Expansion assigns every task a stable
-// `index` — its position in the product, independent of how the tasks
-// are later scheduled — which is what the executor derives seeds from.
+// `repetitions` independent runs per point.  Expansion assigns every
+// task a stable `index` — its position in the product, independent of
+// how the tasks are later scheduled — which is what the executor
+// derives seeds from.
 
 #pragma once
 
