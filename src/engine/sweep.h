@@ -54,7 +54,8 @@ struct Sweep_grid {
 /// config_field into Scenario_config.  `point_name` keys the value in
 /// every sweep document; the plural `grid_name` keys the axis in
 /// grid_to_json, which every journal header hashes.  Adding an axis is
-/// one line here plus its Sweep_grid vector and Scenario_config field.
+/// one line here plus its Sweep_grid vector, its Scenario_config field
+/// and its anc_sweep flag (ENGINE.md "Sweep grids").
 template <typename F>
 void for_each_axis(F&& f)
 {

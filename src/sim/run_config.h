@@ -14,9 +14,9 @@ namespace anc::sim {
 
 struct Run_config {
     std::size_t payload_bits = 2048;
-    std::size_t exchanges = 25; // packet pairs per run (packets, for the chain)
-    double snr_db = 25.0;       // receiver SNR for a unit-power sender
-    net::Link_fading fading{};  // per-link gain dynamics (default: fixed)
+    std::size_t exchanges = 25;     // packet pairs per run (packets, for the chain)
+    double snr_db = 25.0;           // receiver SNR for a unit-power sender
+    net::Link_fading fading{};      // per-link gain dynamics (default: fixed)
     /// Variance threshold of every receiver's interference detector.
     double detector_threshold_db = 10.0;
     /// Math profile for the whole run: medium noise and the
