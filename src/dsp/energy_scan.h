@@ -37,4 +37,11 @@ void window_energy_sums_into(Signal_view signal, std::size_t window,
                              std::vector<double>& sums,
                              std::vector<double>* sum_sqs = nullptr);
 
+/// The first window n whose sum, as window_energy_sums_into computes it,
+/// satisfies sums[n] · scale > threshold, or the window count if there
+/// is none (0 for a signal shorter than the window).  Runs the serial
+/// chain only that far.  Throws std::invalid_argument for a zero window.
+std::size_t first_window_above(Signal_view signal, std::size_t window, double scale,
+                               double threshold);
+
 } // namespace anc::dsp

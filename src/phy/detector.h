@@ -67,7 +67,6 @@ struct Interference_report {
     // the threshold; meaningful only when interfered.
     std::size_t overlap_begin = 0;
     std::size_t overlap_end = 0;
-    double peak_ratio_db = 0.0; // largest excess-variance ratio observed
 };
 
 /// Collision detector via the excess-variance ratio.

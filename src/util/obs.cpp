@@ -43,6 +43,8 @@ const char* to_string(Counter counter)
     case Counter::rx_fail_no_unknown_pilot: return "rx_fail_no_unknown_pilot";
     case Counter::rx_fail_bad_unknown_frame: return "rx_fail_bad_unknown_frame";
     case Counter::pilot_degenerate: return "pilot_degenerate";
+    case Counter::packet_detect_exact_fallbacks: return "packet_detect_exact_fallbacks";
+    case Counter::interference_exact_fallbacks: return "interference_exact_fallbacks";
     case Counter::count: break;
     }
     return "unknown";

@@ -88,6 +88,11 @@ enum class Counter : std::size_t {
     // pilot_search stage timer so the manifest's per-search cost is not
     // skewed by calls that never scanned anything.
     pilot_degenerate,
+    // phy detectors — calls that ran the serial energy chains because a
+    // window's margin to the threshold fell inside the certified bound,
+    // or a guard (non-finite or huge input, odd threshold) sent them.
+    packet_detect_exact_fallbacks, ///< detect() calls past the head chain
+    interference_exact_fallbacks,  ///< analyze() calls
     count, ///< sentinel
 };
 

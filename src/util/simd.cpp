@@ -44,52 +44,93 @@ inline double distance_branchless(double a, double b)
     return std::abs(wrap_branchless(a - b));
 }
 
-/// ORs flag(i), evaluated in order, into bit first + i of the mask for
-/// i in [0, count), assembling a word at a time.
-template <class Flag>
-void set_bits(std::uint64_t* mask, std::size_t first, std::size_t count, Flag flag)
+void block_energy_sums_scalar(const double* interleaved_samples, std::size_t blocks,
+                              double* sums, double* sum_sqs, double* devs)
 {
-    for (std::size_t i = 0; i < count;) {
-        const std::size_t offset = (first + i) & 63;
-        const std::size_t n = std::min(64 - offset, count - i);
-        std::uint64_t word = 0;
-        std::uint64_t bit = std::uint64_t{1} << offset;
-        for (std::size_t k = 0; k < n; ++k, bit <<= 1)
-            word |= bit & (0 - std::uint64_t{flag(i + k)});
-        mask[(first + i) >> 6] |= word;
-        i += n;
+    // The tree the lane kernels' shuffle networks add in (simd.h).
+    const auto tree = [](const double* v) {
+        return ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
+    };
+    for (std::size_t j = 0; j < blocks; ++j) {
+        const double* p = interleaved_samples + 2 * energy_block * j;
+        double e[energy_block];
+        double e2[energy_block];
+        for (std::size_t r = 0; r < energy_block; ++r) {
+            e[r] = p[2 * r] * p[2 * r] + p[2 * r + 1] * p[2 * r + 1];
+            e2[r] = e[r] * e[r];
+        }
+        sums[j] = tree(e);
+        sum_sqs[j] = tree(e2);
+        devs[j] = sum_sqs[j] - sums[j] * sums[j] * (1.0 / energy_block);
     }
 }
 
-void window_mean_mask_scalar(const double* sums, std::size_t count, double inv_w,
-                             double threshold, std::uint64_t* mask, std::size_t first)
+// The interference detector's tests (simd.h).
+
+inline double clean_variance(double sum, double sigma2)
 {
-    set_bits(mask, first, count,
-             [&](std::size_t i) { return sums[i] * inv_w > threshold; });
+    const double signal_power = std::max(sum * (1.0 / 64) - sigma2, 1e-12);
+    return 2.0 * signal_power * sigma2 + sigma2 * sigma2;
 }
 
-double excess_variance_mask_scalar(const double* sums, const double* sum_sqs,
-                                   std::size_t count, double inv_w, double sigma2,
-                                   double threshold, double peak, std::uint64_t* mask,
-                                   std::size_t first)
+inline double window_variance(double sum, double sum_sq)
 {
-    set_bits(mask, first, count, [&](std::size_t i) {
-        const double mean = sums[i] * inv_w;
-        // Population variance; clamp tiny negatives from cancellation
-        // (the comparison form keeps a -0.0, as the historical
-        // `if (variance < 0.0) variance = 0.0;` did).
-        double variance = sum_sqs[i] * inv_w - mean * mean;
-        variance = variance < 0.0 ? 0.0 : variance;
-        // Variance a clean constant-envelope signal of this power would
-        // show: cross term 2*|s|^2*sigma^2 plus the noise-energy variance
-        // sigma^4.  (|s|^2 ~ window mean minus the noise floor.)
-        const double signal_power = std::max(mean - sigma2, 1e-12);
-        const double clean_variance = 2.0 * signal_power * sigma2 + sigma2 * sigma2;
-        const double ratio = variance / clean_variance;
-        peak = std::max(peak, ratio);
-        return ratio > threshold;
-    });
-    return peak;
+    const double mean = sum * (1.0 / 64);
+    const double variance = sum_sq * (1.0 / 64) - mean * mean;
+    return variance < 0.0 ? 0.0 : variance;
+}
+
+constexpr double test_slack = 0x1p-40;
+
+void excess_block_tests_scalar(const double* sums, const double* sum_sqs, const double* devs,
+                               std::size_t count, double sigma2, double threshold, double tol,
+                               double dev_bound, std::uint8_t* open, std::uint8_t* above)
+{
+    for (std::size_t b = 0; b < count; ++b) {
+        const auto inner_of = [b](const double* v) {
+            v += b;
+            return ((v[1] + v[2]) + (v[3] + v[4])) + ((v[5] + v[6]) + v[7]);
+        };
+        const double inner = inner_of(sums);
+        const double inner_dev = inner_of(devs);
+        const double all = (inner + sums[b]) + sums[b + 8];
+        const double all_sq = (inner_of(sum_sqs) + sum_sqs[b]) + sum_sqs[b + 8];
+        const double all_dev = all_sq - all * all * (1.0 / 72);
+        const bool below = (all_dev + dev_bound) * (1.0 / 64) * (1.0 + test_slack)
+                           <= threshold * clean_variance(inner * (1.0 - test_slack) - tol, sigma2);
+        const bool is_above = (inner_dev - dev_bound) * (1.0 / 64) * (1.0 - test_slack)
+                              > threshold * clean_variance(all * (1.0 + test_slack) + tol, sigma2);
+        open[b] = !(below || is_above);
+        above[b] = is_above;
+    }
+}
+
+void excess_window_tests_scalar(const double* sums, const double* sum_sqs, std::size_t count,
+                                double sigma2, double threshold, double tol, double tol_sq,
+                                std::uint8_t* open, std::uint8_t* above)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        const double lo = sums[i] - tol;
+        const double hi = sums[i] + tol;
+        const bool below = window_variance(std::max(lo, 0.0), sum_sqs[i] + tol_sq)
+                               * (1.0 + test_slack)
+                           <= threshold * clean_variance(lo, sigma2);
+        const bool is_above = window_variance(std::max(hi, -lo), sum_sqs[i] - tol_sq)
+                              > threshold * clean_variance(hi, sigma2) * (1.0 + test_slack);
+        open[i] = !(below || is_above);
+        above[i] = is_above;
+    }
+}
+
+void abs_sum_max_scalar(const double* x, std::size_t steps, double* sums, double* maxes)
+{
+    for (std::size_t t = 0; t < steps; ++t) {
+        for (std::size_t r = 0; r < abs_slots; ++r) {
+            const double v = std::abs(x[abs_slots * t + r]);
+            sums[r] += v;
+            maxes[r] = maxes[r] > v ? maxes[r] : v;
+        }
+    }
 }
 
 void anc_candidates_batch_scalar(const double* interleaved_samples,
@@ -278,9 +319,11 @@ constinit const Kernel_table scalar_kernels{
     .cmul_accumulate = cmul_accumulate_scalar,
     .cmul_fade_accumulate = cmul_fade_accumulate_scalar,
     .msk_decide = msk_decide_scalar,
+    .block_energy_sums = block_energy_sums_scalar,
+    .excess_block_tests = excess_block_tests_scalar,
+    .excess_window_tests = excess_window_tests_scalar,
+    .abs_sum_max = abs_sum_max_scalar,
     .counter_normal_add_scaled = counter_normal_add_scaled_scalar,
-    .window_mean_mask = window_mean_mask_scalar,
-    .excess_variance_mask = excess_variance_mask_scalar,
     .pilot_scan_starts = pilot_scan_starts,
     .pilot_scan_striped = pilot_scan_striped,
 };
@@ -400,31 +443,41 @@ void cmul_fade_accumulate(const double* interleaved_in, const double* interleave
              });
 }
 
-void window_mean_mask(const double* sums, std::size_t windows, double inv_w,
-                      double threshold, std::uint64_t* mask)
+void block_energy_sums(const double* interleaved_samples, std::size_t blocks, double* sums,
+                       double* sum_sqs, double* devs)
 {
-    std::fill_n(mask, (windows + 63) / 64, std::uint64_t{0});
-    dispatch(windows, &detail::Kernel_table::window_mean_mask,
+    dispatch(blocks, &detail::Kernel_table::block_energy_sums,
              [&](auto kernel, std::size_t at, std::size_t m) {
-                 kernel(sums + at, m, inv_w, threshold, mask, at);
+                 kernel(interleaved_samples + 2 * energy_block * at, m, sums + at,
+                        sum_sqs + at, devs + at);
              });
 }
 
-double excess_variance_mask(const double* sums, const double* sum_sqs,
-                            std::size_t windows, double inv_w, double sigma2,
-                            double threshold, std::uint64_t* mask)
+void excess_block_tests(const double* sums, const double* sum_sqs, const double* devs,
+                        std::size_t count, double sigma2, double threshold, double tol,
+                        double dev_bound, std::uint8_t* open, std::uint8_t* above)
 {
-    std::fill_n(mask, (windows + 63) / 64, std::uint64_t{0});
-    // The peak of positive ratios has one bit pattern whatever order the
-    // lanes visit them in (NaN ratios never win a max), so the lane
-    // tiers may keep per-lane peaks.
-    double peak = 1e-12;
-    dispatch(windows, &detail::Kernel_table::excess_variance_mask,
+    dispatch(count, &detail::Kernel_table::excess_block_tests,
              [&](auto kernel, std::size_t at, std::size_t m) {
-                 peak = kernel(sums + at, sum_sqs + at, m, inv_w, sigma2, threshold, peak,
-                               mask, at);
+                 kernel(sums + at, sum_sqs + at, devs + at, m, sigma2, threshold, tol,
+                        dev_bound, open + at, above + at);
              });
-    return peak;
+}
+
+void excess_window_tests(const double* sums, const double* sum_sqs, std::size_t count,
+                         double sigma2, double threshold, double tol, double tol_sq,
+                         std::uint8_t* open, std::uint8_t* above)
+{
+    dispatch(count, &detail::Kernel_table::excess_window_tests,
+             [&](auto kernel, std::size_t at, std::size_t m) {
+                 kernel(sums + at, sum_sqs + at, m, sigma2, threshold, tol, tol_sq, open + at,
+                        above + at);
+             });
+}
+
+void abs_sum_max(const double* x, std::size_t steps, double* sums, double* maxes)
+{
+    detail::active_kernels().abs_sum_max(x, steps, sums, maxes);
 }
 
 void msk_decide(const double* interleaved_samples, std::size_t transitions,

@@ -144,29 +144,65 @@ void cmul_fade_accumulate(const double* interleaved_in, const double* interleave
 
 // Receiver scans (§7.1 detectors, §5 demodulation).  Like the channel
 // accumulators these serve both math profiles, and every backend
-// reproduces the historical scalar loops bit for bit.  The
-// detector kernels read the sliding-window sums of |y|^2 (and |y|^4)
-// that dsp::window_energy_sums_into produces and set bit n of `mask`
-// (words [0, ceil(windows / 64)), overwritten) when window n passes.
+// reproduces the scalar loops bit for bit.
 
-// The window means are sums · inv_w, with inv_w = 1 / w for the
-// detector's window w.  Both detector windows are powers of two, so the
-// multiply rounds exactly as sum / w would (x·2^-k and x/2^k only scale
-// the exponent).
+/// Samples per block of block_energy_sums.
+inline constexpr std::size_t energy_block = 8;
 
-/// The packet detector's threshold test: bit n is set iff the mean
-/// sums[n] · inv_w > threshold.
-void window_mean_mask(const double* sums, std::size_t windows, double inv_w,
-                      double threshold, std::uint64_t* mask);
+/// The energy statistics behind the interference detector's certified
+/// decisions (phy/detector.cpp): for each 8-sample block j in
+/// [0, blocks), sums[j] is the sum of e = |y|^2 over samples
+/// [8j, 8j + 8), sum_sqs[j] that of e·e, and devs[j] = sum_sqs[j] −
+/// sums[j]·sums[j]·(1/8), the block's sum of squared deviations.  Each e
+/// is re·re + im·im, as the detectors' serial chains form it; each sum
+/// is the fixed tree ((e0 + e4) + (e2 + e6)) + ((e1 + e5) + (e3 + e7)),
+/// so every backend gives the same bits.
+void block_energy_sums(const double* interleaved_samples, std::size_t blocks, double* sums,
+                       double* sum_sqs, double* devs);
 
-/// The interference analyzer's excess-variance test.  Per window:
-///   mean     = sum · inv_w;  variance = sum_sq · inv_w − mean², clamped at 0
-///   ratio    = variance / (2·max(mean − σ², 1e-12)·σ² + σ²·σ²)
-/// with the scalar operand order of phy/detector.cpp.  Bit n is set iff
-/// ratio > threshold; returns max(1e-12, every non-NaN ratio).
-double excess_variance_mask(const double* sums, const double* sum_sqs,
-                            std::size_t windows, double inv_w, double sigma2,
-                            double threshold, std::uint64_t* mask);
+// The interference detector's certified tests (phy/detector.cpp) on
+// 64-sample windows.  Both write open[i] = !(below || above) and
+// above[i] = above, as 0/1 bytes, and evaluate the clean variance
+//   clean(S) = 2·max(S/64 − σ², 1e-12)·σ² + σ²·σ²
+// and the clamped window variance
+//   var(S, Q) = Q/64 − (S/64)², or 0 where that is below 0,
+// with the operations of the detector's serial ratio var/clean.
+
+/// The block tests, from block_energy_sums output.  Window block b is
+/// windows [8b, 8b + 8); its tests read blocks b .. b + 8, so the
+/// caller passes count <= blocks - 8.  With inner = Σ sums[b+1 .. b+7],
+/// inner_dev = Σ devs[b+1 .. b+7], inner_sq = Σ sum_sqs[b+1 .. b+7]
+/// (each added as ((v1 + v2) + (v3 + v4)) + ((v5 + v6) + v7)),
+/// all = (inner + sums[b]) + sums[b+8], all_sq likewise and
+/// all_dev = all_sq − all²/72:
+///   below = (all_dev + dev_bound)/64·(1 + 2^-40)
+///             <= threshold·clean(inner·(1 − 2^-40) − tol)
+///   above = (inner_dev − dev_bound)/64·(1 − 2^-40)
+///             >  threshold·clean(all·(1 + 2^-40) + tol)
+void excess_block_tests(const double* sums, const double* sum_sqs, const double* devs,
+                        std::size_t count, double sigma2, double threshold, double tol,
+                        double dev_bound, std::uint8_t* open, std::uint8_t* above);
+
+/// The window tests, from a window's sums of |y|^2 and |y|^4 known to
+/// within tol and tol_sq: with lo = sum − tol and hi = sum + tol,
+///   below = var(max(lo, 0), sum_sq + tol_sq)·(1 + 2^-40)
+///             <= threshold·clean(lo)
+///   above = var(max(hi, −lo), sum_sq − tol_sq)
+///             >  threshold·clean(hi)·(1 + 2^-40)
+/// for windows [0, count).
+void excess_window_tests(const double* sums, const double* sum_sqs, std::size_t count,
+                         double sigma2, double threshold, double tol, double tol_sq,
+                         std::uint8_t* open, std::uint8_t* above);
+
+/// Slots of abs_sum_max.
+inline constexpr std::size_t abs_slots = 32;
+
+/// The packet detector's energy bound: over doubles [0, 32·steps) of x,
+/// sums[r] += |x[32t + r]| in order of t for each of the 32 slots r,
+/// and maxes[r] becomes the running maximum maxes[r] > |x| ? maxes[r] :
+/// |x| (a NaN entry makes its slot's sum NaN).  Every table takes any
+/// number of steps.
+void abs_sum_max(const double* x, std::size_t steps, double* sums, double* maxes);
 
 /// MSK hard decisions (dsp::Msk_demodulator): bits[n] = 1 iff
 /// arg(y[n+1]·conj(y[n])) >= 0, decided from the sign structure of the
@@ -189,6 +225,13 @@ struct Kernel_table {
     decltype(&simd::cmul_accumulate) cmul_accumulate;
     decltype(&simd::cmul_fade_accumulate) cmul_fade_accumulate;
     decltype(&simd::msk_decide) msk_decide;
+    /// The receiver-scan kernels count whole blocks (window blocks), so a
+    /// lane kernel takes `width` of them a step; abs_sum_max takes any
+    /// count of its 32-double steps.
+    decltype(&simd::block_energy_sums) block_energy_sums;
+    decltype(&simd::excess_block_tests) excess_block_tests;
+    decltype(&simd::excess_window_tests) excess_window_tests;
+    decltype(&simd::abs_sum_max) abs_sum_max;
 
     /// Counter_normal's Box–Muller, fused into inout[i] += scale·z_i over
     /// counters [first_counter, first_counter + ceil(count / 2)): the
@@ -198,19 +241,6 @@ struct Kernel_table {
     void (*counter_normal_add_scaled)(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,
                                       double* inout, std::size_t count);
-
-    // The receiver-scan kernels take windows [0, count) of the offset
-    // `sums`/`sum_sqs` and OR window i's bit into bit first + i of `mask`
-    // (the dispatcher zeroes the words; the lane kernels need
-    // first % 64 == 0).  excess_variance_mask returns the running peak
-    // continued from `peak` (lanes keep one peak each, so they equal the
-    // scalar loop for a positive `peak`).
-    void (*window_mean_mask)(const double* sums, std::size_t count, double inv_w,
-                             double threshold, std::uint64_t* mask, std::size_t first);
-    double (*excess_variance_mask)(const double* sums, const double* sum_sqs,
-                                   std::size_t count, double inv_w, double sigma2,
-                                   double threshold, double peak, std::uint64_t* mask,
-                                   std::size_t first);
 
     // Bit-domain pilot scans (phy/pilot.cpp): integer-exact u64 XOR +
     // popcount loops, bit-identical in every table; they take any range.

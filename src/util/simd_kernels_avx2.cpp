@@ -107,6 +107,14 @@ struct Lanes<4> {
     static V dup_re(V v) { return _mm256_movedup_pd(v); }
     static V dup_im(V v) { return _mm256_permute_pd(v, 0b1111); }
     static V addsub(V a, V b) { return _mm256_addsub_pd(a, b); }
+    static V pair_sums(V a, V b) { return _mm256_hadd_pd(a, b); }
+    static V fold_blocks(const V (&t)[4])
+    {
+        // t[k] = [t0, t2, t1, t3] of block k.
+        const V u01 = _mm256_hadd_pd(t[0], t[1]); // [u0₀, u0₁, u1₀, u1₁]
+        const V u23 = _mm256_hadd_pd(t[2], t[3]);
+        return _mm256_permute2f128_pd(u01, u23, 0x20) + _mm256_permute2f128_pd(u01, u23, 0x31);
+    }
 };
 
 } // namespace

@@ -108,6 +108,19 @@ struct Lanes<8> {
     {
         return a + bit_xor(b, _mm512_setr_pd(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0));
     }
+    static V pair_sums(V a, V b) { return _mm512_unpacklo_pd(a, b) + _mm512_unpackhi_pd(a, b); }
+    static V fold_blocks(const V (&t)[4])
+    {
+        // 128-bit lane r of t[n] holds t_r of blocks 2n and 2n + 1.
+        // Lanes 0 and 2, then 1 and 3, of two such vectors add to
+        // [u0, u0, u1, u1] of four blocks; the last fold adds u0 + u1.
+        const auto fold = [](V a, V b) {
+            return _mm512_shuffle_f64x2(a, b, 0x44) + _mm512_shuffle_f64x2(a, b, 0xEE);
+        };
+        const V u0 = fold(t[0], t[1]);
+        const V u1 = fold(t[2], t[3]);
+        return _mm512_shuffle_f64x2(u0, u1, 0x88) + _mm512_shuffle_f64x2(u0, u1, 0xDD);
+    }
 };
 
 } // namespace

@@ -116,6 +116,34 @@ TEST(EnergyScan, ShortSignalYieldsEmptyScan)
     EXPECT_TRUE(sum_sqs.empty());
 }
 
+TEST(EnergyScan, FirstWindowAboveStopsTheSameChain)
+{
+    // The head of the chain, stopped at the first window whose scaled
+    // sum passes: the same index as a scan of the full chain's sums,
+    // including thresholds placed exactly on a window's mean.
+    Pcg32 rng{122};
+    Signal signal(300);
+    for (Sample& y : signal)
+        y = {rng.next_gaussian(), rng.next_gaussian()};
+    for (const std::size_t window : {1, 16, 64}) {
+        std::vector<double> sums;
+        window_energy_sums_into(signal, window, sums);
+        const double scale = 1.0 / static_cast<double>(window);
+        for (const std::size_t at : {0, 7, 100, 200}) {
+            for (const double threshold : {sums[at] * scale, 0.5, 2.0, 1e9}) {
+                const auto first = static_cast<std::size_t>(
+                    std::find_if(sums.begin(), sums.end(),
+                                 [&](double sum) { return sum * scale > threshold; })
+                    - sums.begin());
+                EXPECT_EQ(first_window_above(signal, window, scale, threshold), first)
+                    << window << " " << threshold;
+            }
+        }
+    }
+    EXPECT_EQ(first_window_above(Signal(3), 4, 1.0, 0.0), 0u);
+    EXPECT_THROW(first_window_above(signal, 0, 1.0, 0.0), std::invalid_argument);
+}
+
 TEST(EnergyScan, ZeroWindowThrows)
 {
     std::vector<double> sums;

@@ -16,6 +16,7 @@
 #include "dsp/ops.h"
 #include "util/bits.h"
 #include "util/db.h"
+#include "util/obs.h"
 #include "util/rng.h"
 
 namespace anc::phy {
@@ -160,7 +161,12 @@ TEST(InterferenceDetector, PeakRatioReported)
     mix = noisy(std::move(mix), 446);
     const Interference_detector detector{noise_power};
     const Interference_report report = detector.analyze(mix);
-    EXPECT_GT(report.peak_ratio_db, 10.0);
+    // The report carries the collision and where it sits, not a peak
+    // ratio: B enters at sample 100 of the 401-sample mix.
+    ASSERT_TRUE(report.interfered);
+    EXPECT_NEAR(static_cast<double>(report.overlap_begin), 100.0, 80.0);
+    EXPECT_GT(report.overlap_end, report.overlap_begin + 200);
+    EXPECT_LE(report.overlap_end, mix.size());
 }
 
 // ------------------------------------------------------- byte identity
@@ -257,12 +263,10 @@ Interference_report reference_analyze(dsp::Signal_view packet,
     std::size_t first_begin = 0;
     std::size_t last_end = 0;
     bool found = false;
-    double peak_ratio = 1e-12;
     for (std::size_t i = 0; i < variance.size(); ++i) {
         const double signal_power = std::max(mean[i] - sigma2, 1e-12);
         const double clean_variance = 2.0 * signal_power * sigma2 + sigma2 * sigma2;
         const double ratio = variance[i] / clean_variance;
-        peak_ratio = std::max(peak_ratio, ratio);
         if (ratio > threshold) {
             if (run == 0)
                 run_start = i;
@@ -278,7 +282,6 @@ Interference_report reference_analyze(dsp::Signal_view packet,
             run = 0;
         }
     }
-    report.peak_ratio_db = std::max(0.0, to_db(peak_ratio));
     if (found) {
         report.interfered = true;
         report.overlap_begin = first_begin;
@@ -339,9 +342,6 @@ TEST(InterferenceDetector, HoistedRatioPassIsByteIdenticalToFusedLoop)
         EXPECT_EQ(actual.interfered, expected.interfered);
         EXPECT_EQ(actual.overlap_begin, expected.overlap_begin);
         EXPECT_EQ(actual.overlap_end, expected.overlap_end);
-        // Exact ==, not NEAR: the ratio arithmetic per window and the
-        // max reduction must be bit-preserved by the rewrite.
-        EXPECT_EQ(actual.peak_ratio_db, expected.peak_ratio_db);
     }
 }
 
@@ -411,6 +411,44 @@ std::vector<std::size_t> boundary_lengths(std::size_t window)
     return lengths;
 }
 
+// The shapes the simulations hand the detectors: a clean packet with the
+// receiver's 64-sample trailing guard, a two-MSK collision whose head and
+// tail are clean, and a packet whose fade steps in mid-packet.  Leading
+// noise of random length, amplitudes from 16 to 26 dB over the noise.
+
+constexpr std::size_t rx_guard = 64;
+
+dsp::Signal sim_shape(int shape, Pcg32& rng)
+{
+    const double amplitude = std::sqrt(noise_power * from_db(16.0 + 10.0 * rng.next_double()));
+    const std::size_t bits = rng.next_in_range(200, 1200);
+    const std::uint64_t seed = rng.next_u32();
+    dsp::Signal stream(rng.next_in_range(0, 200), dsp::Sample{0.0, 0.0});
+    const std::size_t head = stream.size();
+    dsp::Signal packet = msk_burst(bits, seed, amplitude);
+    if (shape == 1) {
+        // The second packet enters after a clean head and outlasts the
+        // first, leaving a clean tail.
+        chan::Link_params link;
+        link.gain = 0.5 + rng.next_double();
+        link.phase = 6.3 * rng.next_double();
+        link.phase_drift = 0.002 * rng.next_double();
+        const std::size_t offset = rng.next_in_range(64, static_cast<std::uint32_t>(bits / 2));
+        chan::Link_channel{link}.apply_onto(msk_burst(bits, seed + 1, amplitude), offset,
+                                            packet);
+    } else if (shape == 2) {
+        // A fade step: gain and phase change at a random sample.
+        const dsp::Sample step =
+            std::polar(0.3 + 1.2 * rng.next_double(), 6.3 * rng.next_double());
+        const std::size_t from = rng.next_in_range(0, static_cast<std::uint32_t>(bits));
+        for (std::size_t i = from; i < packet.size(); ++i)
+            packet[i] *= step;
+    }
+    stream.resize(head + packet.size() + rx_guard, dsp::Sample{0.0, 0.0});
+    dsp::accumulate(stream, packet, head);
+    return noisy(std::move(stream), seed + 2);
+}
+
 template <class Check>
 void for_each_hostile_input(Check check)
 {
@@ -424,6 +462,10 @@ void for_each_hostile_input(Check check)
                 }
             }
         }
+    }
+    for (int shape = 0; shape < 3; ++shape) {
+        for (int i = 0; i < 40; ++i)
+            check(sim_shape(shape, rng));
     }
 }
 
@@ -457,13 +499,94 @@ TEST(InterferenceDetector, HostileInputsMatchFusedLoop)
         ASSERT_EQ(actual.interfered, expected.interfered) << packet.size() << " samples";
         EXPECT_EQ(actual.overlap_begin, expected.overlap_begin);
         EXPECT_EQ(actual.overlap_end, expected.overlap_end);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.peak_ratio_db),
-                  std::bit_cast<std::uint64_t>(expected.peak_ratio_db));
         ++(actual.interfered ? interfered : clear);
     });
     // Both outcomes occur often enough for the run finder to be tested.
     EXPECT_GT(interfered, 100u) << clear;
     EXPECT_GT(clear, 100u) << interfered;
+}
+
+// ----------------------------------------------------- exact fallback
+// A window whose statistic lands exactly on its threshold is too close to
+// certify: the detector runs the serial chains, and its output is still
+// the sequential scan's.
+
+obs::Counters counted(const auto& run)
+{
+    obs::Recorder recorder;
+    const obs::Recorder::Bind bind{recorder};
+    recorder.begin_task();
+    run();
+    return recorder.task().counters;
+}
+
+TEST(PacketDetector, WindowOnTheThresholdTakesTheExactPath)
+{
+    // Unit noise and a 0 dB threshold: a window of unit samples has mean
+    // exactly 1, on the threshold, and the stream ends in such windows
+    // after a burst of twice the amplitude.
+    const Packet_detector::Config config{.energy_threshold_db = 0.0};
+    ASSERT_EQ(from_db(config.energy_threshold_db), 1.0);
+    dsp::Signal stream(300, dsp::Sample{1.0, 0.0});
+    for (std::size_t i = 100; i < 200; ++i)
+        stream[i] = {0.0, 2.0};
+    const Packet_detector detector{1.0, config};
+    std::optional<Packet_bounds> actual;
+    const obs::Counters counters = counted([&] { actual = detector.detect(stream); });
+    const auto expected = reference_detect(stream, 1.0, config);
+    ASSERT_TRUE(expected.has_value());
+    ASSERT_TRUE(actual.has_value());
+    EXPECT_EQ(actual->begin, expected->begin);
+    EXPECT_EQ(actual->end, expected->end);
+    EXPECT_EQ(counters[obs::Counter::packet_detect_exact_fallbacks], 1u);
+    EXPECT_EQ(counters[obs::Counter::packet_detect_triggers], 1u);
+}
+
+TEST(InterferenceDetector, RatioOnTheThresholdTakesTheExactPath)
+{
+    // Unit noise, a 10 dB threshold, and energies alternating 40.5 and
+    // 0.5 (samples (4.5, 4.5) and (0.5, 0.5)): every window has mean
+    // 20.5 and variance 400, so the ratio 400 / (2·19.5 + 1) is exactly
+    // 10.  A later stretch alternating 50 and 0.5 sits above (ratio
+    // 12.375), so the output holds a collision.
+    const Interference_detector::Config config{.variance_threshold_db = 10.0};
+    ASSERT_EQ(from_db(config.variance_threshold_db), 10.0);
+    dsp::Signal packet;
+    for (std::size_t i = 0; i < 700; ++i) {
+        const double high = i < 400 ? 4.5 : 5.0;
+        packet.push_back(i % 2 == 0 ? dsp::Sample{high, high} : dsp::Sample{0.5, 0.5});
+    }
+    const Interference_detector detector{1.0, config};
+    Interference_report actual;
+    const obs::Counters counters = counted([&] { actual = detector.analyze(packet); });
+    const Interference_report expected = reference_analyze(packet, 1.0, config);
+    ASSERT_TRUE(expected.interfered);
+    EXPECT_EQ(actual.interfered, expected.interfered);
+    EXPECT_EQ(actual.overlap_begin, expected.overlap_begin);
+    EXPECT_EQ(actual.overlap_end, expected.overlap_end);
+    EXPECT_EQ(counters[obs::Counter::interference_exact_fallbacks], 1u);
+    EXPECT_EQ(counters[obs::Counter::interference_detected], 1u);
+}
+
+TEST(InterferenceDetector, SimulatedShapesNeedNoFallback)
+{
+    // The certified path decides the simulations' shapes by itself.
+    const Packet_detector packet_detector{noise_power};
+    const Interference_detector detector{noise_power};
+    Pcg32 rng{31, 7};
+    const obs::Counters counters = counted([&] {
+        for (int shape = 0; shape < 3; ++shape) {
+            for (int i = 0; i < 20; ++i) {
+                const dsp::Signal stream = sim_shape(shape, rng);
+                if (const auto bounds = packet_detector.detect(stream))
+                    detector.analyze(dsp::slice_view(stream, bounds->begin, bounds->end));
+            }
+        }
+    });
+    EXPECT_EQ(counters[obs::Counter::packet_detect_triggers], 60u);
+    EXPECT_EQ(counters[obs::Counter::interference_analyses], 60u);
+    EXPECT_EQ(counters[obs::Counter::packet_detect_exact_fallbacks], 0u);
+    EXPECT_EQ(counters[obs::Counter::interference_exact_fallbacks], 0u);
 }
 
 } // namespace

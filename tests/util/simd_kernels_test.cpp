@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <limits>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "phy/pilot.h"
@@ -450,67 +451,101 @@ std::vector<double> hostile_values(std::size_t count, double lo, double hi,
 void expect_receiver_scans_equal_scalar(const Kernel_table& kernels, const char* what)
 {
     const std::size_t width = kernels.width;
-    const double sigma2 = 0.01;
-    const double mean_threshold = 0.3;
-    const double ratio_threshold = 10.0;
-    const double neg_inf = -std::numeric_limits<double>::infinity();
-    // The detectors' two windows.
-    for (const std::size_t window : {16, 64}) {
-        const auto w = static_cast<double>(window);
-        const double inv_w = 1.0 / w;
+    // Magnitudes from silence to overflow: the block sums reach ±Inf and
+    // NaN, and the squares sink into denormals.
+    for (const double scale : {1.0, 1e-160, 1e160}) {
         for (const std::size_t count : {std::size_t{0}, std::size_t{1}, width - 1, width,
                                         width + 1, std::size_t{63}, std::size_t{64},
                                         std::size_t{65}, std::size_t{130},
                                         std::size_t{515}}) {
-            const std::vector<double> sums = hostile_values(count, 0.0, 8.0 * w, 0x5C + count);
-            const std::vector<double> sum_sqs =
-                hostile_values(count, 0.0, 64.0 * w, 0x5D + count);
-            // The dispatcher's split: lanes over the full blocks, the
+            // The energy kernel counts 8-sample blocks: 16 doubles each.
+            std::vector<double> blocks = hostile_values(16 * count, -2.0, 2.0, 0x5C + count);
+            for (double& v : blocks)
+                v *= scale;
+            // The dispatcher's split: lanes over the full steps, the
             // scalar kernel over the tail.
             const std::size_t head = count - count % width;
-            const std::size_t words = (count + 63) / 64;
-
-            std::vector<std::uint64_t> lanes(words);
-            std::vector<std::uint64_t> scalar(words);
-            kernels.window_mean_mask(sums.data(), head, inv_w, mean_threshold,
-                                     lanes.data(), 0);
-            scalar_kernels.window_mean_mask(sums.data() + head, count - head, inv_w,
-                                            mean_threshold, lanes.data(), head);
-            scalar_kernels.window_mean_mask(sums.data(), count, inv_w, mean_threshold,
-                                            scalar.data(), 0);
-            EXPECT_EQ(lanes, scalar) << what << " mean mask, window " << window
-                                     << ", count " << count;
-
-            std::fill(lanes.begin(), lanes.end(), 0);
-            std::fill(scalar.begin(), scalar.end(), 0);
-            double lane_peak =
-                kernels.excess_variance_mask(sums.data(), sum_sqs.data(), head, inv_w,
-                                             sigma2, ratio_threshold, 1e-12, lanes.data(), 0);
-            lane_peak = scalar_kernels.excess_variance_mask(
-                sums.data() + head, sum_sqs.data() + head, count - head, inv_w, sigma2,
-                ratio_threshold, lane_peak, lanes.data(), head);
-            const double scalar_peak = scalar_kernels.excess_variance_mask(
-                sums.data(), sum_sqs.data(), count, inv_w, sigma2, ratio_threshold, 1e-12,
-                scalar.data(), 0);
-            EXPECT_EQ(lanes, scalar) << what << " ratio mask, window " << window
-                                     << ", count " << count;
-            expect_same_bits(lane_peak, scalar_peak, what, count);
-
-            // 0-ULP ratios: a block of `width` copies of window i, with
-            // the peak started at -inf, makes the peak that ratio.
-            for (std::size_t i = 0; i < count; ++i) {
-                const std::vector<double> block_sums(width, sums[i]);
-                const std::vector<double> block_sum_sqs(width, sum_sqs[i]);
-                std::uint64_t lane_bits = 0;
-                std::uint64_t scalar_bits = 0;
-                const double lane_ratio = kernels.excess_variance_mask(
-                    block_sums.data(), block_sum_sqs.data(), width, inv_w, sigma2,
-                    ratio_threshold, neg_inf, &lane_bits, 0);
-                const double scalar_ratio = scalar_kernels.excess_variance_mask(
-                    &sums[i], &sum_sqs[i], 1, inv_w, sigma2, ratio_threshold, neg_inf,
-                    &scalar_bits, 0);
-                expect_same_bits(lane_ratio, scalar_ratio, what, i);
+            std::vector<double> lane[3];
+            std::vector<double> scalar[3];
+            for (std::size_t k = 0; k < 3; ++k) {
+                lane[k].assign(count, -1.0);
+                scalar[k].assign(count, -2.0);
             }
+            kernels.block_energy_sums(blocks.data(), head, lane[0].data(), lane[1].data(),
+                                      lane[2].data());
+            scalar_kernels.block_energy_sums(blocks.data() + 16 * head, count - head,
+                                             lane[0].data() + head, lane[1].data() + head,
+                                             lane[2].data() + head);
+            scalar_kernels.block_energy_sums(blocks.data(), count, scalar[0].data(),
+                                             scalar[1].data(), scalar[2].data());
+            for (std::size_t k = 0; k < 3; ++k) {
+                for (std::size_t j = 0; j < count; ++j)
+                    expect_same_bits(lane[k][j], scalar[k][j], what, j);
+            }
+
+            // The block tests over windows blocks [0, count - 8), on the
+            // sums above and on hostile sums, at tolerances from none to
+            // deciding nothing.
+            const std::size_t tested = count > 8 ? count - 8 : 0;
+            const std::size_t tested_head = tested - tested % width;
+            const std::vector<double> raw_sums = hostile_values(count, 0.0, 64.0, 0x5D + count);
+            for (const std::vector<double>* sums : {&std::as_const(scalar[0]), &raw_sums}) {
+                for (const double tol : {0.0, 1e-9, 1e300}) {
+                    std::vector<std::uint8_t> lane_flags[2];
+                    std::vector<std::uint8_t> scalar_flags[2];
+                    for (std::size_t k = 0; k < 2; ++k) {
+                        lane_flags[k].assign(tested, 0xAA);
+                        scalar_flags[k].assign(tested, 0x55);
+                    }
+                    const auto run = [&](const Kernel_table& table, std::size_t at,
+                                         std::size_t m, std::vector<std::uint8_t>* flags) {
+                        table.excess_block_tests(sums->data() + at, scalar[1].data() + at,
+                                                 scalar[2].data() + at, m, 0.01, 10.0, tol,
+                                                 tol, flags[0].data() + at,
+                                                 flags[1].data() + at);
+                    };
+                    run(kernels, 0, tested_head, lane_flags);
+                    run(scalar_kernels, tested_head, tested - tested_head, lane_flags);
+                    run(scalar_kernels, 0, tested, scalar_flags);
+                    EXPECT_EQ(lane_flags[0], scalar_flags[0]) << what << " open, count " << count;
+                    EXPECT_EQ(lane_flags[1], scalar_flags[1]) << what << " above, count " << count;
+                }
+            }
+
+            // The window tests on the block statistics read as window
+            // sums: ratios on both sides of the threshold and at it.
+            const std::size_t window_head = count - count % width;
+            for (const double tol : {0.0, 1e-9, 1e300}) {
+                std::vector<std::uint8_t> lane_flags[2];
+                std::vector<std::uint8_t> scalar_flags[2];
+                for (std::size_t k = 0; k < 2; ++k) {
+                    lane_flags[k].assign(count, 0xAA);
+                    scalar_flags[k].assign(count, 0x55);
+                }
+                const auto run = [&](const Kernel_table& table, std::size_t at, std::size_t m,
+                                     std::vector<std::uint8_t>* flags) {
+                    table.excess_window_tests(raw_sums.data() + at, scalar[1].data() + at, m,
+                                              0.01, 10.0, tol, tol, flags[0].data() + at,
+                                              flags[1].data() + at);
+                };
+                run(kernels, 0, window_head, lane_flags);
+                run(scalar_kernels, window_head, count - window_head, lane_flags);
+                run(scalar_kernels, 0, count, scalar_flags);
+                EXPECT_EQ(lane_flags[0], scalar_flags[0]) << what << " window open, " << count;
+                EXPECT_EQ(lane_flags[1], scalar_flags[1]) << what << " window above, " << count;
+            }
+
+            // The packet detector's |x| sums and maxima, continued from
+            // nonzero slots.
+            std::vector<double> lane_abs(2 * abs_slots, 0.5);
+            std::vector<double> scalar_abs(2 * abs_slots, 0.5);
+            const std::size_t steps = 16 * count / abs_slots;
+            kernels.abs_sum_max(blocks.data(), steps, lane_abs.data(),
+                                lane_abs.data() + abs_slots);
+            scalar_kernels.abs_sum_max(blocks.data(), steps, scalar_abs.data(),
+                                       scalar_abs.data() + abs_slots);
+            for (std::size_t r = 0; r < 2 * abs_slots; ++r)
+                expect_same_bits(lane_abs[r], scalar_abs[r], what, r);
 
             const std::vector<double> samples = hostile_values(2 * (count + 1), -2.0, 2.0,
                                                                0x5E + count);
