@@ -50,6 +50,6 @@ int main(int argc, char** argv)
 
     std::printf("\nPaper vs measured:\n");
     bench::print_compare("mean gain over traditional", 1.36, gain_over_traditional.mean());
-    bench::print_compare("mean BER at N2 (vs ~4%% on Alice-Bob)", 0.010, ber_at_n2.mean());
+    bench::print_compare("mean BER at N2 (vs ~4% on Alice-Bob)", 0.010, ber_at_n2.mean());
     return 0;
 }

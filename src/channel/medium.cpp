@@ -1,9 +1,7 @@
 #include "channel/medium.h"
 
 #include <cmath>
-#include <stdexcept>
 
-#include "dsp/ops.h"
 #include "util/obs.h"
 
 namespace anc::chan {
@@ -16,14 +14,6 @@ Medium::Medium(double noise_power, Pcg32 rng, dsp::Math_profile profile)
 void Medium::set_link(Node_id from, Node_id to, Link_params params)
 {
     links_.insert_or_assign({from, to}, Link_channel{params});
-}
-
-const Link_channel& Medium::link(Node_id from, Node_id to) const
-{
-    const auto it = links_.find({from, to});
-    if (it == links_.end())
-        throw std::out_of_range{"Medium::link: no such link"};
-    return it->second;
 }
 
 std::optional<double> Medium::detection_threshold_db(Node_id from, Node_id to) const

@@ -53,9 +53,6 @@ public:
     /// sender.
     void set_link(Node_id from, Node_id to, Link_params params);
 
-    /// The link's channel; throws if absent.
-    const Link_channel& link(Node_id from, Node_id to) const;
-
     /// Per-link AGC detection threshold for receivers snooping
     /// (from -> to): the link's Link_params::detection_threshold_db, or
     /// empty when the link has none (or does not exist) — "use the
@@ -64,13 +61,13 @@ public:
 
     /// What `receiver` hears during a round in which `transmissions` are
     /// on the air, into a caller-owned buffer (cleared first; typically a
-    /// dsp::Workspace lease): sum over in-range senders of
-    /// link(sender, receiver) applied to the sender's signal at its start
-    /// offset, plus AWGN over the whole span and `trailing_noise` samples
-    /// past it.  A half-duplex node cannot hear a round it transmits in;
-    /// passing its own id among the senders is allowed (its own signal is
-    /// simply skipped, since a radio does not receive its own
-    /// transmission at baseband here).  `out` must not alias any
+    /// dsp::Workspace lease): sum over in-range senders of the
+    /// (sender -> receiver) channel applied to the sender's signal at its
+    /// start offset, plus AWGN over the whole span and `trailing_noise`
+    /// samples past it.  A half-duplex node cannot hear a round it
+    /// transmits in; passing its own id among the senders is allowed (its
+    /// own signal is simply skipped, since a radio does not receive its
+    /// own transmission at baseband here).  `out` must not alias any
     /// transmission's backing buffer — it is cleared before the signals
     /// are read.
     void receive_into(Node_id receiver,

@@ -40,17 +40,6 @@ void slice_into(Signal_view signal, std::size_t begin, std::size_t end, Signal& 
                signal.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
-void accumulate(Signal& acc, Signal_view signal, std::size_t offset)
-{
-    if (acc.size() < offset + signal.size())
-        acc.resize(offset + signal.size(), Sample{0.0, 0.0});
-    double* a = reinterpret_cast<double*>(acc.data() + offset);
-    const double* s = reinterpret_cast<const double*>(signal.data());
-    const std::size_t n = 2 * signal.size();
-    for (std::size_t i = 0; i < n; ++i)
-        a[i] += s[i];
-}
-
 double normalize_power_in_place(Signal& signal, double target_power)
 {
     const double current = mean_energy(signal);

@@ -1,10 +1,9 @@
 // Elementary signal operations shared by the channel and the decoders.
 //
 // Every operation writes into a caller-owned buffer (`*_in_place`,
-// `*_into`, `accumulate`) or returns a view or a scalar, so none
-// allocates once the destination has capacity.  The loops run over the
-// contiguous Sample data as interleaved re/im doubles, which the
-// compiler auto-vectorizes.
+// `*_into`) or returns a view or a scalar, so none allocates once the
+// destination has capacity.  The loops run over the contiguous Sample
+// data as interleaved re/im doubles, which the compiler auto-vectorizes.
 
 #pragma once
 
@@ -28,11 +27,6 @@ void time_reverse_into(Signal_view signal, Signal& out);
 
 /// out = signal[begin, end) (clamped to bounds).  No alias allowed.
 void slice_into(Signal_view signal, std::size_t begin, std::size_t end, Signal& out);
-
-/// In-place accumulate: acc[offset + i] += signal[i], zero-extending acc
-/// if needed.  This is what the wireless medium does to concurrent
-/// transmissions: it *adds* them.
-void accumulate(Signal& acc, Signal_view signal, std::size_t offset);
 
 /// Scale `signal` so its mean power becomes `target_power`, in one
 /// measure-then-scale pass over the buffer (no intermediate copy).  A

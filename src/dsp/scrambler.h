@@ -6,7 +6,7 @@
 // with the same sequence at the receiver" — a classic additive scrambler.
 // We generate the keystream with a 16-bit Fibonacci LFSR (x^16 + x^14 +
 // x^13 + x^11 + 1, the CCITT V.41 polynomial), seeded identically at both
-// ends.
+// ends with the protocol seed 0xACE1.
 
 #pragma once
 
@@ -18,27 +18,15 @@
 
 namespace anc::dsp {
 
-/// Self-inverse whitening transform: scramble(scramble(x)) == x.
-///
-/// The V.41 LFSR is maximal-length: from any nonzero seed it visits all
-/// 65,535 nonzero states before repeating.  So every seed's keystream is
-/// one shared full-period sequence (a compile-time table built from
-/// the protocol seed 0xACE1) read from that seed's offset, and
-/// an instance holds only the offset.
-class Scrambler {
-public:
-    /// Keystream period: the number of nonzero 16-bit LFSR states.
-    static constexpr std::size_t period = 65535;
+/// Keystream period: the V.41 LFSR is maximal-length, so from its seed
+/// it visits all 65,535 nonzero 16-bit states before repeating.
+inline constexpr std::size_t scrambler_period = 65535;
 
-    explicit Scrambler(std::uint16_t seed = 0xACE1u);
-
-    /// XOR the bits with the keystream (restarted from the seed on every
-    /// call, so each packet is whitened independently; it wraps after
-    /// `period` bits, as the LFSR does).
-    Bits apply(std::span<const std::uint8_t> bits) const;
-
-private:
-    std::size_t offset_; // the seed's position in the shared keystream
-};
+/// Self-inverse whitening transform: scramble(scramble(x)) == x.  XORs
+/// the bits with the keystream, restarted from the seed on every call
+/// (so each packet is whitened independently) and wrapping after
+/// `scrambler_period` bits, as the LFSR does.  The keystream is one
+/// compile-time table, shared by every caller.
+Bits scramble(std::span<const std::uint8_t> bits);
 
 } // namespace anc::dsp

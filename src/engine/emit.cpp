@@ -1,7 +1,5 @@
 #include "engine/emit.h"
 
-#include <sstream>
-
 #include "engine/text.h"
 
 namespace anc::engine {
@@ -241,14 +239,6 @@ void write_json(std::ostream& out, const std::vector<Task_result>& results,
     for (const Task_result& result : results)
         writer.add(result);
     writer.finish(summaries);
-}
-
-std::string to_json(const std::vector<Task_result>& results,
-                    const std::vector<Point_summary>& summaries)
-{
-    std::ostringstream out;
-    write_json(out, results, summaries);
-    return out.str();
 }
 
 void print_summary_table(std::FILE* out, const std::vector<Point_summary>& summaries)

@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "engine/report.h"
@@ -82,10 +81,6 @@ void write_summary_csv(std::ostream& out, const std::vector<Point_summary>& summ
 /// A single JSON document: {"tasks": [...], "points": [...]}.
 void write_json(std::ostream& out, const std::vector<Task_result>& results,
                 const std::vector<Point_summary>& summaries);
-
-/// The JSON document as a string (convenient for byte-identity checks).
-std::string to_json(const std::vector<Task_result>& results,
-                    const std::vector<Point_summary>& summaries);
 
 /// Bench-style aggregate table on a stdio stream.
 void print_summary_table(std::FILE* out, const std::vector<Point_summary>& summaries);

@@ -80,9 +80,9 @@ const Point_summary& summary_for(const std::vector<Point_summary>& summaries,
                                  const std::string& scheme);
 
 /// What to do with a repetition whose baseline run delivered nothing
-/// (zero throughput): `strict` throws std::domain_error — matching
-/// sim::gain — while `skip_failed` drops that repetition from the CDF
-/// (useful at the bottom of the SNR range where whole runs can fail).
+/// (zero throughput): `strict` throws std::domain_error, while
+/// `skip_failed` drops that repetition from the CDF (useful at the
+/// bottom of the SNR range where whole runs can fail).
 enum class Baseline_policy { strict, skip_failed };
 
 /// Per-repetition throughput ratio of `scheme_key` runs over

@@ -1,5 +1,6 @@
 #include "phy/modem.h"
 
+#include "dsp/scrambler.h"
 #include "dsp/workspace.h"
 #include "phy/pilot.h"
 #include "util/obs.h"
@@ -7,13 +8,13 @@
 namespace anc::phy {
 
 Modem::Modem(double amplitude)
-    : amplitude_{amplitude}, scrambler_{scrambler_seed}
+    : amplitude_{amplitude}
 {
 }
 
 Bits Modem::frame_bits(const Frame_header& header, std::span<const std::uint8_t> payload) const
 {
-    const Bits whitened = scrambler_.apply(payload);
+    const Bits whitened = dsp::scramble(payload);
     return build_frame(header, whitened);
 }
 
@@ -33,7 +34,7 @@ void Modem::demodulate_bits_into(dsp::Signal_view signal, Bits& out) const
 
 Bits Modem::descramble(std::span<const std::uint8_t> payload) const
 {
-    return scrambler_.apply(payload);
+    return dsp::scramble(payload);
 }
 
 std::optional<Received_frame> Modem::receive(dsp::Signal_view signal) const

@@ -12,7 +12,6 @@
 
 #include "dsp/msk.h"
 #include "dsp/sample.h"
-#include "dsp/scrambler.h"
 #include "phy/detector.h"
 #include "phy/frame.h"
 #include "util/bits.h"
@@ -28,9 +27,6 @@ struct Received_frame {
 
 class Modem {
 public:
-    /// Initial state of the payload whitening LFSR (a protocol constant:
-    /// every node descrambles with the same keystream).
-    static constexpr std::uint16_t scrambler_seed = 0xACE1u;
     /// Pilot bit errors a clean receive tolerates.
     static constexpr std::size_t pilot_max_errors = 6;
 
@@ -68,7 +64,6 @@ public:
 
 private:
     double amplitude_;
-    dsp::Scrambler scrambler_;
     dsp::Msk_demodulator demodulator_;
 };
 

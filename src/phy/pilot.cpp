@@ -202,34 +202,6 @@ std::optional<Pattern_match> find_pattern(const Packed_bits& haystack,
     return best;
 }
 
-std::optional<Pattern_match> find_pattern_scalar(std::span<const std::uint8_t> bits,
-                                                 std::span<const std::uint8_t> pattern,
-                                                 std::size_t from,
-                                                 std::size_t to,
-                                                 std::size_t max_errors)
-{
-    if (pattern.empty() || bits.size() < pattern.size())
-        return std::nullopt;
-    const std::size_t last_start = bits.size() - pattern.size();
-    from = std::min(from, last_start);
-    to = std::min(to, last_start);
-    if (from > to)
-        return std::nullopt;
-
-    std::optional<Pattern_match> best;
-    for (std::size_t start = from; start <= to; ++start) {
-        std::size_t errors = 0;
-        for (std::size_t i = 0; i < pattern.size() && errors <= max_errors; ++i)
-            errors += (bits[start + i] != pattern[i]);
-        if (errors <= max_errors && (!best || errors < best->errors)) {
-            best = Pattern_match{start, errors};
-            if (errors == 0)
-                break;
-        }
-    }
-    return best;
-}
-
 std::optional<Pattern_match> find_pilot(std::span<const std::uint8_t> bits,
                                         std::size_t max_errors)
 {

@@ -13,8 +13,8 @@
 // couple of XOR + popcount word operations instead of a byte compare
 // per pattern bit.  The packed scan is a pure speedup: position, error
 // count, clamping, and tie-breaks (earliest minimum, stop at zero) are
-// exactly those of the historical byte loop, which survives as
-// find_pattern_scalar — the validation reference.
+// exactly those of the historical byte loop, which the pilot tests keep
+// as their reference.
 
 #pragma once
 
@@ -113,15 +113,6 @@ std::optional<Pattern_match> find_pattern(const Packed_bits& haystack,
                                           std::size_t from,
                                           std::size_t to,
                                           std::size_t max_errors);
-
-/// The historical byte-per-bit scan, uninstrumented: the reference the
-/// property tests compare the packed scan against.  Not used on any hot
-/// path.
-std::optional<Pattern_match> find_pattern_scalar(std::span<const std::uint8_t> bits,
-                                                 std::span<const std::uint8_t> pattern,
-                                                 std::size_t from,
-                                                 std::size_t to,
-                                                 std::size_t max_errors);
 
 /// Convenience: search the pilot across the whole sequence.
 std::optional<Pattern_match> find_pilot(std::span<const std::uint8_t> bits,

@@ -1,7 +1,5 @@
 #include "sim/metrics.h"
 
-#include <stdexcept>
-
 #include "fec/codec.h"
 
 namespace anc::sim {
@@ -43,14 +41,6 @@ double Run_metrics::throughput() const
 double Run_metrics::mean_overlap() const
 {
     return overlaps.empty() ? 0.0 : overlaps.mean();
-}
-
-double gain(const Run_metrics& scheme, const Run_metrics& baseline)
-{
-    const double base = baseline.throughput();
-    if (base <= 0.0)
-        throw std::domain_error{"gain: baseline throughput is zero"};
-    return scheme.throughput() / base;
 }
 
 } // namespace anc::sim

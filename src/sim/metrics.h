@@ -7,7 +7,7 @@
 //   throughput computation").
 //
 //   Gain — ratio of ANC throughput to a baseline's throughput for the
-//   same workload on the same topology.
+//   same workload on the same topology (engine::paired_gain pairs them).
 //
 //   BER — fraction of erroneous payload bits in a delivered packet.
 
@@ -39,8 +39,5 @@ struct Run_metrics {
     double raw_throughput() const;
     double mean_overlap() const;
 };
-
-/// Throughput ratio of a scheme over a baseline (the paper's "gain").
-double gain(const Run_metrics& scheme, const Run_metrics& baseline);
 
 } // namespace anc::sim

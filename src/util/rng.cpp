@@ -30,13 +30,6 @@ Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
     // words — i.e. identical Box-Muller radii (correlated magnitudes).
 }
 
-void Counter_normal::add_scaled(std::uint64_t first_counter, double scale, double* inout,
-                                std::size_t count) const
-{
-    simd::detail::scalar_kernels.counter_normal_add_scaled(key_a_, key_b_, first_counter,
-                                                           scale, inout, count);
-}
-
 // A lane step draws 16 (avx512) or 8 (avx2) counters in float lanes,
 // i.e. four doubles of the buffer per double lane; the remainder, an odd
 // trailing normal included, goes to the scalar kernel, which is

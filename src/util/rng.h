@@ -68,24 +68,16 @@ public:
     /// yield statistically independent generators.
     Counter_normal(std::uint64_t seed, std::uint64_t stream);
 
-    /// The two iid N(0,1) draws at `counter` — pure in (key, counter mod
-    /// 2^32), float values widened to double.
-    void pair(std::uint64_t counter, double& z0, double& z1) const;
-
     /// inout[i] += scale · z_i for i in [0, count), z_i the iid N(0,1)
     /// draws at counters [first_counter, first_counter + ceil(count/2))
-    /// in (z0, z1) pair order — the fused form the fast-profile AWGN fill
-    /// uses, so noise never round-trips through a scratch buffer.  The
-    /// scalar table's kernel (util/simd.h), bit-identical to pair().
-    void add_scaled(std::uint64_t first_counter, double scale, double* inout,
-                    std::size_t count) const;
-
-    /// add_scaled(), routed through the lane kernels (util/simd.h): the
-    /// AVX2 or AVX-512 float lanes hash/Box–Muller 8 or 16 counters per
-    /// step when a lane backend is active, and the scalar add_scaled
-    /// serves otherwise.  Either way the output is bit-identical to
-    /// add_scaled() at the same counters — the backend's
-    /// bit-compatibility contract, pinned by
+    /// in (z0, z1) pair order, each pair detail::counter_normal_pair on
+    /// the generator's keys, widened to double — the fused form the
+    /// fast-profile AWGN fill uses, so noise never round-trips through a
+    /// scratch buffer.  Routed through the lane kernels (util/simd.h):
+    /// the AVX2 or AVX-512 float lanes hash/Box–Muller 8 or 16 counters
+    /// per step when a lane backend is active, and the scalar table's
+    /// kernel serves otherwise and for the tail.  Every backend gives the
+    /// same bits — the backend's bit-compatibility contract, pinned by
     /// tests/util/counter_normal_test.cpp.
     void add_scaled_simd(std::uint64_t first_counter, double scale, double* inout,
                          std::size_t count) const;
@@ -241,7 +233,7 @@ inline void noise_sincos(std::uint32_t w2, float& s, float& c)
 inline constexpr std::uint32_t noise_inc_a = 0x9e3779b9u;
 inline constexpr std::uint32_t noise_inc_b = 0x85ebca6bu;
 
-/// Counter_normal::pair on explicit keys, in float.  Two decorrelated
+/// One counter's draw pair on explicit keys, in float.  Two decorrelated
 /// hash words per counter, each the low key half plus the counter's
 /// Weyl step hashed with the high key half; the keys themselves were
 /// decorrelated at construction.  Counters are taken mod 2^32.
@@ -262,14 +254,5 @@ inline void counter_normal_pair(std::uint64_t key_a, std::uint64_t key_b,
 }
 
 } // namespace detail
-
-inline void Counter_normal::pair(std::uint64_t counter, double& z0, double& z1) const
-{
-    float f0 = 0.0f;
-    float f1 = 0.0f;
-    detail::counter_normal_pair(key_a_, key_b_, counter, f0, f1);
-    z0 = f0;
-    z1 = f1;
-}
 
 } // namespace anc

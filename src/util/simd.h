@@ -234,9 +234,9 @@ struct Kernel_table {
     decltype(&simd::abs_sum_max) abs_sum_max;
 
     /// Counter_normal's Box–Muller, fused into inout[i] += scale·z_i over
-    /// counters [first_counter, first_counter + ceil(count / 2)): the
-    /// same z stream as Counter_normal::pair at every counter.  A lane
-    /// step draws in float lanes, 2·width counters at once, so lane
+    /// counters [first_counter, first_counter + ceil(count / 2)): the z
+    /// stream of anc::detail::counter_normal_pair at every counter.  A
+    /// lane step draws in float lanes, 2·width counters at once, so lane
     /// kernels need count % (4·width) == 0.
     void (*counter_normal_add_scaled)(std::uint64_t key_a, std::uint64_t key_b,
                                       std::uint64_t first_counter, double scale,

@@ -110,36 +110,5 @@ TEST(Capacity, SweepRejectsBadStep)
     EXPECT_THROW(sweep(0.0, 10.0, 0.0), std::invalid_argument);
 }
 
-TEST(Capacity, RelayAmplificationMatchesAppendixC)
-{
-    // A = sqrt(P / (P h1^2 + P h2^2 + 1)).
-    const double amp = relay_amplification(4.0, 0.5, 0.5);
-    EXPECT_NEAR(amp, std::sqrt(4.0 / (4.0 * 0.25 + 4.0 * 0.25 + 1.0)), 1e-12);
-}
-
-TEST(Capacity, ReceiverSnrGrowsWithPower)
-{
-    const double low = anc_receiver_snr(1.0, 1.0, 1.0, 1.0);
-    const double high = anc_receiver_snr(100.0, 1.0, 1.0, 1.0);
-    EXPECT_GT(high, low);
-}
-
-TEST(Capacity, SumRateSymmetricChannelsMatchTheorem)
-{
-    // With unit gains the Appendix C sum rate must equal the Theorem 8.1
-    // lower bound at the same SNR (alpha folding aside): check the SNR
-    // expression SNR_rx = P^2 / (3P + 1) directly.
-    const double p = 50.0;
-    const double snr_rx = anc_receiver_snr(p, 1.0, 1.0, 1.0);
-    EXPECT_NEAR(snr_rx, p * p / (3.0 * p + 1.0), 1e-9);
-}
-
-TEST(Capacity, AsymmetricChannelsPenalizeWeakSide)
-{
-    const double symmetric = anc_sum_rate(10.0, 1.0, 1.0, 1.0, 1.0);
-    const double asymmetric = anc_sum_rate(10.0, 1.0, 0.3, 1.0, 0.3);
-    EXPECT_GT(symmetric, asymmetric);
-}
-
 } // namespace
 } // namespace anc::cap

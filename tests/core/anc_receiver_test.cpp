@@ -5,10 +5,11 @@
 #include "channel/awgn.h"
 #include "channel/link.h"
 #include "core/relay.h"
-#include "dsp/ops.h"
 #include "util/bits.h"
 #include "util/db.h"
 #include "util/rng.h"
+
+#include "support/signal_ops.h"
 
 namespace anc {
 namespace {
@@ -121,7 +122,7 @@ TEST(AncReceiver, CleanPacketDecodesStandard)
     dsp::Signal packet;
     sender.send(make_header(1, 2, 1, 400), payload, 0.5, packet);
     dsp::Signal signal;
-    dsp::accumulate(signal, packet, 120); // 120 samples of leading silence
+    test::accumulate(signal, packet, 120); // 120 samples of leading silence
     chan::Awgn noise{noise_power, rng.fork(1)};
     noise.add_in_place(signal);
 

@@ -10,6 +10,8 @@
 #include "util/bits.h"
 #include "util/rng.h"
 
+#include "support/signal_ops.h"
+
 namespace anc {
 namespace {
 
@@ -34,7 +36,7 @@ Collision make_collision(double a, double b, std::size_t bits_count,
     mod_a.modulate_into(c.known_bits, c.mix);
     dsp::Signal unknown;
     mod_b.modulate_into(c.unknown_bits, unknown);
-    dsp::accumulate(c.mix, unknown, unknown_offset);
+    test::accumulate(c.mix, unknown, unknown_offset);
     if (noise_power > 0.0) {
         chan::Awgn noise{noise_power, rng.fork(7)};
         noise.add_in_place(c.mix);

@@ -7,8 +7,9 @@
 #include "channel/awgn.h"
 #include "dsp/energy_scan.h"
 #include "dsp/msk.h"
-#include "dsp/ops.h"
 #include "util/rng.h"
+
+#include "support/signal_ops.h"
 
 namespace anc {
 namespace {
@@ -39,7 +40,7 @@ TEST(Relay, AmplifyTrimsSilence)
     dsp::Signal stream(400, dsp::Sample{0.0, 0.0});
     dsp::Signal burst;
     modulator.modulate_into(bits, burst);
-    dsp::accumulate(stream, burst, 400);
+    test::accumulate(stream, burst, 400);
     stream.resize(stream.size() + 200, dsp::Sample{0.0, 0.0});
     const double noise_power = 1e-4;
     chan::Awgn noise{noise_power, Pcg32{704}};
@@ -79,7 +80,7 @@ TEST(Relay, AmplifiedNoiseRidesAlong)
     dsp::Signal burst;
     dsp::Msk_modulator{0.1, 0.0}.modulate_into(bits, burst);
     dsp::Signal clean(300, dsp::Sample{0.0, 0.0});
-    dsp::accumulate(clean, burst, 300);
+    test::accumulate(clean, burst, 300);
     clean.resize(clean.size() + 300, dsp::Sample{0.0, 0.0});
     dsp::Signal received = clean;
     chan::Awgn noise{noise_power, Pcg32{707}};

@@ -6,9 +6,10 @@
 #include <cmath>
 
 #include "dsp/msk.h"
-#include "dsp/ops.h"
 #include "util/bits.h"
 #include "util/rng.h"
+
+#include "support/signal_ops.h"
 
 namespace anc::dsp {
 namespace {
@@ -82,7 +83,7 @@ TEST(EnergyScan, InterferedSignalHasLargeVariance)
     const Sample rotor = std::polar(1.0, 1.1);
     for (Sample& s : signal_b)
         s *= rotor;
-    accumulate(mix, signal_b, 0);
+    test::accumulate(mix, signal_b, 0);
     const Window_stats stats = window_stats(mix, 64);
     double max_variance = 0.0;
     for (const double v : stats.variance)

@@ -7,6 +7,8 @@
 #include "dsp/energy_scan.h"
 #include "util/rng.h"
 
+#include "support/signal_ops.h"
+
 namespace anc::dsp {
 namespace {
 
@@ -39,11 +41,11 @@ TEST(Ops, AccumulateGrowsAndAdds)
 {
     Signal acc;
     const Signal a{{1.0, 0.0}, {1.0, 0.0}};
-    accumulate(acc, a, 2);
+    test::accumulate(acc, a, 2);
     ASSERT_EQ(acc.size(), 4u);
     EXPECT_EQ(acc[0], (Sample{0.0, 0.0}));
     EXPECT_EQ(acc[2], (Sample{1.0, 0.0}));
-    accumulate(acc, a, 3);
+    test::accumulate(acc, a, 3);
     EXPECT_EQ(acc[3], (Sample{2.0, 0.0}));
     ASSERT_EQ(acc.size(), 5u);
 }

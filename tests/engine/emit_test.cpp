@@ -9,6 +9,8 @@
 #include "engine/journal.h"
 #include "util/rng.h"
 
+#include "support/sweep_json.h"
+
 namespace anc::engine {
 namespace {
 
@@ -84,7 +86,7 @@ TEST(Emit, SummaryCsvHasOneRowPerPoint)
 TEST(Emit, JsonIsBalancedAndCarriesSchema)
 {
     const Sweep_outcome outcome = small_outcome();
-    const std::string json = to_json(outcome.tasks, outcome.points);
+    const std::string json = test::sweep_json(outcome.tasks, outcome.points);
 
     EXPECT_EQ(json.rfind(std::string{"{\"schema\":\""} + sweep_schema + "\"", 0), 0u);
     EXPECT_NE(json.find("\"math_profile\":\"exact\""), std::string::npos);
@@ -104,7 +106,7 @@ TEST(Emit, JsonIsByteStableAcrossIdenticalSweeps)
 {
     const Sweep_outcome a = small_outcome();
     const Sweep_outcome b = small_outcome();
-    EXPECT_EQ(to_json(a.tasks, a.points), to_json(b.tasks, b.points));
+    EXPECT_EQ(test::sweep_json(a.tasks, a.points), test::sweep_json(b.tasks, b.points));
 }
 
 TEST(Emit, SummaryTablePrintsEveryPoint)
@@ -228,7 +230,7 @@ TEST(Emit, PinnedGridDocumentBytes)
               "0.01,0,4.0120803987342466,4.0120803987342466,4.0122041276462355,"
               "4.011925737594261,4.0122350598742322");
 
-    const std::string json = to_json(outcome.tasks, outcome.points);
+    const std::string json = test::sweep_json(outcome.tasks, outcome.points);
     EXPECT_EQ(json.substr(0, json.find("\"seed\"")),
               R"({"schema":"anc.sweep.v4","tasks":[{"index":0,"scenario":"toy",)"
               R"("scheme":"anc","math_profile":"exact","snr_db":18.5,"alice_amplitude":0.75,)"

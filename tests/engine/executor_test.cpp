@@ -7,9 +7,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "engine/emit.h"
 #include "engine/engine.h"
 #include "util/rng.h"
+
+#include "support/sweep_json.h"
 
 namespace anc::engine {
 namespace {
@@ -75,13 +76,13 @@ TEST(ParallelExecutor, ThreadCountInvariantOnSyntheticSweep)
     serial.threads = 1;
     serial.base_seed = 99;
     const std::vector<Task_result> reference = run_sweep(tasks, registry, serial);
-    const std::string reference_json = to_json(reference, aggregate(reference));
+    const std::string reference_json = test::sweep_json(reference, aggregate(reference));
 
     for (const std::size_t threads : {2u, 4u, 13u}) {
         Executor_config parallel = serial;
         parallel.threads = threads;
         const std::vector<Task_result> results = run_sweep(tasks, registry, parallel);
-        EXPECT_EQ(to_json(results, aggregate(results)), reference_json)
+        EXPECT_EQ(test::sweep_json(results, aggregate(results)), reference_json)
             << "thread count " << threads << " changed the results";
     }
 }
@@ -109,8 +110,8 @@ TEST(ParallelExecutor, ThreadCountInvariantOnRealTopologies)
     parallel.threads = 4;
     const std::vector<Task_result> results = run_sweep(tasks, registry, parallel);
 
-    EXPECT_EQ(to_json(results, aggregate(results)),
-              to_json(reference, aggregate(reference)));
+    EXPECT_EQ(test::sweep_json(results, aggregate(results)),
+              test::sweep_json(reference, aggregate(reference)));
 }
 
 TEST(ParallelExecutor, SeedsFollowSeedIndexNotSchedule)

@@ -8,9 +8,10 @@
 #include <cmath>
 #include <string>
 
-#include "engine/emit.h"
 #include "engine/engine.h"
 #include "sim/alice_bob.h"
+
+#include "support/sweep_json.h"
 
 namespace anc::engine {
 namespace {
@@ -62,7 +63,7 @@ TEST(FadeSeries, SeriesAppearsInFadingSweepJson)
     config.base_seed = 11;
     const std::vector<Task_result> tasks =
         run_grid(grid, Scenario_registry::builtin(), config).tasks;
-    const std::string json = to_json(tasks, aggregate(tasks));
+    const std::string json = test::sweep_json(tasks, aggregate(tasks));
     EXPECT_NE(json.find("\"fade_magnitude\":{"), std::string::npos);
 }
 

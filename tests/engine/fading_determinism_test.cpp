@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "channel/medium.h"
 #include "dsp/workspace.h"
-#include "engine/emit.h"
 #include "engine/engine.h"
 #include "net/topology.h"
 #include "util/rng.h"
+
+#include "support/link_probe.h"
+#include "support/sweep_json.h"
 
 namespace anc::engine {
 namespace {
@@ -38,7 +41,7 @@ std::string run_to_json(const Sweep_grid& grid, std::size_t threads)
     config.base_seed = 20260;
     const std::vector<Task_result> results =
         run_grid(grid, Scenario_registry::builtin(), config).tasks;
-    return to_json(results, aggregate(results));
+    return test::sweep_json(results, aggregate(results));
 }
 
 TEST(FadingDeterminism, SweepJsonIsBitIdenticalAcross1_4_8Threads)
@@ -87,13 +90,15 @@ TEST(FadingDeterminism, PairedSchemesSeeIdenticalLinkRealizations)
 {
     // What both schemes of a scheme-collapsed pair do at the same seed:
     // build the topology from identically-seeded rngs.  Every directed
-    // link must come out with the same phase, drift, and fading seed.
+    // link must come out with the same phase, drift and fades, so what
+    // its receiver hears of a run of unit samples is bit-identical in
+    // the two media, at every fading epoch.
     net::Link_fading fading;
     fading.model = chan::Gain_model::rayleigh_block;
     fading.coherence_block = 777;
 
-    chan::Medium medium_a{0.01, Pcg32{1, 2}};
-    chan::Medium medium_b{0.01, Pcg32{1, 2}};
+    chan::Medium medium_a{0.0, Pcg32{1, 2}};
+    chan::Medium medium_b{0.0, Pcg32{1, 2}};
     Pcg32 rng_a{555, 0x0a11ce0bu};
     Pcg32 rng_b{555, 0x0a11ce0bu};
     const net::Alice_bob_nodes& nodes = net::alice_bob_nodes;
@@ -106,18 +111,23 @@ TEST(FadingDeterminism, PairedSchemesSeeIdenticalLinkRealizations)
         {nodes.bob, nodes.router},
         {nodes.router, nodes.bob},
     };
-    for (const auto& [from, to] : pairs) {
-        const chan::Link_params& a = medium_a.link(from, to).params();
-        const chan::Link_params& b = medium_b.link(from, to).params();
-        EXPECT_EQ(a.phase, b.phase);
-        EXPECT_EQ(a.phase_drift, b.phase_drift);
-        EXPECT_EQ(a.gain_model, chan::Gain_model::rayleigh_block);
-        EXPECT_EQ(a.coherence_block, 777u);
-        EXPECT_EQ(a.fading_seed, b.fading_seed);
+    constexpr std::size_t samples = 1600; // two coherence-block edges
+    for (const std::uint64_t epoch : {std::uint64_t{0}, std::uint64_t{5}}) {
+        medium_a.set_fading_epoch(epoch);
+        medium_b.set_fading_epoch(epoch);
+        for (const auto& [from, to] : pairs) {
+            const dsp::Signal a = test::unit_response(medium_a, from, to, samples);
+            ASSERT_EQ(a.size(), samples);
+            EXPECT_EQ(a, test::unit_response(medium_b, from, to, samples));
+            // Rayleigh blocks of 777 samples: the magnitude holds across
+            // a block and jumps at its edge.
+            EXPECT_NEAR(std::abs(a[776]), std::abs(a[0]), 1e-12 * std::abs(a[0]));
+            EXPECT_GT(std::abs(std::abs(a[777]) - std::abs(a[776])), 1e-9);
+        }
     }
     // Distinct links fade independently.
-    EXPECT_NE(medium_a.link(nodes.alice, nodes.router).params().fading_seed,
-              medium_a.link(nodes.router, nodes.alice).params().fading_seed);
+    EXPECT_NE(std::abs(test::unit_response(medium_a, nodes.alice, nodes.router)[0]),
+              std::abs(test::unit_response(medium_a, nodes.router, nodes.alice)[0]));
 }
 
 TEST(FadingDeterminism, MediumEpochRefreshesFadesPerExchange)

@@ -18,6 +18,8 @@
 #include "engine/engine.h"
 #include "util/rng.h"
 
+#include "support/sweep_json.h"
+
 namespace anc::engine {
 namespace {
 
@@ -293,7 +295,7 @@ TEST(Sharding, ThreeShardsReassembleToSingleRunBytes)
     reference_config.base_seed = 123;
     const std::vector<Task_result> reference =
         run_sweep(tasks, registry, reference_config);
-    const std::string reference_json = to_json(reference, aggregate(reference));
+    const std::string reference_json = test::sweep_json(reference, aggregate(reference));
 
     for (const std::size_t threads : {1u, 8u}) {
         // Run each shard independently, then reassemble by feeding every
@@ -319,7 +321,7 @@ TEST(Sharding, ThreeShardsReassembleToSingleRunBytes)
         const std::vector<Task_result> reassembled =
             run_sweep(tasks, registry, replay, &tally);
         EXPECT_EQ(tally.resumed, tasks.size());
-        EXPECT_EQ(to_json(reassembled, aggregate(reassembled)), reference_json)
+        EXPECT_EQ(test::sweep_json(reassembled, aggregate(reassembled)), reference_json)
             << "shard/merge diverged at " << threads << " threads";
     }
 }

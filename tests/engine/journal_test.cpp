@@ -12,9 +12,10 @@
 #include <string>
 #include <vector>
 
-#include "engine/emit.h"
 #include "engine/engine.h"
 #include "util/rng.h"
+
+#include "support/sweep_json.h"
 
 namespace anc::engine {
 namespace {
@@ -92,7 +93,7 @@ TEST(Journal, RoundTripIsByteExact)
     Temp_path journal{"journal_roundtrip.anj"};
     const std::vector<Task_result> reference =
         run_with_journal(tasks, registry, header, journal.path, 77);
-    const std::string reference_json = to_json(reference, aggregate(reference));
+    const std::string reference_json = test::sweep_json(reference, aggregate(reference));
 
     // Reload and resume: everything preloaded, nothing executes, and the
     // emitted document must match byte for byte.
@@ -113,7 +114,7 @@ TEST(Journal, RoundTripIsByteExact)
     const std::vector<Task_result> replayed =
         run_sweep(tasks, registry, config, &tally);
     EXPECT_EQ(tally.resumed, tasks.size());
-    EXPECT_EQ(to_json(replayed, aggregate(replayed)), reference_json);
+    EXPECT_EQ(test::sweep_json(replayed, aggregate(replayed)), reference_json);
 }
 
 TEST(Journal, PartialJournalResumesToIdenticalOutput)
@@ -126,7 +127,7 @@ TEST(Journal, PartialJournalResumesToIdenticalOutput)
     Temp_path journal{"journal_partial.anj"};
     const std::vector<Task_result> reference =
         run_with_journal(tasks, registry, header, journal.path, 5);
-    const std::string reference_json = to_json(reference, aggregate(reference));
+    const std::string reference_json = test::sweep_json(reference, aggregate(reference));
 
     // Truncate to magic + header + half the entries — a crash at ~50% —
     // and add a torn final line (no newline, partial payload).
@@ -156,7 +157,7 @@ TEST(Journal, PartialJournalResumesToIdenticalOutput)
     const std::vector<Task_result> resumed = run_sweep(tasks, registry, config, &tally);
     EXPECT_EQ(tally.resumed, keep - 2);
     EXPECT_EQ(tally.ok, tasks.size());
-    EXPECT_EQ(to_json(resumed, aggregate(resumed)), reference_json);
+    EXPECT_EQ(test::sweep_json(resumed, aggregate(resumed)), reference_json);
 }
 
 TEST(Journal, CorruptCrcLineIsDroppedNotFatal)

@@ -18,8 +18,9 @@
 #include <string>
 
 #include "dsp/math_profile.h"
-#include "engine/emit.h"
 #include "engine/engine.h"
+
+#include "support/sweep_json.h"
 
 namespace anc::engine {
 namespace {
@@ -160,7 +161,7 @@ TEST(MathProfileCorridor, FastProfileIsThreadInvariant)
         run_grid(grid, Scenario_registry::builtin(), serial).tasks;
     const std::vector<Task_result> b =
         run_grid(grid, Scenario_registry::builtin(), parallel).tasks;
-    EXPECT_EQ(to_json(a, aggregate(a)), to_json(b, aggregate(b)));
+    EXPECT_EQ(test::sweep_json(a, aggregate(a)), test::sweep_json(b, aggregate(b)));
 }
 
 TEST(MathProfileCorridor, ProfilesAreTaggedAndNeverMixed)
@@ -179,7 +180,7 @@ TEST(MathProfileCorridor, ProfilesAreTaggedAndNeverMixed)
     EXPECT_EQ(exact_points, fast_points);
     EXPECT_GT(exact_points, 0u);
 
-    const std::string json = to_json(outcome.tasks, outcome.points);
+    const std::string json = test::sweep_json(outcome.tasks, outcome.points);
     EXPECT_NE(json.find("\"math_profile\":\"exact\""), std::string::npos);
     EXPECT_NE(json.find("\"math_profile\":\"fast\""), std::string::npos);
 }

@@ -12,8 +12,9 @@
 #include <string>
 
 #include "dsp/workspace.h"
-#include "engine/emit.h"
 #include "engine/engine.h"
+
+#include "support/sweep_json.h"
 
 namespace anc::engine {
 namespace {
@@ -36,7 +37,7 @@ std::string run_to_json(const Sweep_grid& grid, std::size_t threads)
     config.base_seed = 4242;
     const std::vector<Task_result> results =
         run_grid(grid, Scenario_registry::builtin(), config).tasks;
-    return to_json(results, aggregate(results));
+    return test::sweep_json(results, aggregate(results));
 }
 
 TEST(WorkspaceRegression, WarmWorkspaceProducesIdenticalJson)

@@ -65,15 +65,15 @@ TEST(EndToEnd, ChainGainBelowAliceBobGain)
     ab_config.payload_bits = 1024;
     ab_config.exchanges = 10;
     ab_config.seed = 44;
-    const double ab_gain = gain(run_alice_bob_anc(ab_config).metrics,
-                                run_alice_bob_traditional(ab_config).metrics);
+    const double ab_gain = run_alice_bob_anc(ab_config).metrics.throughput()
+                         / run_alice_bob_traditional(ab_config).metrics.throughput();
 
     Chain_config chain_config;
     chain_config.payload_bits = 1024;
     chain_config.exchanges = 10;
     chain_config.seed = 44;
-    const double chain_gain = gain(run_chain_anc(chain_config).metrics,
-                                   run_chain_traditional(chain_config).metrics);
+    const double chain_gain = run_chain_anc(chain_config).metrics.throughput()
+                            / run_chain_traditional(chain_config).metrics.throughput();
 
     EXPECT_GT(ab_gain, chain_gain);
     EXPECT_GT(chain_gain, 1.1);
@@ -86,15 +86,15 @@ TEST(EndToEnd, XGainSlightlyBelowAliceBob)
     ab_config.payload_bits = 1024;
     ab_config.exchanges = 12;
     ab_config.seed = 45;
-    const double ab_gain = gain(run_alice_bob_anc(ab_config).metrics,
-                                run_alice_bob_traditional(ab_config).metrics);
+    const double ab_gain = run_alice_bob_anc(ab_config).metrics.throughput()
+                         / run_alice_bob_traditional(ab_config).metrics.throughput();
 
     X_config x_config;
     x_config.payload_bits = 1024;
     x_config.exchanges = 12;
     x_config.seed = 45;
-    const double x_gain = gain(run_x_anc(x_config).metrics,
-                               run_x_traditional(x_config).metrics);
+    const double x_gain = run_x_anc(x_config).metrics.throughput()
+                        / run_x_traditional(x_config).metrics.throughput();
 
     EXPECT_LE(x_gain, ab_gain + 0.10);
     EXPECT_GT(x_gain, 1.1);
@@ -108,8 +108,8 @@ TEST(EndToEnd, MeasuredGainBelowCapacityBound)
     config.payload_bits = 1024;
     config.exchanges = 10;
     config.seed = 46;
-    const double measured = gain(run_alice_bob_anc(config).metrics,
-                                 run_alice_bob_traditional(config).metrics);
+    const double measured = run_alice_bob_anc(config).metrics.throughput()
+                          / run_alice_bob_traditional(config).metrics.throughput();
     const double theoretical = cap::capacity_gain(from_db(config.snr_db));
     EXPECT_LT(measured, 2.0);
     EXPECT_GT(theoretical, measured * 0.8); // same ballpark, theory above

@@ -19,6 +19,8 @@
 #include "util/obs.h"
 #include "util/rng.h"
 
+#include "support/signal_ops.h"
+
 namespace anc::phy {
 namespace {
 
@@ -45,7 +47,7 @@ TEST(PacketDetector, FindsPacketInNoise)
 {
     dsp::Signal stream(200, dsp::Sample{0.0, 0.0});
     const dsp::Signal burst = msk_burst(300, 431);
-    dsp::accumulate(stream, burst, 200);
+    test::accumulate(stream, burst, 200);
     stream.resize(stream.size() + 150, dsp::Sample{0.0, 0.0});
     stream = noisy(std::move(stream), 432);
 
@@ -69,7 +71,7 @@ TEST(PacketDetector, WeakSignalBelowThresholdIgnored)
     // A signal only 10 dB above noise must not trip a 20 dB threshold.
     dsp::Signal stream(100, dsp::Sample{0.0, 0.0});
     const dsp::Signal burst = msk_burst(200, 434, std::sqrt(noise_power * 10.0));
-    dsp::accumulate(stream, burst, 100);
+    test::accumulate(stream, burst, 100);
     stream = noisy(std::move(stream), 435);
     const Packet_detector detector{noise_power};
     EXPECT_FALSE(detector.detect(stream).has_value());
@@ -296,7 +298,7 @@ std::vector<dsp::Signal> identity_workloads()
     // Clean burst with silent head/tail (exercises both edge scans).
     {
         dsp::Signal stream(137, dsp::Sample{0.0, 0.0});
-        dsp::accumulate(stream, msk_burst(500, 901), 137);
+        test::accumulate(stream, msk_burst(500, 901), 137);
         stream.resize(stream.size() + 93, dsp::Sample{0.0, 0.0});
         workloads.push_back(noisy(std::move(stream), 902));
     }
@@ -445,7 +447,7 @@ dsp::Signal sim_shape(int shape, Pcg32& rng)
             packet[i] *= step;
     }
     stream.resize(head + packet.size() + rx_guard, dsp::Sample{0.0, 0.0});
-    dsp::accumulate(stream, packet, head);
+    test::accumulate(stream, packet, head);
     return noisy(std::move(stream), seed + 2);
 }
 

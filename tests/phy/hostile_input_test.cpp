@@ -4,7 +4,8 @@
 // and bit-flipped valid encodings and random buffers, and require that
 // nothing crashes and that every field of an accepted parse was read from
 // inside the input.  Further loops feed both phy::find_pattern overloads
-// extreme search bounds (checked against find_pattern_scalar), and
+// extreme search bounds (checked against find_pattern_scalar, the
+// historical byte loop in find_pattern_reference.h), and
 // Interference_decoder::decode_into and amplify_and_forward_into
 // non-finite, denormal and degenerate signals.  The last loop runs the
 // whole Anc_receiver::receive on such streams and on real collisions
@@ -49,6 +50,8 @@
 #include "util/obs.h"
 #include "util/phase.h"
 #include "util/rng.h"
+
+#include "find_pattern_reference.h"
 
 namespace anc {
 namespace {
@@ -259,7 +262,7 @@ TEST(HostileInput, FindPatternMatchesScalarReferenceAtExtremeBounds)
                          << " from " << from << " to " << to << " max_errors "
                          << max_errors);
             const auto expected =
-                phy::find_pattern_scalar(bits, pattern, from, to, max_errors);
+                test::find_pattern_scalar(bits, pattern, from, to, max_errors);
             for (const auto& actual :
                  {phy::find_pattern(bits, pattern, from, to, max_errors),
                   phy::find_pattern(packed_bits, packed_pattern, from, to, max_errors)}) {
@@ -475,24 +478,20 @@ TEST(HostileInput, ScramblerWrapsLikeTheLfsrOnLongInput)
     // Past 65,535 bits the keystream wraps, as the LFSR itself does;
     // bytes other than 0/1 keep their high bits (the XOR touches bit 0).
     Pcg32 rng{31};
-    for (const std::uint16_t seed : {std::uint16_t{0xACE1}, std::uint16_t{0x0001},
-                                     std::uint16_t{0x1234}, std::uint16_t{0x8000}}) {
-        const dsp::Scrambler scrambler{seed};
-        for (const std::size_t length : {std::size_t{65534}, std::size_t{65535},
-                                         std::size_t{65536}, std::size_t{70000}}) {
-            Bits bits(length);
-            for (std::uint8_t& byte : bits)
-                byte = static_cast<std::uint8_t>(rng.next_u32());
-            Bits want(length);
-            std::uint16_t lfsr = seed;
-            for (std::size_t i = 0; i < length; ++i) {
-                const auto feedback = static_cast<std::uint16_t>(
-                    ((lfsr >> 0u) ^ (lfsr >> 2u) ^ (lfsr >> 3u) ^ (lfsr >> 5u)) & 1u);
-                lfsr = static_cast<std::uint16_t>((lfsr >> 1u) | (feedback << 15u));
-                want[i] = static_cast<std::uint8_t>(bits[i] ^ feedback);
-            }
-            EXPECT_EQ(scrambler.apply(bits), want) << "seed " << seed << " length " << length;
+    for (const std::size_t length : {std::size_t{65534}, std::size_t{65535},
+                                     std::size_t{65536}, std::size_t{70000}}) {
+        Bits bits(length);
+        for (std::uint8_t& byte : bits)
+            byte = static_cast<std::uint8_t>(rng.next_u32());
+        Bits want(length);
+        std::uint16_t lfsr = 0xACE1u; // the protocol seed
+        for (std::size_t i = 0; i < length; ++i) {
+            const auto feedback = static_cast<std::uint16_t>(
+                ((lfsr >> 0u) ^ (lfsr >> 2u) ^ (lfsr >> 3u) ^ (lfsr >> 5u)) & 1u);
+            lfsr = static_cast<std::uint16_t>((lfsr >> 1u) | (feedback << 15u));
+            want[i] = static_cast<std::uint8_t>(bits[i] ^ feedback);
         }
+        EXPECT_EQ(dsp::scramble(bits), want) << "length " << length;
     }
 }
 

@@ -4,8 +4,9 @@
 
 #include "channel/awgn.h"
 #include "channel/link.h"
-#include "dsp/ops.h"
 #include "util/rng.h"
+
+#include "support/signal_ops.h"
 
 namespace anc::phy {
 namespace {
@@ -130,7 +131,7 @@ TEST(Modem, ReportsPilotPosition)
     dsp::Signal frame_signal;
     modem.modulate_into(modem.frame_bits(make_header(64), payload), 0.0, frame_signal);
     dsp::Signal signal;
-    dsp::accumulate(signal, frame_signal, 50); // 50 samples of leading silence
+    test::accumulate(signal, frame_signal, 50); // 50 samples of leading silence
     const auto frame = modem.receive(signal);
     ASSERT_TRUE(frame.has_value());
     // 50 samples of leading silence put the pilot at bit position ~50.

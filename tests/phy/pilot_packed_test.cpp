@@ -1,10 +1,11 @@
 // The bit-domain pilot search (phy/pilot.h) claims to be a pure speedup
 // of the historical byte-per-bit scan: identical Pattern_match — both
 // position AND error count — for every (haystack, pattern, from, to,
-// max_errors).  find_pattern_scalar is a frozen transcription of that
-// historical loop, so these property tests randomize over bit strings
-// and compare the packed scan against it exactly, leaning on the edges
-// where the packing could plausibly diverge:
+// max_errors).  find_pattern_scalar (find_pattern_reference.h) is a
+// frozen transcription of that historical loop, so these property tests
+// randomize over bit strings and compare the packed scan against it
+// exactly, leaning on the edges where the packing could plausibly
+// diverge:
 //
 //   * pattern lengths straddling the 64-bit word boundary (63/64/65),
 //   * from/to clamping, including from beyond the last fitting start,
@@ -21,6 +22,8 @@
 
 #include "util/bits.h"
 #include "util/rng.h"
+
+#include "find_pattern_reference.h"
 
 namespace anc::phy {
 namespace {
@@ -60,7 +63,7 @@ TEST(PilotPacked, RandomizedAgainstScalarReference)
                     {hay_len + 1, hay_len + 5},
                 };
                 for (const auto& span : spans) {
-                    const auto reference = find_pattern_scalar(
+                    const auto reference = test::find_pattern_scalar(
                         bits, pattern, span[0], span[1], max_errors);
                     const auto via_span = find_pattern(bits, pattern, span[0],
                                                        span[1], max_errors);
@@ -92,7 +95,7 @@ TEST(PilotPacked, TiePositionsResolveIdentically)
     const Packed_pattern packed_pattern{pattern};
     for (const std::size_t max_errors : {std::size_t{0}, std::size_t{64}}) {
         const auto reference =
-            find_pattern_scalar(bits, pattern, 0, bits.size(), max_errors);
+            test::find_pattern_scalar(bits, pattern, 0, bits.size(), max_errors);
         const auto packed = find_pattern(packed_bits, packed_pattern, 0,
                                          bits.size(), max_errors);
         ASSERT_TRUE(reference.has_value());
@@ -117,7 +120,7 @@ TEST(PilotPacked, CachedPilotPatternsMatchAdHocPacking)
     const Packed_bits packed_bits{bits};
     for (const Bits* pattern : {&pilot, &mirror}) {
         const auto reference =
-            find_pattern_scalar(bits, *pattern, 0, bits.size(), 6);
+            test::find_pattern_scalar(bits, *pattern, 0, bits.size(), 6);
         const auto cached = find_pattern(bits, *pattern, 0, bits.size(), 6);
         const auto fresh = find_pattern(packed_bits, Packed_pattern{*pattern}, 0,
                                         bits.size(), 6);
@@ -127,7 +130,7 @@ TEST(PilotPacked, CachedPilotPatternsMatchAdHocPacking)
     // find_pilot delegates to the same machinery.
     const auto via_find_pilot = find_pilot(bits, 6);
     const auto pilot_reference =
-        find_pattern_scalar(bits, pilot, 0, bits.size() - pilot_length, 6);
+        test::find_pattern_scalar(bits, pilot, 0, bits.size() - pilot_length, 6);
     expect_same_match(via_find_pilot, pilot_reference, "find_pilot");
 }
 

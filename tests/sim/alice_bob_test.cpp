@@ -69,7 +69,7 @@ TEST(AliceBobSim, AncBeatsTraditionalThroughput)
     const Alice_bob_config config = small_config(6);
     const Alice_bob_result anc = run_alice_bob_anc(config);
     const Alice_bob_result traditional = run_alice_bob_traditional(config);
-    const double g = gain(anc.metrics, traditional.metrics);
+    const double g = anc.metrics.throughput() / traditional.metrics.throughput();
     EXPECT_GT(g, 1.3);
     EXPECT_LT(g, 2.0);
 }
@@ -79,7 +79,7 @@ TEST(AliceBobSim, AncBeatsCopeThroughput)
     const Alice_bob_config config = small_config(7);
     const Alice_bob_result anc = run_alice_bob_anc(config);
     const Alice_bob_result cope = run_alice_bob_cope(config);
-    const double g = gain(anc.metrics, cope.metrics);
+    const double g = anc.metrics.throughput() / cope.metrics.throughput();
     EXPECT_GT(g, 1.05);
     EXPECT_LT(g, 1.6);
 }
@@ -89,7 +89,7 @@ TEST(AliceBobSim, CopeBeatsTraditional)
     const Alice_bob_config config = small_config(8);
     const Alice_bob_result cope = run_alice_bob_cope(config);
     const Alice_bob_result traditional = run_alice_bob_traditional(config);
-    const double g = gain(cope.metrics, traditional.metrics);
+    const double g = cope.metrics.throughput() / traditional.metrics.throughput();
     // Theoretical 4/3 minus the slightly longer coded frame.
     EXPECT_GT(g, 1.15);
     EXPECT_LT(g, 1.40);

@@ -9,7 +9,7 @@
 //   - purity / replay determinism: any carving of the counter range
 //     across 1, 4, or 8 threads reproduces the serial draw bit-for-bit
 //
-// The draws are read through add_scaled(first, 1.0, zeros, count):
+// The draws are read through add_scaled_simd(first, 1.0, zeros, count):
 // 0.0 + 1.0·z == z.
 
 #include "util/rng.h"
@@ -20,6 +20,7 @@
 #include <cmath>
 #include <numbers>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace anc {
@@ -28,8 +29,23 @@ namespace {
 std::vector<double> draw(const Counter_normal& gen, std::size_t count)
 {
     std::vector<double> out(count, 0.0);
-    gen.add_scaled(0, 1.0, out.data(), count);
+    gen.add_scaled_simd(0, 1.0, out.data(), count);
     return out;
+}
+
+/// The generator's draw pair at `counter`, transcribed from its
+/// definition: the keys Counter_normal(seed, stream) derives
+/// (util/rng.cpp), then detail::counter_normal_pair widened to double.
+void reference_pair(std::uint64_t seed, std::uint64_t stream, std::uint64_t counter,
+                    double& z0, double& z1)
+{
+    const std::uint64_t mixed = mix_seed(seed, stream);
+    float f0 = 0.0f;
+    float f1 = 0.0f;
+    detail::counter_normal_pair(splitmix64(mixed + 0x6a09e667f3bcc909ULL),
+                                splitmix64(mixed ^ 0xbb67ae8584caa73bULL), counter, f0, f1);
+    z0 = f0;
+    z1 = f1;
 }
 
 TEST(CounterNormal, MomentsMatchStandardNormal)
@@ -131,16 +147,19 @@ TEST(CounterNormal, DistinctStreamsAreUncorrelated)
 TEST(CounterNormal, PairIsPureInCounter)
 {
     const Counter_normal gen{99, 17};
-    double z0 = 0.0, z1 = 0.0;
-    gen.pair(123456, z0, z1);
+    double z[2] = {0.0, 0.0};
+    gen.add_scaled_simd(123456, 1.0, z, 2);
     // Draw a pile of other counters in between; the draw must not move.
-    double w0 = 0.0, w1 = 0.0;
-    for (std::uint64_t c = 0; c < 1000; ++c)
-        gen.pair(c, w0, w1);
-    double again0 = 0.0, again1 = 0.0;
-    gen.pair(123456, again0, again1);
-    EXPECT_EQ(z0, again0);
-    EXPECT_EQ(z1, again1);
+    std::vector<double> others(2000, 0.0);
+    gen.add_scaled_simd(0, 1.0, others.data(), others.size());
+    double again[2] = {0.0, 0.0};
+    gen.add_scaled_simd(123456, 1.0, again, 2);
+    EXPECT_EQ(z[0], again[0]);
+    EXPECT_EQ(z[1], again[1]);
+    double want0 = 0.0, want1 = 0.0;
+    reference_pair(99, 17, 123456, want0, want1);
+    EXPECT_EQ(z[0], want0);
+    EXPECT_EQ(z[1], want1);
 }
 
 TEST(CounterNormal, ThreadedFillReplaysSerialBitForBit)
@@ -163,8 +182,8 @@ TEST(CounterNormal, ThreadedFillReplaysSerialBitForBit)
             if (first_pair >= last_pair)
                 continue;
             workers.emplace_back([&, first_pair, last_pair] {
-                gen.add_scaled(first_pair, 1.0, parallel.data() + 2 * first_pair,
-                               2 * (last_pair - first_pair));
+                gen.add_scaled_simd(first_pair, 1.0, parallel.data() + 2 * first_pair,
+                                    2 * (last_pair - first_pair));
             });
         }
         for (std::thread& worker : workers)
@@ -177,10 +196,13 @@ TEST(CounterNormal, SimdAddScaledIsBitCompatibleWithScalar)
 {
     // The lane backends' contract (util/simd.h): same (key, counter) ->
     // same normals, whether the AVX2/AVX-512 lanes or the scalar fallback
-    // served the call.  add_scaled_simd must therefore reproduce
-    // add_scaled() exactly — including lengths below one lane block, odd
-    // lengths (the scalar tail) and non-zero counter origins.
-    for (const Counter_normal& gen : {Counter_normal{2024, 6}, Counter_normal{31415, 92}}) {
+    // served the call.  add_scaled_simd must therefore reproduce a plain
+    // loop over the reference pairs exactly — including lengths below one
+    // lane block, odd lengths (the scalar tail) and non-zero counter
+    // origins.
+    for (const auto& [seed, stream] : {std::pair<std::uint64_t, std::uint64_t>{2024, 6},
+                                       std::pair<std::uint64_t, std::uint64_t>{31415, 92}}) {
+        const Counter_normal gen{seed, stream};
         for (const std::size_t count :
              {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
               std::size_t{9}, std::size_t{64}, std::size_t{1001}, std::size_t{1234},
@@ -192,7 +214,13 @@ TEST(CounterNormal, SimdAddScaledIsBitCompatibleWithScalar)
                     base[i] = 0.25 * static_cast<double>(i % 17) - 2.0;
                 std::vector<double> scalar = base;
                 std::vector<double> simd = base;
-                gen.add_scaled(first, 0.7071, scalar.data(), count);
+                for (std::size_t i = 0; i < count; i += 2) {
+                    double z0 = 0.0, z1 = 0.0;
+                    reference_pair(seed, stream, first + i / 2, z0, z1);
+                    scalar[i] += 0.7071 * z0;
+                    if (i + 1 < count)
+                        scalar[i + 1] += 0.7071 * z1;
+                }
                 gen.add_scaled_simd(first, 0.7071, simd.data(), count);
                 EXPECT_EQ(simd, scalar) << "count " << count << " first_counter " << first;
             }

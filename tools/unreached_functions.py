@@ -27,12 +27,14 @@ repository root and the demangled name, never by line; a `*` in "name"
 matches any run of characters.  An entry with "unless_cpu_flag": FLAG
 counts only on a host whose /proc/cpuinfo lacks FLAG.  Every reported
 function that no counting entry matches is printed again under a
-heading, and the script exits 1; entries that match nothing are noted
-on stderr.
+heading, and so is every counting entry that matches no reported
+function (a stale entry, such as one for a deleted function); either
+makes the script exit 1.
 
 Exit status: 0 when the report was produced and (with --allowlist) lists
-only allowed functions; 1 when the build, a run or gcov failed, or a
-reported function is not allowed; 2 on a usage error.  Needs cmake, a
+only allowed functions and every counting entry matched one of them; 1
+when the build, a run or gcov failed, a reported function is not
+allowed, or a counting entry is stale; 2 on a usage error.  Needs cmake, a
 GCC toolchain and gcov; only the Python 3 standard library.  The build
 takes a few minutes.
 """
@@ -178,9 +180,9 @@ def load_allowlist(path):
             if entry.get("unless_cpu_flag") not in flags]
 
 
-def not_allowed(unreached, allowed):
+def check_allowlist(unreached, allowed):
     """The (path, line, name) entries of `unreached` that no allowlist entry
-    matches; notes on stderr each entry that matched nothing."""
+    matches, and the allowlist entries that match none of `unreached`."""
     used = set()
     disallowed = []
     for path, line, name in unreached:
@@ -191,11 +193,8 @@ def not_allowed(unreached, allowed):
             disallowed.append((path, line, name))
         else:
             used.add(match)
-    for index, (_, _, entry) in enumerate(allowed):
-        if index not in used:
-            print(f"unreached_functions: allowlist entry matched nothing: "
-                  f"{entry['path']}  {entry['name']}", file=sys.stderr)
-    return disallowed
+    stale = [entry for index, (_, _, entry) in enumerate(allowed) if index not in used]
+    return disallowed, stale
 
 
 def main():
@@ -203,7 +202,7 @@ def main():
         description="List the src/ functions that no binary of the repository reaches.")
     parser.add_argument("--allowlist", metavar="FILE",
                         help="JSON list of the functions allowed in the report; "
-                             "exit 1 if any other is reported")
+                             "exit 1 if any other is reported or an entry is stale")
     parser.add_argument("build_dir", metavar="BUILD_DIR")
     args = parser.parse_args()
     allowed = load_allowlist(args.allowlist) if args.allowlist else None
@@ -219,11 +218,16 @@ def main():
     print(f"{len(unreached)} src/ functions made 0 calls")
     if allowed is None:
         return
-    disallowed = not_allowed(unreached, allowed)
+    disallowed, stale = check_allowlist(unreached, allowed)
     if disallowed:
         print(f"{len(disallowed)} of them not in {args.allowlist}:")
         for path, line, name in disallowed:
             print(f"{path}:{line}  {name}")
+    if stale:
+        print(f"{len(stale)} entries of {args.allowlist} match no reported function:")
+        for entry in stale:
+            print(f"{entry['path']}  {entry['name']}")
+    if disallowed or stale:
         sys.exit(1)
 
 
