@@ -5,12 +5,13 @@
 // (§7.1) and the SNR sweeps.  Complex circular Gaussian noise of power
 // sigma^2 has variance sigma^2/2 per real dimension.
 //
-// Noise generation dispatches on a dsp::Math_profile: `exact` draws the
+// Noise generation dispatches on a dsp::Math_profile: `exact` adds the
 // historical sequential Pcg32 Box–Muller stream (bit-identical to every
-// golden), while `fast` derives a counter-based Counter_normal key from
-// the same rng and fills the buffer order-independently with its
-// noise-grade Box–Muller transform (util/rng.h) — a different (equally
-// valid) noise realization, validated by the statistical corridor tests.
+// golden; drawn in bulk, see awgn.cpp), while `fast` derives a
+// counter-based Counter_normal key from the same rng and fills the
+// buffer order-independently with its noise-grade Box–Muller transform
+// (util/rng.h) — a different (equally valid) noise realization,
+// validated by the statistical corridor tests.
 // This is one of the math profile's two seams (dsp/math_profile.h).
 
 #pragma once
@@ -27,10 +28,6 @@ public:
     /// from every other random stream in an experiment.
     Awgn(double noise_power, Pcg32 rng,
          dsp::Math_profile profile = dsp::Math_profile::exact);
-
-    /// One complex noise sample (always the exact sequential stream —
-    /// the single-sample API has no batch to amortize over).
-    dsp::Sample sample();
 
     /// Add noise in place over [0, len).  Profile-dispatched: see the
     /// header note.

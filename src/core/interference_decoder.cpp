@@ -1,6 +1,6 @@
 #include "core/interference_decoder.h"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -65,6 +65,99 @@ void estimate_batched(dsp::Signal_view samples,
                                   phi_differences.data() + known);
 }
 
+/// The exact profile's Eq. 7-8 core, the libm path.  Each sample of the
+/// known span [0, known] is solved once and reused across the two
+/// transitions touching it: its four Lemma 6.1 products (phase_products,
+/// as solve_phases forms them) go into SoA arrays, product j of sample k
+/// at j·(known + 1) + k, and their 4·(known + 1) atan2 calls run grouped
+/// by the octant key (signbit y, signbit x, |y| > |x|), so libm's
+/// branches on the argument's octant predict.  The calls see the same
+/// doubles as solve_phases' args, so every phase is solve_phases' bit
+/// for bit.  The Eq. 8 selection then reads those phases; past the known
+/// signal, standard differential demodulation (§5.3).
+void estimate_exact(dsp::Signal_view samples,
+                    std::span<const double> known_diffs,
+                    double a,
+                    double b,
+                    std::vector<double>& phi_differences,
+                    std::vector<double>& match_errors)
+{
+    const std::size_t transitions = samples.size() - 1;
+    const std::size_t known =
+        known_diffs.size() < transitions ? known_diffs.size() : transitions;
+    phi_differences.resize(transitions);
+    match_errors.resize(known);
+
+    if (known > 0) {
+        const std::size_t span = known + 1;
+        const std::size_t count = 4 * span;
+        dsp::Workspace& workspace = dsp::Workspace::current();
+        auto re = workspace.reals();
+        auto im = workspace.reals();
+        auto phases = workspace.reals();
+        auto keys = workspace.bits();
+        auto order = workspace.words();
+        re->resize(count);
+        im->resize(count);
+        phases->resize(count);
+        keys->resize(count);
+        order->resize(count);
+
+        std::array<std::size_t, 9> start{};
+        for (std::size_t k = 0; k < span; ++k) {
+            const Phase_products products = phase_products(samples[k], a, b);
+            for (std::size_t j = 0; j < 4; ++j) {
+                const std::size_t i = j * span + k;
+                const double x = products.product[j].real();
+                const double y = products.product[j].imag();
+                (*re)[i] = x;
+                (*im)[i] = y;
+                const auto key = static_cast<std::uint8_t>(
+                    (std::signbit(y) ? 4 : 0) | (std::signbit(x) ? 2 : 0)
+                    | (std::abs(y) > std::abs(x) ? 1 : 0));
+                (*keys)[i] = key;
+                ++start[key + 1];
+            }
+        }
+        for (std::size_t key = 1; key < start.size(); ++key)
+            start[key] += start[key - 1];
+        for (std::size_t i = 0; i < count; ++i)
+            (*order)[start[(*keys)[i]]++] = i;
+        for (const std::uint64_t i : *order)
+            (*phases)[i] = std::atan2((*im)[i], (*re)[i]);
+
+        // All phases here are atan2 outputs in [-pi, pi], so their
+        // differences stay within the exact domain of the branch-only
+        // wrap_phase_bounded fold — no fmod in the per-sample loop.
+        const double* theta[2] = {phases->data(), phases->data() + 2 * span};
+        const double* phi[2] = {phases->data() + span, phases->data() + 3 * span};
+        for (std::size_t n = 0; n < known; ++n) {
+            // Four candidate (delta theta, delta phi) pairs (Eq. 7); pick
+            // the one matching the known signal's step (Eq. 8).
+            double best_error = 0.0;
+            double best_phi_diff = 0.0;
+            bool first = true;
+            for (std::size_t p_next = 0; p_next < 2; ++p_next) {
+                for (std::size_t p_cur = 0; p_cur < 2; ++p_cur) {
+                    const double theta_diff =
+                        wrap_phase_bounded(theta[p_next][n + 1] - theta[p_cur][n]);
+                    const double error = phase_distance_bounded(theta_diff, known_diffs[n]);
+                    if (first || error < best_error) {
+                        best_error = error;
+                        best_phi_diff = wrap_phase_bounded(phi[p_next][n + 1] - phi[p_cur][n]);
+                        first = false;
+                    }
+                }
+            }
+            phi_differences[n] = best_phi_diff;
+            match_errors[n] = best_error;
+        }
+    }
+    // Known signal over: standard differential demodulation (§5.3).
+    for (std::size_t n = known; n < transitions; ++n)
+        phi_differences[n] = std::arg(samples[n + 1] * std::conj(samples[n]));
+}
+
 /// The Eq. 7-8 core: per-transition estimated delta-phi of the unknown
 /// signal (candidate selection against the known steps), plus the Eq. 8
 /// match errors over the known signal's extent, into `phi_differences`
@@ -95,48 +188,10 @@ void phi_differences_into(dsp::Math_profile profile,
         obs::count(obs::Counter::decode_selected_samples, selected);
         obs::count(obs::Counter::decode_tail_samples, transitions - selected);
     }
-    phi_differences.reserve(transitions);
-    match_errors.reserve(known_diffs.size() < transitions ? known_diffs.size()
-                                                          : transitions);
-
-    if (profile != dsp::Math_profile::exact) {
+    if (profile == dsp::Math_profile::exact)
+        estimate_exact(samples, known_diffs, a, b, phi_differences, match_errors);
+    else
         estimate_batched(samples, known_diffs, a, b, phi_differences, match_errors);
-        return;
-    }
-
-    // Solve each sample once; reuse across the two transitions touching
-    // it.  All phases here are atan2 outputs in [-pi, pi], so their
-    // differences stay within the exact domain of the branch-only
-    // wrap_phase_bounded fold — no fmod in the per-sample loop.
-    Phase_solutions current = solve_phases(samples[0], a, b);
-    for (std::size_t n = 0; n < transitions; ++n) {
-        const Phase_solutions next = solve_phases(samples[n + 1], a, b);
-
-        if (n < known_diffs.size()) {
-            // Four candidate (delta theta, delta phi) pairs (Eq. 7); pick
-            // the one matching the known signal's step (Eq. 8).
-            double best_error = 0.0;
-            double best_phi_diff = 0.0;
-            bool first = true;
-            for (const Phase_pair& p_next : next.pair) {
-                for (const Phase_pair& p_cur : current.pair) {
-                    const double theta_diff = wrap_phase_bounded(p_next.theta - p_cur.theta);
-                    const double error = phase_distance_bounded(theta_diff, known_diffs[n]);
-                    if (first || error < best_error) {
-                        best_error = error;
-                        best_phi_diff = wrap_phase_bounded(p_next.phi - p_cur.phi);
-                        first = false;
-                    }
-                }
-            }
-            phi_differences.push_back(best_phi_diff);
-            match_errors.push_back(best_error);
-        } else {
-            // Known signal over: standard differential demodulation (§5.3).
-            phi_differences.push_back(std::arg(samples[n + 1] * std::conj(samples[n])));
-        }
-        current = next;
-    }
 }
 
 } // namespace

@@ -19,6 +19,39 @@ inline std::uint32_t pcg_output(std::uint64_t old)
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
 }
 
+/// The next `draws` next_u32() outputs of the LCG at (state, inc), on
+/// four leapfrogged lanes: lane k holds the state of draws k, k+4, k+8,
+/// ...; one jump of four LCG steps is s -> mult^4 s + inc (mult^3 +
+/// mult^2 + mult + 1) (mod 2^64), and the four jumps of a step are
+/// independent, so the serial multiply chain is a quarter as long.
+/// Calls emit(i, o) with the outputs o[0..3] of draws i .. i+3 for each
+/// whole step, in order, advances `state` past them and returns how
+/// many draws it made (`draws` rounded down to a multiple of four).
+template <class Emit>
+std::size_t leapfrog_draws(std::uint64_t& state, std::uint64_t inc, std::size_t draws,
+                           Emit emit)
+{
+    if (draws < 4)
+        return 0;
+    constexpr std::uint64_t mult2 = mult * mult;
+    constexpr std::uint64_t jump_mult = mult2 * mult2;
+    const std::uint64_t jump_inc = inc * (mult2 * mult + mult2 + mult + 1u);
+    std::uint64_t lane[4]{state};
+    for (int k = 1; k < 4; ++k)
+        lane[k] = lane[k - 1] * mult + inc;
+    std::size_t i = 0;
+    for (; i + 4 <= draws; i += 4) {
+        std::uint32_t o[4];
+        for (int k = 0; k < 4; ++k) {
+            o[k] = pcg_output(lane[k]);
+            lane[k] = lane[k] * jump_mult + jump_inc;
+        }
+        emit(i, o);
+    }
+    state = lane[0];
+    return i;
+}
+
 } // namespace
 
 Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
@@ -62,28 +95,24 @@ std::uint32_t Pcg32::next_u32()
 
 void Pcg32::low_bits_into(std::span<std::uint8_t> out)
 {
-    // Lane k holds the state of draws k, k+4, k+8, ...: one jump of four
-    // LCG steps is s -> mult^4 s + inc (mult^3 + mult^2 + mult + 1)
-    // (mod 2^64), and the four jumps of a step are independent.
-    constexpr std::uint64_t mult2 = mult * mult;
-    constexpr std::uint64_t jump_mult = mult2 * mult2;
-    const std::uint64_t jump_inc = inc_ * (mult2 * mult + mult2 + mult + 1u);
-    const std::size_t n = out.size();
-    std::size_t i = 0;
-    if (n >= 4) {
-        std::uint64_t lane[4]{state_};
-        for (int k = 1; k < 4; ++k)
-            lane[k] = lane[k - 1] * mult + inc_;
-        for (; i + 4 <= n; i += 4) {
-            for (int k = 0; k < 4; ++k) {
-                out[i + k] = static_cast<std::uint8_t>(pcg_output(lane[k]) & 1u);
-                lane[k] = lane[k] * jump_mult + jump_inc;
-            }
-        }
-        state_ = lane[0];
-    }
-    for (; i < n; ++i)
+    std::size_t i = leapfrog_draws(state_, inc_, out.size(),
+                                   [&](std::size_t at, const std::uint32_t (&o)[4]) {
+                                       for (int k = 0; k < 4; ++k)
+                                           out[at + k] = static_cast<std::uint8_t>(o[k] & 1u);
+                                   });
+    for (; i < out.size(); ++i)
         out[i] = static_cast<std::uint8_t>(next_u32() & 1u);
+}
+
+void Pcg32::next_u64_into(std::span<std::uint64_t> out)
+{
+    std::size_t i = leapfrog_draws(state_, inc_, 2 * out.size(),
+                                   [&](std::size_t at, const std::uint32_t (&o)[4]) {
+                                       out[at / 2] = (std::uint64_t{o[0]} << 32u) | o[1];
+                                       out[at / 2 + 1] = (std::uint64_t{o[2]} << 32u) | o[3];
+                                   }) / 2;
+    for (; i < out.size(); ++i)
+        out[i] = next_u64();
 }
 
 std::uint64_t Pcg32::next_u64()

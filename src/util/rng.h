@@ -115,6 +115,12 @@ public:
     /// Next 64-bit draw (two 32-bit draws).
     std::uint64_t next_u64();
 
+    /// Write the next `out.size()` next_u64() draws into `out`, leaving
+    /// the state exactly as that many next_u64() calls would (the cached
+    /// Gaussian is untouched), on the same leapfrogged lanes as
+    /// low_bits_into.
+    void next_u64_into(std::span<std::uint64_t> out);
+
     /// Uniform double in [0, 1).
     double next_double();
 
@@ -124,6 +130,10 @@ public:
 
     /// Standard normal draw (Box-Muller, one value cached).
     double next_gaussian();
+
+    /// Whether next_gaussian() would return the cached second value of a
+    /// pair rather than draw.
+    bool has_cached_gaussian() const { return has_cached_gaussian_; }
 
     /// UniformRandomBitGenerator interface, so Pcg32 works with <algorithm>
     /// (std::shuffle and friends).

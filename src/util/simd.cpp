@@ -44,6 +44,10 @@ inline double distance_branchless(double a, double b)
     return std::abs(wrap_branchless(a - b));
 }
 
+// GCC's loop vectorizer packs two blocks per SSE2 vector here, through
+// 16 strided loads a step and register spills: 1.2 ns/sample against
+// 0.7 for the scalar loop on 2,432-sample signals.
+[[gnu::optimize("no-tree-vectorize")]]
 void block_energy_sums_scalar(const double* interleaved_samples, std::size_t blocks,
                               double* sums, double* sum_sqs, double* devs)
 {

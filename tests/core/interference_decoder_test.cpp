@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <numbers>
 
 #include "channel/awgn.h"
+#include "core/phase_solver.h"
 #include "dsp/msk.h"
 #include "dsp/ops.h"
 #include "util/bits.h"
+#include "util/phase.h"
 #include "util/rng.h"
 
 #include "support/signal_ops.h"
@@ -232,6 +237,96 @@ TEST_F(InterferenceDecoder, BackwardDomainSymmetry)
     }
     ASSERT_GT(total, 300u);
     EXPECT_LT(static_cast<double>(errors) / static_cast<double>(total), 0.02);
+}
+
+/// The exact profile's Eq. 7-8 core as the historical per-sample loop
+/// computed it: solve_phases on each sample, the Eq. 8 selection over
+/// the four candidate pairs, differential demodulation past the known
+/// signal.
+void sequential_phi_differences(dsp::Signal_view samples, std::span<const double> known_diffs,
+                                double a, double b, std::vector<double>& phi_differences,
+                                std::vector<double>& match_errors)
+{
+    phi_differences.clear();
+    match_errors.clear();
+    if (samples.size() < 2)
+        return;
+    Phase_solutions current = solve_phases(samples[0], a, b);
+    for (std::size_t n = 0; n + 1 < samples.size(); ++n) {
+        const Phase_solutions next = solve_phases(samples[n + 1], a, b);
+        if (n < known_diffs.size()) {
+            double best_error = 0.0;
+            double best_phi_diff = 0.0;
+            bool first = true;
+            for (const Phase_pair& p_next : next.pair) {
+                for (const Phase_pair& p_cur : current.pair) {
+                    const double theta_diff = wrap_phase_bounded(p_next.theta - p_cur.theta);
+                    const double error = phase_distance_bounded(theta_diff, known_diffs[n]);
+                    if (first || error < best_error) {
+                        best_error = error;
+                        best_phi_diff = wrap_phase_bounded(p_next.phi - p_cur.phi);
+                        first = false;
+                    }
+                }
+            }
+            phi_differences.push_back(best_phi_diff);
+            match_errors.push_back(best_error);
+        } else {
+            phi_differences.push_back(std::arg(samples[n + 1] * std::conj(samples[n])));
+        }
+        current = next;
+    }
+}
+
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+            << "entry " << i << ": " << got[i] << " vs " << want[i];
+}
+
+TEST_F(InterferenceDecoder, ExactMatchesPerSampleSolveLoop)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    const double specials[] = {0.0, -0.0, inf, -inf, nan, 1e-300, 1e300};
+    Pcg32 rng{611};
+    const auto uniform = [&](double lo, double hi) { return lo + (hi - lo) * rng.next_double(); };
+    std::vector<double> want_phi;
+    std::vector<double> want_errors;
+    for (int trial = 0; trial < 60; ++trial) {
+        SCOPED_TRACE(trial);
+        const double a = uniform(0.1, 2.0);
+        const double b = uniform(0.1, 2.0);
+        const std::size_t size = rng.next_in_range(0, 300);
+        dsp::Signal samples(size);
+        for (auto& y : samples) {
+            // Mostly consistent with (a, b); a third of trials push |y|
+            // outside [|a - b|, a + b], so D clamps; another third mix in
+            // zeros, infinities, NaNs and extreme magnitudes.
+            const double scale = trial % 3 == 1 ? uniform(0.0, 3.0 * (a + b)) : a + b;
+            y = std::polar(uniform(0.0, 1.0) * scale, uniform(-4.0, 4.0));
+            if (trial % 3 == 2 && rng.next_in_range(0, 3) == 0) {
+                const double re = specials[rng.next_in_range(0, 6)];
+                const double im = rng.next_in_range(0, 1) ? specials[rng.next_in_range(0, 6)]
+                                                          : y.imag();
+                y = {re, im};
+            }
+        }
+        // Known spans shorter than, equal to and longer than the
+        // transitions.
+        known_diffs.resize(rng.next_in_range(0, static_cast<std::uint32_t>(size + 20)));
+        for (double& diff : known_diffs)
+            diff = trial % 2 == 0 ? std::numbers::pi * (rng.next_in_range(0, 1) ? 0.5 : -0.5)
+                                  : uniform(-std::numbers::pi, std::numbers::pi);
+        if (trial % 5 == 0 && !known_diffs.empty())
+            known_diffs[0] = nan;
+        decoder.decode_into(samples, known_diffs, a, b, bits, phi_differences, match_errors);
+        sequential_phi_differences(samples, known_diffs, a, b, want_phi, want_errors);
+        expect_same_bits(phi_differences, want_phi);
+        expect_same_bits(match_errors, want_errors);
+    }
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "channel/awgn.h"
@@ -189,8 +190,12 @@ TEST(FailureInjection, TailRecoveryWhenUnknownHeadIsJammed)
     // the broadcast; jam a window around it.
     Pcg32 rng{521};
     chan::Awgn jam{1.0, rng};
-    for (std::size_t i = 280; i < 470 && i < setup.at_alice.size(); ++i)
-        setup.at_alice[i] += jam.sample();
+    const std::size_t end = std::min<std::size_t>(470, setup.at_alice.size());
+    ASSERT_GT(end, 280u);
+    dsp::Signal burst(end - 280);
+    jam.add_in_place(burst);
+    for (std::size_t i = 280; i < end; ++i)
+        setup.at_alice[i] += burst[i - 280];
 
     const Anc_receiver receiver = make_receiver();
     const Receive_outcome outcome = receiver.receive(setup.at_alice, setup.alice.buffer());

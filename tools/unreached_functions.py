@@ -13,6 +13,10 @@ every emitter and fault-tolerance flag (--journal, --resume, --shard,
 --merge, --stream, --csv, --tasks-csv, --metrics-json, --list-scenarios)
 and its stdout table.
 
+Before the runs it checks that no object file is newer than a binary
+that links it (sources edited while the build ran), and exits 1 at once
+if one is, rather than failing in gcov after every run.
+
 It then sums `gcov --json-format` call counts per function over every
 library, bench and example translation unit (header inlines are compiled
 into the bench objects, so the library objects alone would misreport
@@ -33,7 +37,7 @@ makes the script exit 1.
 
 Exit status: 0 when the report was produced and (with --allowlist) lists
 only allowed functions and every counting entry matched one of them; 1
-when the build, a run or gcov failed, a reported function is not
+when the build, a run or gcov failed, an object was newer than a binary, a reported function is not
 allowed, or a counting entry is stale; 2 on a usage error.  Needs cmake, a
 GCC toolchain and gcov; only the Python 3 standard library.  The build
 takes a few minutes.
@@ -83,7 +87,31 @@ def build(build_dir):
          f"-DCMAKE_CXX_FLAGS={COVERAGE_FLAGS}"], ROOT)
     targets = ["anc"] + [f"bench_{b}" for b in benches] + [f"example_{e}" for e in examples]
     run(["cmake", "--build", build_dir, "-j", JOBS, "--target", *targets], ROOT)
+    check_fresh(build_dir, benches, examples)
     return benches, examples
+
+
+def check_fresh(build_dir, benches, examples):
+    """Fail before the runs if an object file is newer than a binary that
+    links it: the library objects against libanc.a, each target's own
+    objects and libanc.a against its executable.  That happens when
+    sources change while the build runs, and gcov would then stop with
+    "stamp mismatch with notes file" only after every run."""
+    library = build_dir / "libanc.a"
+    binaries = {"anc": library}
+    binaries.update({f"bench_{b}": build_dir / "bench" / b for b in benches})
+    binaries.update({f"example_{e}": build_dir / "examples" / e for e in examples})
+    newer = []
+    for target, binary in binaries.items():
+        linked = binary.stat().st_mtime_ns
+        inputs = list((build_dir / "CMakeFiles" / f"{target}.dir").rglob("*.o"))
+        if binary != library:
+            inputs.append(library)
+        newer += [f"{i.relative_to(build_dir)} is newer than {binary.relative_to(build_dir)}"
+                  for i in inputs if i.stat().st_mtime_ns > linked]
+    if newer:
+        fail("sources changed while the build ran; run again once they are settled:\n"
+             + "\n".join(newer))
 
 
 def drive(build_dir, benches, examples):
