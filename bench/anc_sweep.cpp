@@ -41,9 +41,9 @@
 //
 // When stderr is a TTY and --quiet is not given, a single-line progress
 // display (tasks done/total, rate, ETA) updates in place during the run
-// — the reference consumer of Executor_config::on_progress, throttled
-// through util/rate_limiter.h (the executor calls the hook once per
-// finished task).
+// — it counts Executor_config::on_complete calls, throttled through
+// util/rate_limiter.h (the executor calls the hook once per executed
+// task).
 
 #include <atomic>
 #include <csignal>
@@ -272,18 +272,22 @@ int run_sweep_cli(const Cli_options& options_in)
                 journal->append(result);
             journal->flush();
         }
-        options.config.on_complete = [&journal](const engine::Task_result& result) {
-            journal->append(result);
-        };
     }
 
     obs::Sweep_telemetry telemetry;
     if (!options.artifacts.metrics_json.empty())
         options.config.telemetry = &telemetry;
-    Progress_line progress;
+    // on_complete fires once per executed task: the journal's append
+    // point and the progress line's tick.
+    std::optional<Progress_line> progress;
     if (!options.quiet && isatty(fileno(stderr)))
-        options.config.on_progress = [&progress](std::size_t done, std::size_t total) {
-            progress(done, total);
+        progress.emplace(tasks.size() - preloaded.size());
+    if (journal || progress)
+        options.config.on_complete = [&journal, &progress](const engine::Task_result& result) {
+            if (journal)
+                journal->append(result);
+            if (progress)
+                (*progress)();
         };
 
     options.config.isolate_faults = true;

@@ -1,21 +1,24 @@
 // Shared flag parsing and output helpers for the figure and ablation
 // drivers.
 //
-// Each bench prints the same rows/series the paper's figure reports, a
-// small CDF table, and a paper-vs-measured summary line, so the outputs
-// can be pasted straight into EXPERIMENTS.md.
+// Each figure driver prints the rows/series the paper's figure reports,
+// a small CDF table, and paper-vs-measured lines: print_compare over an
+// entry of paper_values.h, which the ctest integration.paper_fidelity
+// checks.
 
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dsp/math_profile.h"
 #include "engine/engine.h"
+#include "paper_values.h"
 #include "sweep_cli.h"
 #include "util/stats.h"
 
@@ -189,9 +192,43 @@ inline void print_header(const char* figure, const char* description)
     std::printf("==============================================================\n");
 }
 
-inline void print_compare(const char* metric, double paper, double measured)
+/// A measured number for print_compare: the statistic it is, and no
+/// value when the series behind it held no sample.
+struct Measured {
+    const char* statistic;
+    std::optional<double> value;
+};
+
+inline Measured mean_of(const Cdf& series, const char* statistic = "mean")
 {
-    std::printf("  %-44s paper %-8.3f measured %-8.3f\n", metric, paper, measured);
+    return {statistic, series.empty() ? std::nullopt : std::optional{series.mean()}};
+}
+
+inline Measured p90_of(const Cdf& series)
+{
+    return {"p90", series.empty() ? std::nullopt : std::optional{series.quantile(0.90)}};
+}
+
+/// The one paper-vs-measured line:
+///   <label>, <statistic>  paper P <+-W|max>  measured M  profiles within A  source: S
+/// with "n/a" for a measurement that has no value, and the entry's
+/// known-gap note appended when it has one.  tests/integration/
+/// paper_fidelity_test.sh parses exactly this layout.
+inline void print_compare(const Paper_value& entry, const Measured& measured)
+{
+    const std::string label = std::string{entry.label} + ", " + measured.statistic;
+    char corridor[16] = "max";
+    if (!entry.corridor.at_most)
+        std::snprintf(corridor, sizeof corridor, "+-%.3f", entry.corridor.half_width);
+    char value[32] = "n/a";
+    if (measured.value)
+        std::snprintf(value, sizeof value, "%.3f", *measured.value);
+    std::printf("  %-58s paper %.3f %-7s measured %-6s profiles within %.3f  source: %s",
+                label.c_str(), entry.paper, corridor, value, entry.profiles_within,
+                entry.source);
+    if (entry.known_gap)
+        std::printf("  known gap: %s", entry.known_gap);
+    std::printf("\n");
 }
 
 } // namespace anc::bench

@@ -18,15 +18,22 @@ int main()
         std::printf("%8.1f %14.4f %12.4f %8.3f\n", p.snr_db, p.traditional, p.anc, p.gain);
     }
 
-    const double crossover = cap::crossover_snr_db();
-    std::printf("\nANC overtakes traditional routing above %.2f dB "
-                "(paper: low-SNR region is ~0-8 dB)\n", crossover);
-
-    bench::print_compare("capacity gain at 25 dB", 1.55, cap::capacity_gain(from_db(25.0)));
-    bench::print_compare("capacity gain at 40 dB", 1.70, cap::capacity_gain(from_db(40.0)));
-    bench::print_compare("traditional b/s/Hz at 55 dB", 4.5,
-                         cap::traditional_upper_bound(from_db(55.0)));
-    bench::print_compare("ANC b/s/Hz at 55 dB", 8.3, cap::anc_lower_bound(from_db(55.0)));
+    // The paper reads these off Fig. 7 at 25, 40 and 55 dB.
+    const double snr_25 = from_db(25.0);
+    const double snr_40 = from_db(40.0);
+    const double snr_55 = from_db(55.0);
+    const auto closed_form = [](double value) { return bench::Measured{"closed form", value}; };
+    std::printf("\nPaper vs measured:\n");
+    bench::print_compare(bench::paper::capacity_crossover_db,
+                         closed_form(cap::crossover_snr_db()));
+    bench::print_compare(bench::paper::capacity_gain_25db,
+                         closed_form(cap::capacity_gain(snr_25)));
+    bench::print_compare(bench::paper::capacity_gain_40db,
+                         closed_form(cap::capacity_gain(snr_40)));
+    bench::print_compare(bench::paper::traditional_capacity_55db,
+                         closed_form(cap::traditional_upper_bound(snr_55)));
+    bench::print_compare(bench::paper::anc_capacity_55db,
+                         closed_form(cap::anc_lower_bound(snr_55)));
     std::printf("\nAsymptotics: gain(80 dB)=%.3f, gain(160 dB)=%.3f -> 2 (Theorem 8.1)\n",
                 cap::capacity_gain(from_db(80.0)), cap::capacity_gain(from_db(160.0)));
     return 0;

@@ -61,9 +61,11 @@ int main(int argc, char** argv)
     bench::print_cdf("Fig 9(b): per-packet BER of ANC decodes", packet_ber);
 
     std::printf("\nPaper vs measured:\n");
-    bench::print_compare("mean gain over traditional", 1.70, gain_over_traditional.mean());
-    bench::print_compare("mean gain over COPE", 1.30, gain_over_cope.mean());
-    bench::print_compare("most packets' BER below", 0.04, packet_ber.quantile(0.90));
-    bench::print_compare("mean packet overlap", 0.80, overlaps.mean());
+    bench::print_compare(bench::paper::alice_bob_gain_over_traditional,
+                         bench::mean_of(gain_over_traditional));
+    bench::print_compare(bench::paper::alice_bob_gain_over_cope, bench::mean_of(gain_over_cope));
+    bench::print_compare(bench::paper::alice_bob_ber, bench::p90_of(packet_ber));
+    bench::print_compare(bench::paper::alice_bob_overlap,
+                         bench::mean_of(overlaps, "mean of run means"));
     return 0;
 }

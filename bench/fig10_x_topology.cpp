@@ -64,7 +64,8 @@ int main(int argc, char** argv)
                     : 0.0);
 
     std::printf("\nPaper vs measured:\n");
-    bench::print_compare("mean gain over traditional", 1.65, gain_over_traditional.mean());
-    bench::print_compare("mean gain over COPE", 1.28, gain_over_cope.mean());
+    bench::print_compare(bench::paper::x_gain_over_traditional,
+                         bench::mean_of(gain_over_traditional));
+    bench::print_compare(bench::paper::x_gain_over_cope, bench::mean_of(gain_over_cope));
     return 0;
 }

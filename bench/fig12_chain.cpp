@@ -49,7 +49,8 @@ int main(int argc, char** argv)
     bench::print_cdf("Fig 12(b): BER of interference decodes at N2", ber_at_n2);
 
     std::printf("\nPaper vs measured:\n");
-    bench::print_compare("mean gain over traditional", 1.36, gain_over_traditional.mean());
-    bench::print_compare("mean BER at N2 (vs ~4% on Alice-Bob)", 0.010, ber_at_n2.mean());
+    bench::print_compare(bench::paper::chain_gain_over_traditional,
+                         bench::mean_of(gain_over_traditional));
+    bench::print_compare(bench::paper::chain_ber_at_n2, bench::mean_of(ber_at_n2));
     return 0;
 }

@@ -54,9 +54,9 @@ int main(int argc, char** argv)
     const std::vector<Point_summary> table_points =
         bench::points_for_profile(outcome.points, table_profile);
 
-    const auto gain_mean = [&](const char* scenario, const char* baseline) {
-        return paired_gain(outcome.tasks, table_points, scenario, "anc", baseline)
-            .mean();
+    const auto gain = [&](const char* scenario, const char* baseline) {
+        return bench::mean_of(
+            paired_gain(outcome.tasks, table_points, scenario, "anc", baseline));
     };
 
     // Mean of per-run means (each run weighted equally, like the
@@ -73,36 +73,28 @@ int main(int argc, char** argv)
             if (!samples.empty())
                 means.add(samples.mean());
         }
-        return means;
+        return bench::mean_of(means, "mean of run means");
     };
 
     const Point_summary& ab = summary_for(table_points, "alice_bob", "anc");
-    const Cdf chain_ber = per_run_series_mean(outcome.tasks, "chain", "ber_at_n2");
-    const Cdf sir_ber =
-        per_run_series_mean(sir_outcome.tasks, "alice_bob", "ber_at_alice");
 
     std::printf("(%zu runs x %zu packets each, payload 2048 bits)\n\n", runs, exchanges);
-    std::printf("%-48s %8s %8s\n", "metric", "paper", "measured");
-    std::printf("--------------------------------------------------------------------\n");
-    const auto row = [](const char* name, double paper, double measured) {
-        std::printf("%-48s %8.3f %8.3f\n", name, paper, measured);
-    };
-    // A series with no samples prints n/a, never a number a corridor
-    // could mistake for a perfect (zero) BER.
-    const auto mean_row = [](const char* name, double paper, const Cdf& measured) {
-        if (measured.empty())
-            std::printf("%-48s %8.3f %8s\n", name, paper, "n/a");
-        else
-            std::printf("%-48s %8.3f %8.3f\n", name, paper, measured.mean());
-    };
-    row("Alice-Bob: ANC gain over traditional", 1.70, gain_mean("alice_bob", "traditional"));
-    row("Alice-Bob: ANC gain over COPE", 1.30, gain_mean("alice_bob", "cope"));
-    mean_row("Alice-Bob: mean ANC BER", 0.04, ab.run_mean_ber);
-    mean_row("Alice-Bob: mean packet overlap", 0.80, ab.run_mean_overlap);
-    row("X: ANC gain over traditional", 1.65, gain_mean("x_topology", "traditional"));
-    row("X: ANC gain over COPE", 1.28, gain_mean("x_topology", "cope"));
-    row("Chain: ANC gain over traditional", 1.36, gain_mean("chain", "traditional"));
-    mean_row("Chain: mean BER at N2", 0.015, chain_ber);
-    mean_row("BER at SIR -3 dB (decoding at Alice)", 0.05, sir_ber);
+    std::printf("Paper vs measured:\n");
+    bench::print_compare(bench::paper::alice_bob_gain_over_traditional,
+                         gain("alice_bob", "traditional"));
+    bench::print_compare(bench::paper::alice_bob_gain_over_cope, gain("alice_bob", "cope"));
+    bench::print_compare(bench::paper::alice_bob_ber,
+                         bench::mean_of(ab.run_mean_ber, "mean of run means"));
+    bench::print_compare(bench::paper::alice_bob_overlap,
+                         bench::mean_of(ab.run_mean_overlap, "mean of run means"));
+    bench::print_compare(bench::paper::x_gain_over_traditional,
+                         gain("x_topology", "traditional"));
+    bench::print_compare(bench::paper::x_gain_over_cope, gain("x_topology", "cope"));
+    bench::print_compare(bench::paper::chain_gain_over_traditional,
+                         gain("chain", "traditional"));
+    bench::print_compare(bench::paper::chain_ber_at_n2,
+                         per_run_series_mean(outcome.tasks, "chain", "ber_at_n2"));
+    bench::print_compare(bench::paper::ber_at_sir_minus_3db,
+                         per_run_series_mean(sir_outcome.tasks, "alice_bob", "ber_at_alice"));
     return 0;
 }

@@ -272,28 +272,35 @@ inline void emit_metrics(const Artifact_paths& paths, const engine::Metrics_run_
 }
 
 /// The stderr progress line: "\r  123/4096 tasks  41.0/s  ETA 97s".
-/// Called once per finished task (serialized, never concurrently);
+/// Called once per executed task (serialized, never concurrently);
 /// redraws are gated through a Rate_limiter to ~10 per second so
 /// terminal I/O never becomes the run's bottleneck, and the final task
 /// always draws so the line ends at 100%.
 class Progress_line {
 public:
-    void operator()(std::size_t done, std::size_t total)
+    /// `total`: the tasks this run executes (grid minus preloaded).
+    explicit Progress_line(std::size_t total) : total_{total} {}
+
+    /// One executed task finished.
+    void operator()()
     {
-        if (done != total && !redraw_gate_.ready())
+        ++done_;
+        if (done_ != total_ && !redraw_gate_.ready())
             return;
         const double elapsed =
             std::chrono::duration<double>(clock::now() - start_).count();
-        const double rate = elapsed > 0.0 ? static_cast<double>(done) / elapsed : 0.0;
-        const double eta = rate > 0.0 ? static_cast<double>(total - done) / rate : 0.0;
-        std::fprintf(stderr, "\r%6zu/%zu tasks  %6.1f/s  ETA %5.0fs ", done, total,
+        const double rate = elapsed > 0.0 ? static_cast<double>(done_) / elapsed : 0.0;
+        const double eta = rate > 0.0 ? static_cast<double>(total_ - done_) / rate : 0.0;
+        std::fprintf(stderr, "\r%6zu/%zu tasks  %6.1f/s  ETA %5.0fs ", done_, total_,
                      rate, eta);
-        if (done == total)
+        if (done_ == total_)
             std::fputc('\n', stderr);
     }
 
 private:
     using clock = std::chrono::steady_clock;
+    std::size_t total_;
+    std::size_t done_ = 0;
     clock::time_point start_ = clock::now();
     Rate_limiter redraw_gate_{std::chrono::milliseconds{100}};
 };

@@ -26,6 +26,22 @@ const char* to_string(Task_status status)
     return "skipped";
 }
 
+namespace {
+
+/// what() of a std::exception, else "unknown exception".
+std::string error_message(const std::exception_ptr& error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
+} // namespace
+
 std::uint64_t derive_task_seed(std::uint64_t base_seed, std::size_t seed_index)
 {
     return mix_seed(base_seed, seed_index);
@@ -86,8 +102,6 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
     std::mutex emit_mutex;
     std::map<std::size_t, Task_result> window;
     std::size_t next_emit = 0;
-    std::size_t executed_done = 0;
-    std::size_t to_execute = tasks.size();
 
     // Emit one completed result: merge its telemetry (index order, so
     // totals are thread-invariant), hand it to the streaming sink, tally
@@ -123,7 +137,6 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
             if (position >= tasks.size())
                 continue;
             done[position] = 1;
-            --to_execute;
             ++counts.resumed;
             Task_result slot = std::move(preloaded);
             // The journal stores index + seed + result; the task config
@@ -197,7 +210,7 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
                     }
                     slot.status = Task_status::ok;
                     break;
-                } catch (const std::exception& error) {
+                } catch (...) {
                     if (!config.isolate_faults) {
                         std::call_once(error_once,
                                        [&] { first_error = std::current_exception(); });
@@ -206,21 +219,8 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
                     }
                     if (slot.attempts >= max_attempts) {
                         slot.status = Task_status::error;
-                        slot.error = error.what();
+                        slot.error = error_message(std::current_exception());
                         slot.result = Scenario_result{}; // no partial state escapes
-                        break;
-                    }
-                } catch (...) {
-                    if (!config.isolate_faults) {
-                        std::call_once(error_once,
-                                       [&] { first_error = std::current_exception(); });
-                        next.store(tasks.size());
-                        return;
-                    }
-                    if (slot.attempts >= max_attempts) {
-                        slot.status = Task_status::error;
-                        slot.error = "unknown exception";
-                        slot.result = Scenario_result{};
                         break;
                     }
                 }
@@ -229,17 +229,12 @@ std::vector<Task_result> run_sweep(const std::vector<Sweep_task>& tasks,
                 // One mutex serializes every consumer-facing hook: the
                 // journal append (completion order, BEFORE anything else
                 // reads the result — Cdf sample order must be captured
-                // pre-aggregation), the ordered on_result drain, and
-                // on_progress, which therefore sees a strictly monotonic
-                // "done" count.
+                // pre-aggregation) and the ordered on_result drain.
                 const std::lock_guard<std::mutex> lock{emit_mutex};
                 if (config.on_complete)
                     config.on_complete(slot);
                 window.emplace(i, std::move(slot));
                 drain();
-                ++executed_done;
-                if (config.on_progress)
-                    config.on_progress(executed_done, to_execute);
             }
         }
     };

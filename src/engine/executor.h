@@ -65,16 +65,6 @@ struct Executor_config {
     std::size_t threads = 0;
     /// Root of the per-task seed derivation.
     std::uint64_t base_seed = 1;
-    /// Optional progress hook, called after each task completes with
-    /// (tasks finished so far, total to execute).  Preloaded tasks count
-    /// toward neither number.  May be invoked from any worker thread,
-    /// never concurrently with itself (calls are serialized under an
-    /// executor-internal mutex).  The executor does NOT throttle: the
-    /// hook fires once per finished task, so callbacks that do I/O
-    /// (progress lines, checkpoints) must rate-limit themselves —
-    /// anc::Rate_limiter (util/rate_limiter.h) is the tool, and
-    /// bench/anc_sweep the reference stderr line.
-    std::function<void(std::size_t, std::size_t)> on_progress;
     /// When set, the executor binds an obs::Recorder to every worker,
     /// stamps each Task_result's `result.telemetry` (counters, stage
     /// times, wall/queue time, worker index) and fills this struct with
@@ -110,7 +100,12 @@ struct Executor_config {
     /// before the task enters the pending window — the journal's append
     /// point (a result is durable the moment it completes, not when the
     /// reorder window reaches it).  Preloaded tasks never re-fire it.
-    /// Fires for every terminal outcome, ok and error alike.
+    /// Fires for every terminal outcome, ok and error alike, so it is
+    /// also the progress hook: its call count reaches (tasks - preloaded).
+    /// The executor does NOT throttle: callbacks that do I/O (progress
+    /// lines, checkpoints) must rate-limit themselves —
+    /// anc::Rate_limiter (util/rate_limiter.h) is the tool, and
+    /// bench/anc_sweep the reference stderr line.
     std::function<void(const Task_result&)> on_complete;
     /// False: run_sweep returns an empty vector and results exist only
     /// as on_result/on_complete callbacks — O(pending window) memory,

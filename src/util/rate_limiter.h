@@ -1,10 +1,10 @@
 // A minimum-interval gate for side effects driven by high-frequency
 // callbacks.
 //
-// The executor's on_progress / on_complete hooks fire once per finished
-// task (ENGINE.md documents the no-throttle contract), so every consumer
-// that does I/O — the anc_sweep TTY progress line, the journal's fsync
-// batching — needs the same "at most every T" discipline.  This is that
+// The executor's on_complete hook fires once per executed task (ENGINE.md
+// documents the no-throttle contract), so every consumer that does I/O —
+// the anc_sweep TTY progress line, the journal's fsync batching — needs
+// the same "at most every T" discipline.  This is that
 // pattern, promoted out of bench/anc_sweep so consumers stop
 // re-implementing it.
 //

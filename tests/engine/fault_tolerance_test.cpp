@@ -46,12 +46,15 @@ Scenario synthetic(const std::string& name)
         }};
 }
 
-/// Throws on every task whose seed is odd; succeeds on even seeds.
-Scenario half_exploding()
+/// Throws on every task whose seed is odd; succeeds on even seeds.  The
+/// throw is a std::runtime_error, or the bare seed when `non_std`.
+Scenario half_exploding(bool non_std = false)
 {
     return Scenario{
         "half_exploding", {"anc"},
-        [](const Scenario_config& config, std::uint64_t seed) {
+        [non_std](const Scenario_config& config, std::uint64_t seed) {
+            if (seed % 2 == 1 && non_std)
+                throw seed;
             if (seed % 2 == 1)
                 throw std::runtime_error{"odd seed " + std::to_string(seed)};
             Scenario_result result;
@@ -64,47 +67,55 @@ Scenario half_exploding()
 
 TEST(FaultIsolation, ErrorsBecomeRowsNotAborts)
 {
-    Scenario_registry registry;
-    registry.add(half_exploding());
-    Sweep_grid grid;
-    grid.scenarios = {"half_exploding"};
-    grid.repetitions = 32;
+    // A std::exception's what() becomes the row's error; anything else
+    // thrown reads "unknown exception".
+    for (const bool non_std : {false, true}) {
+        SCOPED_TRACE(non_std ? "non-std throw" : "std::exception");
+        Scenario_registry registry;
+        registry.add(half_exploding(non_std));
+        Sweep_grid grid;
+        grid.scenarios = {"half_exploding"};
+        grid.repetitions = 32;
 
-    Executor_config config;
-    config.threads = 4;
-    config.base_seed = 3;
-    config.isolate_faults = true;
-    Run_tally tally;
-    const std::vector<Task_result> results =
-        run_sweep(expand(grid, registry), registry, config, &tally);
+        Executor_config config;
+        config.threads = 4;
+        config.base_seed = 3;
+        config.isolate_faults = true;
+        Run_tally tally;
+        const std::vector<Task_result> results =
+            run_sweep(expand(grid, registry), registry, config, &tally);
 
-    ASSERT_EQ(results.size(), 32u);
-    std::size_t ok = 0, errors = 0;
-    for (const Task_result& result : results) {
-        if (result.status == Task_status::error) {
-            ++errors;
-            EXPECT_NE(result.error.find("odd seed"), std::string::npos);
-            EXPECT_EQ(result.attempts, 1u);
-            // No partial state escapes a failed task.
-            EXPECT_EQ(result.result.metrics.packets_attempted, 0u);
-        } else {
-            ASSERT_EQ(result.status, Task_status::ok);
-            ++ok;
+        ASSERT_EQ(results.size(), 32u);
+        std::size_t ok = 0, errors = 0;
+        for (const Task_result& result : results) {
+            if (result.status == Task_status::error) {
+                ++errors;
+                if (non_std)
+                    EXPECT_EQ(result.error, "unknown exception");
+                else
+                    EXPECT_NE(result.error.find("odd seed"), std::string::npos);
+                EXPECT_EQ(result.attempts, 1u);
+                // No partial state escapes a failed task.
+                EXPECT_EQ(result.result.metrics.packets_attempted, 0u);
+            } else {
+                ASSERT_EQ(result.status, Task_status::ok);
+                ++ok;
+            }
         }
-    }
-    EXPECT_GT(ok, 0u);
-    EXPECT_GT(errors, 0u);
-    EXPECT_EQ(tally.ok, ok);
-    EXPECT_EQ(tally.errors, errors);
-    EXPECT_FALSE(tally.cancelled);
+        EXPECT_GT(ok, 0u);
+        EXPECT_GT(errors, 0u);
+        EXPECT_EQ(tally.ok, ok);
+        EXPECT_EQ(tally.errors, errors);
+        EXPECT_FALSE(tally.cancelled);
 
-    // Errored tasks bump the point's error count but contribute no
-    // samples.
-    const std::vector<Point_summary> points = aggregate(results);
-    ASSERT_EQ(points.size(), 1u);
-    EXPECT_EQ(points[0].runs, ok);
-    EXPECT_EQ(points[0].errors, errors);
-    EXPECT_EQ(points[0].throughput.count(), ok);
+        // Errored tasks bump the point's error count but contribute no
+        // samples.
+        const std::vector<Point_summary> points = aggregate(results);
+        ASSERT_EQ(points.size(), 1u);
+        EXPECT_EQ(points[0].runs, ok);
+        EXPECT_EQ(points[0].errors, errors);
+        EXPECT_EQ(points[0].throughput.count(), ok);
+    }
 }
 
 TEST(FaultIsolation, WithoutIsolationFirstErrorStillThrows)
